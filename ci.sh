@@ -57,10 +57,12 @@ cargo test -q --offline -p hiloc-core --test replica_torn_tail
 # verbs. The oracle re-establishes every object after the timeline
 # heals and requires its last acked position back bit-for-bit; the
 # overload seed must actually shed at a tiny bounded inbox. The sharded
-# runtime's chaos-surface unit suite rides along.
+# runtime's chaos-surface unit suite and the client-API suite (every
+# test on both transports) ride along.
 echo "==> real-runtime fuzz gate (threaded + UDP: crash / partition / restart / shed)"
 cargo test -q --offline -p hiloc-sim --test real_runtime_fuzz
 cargo test -q --offline -p hiloc-core --test sharded_runtime
+cargo test -q --offline -p hiloc-core --test runtime_transports
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
@@ -102,5 +104,13 @@ echo "==> committed BENCH_macro.json validates (incl. failover_blackout_us, reco
 # tool degrades to a note and the gate passes.
 echo "==> benchmark trajectory (per-PR baselines, regression check)"
 ./target/release/experiments trajectory --check --tolerance 0.25
+
+# The repo benchmark (BENCHMARK.json) is its own package outside the
+# workspace and compiles against the runtime's public names
+# (benchmark/src/sut.rs): a rename that breaks them must fail here, not
+# in the benchmark pipeline. Smoke-runs all four workloads and their
+# traces, the package's tests and clippy.
+echo "==> benchmark package (builds against the runtime names; smoke + tests + clippy)"
+bash benchmark/check.sh
 
 echo "CI green."

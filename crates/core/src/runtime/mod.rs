@@ -1,28 +1,48 @@
 //! Runtimes that drive [`crate::node::LocationServer`]s.
 //!
-//! The server logic is sans-IO; these drivers move its envelopes:
+//! The server logic is sans-IO; these drivers move its envelopes. There
+//! is **one engine, two transports, one client**:
 //!
-//! * [`SimDeployment`] — deterministic virtual-time simulation over
-//!   [`hiloc_net::SimNet`]; reproducible experiments, message-flow
-//!   tracing (Figure 6 tests), fault injection.
-//! * [`ThreadedDeployment`] — sharded event loops over
-//!   [`hiloc_net::ChannelNetwork`] with bounded, shedding inboxes;
-//!   real wall-clock concurrency for the Table 2 measurements.
-//! * [`UdpDeployment`] — sharded event loops, one batched UDP socket
-//!   per shard; the paper's transport, deployable across processes and
-//!   hosts.
+//! * [`ShardedDeployment`] is the real-time deployment: servers
+//!   partitioned by id across per-core event-loop shards
+//!   ([`ShardSpec`]), batch receive, same-shard traffic short-circuited
+//!   in memory, and the crash / restart / partition-by-drop verbs the
+//!   real-runtime fuzzer drives.
+//! * [`Client`] is its blocking client, written once over any
+//!   [`hiloc_net::Port`].
+//! * The client protocol itself — which request an operation sends,
+//!   which message answers it, what result that means — is defined once
+//!   (`runtime/ops.rs`) and driven both by [`Client`] and by
+//!   [`SimDeployment`], the deterministic virtual-time simulation over
+//!   [`hiloc_net::SimNet`] (reproducible experiments, message-flow
+//!   tracing, fault injection).
 //!
-//! Both real-transport runtimes share the [`sharded`] engine: servers
-//! partitioned across per-core shards by id, batch rx/tx, and the
-//! crash / partition-by-drop / restart verbs the scenario fuzzer
-//! drives.
+//! A transport contributes only what really differs. The four aliases
+//! are distinct types with inherent methods, and the signatures in this
+//! table are the compatibility surface `benchmark/src/sut.rs` compiles
+//! against:
+//!
+//! | | channels: [`ThreadedDeployment`], [`SyncClient`] | UDP: [`UdpDeployment`], [`UdpClient`] |
+//! |---|---|---|
+//! | shard's end of the wire | one bounded inbox (`ShardSpec::inbox_cap`) shared by the shard's servers | one socket shared by the shard's servers |
+//! | overload | shed at the full inbox, counted per destination (`shed_total`, `ServerStats::inbox_shed`) | dropped by the kernel socket buffer, uncounted (`shed_total` stays 0) |
+//! | the deployment keeps | the [`hiloc_net::ChannelNetwork`] | the address book (`server_addr`, UDP only) |
+//! | construction | `new`, `new_sharded`: infallible, panic on a durable-store failure | `bind`, `bind_sharded -> Result<_, UdpError>` |
+//! | `client()` | `-> SyncClient` (a registered mailbox) | `-> Result<UdpClient, UdpError>` (binds a socket) |
+//! | `shutdown()` | `-> Vec<ServerStats>` | `-> ()`, beside `shutdown_with_stats()` |
+//! | client ids from | `1 << 48` | `1 << 52` |
+//!
+//! Everything else on the deployment and every client operation is one
+//! generic implementation.
 
+mod client;
+mod ops;
 mod sharded;
 mod sim;
-mod threaded;
-mod udp;
+mod transport;
 
-pub use sharded::ShardSpec;
-pub use sim::{CrashMode, LevelStats, SimDeployment, UpdateOutcome};
-pub use threaded::{SyncClient, ThreadedDeployment};
-pub use udp::{UdpClient, UdpDeployment};
+pub use client::Client;
+pub use ops::UpdateOutcome;
+pub use sharded::{ShardSpec, ShardedDeployment};
+pub use sim::{CrashMode, LevelStats, SimDeployment};
+pub use transport::{SyncClient, ThreadedDeployment, UdpClient, UdpDeployment};

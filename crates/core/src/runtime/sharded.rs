@@ -1,9 +1,7 @@
-//! The sharded, event-driven deployment engine behind
-//! [`ThreadedDeployment`](crate::runtime::ThreadedDeployment) and
-//! [`UdpDeployment`](crate::runtime::UdpDeployment).
+//! [`ShardedDeployment`] and the sharded, event-driven engine under
+//! it, the same on every transport.
 //!
-//! Instead of one blocking socket and one OS thread per server, the
-//! engine runs **one event loop per shard**: servers are partitioned
+//! The engine runs **one event loop per shard**: servers are partitioned
 //! across shards by server id (`id % shards`), which — because every
 //! leaf owns a disjoint service area and objects map to leaves by
 //! area — partitions visitor/object state across cores the same way
@@ -37,7 +35,10 @@ use crate::area::Hierarchy;
 use crate::model::Micros;
 use crate::node::{LocationServer, ServerOptions, ServerStats};
 use crate::proto::Message;
-use hiloc_net::{Endpoint, Envelope, ServerId};
+use crate::runtime::client::Client;
+use hiloc_geo::Point;
+use hiloc_net::{ClientId, Endpoint, Envelope, Port, SendOutcome, ServerId};
+use hiloc_storage::StorageError;
 use hiloc_util::sync::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use hiloc_util::sync::RwLock;
 use std::collections::{BTreeMap, VecDeque};
@@ -103,33 +104,13 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    pub(crate) fn new(n_servers: usize) -> Arc<Self> {
+    fn new(n_servers: usize) -> Arc<Self> {
         Arc::new(Shared {
             partition: RwLock::new(BTreeMap::new()),
             partition_active: AtomicBool::new(false),
             partition_dropped: AtomicU64::new(0),
             shed: (0..n_servers).map(|_| AtomicU64::new(0)).collect(),
         })
-    }
-
-    /// Installs a partition: servers listed in different groups can no
-    /// longer exchange messages. Unlisted servers stay connected to
-    /// everyone.
-    pub(crate) fn set_partition(&self, groups: &[Vec<ServerId>]) {
-        let mut map = self.partition.write();
-        map.clear();
-        for (g, members) in groups.iter().enumerate() {
-            for id in members {
-                map.insert(id.0, g as u32);
-            }
-        }
-        self.partition_active.store(!map.is_empty(), Ordering::Release);
-    }
-
-    /// Heals any installed partition.
-    pub(crate) fn clear_partition(&self) {
-        self.partition.write().clear();
-        self.partition_active.store(false, Ordering::Release);
     }
 
     /// True when the filter drops an envelope from `from` to `to`.
@@ -156,37 +137,16 @@ impl Shared {
         self.shed.get(id.0 as usize).map(|c| c.load(Ordering::Relaxed)).unwrap_or(0)
     }
 
-    /// Total envelopes shed at full inboxes, all destinations.
-    pub(crate) fn shed_total(&self) -> u64 {
-        self.shed.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Total envelopes dropped by the partition filter.
-    pub(crate) fn partition_dropped(&self) -> u64 {
-        self.partition_dropped.load(Ordering::Relaxed)
-    }
-
     pub(crate) fn record_partition_drop(&self) {
         self.partition_dropped.fetch_add(1, Ordering::Relaxed);
     }
 }
 
-/// Outcome of handing an envelope to a shard's transport.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TxOutcome {
-    /// Enqueued / written out.
-    Delivered,
-    /// Destination inbox full; the envelope was dropped.
-    Shed,
-    /// No route / destination gone; the envelope was dropped.
-    Dropped,
-}
-
 /// What a shard needs from its wire: batch receive with a bounded
 /// wait, and a non-blocking send.
 pub(crate) trait ShardTransport: Send + 'static {
-    /// Sends one envelope leaving this shard.
-    fn send(&mut self, env: Envelope<Message>) -> TxOutcome;
+    /// Sends one envelope leaving this shard, without blocking.
+    fn send(&mut self, env: Envelope<Message>) -> SendOutcome;
 
     /// Waits up to `nap` for traffic, then drains up to `max`
     /// envelopes into `out` without blocking. Returns `false` when the
@@ -204,7 +164,9 @@ pub(crate) enum Command {
     Crash(ServerId, Sender<bool>),
     /// Rebuild the server from its config (+ durable state when the
     /// deployment has durability configured). Also restarts a
-    /// *running* server (crash-restart in one verb).
+    /// *running* server (crash-restart in one verb). Replies `false`
+    /// when the server is not on this shard or its durable store will
+    /// not reopen; the server then stays down.
     Restart(ServerId, Sender<bool>),
     /// Report per-server stats of live local servers (shed counters
     /// folded in by the deployment) and this shard's busy time.
@@ -226,8 +188,8 @@ struct Slot {
     server: Option<LocationServer>,
 }
 
-/// A single event-loop shard. Generic over the transport so the
-/// channel (threaded) and UDP deployments share the loop verbatim.
+/// A single event-loop shard. Generic over the transport so every
+/// deployment shares the loop verbatim, statically dispatched.
 pub(crate) struct Shard<T: ShardTransport> {
     transport: T,
     slots: Vec<Slot>,
@@ -247,41 +209,6 @@ pub(crate) struct Shard<T: ShardTransport> {
 }
 
 impl<T: ShardTransport> Shard<T> {
-    #[allow(clippy::too_many_arguments)] // internal constructor, called from two deployments
-    pub(crate) fn new(
-        transport: T,
-        servers: Vec<LocationServer>,
-        hierarchy: Arc<Hierarchy>,
-        opts: ServerOptions,
-        shared: Arc<Shared>,
-        cmd_rx: Receiver<Command>,
-        shutdown: Arc<AtomicBool>,
-        epoch: Instant,
-        batch_max: usize,
-    ) -> Self {
-        let mut slots = Vec::with_capacity(servers.len());
-        let mut local = BTreeMap::new();
-        for server in servers {
-            let id = server.id();
-            local.insert(id.0, slots.len());
-            slots.push(Slot { id, server: Some(server) });
-        }
-        Shard {
-            transport,
-            slots,
-            local,
-            hierarchy,
-            opts,
-            shared,
-            cmd_rx,
-            shutdown,
-            epoch,
-            batch_max: batch_max.max(1),
-            busy: Duration::ZERO,
-            local_q: VecDeque::new(),
-        }
-    }
-
     fn now_us(&self) -> Micros {
         self.epoch.elapsed().as_micros() as Micros
     }
@@ -391,7 +318,7 @@ impl<T: ShardTransport> Shard<T> {
                 self.local_q.push_back(env);
                 return;
             }
-            if self.transport.send(env) == TxOutcome::Shed {
+            if self.transport.send(env) == SendOutcome::Shed {
                 self.shared.record_shed(sid);
             }
             return;
@@ -422,10 +349,11 @@ impl<T: ShardTransport> Shard<T> {
                         // engine reopens exclusively.
                         self.slots[i].server = None;
                         let cfg = self.hierarchy.server(id).clone();
-                        let server = LocationServer::new(cfg, self.opts.clone())
-                            .expect("server restart failed");
-                        self.slots[i].server = Some(server);
-                        true
+                        // A store that will not reopen (a corrupt
+                        // manifest is an error by design) leaves this
+                        // one server down; its shard keeps serving.
+                        self.slots[i].server = LocationServer::new(cfg, self.opts.clone()).ok();
+                        self.slots[i].server.is_some()
                     }
                     None => false,
                 };
@@ -443,34 +371,142 @@ impl<T: ShardTransport> Shard<T> {
     }
 }
 
-/// Deployment-side handle to a fleet of shards: owns the command
-/// channels and joins the loops on shutdown.
-pub(crate) struct ShardSet {
-    pub(crate) shared: Arc<Shared>,
+/// A location service running as sharded event loops (see
+/// [`ShardSpec`]) over a real transport: the handle that owns the
+/// shards' command channels and joins the loops on shutdown.
+///
+/// `W` is the transport's *wire*: what stays with the deployment once
+/// the shard ends of the transport are running — whatever a new client
+/// needs to reach the servers. Everything here is transport-agnostic;
+/// construction, `client()` and `shutdown()` differ in signature per
+/// transport and live with the [`ThreadedDeployment`](super::ThreadedDeployment)
+/// and [`UdpDeployment`](super::UdpDeployment) aliases.
+pub struct ShardedDeployment<W> {
+    hierarchy: Arc<Hierarchy>,
+    pub(crate) wire: W,
+    shared: Arc<Shared>,
+    /// Start of the service clock every shard and client reads.
+    epoch: Instant,
     cmd_txs: Vec<Sender<Command>>,
     /// Server id (`id.0`) → owning shard index.
     owner: Vec<usize>,
     shutdown: Arc<AtomicBool>,
     handles: Vec<std::thread::JoinHandle<Vec<(ServerId, ServerStats)>>>,
+    next_client: AtomicU64,
+}
+
+impl<W> std::fmt::Debug for ShardedDeployment<W> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ShardedDeployment")
+            .field("servers", &self.hierarchy.len())
+            .field("shards", &self.shard_count())
+            .finish()
+    }
 }
 
 /// How long the deployment waits for a shard to answer a command
 /// before giving up (a shard observes commands within [`MAX_NAP`]).
 const COMMAND_TIMEOUT: Duration = Duration::from_secs(10);
 
-impl ShardSet {
-    pub(crate) fn new(
-        shared: Arc<Shared>,
-        shutdown: Arc<AtomicBool>,
-        owner: Vec<usize>,
-        cmd_txs: Vec<Sender<Command>>,
-        handles: Vec<std::thread::JoinHandle<Vec<(ServerId, ServerStats)>>>,
-    ) -> Self {
-        ShardSet { shared, cmd_txs, owner, shutdown, handles }
+impl<W> ShardedDeployment<W> {
+    /// Builds every server of `hierarchy` and starts one event loop
+    /// per transport: shard `i` runs over `transports[i]` and owns the
+    /// servers with `ShardSpec::shard_of(id, transports.len()) == i`.
+    /// `first_client` seeds the client-id range (one range per
+    /// transport, clear of object-derived ids).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first server-construction failure (a durable store
+    /// that cannot be opened); no thread has been spawned by then.
+    pub(crate) fn start<T: ShardTransport>(
+        hierarchy: Arc<Hierarchy>,
+        opts: &ServerOptions,
+        batch_max: usize,
+        wire: W,
+        transports: Vec<T>,
+        first_client: u64,
+    ) -> Result<Self, StorageError> {
+        let n_shards = transports.len();
+        let mut owner = Vec::with_capacity(hierarchy.len());
+        let mut per_shard: Vec<Vec<Slot>> = (0..n_shards).map(|_| Vec::new()).collect();
+        for cfg in hierarchy.servers() {
+            let shard = ShardSpec::shard_of(cfg.id, n_shards);
+            owner.push(shard);
+            let server = LocationServer::new(cfg.clone(), opts.clone())?;
+            per_shard[shard].push(Slot { id: cfg.id, server: Some(server) });
+        }
+
+        let shared = Shared::new(hierarchy.len());
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let epoch = Instant::now();
+        let mut cmd_txs = Vec::with_capacity(n_shards);
+        let mut handles = Vec::with_capacity(n_shards);
+        for (transport, slots) in transports.into_iter().zip(per_shard) {
+            let (cmd_tx, cmd_rx) = unbounded();
+            cmd_txs.push(cmd_tx);
+            let shard = Shard {
+                transport,
+                local: slots.iter().enumerate().map(|(i, s)| (s.id.0, i)).collect(),
+                slots,
+                hierarchy: Arc::clone(&hierarchy),
+                opts: opts.clone(),
+                shared: Arc::clone(&shared),
+                cmd_rx,
+                shutdown: Arc::clone(&shutdown),
+                epoch,
+                batch_max: batch_max.max(1),
+                busy: Duration::ZERO,
+                local_q: VecDeque::new(),
+            };
+            handles.push(std::thread::spawn(move || shard.run()));
+        }
+        let next_client = AtomicU64::new(first_client);
+        Ok(ShardedDeployment {
+            hierarchy,
+            wire,
+            shared,
+            epoch,
+            cmd_txs,
+            owner,
+            shutdown,
+            handles,
+            next_client,
+        })
     }
 
-    pub(crate) fn shard_count(&self) -> usize {
+    /// Allocates the id a new client's port is opened under.
+    pub(crate) fn next_client_id(&self) -> ClientId {
+        ClientId(self.next_client.fetch_add(1, Ordering::Relaxed))
+    }
+
+    /// Wraps the port opened for `id` as a client of this deployment.
+    pub(crate) fn attach<L: Port<Message>>(&self, id: ClientId, port: L) -> Client<L> {
+        Client::new(id, port, Arc::clone(&self.shared), self.epoch)
+    }
+
+    /// The deployment's hierarchy.
+    pub fn hierarchy(&self) -> &Hierarchy {
+        &self.hierarchy
+    }
+
+    /// Number of event-loop shards actually running.
+    pub fn shard_count(&self) -> usize {
         self.cmd_txs.len()
+    }
+
+    /// The leaf server responsible for `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `p` is outside the root service area.
+    pub fn leaf_for(&self, p: Point) -> ServerId {
+        self.hierarchy.leaf_for(p).expect("position outside the service area")
+    }
+
+    /// Microseconds since deployment start (the service clock).
+    pub fn now_us(&self) -> Micros {
+        self.epoch.elapsed().as_micros() as Micros
     }
 
     fn command_to_owner(&self, id: ServerId, make: impl FnOnce(Sender<bool>) -> Command) -> bool {
@@ -484,19 +520,70 @@ impl ShardSet {
         matches!(ack_rx.recv_timeout(COMMAND_TIMEOUT), Ok(true))
     }
 
-    /// Crashes `id` (process crash: state dropped, inbox blackholed).
-    pub(crate) fn crash_server(&self, id: ServerId) -> bool {
+    /// Crashes server `id` in place (process crash: in-memory state
+    /// dropped, durable state kept, incoming traffic blackholed).
+    /// Returns `false` when the server is already down.
+    pub fn crash_server(&self, id: ServerId) -> bool {
         self.command_to_owner(id, |ack| Command::Crash(id, ack))
     }
 
-    /// Restarts `id` from config + durable state.
-    pub(crate) fn restart_server(&self, id: ServerId) -> bool {
+    /// Restarts server `id` from its config and durable state (also
+    /// crash-restarts a running server). Returns `false` on an unknown
+    /// id, or when the durable store will not reopen — that server
+    /// then stays down while the rest of its shard keeps serving.
+    pub fn restart_server(&self, id: ServerId) -> bool {
         self.command_to_owner(id, |ack| Command::Restart(id, ack))
     }
 
-    /// Per-server stats of every live server, shed counters folded in,
-    /// ordered by server id. Also returns per-shard busy time.
-    pub(crate) fn snapshot(&self) -> (Vec<(ServerId, ServerStats)>, Vec<Duration>) {
+    /// Installs a partition-by-drop filter: server↔server envelopes
+    /// crossing the listed groups are dropped until
+    /// [`ShardedDeployment::clear_partition`]. Servers listed in no
+    /// group stay connected to everyone; client traffic is unaffected.
+    pub fn set_partition(&self, groups: &[Vec<ServerId>]) {
+        let mut map = self.shared.partition.write();
+        map.clear();
+        for (g, members) in groups.iter().enumerate() {
+            for id in members {
+                map.insert(id.0, g as u32);
+            }
+        }
+        self.shared.partition_active.store(!map.is_empty(), Ordering::Release);
+    }
+
+    /// Heals any installed partition.
+    pub fn clear_partition(&self) {
+        self.set_partition(&[]);
+    }
+
+    /// Total envelopes dropped at full bounded inboxes so far. Only
+    /// the channel transport's inboxes are bounded in-process; over
+    /// UDP the bound is the kernel socket buffer, whose drops are not
+    /// reported to the process, so this stays 0 there.
+    pub fn shed_total(&self) -> u64 {
+        self.shared.shed.iter().map(|c| c.load(Ordering::Relaxed)).sum()
+    }
+
+    /// Shed envelopes attributed to destination server `id`.
+    pub fn shed_for(&self, id: ServerId) -> u64 {
+        self.shared.shed_for(id)
+    }
+
+    /// Envelopes dropped by the partition filter so far.
+    pub fn partition_dropped(&self) -> u64 {
+        self.shared.partition_dropped.load(Ordering::Relaxed)
+    }
+
+    /// Folds the shed counters into per-server stats and orders them
+    /// by server id.
+    fn finish_stats(&self, stats: &mut [(ServerId, ServerStats)]) {
+        for (id, s) in stats.iter_mut() {
+            s.inbox_shed = self.shared.shed_for(*id);
+        }
+        stats.sort_by_key(|(id, _)| id.0);
+    }
+
+    /// Asks every shard for its live servers' stats and its busy time.
+    fn snapshot(&self) -> (Vec<(ServerId, ServerStats)>, Vec<Duration>) {
         let mut stats: Vec<(ServerId, ServerStats)> = Vec::new();
         let mut busy = vec![Duration::ZERO; self.cmd_txs.len()];
         for (i, tx) in self.cmd_txs.iter().enumerate() {
@@ -512,36 +599,42 @@ impl ShardSet {
                 Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {}
             }
         }
-        for (id, s) in stats.iter_mut() {
-            s.inbox_shed = self.shared.shed_for(*id);
-        }
-        stats.sort_by_key(|(id, _)| id.0);
+        self.finish_stats(&mut stats);
         (stats, busy)
     }
 
-    /// Signals shutdown, joins every shard, and returns final stats
-    /// (shed folded in) ordered by server id.
-    pub(crate) fn shutdown(&mut self) -> Vec<ServerStats> {
+    /// Mid-run stats of every live server (shed counters folded in),
+    /// ordered by server id.
+    pub fn stats_snapshot(&self) -> Vec<(ServerId, ServerStats)> {
+        self.snapshot().0
+    }
+
+    /// Per-shard busy time: wall clock spent processing (timers +
+    /// dispatch), excluding idle waits. The max entry is the
+    /// critical-path cost of the work so far.
+    pub fn shard_busy(&self) -> Vec<Duration> {
+        self.snapshot().1
+    }
+
+    /// Signals shutdown and joins every shard, collecting the final
+    /// stats of the servers that were still live.
+    fn join_all(&mut self) -> Vec<(ServerId, ServerStats)> {
         self.shutdown.store(true, Ordering::Relaxed);
-        let mut all: Vec<(ServerId, ServerStats)> = Vec::new();
-        for h in self.handles.drain(..) {
-            if let Ok(stats) = h.join() {
-                all.extend(stats);
-            }
-        }
-        for (id, s) in all.iter_mut() {
-            s.inbox_shed = self.shared.shed_for(*id);
-        }
-        all.sort_by_key(|(id, _)| id.0);
+        self.handles.drain(..).filter_map(|h| h.join().ok()).flatten().collect()
+    }
+
+    /// Stops all shards, waits for them to exit and returns per-server
+    /// final stats (shed counters folded in), ordered by server id.
+    /// Crashed servers are absent.
+    pub fn shutdown_with_stats(mut self) -> Vec<ServerStats> {
+        let mut all = self.join_all();
+        self.finish_stats(&mut all);
         all.into_iter().map(|(_, s)| s).collect()
     }
 }
 
-impl Drop for ShardSet {
+impl<W> Drop for ShardedDeployment<W> {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+        self.join_all();
     }
 }

@@ -8,6 +8,7 @@ use crate::model::{
 };
 use crate::node::{LocationServer, ServerOptions, ServerStats};
 use crate::proto::Message;
+use crate::runtime::ops::{self, Classify, Op, UpdateOutcome};
 use hiloc_geo::Point;
 use hiloc_net::{
     ClientId, CorrId, CorrIdGen, Endpoint, Envelope, FaultPlan, LatencyModel, ServerId, SimNet,
@@ -44,25 +45,6 @@ pub struct LevelStats {
     pub servers: usize,
     /// Their summed counters.
     pub stats: ServerStats,
-}
-
-/// The outcome of a position update, as seen by the tracked object.
-#[derive(Debug, Clone, PartialEq)]
-pub enum UpdateOutcome {
-    /// The update was applied by the current agent.
-    Ack {
-        /// Currently offered accuracy.
-        offered_acc_m: f64,
-    },
-    /// A handover occurred; the object has a new agent.
-    NewAgent {
-        /// The new agent leaf.
-        agent: ServerId,
-        /// Accuracy offered by the new agent.
-        offered_acc_m: f64,
-    },
-    /// The object left the service area and was deregistered.
-    OutOfServiceArea,
 }
 
 fn label_of(m: &Message) -> &'static str {
@@ -824,24 +806,25 @@ impl SimDeployment {
         self.net.advance_to(t_us);
     }
 
-    /// Blocks (in virtual time) until `client` receives a message
-    /// matching `pred`, returning it. Stray messages stay queued.
+    /// Blocks (in virtual time) until `client` receives the message
+    /// `classify` accepts, returning its result. Stray messages stay
+    /// queued.
     ///
     /// The wait is bounded by a client-side deadline (twice the server
     /// gather timeout): on message loss the driver must *not* jump
     /// virtual time to far-future timers (e.g. soft-state TTLs minutes
     /// away), which would expire unrelated registrations.
-    fn wait_for(
+    fn wait_for<R>(
         &mut self,
         client: ClientId,
-        mut pred: impl FnMut(&Message) -> bool,
-    ) -> Result<Message, LsError> {
+        classify: impl Classify<R>,
+    ) -> Result<R, LsError> {
         let deadline = self.net.now_us()
             + self.opts.query_timeout_us.saturating_mul(2).max(2 * crate::model::SECOND);
         for _ in 0..MAX_STEPS_PER_OP {
             if let Some(q) = self.inboxes.get_mut(&client) {
-                if let Some(idx) = q.iter().position(&mut pred) {
-                    return Ok(q.remove(idx).expect("indexed above"));
+                if let Some(reply) = ops::take_reply(q, &classify) {
+                    return reply;
                 }
             }
             let next_msg = self.net.peek_time();
@@ -863,6 +846,17 @@ impl SimDeployment {
             }
         }
         Err(LsError::Timeout)
+    }
+
+    /// Sends `op`'s request from `client` and waits for its reply.
+    fn call<R>(
+        &mut self,
+        client: ClientId,
+        to: ServerId,
+        op: Op<impl Classify<R>>,
+    ) -> Result<R, LsError> {
+        self.send_from(client, to, op.request);
+        self.wait_for(client, op.classify)
     }
 
     // ---------------------------------------------------------- operations
@@ -899,30 +893,8 @@ impl SimDeployment {
     ) -> Result<(ServerId, f64), LsError> {
         let client = Self::object_endpoint(sighting.oid);
         let corr = self.corr.next_id();
-        self.send_from(
-            client,
-            entry,
-            Message::RegisterReq {
-                sighting,
-                des_acc_m,
-                min_acc_m,
-                max_speed_mps,
-                registrant: client.into(),
-                corr,
-            },
-        );
-        let msg = self.wait_for(client, |m| {
-            matches!(m,
-                Message::RegisterRes { corr: c, .. } | Message::RegisterFailed { corr: c, .. }
-                if *c == corr)
-        })?;
-        match msg {
-            Message::RegisterRes { agent, offered_acc_m, .. } => Ok((agent, offered_acc_m)),
-            Message::RegisterFailed { server, achievable_m, .. } => {
-                Err(LsError::AccuracyUnavailable { server, achievable_m })
-            }
-            _ => unreachable!("filtered by wait_for"),
-        }
+        let op = ops::register(sighting, des_acc_m, min_acc_m, max_speed_mps, client.into(), corr);
+        self.call(client, entry, op)
     }
 
     /// Sends a position update to the object's agent and waits for the
@@ -937,22 +909,7 @@ impl SimDeployment {
         sighting: Sighting,
     ) -> Result<UpdateOutcome, LsError> {
         let client = Self::object_endpoint(sighting.oid);
-        let oid = sighting.oid;
-        self.send_from(client, agent, Message::UpdateReq { sighting });
-        let msg = self.wait_for(client, |m| {
-            matches!(m,
-                Message::UpdateAck { oid: o, .. }
-                | Message::AgentChanged { oid: o, .. }
-                | Message::OutOfServiceArea { oid: o } if *o == oid)
-        })?;
-        Ok(match msg {
-            Message::UpdateAck { offered_acc_m, .. } => UpdateOutcome::Ack { offered_acc_m },
-            Message::AgentChanged { new_agent, offered_acc_m, .. } => {
-                UpdateOutcome::NewAgent { agent: new_agent, offered_acc_m }
-            }
-            Message::OutOfServiceArea { .. } => UpdateOutcome::OutOfServiceArea,
-            _ => unreachable!("filtered by wait_for"),
-        })
+        self.call(client, agent, ops::update(sighting))
     }
 
     /// Sends a coalesced batch of position updates (one
@@ -975,14 +932,7 @@ impl SimDeployment {
     ) -> Result<Vec<(ObjectId, f64)>, LsError> {
         let client = self.new_client();
         let corr = self.corr.next_id();
-        self.send_from(client, agent, Message::UpdateBatch { sightings, corr });
-        let msg = self.wait_for(client, |m| {
-            matches!(m, Message::UpdateBatchAck { corr: c, .. } if *c == corr)
-        })?;
-        match msg {
-            Message::UpdateBatchAck { acks, .. } => Ok(acks),
-            _ => unreachable!("filtered by wait_for"),
-        }
+        self.call(client, agent, ops::update_batch(sightings, corr))
     }
 
     /// Position query (paper §3.2 `posQuery`) via `entry`.
@@ -994,15 +944,7 @@ impl SimDeployment {
     pub fn pos_query(&mut self, entry: ServerId, oid: ObjectId) -> Result<LocationDescriptor, LsError> {
         let client = self.new_client();
         let corr = self.corr.next_id();
-        self.send_from(client, entry, Message::PosQueryReq { oid, corr });
-        let msg = self.wait_for(client, |m| {
-            matches!(m, Message::PosQueryRes { corr: c, .. } if *c == corr)
-        })?;
-        match msg {
-            Message::PosQueryRes { found: Some(ld), .. } => Ok(ld),
-            Message::PosQueryRes { found: None, .. } => Err(LsError::UnknownObject(oid)),
-            _ => unreachable!("filtered by wait_for"),
-        }
+        self.call(client, entry, ops::pos_query(oid, corr))
     }
 
     /// Range query (paper §3.2 `rangeQuery`) via `entry`.
@@ -1014,16 +956,7 @@ impl SimDeployment {
     pub fn range_query(&mut self, entry: ServerId, query: RangeQuery) -> Result<RangeAnswer, LsError> {
         let client = self.new_client();
         let corr = self.corr.next_id();
-        self.send_from(client, entry, Message::RangeQueryReq { query, corr });
-        let msg = self.wait_for(client, |m| {
-            matches!(m, Message::RangeQueryRes { corr: c, .. } if *c == corr)
-        })?;
-        match msg {
-            Message::RangeQueryRes { items, complete, .. } => {
-                Ok(RangeAnswer { objects: items, complete })
-            }
-            _ => unreachable!("filtered by wait_for"),
-        }
+        self.call(client, entry, ops::range_query(query, corr))
     }
 
     /// Nearest-neighbor query (paper §3.2 `neighborQuery`) via `entry`.
@@ -1040,22 +973,13 @@ impl SimDeployment {
     ) -> Result<NeighborAnswer, LsError> {
         let client = self.new_client();
         let corr = self.corr.next_id();
-        self.send_from(client, entry, Message::NeighborQueryReq { p, req_acc_m, near_qual_m, corr });
-        let msg = self.wait_for(client, |m| {
-            matches!(m, Message::NeighborQueryRes { corr: c, .. } if *c == corr)
-        })?;
-        match msg {
-            Message::NeighborQueryRes { nearest, near_set, complete, .. } => {
-                Ok(NeighborAnswer { nearest, near_set, complete })
-            }
-            _ => unreachable!("filtered by wait_for"),
-        }
+        self.call(client, entry, ops::neighbor_query(p, req_acc_m, near_qual_m, corr))
     }
 
     /// Explicit deregistration (paper §3.1 `deregister`).
     pub fn deregister(&mut self, agent: ServerId, oid: ObjectId) {
         let client = Self::object_endpoint(oid);
-        self.send_from(client, agent, Message::DeregisterReq { oid });
+        self.send_from(client, agent, ops::deregister(oid));
         self.run_until_quiet();
     }
 
@@ -1074,14 +998,7 @@ impl SimDeployment {
     ) -> Result<(bool, f64), LsError> {
         let client = Self::object_endpoint(oid);
         let corr = self.corr.next_id();
-        self.send_from(client, agent, Message::ChangeAccReq { oid, des_acc_m, min_acc_m, corr });
-        let msg = self.wait_for(client, |m| {
-            matches!(m, Message::ChangeAccRes { corr: c, .. } if *c == corr)
-        })?;
-        match msg {
-            Message::ChangeAccRes { ok, offered_acc_m, .. } => Ok((ok, offered_acc_m)),
-            _ => unreachable!("filtered by wait_for"),
-        }
+        self.call(client, agent, ops::change_acc(oid, des_acc_m, min_acc_m, corr))
     }
 
     /// Registers an event predicate for `client` via `entry`, returning
@@ -1098,14 +1015,7 @@ impl SimDeployment {
         predicate: Predicate,
     ) -> Result<u64, LsError> {
         let corr = self.corr.next_id();
-        self.send_from(client, entry, Message::EventRegisterReq { predicate, corr });
-        let msg = self.wait_for(client, |m| {
-            matches!(m, Message::EventRegisterRes { corr: c, .. } if *c == corr)
-        })?;
-        match msg {
-            Message::EventRegisterRes { event_id, .. } => Ok(event_id),
-            _ => unreachable!("filtered by wait_for"),
-        }
+        self.call(client, entry, ops::event_register(predicate, corr))
     }
 
     /// Cancels an event registration.

@@ -1,0 +1,328 @@
+//! The blocking client API end to end, every test on **both** real
+//! transports: in-process channels and UDP sockets on localhost (the
+//! paper's transport), driven from multiple OS threads.
+
+use hiloc_core::area::{Hierarchy, HierarchyBuilder};
+use hiloc_core::model::{LsError, ObjectId, RangeQuery, Sighting};
+use hiloc_core::node::ServerStats;
+use hiloc_core::runtime::{
+    Client, ShardedDeployment, SyncClient, ThreadedDeployment, UdpClient, UdpDeployment,
+    UpdateOutcome,
+};
+use hiloc_core::Message;
+use hiloc_geo::{Point, Rect, Region};
+use hiloc_net::{Port, ServerId};
+
+/// The per-transport signatures, so each test body is written once.
+trait Transport {
+    type Wire: Send + Sync;
+    type Port: Port<Message> + Send + 'static;
+    fn deploy(h: Hierarchy) -> ShardedDeployment<Self::Wire>;
+    fn client(ls: &ShardedDeployment<Self::Wire>) -> Client<Self::Port>;
+    fn shutdown(ls: ShardedDeployment<Self::Wire>) -> Vec<ServerStats>;
+}
+
+struct Channels;
+struct Udp;
+
+impl Transport for Channels {
+    type Wire = hiloc_net::ChannelNetwork<Message>;
+    type Port = hiloc_net::ChannelPort<Message>;
+    fn deploy(h: Hierarchy) -> ThreadedDeployment {
+        ThreadedDeployment::new(h, Default::default())
+    }
+    fn client(ls: &ThreadedDeployment) -> SyncClient {
+        ls.client()
+    }
+    fn shutdown(ls: ThreadedDeployment) -> Vec<ServerStats> {
+        ls.shutdown()
+    }
+}
+
+impl Transport for Udp {
+    type Wire = std::collections::BTreeMap<hiloc_net::Endpoint, std::net::SocketAddr>;
+    type Port = hiloc_net::UdpEndpoint<Message>;
+    fn deploy(h: Hierarchy) -> UdpDeployment {
+        UdpDeployment::bind(h, Default::default()).expect("bind localhost sockets")
+    }
+    fn client(ls: &UdpDeployment) -> UdpClient {
+        ls.client().expect("bind a client socket")
+    }
+    fn shutdown(ls: UdpDeployment) -> Vec<ServerStats> {
+        ls.shutdown_with_stats()
+    }
+}
+
+/// Instantiates each generic test body once per transport.
+macro_rules! on_both_transports {
+    ($($test:ident),* $(,)?) => {
+        mod channels { $(#[test] fn $test() { super::$test::<super::Channels>() })* }
+        mod udp { $(#[test] fn $test() { super::$test::<super::Udp>() })* }
+    };
+}
+
+on_both_transports!(
+    concurrent_clients_register_update_query,
+    neighbor_queries_under_concurrent_movement,
+    full_lifecycle,
+    multiple_clients_interleave,
+    update_batch_then_deregister,
+    unknown_server_is_no_route_at_once,
+);
+
+fn deployment<T: Transport>() -> ShardedDeployment<T::Wire> {
+    let h = HierarchyBuilder::grid(
+        Rect::new(Point::new(0.0, 0.0), Point::new(1_000.0, 1_000.0)),
+        1,
+        2,
+    )
+    .build()
+    .unwrap();
+    T::deploy(h)
+}
+
+fn whole_area(max: f64) -> RangeQuery {
+    RangeQuery::new(Region::from(Rect::new(Point::new(0.0, 0.0), Point::new(max, max))), 50.0, 0.5)
+}
+
+fn concurrent_clients_register_update_query<T: Transport>() {
+    let ls = deployment::<T>();
+    let threads = 8;
+    let per_thread = 25u64;
+
+    std::thread::scope(|scope| {
+        for t in 0..threads {
+            let ls = &ls;
+            scope.spawn(move || {
+                let mut client = T::client(ls);
+                for i in 0..per_thread {
+                    let oid = ObjectId(t * 1_000 + i);
+                    let x = 50.0 + (i as f64 * 37.0) % 900.0;
+                    let y = 50.0 + (t as f64 * 119.0) % 900.0;
+                    let pos = Point::new(x, y);
+                    let entry = ls.leaf_for(pos);
+                    let (agent, _) = client
+                        .register(entry, Sighting::new(oid, client.now_us(), pos, 5.0), 10.0, 50.0, 2.0)
+                        .expect("registration succeeds");
+                    // Move it across the area: may or may not hand over.
+                    let new_pos = Point::new(999.0 - x, 999.0 - y);
+                    let agent = match client
+                        .update(agent, Sighting::new(oid, client.now_us(), new_pos, 5.0))
+                        .expect("update succeeds")
+                    {
+                        UpdateOutcome::NewAgent { agent, .. } => agent,
+                        _ => agent,
+                    };
+                    // Query it back from the (possibly new) agent.
+                    let ld = client.pos_query(agent, oid).expect("query succeeds");
+                    assert_eq!(ld.pos, new_pos);
+                }
+            });
+        }
+    });
+
+    // A final whole-area range query sees every object exactly once.
+    let mut client = T::client(&ls);
+    let ans = client
+        .range_query(ls.leaf_for(Point::new(1.0, 1.0)), whole_area(999.5))
+        .expect("range query succeeds");
+    assert!(ans.complete);
+    assert_eq!(ans.objects.len(), (threads * per_thread) as usize);
+    let mut ids: Vec<u64> = ans.objects.iter().map(|(o, _)| o.0).collect();
+    ids.sort();
+    ids.dedup();
+    assert_eq!(ids.len(), (threads * per_thread) as usize, "no duplicates");
+
+    let stats = T::shutdown(ls);
+    let total_msgs: u64 = stats.iter().map(|s| s.msgs_in).sum();
+    assert!(total_msgs > 0);
+}
+
+fn neighbor_queries_under_concurrent_movement<T: Transport>() {
+    let ls = deployment::<T>();
+    // One mover thread and one querier thread share the service.
+    let mover = std::thread::spawn({
+        let mut client = T::client(&ls);
+        let entry = ls.leaf_for(Point::new(100.0, 100.0));
+        move || {
+            let (mut agent, _) = client
+                .register(
+                    entry,
+                    Sighting::new(ObjectId(1), client.now_us(), Point::new(100.0, 100.0), 5.0),
+                    10.0,
+                    50.0,
+                    2.0,
+                )
+                .unwrap();
+            for step in 0..40 {
+                let x = 100.0 + step as f64 * 20.0;
+                if let UpdateOutcome::NewAgent { agent: a, .. } = client
+                    .update(agent, Sighting::new(ObjectId(1), client.now_us(), Point::new(x, 100.0), 5.0))
+                    .unwrap()
+                {
+                    agent = a
+                }
+            }
+        }
+    });
+
+    let mut querier = T::client(&ls);
+    let entry = ls.leaf_for(Point::new(500.0, 500.0));
+    let mut found = 0;
+    for _ in 0..40 {
+        let nn = querier.neighbor_query(entry, Point::new(500.0, 100.0), 50.0, 0.0).unwrap();
+        if let Some((oid, ld)) = nn.nearest {
+            assert_eq!(oid, ObjectId(1));
+            assert!(ld.pos.y == 100.0);
+            found += 1;
+        }
+    }
+    mover.join().unwrap();
+    assert!(found > 0, "the querier must observe the moving object");
+}
+
+fn full_lifecycle<T: Transport>() {
+    let ls = deployment::<T>();
+    let mut client = T::client(&ls);
+
+    // Register in the SW quadrant.
+    let start = Point::new(100.0, 100.0);
+    let entry = ls.leaf_for(start);
+    let (agent, offered) = client
+        .register(entry, Sighting::new(ObjectId(1), 0, start, 10.0), 25.0, 100.0, 3.0)
+        .unwrap();
+    assert_eq!(agent, entry);
+    assert_eq!(offered, 25.0);
+
+    // Update in place.
+    let out = client
+        .update(agent, Sighting::new(ObjectId(1), 1_000, Point::new(150.0, 150.0), 10.0))
+        .unwrap();
+    assert!(matches!(out, UpdateOutcome::Ack { .. }));
+
+    // Handover to the NE quadrant.
+    let moved = Point::new(900.0, 900.0);
+    let out = client
+        .update(agent, Sighting::new(ObjectId(1), 2_000, moved, 10.0))
+        .unwrap();
+    let new_agent = match out {
+        UpdateOutcome::NewAgent { agent, .. } => agent,
+        other => panic!("expected handover, got {other:?}"),
+    };
+    assert_eq!(new_agent, ls.leaf_for(moved));
+
+    // Remote position query from the original entry.
+    let ld = client.pos_query(entry, ObjectId(1)).unwrap();
+    assert_eq!(ld.pos, moved);
+
+    // Range query spanning the whole area.
+    let ans = client.range_query(entry, whole_area(999.0)).unwrap();
+    assert!(ans.complete);
+    assert_eq!(ans.objects.len(), 1);
+
+    // Nearest neighbor.
+    let nn = client.neighbor_query(entry, Point::new(800.0, 800.0), 50.0, 0.0).unwrap();
+    assert_eq!(nn.nearest.unwrap().0, ObjectId(1));
+
+    // Unknown object.
+    let err = client.pos_query(entry, ObjectId(99)).unwrap_err();
+    assert!(matches!(err, LsError::UnknownObject(_)));
+
+    T::shutdown(ls);
+}
+
+fn multiple_clients_interleave<T: Transport>() {
+    let ls = deployment::<T>();
+
+    // Ten objects registered by ten independent clients concurrently,
+    // each on its own OS thread.
+    let mut threads = Vec::new();
+    for i in 0..10u64 {
+        let mut client = T::client(&ls);
+        let entry = ls.leaf_for(Point::new(50.0 + 90.0 * i as f64, 500.0));
+        threads.push(std::thread::spawn(move || {
+            let pos = Point::new(50.0 + 90.0 * i as f64, 500.0);
+            client
+                .register(entry, Sighting::new(ObjectId(i), 0, pos, 10.0), 25.0, 100.0, 1.0)
+                .unwrap();
+            // Each client immediately queries its own object back.
+            client.pos_query(entry, ObjectId(i)).unwrap()
+        }));
+    }
+    for (i, t) in threads.into_iter().enumerate() {
+        let ld = t.join().unwrap();
+        assert_eq!(ld.pos.x, 50.0 + 90.0 * i as f64);
+    }
+
+    // A final range query sees all ten.
+    let mut client = T::client(&ls);
+    let ans = client
+        .range_query(ls.leaf_for(Point::new(1.0, 1.0)), whole_area(999.0))
+        .unwrap();
+    assert!(ans.complete);
+    assert_eq!(ans.objects.len(), 10);
+
+    T::shutdown(ls);
+}
+
+/// The batch and deregistration calls, which the UDP client gained
+/// with the single client implementation.
+fn update_batch_then_deregister<T: Transport>() {
+    let ls = deployment::<T>();
+    let mut client = T::client(&ls);
+    let at = |i: u64, dx: f64| Point::new(100.0 + 10.0 * i as f64 + dx, 100.0);
+    let leaf = ls.leaf_for(at(0, 0.0));
+    for i in 0..3 {
+        let s = Sighting::new(ObjectId(i), client.now_us(), at(i, 0.0), 5.0);
+        let (agent, _) = client.register(leaf, s, 10.0, 50.0, 2.0).unwrap();
+        assert_eq!(agent, leaf);
+    }
+
+    // One envelope moves all three inside the leaf; each is acked.
+    let moved: Vec<Sighting> =
+        (0..3).map(|i| Sighting::new(ObjectId(i), client.now_us(), at(i, 3.0), 5.0)).collect();
+    let mut acks = client.update_batch(leaf, moved).unwrap();
+    acks.sort_by_key(|(oid, _)| oid.0);
+    assert_eq!(acks.iter().map(|(oid, _)| oid.0).collect::<Vec<_>>(), vec![0, 1, 2]);
+    for i in 0..3 {
+        assert_eq!(client.pos_query(leaf, ObjectId(i)).unwrap().pos, at(i, 3.0));
+    }
+
+    // Deregistration is fire-and-forget: poll until it has landed.
+    client.deregister(leaf, ObjectId(1));
+    let deadline_us = ls.now_us() + 5_000_000;
+    while client.pos_query(leaf, ObjectId(1)).is_ok() {
+        assert!(ls.now_us() < deadline_us, "deregistration never took effect");
+    }
+    assert_eq!(client.pos_query(leaf, ObjectId(1)), Err(LsError::UnknownObject(ObjectId(1))));
+    assert!(client.pos_query(leaf, ObjectId(0)).is_ok(), "siblings stay registered");
+
+    T::shutdown(ls);
+}
+
+/// A request to a server id the deployment does not have can never be
+/// answered: every operation fails with `NoRoute` immediately instead
+/// of blocking for the timeout (the channel client used to).
+fn unknown_server_is_no_route_at_once<T: Transport>() {
+    let ls = deployment::<T>();
+    let mut client = T::client(&ls);
+    let nowhere = ServerId(99);
+    let p = Point::new(100.0, 100.0);
+    let s = Sighting::new(ObjectId(1), client.now_us(), p, 5.0);
+
+    let t0_us = ls.now_us();
+    assert_eq!(client.register(nowhere, s, 10.0, 50.0, 2.0), Err(LsError::NoRoute));
+    assert_eq!(client.update(nowhere, s), Err(LsError::NoRoute));
+    assert_eq!(client.update_batch(nowhere, vec![s]), Err(LsError::NoRoute));
+    assert_eq!(client.pos_query(nowhere, ObjectId(1)), Err(LsError::NoRoute));
+    assert_eq!(client.range_query(nowhere, whole_area(999.0)).unwrap_err(), LsError::NoRoute);
+    assert_eq!(client.neighbor_query(nowhere, p, 50.0, 0.0).unwrap_err(), LsError::NoRoute);
+    assert!(!client.update_nowait(nowhere, s));
+    client.deregister(nowhere, ObjectId(1));
+    assert!(ls.now_us() - t0_us < 1_000_000, "NoRoute must not wait for the 5 s timeout");
+
+    // The client is still usable against real servers afterwards.
+    let (agent, _) = client.register(ls.leaf_for(p), s, 10.0, 50.0, 2.0).unwrap();
+    assert_eq!(client.pos_query(agent, ObjectId(1)).unwrap().pos, p);
+    T::shutdown(ls);
+}

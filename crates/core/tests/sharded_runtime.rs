@@ -4,9 +4,11 @@
 
 use hiloc_core::area::HierarchyBuilder;
 use hiloc_core::model::{ObjectId, Sighting};
-use hiloc_core::runtime::{ShardSpec, ThreadedDeployment, UdpDeployment};
+use hiloc_core::node::{DurabilityOptions, ServerOptions, StorageSyncPolicy};
+use hiloc_core::runtime::{ShardSpec, SyncClient, ThreadedDeployment, UdpDeployment};
 use hiloc_geo::{Point, Rect};
 use hiloc_net::ServerId;
+use hiloc_util::tempdir::TempDir;
 use std::time::Duration;
 
 fn hierarchy(extent: f64, levels: u32, fanout: u32) -> hiloc_core::area::Hierarchy {
@@ -75,6 +77,55 @@ fn crash_blackholes_then_restart_recovers() {
         .expect("re-registration after restart");
     let ld = client.pos_query(agent2, ObjectId(7)).expect("query after restart");
     assert_eq!(ld.pos, pos);
+}
+
+#[test]
+fn failed_restart_leaves_one_server_down_and_its_shard_serving() {
+    let dir = TempDir::new("failed-restart");
+    let opts = ServerOptions {
+        durability: Some(DurabilityOptions {
+            dir: dir.path().to_path_buf(),
+            policy: StorageSyncPolicy::OsFlush,
+        }),
+        ..Default::default()
+    };
+    // Root 0 + leaves 1..=4 over 2 shards: leaves 1 and 3 share shard 1.
+    let ls = ThreadedDeployment::new_sharded(
+        hierarchy(1_000.0, 1, 2),
+        opts,
+        ShardSpec { shards: 2, ..Default::default() },
+    );
+    let (victim, sibling) = (ServerId(1), ServerId(3));
+    assert_eq!(ShardSpec::shard_of(victim, 2), ShardSpec::shard_of(sibling, 2));
+    let mut client = ls.client();
+    client.set_timeout(Duration::from_secs(2));
+    let register = |client: &mut SyncClient, oid: u64, leaf: ServerId| {
+        let pos = ls.hierarchy().server(leaf).area.center();
+        let s = Sighting::new(ObjectId(oid), client.now_us(), pos, 5.0);
+        assert_eq!(client.register(leaf, s, 10.0, 50.0, 2.0).expect("registration").0, leaf);
+        pos
+    };
+    register(&mut client, 1, victim);
+    let sibling_pos = register(&mut client, 2, sibling);
+
+    // A bit-flipped manifest is an error by design, never an empty DB:
+    // the victim's durable store will not reopen.
+    assert!(ls.crash_server(victim));
+    let manifest = dir.path().join(format!("server-{}", victim.0)).join("checkpoint.bin");
+    std::fs::write(&manifest, b"not a manifest").unwrap();
+    assert!(!ls.restart_server(victim), "a store that will not reopen must report false");
+
+    // The shard loop survived: the sibling on the same shard answers,
+    // and only the victim stays dark.
+    assert_eq!(client.pos_query(sibling, ObjectId(2)).expect("sibling still serves").pos, sibling_pos);
+    client.set_timeout(Duration::from_millis(300));
+    assert!(client.pos_query(victim, ObjectId(1)).is_err(), "the victim is still down");
+
+    // Once the store is repaired the same verb brings the victim back.
+    std::fs::remove_file(&manifest).unwrap();
+    assert!(ls.restart_server(victim), "restart succeeds once the store reopens");
+    client.set_timeout(Duration::from_secs(2));
+    register(&mut client, 3, victim);
 }
 
 #[test]

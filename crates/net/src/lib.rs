@@ -15,6 +15,10 @@
 //! * [`UdpEndpoint`] — real UDP datagrams over blocking std sockets,
 //!   one envelope per datagram, for deployments across processes/hosts.
 //!
+//! [`Port`] is what a client sees of either real transport (a
+//! [`ChannelPort`] or a [`UdpEndpoint`]): send one envelope, wait for
+//! the next one addressed to it.
+//!
 //! Message payloads are generic: anything implementing [`WireCodec`]
 //! (the protocol itself lives in `hiloc-core`).
 
@@ -23,12 +27,14 @@
 
 mod channel_net;
 mod endpoint;
+mod port;
 mod sim_net;
 mod udp;
 pub mod wire;
 
 pub use channel_net::{ChannelNetwork, Mailbox, SendOutcome, DEFAULT_MAILBOX_CAP};
 pub use endpoint::{ClientId, Endpoint, ServerId};
+pub use port::{ChannelPort, Port};
 pub use sim_net::{FaultPlan, LatencyModel, LatencySpike, LinkFault, Partition, SimNet, TraceEntry};
 pub use udp::{RecvBatch, SendBatch, UdpEndpoint, UdpError};
 pub use wire::WireCodec;

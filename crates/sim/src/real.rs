@@ -6,8 +6,8 @@
 //! load interleaved with the sharded engine's chaos verbs — `crash`
 //! (leaf), `restart`, `partition`-by-drop / `heal`, and fire-and-forget
 //! overload `burst`s against a deliberately tiny inbox — executed over
-//! [`ThreadedDeployment`] (in-process channels) or [`UdpDeployment`]
-//! (real sockets), wall clock and all.
+//! a [`ShardedDeployment`] on in-process channels or on real sockets,
+//! wall clock and all.
 //!
 //! The oracle is end-of-run exactness: after the plan heals every
 //! partition and restarts every crashed server, a repair round
@@ -20,8 +20,8 @@
 //! Plan generation draws are independent of runtime behaviour, so the
 //! same plan replays the same movement everywhere. That is what makes
 //! [`run_plan`] double as a parity harness: a fault-free plan executed
-//! over [`ThreadedHarness`] and over [`SimHarness`] (the simulator
-//! oracle) must produce identical records — see
+//! over [`RuntimeHarness`] on either transport and over [`SimHarness`]
+//! (the simulator oracle) must produce identical records — see
 //! `crates/sim/tests/real_runtime_fuzz.rs`.
 //!
 //! Failures print a one-line DSL replayable via [`replay_real_dsl`],
@@ -30,12 +30,12 @@
 use hiloc_core::area::{Hierarchy, HierarchyBuilder};
 use hiloc_core::model::{LsError, Micros, ObjectId, Sighting};
 use hiloc_core::runtime::{
-    ShardSpec, SimDeployment, SyncClient, ThreadedDeployment, UdpClient, UdpDeployment,
-    UpdateOutcome,
+    Client, ShardSpec, ShardedDeployment, SimDeployment, SyncClient, ThreadedDeployment,
+    UdpClient, UdpDeployment, UpdateOutcome,
 };
-use hiloc_core::ServerOptions;
+use hiloc_core::{LocationDescriptor, Message, ServerOptions};
 use hiloc_geo::{Point, Rect};
-use hiloc_net::ServerId;
+use hiloc_net::{Port, ServerId};
 use hiloc_util::prop::Gen;
 use hiloc_util::rng::RngExt;
 use std::collections::BTreeSet;
@@ -112,6 +112,15 @@ impl RealPlan {
     pub fn hierarchy(&self) -> Hierarchy {
         let rect = Rect::new(Point::new(0.0, 0.0), Point::new(AREA_M, AREA_M));
         HierarchyBuilder::grid(rect, 1, 2).build().expect("plan grid")
+    }
+
+    /// The shard layout every real harness deploys the plan with.
+    fn spec(&self) -> ShardSpec {
+        ShardSpec {
+            shards: self.shards as usize,
+            inbox_cap: self.inbox_cap as usize,
+            ..Default::default()
+        }
     }
 
     /// Whether the timeline is well-formed: crash/restart alternate per
@@ -264,8 +273,8 @@ pub trait RealHarness {
     /// Clear the partition filter.
     fn clear_partition(&mut self);
     /// Fire-and-forget burst of `n` updates of sighting `s` at
-    /// `agent`; returns how many were actually enqueued. Harnesses
-    /// without a no-wait path return 0.
+    /// `agent`; returns how many actually left the client. The
+    /// simulator has no no-wait path and returns 0.
     fn burst(&mut self, agent: ServerId, s: Sighting, n: u32) -> u64;
     /// Total envelopes shed at full inboxes so far.
     fn shed_total(&self) -> u64;
@@ -273,34 +282,45 @@ pub trait RealHarness {
     fn drain(&mut self);
 }
 
-use hiloc_core::LocationDescriptor;
-
-/// [`ThreadedDeployment`] under the plan executor.
-pub struct ThreadedHarness {
-    dep: ThreadedDeployment,
-    client: SyncClient,
+/// A real runtime under the plan executor: a [`ShardedDeployment`] `D`
+/// on either transport, driven through its blocking [`Client`] `C`.
+pub struct RuntimeHarness<D, C> {
+    name: &'static str,
+    dep: D,
+    client: C,
 }
 
-impl ThreadedHarness {
-    /// Deploys the plan's hierarchy with its shard/inbox layout.
-    pub fn new(plan: &RealPlan) -> Self {
-        let dep = ThreadedDeployment::new_sharded(
-            plan.hierarchy(),
-            ServerOptions::default(),
-            ShardSpec {
-                shards: plan.shards as usize,
-                inbox_cap: plan.inbox_cap as usize,
-                ..Default::default()
-            },
-        );
+impl RuntimeHarness<ThreadedDeployment, SyncClient> {
+    /// Deploys the plan's hierarchy over in-process channels with its
+    /// shard/inbox layout.
+    pub fn threaded(plan: &RealPlan) -> Self {
+        let dep =
+            ThreadedDeployment::new_sharded(plan.hierarchy(), ServerOptions::default(), plan.spec());
         let client = dep.client();
-        ThreadedHarness { dep, client }
+        RuntimeHarness { name: "threaded", dep, client }
     }
 }
 
-impl RealHarness for ThreadedHarness {
+impl RuntimeHarness<UdpDeployment, UdpClient> {
+    /// Binds the plan's hierarchy on loopback sockets. The inbox bound
+    /// there is the kernel socket buffer, so nothing is ever counted as
+    /// shed; generate UDP plans with `overload = false`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the loopback sockets cannot be bound.
+    pub fn udp(plan: &RealPlan) -> Self {
+        let dep =
+            UdpDeployment::bind_sharded(plan.hierarchy(), ServerOptions::default(), plan.spec())
+                .expect("bind plan deployment");
+        let client = dep.client().expect("bind plan client");
+        RuntimeHarness { name: "udp", dep, client }
+    }
+}
+
+impl<W, L: Port<Message>> RealHarness for RuntimeHarness<ShardedDeployment<W>, Client<L>> {
     fn name(&self) -> &'static str {
-        "threaded"
+        self.name
     }
     fn leaf_for(&self, p: Point) -> ServerId {
         self.dep.leaf_for(p)
@@ -333,13 +353,7 @@ impl RealHarness for ThreadedHarness {
         self.dep.clear_partition();
     }
     fn burst(&mut self, agent: ServerId, s: Sighting, n: u32) -> u64 {
-        let mut delivered = 0;
-        for _ in 0..n {
-            if self.client.update_nowait(agent, s) {
-                delivered += 1;
-            }
-        }
-        delivered
+        (0..n).filter(|_| self.client.update_nowait(agent, s)).count() as u64
     }
     fn shed_total(&self) -> u64 {
         self.dep.shed_total()
@@ -349,80 +363,8 @@ impl RealHarness for ThreadedHarness {
     }
 }
 
-/// [`UdpDeployment`] under the plan executor. Shedding over UDP is the
-/// kernel's socket buffer, not an accounted counter, so `burst` and
-/// `shed_total` report zero; generate UDP plans with `overload =
-/// false`.
-pub struct UdpHarness {
-    dep: UdpDeployment,
-    client: UdpClient,
-}
-
-impl UdpHarness {
-    /// Binds the plan's hierarchy on loopback sockets.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the loopback sockets cannot be bound.
-    pub fn bind(plan: &RealPlan) -> Self {
-        let dep = UdpDeployment::bind_sharded(
-            plan.hierarchy(),
-            ServerOptions::default(),
-            ShardSpec { shards: plan.shards as usize, ..Default::default() },
-        )
-        .expect("bind plan deployment");
-        let client = dep.client().expect("bind plan client");
-        UdpHarness { dep, client }
-    }
-}
-
-impl RealHarness for UdpHarness {
-    fn name(&self) -> &'static str {
-        "udp"
-    }
-    fn leaf_for(&self, p: Point) -> ServerId {
-        self.dep.leaf_for(p)
-    }
-    fn now_us(&self) -> Micros {
-        self.dep.now_us()
-    }
-    fn set_timeout(&mut self, t: Duration) {
-        self.client.set_timeout(t);
-    }
-    fn register(&mut self, entry: ServerId, s: Sighting) -> Result<(ServerId, f64), LsError> {
-        self.client.register(entry, s, DES_ACC_M, MIN_ACC_M, MAX_SPEED_MPS)
-    }
-    fn update(&mut self, agent: ServerId, s: Sighting) -> Result<UpdateOutcome, LsError> {
-        self.client.update(agent, s)
-    }
-    fn pos_query(&mut self, entry: ServerId, oid: ObjectId) -> Result<LocationDescriptor, LsError> {
-        self.client.pos_query(entry, oid)
-    }
-    fn crash(&mut self, id: ServerId) -> bool {
-        self.dep.crash_server(id)
-    }
-    fn restart(&mut self, id: ServerId) -> bool {
-        self.dep.restart_server(id)
-    }
-    fn set_partition(&mut self, groups: &[Vec<ServerId>]) {
-        self.dep.set_partition(groups);
-    }
-    fn clear_partition(&mut self) {
-        self.dep.clear_partition();
-    }
-    fn burst(&mut self, _agent: ServerId, _s: Sighting, _n: u32) -> u64 {
-        0
-    }
-    fn shed_total(&self) -> u64 {
-        0
-    }
-    fn drain(&mut self) {
-        self.client.drain_mailbox();
-    }
-}
-
 /// The deterministic simulator under the same executor — the parity
-/// oracle for fault-free plans (`run_plan` over [`ThreadedHarness`]
+/// oracle for fault-free plans (`run_plan` over [`RuntimeHarness`]
 /// and over this must produce identical records). Chaos verbs map to
 /// the simulator's own crash/restart; the partition filter has no
 /// simulator equivalent and is a no-op, so only use fault-free plans
@@ -811,8 +753,8 @@ pub fn replay_real_dsl(dsl: &str) -> RealRun {
     let (plan, runtime) = parse_real_dsl(dsl).expect("malformed reproducer DSL");
     assert!(plan.valid(), "reproducer plan is not well-formed: {dsl}");
     match runtime.as_str() {
-        "threaded" => run_plan(&mut ThreadedHarness::new(&plan), &plan),
-        "udp" => run_plan(&mut UdpHarness::bind(&plan), &plan),
+        "threaded" => run_plan(&mut RuntimeHarness::threaded(&plan), &plan),
+        "udp" => run_plan(&mut RuntimeHarness::udp(&plan), &plan),
         "sim" => run_plan(&mut SimHarness::new(&plan), &plan),
         other => panic!("unknown runtime '{other}' in reproducer DSL"),
     }

@@ -6,9 +6,12 @@
 //! fixed; `hiloc_sim::real::replay_real_dsl` replays any failure from
 //! the one-line DSL in the panic message.
 
+use hiloc_core::model::{ObjectId, Sighting};
+use hiloc_geo::Point;
+use hiloc_net::ServerId;
 use hiloc_sim::real::{
-    generate_real, parse_real_dsl, run_plan, RealPlan, RealVerb, SimHarness, ThreadedHarness,
-    UdpHarness,
+    generate_real, parse_real_dsl, run_plan, RealHarness, RealPlan, RealVerb, RuntimeHarness,
+    SimHarness,
 };
 
 fn has_crash(p: &RealPlan) -> bool {
@@ -37,7 +40,7 @@ fn threaded_chaos_fixed_seeds() {
     let mut partitions = 0;
     for seed in seeds {
         let plan = generate_real(seed, false);
-        let run = run_plan(&mut ThreadedHarness::new(&plan), &plan);
+        let run = run_plan(&mut RuntimeHarness::threaded(&plan), &plan);
         crashes += run.crashes;
         partitions += run.partitions;
         assert_eq!(run.final_positions.len() as u32, plan.num_objects);
@@ -58,7 +61,7 @@ fn threaded_overload_seed_sheds() {
         })
         .expect("overload seed");
     let plan = generate_real(seed, true);
-    let run = run_plan(&mut ThreadedHarness::new(&plan), &plan);
+    let run = run_plan(&mut RuntimeHarness::threaded(&plan), &plan);
     assert!(run.burst_delivered > 0, "bursts must land some envelopes");
     assert!(run.shed > 0, "a tiny inbox under burst load must shed");
 }
@@ -73,13 +76,13 @@ fn udp_chaos_fixed_seed() {
         })
         .expect("udp seed");
     let plan = generate_real(seed, false);
-    let run = run_plan(&mut UdpHarness::bind(&plan), &plan);
+    let run = run_plan(&mut RuntimeHarness::udp(&plan), &plan);
     assert!(run.crashes > 0 && run.partitions > 0);
     assert_eq!(run.final_positions.len() as u32, plan.num_objects);
 }
 
-/// Satellite: same-seed parity. A fault-free plan executed over the
-/// threaded runtime (ChannelNet) and over the deterministic simulator
+/// Same-seed three-way parity. A fault-free plan executed over the
+/// channel transport, over UDP and over the deterministic simulator
 /// must produce the same record, record for record — same acked
 /// count, same final position per object, bit for bit.
 #[test]
@@ -91,15 +94,37 @@ fn fault_free_plan_matches_sim_record_for_record() {
         inbox_cap: 4096,
         verbs: vec![RealVerb::Load { rounds: 4 }],
     };
-    let real = run_plan(&mut ThreadedHarness::new(&plan), &plan);
     let sim = run_plan(&mut SimHarness::new(&plan), &plan);
-    assert_eq!(real.acked, sim.acked, "every fault-free update is acked on both");
-    assert_eq!(real.unacked, 0);
     assert_eq!(sim.unacked, 0);
-    assert_eq!(
-        real.final_positions, sim.final_positions,
-        "threaded runtime and simulator disagree on the end state"
-    );
+    let channels = run_plan(&mut RuntimeHarness::threaded(&plan), &plan);
+    let udp = run_plan(&mut RuntimeHarness::udp(&plan), &plan);
+    for (name, real) in [("channels", &channels), ("udp", &udp)] {
+        assert_eq!(real.acked, sim.acked, "{name}: every fault-free update is acked");
+        assert_eq!(real.unacked, 0, "{name}");
+        assert_eq!(
+            real.final_positions, sim.final_positions,
+            "{name} and the simulator disagree on the end state"
+        );
+    }
+}
+
+/// `Burst` goes through the one client's no-wait path on either
+/// transport and reports what actually left the client (UDP used to
+/// report a hard-coded 0).
+#[test]
+fn burst_reports_what_was_sent_on_both_transports() {
+    fn check(mut h: impl RealHarness) {
+        let pos = Point::new(100.0, 100.0);
+        let s = Sighting::new(ObjectId(1), h.now_us(), pos, 5.0);
+        let (agent, _) = h.register(h.leaf_for(pos), s).expect("registration");
+        assert_eq!(h.burst(agent, s, 50), 50, "[{}] a roomy inbox takes the whole burst", h.name());
+        assert_eq!(h.burst(ServerId(99), s, 5), 0, "[{}] nothing leaves for an unknown server", h.name());
+        assert_eq!(h.shed_total(), 0, "[{}]", h.name());
+    }
+    let plan =
+        RealPlan { seed: 1, num_objects: 1, shards: 2, inbox_cap: 4096, verbs: Vec::new() };
+    check(RuntimeHarness::threaded(&plan));
+    check(RuntimeHarness::udp(&plan));
 }
 
 /// The reproducer DSL round-trips exactly.
