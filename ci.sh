@@ -3,8 +3,7 @@
 #
 # Everything runs with --offline: the workspace has a zero-external-
 # dependency policy (see README.md), enforced — along with the
-# determinism, wall-clock, hot-path, wire-coverage, and HLC-order
-# invariants — by
+# determinism, wall-clock, hot-path, and HLC-order invariants — by
 # the hiloc-lint static analyzer, which gates everything below. The old
 # standalone awk manifest guard lives on as hiloc-lint's `manifest`
 # rule (crates/lint/src/rules/manifest.rs), which also handles `path`
@@ -12,7 +11,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "==> hiloc-lint (determinism / wallclock / durability / hot_path / manifest / wire / hlc)"
+echo "==> hiloc-lint (determinism / wallclock / durability / hot_path / manifest / hlc)"
 cargo run -q --offline -p hiloc-lint -- check
 
 echo "==> cargo build --release --offline"

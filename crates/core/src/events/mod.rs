@@ -25,33 +25,35 @@ pub use engine::{CoordinatorEvents, LeafObservers, ObserverDelta};
 
 use crate::model::ObjectId;
 use hiloc_geo::Region;
-use hiloc_net::wire::{self, WireCodec};
+use hiloc_net::wire_enum;
 
-/// A predicate an application can register for.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Predicate {
-    /// Fires when the number of tracked objects inside `area` reaches
-    /// `threshold` (re-arms when the count drops below it again).
-    CountAtLeast {
-        /// The watched area.
-        area: Region,
-        /// The count that triggers the notification.
-        threshold: u32,
-    },
-    /// Fires whenever an object enters `area` (optionally only `oid`).
-    Enter {
-        /// The watched area.
-        area: Region,
-        /// When set, only this object triggers notifications.
-        oid: Option<ObjectId>,
-    },
-    /// Fires whenever an object leaves `area` (optionally only `oid`).
-    Leave {
-        /// The watched area.
-        area: Region,
-        /// When set, only this object triggers notifications.
-        oid: Option<ObjectId>,
-    },
+wire_enum! {
+    /// A predicate an application can register for.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Predicate {
+        /// Fires when the number of tracked objects inside `area` reaches
+        /// `threshold` (re-arms when the count drops below it again).
+        CountAtLeast = 0 {
+            /// The watched area.
+            area: Region,
+            /// The count that triggers the notification.
+            threshold: u32,
+        },
+        /// Fires whenever an object enters `area` (optionally only `oid`).
+        Enter = 1 {
+            /// The watched area.
+            area: Region,
+            /// When set, only this object triggers notifications.
+            oid: Option<ObjectId>,
+        },
+        /// Fires whenever an object leaves `area` (optionally only `oid`).
+        Leave = 2 {
+            /// The watched area.
+            area: Region,
+            /// When set, only this object triggers notifications.
+            oid: Option<ObjectId>,
+        },
+    }
 }
 
 impl Predicate {
@@ -65,103 +67,25 @@ impl Predicate {
     }
 }
 
-impl WireCodec for Predicate {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Predicate::CountAtLeast { area, threshold } => {
-                wire::put_u8(buf, 0);
-                wire::put_region(buf, area);
-                wire::put_u32(buf, *threshold);
-            }
-            Predicate::Enter { area, oid } => {
-                wire::put_u8(buf, 1);
-                wire::put_region(buf, area);
-                put_opt_oid(buf, *oid);
-            }
-            Predicate::Leave { area, oid } => {
-                wire::put_u8(buf, 2);
-                wire::put_region(buf, area);
-                put_opt_oid(buf, *oid);
-            }
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Option<Self> {
-        match wire::get_u8(buf)? {
-            0 => Some(Predicate::CountAtLeast {
-                area: wire::get_region(buf)?,
-                threshold: wire::get_u32(buf)?,
-            }),
-            1 => Some(Predicate::Enter { area: wire::get_region(buf)?, oid: get_opt_oid(buf)? }),
-            2 => Some(Predicate::Leave { area: wire::get_region(buf)?, oid: get_opt_oid(buf)? }),
-            _ => None,
-        }
-    }
-}
-
-fn put_opt_oid(buf: &mut Vec<u8>, oid: Option<ObjectId>) {
-    match oid {
-        None => wire::put_u8(buf, 0),
-        Some(o) => {
-            wire::put_u8(buf, 1);
-            wire::put_u64(buf, o.0);
-        }
-    }
-}
-
-fn get_opt_oid(buf: &mut &[u8]) -> Option<Option<ObjectId>> {
-    match wire::get_u8(buf)? {
-        0 => Some(None),
-        1 => Some(Some(ObjectId(wire::get_u64(buf)?))),
-        _ => None,
-    }
-}
-
-/// A fired event delivered to the subscriber.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EventKind {
-    /// A [`Predicate::CountAtLeast`] threshold was reached.
-    CountReached {
-        /// The aggregated object count at firing time.
-        count: u32,
-    },
-    /// An object entered the watched area.
-    Entered {
-        /// The entering object.
-        oid: ObjectId,
-    },
-    /// An object left the watched area.
-    Left {
-        /// The leaving object.
-        oid: ObjectId,
-    },
-}
-
-impl WireCodec for EventKind {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            EventKind::CountReached { count } => {
-                wire::put_u8(buf, 0);
-                wire::put_u32(buf, *count);
-            }
-            EventKind::Entered { oid } => {
-                wire::put_u8(buf, 1);
-                wire::put_u64(buf, oid.0);
-            }
-            EventKind::Left { oid } => {
-                wire::put_u8(buf, 2);
-                wire::put_u64(buf, oid.0);
-            }
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Option<Self> {
-        match wire::get_u8(buf)? {
-            0 => Some(EventKind::CountReached { count: wire::get_u32(buf)? }),
-            1 => Some(EventKind::Entered { oid: ObjectId(wire::get_u64(buf)?) }),
-            2 => Some(EventKind::Left { oid: ObjectId(wire::get_u64(buf)?) }),
-            _ => None,
-        }
+wire_enum! {
+    /// A fired event delivered to the subscriber.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum EventKind {
+        /// A [`Predicate::CountAtLeast`] threshold was reached.
+        CountReached = 0 {
+            /// The aggregated object count at firing time.
+            count: u32,
+        },
+        /// An object entered the watched area.
+        Entered = 1 {
+            /// The entering object.
+            oid: ObjectId,
+        },
+        /// An object left the watched area.
+        Left = 2 {
+            /// The leaving object.
+            oid: ObjectId,
+        },
     }
 }
 
@@ -169,6 +93,7 @@ impl WireCodec for EventKind {
 mod tests {
     use super::*;
     use hiloc_geo::{Point, Rect};
+    use hiloc_net::WireCodec;
 
     fn area() -> Region {
         Region::from(Rect::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0)))

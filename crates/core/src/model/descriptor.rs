@@ -2,21 +2,31 @@
 
 use super::{Micros, ObjectId, SECOND};
 use hiloc_geo::{Circle, Point};
-use hiloc_net::Endpoint;
+use hiloc_net::{wire_struct, Endpoint};
 use std::fmt;
 
-/// A tracked object's location descriptor `ld(o)`: recorded position
-/// plus the accuracy bound.
-///
-/// The accuracy is "the worst-case deviation of `ld(o).pos` from `o`'s
-/// actual position" — the object is guaranteed to reside inside the
-/// circular *location area* [`LocationDescriptor::location_area`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LocationDescriptor {
-    /// Recorded position (`ld.pos`), local planar frame.
-    pub pos: Point,
-    /// Accuracy in meters (`ld.acc`): smaller is more accurate.
-    pub acc_m: f64,
+/// Whether `acc_m` can be an accuracy bound: finite and non-negative.
+/// The one rule behind the constructors' panics and every decoder's
+/// check of an accuracy field.
+pub(crate) fn valid_acc(acc_m: f64) -> bool {
+    acc_m >= 0.0 && acc_m.is_finite()
+}
+
+wire_struct! {
+    /// A tracked object's location descriptor `ld(o)`: recorded position
+    /// plus the accuracy bound.
+    ///
+    /// The accuracy is "the worst-case deviation of `ld(o).pos` from `o`'s
+    /// actual position" — the object is guaranteed to reside inside the
+    /// circular *location area* [`LocationDescriptor::location_area`].
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct LocationDescriptor {
+        /// Recorded position (`ld.pos`), local planar frame.
+        pub pos: Point,
+        /// Accuracy in meters (`ld.acc`): smaller is more accurate.
+        pub acc_m: f64,
+    }
+    valid if valid_acc(acc_m)
 }
 
 impl LocationDescriptor {
@@ -26,7 +36,7 @@ impl LocationDescriptor {
     ///
     /// Panics if `acc_m` is negative or non-finite.
     pub fn new(pos: Point, acc_m: f64) -> Self {
-        assert!(acc_m >= 0.0 && acc_m.is_finite(), "accuracy must be finite and non-negative");
+        assert!(valid_acc(acc_m), "accuracy must be finite and non-negative");
         LocationDescriptor { pos, acc_m }
     }
 
@@ -47,19 +57,22 @@ impl fmt::Display for LocationDescriptor {
     }
 }
 
-/// A sighting record `s ∈ S`: one observation of a tracked object by a
-/// positioning system.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Sighting {
-    /// The tracked object (`s.oId`).
-    pub oid: ObjectId,
-    /// Timestamp of the sighting (`s.t`), service clock.
-    pub time_us: Micros,
-    /// Position at `time_us` (`s.pos`), local planar frame.
-    pub pos: Point,
-    /// Sensor accuracy in meters (`s.accsens`): maximum distance between
-    /// the reported and the actual position at `time_us`.
-    pub acc_sens_m: f64,
+wire_struct! {
+    /// A sighting record `s ∈ S`: one observation of a tracked object by a
+    /// positioning system.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct Sighting {
+        /// The tracked object (`s.oId`).
+        pub oid: ObjectId,
+        /// Timestamp of the sighting (`s.t`), service clock.
+        pub time_us: Micros,
+        /// Position at `time_us` (`s.pos`), local planar frame.
+        pub pos: Point,
+        /// Sensor accuracy in meters (`s.accsens`): maximum distance between
+        /// the reported and the actual position at `time_us`.
+        pub acc_sens_m: f64,
+    }
+    valid if valid_acc(acc_sens_m)
 }
 
 impl Sighting {
@@ -69,10 +82,7 @@ impl Sighting {
     ///
     /// Panics if `acc_sens_m` is negative or non-finite.
     pub fn new(oid: ObjectId, time_us: Micros, pos: Point, acc_sens_m: f64) -> Self {
-        assert!(
-            acc_sens_m >= 0.0 && acc_sens_m.is_finite(),
-            "sensor accuracy must be finite and non-negative"
-        );
+        assert!(valid_acc(acc_sens_m), "sensor accuracy must be finite and non-negative");
         Sighting { oid, time_us, pos, acc_sens_m }
     }
 
@@ -88,24 +98,51 @@ impl Sighting {
     }
 }
 
-/// Registration information kept for a tracked object (the paper's
-/// `v.regInfo`): who registered it and the negotiated accuracy range.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RegInfo {
-    /// The registering instance (`reginfo.reg`), notified on accuracy
-    /// changes and handovers.
-    pub registrant: Endpoint,
-    /// Desired accuracy in meters (`desAcc`, smaller = better).
-    pub des_acc_m: f64,
-    /// Minimal acceptable accuracy in meters (`minAcc`); registration
-    /// fails when the service cannot do at least this well.
-    pub min_acc_m: f64,
-    /// Declared maximum speed of the object in m/s, used for accuracy
-    /// ageing and position-cache staleness bounds.
-    pub max_speed_mps: f64,
+wire_struct! {
+    /// Registration information kept for a tracked object (the paper's
+    /// `v.regInfo`): who registered it and the negotiated accuracy range.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct RegInfo {
+        /// The registering instance (`reginfo.reg`), notified on accuracy
+        /// changes and handovers.
+        pub registrant: Endpoint,
+        /// Desired accuracy in meters (`desAcc`, smaller = better).
+        pub des_acc_m: f64,
+        /// Minimal acceptable accuracy in meters (`minAcc`); registration
+        /// fails when the service cannot do at least this well.
+        pub min_acc_m: f64,
+        /// Declared maximum speed of the object in m/s, used for accuracy
+        /// ageing and position-cache staleness bounds.
+        pub max_speed_mps: f64,
+    }
+    valid if RegInfo::bounds_ok(des_acc_m, min_acc_m, max_speed_mps)
 }
 
 impl RegInfo {
+    /// Whether the three numbers form a registration the service keeps:
+    /// `0 <= des_acc_m <= min_acc_m` and `max_speed_mps >= 0`, all
+    /// finite. The leaf refuses a request that fails this, and the
+    /// decoders refuse a record that does, so both agree on what can
+    /// be stored and shipped.
+    fn bounds_ok(des_acc_m: f64, min_acc_m: f64, max_speed_mps: f64) -> bool {
+        des_acc_m >= 0.0
+            && des_acc_m <= min_acc_m
+            && min_acc_m.is_finite()
+            && valid_acc(max_speed_mps)
+    }
+
+    /// Creates registration info, or `None` unless
+    /// `0 <= des_acc_m <= min_acc_m` and `max_speed_mps >= 0`, all finite.
+    pub fn try_new(
+        registrant: Endpoint,
+        des_acc_m: f64,
+        min_acc_m: f64,
+        max_speed_mps: f64,
+    ) -> Option<Self> {
+        Self::bounds_ok(des_acc_m, min_acc_m, max_speed_mps)
+            .then_some(RegInfo { registrant, des_acc_m, min_acc_m, max_speed_mps })
+    }
+
     /// Creates registration info.
     ///
     /// # Panics
@@ -113,16 +150,13 @@ impl RegInfo {
     /// Panics unless `0 <= des_acc_m <= min_acc_m` and
     /// `max_speed_mps >= 0`, all finite.
     pub fn new(registrant: Endpoint, des_acc_m: f64, min_acc_m: f64, max_speed_mps: f64) -> Self {
-        assert!(
-            des_acc_m >= 0.0 && des_acc_m.is_finite() && min_acc_m.is_finite(),
-            "accuracy bounds must be finite"
-        );
-        assert!(
-            des_acc_m <= min_acc_m,
-            "desired accuracy ({des_acc_m} m) must not be worse than minimal ({min_acc_m} m)"
-        );
-        assert!(max_speed_mps >= 0.0 && max_speed_mps.is_finite());
-        RegInfo { registrant, des_acc_m, min_acc_m, max_speed_mps }
+        match Self::try_new(registrant, des_acc_m, min_acc_m, max_speed_mps) {
+            Some(reg) => reg,
+            None if des_acc_m > min_acc_m => panic!(
+                "desired accuracy ({des_acc_m} m) must not be worse than minimal ({min_acc_m} m)"
+            ),
+            None => panic!("accuracy bounds and maximum speed must be finite and non-negative"),
+        }
     }
 
     /// The accuracy the service offers given what it can achieve

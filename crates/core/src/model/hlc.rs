@@ -32,6 +32,8 @@ const NODE_MASK: u64 = (1 << NODE_BITS) - 1;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Hlc(pub u64);
 
+hiloc_net::wire_newtype!(Hlc(u64));
+
 impl Hlc {
     /// The zero stamp: older than (or equal to) every other stamp.
     pub const ZERO: Hlc = Hlc(0);

@@ -9,6 +9,7 @@ mod query;
 pub mod semantics;
 mod update_policy;
 
+pub(crate) use descriptor::valid_acc;
 pub use descriptor::{LocationDescriptor, RegInfo, Sighting};
 pub use error::LsError;
 pub use hlc::{Hlc, HlcClock};
@@ -23,6 +24,8 @@ use std::fmt;
     Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default,
 )]
 pub struct ObjectId(pub u64);
+
+hiloc_net::wire_newtype!(ObjectId(u64));
 
 impl fmt::Display for ObjectId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

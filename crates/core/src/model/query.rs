@@ -1,7 +1,8 @@
 //! Query parameter and answer types.
 
-use super::{LocationDescriptor, ObjectId};
+use super::{valid_acc, LocationDescriptor, ObjectId};
 use hiloc_geo::Region;
+use hiloc_net::wire_struct;
 
 /// Accuracy-related quality-of-service bounds shared by range and
 /// nearest-neighbor queries.
@@ -19,20 +20,28 @@ impl QueryQos {
     ///
     /// Panics if `req_acc_m` is negative or non-finite.
     pub fn new(req_acc_m: f64) -> Self {
-        assert!(req_acc_m >= 0.0 && req_acc_m.is_finite());
+        assert!(valid_acc(req_acc_m));
         QueryQos { req_acc_m }
     }
 }
 
-/// Parameters of a range query: `rangeQuery(a, reqAcc, reqOverlap)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RangeQuery {
-    /// The queried geographic area `a`.
-    pub area: Region,
-    /// Accuracy threshold (meters).
-    pub req_acc_m: f64,
-    /// Required overlap degree in `(0, 1]`.
-    pub req_overlap: f64,
+wire_struct! {
+    /// Parameters of a range query: `rangeQuery(a, reqAcc, reqOverlap)`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct RangeQuery {
+        /// The queried geographic area `a`.
+        pub area: Region,
+        /// Accuracy threshold (meters).
+        pub req_acc_m: f64,
+        /// Required overlap degree in `(0, 1]`.
+        pub req_overlap: f64,
+    }
+    valid if valid_acc(req_acc_m) && valid_overlap(req_overlap)
+}
+
+/// Whether `req_overlap` is an overlap degree: in `(0, 1]`.
+fn valid_overlap(req_overlap: f64) -> bool {
+    req_overlap > 0.0 && req_overlap <= 1.0
 }
 
 impl RangeQuery {
@@ -42,11 +51,8 @@ impl RangeQuery {
     ///
     /// Panics unless `req_overlap ∈ (0, 1]` and `req_acc_m ≥ 0`, finite.
     pub fn new(area: Region, req_acc_m: f64, req_overlap: f64) -> Self {
-        assert!(req_acc_m >= 0.0 && req_acc_m.is_finite());
-        assert!(
-            req_overlap > 0.0 && req_overlap <= 1.0,
-            "reqOverlap must be in (0, 1], got {req_overlap}"
-        );
+        assert!(valid_acc(req_acc_m));
+        assert!(valid_overlap(req_overlap), "reqOverlap must be in (0, 1], got {req_overlap}");
         RangeQuery { area, req_acc_m, req_overlap }
     }
 }

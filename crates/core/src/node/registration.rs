@@ -53,15 +53,20 @@ impl LocationServer {
             self.emit(child, fwd(corr));
             return;
         }
-        // Leaf: negotiate accuracy (lines 2–15).
-        let reg = RegInfo { registrant, des_acc_m, min_acc_m, max_speed_mps };
-        if !reg.acceptable(self.opts.acc_floor_m) {
+        // Leaf: negotiate accuracy (lines 2–15). A range no decoder
+        // would take back (`desAcc > minAcc`, a non-finite speed, …)
+        // fails like an unachievable one: once stored it would ride in
+        // every handover and replication batch for this object, and the
+        // receiver would drop them.
+        let reg = RegInfo::try_new(registrant, des_acc_m, min_acc_m, max_speed_mps)
+            .filter(|reg| reg.acceptable(self.opts.acc_floor_m));
+        let Some(reg) = reg else {
             self.emit(
                 registrant,
                 Message::RegisterFailed { server: self.id(), achievable_m: self.opts.acc_floor_m, corr },
             );
             return;
-        }
+        };
         let offered = self.offered_for(&reg);
         let oid = sighting.oid;
         let epoch = self.stamp(now);
@@ -139,14 +144,15 @@ impl LocationServer {
         match self.visitors.get(oid).copied() {
             Some(VisitorRecord::Leaf { offered_acc_m: old_offered, reg, epoch }) => {
                 let candidate =
-                    RegInfo { des_acc_m, min_acc_m, ..reg };
-                if des_acc_m > min_acc_m || !candidate.acceptable(self.opts.acc_floor_m) {
+                    RegInfo::try_new(reg.registrant, des_acc_m, min_acc_m, reg.max_speed_mps)
+                        .filter(|c| c.acceptable(self.opts.acc_floor_m));
+                let Some(candidate) = candidate else {
                     self.emit(
                         reg.registrant,
                         Message::ChangeAccRes { oid, ok: false, offered_acc_m: old_offered, corr },
                     );
                     return;
-                }
+                };
                 let offered = candidate.offered_accuracy(self.opts.acc_floor_m);
                 self.visitors.apply(
                     oid,

@@ -8,77 +8,37 @@
 //! agent's history in stamp order no matter how batches are delayed,
 //! duplicated or replayed.
 
-use crate::model::{Hlc, Micros, ObjectId, RegInfo, Sighting};
-use hiloc_net::wire;
+use crate::model::{valid_acc, Hlc, Micros, ObjectId, RegInfo, Sighting};
+use hiloc_net::wire_struct;
 use hiloc_storage::{BatchOp, DurableMap, RecordValue, StorageError, SyncPolicy};
 use std::collections::BTreeMap;
 use std::path::Path;
 
-/// One replicated leaf record: registration, offered accuracy, the
-/// arbitrating HLC stamp and the agent's last shipped sighting.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReplicaValue {
-    /// Registration info at the agent.
-    pub reg: RegInfo,
-    /// Accuracy the agent currently offers.
-    pub offered_acc_m: f64,
-    /// HLC stamp of the replicated state (last-writer-wins).
-    pub epoch: Hlc,
-    /// The agent's sighting at ship time, when it had one.
-    pub sighting: Option<Sighting>,
+wire_struct! {
+    /// One replicated leaf record: registration, offered accuracy, the
+    /// arbitrating HLC stamp and the agent's last shipped sighting.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct ReplicaValue {
+        /// Registration info at the agent.
+        pub reg: RegInfo,
+        /// Accuracy the agent currently offers.
+        pub offered_acc_m: f64,
+        /// HLC stamp of the replicated state (last-writer-wins).
+        pub epoch: Hlc,
+        /// The agent's sighting at ship time, when it had one.
+        pub sighting: Option<Sighting>,
+    }
+    valid if valid_acc(offered_acc_m)
 }
 
+/// The on-disk record is the wire encoding, byte for byte.
 impl RecordValue for ReplicaValue {
     fn encode(&self, buf: &mut Vec<u8>) {
-        wire::put_endpoint(buf, self.reg.registrant);
-        wire::put_f64(buf, self.reg.des_acc_m);
-        wire::put_f64(buf, self.reg.min_acc_m);
-        wire::put_f64(buf, self.reg.max_speed_mps);
-        wire::put_f64(buf, self.offered_acc_m);
-        wire::put_u64(buf, self.epoch.0);
-        match &self.sighting {
-            None => wire::put_u8(buf, 0),
-            Some(s) => {
-                wire::put_u8(buf, 1);
-                wire::put_u64(buf, s.oid.0);
-                wire::put_u64(buf, s.time_us);
-                wire::put_point(buf, s.pos);
-                wire::put_f64(buf, s.acc_sens_m);
-            }
-        }
+        hiloc_net::WireCodec::encode(self, buf);
     }
 
     fn decode(mut buf: &[u8]) -> Option<Self> {
-        let b = &mut buf;
-        let registrant = wire::get_endpoint(b)?;
-        let des = wire::get_f64(b)?;
-        let min = wire::get_f64(b)?;
-        let vmax = wire::get_f64(b)?;
-        let offered = wire::get_f64(b)?;
-        let epoch = Hlc(wire::get_u64(b)?);
-        let sighting = match wire::get_u8(b)? {
-            0 => None,
-            1 => {
-                let oid = ObjectId(wire::get_u64(b)?);
-                let time_us = wire::get_u64(b)?;
-                let pos = wire::get_point(b)?;
-                let acc = wire::get_f64(b)?;
-                if !(acc >= 0.0 && acc.is_finite()) {
-                    return None;
-                }
-                Some(Sighting { oid, time_us, pos, acc_sens_m: acc })
-            }
-            _ => return None,
-        };
-        if !(offered >= 0.0 && offered.is_finite()) {
-            return None;
-        }
-        Some(ReplicaValue {
-            reg: RegInfo { registrant, des_acc_m: des, min_acc_m: min, max_speed_mps: vmax },
-            offered_acc_m: offered,
-            epoch,
-            sighting,
-        })
+        hiloc_net::WireCodec::decode(&mut buf)
     }
 }
 
@@ -225,6 +185,7 @@ impl ReplicaDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::hex;
     use hiloc_geo::Point;
     use hiloc_net::ClientId;
 
@@ -240,9 +201,16 @@ mod tests {
 
     #[test]
     fn codec_roundtrip_both_shapes() {
-        for v in [value(42, true), value(7, false)] {
+        // The on-disk bytes are frozen: captured from the hand-written
+        // codec that preceded the `wire_struct!` declaration.
+        let frozen = [
+            "01090000000000000000000000000024400000000000004940000000000000004000000000000029402a00000000000000010700000000000000e803000000000000000000000000084000000000000010400000000000001440",
+            "0109000000000000000000000000002440000000000000494000000000000000400000000000002940070000000000000000",
+        ];
+        for (v, frozen) in [value(42, true), value(7, false)].into_iter().zip(frozen) {
             let mut buf = Vec::new();
             v.encode(&mut buf);
+            assert_eq!(hex(&buf), frozen);
             assert_eq!(ReplicaValue::decode(&buf), Some(v));
         }
         assert_eq!(ReplicaValue::decode(&[1, 2, 3]), None);

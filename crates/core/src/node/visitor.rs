@@ -1,37 +1,38 @@
 //! The visitor database: per-object records with durable backing.
 
 use crate::model::{Hlc, ObjectId, RegInfo};
-use hiloc_net::wire;
-use hiloc_net::ServerId;
+use hiloc_net::{wire_enum, ServerId};
 use hiloc_storage::{BatchOp, DurableMap, RecordValue, StorageError, SyncPolicy};
 use std::collections::BTreeMap;
 use std::path::Path;
 
-/// A visitor record (paper §5): what a server knows about an object
-/// currently inside its service area.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum VisitorRecord {
-    /// Stored by the object's agent (leaf server): offered accuracy and
-    /// registration info. The sighting itself lives in the volatile
-    /// sighting database.
-    Leaf {
-        /// Currently offered accuracy (`v.offeredAcc`).
-        offered_acc_m: f64,
-        /// Registration information (`v.regInfo`).
-        reg: RegInfo,
-        /// Hybrid-logical-clock stamp of the last path change,
-        /// guarding against stale create/remove races and arbitrating
-        /// between replicas (last writer wins, node id tie-break).
-        epoch: Hlc,
-    },
-    /// Stored by non-leaf servers: the child next on the path to the
-    /// object's agent (`v.forwardRef`).
-    Forward {
-        /// The next-hop child server.
-        child: ServerId,
-        /// Hybrid-logical-clock stamp of the last path change.
-        epoch: Hlc,
-    },
+wire_enum! {
+    /// A visitor record (paper §5): what a server knows about an object
+    /// currently inside its service area.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub enum VisitorRecord {
+        /// Stored by the object's agent (leaf server): offered accuracy and
+        /// registration info. The sighting itself lives in the volatile
+        /// sighting database.
+        Leaf = 0 {
+            /// Currently offered accuracy (`v.offeredAcc`).
+            offered_acc_m: f64,
+            /// Registration information (`v.regInfo`).
+            reg: RegInfo,
+            /// Hybrid-logical-clock stamp of the last path change,
+            /// guarding against stale create/remove races and arbitrating
+            /// between replicas (last writer wins, node id tie-break).
+            epoch: Hlc,
+        },
+        /// Stored by non-leaf servers: the child next on the path to the
+        /// object's agent (`v.forwardRef`).
+        Forward = 1 {
+            /// The next-hop child server.
+            child: ServerId,
+            /// Hybrid-logical-clock stamp of the last path change.
+            epoch: Hlc,
+        },
+    }
 }
 
 impl VisitorRecord {
@@ -43,48 +44,14 @@ impl VisitorRecord {
     }
 }
 
+/// The on-disk record is the wire encoding, byte for byte.
 impl RecordValue for VisitorRecord {
     fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            VisitorRecord::Leaf { offered_acc_m, reg, epoch } => {
-                wire::put_u8(buf, 0);
-                wire::put_f64(buf, *offered_acc_m);
-                wire::put_endpoint(buf, reg.registrant);
-                wire::put_f64(buf, reg.des_acc_m);
-                wire::put_f64(buf, reg.min_acc_m);
-                wire::put_f64(buf, reg.max_speed_mps);
-                wire::put_u64(buf, epoch.0);
-            }
-            VisitorRecord::Forward { child, epoch } => {
-                wire::put_u8(buf, 1);
-                wire::put_u32(buf, child.0);
-                wire::put_u64(buf, epoch.0);
-            }
-        }
+        hiloc_net::WireCodec::encode(self, buf);
     }
 
     fn decode(mut buf: &[u8]) -> Option<Self> {
-        let b = &mut buf;
-        match wire::get_u8(b)? {
-            0 => {
-                let offered = wire::get_f64(b)?;
-                let registrant = wire::get_endpoint(b)?;
-                let des = wire::get_f64(b)?;
-                let min = wire::get_f64(b)?;
-                let vmax = wire::get_f64(b)?;
-                let epoch = Hlc(wire::get_u64(b)?);
-                Some(VisitorRecord::Leaf {
-                    offered_acc_m: offered,
-                    reg: RegInfo { registrant, des_acc_m: des, min_acc_m: min, max_speed_mps: vmax },
-                    epoch,
-                })
-            }
-            1 => Some(VisitorRecord::Forward {
-                child: ServerId(wire::get_u32(b)?),
-                epoch: Hlc(wire::get_u64(b)?),
-            }),
-            _ => None,
-        }
+        hiloc_net::WireCodec::decode(&mut buf)
     }
 }
 
@@ -299,6 +266,7 @@ impl VisitorDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::hex;
     use hiloc_net::ClientId;
 
     fn reg() -> RegInfo {
@@ -315,12 +283,27 @@ mod tests {
 
     #[test]
     fn record_codec_roundtrip() {
-        for rec in [leaf_rec(42), fwd_rec(7, 100)] {
+        // The on-disk bytes are frozen: captured from the hand-written
+        // codec that preceded the `wire_enum!` declaration.
+        let frozen = [
+            "0000000000000024400105000000000000000000000000002440000000000000494000000000000000402a00000000000000",
+            "01070000006400000000000000",
+        ];
+        for (rec, frozen) in [leaf_rec(42), fwd_rec(7, 100)].into_iter().zip(frozen) {
             let mut buf = Vec::new();
             rec.encode(&mut buf);
+            assert_eq!(hex(&buf), frozen);
             assert_eq!(VisitorRecord::decode(&buf), Some(rec));
         }
         assert_eq!(VisitorRecord::decode(&[9, 9]), None);
+    }
+
+    #[test]
+    fn stored_registration_is_checked_on_read() {
+        let bad = RegInfo { des_acc_m: 100.0, min_acc_m: 25.0, ..reg() };
+        let mut buf = Vec::new();
+        VisitorRecord::Leaf { offered_acc_m: 10.0, reg: bad, epoch: Hlc(1) }.encode(&mut buf);
+        assert_eq!(VisitorRecord::decode(&buf), None);
     }
 
     #[test]

@@ -1,18 +1,73 @@
 //! Codec robustness: the wire decoder must never panic, whatever bytes
-//! arrive, and encode∘decode must be the identity on valid messages
-//! under random mutation of unrelated inputs. Runs on the in-tree
-//! seeded harness ([`hiloc_util::prop`]); case counts mirror the
-//! original proptest configuration.
+//! arrive, must never reserve memory a datagram's size does not back,
+//! and encode∘decode must be the identity on valid messages under
+//! random mutation of unrelated inputs. The structured cases walk every
+//! `Message` variant of the shared sample table; the random ones run on
+//! the in-tree seeded harness ([`hiloc_util::prop`]), case counts
+//! mirroring the original proptest configuration.
 
-use hiloc_core::model::{ObjectId, Sighting};
-use hiloc_core::proto::Message;
+use hiloc_core::events::{EventKind, Predicate};
+use hiloc_core::model::{Hlc, LocationDescriptor, ObjectId, RangeQuery, RegInfo, Sighting};
+use hiloc_core::proto::{DeltaBody, DeltaRecord, Message, TransferRecord};
 use hiloc_geo::Point;
-use hiloc_net::wire::WireCodec;
+use hiloc_net::wire::{WireCodec, MAX_ITEMS};
 use hiloc_net::CorrId;
 use hiloc_util::prop::check;
 use hiloc_util::rng::RngExt;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// The codec's own sample table (one instance of every variant).
+#[path = "../src/proto/samples.rs"]
+mod samples;
 
 const CASES: u32 = 512;
+
+thread_local! {
+    /// The largest single allocation this thread has requested since
+    /// the cell was last reset. Per thread, because the test harness
+    /// runs this file's tests concurrently.
+    static LARGEST_ALLOC: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator, noting each thread's largest request.
+struct Watching;
+
+impl Watching {
+    fn note(size: usize) {
+        // `try_with`: a thread may still allocate while its locals are
+        // being torn down; those requests are of no interest.
+        let _ = LARGEST_ALLOC.try_with(|largest| largest.set(largest.get().max(size)));
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the bookkeeping is a
+// const-initialised `Cell<usize>` without a destructor, so noting a
+// size neither allocates nor touches memory the allocator hands out.
+unsafe impl GlobalAlloc for Watching {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::note(layout.size());
+        // SAFETY: the caller's `layout` obligations pass through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::note(new_size);
+        // SAFETY: `ptr` came from this allocator, that is from `System`,
+        // with `layout`; the caller guarantees `new_size` is valid.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, that is from `System`,
+        // with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Watching = Watching;
 
 /// Arbitrary bytes: decode returns None or a message, never panics.
 #[test]
@@ -23,24 +78,52 @@ fn random_bytes_never_panic() {
     });
 }
 
-/// Valid message bytes with a single flipped byte: decode must not
-/// panic (it may return None or a different valid message).
+/// Every sample variant, every byte offset, every single-bit flip and
+/// the whole-byte flip: decode must not panic (it may return None or a
+/// different valid message).
 #[test]
 fn bit_flipped_messages_never_panic() {
-    check(CASES, |g| {
-        let oid = g.random::<u64>();
-        let x = g.random_range(-1e6..1e6);
-        let y = g.random_range(-1e6..1e6);
-        let acc = g.random_range(0.0..1e4);
-        let flip_bits = g.random_range(1u8..=255);
-        let msg = Message::UpdateReq {
-            sighting: Sighting::new(ObjectId(oid), 123, Point::new(x, y), acc),
-        };
-        let mut bytes = msg.to_bytes();
-        let idx = g.index(bytes.len());
-        bytes[idx] ^= flip_bits;
-        let _ = Message::from_bytes(&bytes);
-    });
+    let masks: Vec<u8> = (0..8).map(|bit| 1 << bit).chain([0xFF]).collect();
+    for msg in samples::sample_messages() {
+        let bytes = msg.to_bytes();
+        for at in 0..bytes.len() {
+            for mask in &masks {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= mask;
+                let _ = Message::from_bytes(&flipped);
+            }
+        }
+    }
+}
+
+/// Every sample variant with a huge element count written over every
+/// offset — in particular over the count of every `Vec` field and
+/// polygon: decode must refuse it without reserving room for elements
+/// the datagram does not carry. (A 5-byte `updateBatch` claiming a
+/// million sightings used to reserve 40 MB before failing.)
+#[test]
+fn oversized_counts_never_reserve_memory() {
+    // Generous for any honest decode of a sample (a few hundred bytes).
+    const LIMIT: usize = 1 << 16;
+    for msg in samples::sample_messages() {
+        let bytes = msg.to_bytes();
+        for count in [MAX_ITEMS, MAX_ITEMS / 40, 10_000, u32::MAX] {
+            for at in 1..bytes.len().saturating_sub(3) {
+                let mut hostile = bytes.clone();
+                hostile[at..at + 4].copy_from_slice(&count.to_le_bytes());
+                LARGEST_ALLOC.with(|largest| largest.set(0));
+                let _ = Message::from_bytes(&hostile);
+                // And with nothing at all behind the count.
+                let _ = Message::from_bytes(&hostile[..at + 4]);
+                let largest = LARGEST_ALLOC.with(Cell::get);
+                assert!(
+                    largest <= LIMIT,
+                    "{}: count {count} at offset {at} made the decoder request {largest} bytes",
+                    msg.label()
+                );
+            }
+        }
+    }
 }
 
 /// Round-trip across the numeric input space.

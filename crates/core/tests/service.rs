@@ -92,6 +92,39 @@ fn registration_fails_when_accuracy_unachievable() {
     assert_eq!(offered, 80.0);
 }
 
+/// A registration whose numbers `RegInfo`'s own rule refuses must fail
+/// at the leaf. Stored, it would ride in the object's next `HandoverReq`
+/// (and every `StateTransfer` / `FwdDelta` carrying it), the receiving
+/// decoder would drop the message, and the object would vanish at its
+/// first leaf border (`handover_between_sibling_leaves` is the honest
+/// walk). The sim carries `Message` values rather than bytes, so the
+/// walk itself cannot show the loss here; what it can show is that such
+/// an object never gets registered.
+#[test]
+fn registration_the_decoders_would_refuse_is_refused_at_the_leaf() {
+    let mut ls = ls(testbed());
+    let west = ls.leaf_for(Point::new(100.0, 100.0));
+    let refused = [
+        (100.0, 25.0, 3.0), // desAcc worse than minAcc
+        (-1.0, 50.0, 3.0),
+        (10.0, f64::INFINITY, 3.0),
+        (10.0, 50.0, f64::NAN),
+        (10.0, 50.0, -3.0),
+    ];
+    for (i, (des_acc_m, min_acc_m, max_speed_mps)) in refused.into_iter().enumerate() {
+        let oid = 50 + i as u64;
+        let err = ls
+            .register_with_speed(west, sighting(oid, 100.0, 100.0), des_acc_m, min_acc_m, max_speed_mps)
+            .expect_err("the leaf must refuse what the decoders refuse");
+        assert!(matches!(err, LsError::AccuracyUnavailable { .. }), "{err}");
+        ls.run_until_quiet();
+        for sid in 0..5 {
+            assert!(ls.server(ServerId(sid)).visitors().get(ObjectId(oid)).is_none());
+        }
+    }
+    assert_eq!(ls.server(west).stats().registrations, 0);
+}
+
 #[test]
 fn registration_outside_root_area_fails() {
     let mut ls = ls(testbed());
@@ -425,6 +458,12 @@ fn change_accuracy_renegotiates() {
     let (ok, offered) = ls.change_acc(agent, ObjectId(42), 200.0, 100.0).unwrap();
     assert!(!ok);
     assert_eq!(offered, 25.0, "failed change keeps the previous offer");
+    // So is every other range `RegInfo::new` would refuse.
+    for (des_acc_m, min_acc_m) in [(-1.0, 100.0), (25.0, f64::INFINITY), (f64::NAN, 100.0)] {
+        let (ok, offered) = ls.change_acc(agent, ObjectId(42), des_acc_m, min_acc_m).unwrap();
+        assert!(!ok, "({des_acc_m}, {min_acc_m}) must be refused");
+        assert_eq!(offered, 25.0);
+    }
     // Queries now return the new accuracy.
     let ld = ls.pos_query(entry, ObjectId(42)).unwrap();
     assert_eq!(ld.acc_m, 25.0);

@@ -34,8 +34,7 @@ pub enum TokKind {
 pub struct Token {
     /// The token kind.
     pub kind: TokKind,
-    /// The token text. For [`TokKind::Literal`] this is the raw source
-    /// slice; rules must not match on it.
+    /// The token text; empty for [`TokKind::Literal`] (contents opaque).
     pub text: String,
     /// 1-based source line of the token's first character.
     pub line: u32,
@@ -227,13 +226,7 @@ pub fn lex(src: &str) -> Lexed {
                     }
                     j += 1;
                 }
-                // Numeric literals keep their text (the wire rule reads
-                // `VARIANT_COUNT`); string-ish literals stay opaque.
-                out.tokens.push(Token {
-                    kind: TokKind::Literal,
-                    text: src[i..j].to_string(),
-                    line,
-                });
+                out.tokens.push(Token { kind: TokKind::Literal, text: String::new(), line });
                 code_on_line = true;
                 i = j;
             }

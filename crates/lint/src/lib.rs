@@ -2,11 +2,18 @@
 //!
 //! Rules enforce invariants the test suite can only probe: determinism
 //! (no randomized-iteration containers in replay-sensitive crates), no
-//! wall-clock reads outside the real-time edges, allocation-free
-//! hot-path functions, the zero-external-dependency manifest policy,
-//! and full wire-protocol variant coverage. The analyzer lexes Rust
-//! itself — no `syn`, no `proc-macro2` — in keeping with the workspace
-//! dependency policy it enforces.
+//! wall-clock reads outside the real-time edges, durability barriers
+//! only inside the storage engine, allocation-free hot-path functions,
+//! the zero-external-dependency manifest policy, and the derived total
+//! order of HLC stamps. The analyzer lexes Rust itself — no `syn`, no
+//! `proc-macro2` — in keeping with the workspace dependency policy it
+//! enforces. It does not expand macros: a `// lint:hot_path` marker
+//! inside a `macro_rules!` body checks the body as written, which is
+//! how the generated wire codec (`hiloc_net::wire`) stays covered.
+//!
+//! A rule whose invariant becomes true by construction is deleted with
+//! its fixtures — as the `wire` variant-coverage rule was once the
+//! protocol became one declarative table.
 //!
 //! Exceptions live in the source as `// lint:allow(<rule>) <reason>`
 //! (line scope) or `// lint:allow-file(<rule>) <reason>`; every allow

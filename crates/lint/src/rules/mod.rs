@@ -9,7 +9,6 @@ mod hlc;
 mod hotpath;
 mod manifest;
 mod wallclock;
-mod wire;
 
 pub use determinism::Determinism;
 pub use durability::Durability;
@@ -17,7 +16,6 @@ pub use hlc::HlcOrder;
 pub use hotpath::HotPath;
 pub use manifest::Manifest;
 pub use wallclock::WallClock;
-pub use wire::WireCoverage;
 
 /// One lint rule.
 ///
@@ -49,7 +47,6 @@ pub fn default_rules() -> Vec<Box<dyn Rule>> {
         Box::new(Durability),
         Box::new(HotPath),
         Box::new(Manifest),
-        Box::new(WireCoverage),
         Box::new(HlcOrder),
     ]
 }

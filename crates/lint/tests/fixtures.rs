@@ -95,7 +95,7 @@ fn corpus_has_a_failing_fixture_for_every_rule() {
         .collect();
     failing.sort();
     failing.dedup();
-    for rule in ["determinism", "wallclock", "hot_path", "manifest", "wire", "hlc", "lint"] {
+    for rule in ["determinism", "wallclock", "hot_path", "manifest", "hlc", "lint"] {
         assert!(
             failing.iter().any(|r| r == rule),
             "no failing fixture exercises rule `{rule}`"

@@ -5,8 +5,8 @@
 //! The mutations never touch disk: `load_workspace` produces the same
 //! `SourceFile` list `hiloc-lint check` scans, and the mutated copies
 //! go through the identical engine. If someone adds a `HashMap` to core
-//! node state or ships a `Message` variant without its guards, the
-//! first of these tests is the one that goes red in CI.
+//! node state or a crates.io dependency to a manifest, the first of
+//! these tests is the one that goes red in CI.
 
 use hiloc_lint::{analyze, check, list_allows, load_workspace, SourceFile};
 use std::path::Path;
@@ -55,45 +55,6 @@ fn injecting_a_hash_map_into_core_state_fails_the_gate() {
         .filter(|d| d.rule == "determinism" && d.file.ends_with("mutation_probe.rs"))
         .collect();
     assert_eq!(hits.len(), 2, "both HashMap mentions must be flagged: {diags:?}");
-}
-
-#[test]
-fn adding_a_message_variant_without_guards_fails_the_gate() {
-    let mut files = workspace_files();
-    let proto = files
-        .iter_mut()
-        .find(|f| f.rel == "crates/core/src/proto/mod.rs")
-        .expect("proto module present");
-    let marker = "pub enum Message {";
-    assert!(proto.text.contains(marker), "Message enum declaration moved?");
-    proto.text = proto.text.replacen(
-        marker,
-        "pub enum Message {\n    LintMutationProbe { n: u64 },",
-        1,
-    );
-    let diags = check(&analyze(&files));
-    let wire: Vec<_> = diags.iter().filter(|d| d.rule == "wire").collect();
-    // Missing from all five guard functions, plus VARIANT_COUNT drift.
-    assert_eq!(wire.len(), 6, "uncovered variant must be flagged everywhere: {diags:?}");
-}
-
-#[test]
-fn deleting_a_variant_guard_arm_fails_the_gate() {
-    let mut files = workspace_files();
-    let proto = files
-        .iter_mut()
-        .find(|f| f.rel == "crates/core/src/proto/mod.rs")
-        .expect("proto module present");
-    // Drop one variant's mention from encoded_len — as if the guard
-    // arm had been deleted during a refactor.
-    let arm = "Message::PathSyncRes { entries, .. } => path_entries_len(entries) + 1 + CORR_LEN,";
-    assert!(proto.text.contains(arm), "encoded_len arm for PathSyncRes moved?");
-    proto.text = proto.text.replacen(arm, "", 1);
-    let diags = check(&analyze(&files));
-    assert!(
-        diags.iter().any(|d| d.rule == "wire" && d.message.contains("PathSyncRes")),
-        "dropped guard arm must be flagged: {diags:?}"
-    );
 }
 
 #[test]

@@ -75,19 +75,12 @@ impl<M: WireCodec> Port<M> for UdpEndpoint<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{wire, ClientId, ServerId};
+    use crate::{ClientId, ServerId};
 
     #[derive(Debug, PartialEq)]
     struct N(u32);
 
-    impl WireCodec for N {
-        fn encode(&self, buf: &mut Vec<u8>) {
-            wire::put_u32(buf, self.0);
-        }
-        fn decode(buf: &mut &[u8]) -> Option<Self> {
-            wire::get_u32(buf).map(N)
-        }
-    }
+    crate::wire_newtype!(N(u32));
 
     fn echo_round_trip(client: &impl Port<N>, server: &impl Port<N>) {
         let (c, s) = (ClientId(1).into(), ServerId(0).into());

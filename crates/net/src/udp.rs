@@ -4,7 +4,7 @@
 //! thread.
 
 // lint:allow-file(wallclock) real transport: receive deadlines are genuine wall-clock timeouts
-use crate::wire::{self, WireCodec};
+use crate::wire::WireCodec;
 use crate::{Endpoint, Envelope};
 #[cfg(test)]
 use crate::ServerId;
@@ -78,8 +78,6 @@ pub struct SendBatch {
     pub too_large: usize,
 }
 
-use wire::{get_endpoint, put_endpoint};
-
 /// A UDP-backed network endpoint carrying [`Envelope`]s of `M`.
 ///
 /// Mirrors the paper's transport choice ("our communication protocols
@@ -147,19 +145,26 @@ thread_local! {
 struct EnvelopeFrame<M>(Envelope<M>);
 
 impl<M: WireCodec> WireCodec for EnvelopeFrame<M> {
+    fn encoded_len(&self) -> usize {
+        MAGIC.encoded_len()
+            + self.0.from.encoded_len()
+            + self.0.to.encoded_len()
+            + self.0.msg.encoded_len()
+    }
+
     fn encode(&self, buf: &mut Vec<u8>) {
-        wire::put_u16(buf, MAGIC);
-        put_endpoint(buf, self.0.from);
-        put_endpoint(buf, self.0.to);
+        MAGIC.encode(buf);
+        self.0.from.encode(buf);
+        self.0.to.encode(buf);
         self.0.msg.encode(buf);
     }
 
     fn decode(buf: &mut &[u8]) -> Option<Self> {
-        if wire::get_u16(buf)? != MAGIC {
+        if u16::decode(buf)? != MAGIC {
             return None;
         }
-        let from = get_endpoint(buf)?;
-        let to = get_endpoint(buf)?;
+        let from = Endpoint::decode(buf)?;
+        let to = Endpoint::decode(buf)?;
         let msg = M::decode(buf)?;
         Some(EnvelopeFrame(Envelope { from, to, msg }))
     }
@@ -393,14 +398,17 @@ mod tests {
     struct TestMsg(u64, String);
 
     impl WireCodec for TestMsg {
+        fn encoded_len(&self) -> usize {
+            8 + 4 + self.1.len()
+        }
         fn encode(&self, buf: &mut Vec<u8>) {
-            wire::put_u64(buf, self.0);
-            wire::put_u32(buf, self.1.len() as u32);
+            self.0.encode(buf);
+            (self.1.len() as u32).encode(buf);
             buf.extend_from_slice(self.1.as_bytes());
         }
         fn decode(buf: &mut &[u8]) -> Option<Self> {
-            let n = wire::get_u64(buf)?;
-            let len = wire::get_u32(buf)? as usize;
+            let n = u64::decode(buf)?;
+            let len = u32::decode(buf)? as usize;
             if buf.len() < len {
                 return None;
             }
@@ -531,9 +539,9 @@ mod tests {
         raw.send_to(b"\xDE\xADgarbage-not-a-frame", dst).unwrap();
         // 2: valid magic, envelope truncated mid-message.
         let mut frame = Vec::new();
-        wire::put_u16(&mut frame, MAGIC);
-        put_endpoint(&mut frame, ServerId(1).into());
-        put_endpoint(&mut frame, ServerId(0).into());
+        MAGIC.encode(&mut frame);
+        Endpoint::from(ServerId(1)).encode(&mut frame);
+        Endpoint::from(ServerId(0)).encode(&mut frame);
         TestMsg(3, "truncate-me-please".into()).encode(&mut frame);
         frame.truncate(frame.len() - 7);
         raw.send_to(&frame, dst).unwrap();
@@ -626,13 +634,13 @@ mod tests {
     #[test]
     fn frame_decode_rejects_bad_magic_and_trailing() {
         let mut buf = Vec::new();
-        wire::put_u16(&mut buf, 0xDEAD);
+        0xDEADu16.encode(&mut buf);
         assert!(decode_frame::<TestMsg>(&buf).is_none());
 
         let mut good = Vec::new();
-        wire::put_u16(&mut good, MAGIC);
-        put_endpoint(&mut good, ServerId(0).into());
-        put_endpoint(&mut good, ServerId(1).into());
+        MAGIC.encode(&mut good);
+        Endpoint::from(ServerId(0)).encode(&mut good);
+        Endpoint::from(ServerId(1)).encode(&mut good);
         TestMsg(1, "a".into()).encode(&mut good);
         assert!(decode_frame::<TestMsg>(&good).is_some());
         good.push(0xFF); // trailing byte

@@ -1,15 +1,32 @@
-//! Binary wire encoding: the [`WireCodec`] trait and field helpers.
+//! Binary wire encoding: the [`WireCodec`] trait, its impls for the
+//! field types every hiloc format is built from, and the table macros
+//! that derive a whole type's codec from one declaration.
 //!
 //! hiloc frames one message per UDP datagram (as the paper's prototype
 //! did), so encodings are compact, little-endian and length-prefixed
-//! where variable. The protocol messages themselves live in
-//! `hiloc-core`; this module provides the reusable primitives.
+//! where variable. A field type states its size, put and get **once**,
+//! in its `WireCodec` impl; composite formats — the protocol messages
+//! in `hiloc-core`, its event and storage records — are declared with
+//! [`wire_struct!`](crate::wire_struct) / [`wire_enum!`](crate::wire_enum)
+//! and never restate a field.
 
-use hiloc_util::buf::{Buf, BufMut};
+use crate::{ClientId, CorrId, Endpoint, ServerId};
 use hiloc_geo::{Point, Polygon, Rect, Region};
+use hiloc_util::buf::{Buf, BufMut};
 
 /// A type that can be encoded to / decoded from the hiloc wire format.
 pub trait WireCodec: Sized {
+    /// A lower bound on [`encoded_len`](WireCodec::encoded_len) over
+    /// all values of the type. List decoding divides the bytes left by
+    /// it to refuse a hostile element count before reserving memory.
+    const MIN_LEN: usize = 1;
+
+    /// The exact number of bytes [`encode`](WireCodec::encode) appends.
+    /// One-shot encodes ([`to_bytes`](WireCodec::to_bytes)) use it to
+    /// allocate exactly once — no guess, no reallocation for large
+    /// range results.
+    fn encoded_len(&self) -> usize;
+
     /// Appends the encoding of `self` to `buf`.
     fn encode(&self, buf: &mut Vec<u8>);
 
@@ -27,17 +44,10 @@ pub trait WireCodec: Sized {
         self.encode(scratch);
     }
 
-    /// The exact number of bytes [`encode`](WireCodec::encode) appends,
-    /// when the type can compute it cheaply. One-shot encodes use it to
-    /// size their allocation exactly; `None` falls back to a guess.
-    fn encoded_len(&self) -> Option<usize> {
-        None
-    }
-
-    /// Convenience: encodes into a fresh buffer, sized exactly when
-    /// [`encoded_len`](WireCodec::encoded_len) is available.
+    /// Convenience: encodes into a fresh buffer of exactly
+    /// [`encoded_len`](WireCodec::encoded_len) bytes.
     fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.encoded_len().unwrap_or(64));
+        let mut buf = Vec::with_capacity(self.encoded_len());
         self.encode(&mut buf);
         buf
     }
@@ -53,335 +63,614 @@ pub trait WireCodec: Sized {
     }
 }
 
-/// Reads `n` bytes or bails.
-pub fn need(buf: &&[u8], n: usize) -> Option<()> {
-    if buf.remaining() >= n {
-        Some(())
-    } else {
-        None
-    }
-}
+/// Implements [`WireCodec`] for one-field tuple structs by delegating
+/// to the wrapped type: `wire_newtype!(ServerId(u32));`.
+#[macro_export]
+macro_rules! wire_newtype {
+    ($Name:ident($inner:ty)) => {
+        impl $crate::wire::WireCodec for $Name {
+            const MIN_LEN: usize = <$inner as $crate::wire::WireCodec>::MIN_LEN;
 
-/// Encodes an `f64` (little-endian IEEE 754).
-pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.put_f64_le(v);
-}
+            // lint:hot_path
+            fn encoded_len(&self) -> usize {
+                $crate::wire::WireCodec::encoded_len(&self.0)
+            }
 
-/// Decodes an `f64`.
-pub fn get_f64(buf: &mut &[u8]) -> Option<f64> {
-    need(buf, 8)?;
-    Some(buf.get_f64_le())
-}
+            // lint:hot_path
+            fn encode(&self, buf: &mut Vec<u8>) {
+                $crate::wire::WireCodec::encode(&self.0, buf);
+            }
 
-/// Encodes a `u64`.
-pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.put_u64_le(v);
-}
-
-/// Decodes a `u64`.
-pub fn get_u64(buf: &mut &[u8]) -> Option<u64> {
-    need(buf, 8)?;
-    Some(buf.get_u64_le())
-}
-
-/// Encodes a `u32`.
-pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.put_u32_le(v);
-}
-
-/// Decodes a `u32`.
-pub fn get_u32(buf: &mut &[u8]) -> Option<u32> {
-    need(buf, 4)?;
-    Some(buf.get_u32_le())
-}
-
-/// Encodes a `u16`.
-pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.put_u16_le(v);
-}
-
-/// Decodes a `u16`.
-pub fn get_u16(buf: &mut &[u8]) -> Option<u16> {
-    need(buf, 2)?;
-    Some(buf.get_u16_le())
-}
-
-/// Encodes a byte.
-pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.put_u8(v);
-}
-
-/// Decodes a byte.
-pub fn get_u8(buf: &mut &[u8]) -> Option<u8> {
-    need(buf, 1)?;
-    Some(buf.get_u8())
-}
-
-/// Encodes a bool as one byte.
-pub fn put_bool(buf: &mut Vec<u8>, v: bool) {
-    buf.put_u8(v as u8);
-}
-
-/// Decodes a bool (strictly 0 or 1).
-pub fn get_bool(buf: &mut &[u8]) -> Option<bool> {
-    match get_u8(buf)? {
-        0 => Some(false),
-        1 => Some(true),
-        _ => None,
-    }
-}
-
-/// Encodes a planar point (16 bytes).
-pub fn put_point(buf: &mut Vec<u8>, p: Point) {
-    put_f64(buf, p.x);
-    put_f64(buf, p.y);
-}
-
-/// Decodes a planar point.
-pub fn get_point(buf: &mut &[u8]) -> Option<Point> {
-    let x = get_f64(buf)?;
-    let y = get_f64(buf)?;
-    Some(Point::new(x, y))
-}
-
-/// Encodes a rectangle (32 bytes).
-pub fn put_rect(buf: &mut Vec<u8>, r: &Rect) {
-    put_point(buf, r.min());
-    put_point(buf, r.max());
-}
-
-/// Decodes a rectangle.
-pub fn get_rect(buf: &mut &[u8]) -> Option<Rect> {
-    let min = get_point(buf)?;
-    let max = get_point(buf)?;
-    Some(Rect::new(min, max))
-}
-
-/// Encodes an [`Endpoint`](crate::Endpoint) (9 bytes).
-pub fn put_endpoint(buf: &mut Vec<u8>, ep: crate::Endpoint) {
-    match ep {
-        crate::Endpoint::Server(crate::ServerId(id)) => {
-            put_u8(buf, 0);
-            put_u64(buf, id as u64);
+            fn decode(buf: &mut &[u8]) -> Option<Self> {
+                <$inner as $crate::wire::WireCodec>::decode(buf).map($Name)
+            }
         }
-        crate::Endpoint::Client(crate::ClientId(id)) => {
-            put_u8(buf, 1);
-            put_u64(buf, id);
+    };
+}
+
+/// Declares a struct together with its [`WireCodec`]: the fields are
+/// encoded in declaration order, each through its own type's impl.
+///
+/// An optional trailing `valid if <expr>` states the semantic check
+/// decoding applies after all fields are read (the expression sees the
+/// decoded fields by name); a value failing it decodes to `None`.
+#[macro_export]
+macro_rules! wire_struct {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $Name:ident {
+            $( $(#[$fmeta:meta])* $fvis:vis $field:ident : $ty:ty ),* $(,)?
+        }
+        $(valid if $check:expr)?
+    ) => {
+        $(#[$meta])*
+        $vis struct $Name {
+            $( $(#[$fmeta])* $fvis $field: $ty, )*
+        }
+
+        impl $crate::wire::WireCodec for $Name {
+            const MIN_LEN: usize = 0 $(+ <$ty as $crate::wire::WireCodec>::MIN_LEN)*;
+
+            // lint:hot_path
+            fn encoded_len(&self) -> usize {
+                0 $(+ $crate::wire::WireCodec::encoded_len(&self.$field))*
+            }
+
+            // lint:hot_path
+            fn encode(&self, buf: &mut Vec<u8>) {
+                $( $crate::wire::WireCodec::encode(&self.$field, buf); )*
+            }
+
+            fn decode(buf: &mut &[u8]) -> Option<Self> {
+                $( let $field = <$ty as $crate::wire::WireCodec>::decode(buf)?; )*
+                $(
+                    let valid: bool = $check;
+                    if !valid {
+                        return None;
+                    }
+                )?
+                Some($Name { $($field),* })
+            }
+        }
+    };
+}
+
+/// Declares a tagged enum together with its [`WireCodec`] — the one
+/// table a "tag byte + typed fields" format is written in. Each entry
+/// `Variant = <tag> { field: Type, … }` states the variant, its wire
+/// tag and its fields once; the macro generates the enum, `tag()`,
+/// `TAGS`, the exact `encoded_len`, `encode` and `decode`.
+///
+/// When every entry also carries a label (`Variant = <tag>, "<label>"
+/// { … }`), a `label()` method is generated too. A variant may end in
+/// `valid if <expr>`, the semantic check decoding applies to its
+/// fields (as in [`wire_struct!`](crate::wire_struct)). A tag used
+/// twice fails the build (the second arm of the generated `decode`
+/// match is unreachable, which is denied).
+#[macro_export]
+macro_rules! wire_enum {
+    (@labels $( $Variant:ident $label:literal )+) => {
+        /// A short static label for tracing (the variant's kind).
+        pub fn label(&self) -> &'static str {
+            match self {
+                $( Self::$Variant { .. } => $label, )+
+            }
+        }
+    };
+    (@labels $( $Variant:ident )+) => {};
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $Name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $Variant:ident = $tag:literal $(, $label:literal)? {
+                    $( $(#[$fmeta:meta])* $field:ident : $ty:ty ),* $(,)?
+                } $(valid if $check:expr)?
+            ),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $Name {
+            $(
+                $(#[$vmeta])*
+                $Variant { $( $(#[$fmeta])* $field: $ty, )* },
+            )+
+        }
+
+        impl $Name {
+            /// Every variant's wire tag, in declaration order.
+            pub const TAGS: &'static [u8] = &[$($tag),+];
+
+            /// The tag byte this value's encoding starts with.
+            pub fn tag(&self) -> u8 {
+                match self {
+                    $( Self::$Variant { .. } => $tag, )+
+                }
+            }
+
+            $crate::wire_enum!(@labels $( $Variant $($label)? )+);
+        }
+
+        impl $crate::wire::WireCodec for $Name {
+            // lint:hot_path
+            fn encoded_len(&self) -> usize {
+                1 + match self {
+                    $( Self::$Variant { $($field),* } => {
+                        0 $(+ $crate::wire::WireCodec::encoded_len($field))*
+                    } )+
+                }
+            }
+
+            // lint:hot_path
+            fn encode(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $( Self::$Variant { $($field),* } => {
+                        buf.push($tag);
+                        $( $crate::wire::WireCodec::encode($field, buf); )*
+                    } )+
+                }
+            }
+
+            #[deny(unreachable_patterns)]
+            fn decode(buf: &mut &[u8]) -> Option<Self> {
+                match <u8 as $crate::wire::WireCodec>::decode(buf)? {
+                    $( $tag => {
+                        $( let $field = <$ty as $crate::wire::WireCodec>::decode(buf)?; )*
+                        $(
+                            let valid: bool = $check;
+                            if !valid {
+                                return None;
+                            }
+                        )?
+                        Some(Self::$Variant { $($field),* })
+                    } )+
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+macro_rules! wire_primitive {
+    ($( $ty:ty: $put:ident / $get:ident ),+) => {$(
+        impl WireCodec for $ty {
+            const MIN_LEN: usize = std::mem::size_of::<$ty>();
+
+            // lint:hot_path
+            fn encoded_len(&self) -> usize {
+                Self::MIN_LEN
+            }
+
+            // lint:hot_path
+            fn encode(&self, buf: &mut Vec<u8>) {
+                buf.$put(*self);
+            }
+
+            fn decode(buf: &mut &[u8]) -> Option<Self> {
+                (buf.remaining() >= Self::MIN_LEN).then(|| buf.$get())
+            }
+        }
+    )+};
+}
+
+wire_primitive!(
+    u8: put_u8 / get_u8,
+    u16: put_u16_le / get_u16_le,
+    u32: put_u32_le / get_u32_le,
+    u64: put_u64_le / get_u64_le,
+    f64: put_f64_le / get_f64_le
+);
+
+/// One byte, strictly 0 or 1.
+impl WireCodec for bool {
+    // lint:hot_path
+    fn encoded_len(&self) -> usize {
+        1
+    }
+
+    // lint:hot_path
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(*self as u8);
+    }
+
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
+        match u8::decode(buf)? {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
         }
     }
 }
 
-/// Decodes an [`Endpoint`](crate::Endpoint).
-pub fn get_endpoint(buf: &mut &[u8]) -> Option<crate::Endpoint> {
-    match get_u8(buf)? {
-        0 => Some(crate::Endpoint::Server(crate::ServerId(get_u64(buf)? as u32))),
-        1 => Some(crate::Endpoint::Client(crate::ClientId(get_u64(buf)?))),
-        _ => None,
+/// A presence byte (strictly 0 or 1), then the value when present.
+impl<T: WireCodec> WireCodec for Option<T> {
+    // lint:hot_path
+    fn encoded_len(&self) -> usize {
+        1 + self.as_ref().map_or(0, T::encoded_len)
+    }
+
+    // lint:hot_path
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.is_some().encode(buf);
+        if let Some(v) = self {
+            v.encode(buf);
+        }
+    }
+
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
+        Some(if bool::decode(buf)? { Some(T::decode(buf)?) } else { None })
+    }
+}
+
+/// Both halves in order, no framing.
+impl<A: WireCodec, B: WireCodec> WireCodec for (A, B) {
+    const MIN_LEN: usize = A::MIN_LEN + B::MIN_LEN;
+
+    // lint:hot_path
+    fn encoded_len(&self) -> usize {
+        self.0.encoded_len() + self.1.encoded_len()
+    }
+
+    // lint:hot_path
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.0.encode(buf);
+        self.1.encode(buf);
+    }
+
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
+        Some((A::decode(buf)?, B::decode(buf)?))
+    }
+}
+
+/// Maximum number of elements accepted in one length-prefixed list.
+pub const MAX_ITEMS: u32 = 1_000_000;
+
+// lint:hot_path
+fn put_list<T: WireCodec>(buf: &mut Vec<u8>, items: &[T]) {
+    (items.len() as u32).encode(buf);
+    for item in items {
+        item.encode(buf);
+    }
+}
+
+/// A `u32` element count, then the elements. Decoding refuses a count
+/// above [`MAX_ITEMS`] or one the bytes left cannot hold — before it
+/// reserves room for the elements, so a five-byte datagram cannot make
+/// the receiver allocate megabytes.
+impl<T: WireCodec> WireCodec for Vec<T> {
+    const MIN_LEN: usize = 4;
+
+    // lint:hot_path
+    fn encoded_len(&self) -> usize {
+        4 + self.iter().map(T::encoded_len).sum::<usize>()
+    }
+
+    // lint:hot_path
+    fn encode(&self, buf: &mut Vec<u8>) {
+        put_list(buf, self);
+    }
+
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
+        let n = u32::decode(buf)?;
+        if n > MAX_ITEMS || (n as usize).saturating_mul(T::MIN_LEN) > buf.len() {
+            return None;
+        }
+        let mut out = Vec::with_capacity(n as usize);
+        for _ in 0..n {
+            out.push(T::decode(buf)?);
+        }
+        Some(out)
+    }
+}
+
+wire_newtype!(ServerId(u32));
+wire_newtype!(CorrId(u64));
+
+/// A planar point: x then y (16 bytes).
+impl WireCodec for Point {
+    const MIN_LEN: usize = 16;
+
+    // lint:hot_path
+    fn encoded_len(&self) -> usize {
+        Self::MIN_LEN
+    }
+
+    // lint:hot_path
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.x.encode(buf);
+        self.y.encode(buf);
+    }
+
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
+        Some(Point::new(f64::decode(buf)?, f64::decode(buf)?))
+    }
+}
+
+/// A rectangle: min corner then max corner (32 bytes).
+impl WireCodec for Rect {
+    const MIN_LEN: usize = 32;
+
+    // lint:hot_path
+    fn encoded_len(&self) -> usize {
+        Self::MIN_LEN
+    }
+
+    // lint:hot_path
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.min().encode(buf);
+        self.max().encode(buf);
+    }
+
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
+        Some(Rect::new(Point::decode(buf)?, Point::decode(buf)?))
     }
 }
 
 const REGION_RECT: u8 = 0;
 const REGION_POLYGON: u8 = 1;
 /// Maximum polygon vertices accepted from the wire.
-const MAX_POLYGON_VERTICES: u32 = 10_000;
+const MAX_POLYGON_VERTICES: usize = 10_000;
 
-/// Encodes a region (tagged rect or polygon).
-pub fn put_region(buf: &mut Vec<u8>, region: &Region) {
-    match region {
-        Region::Rect(r) => {
-            put_u8(buf, REGION_RECT);
-            put_rect(buf, r);
+/// A tagged rect, or a tagged vertex list.
+impl WireCodec for Region {
+    // lint:hot_path
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            Region::Rect(r) => r.encoded_len(),
+            Region::Polygon(p) => 4 + Point::MIN_LEN * p.vertices().len(),
         }
-        Region::Polygon(p) => {
-            put_u8(buf, REGION_POLYGON);
-            put_u32(buf, p.vertices().len() as u32);
-            for v in p.vertices() {
-                put_point(buf, *v);
+    }
+
+    // lint:hot_path
+    fn encode(&self, buf: &mut Vec<u8>) {
+        match self {
+            Region::Rect(r) => {
+                buf.push(REGION_RECT);
+                r.encode(buf);
+            }
+            Region::Polygon(p) => {
+                buf.push(REGION_POLYGON);
+                put_list(buf, p.vertices());
             }
         }
     }
-}
 
-/// Decodes a region.
-pub fn get_region(buf: &mut &[u8]) -> Option<Region> {
-    match get_u8(buf)? {
-        REGION_RECT => Some(Region::Rect(get_rect(buf)?)),
-        REGION_POLYGON => {
-            let n = get_u32(buf)?;
-            if n > MAX_POLYGON_VERTICES {
-                return None;
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
+        match u8::decode(buf)? {
+            REGION_RECT => Some(Region::Rect(Rect::decode(buf)?)),
+            REGION_POLYGON => {
+                let vs = Vec::<Point>::decode(buf)?;
+                if vs.len() > MAX_POLYGON_VERTICES {
+                    return None;
+                }
+                Polygon::new(vs).ok().map(Region::Polygon)
             }
-            let mut vs = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                vs.push(get_point(buf)?);
-            }
-            Polygon::new(vs).ok().map(Region::Polygon)
+            _ => None,
         }
-        _ => None,
     }
 }
 
-/// Exact encoded size of an [`Endpoint`](crate::Endpoint): tag + id.
-pub const ENDPOINT_LEN: usize = 9;
+/// A kind byte (0 = server, 1 = client), then the id widened to a
+/// `u64` (9 bytes).
+impl WireCodec for Endpoint {
+    const MIN_LEN: usize = 9;
 
-/// Exact encoded size of a region (tag + rect, or tag + count +
-/// vertices).
-pub fn region_encoded_len(region: &Region) -> usize {
-    match region {
-        Region::Rect(_) => 1 + 32,
-        Region::Polygon(p) => 1 + 4 + 16 * p.vertices().len(),
+    // lint:hot_path
+    fn encoded_len(&self) -> usize {
+        Self::MIN_LEN
     }
-}
 
-/// Encodes a length-prefixed list.
-pub fn put_vec<T>(buf: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
-    put_u32(buf, items.len() as u32);
-    for item in items {
-        put(buf, item);
+    // lint:hot_path
+    fn encode(&self, buf: &mut Vec<u8>) {
+        let (kind, id) = match *self {
+            Endpoint::Server(ServerId(id)) => (0u8, u64::from(id)),
+            Endpoint::Client(ClientId(id)) => (1u8, id),
+        };
+        kind.encode(buf);
+        id.encode(buf);
     }
-}
 
-/// Decodes a length-prefixed list; `max` bounds hostile lengths.
-pub fn get_vec<T>(
-    buf: &mut &[u8],
-    max: u32,
-    mut get: impl FnMut(&mut &[u8]) -> Option<T>,
-) -> Option<Vec<T>> {
-    let n = get_u32(buf)?;
-    if n > max {
-        return None;
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
+        match u8::decode(buf)? {
+            0 => Some(Endpoint::Server(ServerId(u64::decode(buf)? as u32))),
+            1 => Some(Endpoint::Client(ClientId(u64::decode(buf)?))),
+            _ => None,
+        }
     }
-    let mut out = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        out.push(get(buf)?);
-    }
-    Some(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    fn roundtrip<T: WireCodec + PartialEq + std::fmt::Debug>(v: T) {
+        let bytes = v.to_bytes();
+        assert_eq!((bytes.len(), bytes.capacity()), (v.encoded_len(), v.encoded_len()));
+        assert!(bytes.len() >= T::MIN_LEN, "MIN_LEN must be a lower bound");
+        assert_eq!(T::from_bytes(&bytes), Some(v));
+    }
 
     #[test]
     fn primitive_roundtrips() {
         let mut buf = Vec::new();
-        put_f64(&mut buf, -1.25);
-        put_u64(&mut buf, u64::MAX);
-        put_u32(&mut buf, 7);
-        put_u16(&mut buf, 513);
-        put_u8(&mut buf, 200);
-        put_bool(&mut buf, true);
+        (-1.25f64).encode(&mut buf);
+        u64::MAX.encode(&mut buf);
+        7u32.encode(&mut buf);
+        513u16.encode(&mut buf);
+        200u8.encode(&mut buf);
+        true.encode(&mut buf);
         let mut r = buf.as_slice();
-        assert_eq!(get_f64(&mut r), Some(-1.25));
-        assert_eq!(get_u64(&mut r), Some(u64::MAX));
-        assert_eq!(get_u32(&mut r), Some(7));
-        assert_eq!(get_u16(&mut r), Some(513));
-        assert_eq!(get_u8(&mut r), Some(200));
-        assert_eq!(get_bool(&mut r), Some(true));
+        assert_eq!(f64::decode(&mut r), Some(-1.25));
+        assert_eq!(u64::decode(&mut r), Some(u64::MAX));
+        assert_eq!(u32::decode(&mut r), Some(7));
+        assert_eq!(u16::decode(&mut r), Some(513));
+        assert_eq!(u8::decode(&mut r), Some(200));
+        assert_eq!(bool::decode(&mut r), Some(true));
         assert!(r.is_empty());
     }
 
     #[test]
     fn truncated_input_is_none_not_panic() {
-        let mut buf = Vec::new();
-        put_point(&mut buf, Point::new(1.0, 2.0));
+        let buf = Point::new(1.0, 2.0).to_bytes();
         for cut in 0..buf.len() {
             let mut r = &buf[..cut];
-            assert!(get_point(&mut r).is_none(), "cut at {cut}");
+            assert!(Point::decode(&mut r).is_none(), "cut at {cut}");
         }
     }
 
     #[test]
-    fn bool_rejects_garbage() {
-        let data = [7u8];
-        let mut r = data.as_slice();
-        assert_eq!(get_bool(&mut r), None);
+    fn bool_and_option_tags_reject_garbage() {
+        assert_eq!(bool::from_bytes(&[7]), None);
+        assert_eq!(Option::<u8>::from_bytes(&[2, 9]), None);
+        assert_eq!(Option::<u8>::from_bytes(&[1]), None);
+        assert_eq!(Option::<u8>::from_bytes(&[0]), Some(None));
+        assert_eq!(Option::<u8>::from_bytes(&[1, 9]), Some(Some(9)));
     }
 
     #[test]
-    fn geometry_roundtrips() {
-        let mut buf = Vec::new();
+    fn field_types_roundtrip_at_their_exact_size() {
         let rect = Rect::new(Point::new(-3.0, 2.0), Point::new(5.5, 9.0));
-        put_rect(&mut buf, &rect);
-        let region = Region::Polygon(
-            Polygon::new(vec![
-                Point::new(0.0, 0.0),
-                Point::new(4.0, 0.0),
-                Point::new(2.0, 3.0),
-            ])
-            .unwrap(),
+        let polygon = Region::Polygon(
+            Polygon::new(vec![Point::new(0.0, 0.0), Point::new(4.0, 0.0), Point::new(2.0, 3.0)])
+                .unwrap(),
         );
-        put_region(&mut buf, &region);
-        put_region(&mut buf, &Region::Rect(rect));
-
-        let mut r = buf.as_slice();
-        assert_eq!(get_rect(&mut r), Some(rect));
-        assert_eq!(get_region(&mut r), Some(region));
-        assert_eq!(get_region(&mut r), Some(Region::Rect(rect)));
-        assert!(r.is_empty());
+        roundtrip(rect);
+        roundtrip(polygon);
+        roundtrip(Region::Rect(rect));
+        roundtrip(Endpoint::Server(ServerId(7)));
+        roundtrip(Endpoint::Client(ClientId(u64::MAX)));
+        roundtrip(ServerId(3));
+        roundtrip(CorrId(99));
+        roundtrip((ServerId(3), 2.5f64));
+        roundtrip(Some(Point::new(1.0, 2.0)));
+        roundtrip(None::<Point>);
+        roundtrip(vec![1u64, 2, 3]);
+        roundtrip(Vec::<Endpoint>::new());
     }
 
     #[test]
     fn hostile_polygon_length_rejected() {
-        let mut buf = Vec::new();
-        put_u8(&mut buf, 1); // polygon tag
-        put_u32(&mut buf, u32::MAX); // absurd vertex count
-        let mut r = buf.as_slice();
-        assert!(get_region(&mut r).is_none());
+        let mut buf = vec![REGION_POLYGON];
+        u32::MAX.encode(&mut buf); // absurd vertex count
+        assert!(Region::from_bytes(&buf).is_none());
+        // Within the list cap and backed by bytes, but past the vertex cap.
+        let mut buf = vec![REGION_POLYGON];
+        let n = MAX_POLYGON_VERTICES + 1;
+        (n as u32).encode(&mut buf);
+        buf.resize(buf.len() + n * 16, 0);
+        assert!(Region::from_bytes(&buf).is_none());
     }
 
     #[test]
     fn encode_into_reuses_capacity() {
-        struct P(Point);
-        impl WireCodec for P {
-            fn encode(&self, buf: &mut Vec<u8>) {
-                put_point(buf, self.0);
-            }
-            fn decode(buf: &mut &[u8]) -> Option<Self> {
-                get_point(buf).map(P)
-            }
-            fn encoded_len(&self) -> Option<usize> {
-                Some(16)
-            }
-        }
         let mut scratch = Vec::new();
-        P(Point::new(1.0, 2.0)).encode_into(&mut scratch);
+        Point::new(1.0, 2.0).encode_into(&mut scratch);
         assert_eq!(scratch.len(), 16);
         let cap = scratch.capacity();
         let ptr = scratch.as_ptr();
-        P(Point::new(3.0, 4.0)).encode_into(&mut scratch);
+        Point::new(3.0, 4.0).encode_into(&mut scratch);
         assert_eq!(scratch.len(), 16);
         assert_eq!((scratch.capacity(), scratch.as_ptr()), (cap, ptr), "no reallocation");
-        // And to_bytes sizes its allocation exactly from encoded_len.
-        let bytes = P(Point::new(5.0, 6.0)).to_bytes();
-        assert_eq!((bytes.len(), bytes.capacity()), (16, 16));
     }
 
-    #[test]
-    fn region_len_matches_encoding() {
-        let rect = Region::Rect(Rect::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0)));
-        let poly = Region::Polygon(
-            Polygon::new(vec![Point::new(0.0, 0.0), Point::new(4.0, 0.0), Point::new(2.0, 3.0)])
-                .unwrap(),
-        );
-        for region in [rect, poly] {
-            let mut buf = Vec::new();
-            put_region(&mut buf, &region);
-            assert_eq!(buf.len(), region_encoded_len(&region));
+    thread_local! {
+        /// Calls of `Counted::decode` on this (test) thread.
+        static DECODES: Cell<usize> = const { Cell::new(0) };
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Counted(u64);
+
+    impl WireCodec for Counted {
+        const MIN_LEN: usize = 8;
+        fn encoded_len(&self) -> usize {
+            8
+        }
+        fn encode(&self, buf: &mut Vec<u8>) {
+            self.0.encode(buf);
+        }
+        fn decode(buf: &mut &[u8]) -> Option<Self> {
+            DECODES.with(|d| d.set(d.get() + 1));
+            u64::decode(buf).map(Counted)
         }
     }
 
     #[test]
-    fn vec_helpers() {
-        let mut buf = Vec::new();
-        put_vec(&mut buf, &[1u64, 2, 3], |b, v| put_u64(b, *v));
-        let mut r = buf.as_slice();
-        assert_eq!(get_vec(&mut r, 100, get_u64), Some(vec![1, 2, 3]));
+    fn list_count_is_checked_against_the_bytes_left_before_allocating() {
+        // An honest list decodes, one element decode per element.
+        let bytes = vec![Counted(1), Counted(2), Counted(3)].to_bytes();
+        assert_eq!(Vec::<Counted>::from_bytes(&bytes).map(|v| v.len()), Some(3));
+        assert_eq!(DECODES.with(Cell::take), 3);
 
-        // Over the cap.
-        let mut buf = Vec::new();
-        put_vec(&mut buf, &[0u64; 10], |b, v| put_u64(b, *v));
-        let mut r = buf.as_slice();
-        assert!(get_vec(&mut r, 5, get_u64).is_none());
+        // A count the remaining bytes cannot hold is refused before any
+        // element is decoded (and so before room is reserved for them):
+        // no body at all, a body one byte short, and the list cap.
+        let mut no_body = Vec::new();
+        MAX_ITEMS.encode(&mut no_body);
+        let mut short = Vec::new();
+        2u32.encode(&mut short);
+        short.resize(4 + 15, 0);
+        let mut over_cap = Vec::new();
+        (MAX_ITEMS + 1).encode(&mut over_cap);
+        for hostile in [no_body, short, over_cap] {
+            assert_eq!(Vec::<Counted>::from_bytes(&hostile), None);
+            assert_eq!(DECODES.with(Cell::take), 0, "element decoder ran for {hostile:?}");
+        }
+    }
+
+    wire_struct! {
+        /// A struct declared through the table macro.
+        #[derive(Debug, Clone, PartialEq)]
+        struct Reading {
+            /// Who measured.
+            by: ServerId,
+            /// The measured value.
+            value: f64,
+        }
+        valid if value >= 0.0
+    }
+
+    wire_enum! {
+        /// An enum declared through the table macro.
+        #[derive(Debug, Clone, PartialEq)]
+        enum Probe {
+            /// Tags need not follow declaration order.
+            Ping = 7, "ping" {
+                /// Sequence number.
+                seq: u32,
+            },
+            /// A variant with a list and a check.
+            Report = 2, "report" {
+                /// The readings.
+                readings: Vec<Reading>,
+                /// Share of sensors that answered.
+                coverage: f64,
+            } valid if (0.0..=1.0).contains(&coverage),
+        }
+    }
+
+    #[test]
+    fn table_macros_generate_the_whole_codec() {
+        let ping = Probe::Ping { seq: 9 };
+        let report = Probe::Report {
+            readings: vec![Reading { by: ServerId(1), value: 2.0 }],
+            coverage: 0.5,
+        };
+        assert_eq!(Probe::TAGS, &[7, 2]);
+        assert_eq!((ping.tag(), ping.label()), (7, "ping"));
+        assert_eq!((report.tag(), report.label()), (2, "report"));
+        assert_eq!(ping.to_bytes(), [7, 9, 0, 0, 0]);
+        assert_eq!(Reading::MIN_LEN, 12);
+        roundtrip(ping);
+        roundtrip(report.clone());
+
+        // Unknown tags and failed `valid if` checks decode to None.
+        assert_eq!(Probe::from_bytes(&[3, 0, 0, 0, 0]), None);
+        let mut bad_coverage = report.to_bytes();
+        let at = bad_coverage.len() - 8;
+        bad_coverage[at..].copy_from_slice(&1.5f64.to_le_bytes());
+        assert_eq!(Probe::from_bytes(&bad_coverage), None);
+        assert_eq!(Reading::from_bytes(&Reading { by: ServerId(1), value: -2.0 }.to_bytes()), None);
     }
 }
