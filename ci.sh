@@ -66,23 +66,10 @@ cargo test -q --offline -p hiloc-core --test runtime_transports
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "==> bench targets compile"
-cargo check --offline --workspace --benches
-
-# Keeps the perf harness from bit-rotting: a quick hotpath run must
-# produce a report that the strict util::json validator accepts
-# (schema, positive rates, and the ≤ 2× live memory bound).
-echo "==> bench smoke: experiments hotpath --json --quick + validation"
-cargo build --release --offline -p hiloc-bench
-./target/release/experiments hotpath --json --quick --out target/BENCH_hotpath_smoke.json > /dev/null
-./target/release/experiments validate-bench target/BENCH_hotpath_smoke.json
-
 # The macro benchmark at CI scale: 20k objects over 21 servers through
 # the full register/update/query pipeline, cache ablation and the
 # storage-recovery phase included (the validator requires the
 # checkpointed reopen to beat full-log replay even at smoke scale).
-# validate-bench dispatches on the schema field, so the same command
-# gates both report kinds.
 echo "==> bench smoke: experiments macro --json --quick + validation"
 ./target/release/experiments macro --json --quick --out target/BENCH_macro_smoke.json > /dev/null
 ./target/release/experiments validate-bench target/BENCH_macro_smoke.json
@@ -94,15 +81,6 @@ echo "==> bench smoke: experiments macro --json --quick + validation"
 # full-log replay and stays history-independent across a doubled log).
 echo "==> committed BENCH_macro.json validates (incl. failover_blackout_us, recovery_us)"
 ./target/release/experiments validate-bench BENCH_macro.json
-
-# The benchmark trajectory: walks the git history of the committed
-# BENCH_*.json baselines, prints the per-PR metric table, and fails if
-# the newest snapshot regressed a headline metric by more than 25%
-# against the previous commit (baselines come from different machines,
-# so the gate hunts collapses, not noise). Outside a git checkout the
-# tool degrades to a note and the gate passes.
-echo "==> benchmark trajectory (per-PR baselines, regression check)"
-./target/release/experiments trajectory --check --tolerance 0.25
 
 # The repo benchmark (BENCHMARK.json) is its own package outside the
 # workspace and compiles against the runtime's public names

@@ -10,25 +10,18 @@
 //! experiments caching           # §6.5 cache ablation
 //! experiments hierarchy-sweep   # height/fan-out/locality sweep (§8)
 //! experiments update-policy     # update protocol comparison (ref [15])
-//! experiments hotpath           # update hot-path suite (slab vs legacy)
-//! experiments hotpath --json    # …writing BENCH_hotpath.json (see --out)
-//! experiments macro             # million-object macro benchmark
+//! experiments geo               # geometry kernels (ns per call)
+//! experiments macro             # million-object scale-and-ratio run
 //! experiments macro --json      # …writing BENCH_macro.json (see --out)
-//! experiments validate-bench F  # strict util::json check of a report
-//!                               # (dispatches on the schema field)
-//! experiments trajectory        # per-PR table of committed baselines
-//!                               # (walks git history of BENCH_*.json)
-//! experiments trajectory --check [--tolerance 0.25]
-//!                               # …failing on metric regressions
+//! experiments validate-bench F  # strict util::json check of a macro report
 //! experiments all               # everything above (except validate)
 //! experiments all --quick       # reduced sizes (CI-friendly)
 //! ```
 
 use hiloc_bench::figures::{fig3, fig4, fig6, involved_servers};
-use hiloc_bench::hotpath::{self, HotpathConfig};
 use hiloc_bench::macro_bench::{self, MacroConfig};
 use hiloc_bench::table1::IndexChoice;
-use hiloc_bench::{ablations, fmt_rate, print_table, table1, table2};
+use hiloc_bench::{ablations, fmt_rate, geo, print_table, table1, table2};
 use std::time::Duration;
 
 struct Scale {
@@ -42,6 +35,7 @@ struct Scale {
     sweep_queries: usize,
     policy_objects: u64,
     policy_minutes: f64,
+    geo_iters: usize,
 }
 
 impl Scale {
@@ -57,6 +51,7 @@ impl Scale {
             sweep_queries: 200,
             policy_objects: 150,
             policy_minutes: 5.0,
+            geo_iters: 1_000_000,
         }
     }
 
@@ -72,6 +67,7 @@ impl Scale {
             sweep_queries: 40,
             policy_objects: 40,
             policy_minutes: 2.0,
+            geo_iters: 100_000,
         }
     }
 }
@@ -84,16 +80,14 @@ fn main() {
     let json = args.iter().any(|a| a == "--json");
     // A quick run must never silently clobber a committed full-scale
     // baseline at the default path.
-    let out_override = args
+    let macro_out = args
         .iter()
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1))
-        .cloned();
-    let default_out = |stem: &str| {
-        out_override.clone().unwrap_or_else(|| {
-            if quick { format!("BENCH_{stem}_quick.json") } else { format!("BENCH_{stem}.json") }
-        })
-    };
+        .cloned()
+        .unwrap_or_else(|| {
+            if quick { "BENCH_macro_quick.json" } else { "BENCH_macro.json" }.to_string()
+        });
     let scale = if quick { Scale::quick() } else { Scale::full() };
     let positional: Vec<&str> = {
         let mut skip_next = false;
@@ -123,33 +117,14 @@ fn main() {
         "caching" => run_caching(&scale),
         "hierarchy-sweep" => run_sweep(&scale),
         "update-policy" => run_policies(&scale),
-        "hotpath" => run_hotpath(quick, json, &default_out("hotpath")),
-        "macro" => run_macro(quick, json, &default_out("macro")),
+        "geo" => run_geo(&scale),
+        "macro" => run_macro(quick, json, &macro_out),
         "validate-bench" => {
             let Some(path) = positional.get(1) else {
                 eprintln!("usage: experiments validate-bench <BENCH_*.json>");
                 std::process::exit(2);
             };
             validate_bench(path);
-        }
-        "trajectory" => {
-            let check = args.iter().any(|a| a == "--check");
-            let tolerance = args
-                .iter()
-                .position(|a| a == "--tolerance")
-                .and_then(|i| args.get(i + 1))
-                .and_then(|t| t.parse::<f64>().ok())
-                .unwrap_or(0.25);
-            let files: Vec<&str> = {
-                let rest: Vec<&str> = positional
-                    .iter()
-                    .skip(1)
-                    .copied()
-                    .filter(|f| f.parse::<f64>().is_err())
-                    .collect();
-                if rest.is_empty() { vec!["BENCH_macro.json", "BENCH_hotpath.json"] } else { rest }
-            };
-            run_trajectory(&files, check, tolerance);
         }
         "all" => {
             run_table1(&scale);
@@ -161,90 +136,26 @@ fn main() {
             run_caching(&scale);
             run_sweep(&scale);
             run_policies(&scale);
-            run_hotpath(quick, json, &default_out("hotpath"));
-            run_macro(quick, json, &default_out("macro"));
+            run_geo(&scale);
+            run_macro(quick, json, &macro_out);
         }
         other => {
             eprintln!("unknown experiment '{other}'");
             eprintln!(
                 "known: table1 table2 table2-sim fig3 fig4 fig6 caching hierarchy-sweep \
-                 update-policy hotpath macro validate-bench trajectory all"
+                 update-policy geo macro validate-bench all"
             );
             std::process::exit(2);
         }
     }
 }
 
-fn run_hotpath(quick: bool, json: bool, out_path: &str) {
-    let cfg = if quick { HotpathConfig::quick() } else { HotpathConfig::full() };
-    let report = hotpath::run(&cfg);
-
-    for implementation in ["slab", "legacy"] {
-        let table: Vec<Vec<String>> = report
-            .storage
-            .iter()
-            .filter(|r| r.implementation == implementation)
-            .flat_map(|r| {
-                r.rows.iter().map(move |row| {
-                    vec![r.index.to_string(), row.op.to_string(), fmt_rate(row.ops_per_s)]
-                })
-            })
-            .collect();
-        print_table(
-            &format!(
-                "Hot path ({implementation}): {} objects, {} ops/row, local motion",
-                cfg.objects, cfg.ops
-            ),
-            &["index", "operation", "rate"],
-            &table,
-        );
-    }
-    let speedups: Vec<Vec<String>> = report
-        .update_storm_speedup
+fn run_geo(scale: &Scale) {
+    let rows: Vec<Vec<String>> = geo::run(scale.geo_iters)
         .iter()
-        .map(|(index, x)| vec![index.to_string(), format!("{x:.2}x")])
+        .map(|(kernel, ns)| vec![kernel.to_string(), format!("{ns:.1} ns")])
         .collect();
-    print_table("Update-storm speedup (slab vs legacy, same binary)", &["index", "speedup"], &speedups);
-    print_table(
-        &format!(
-            "Memory probe: {} updates over {} live records",
-            report.memory.updates, report.memory.live
-        ),
-        &["store", "expiry entries", "arena slots"],
-        &[
-            vec![
-                "slab + wheel".to_string(),
-                report.memory.slab_expiry_entries.to_string(),
-                report.memory.slab_slots.to_string(),
-            ],
-            vec![
-                "legacy heap".to_string(),
-                report.memory.legacy_heap_entries.to_string(),
-                "-".to_string(),
-            ],
-        ],
-    );
-    print_table(
-        &format!(
-            "Leaf update-storm: {} objects, {} updates",
-            report.leaf.objects, report.leaf.updates
-        ),
-        &["protocol", "rate"],
-        &[
-            vec!["UpdateReq (1/datagram)".to_string(), fmt_rate(report.leaf.single_ops_per_s)],
-            vec![
-                format!("UpdateBatch ({}/datagram)", report.leaf.batch),
-                fmt_rate(report.leaf.batch_ops_per_s),
-            ],
-        ],
-    );
-
-    if json {
-        let text = report.to_json(quick).to_string_pretty();
-        hotpath::validate_report(&text).expect("self-produced report must validate");
-        std::fs::write(out_path, text + "\n").expect("write bench report");
-        println!("\nwrote {out_path}");
-    }
+    print_table("Geometry kernels (per call)", &["kernel", "time"], &rows);
 }
 
 fn run_macro(quick: bool, json: bool, out_path: &str) {
@@ -351,35 +262,6 @@ fn run_macro(quick: bool, json: bool, out_path: &str) {
     }
 }
 
-fn run_trajectory(files: &[&str], check: bool, tolerance: f64) {
-    let mut failed = false;
-    for file in files {
-        match hiloc_bench::trajectory::collect(file) {
-            Ok(t) if t.rows.is_empty() => {
-                println!("{file}: no committed history (skipping)");
-            }
-            Ok(t) => {
-                println!("\n{}", t.render());
-                if check {
-                    match t.check(tolerance) {
-                        Ok(()) => println!("{file}: no regression beyond {tolerance}"),
-                        Err(e) => {
-                            eprintln!("trajectory: {e}");
-                            failed = true;
-                        }
-                    }
-                }
-            }
-            // No git history available (exported tree, shallow CI
-            // checkout): the table is impossible, not wrong.
-            Err(e) => println!("{file}: trajectory unavailable ({e})"),
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
-}
-
 fn validate_bench(path: &str) {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
@@ -388,20 +270,8 @@ fn validate_bench(path: &str) {
             std::process::exit(1);
         }
     };
-    // Dispatch on the schema field so one command validates every
-    // report kind the workspace commits.
-    let schema = hiloc_util::json::Json::parse(&text)
-        .ok()
-        .and_then(|doc| doc.get("schema").and_then(|s| s.as_str().map(str::to_string)));
-    let result = match schema.as_deref() {
-        Some("hiloc-bench-macro/v1") => macro_bench::validate_report(&text),
-        _ => hotpath::validate_report(&text),
-    };
-    match result {
-        Ok(()) => println!(
-            "{path}: valid {} report",
-            schema.as_deref().unwrap_or("hiloc-bench-hotpath/v1")
-        ),
+    match macro_bench::validate_report(&text) {
+        Ok(()) => println!("{path}: valid hiloc-bench-macro/v1 report"),
         Err(e) => {
             eprintln!("validate-bench: {path}: {e}");
             std::process::exit(1);

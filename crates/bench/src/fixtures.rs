@@ -1,8 +1,8 @@
-//! Common populations and deployments used across benchmarks.
+//! Common populations and deployments used across experiments.
 
 use hiloc_core::area::{Hierarchy, HierarchyBuilder};
 use hiloc_geo::{Point, Rect};
-use hiloc_storage::{SightingDb, StoredSighting};
+use hiloc_storage::StoredSighting;
 use hiloc_util::rng::StdRng;
 use hiloc_util::rng::{RngExt, SeedableRng};
 
@@ -39,17 +39,9 @@ pub fn uniform_points(n: usize, area: Rect, seed: u64) -> Vec<Point> {
         .collect()
 }
 
-/// A sighting record for the storage-level benchmarks.
+/// A sighting record for the storage-level experiment (Table 1).
 pub fn stored(key: u64, pos: Point) -> StoredSighting {
     StoredSighting { key, pos, time_us: 0, acc_sens_m: 10.0, expires_us: u64::MAX }
-}
-
-/// Populates a fresh sighting database with `n` uniform objects.
-pub fn populated_db(mut db: SightingDb, n: usize, area: Rect, seed: u64) -> SightingDb {
-    for (i, p) in uniform_points(n, area, seed).into_iter().enumerate() {
-        db.upsert(stored(i as u64, p));
-    }
-    db
 }
 
 #[cfg(test)]
@@ -64,7 +56,5 @@ mod tests {
         let pts = uniform_points(100, table2_area(), 1);
         assert_eq!(pts.len(), 100);
         assert!(pts.iter().all(|p| table2_area().contains(*p)));
-        let db = populated_db(SightingDb::new_quadtree(), 50, table1_area(), 2);
-        assert_eq!(db.len(), 50);
     }
 }

@@ -1,8 +1,10 @@
-//! Shared harness code for the hiloc benchmark suite.
+//! The paper's artefacts, reproduced.
 //!
-//! Each paper artifact (Table 1, Table 2, Figures 3/4/6) and each
-//! ablation has a `run_*` function here returning structured rows; the
-//! `experiments` binary and the Criterion benches are thin wrappers.
+//! Each paper artifact (Table 1, Table 2, Figures 3/4/6), each
+//! ablation and the 1 M-object macro run has a `run*` function here
+//! returning structured rows; the `experiments` binary is a thin
+//! wrapper. Performance is measured elsewhere: `benchmark/` at the
+//! repo root is the only place that is done (see its README).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -10,11 +12,10 @@
 pub mod ablations;
 pub mod figures;
 pub mod fixtures;
-pub mod hotpath;
+pub mod geo;
 pub mod macro_bench;
 pub mod table1;
 pub mod table2;
-pub mod trajectory;
 
 use std::fmt::Display;
 

@@ -1460,7 +1460,7 @@ mod tests {
     fn validator_rejects_malformed_documents() {
         assert!(validate_report("{").is_err());
         assert!(validate_report("{}").is_err());
-        assert!(validate_report(r#"{"schema": "hiloc-bench-hotpath/v1"}"#).is_err());
+        assert!(validate_report(r#"{"schema": "not-a-macro-report/v1"}"#).is_err());
         assert!(validate_report(r#"{"schema": "hiloc-bench-macro/v1"}"#).is_err());
         // A full-scale report below the committed floor must fail.
         let report = run(&tiny());

@@ -61,7 +61,7 @@ impl IndexChoice {
 /// Runs the full Table 1 workload and returns the measured rows.
 ///
 /// `objects` and `ops` default to the paper's 25 000 / 10 000 in the
-/// experiments binary; benches use smaller sizes.
+/// experiments binary; tests use smaller sizes.
 pub fn run(index: IndexChoice, objects: usize, ops: usize, seed: u64) -> Vec<Table1Row> {
     let area = table1_area();
     let points = uniform_points(objects, area, seed);

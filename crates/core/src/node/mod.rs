@@ -41,17 +41,6 @@ use hiloc_net::{CorrIdGen, Endpoint, Envelope, ServerId};
 use hiloc_storage::{SightingDb, StorageError, StoredSighting, SyncPolicy};
 use std::path::PathBuf;
 
-/// Which spatial index backs the sighting database (ablation knob).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum IndexKind {
-    /// Point quadtree (the paper's choice; default).
-    Quadtree,
-    /// R-tree with quadratic split.
-    RTree,
-    /// Uniform grid with the given cell size in meters.
-    Grid(f64),
-}
-
 /// Durability settings for the visitor database.
 #[derive(Debug, Clone)]
 pub struct DurabilityOptions {
@@ -83,14 +72,9 @@ pub struct ServerOptions {
     pub path_ttl_us: Micros,
     /// Deadline for distributed gathers (range/NN/position waits).
     pub query_timeout_us: Micros,
-    /// Initial nearest-neighbor ring radius when the entry leaf has no
-    /// local candidate; `0` auto-sizes to the leaf's diagonal.
-    pub nn_seed_radius_m: f64,
     /// Cache configuration (§6.5); all off by default, as in the
     /// paper's measured prototype.
     pub caches: CacheConfig,
-    /// Spatial index for the sighting database.
-    pub index: IndexKind,
     /// Visitor-database durability; `None` keeps it in memory.
     pub durability: Option<DurabilityOptions>,
     /// Bounded-staleness window for answers served from a leaf replica
@@ -108,139 +92,110 @@ impl Default for ServerOptions {
             path_refresh_us: 150 * SECOND,
             path_ttl_us: 450 * SECOND,
             query_timeout_us: 2 * SECOND,
-            nn_seed_radius_m: 0.0,
             caches: CacheConfig::default(),
-            index: IndexKind::Quadtree,
             durability: None,
             replica_staleness_us: 30 * SECOND,
         }
     }
 }
 
-/// Operation counters of one server.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStats {
+/// The one list of [`ServerStats`] counters: the struct, `add` and
+/// `minus` are generated from it, so a new counter is stated once.
+macro_rules! server_stats {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Operation counters of one server.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct ServerStats {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl ServerStats {
+            /// Adds every counter of `other` into `self` (fleet/level
+            /// aggregation).
+            pub fn add(&mut self, other: &ServerStats) {
+                $(self.$name += other.$name;)*
+            }
+
+            /// The counter-wise difference `self − earlier`, saturating at
+            /// zero — per-phase deltas for benchmarks (a restarted server's
+            /// counters reset, hence saturating rather than panicking).
+            pub fn minus(&self, earlier: &ServerStats) -> ServerStats {
+                ServerStats { $($name: self.$name.saturating_sub(earlier.$name),)* }
+            }
+        }
+    };
+}
+
+server_stats! {
     /// Messages consumed.
-    pub msgs_in: u64,
+    msgs_in,
     /// Messages produced.
-    pub msgs_out: u64,
+    msgs_out,
     /// Messages produced **upward** (to this server's parent) — the
     /// hierarchy-climbing share of the traffic. Grouped by server
     /// level, these counters are what the macro benchmark reports as
     /// per-level message amplification.
-    pub msgs_up: u64,
+    msgs_up,
     /// Messages produced **downward** (to one of this server's
     /// children).
-    pub msgs_down: u64,
+    msgs_down,
     /// Messages produced to a non-adjacent server (handover peers,
     /// bulk-transfer targets, agent-lookup shortcuts).
-    pub msgs_peer: u64,
+    msgs_peer,
     /// Messages produced to client endpoints (answers, acks,
     /// notifications, probes).
-    pub msgs_client: u64,
+    msgs_client,
     /// Successful registrations performed (as agent).
-    pub registrations: u64,
+    registrations,
     /// Position updates applied.
-    pub updates: u64,
+    updates,
     /// Handovers initiated (as old agent).
-    pub handovers_started: u64,
+    handovers_started,
     /// Handovers completed (as old agent).
-    pub handovers_completed: u64,
+    handovers_completed,
     /// Position queries answered from the local sighting DB.
-    pub pos_answered: u64,
+    pos_answered,
     /// Range/NN sub-results produced as a leaf.
-    pub sub_results: u64,
+    sub_results,
     /// Distributed gathers finished completely.
-    pub gathers_completed: u64,
+    gathers_completed,
     /// Gathers that timed out (partial answers).
-    pub gathers_timed_out: u64,
+    gathers_timed_out,
     /// Sightings removed by soft-state expiry.
-    pub expired: u64,
+    expired,
     /// Position queries served straight from a cache.
-    pub cache_answers: u64,
+    cache_answers,
     /// Restore-on-demand probes sent after a restart.
-    pub probes_sent: u64,
+    probes_sent,
     /// Updates dropped because no visitor record exists here.
-    pub updates_dropped: u64,
+    updates_dropped,
     /// Event notifications emitted (as coordinator).
-    pub events_fired: u64,
+    events_fired,
     /// Bulk state transfers initiated (as reconfiguration source).
-    pub transfers_started: u64,
+    transfers_started,
     /// Bulk state transfers acked and completed (as source).
-    pub transfers_completed: u64,
+    transfers_completed,
     /// Transfer re-sends after a missing ack.
-    pub transfer_retries: u64,
+    transfer_retries,
     /// Visitor records accepted from bulk transfers (as target).
-    pub transfer_records_in: u64,
+    transfer_records_in,
     /// Path-sync responses applied (as a promoted root).
-    pub path_syncs: u64,
+    path_syncs,
     /// Replication delta batches sent (as stream source).
-    pub deltas_sent: u64,
+    deltas_sent,
     /// Delta batch re-sends after a missing ack.
-    pub delta_retries: u64,
+    delta_retries,
     /// Delta records durably applied (as standby or replica).
-    pub delta_records_in: u64,
+    delta_records_in,
     /// Position queries answered from the leaf replica table.
-    pub replica_answers: u64,
+    replica_answers,
     /// Messages addressed to this server that a runtime dropped at a
     /// full bounded inbox (overload shedding). The sans-IO server
     /// never increments this itself — the sharded deployment runtime
     /// attributes its per-destination shed counters here at snapshot
     /// time, so overload shows up in the same per-server ledger as
     /// everything else.
-    pub inbox_shed: u64,
-}
-
-/// Applies `f` to every counter pair of two stats values — the single
-/// field list behind [`ServerStats::add`] and [`ServerStats::minus`],
-/// so a new counter only has to be enumerated once.
-fn stats_zip(a: &mut ServerStats, b: &ServerStats, f: impl Fn(&mut u64, u64)) {
-    f(&mut a.msgs_in, b.msgs_in);
-    f(&mut a.msgs_out, b.msgs_out);
-    f(&mut a.msgs_up, b.msgs_up);
-    f(&mut a.msgs_down, b.msgs_down);
-    f(&mut a.msgs_peer, b.msgs_peer);
-    f(&mut a.msgs_client, b.msgs_client);
-    f(&mut a.registrations, b.registrations);
-    f(&mut a.updates, b.updates);
-    f(&mut a.handovers_started, b.handovers_started);
-    f(&mut a.handovers_completed, b.handovers_completed);
-    f(&mut a.pos_answered, b.pos_answered);
-    f(&mut a.sub_results, b.sub_results);
-    f(&mut a.gathers_completed, b.gathers_completed);
-    f(&mut a.gathers_timed_out, b.gathers_timed_out);
-    f(&mut a.expired, b.expired);
-    f(&mut a.cache_answers, b.cache_answers);
-    f(&mut a.probes_sent, b.probes_sent);
-    f(&mut a.updates_dropped, b.updates_dropped);
-    f(&mut a.events_fired, b.events_fired);
-    f(&mut a.transfers_started, b.transfers_started);
-    f(&mut a.transfers_completed, b.transfers_completed);
-    f(&mut a.transfer_retries, b.transfer_retries);
-    f(&mut a.transfer_records_in, b.transfer_records_in);
-    f(&mut a.path_syncs, b.path_syncs);
-    f(&mut a.deltas_sent, b.deltas_sent);
-    f(&mut a.delta_retries, b.delta_retries);
-    f(&mut a.delta_records_in, b.delta_records_in);
-    f(&mut a.replica_answers, b.replica_answers);
-    f(&mut a.inbox_shed, b.inbox_shed);
-}
-
-impl ServerStats {
-    /// Adds every counter of `other` into `self` (fleet/level
-    /// aggregation).
-    pub fn add(&mut self, other: &ServerStats) {
-        stats_zip(self, other, |a, b| *a += b);
-    }
-
-    /// The counter-wise difference `self − earlier`, saturating at
-    /// zero — per-phase deltas for benchmarks (a restarted server's
-    /// counters reset, hence saturating rather than panicking).
-    pub fn minus(&self, earlier: &ServerStats) -> ServerStats {
-        let mut out = *self;
-        stats_zip(&mut out, earlier, |a, b| *a = a.saturating_sub(b));
-        out
-    }
+    inbox_shed,
 }
 
 /// A location server node (sans-IO).
@@ -298,11 +253,8 @@ impl LocationServer {
     /// Returns an error when the durable visitor store cannot be
     /// opened.
     pub fn new(config: ServerConfig, opts: ServerOptions) -> Result<Self, StorageError> {
-        let sightings = match opts.index {
-            IndexKind::Quadtree => SightingDb::new_quadtree(),
-            IndexKind::RTree => SightingDb::new_rtree(),
-            IndexKind::Grid(cell) => SightingDb::new_grid(cell),
-        };
+        // The point quadtree is the paper's index.
+        let sightings = SightingDb::new_quadtree();
         let (visitors, replicas) = match &opts.durability {
             None => (VisitorDb::volatile(), ReplicaDb::volatile()),
             Some(d) => {
@@ -635,13 +587,10 @@ impl LocationServer {
         r.min().distance(r.max())
     }
 
-    /// The seed radius for NN searches without a local candidate.
+    /// The seed radius for NN searches without a local candidate: the
+    /// diagonal of this server's area.
     pub(crate) fn nn_seed_radius(&self) -> f64 {
-        if self.opts.nn_seed_radius_m > 0.0 {
-            self.opts.nn_seed_radius_m
-        } else {
-            self.config.area.min().distance(self.config.area.max())
-        }
+        self.config.area.min().distance(self.config.area.max())
     }
 
     /// Scatter targets for a probe rectangle, excluding the sender:

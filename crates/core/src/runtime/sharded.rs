@@ -50,6 +50,9 @@ use std::time::{Duration, Instant};
 /// shutdown) are observed within this latency even on an idle shard.
 pub(crate) const MAX_NAP: Duration = Duration::from_millis(10);
 
+/// Maximum envelopes drained from the transport per wakeup.
+const BATCH_MAX: usize = 256;
+
 /// How a deployment is cut into event-loop shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardSpec {
@@ -59,13 +62,11 @@ pub struct ShardSpec {
     /// Bounded inbox capacity per shard (channel transport); overflow
     /// is shed, not queued.
     pub inbox_cap: usize,
-    /// Maximum envelopes drained from the transport per wakeup.
-    pub batch_max: usize,
 }
 
 impl Default for ShardSpec {
     fn default() -> Self {
-        ShardSpec { shards: 0, inbox_cap: 4096, batch_max: 256 }
+        ShardSpec { shards: 0, inbox_cap: 4096 }
     }
 }
 
@@ -79,9 +80,10 @@ impl ShardSpec {
         raw.clamp(1, n_servers.max(1))
     }
 
-    /// The partitioning rule: which shard owns server `id`.
+    /// The partitioning rule: which shard owns server `id`. An
+    /// unresolved `shards == 0` answers as one shard does.
     pub fn shard_of(id: ServerId, shards: usize) -> usize {
-        id.0 as usize % shards
+        id.0 as usize % shards.max(1)
     }
 }
 
@@ -201,7 +203,6 @@ pub(crate) struct Shard<T: ShardTransport> {
     cmd_rx: Receiver<Command>,
     shutdown: Arc<AtomicBool>,
     epoch: Instant,
-    batch_max: usize,
     busy: Duration,
     /// Same-shard forwarding queue: outputs addressed to a local
     /// server loop here instead of through the transport.
@@ -216,7 +217,7 @@ impl<T: ShardTransport> Shard<T> {
     /// Runs the event loop until shutdown; returns the final stats of
     /// the shard's live servers.
     pub(crate) fn run(mut self) -> Vec<(ServerId, ServerStats)> {
-        let mut rxbuf: Vec<Envelope<Message>> = Vec::with_capacity(self.batch_max);
+        let mut rxbuf: Vec<Envelope<Message>> = Vec::with_capacity(BATCH_MAX);
         loop {
             while let Ok(cmd) = self.cmd_rx.try_recv() {
                 self.apply(cmd);
@@ -232,7 +233,7 @@ impl<T: ShardTransport> Shard<T> {
 
             let nap = self.nap();
             rxbuf.clear();
-            if !self.transport.recv_batch(nap, self.batch_max, &mut rxbuf) {
+            if !self.transport.recv_batch(nap, BATCH_MAX, &mut rxbuf) {
                 break;
             }
             if !rxbuf.is_empty() {
@@ -422,7 +423,6 @@ impl<W> ShardedDeployment<W> {
     pub(crate) fn start<T: ShardTransport>(
         hierarchy: Arc<Hierarchy>,
         opts: &ServerOptions,
-        batch_max: usize,
         wire: W,
         transports: Vec<T>,
         first_client: u64,
@@ -455,7 +455,6 @@ impl<W> ShardedDeployment<W> {
                 cmd_rx,
                 shutdown: Arc::clone(&shutdown),
                 epoch,
-                batch_max: batch_max.max(1),
                 busy: Duration::ZERO,
                 local_q: VecDeque::new(),
             };

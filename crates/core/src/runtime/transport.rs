@@ -115,7 +115,7 @@ impl ThreadedDeployment {
             net.register_sender(cfg.id.into(), inbox.clone());
         }
         drop(inboxes);
-        Self::start(hierarchy, &opts, spec.batch_max, net, transports, 1 << 48)
+        Self::start(hierarchy, &opts, net, transports, 1 << 48)
             .expect("server construction failed")
     }
 
@@ -229,7 +229,7 @@ impl UdpDeployment {
         for ep in &transports {
             ep.add_routes(addrs.iter().map(|(e, a)| (*e, *a)));
         }
-        Self::start(hierarchy, &opts, spec.batch_max, addrs, transports, 1 << 52)
+        Self::start(hierarchy, &opts, addrs, transports, 1 << 52)
             .map_err(|e| UdpError::Io(std::io::Error::other(e.to_string())))
     }
 

@@ -97,6 +97,8 @@ fn failed_restart_leaves_one_server_down_and_its_shard_serving() {
     );
     let (victim, sibling) = (ServerId(1), ServerId(3));
     assert_eq!(ShardSpec::shard_of(victim, 2), ShardSpec::shard_of(sibling, 2));
+    // Total: the unresolved default (`shards: 0`) answers as one shard does.
+    assert_eq!(ShardSpec::shard_of(victim, ShardSpec::default().shards), 0);
     let mut client = ls.client();
     client.set_timeout(Duration::from_secs(2));
     let register = |client: &mut SyncClient, oid: u64, leaf: ServerId| {
@@ -172,7 +174,7 @@ fn tiny_inbox_sheds_under_fire_and_forget_flood() {
     let ls = ThreadedDeployment::new_sharded(
         hierarchy(1_000.0, 1, 2),
         Default::default(),
-        ShardSpec { shards: 1, inbox_cap: 2, batch_max: 8 },
+        ShardSpec { shards: 1, inbox_cap: 2 },
     );
     let mut client = ls.client();
     let pos = Point::new(100.0, 100.0);

@@ -3,18 +3,17 @@
 //! Simulated and core code must take time as a parameter (virtual
 //! microseconds); an `Instant::now()` in the wrong place silently makes
 //! results depend on host speed and destroys same-seed replay. The only
-//! legitimate clock readers are the measurement harness
-//! (`util::bench`, the bench crate) and the real-time runtimes, which
-//! carry file-scoped allows so every exception is on the reviewed
-//! baseline (`hiloc-lint list-allows`).
+//! legitimate clock readers are the bench crate and the real-time
+//! runtimes, which carry file-scoped allows so every exception is on
+//! the reviewed baseline (`hiloc-lint list-allows`).
 
 use super::{tokens_match, Rule};
 use crate::diag::Diagnostic;
 use crate::source::LexedFile;
 
-/// Paths exempt by design rather than by in-source allow: the timing
-/// facility itself, and the bench crate built around it.
-const EXEMPT: &[&str] = &["crates/bench/", "crates/util/src/bench.rs", "crates/lint/"];
+/// Paths exempt by design rather than by in-source allow: the bench
+/// crate, whose job is timing.
+const EXEMPT: &[&str] = &["crates/bench/", "crates/lint/"];
 
 /// The `wallclock` rule.
 pub struct WallClock;
@@ -25,8 +24,8 @@ impl Rule for WallClock {
     }
 
     fn description(&self) -> &'static str {
-        "Instant::now/SystemTime::now banned outside util::bench and the \
-         bench crate; real-time runtimes carry lint:allow-file(wallclock)"
+        "Instant::now/SystemTime::now banned outside the bench crate; \
+         real-time runtimes carry lint:allow-file(wallclock)"
     }
 
     fn check_file(&self, file: &LexedFile, out: &mut Vec<Diagnostic>) {
@@ -80,7 +79,6 @@ mod tests {
     #[test]
     fn bench_paths_are_exempt() {
         assert!(check("crates/bench/src/table1.rs", "Instant::now();").is_empty());
-        assert!(check("crates/util/src/bench.rs", "Instant::now();").is_empty());
     }
 
     #[test]

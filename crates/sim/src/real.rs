@@ -116,11 +116,7 @@ impl RealPlan {
 
     /// The shard layout every real harness deploys the plan with.
     fn spec(&self) -> ShardSpec {
-        ShardSpec {
-            shards: self.shards as usize,
-            inbox_cap: self.inbox_cap as usize,
-            ..Default::default()
-        }
+        ShardSpec { shards: self.shards as usize, inbox_cap: self.inbox_cap as usize }
     }
 
     /// Whether the timeline is well-formed: crash/restart alternate per

@@ -295,7 +295,7 @@ impl SightingDb {
     /// Number of expiry-wheel entries currently held (live + stale).
     /// Compaction keeps this at most twice [`SightingDb::len`] (plus
     /// the small compaction floor) — the memory-bound regression tests
-    /// and the hotpath benchmark read it.
+    /// read it.
     pub fn expiry_entries(&self) -> usize {
         self.wheel_len
     }

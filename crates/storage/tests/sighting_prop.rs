@@ -7,7 +7,7 @@
 use hiloc_geo::{Point, Rect};
 use hiloc_storage::{SightingDb, StoredSighting};
 use hiloc_util::prop::{check, Gen};
-use hiloc_util::rng::RngExt;
+use hiloc_util::rng::{RngExt, SeedableRng, StdRng};
 use std::collections::HashMap;
 
 const KEYS: u64 = 24;
@@ -47,6 +47,22 @@ fn db_query(db: &SightingDb, rect: &Rect) -> Vec<u64> {
     db.query_rect(rect, &mut |r| keys.push(r.key));
     keys.sort_unstable();
     keys
+}
+
+/// The memory invariants of the slab rework: the slab is bounded by the
+/// peak live set (slots are reused after removal), and the wheel by
+/// 2× live + the compaction floor.
+fn assert_memory_bounded(db: &SightingDb, peak_live: usize, name: &str, step: usize) {
+    assert!(
+        db.slot_capacity() <= peak_live,
+        "[{name}] step {step}: slab grew past the peak live set"
+    );
+    assert!(
+        db.expiry_entries() <= 2 * db.len() + 64,
+        "[{name}] step {step}: wheel entries {} exceed bound for {} live",
+        db.expiry_entries(),
+        db.len()
+    );
 }
 
 fn run_against_oracle(g: &mut Gen, mut db: SightingDb, name: &str) {
@@ -96,19 +112,7 @@ fn run_against_oracle(g: &mut Gen, mut db: SightingDb, name: &str) {
             }
         }
         assert_eq!(db.len(), oracle.len(), "[{name}] step {step}: len mismatch");
-        // The slab is bounded by the key universe (slots are reused
-        // after removal), and the wheel by 2× live + the compaction
-        // floor — the memory invariants of the rework.
-        assert!(
-            db.slot_capacity() <= KEYS as usize,
-            "[{name}] step {step}: slab grew past the peak live set"
-        );
-        assert!(
-            db.expiry_entries() <= 2 * db.len() + 64,
-            "[{name}] step {step}: wheel entries {} exceed bound for {} live",
-            db.expiry_entries(),
-            db.len()
-        );
+        assert_memory_bounded(&db, KEYS as usize, name, step);
         // The expiry hint may be stale-early but never later than the
         // earliest real deadline.
         if let Some(min_live) = oracle.values().map(|r| r.expires_us).min() {
@@ -142,6 +146,39 @@ fn slab_db_matches_oracle_rtree() {
 #[test]
 fn slab_db_matches_oracle_grid() {
     check(CASES, |g| run_against_oracle(g, SightingDb::new_grid(20.0), "grid"));
+}
+
+/// The update-storm shape, where an append-only expiry heap grows with
+/// every refresh: updates ≫ live, each one a small local move that
+/// pushes the record's deadline out by the TTL.
+#[test]
+fn update_storm_keeps_wheel_and_slab_bounded() {
+    const LIVE: usize = 1_000;
+    const UPDATES: usize = 50_000;
+    const TTL_US: u64 = 300_000_000;
+    let mut db = SightingDb::new_grid(200.0);
+    let mut g = StdRng::seed_from_u64(0x3E4);
+    let mut positions: Vec<Point> = (0..LIVE)
+        .map(|_| Point::new(g.random_range(0.0..10_000.0), g.random_range(0.0..10_000.0)))
+        .collect();
+    for step in 0..LIVE + UPDATES {
+        let key = step % LIVE;
+        if step >= LIVE {
+            let p = positions[key];
+            positions[key] =
+                Point::new(p.x + g.random_range(-15.0..15.0), p.y + g.random_range(-15.0..15.0));
+        }
+        let now = 100 * step as u64;
+        db.upsert(StoredSighting {
+            key: key as u64,
+            pos: positions[key],
+            time_us: now,
+            acc_sens_m: 10.0,
+            expires_us: now + TTL_US,
+        });
+        assert_memory_bounded(&db, LIVE, "storm", step);
+    }
+    assert_eq!(db.len(), LIVE);
 }
 
 /// Slot reuse after removal, driven hard: a churn loop that

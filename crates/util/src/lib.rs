@@ -16,15 +16,12 @@
 //!   `serde`/`serde_json` for configuration persistence).
 //! * [`prop`] — a seeded property-test harness with failure-case
 //!   reporting (replaces `proptest` for the invariants we check).
-//! * [`bench`] — a wall-clock micro-benchmark harness exposing the
-//!   subset of the `criterion` API the benches use.
 //! * [`tempdir`] — self-deleting scratch directories for tests and
 //!   durable-store harnesses (replaces `tempfile`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod buf;
 pub mod json;
 pub mod prop;
