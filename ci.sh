@@ -50,15 +50,19 @@ cargo test -q --offline -p hiloc-sim --test fuzz_replication
 cargo test -q --offline -p hiloc-core --test replication
 cargo test -q --offline -p hiloc-core --test replica_torn_tail
 
-# The real-runtime fuzz gate: fixed-seed generated plans driven against
-# the *sharded threaded* and *UDP* deployments — real threads, real
-# sockets — with crash, partition-by-drop, restart and overload-burst
-# verbs. The oracle re-establishes every object after the timeline
-# heals and requires its last acked position back bit-for-bit; the
-# overload seed must actually shed at a tiny bounded inbox. The sharded
-# runtime's chaos-surface unit suite and the client-API suite (every
-# test on both transports) ride along.
-echo "==> real-runtime fuzz gate (threaded + UDP: crash / partition / restart / shed)"
+# The real-runtime fuzz gate: the simulator fuzzer's own plans (one verb
+# set, one generator, one DSL, one executor) run against the *sharded
+# threaded* and *UDP* deployments — real threads, real sockets, durable
+# stores in a scratch directory. Fixed generated seeds cover durable
+# crash + restart (nobody re-registered), power loss, checkpoint-then-
+# power-loss cuts, partition + heal, and an overload seed that must
+# shed at a tiny bounded inbox; a fault-free and a faulted DSL line must
+# end alike on sim, channels and UDP (three-way parity); every plan a
+# runtime cannot run is rejected by name. Wall time stays bounded: fixed
+# seeds, 200 ms per operation under chaos, the whole binary well under
+# 60 s. The sharded runtime's chaos-surface unit suite and the
+# client-API suite (every test on both transports) ride along.
+echo "==> real-runtime fuzz gate (threaded + UDP: durable restart / power loss / checkpoint cut / partition / shed / faulted parity)"
 cargo test -q --offline -p hiloc-sim --test real_runtime_fuzz
 cargo test -q --offline -p hiloc-core --test sharded_runtime
 cargo test -q --offline -p hiloc-core --test runtime_transports

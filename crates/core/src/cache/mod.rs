@@ -314,11 +314,6 @@ impl Caches {
         }
     }
 
-    /// Drops a cached position (e.g. on deregistration).
-    pub fn forget_position(&mut self, oid: ObjectId) {
-        self.positions.remove(&oid);
-    }
-
     /// Number of cached position entries.
     pub fn position_entries(&self) -> usize {
         self.positions.len()

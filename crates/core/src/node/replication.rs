@@ -125,12 +125,6 @@ impl LocationServer {
         self.drain()
     }
 
-    /// Drops the replication sink (the standby was promoted or
-    /// retired); buffered and in-flight batches are discarded.
-    pub fn clear_replication_sink(&mut self) {
-        self.repl.sink = None;
-    }
-
     /// Marks this server as a passive warm standby: local soft-state
     /// expiry of the mirrored table is suspended until promotion.
     /// While the source lives, it alone decides what expires (and

@@ -88,13 +88,19 @@ impl<L: Port<Message>> Client<L> {
         self.send(agent, ops::update(sighting).request) == SendOutcome::Delivered
     }
 
-    /// Drops buffered responses — stashed and already delivered to the
-    /// port — so late acks from fire-and-forget bursts or timed-out
-    /// operations cannot satisfy a later wait.
-    pub fn drain_mailbox(&mut self) {
-        self.stash.clear();
+    /// Takes every buffered message — stashed and already delivered to
+    /// the port — out of this client, so late acks from fire-and-forget
+    /// bursts or timed-out operations cannot satisfy a later wait.
+    /// Returns what it removed: the asynchronous notifications among
+    /// them (`AgentChanged`, `PositionProbe`, `NotifyAvailAcc`) are the
+    /// caller's to act on.
+    pub fn drain(&mut self) -> Vec<Message> {
+        let mut drained: Vec<Message> = self.stash.drain(..).collect();
         // A socket rejects a zero read timeout, so the poll is 1 ms.
-        while matches!(self.port.recv_timeout(Duration::from_millis(1)), Ok(Some(_))) {}
+        while let Ok(Some(env)) = self.port.recv_timeout(Duration::from_millis(1)) {
+            drained.push(env.msg);
+        }
+        drained
     }
 
     /// Waits for the message `classify` accepts: first among the

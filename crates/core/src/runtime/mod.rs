@@ -6,8 +6,8 @@
 //! * [`ShardedDeployment`] is the real-time deployment: servers
 //!   partitioned by id across per-core event-loop shards
 //!   ([`ShardSpec`]), batch receive, same-shard traffic short-circuited
-//!   in memory, and the crash / restart / partition-by-drop verbs the
-//!   real-runtime fuzzer drives.
+//!   in memory, and the chaos verbs (crash with a [`CrashMode`],
+//!   restart, checkpoint, partition-by-drop) a fuzz plan drives.
 //! * [`Client`] is its blocking client, written once over any
 //!   [`hiloc_net::Port`].
 //! * The client protocol itself — which request an operation sends,

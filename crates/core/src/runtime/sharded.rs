@@ -7,7 +7,8 @@
 //! area — partitions visitor/object state across cores the same way
 //! the slab store decouples storage from index. Each loop:
 //!
-//! 1. applies pending control commands (crash / restart / snapshot),
+//! 1. applies pending control commands (crash / restart / checkpoint /
+//!    snapshot),
 //! 2. fires due timers on its local servers,
 //! 3. naps until the earliest local timer (bounded by [`MAX_NAP`]),
 //! 4. drains a **batch** of envelopes from its transport in one wait
@@ -36,6 +37,7 @@ use crate::model::Micros;
 use crate::node::{LocationServer, ServerOptions, ServerStats};
 use crate::proto::Message;
 use crate::runtime::client::Client;
+use crate::runtime::sim::CrashMode;
 use hiloc_geo::Point;
 use hiloc_net::{ClientId, Endpoint, Envelope, Port, SendOutcome, ServerId};
 use hiloc_storage::StorageError;
@@ -160,16 +162,21 @@ pub(crate) trait ShardTransport: Send + 'static {
 /// unbounded channel so a flooded data inbox can never wedge chaos
 /// verbs or shutdown.
 pub(crate) enum Command {
-    /// Drop the server's in-memory state (flushing durable buffers);
-    /// subsequent envelopes to it are blackholed. Replies `false` when
-    /// the server is not on this shard or already down.
-    Crash(ServerId, Sender<bool>),
+    /// Kill the server's instance ([`CrashMode::kill`]: a process
+    /// crash keeps what the OS buffered, a power loss only what was
+    /// fsynced); subsequent envelopes to it are blackholed. Replies
+    /// `false` when the server is not on this shard or already down.
+    Crash(ServerId, CrashMode, Sender<bool>),
     /// Rebuild the server from its config (+ durable state when the
     /// deployment has durability configured). Also restarts a
     /// *running* server (crash-restart in one verb). Replies `false`
     /// when the server is not on this shard or its durable store will
     /// not reopen; the server then stays down.
     Restart(ServerId, Sender<bool>),
+    /// Checkpoint the live server's storage engine (a no-op for a
+    /// volatile one). Replies `false` when the server is not on this
+    /// shard, is down, or the checkpoint write failed.
+    Checkpoint(ServerId, Sender<bool>),
     /// Report per-server stats of live local servers (shed counters
     /// folded in by the deployment) and this shard's busy time.
     Snapshot(Sender<ShardSnapshot>),
@@ -329,19 +336,10 @@ impl<T: ShardTransport> Shard<T> {
 
     fn apply(&mut self, cmd: Command) {
         match cmd {
-            Command::Crash(id, ack) => {
-                let ok = match self.local.get(&id.0) {
-                    Some(&i) if self.slots[i].server.is_some() => {
-                        // Dropping the instance releases durable file
-                        // handles (flushing buffered WAL bytes) — a
-                        // process crash, mirroring SimDeployment.
-                        self.slots[i].server = None;
-                        // Queued envelopes to it blackhole at dispatch.
-                        true
-                    }
-                    _ => false,
-                };
-                let _ = ack.send(ok);
+            Command::Crash(id, mode, ack) => {
+                // Queued envelopes to it blackhole at dispatch.
+                let crashed = self.local.get(&id.0).and_then(|&i| self.slots[i].server.take());
+                let _ = ack.send(crashed.is_some_and(|server| mode.kill(server).is_ok()));
             }
             Command::Restart(id, ack) => {
                 let ok = match self.local.get(&id.0) {
@@ -359,6 +357,10 @@ impl<T: ShardTransport> Shard<T> {
                     None => false,
                 };
                 let _ = ack.send(ok);
+            }
+            Command::Checkpoint(id, ack) => {
+                let live = self.local.get(&id.0).and_then(|&i| self.slots[i].server.as_mut());
+                let _ = ack.send(live.is_some_and(|server| server.compact().is_ok()));
             }
             Command::Snapshot(reply) => {
                 let stats = self
@@ -523,7 +525,24 @@ impl<W> ShardedDeployment<W> {
     /// dropped, durable state kept, incoming traffic blackholed).
     /// Returns `false` when the server is already down.
     pub fn crash_server(&self, id: ServerId) -> bool {
-        self.command_to_owner(id, |ack| Command::Crash(id, ack))
+        self.crash_server_with(id, CrashMode::Process)
+    }
+
+    /// [`ShardedDeployment::crash_server`] with an explicit
+    /// [`CrashMode`]: `PowerLoss` also truncates the server's engine
+    /// files back to their last fsynced byte, exactly as
+    /// [`SimDeployment::crash_server_with`](super::SimDeployment::crash_server_with)
+    /// does. Returns `false` when the server is already down or the
+    /// truncation failed.
+    pub fn crash_server_with(&self, id: ServerId, mode: CrashMode) -> bool {
+        self.command_to_owner(id, |ack| Command::Crash(id, mode, ack))
+    }
+
+    /// Takes a storage-engine checkpoint on running server `id` (a
+    /// no-op for a volatile deployment). Returns `false` when the
+    /// server is down or the checkpoint write failed.
+    pub fn checkpoint_server(&self, id: ServerId) -> bool {
+        self.command_to_owner(id, |ack| Command::Checkpoint(id, ack))
     }
 
     /// Restarts server `id` from its config and durable state (also

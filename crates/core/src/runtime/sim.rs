@@ -35,6 +35,41 @@ pub enum CrashMode {
     PowerLoss,
 }
 
+impl CrashMode {
+    /// Kills a server instance the way this mode loses state — the one
+    /// crash routine every deployment calls. Dropping the instance
+    /// releases the durable store's file handles, flushing user-space
+    /// buffers into the page cache. `PowerLoss` then truncates every
+    /// file of the storage engine (visitor WAL, page file, checkpoint
+    /// manifest) back to its last fsynced byte: the page cache dying
+    /// with the machine. (With `SyncPolicy::Always` outside a group
+    /// commit nothing acknowledged is ever un-synced, so the two modes
+    /// then coincide.) Because the checkpoint commit fsyncs pages before
+    /// renaming the manifest and only then resets the WAL, a power loss
+    /// landing *between* those steps leaves a stale-generation WAL next
+    /// to a newer manifest — a state recovery must (and does)
+    /// arbitrate, covered by the fuzzer's checkpoint/power-loss pairing.
+    /// The replica sibling copies live in their own engine directory
+    /// (`server-N/replica/`), so both stores tear independently — a torn
+    /// replica tail must not take the visitor log with it, and vice
+    /// versa.
+    pub(crate) fn kill(self, server: LocationServer) -> std::io::Result<()> {
+        let loss_points = match self {
+            CrashMode::Process => Vec::new(),
+            CrashMode::PowerLoss => {
+                let mut points = server.wal_power_loss_points();
+                points.extend(server.replica_power_loss_points());
+                points
+            }
+        };
+        drop(server);
+        for (path, synced) in loss_points {
+            std::fs::OpenOptions::new().write(true).open(&path)?.set_len(synced)?;
+        }
+        Ok(())
+    }
+}
+
 /// Per-hierarchy-level aggregate of server counters (see
 /// [`SimDeployment::level_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,10 +80,6 @@ pub struct LevelStats {
     pub servers: usize,
     /// Their summed counters.
     pub stats: ServerStats,
-}
-
-fn label_of(m: &Message) -> &'static str {
-    m.label()
 }
 
 /// A complete location service running in deterministic virtual time.
@@ -198,12 +229,8 @@ impl SimDeployment {
     /// any message delivered to it is blackholed. Durable state (the
     /// visitor WAL + snapshot) stays on disk and is replayed on restart.
     ///
-    /// This models a *process* crash, not power loss: dropping the old
-    /// instance flushes any OS-buffered WAL bytes, so with
-    /// `SyncPolicy::Buffered`/`OsFlush` nothing un-synced is lost here
-    /// (fsync-less power-loss modeling is a ROADMAP item; the
-    /// byte-level torn-tail recovery itself is covered by the storage
-    /// crate's tests).
+    /// This is a *process* crash ([`CrashMode::Process`]); see
+    /// [`SimDeployment::crash_server_with`] for power loss.
     ///
     /// # Panics
     ///
@@ -212,55 +239,23 @@ impl SimDeployment {
         self.crash_server_with(id, CrashMode::Process);
     }
 
-    /// [`SimDeployment::crash_server`] with an explicit [`CrashMode`]:
-    /// `PowerLoss` additionally truncates every file of the server's
-    /// storage engine (visitor WAL, page file and checkpoint manifest)
-    /// back to its last fsynced byte, modeling the page cache dying
-    /// with the machine (with `SyncPolicy::Always` outside a group
-    /// commit nothing acknowledged is ever un-synced, so power loss
-    /// and process crash then coincide). Because the checkpoint commit
-    /// fsyncs pages before renaming the manifest and only then resets
-    /// the WAL, a power loss landing *between* those steps leaves a
-    /// stale-generation WAL next to a newer manifest — a state
-    /// recovery must (and does) arbitrate, covered by the fuzzer's
-    /// checkpoint/power-loss pairing.
+    /// [`SimDeployment::crash_server`] with an explicit [`CrashMode`].
     ///
     /// # Panics
     ///
     /// Panics when the server is already down.
     pub fn crash_server_with(&mut self, id: ServerId, mode: CrashMode) {
         assert!(!self.down[id.0 as usize], "server {} is already down", id.0);
-        // The replica sibling copies live in their own engine directory
-        // (`server-N/replica/`): power loss tears both stores
-        // independently — a torn replica tail must not take the
-        // visitor log with it, and vice versa.
-        let loss_points = match mode {
-            CrashMode::Process => Vec::new(),
-            CrashMode::PowerLoss => {
-                let server = &self.servers[id.0 as usize];
-                let mut points = server.wal_power_loss_points();
-                points.extend(server.replica_power_loss_points());
-                points
-            }
-        };
-        // Replace the instance with a volatile placeholder immediately:
-        // this releases the durable store's file handles at the crash
-        // instant, so the restart reopens the engine exclusively.
+        // A volatile placeholder takes the slot: the old instance dies
+        // at the crash instant, so the restart reopens the engine
+        // exclusively.
         let cfg = self.hierarchy.server(id).clone();
         let mut volatile = self.opts.clone();
         volatile.durability = None;
-        self.servers[id.0 as usize] =
+        let placeholder =
             LocationServer::new(cfg, volatile).expect("volatile placeholder construction");
-        for (path, synced) in loss_points {
-            // The drop above flushed user-space buffers into the page
-            // cache; losing power discards everything past the last
-            // fsync, which truncation models exactly.
-            let f = std::fs::OpenOptions::new()
-                .write(true)
-                .open(&path)
-                .expect("power-loss truncation: engine file must exist");
-            f.set_len(synced).expect("power-loss truncation");
-        }
+        let crashed = std::mem::replace(&mut self.servers[id.0 as usize], placeholder);
+        mode.kill(crashed).expect("power-loss truncation: engine file must exist");
         self.down[id.0 as usize] = true;
         self.net.discard_where(|env| env.to == Endpoint::Server(id));
     }
@@ -551,11 +546,6 @@ impl SimDeployment {
         self.standbys.get(&of).copied()
     }
 
-    /// Whether [`SimDeployment::enable_replication`] ran.
-    pub fn replication_enabled(&self) -> bool {
-        self.replication
-    }
-
     /// Installs the hierarchy's current configuration record into the
     /// running (or placeholder) server instance. Crashed servers get
     /// theirs on restart, which re-reads the hierarchy.
@@ -573,6 +563,11 @@ impl SimDeployment {
     /// inject new faults). In-flight messages are unaffected.
     pub fn set_faults(&mut self, faults: FaultPlan) {
         self.net.set_faults(faults);
+    }
+
+    /// The network fault plan currently in force.
+    pub fn faults(&self) -> &FaultPlan {
+        self.net.faults()
     }
 
     /// The deployment's hierarchy.
@@ -664,7 +659,7 @@ impl SimDeployment {
 
     /// Enables message tracing (see [`SimDeployment::trace`]).
     pub fn enable_trace(&mut self) {
-        self.net.enable_trace(label_of);
+        self.net.enable_trace(Message::label);
     }
 
     /// The message trace recorded so far.
@@ -742,17 +737,6 @@ impl SimDeployment {
             .filter(|(i, _)| !self.down[*i])
             .filter_map(|(_, s)| s.next_timer())
             .min()
-    }
-
-    /// Jumps virtual time to the earliest pending server timer and
-    /// fires it; `false` when no timers are pending.
-    pub fn step_timer(&mut self) -> bool {
-        let Some(t) = self.earliest_timer() else {
-            return false;
-        };
-        self.net.advance_to(t);
-        self.fire_due_timers(t);
-        true
     }
 
     fn fire_due_timers(&mut self, now: Micros) {

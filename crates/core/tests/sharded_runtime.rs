@@ -5,7 +5,9 @@
 use hiloc_core::area::HierarchyBuilder;
 use hiloc_core::model::{ObjectId, Sighting};
 use hiloc_core::node::{DurabilityOptions, ServerOptions, StorageSyncPolicy};
-use hiloc_core::runtime::{ShardSpec, SyncClient, ThreadedDeployment, UdpDeployment};
+use hiloc_core::runtime::{
+    CrashMode, ShardSpec, SyncClient, ThreadedDeployment, UdpDeployment, UpdateOutcome,
+};
 use hiloc_geo::{Point, Rect};
 use hiloc_net::ServerId;
 use hiloc_util::tempdir::TempDir;
@@ -130,6 +132,52 @@ fn failed_restart_leaves_one_server_down_and_its_shard_serving() {
     register(&mut client, 3, victim);
 }
 
+/// The sharded engine's crash verb takes the simulator's `CrashMode`
+/// and its checkpoint verb syncs: with `OsFlush` (acknowledged
+/// mutations reach the OS, never the platter) a process crash keeps
+/// everything, a power loss only what the checkpoint made durable.
+#[test]
+fn power_loss_keeps_what_a_checkpoint_synced_and_a_process_crash_everything() {
+    for (mode, unsynced_survives) in [(CrashMode::Process, true), (CrashMode::PowerLoss, false)] {
+        let dir = TempDir::new("sharded-powerloss");
+        let opts = ServerOptions {
+            durability: Some(DurabilityOptions {
+                dir: dir.path().to_path_buf(),
+                policy: StorageSyncPolicy::OsFlush,
+            }),
+            ..Default::default()
+        };
+        let ls = ThreadedDeployment::new_sharded(
+            hierarchy(1_000.0, 1, 2),
+            opts,
+            ShardSpec { shards: 2, ..Default::default() },
+        );
+        let leaf = ServerId(1);
+        let pos = ls.hierarchy().server(leaf).area.center();
+        let mut client = ls.client();
+        client.set_timeout(Duration::from_secs(2));
+        let sighting =
+            |client: &SyncClient, oid| Sighting::new(ObjectId(oid), client.now_us(), pos, 5.0);
+        client.register(leaf, sighting(&client, 1), 10.0, 50.0, 2.0).expect("registration");
+        assert!(ls.checkpoint_server(leaf), "a live durable server checkpoints");
+        client.register(leaf, sighting(&client, 2), 10.0, 50.0, 2.0).expect("registration");
+
+        assert!(ls.crash_server_with(leaf, mode));
+        assert!(!ls.crash_server_with(leaf, mode), "already down");
+        assert!(!ls.checkpoint_server(leaf), "a down server has nothing to checkpoint");
+        assert!(ls.restart_server(leaf));
+
+        // A recovered record acks its object's next update; a lost one
+        // leaves the update unanswered.
+        let acked = |client: &mut SyncClient, oid| {
+            matches!(client.update(leaf, sighting(client, oid)), Ok(UpdateOutcome::Ack { .. }))
+        };
+        assert!(acked(&mut client, 1), "{mode:?}: the checkpointed record must survive");
+        client.set_timeout(Duration::from_millis(300));
+        assert_eq!(acked(&mut client, 2), unsynced_survives, "{mode:?}: the un-synced record");
+    }
+}
+
 #[test]
 fn partition_by_drop_blocks_cross_group_traffic_until_healed() {
     // Root (id 0) + 4 leaves (ids 1..=4).
@@ -201,7 +249,7 @@ fn tiny_inbox_sheds_under_fire_and_forget_flood() {
     // The deployment stays healthy: a blocking op still completes.
     // Shedding is load-shedding, not failure — the request itself can
     // be dropped at the hot inbox, so a real client retries.
-    client.drain_mailbox();
+    client.drain();
     client.set_timeout(Duration::from_millis(500));
     let ld = (0..20)
         .find_map(|_| client.pos_query(agent, ObjectId(1)).ok())

@@ -36,7 +36,7 @@ pub use channel_net::{ChannelNetwork, Mailbox, SendOutcome, DEFAULT_MAILBOX_CAP}
 pub use endpoint::{ClientId, Endpoint, ServerId};
 pub use port::{ChannelPort, Port};
 pub use sim_net::{FaultPlan, LatencyModel, LatencySpike, LinkFault, Partition, SimNet, TraceEntry};
-pub use udp::{RecvBatch, SendBatch, UdpEndpoint, UdpError};
+pub use udp::{RecvBatch, UdpEndpoint, UdpError};
 pub use wire::WireCodec;
 
 use std::fmt;

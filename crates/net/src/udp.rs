@@ -67,17 +67,6 @@ pub struct RecvBatch {
     pub stray: usize,
 }
 
-/// Counts from one [`UdpEndpoint::send_many`] run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SendBatch {
-    /// Envelopes written to the socket.
-    pub sent: usize,
-    /// Envelopes dropped: destination had no route.
-    pub no_route: usize,
-    /// Envelopes dropped: encoding exceeded the datagram limit.
-    pub too_large: usize,
-}
-
 /// A UDP-backed network endpoint carrying [`Envelope`]s of `M`.
 ///
 /// Mirrors the paper's transport choice ("our communication protocols
@@ -349,30 +338,6 @@ impl<M: WireCodec> UdpEndpoint<M> {
         })
     }
 
-    /// Sends a batch of envelopes, reusing the thread-local encode
-    /// scratch across the whole run. Per-envelope soft failures
-    /// (unknown route, oversized encoding) are counted and the rest of
-    /// the batch still goes out — only hard socket errors abort.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when a socket write fails.
-    pub fn send_many(
-        &self,
-        envs: impl IntoIterator<Item = Envelope<M>>,
-    ) -> Result<SendBatch, UdpError> {
-        let mut counts = SendBatch::default();
-        for env in envs {
-            match self.send(env) {
-                Ok(()) => counts.sent += 1,
-                Err(UdpError::UnknownRoute(_)) => counts.no_route += 1,
-                Err(UdpError::TooLarge(_)) => counts.too_large += 1,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(counts)
-    }
-
     /// One receive attempt: `Ok(None)` when the datagram was stray.
     fn recv_step(&self, buf: &mut [u8]) -> Result<Option<Envelope<M>>, UdpError> {
         let (n, peer) = self.socket.recv_from(buf)?;
@@ -601,8 +566,7 @@ mod tests {
         assert_eq!(ids, (0..10).collect::<Vec<_>>());
     }
 
-    /// An oversized payload is rejected at the send socket (TooLarge),
-    /// and `send_many` skips it while the rest of the batch goes out.
+    /// An oversized payload is rejected at the send socket (TooLarge).
     #[test]
     fn oversized_payload_rejected_at_socket_send() {
         let a = bind(0);
@@ -613,22 +577,7 @@ mod tests {
             ServerId(0).into(),
             TestMsg(0, "x".repeat(MAX_DATAGRAM + 1)),
         );
-        assert!(matches!(b.send(big.clone()).unwrap_err(), UdpError::TooLarge(_)));
-
-        let ok = Envelope::new(
-            ServerId(1).into(),
-            ServerId(0).into(),
-            TestMsg(1, "small".into()),
-        );
-        let unrouted = Envelope::new(
-            ServerId(1).into(),
-            ServerId(9).into(),
-            TestMsg(2, "nowhere".into()),
-        );
-        let counts = b.send_many([big, ok, unrouted]).unwrap();
-        assert_eq!(counts, SendBatch { sent: 1, no_route: 1, too_large: 1 });
-        let got = a.recv().unwrap();
-        assert_eq!(got.msg.1, "small");
+        assert!(matches!(b.send(big).unwrap_err(), UdpError::TooLarge(_)));
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! A fleet of tracked objects driving a simulated deployment.
+//! A fleet of tracked objects driving a deployment — the simulator or,
+//! through the same [`Harness`], a real runtime.
 
+use crate::harness::Harness;
 use crate::mobility::{MobilityKind, MobilityModel};
 use hiloc_core::model::{
     LastReport, LsError, Micros, ObjectId, Sighting, UpdateDecision, UpdatePolicy, SECOND,
 };
 use hiloc_core::proto::Message;
-use hiloc_core::runtime::{SimDeployment, UpdateOutcome};
+use hiloc_core::runtime::UpdateOutcome;
 use hiloc_geo::Point;
 use hiloc_net::ServerId;
 use hiloc_util::rng::StdRng;
@@ -98,6 +100,20 @@ pub struct InboxStats {
     pub stray: u64,
 }
 
+/// Registers `oid` at `pos` (which the mobility models keep inside the
+/// service area) under `cfg`'s accuracy contract; `(agent, offered_acc)`.
+fn enroll<H: Harness>(
+    cfg: &FleetConfig,
+    ls: &mut H,
+    oid: ObjectId,
+    pos: Point,
+    now: Micros,
+) -> Result<(ServerId, f64), LsError> {
+    let entry = ls.hierarchy().leaf_for(pos).expect("position outside the service area");
+    let sighting = Sighting::new(oid, now, pos, cfg.acc_sens_m);
+    ls.register(entry, sighting, cfg.des_acc_m, cfg.min_acc_m, cfg.speed_mps)
+}
+
 /// How a [`Fleet`] transmit attempt ended.
 enum TransmitResult {
     /// Acked by the (unchanged) agent.
@@ -111,8 +127,8 @@ enum TransmitResult {
     Lost,
 }
 
-/// A population of tracked objects moving inside a simulated
-/// deployment: registers them, advances their mobility models and
+/// A population of tracked objects moving inside a deployment (any
+/// [`Harness`]): registers them, advances their mobility models and
 /// transmits updates per the configured policy.
 ///
 /// # Example
@@ -153,7 +169,7 @@ impl Fleet {
     /// # Errors
     ///
     /// Propagates the first registration failure.
-    pub fn register(cfg: FleetConfig, ls: &mut SimDeployment) -> Result<Self, LsError> {
+    pub fn register<H: Harness>(cfg: FleetConfig, ls: &mut H) -> Result<Self, LsError> {
         let area = ls.hierarchy().root_area();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut objects = Vec::with_capacity(cfg.num_objects as usize);
@@ -165,14 +181,7 @@ impl Fleet {
             );
             let model = cfg.mobility.build(area, start, cfg.speed_mps, cfg.seed ^ (i + 1));
             let oid = ObjectId(cfg.first_oid + i);
-            let entry = ls.leaf_for(start);
-            let (agent, offered) = ls.register_with_speed(
-                entry,
-                Sighting::new(oid, now, start, cfg.acc_sens_m),
-                cfg.des_acc_m,
-                cfg.min_acc_m,
-                cfg.speed_mps,
-            )?;
+            let (agent, offered) = enroll(&cfg, ls, oid, start, now)?;
             objects.push(FleetObject {
                 oid,
                 model,
@@ -232,11 +241,28 @@ impl Fleet {
         self.objects[i].last_report
     }
 
-    /// Advances virtual time by `dt_s`, moves every object and
-    /// transmits updates per the update policy.
-    pub fn step(&mut self, ls: &mut SimDeployment, dt_s: f64) -> StepStats {
-        let target = ls.now_us() + (dt_s * SECOND as f64) as u64;
-        ls.advance_time(target);
+    /// Registers object `i` afresh at its current position — the repair
+    /// for a registration a volatile crash lost for good.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the registration failure; the object is unchanged.
+    pub fn reregister<H: Harness>(&mut self, i: usize, ls: &mut H) -> Result<(), LsError> {
+        let (pos, now) = (self.objects[i].model.position(), ls.now_us());
+        let (agent, offered_acc_m) = enroll(&self.cfg, ls, self.objects[i].oid, pos, now)?;
+        let obj = &mut self.objects[i];
+        obj.agent = agent;
+        obj.offered_acc_m = offered_acc_m;
+        obj.last_report = LastReport { pos, time_us: now, velocity_mps: obj.velocity_mps };
+        obj.alive = true;
+        Ok(())
+    }
+
+    /// Lets `dt_s` elapse on the deployment ([`Harness::elapse`]), moves
+    /// every object by that much and transmits updates per the update
+    /// policy.
+    pub fn step<H: Harness>(&mut self, ls: &mut H, dt_s: f64) -> StepStats {
+        ls.elapse((dt_s * SECOND as f64) as u64);
         let now = ls.now_us();
         let mut stats = StepStats::default();
         for idx in 0..self.objects.len() {
@@ -262,7 +288,7 @@ impl Fleet {
     /// Forces a fresh position report from every live object regardless
     /// of the update policy — the settle primitive of the chaos
     /// harness, and what restores volatile sightings after a restart.
-    pub fn report_all(&mut self, ls: &mut SimDeployment) -> StepStats {
+    pub fn report_all<H: Harness>(&mut self, ls: &mut H) -> StepStats {
         let mut stats = StepStats::default();
         for idx in 0..self.objects.len() {
             if !self.objects[idx].alive {
@@ -282,11 +308,10 @@ impl Fleet {
     /// `PositionProbe` — a recovering server asking for a fresh
     /// position update (paper §5 restore-on-demand), which is answered
     /// with an immediate report.
-    pub fn process_inbox(&mut self, ls: &mut SimDeployment) -> InboxStats {
+    pub fn process_inbox<H: Harness>(&mut self, ls: &mut H) -> InboxStats {
         let mut stats = InboxStats::default();
         for idx in 0..self.objects.len() {
-            let client = SimDeployment::object_endpoint(self.objects[idx].oid);
-            let msgs = ls.drain_client(client);
+            let msgs = ls.notifications(self.objects[idx].oid);
             if !self.objects[idx].alive {
                 continue; // deregistered: discard stale traffic
             }
@@ -330,10 +355,10 @@ impl Fleet {
     /// UDP deployment relies on. `last_report` is only advanced on that
     /// final ack, so it always reflects state the service has durably
     /// observed (which is what the chaos oracle checks against).
-    fn transmit_into(
+    fn transmit_into<H: Harness>(
         &mut self,
         idx: usize,
-        ls: &mut SimDeployment,
+        ls: &mut H,
         pos: Point,
         now: Micros,
         stats: &mut StepStats,
@@ -346,10 +371,10 @@ impl Fleet {
         }
     }
 
-    fn transmit(
+    fn transmit<H: Harness>(
         &mut self,
         idx: usize,
-        ls: &mut SimDeployment,
+        ls: &mut H,
         pos: Point,
         now: Micros,
     ) -> TransmitResult {

@@ -3,34 +3,42 @@
 //! The scripted suites (`chaos_scenarios.rs`, `churn_scenarios.rs`)
 //! explore a handful of curated timelines. This module explores the
 //! *space*: a seeded generator emits random but **valid** scenario
-//! timelines — mixed update/query load interleaved with `Partition`,
-//! `LatencySpike`, `Crash`, `PowerLoss`, `Spawn`, `Retire` and
-//! `PromoteStandby` verbs — runs each against the
-//! [`scenario`](crate::scenario) oracle (optionally with the §6.5
-//! caches enabled under bounded-staleness semantics), and on failure
-//! **shrinks** the timeline to a minimal reproducer printed as a
-//! single replayable DSL line.
+//! timelines for the [`Runtime`] it is asked to target — mixed
+//! update/query load interleaved with every
+//! [`FaultAction`] verb and fault-plan window that runtime declares it
+//! can run — runs each against the [`scenario`](crate::scenario)
+//! oracle (optionally with the §6.5 caches enabled under
+//! bounded-staleness semantics), and on failure **shrinks** the
+//! timeline to a minimal reproducer printed as a single replayable DSL
+//! line. One generator, one validity model and one DSL serve the
+//! simulator and the real runtimes; the line's `runtime=` token says
+//! where [`replay_dsl`] runs it.
 //!
 //! Validity is enforced at construction time by replaying every
 //! candidate timeline against a [`Hierarchy`] model: never crash an
 //! already-down server, never restart a retired one, never retire the
-//! last mergeable leaf, never promote over a live root, and close
-//! every crash with a restart (or a root failover) so the settle phase
-//! is reachable. The same checker guards the shrinker, so dropping a
+//! last mergeable leaf, never promote over a live root, never cut a
+//! partition with an empty side or a second one before the heal, and
+//! close every crash with a restart (or a root failover) so the settle
+//! phase is reachable. The same checker guards the shrinker, so dropping a
 //! `Crash` also drops its paired `Restart` rather than producing a
 //! nonsense timeline.
 //!
 //! Everything is seed-deterministic: `generate(seed, mode)` always
-//! yields the same spec, a run of that spec always produces the same
-//! trace, and the printed DSL replays the exact scenario via
+//! yields the same spec, a simulator run of that spec always produces
+//! the same trace (a real runtime replays the same movement on the
+//! host's clock), and the printed DSL replays the exact scenario via
 //! [`replay_dsl`]. `HILOC_FUZZ_CASES` scales batch sizes for longer
 //! local runs (CI uses the fixed default).
 
+use crate::harness::{Capabilities, Harness, Runtime};
 use crate::mobility::MobilityKind;
+use crate::real::{ThreadedHarness, UdpHarness};
 use crate::scenario::{subtree_endpoints, FaultAction, ScenarioEvent, ScenarioRun, ScenarioSpec};
 use hiloc_core::area::{Hierarchy, HierarchyBuilder};
 use hiloc_core::cache::CacheConfig;
 use hiloc_core::model::{Micros, UpdatePolicy, SECOND};
+use hiloc_core::runtime::{ShardSpec, SimDeployment};
 use hiloc_geo::{Point, Rect};
 use hiloc_net::{Endpoint, FaultPlan, LatencySpike, Partition, ServerId};
 use hiloc_util::prop::Gen;
@@ -44,6 +52,8 @@ use std::sync::Once;
 const AREA_M: f64 = 1_000.0;
 /// Hard cap on the number of servers a timeline may grow to.
 const MAX_SERVERS: usize = 32;
+/// The smallest fleet the generator draws.
+const MIN_OBJECTS: u64 = 6;
 /// Hard cap on candidate runs one [`shrink`] call may spend.
 const SHRINK_BUDGET: usize = 300;
 
@@ -78,6 +88,9 @@ impl CacheMode {
 /// the DSL can round-trip.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FuzzSpec {
+    /// The deployment the plan runs on; it must declare every
+    /// capability the plan needs ([`Capabilities::admit`]).
+    pub runtime: Runtime,
     /// Master seed (placement, mobility, network jitter).
     pub seed: u64,
     /// Hierarchy depth below the root.
@@ -120,15 +133,28 @@ pub struct FuzzSpec {
     pub spikes: Vec<(Micros, Micros, Micros)>,
     /// The scripted timeline verbs.
     pub events: Vec<ScenarioEvent>,
+    /// Shard count and per-shard inbox bound of a sharded runtime.
+    pub layout: ShardSpec,
+}
+
+/// The initial (pre-reshape) grid hierarchy a fuzz scenario deploys.
+fn grid(levels: u32, fanout: u32) -> Hierarchy {
+    let rect = Rect::new(Point::new(0.0, 0.0), Point::new(AREA_M, AREA_M));
+    HierarchyBuilder::grid(rect, levels, fanout).build().expect("fuzz grid")
+}
+
+impl Runtime {
+    /// What the runtime's harness declares it can do.
+    pub fn capabilities(self) -> Capabilities {
+        match self {
+            Runtime::Sim => SimDeployment::CAPS,
+            Runtime::Threaded => ThreadedHarness::CAPS,
+            Runtime::Udp => UdpHarness::CAPS,
+        }
+    }
 }
 
 impl FuzzSpec {
-    /// The initial (pre-reshape) hierarchy of this spec.
-    pub fn hierarchy(&self) -> Hierarchy {
-        let rect = Rect::new(Point::new(0.0, 0.0), Point::new(AREA_M, AREA_M));
-        HierarchyBuilder::grid(rect, self.levels, self.fanout).build().expect("fuzz grid")
-    }
-
     /// The concrete scenario this spec runs.
     pub fn to_scenario(&self) -> ScenarioSpec {
         let mut faults = FaultPlan::uniform(self.drop_prob, self.dup_prob);
@@ -162,7 +188,28 @@ impl FuzzSpec {
             caches: self.caches.to_config(),
             replication: self.replication,
             events: self.events.clone(),
+            layout: self.layout,
+            replay: self.to_dsl(),
             ..Default::default()
+        }
+    }
+
+    /// Runs the plan on the runtime it names.
+    ///
+    /// # Errors
+    ///
+    /// That runtime cannot do something the plan needs; the message
+    /// names it, and nothing was deployed.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the oracle's report when the run goes red.
+    pub fn run(&self) -> Result<ScenarioRun, String> {
+        let scenario = self.to_scenario();
+        match self.runtime {
+            Runtime::Sim => scenario.run_on::<SimDeployment>(),
+            Runtime::Threaded => scenario.run_on::<ThreadedHarness>(),
+            Runtime::Udp => scenario.run_on::<UdpHarness>(),
         }
     }
 
@@ -174,15 +221,13 @@ impl FuzzSpec {
             || self.fanout < 2
             || self.steps < 2
             || self.num_objects == 0
+            || self.layout.inbox_cap == 0
             || self.events.iter().any(|e| e.at_step >= self.steps)
         {
             return false;
         }
-        let mut model = if self.replication {
-            TimelineModel::new_replicated(self.hierarchy())
-        } else {
-            TimelineModel::new(self.hierarchy())
-        };
+        let h0 = grid(self.levels, self.fanout);
+        let mut model = TimelineModel::new(h0, self.num_objects, self.replication);
         for step in 0..self.steps {
             for ev in self.events.iter().filter(|e| e.at_step == step) {
                 if !model.try_apply(&ev.action) {
@@ -210,23 +255,31 @@ struct TimelineModel {
     /// from the runtime when `replication` is set.
     standbys: BTreeMap<u32, u32>,
     replication: bool,
+    /// A `Partition` verb is in force (until the next `HealNetwork`).
+    partitioned: bool,
+    /// Fleet size: the range of a `Burst`'s object index.
+    num_objects: u64,
 }
 
 impl TimelineModel {
-    fn new(h: Hierarchy) -> Self {
-        TimelineModel { h, down: Default::default(), standbys: BTreeMap::new(), replication: false }
-    }
-
-    /// Mirrors `SimDeployment::enable_replication`: one standby slot
-    /// reserved per active non-leaf, in id order.
-    fn new_replicated(h: Hierarchy) -> Self {
-        let mut model = TimelineModel::new(h);
-        model.replication = true;
-        let non_leaves: Vec<ServerId> =
-            model.h.active().filter(|c| !c.is_leaf()).map(|c| c.id).collect();
-        for of in non_leaves {
-            let slot = model.h.reserve_standby(of).expect("standby reservation");
-            model.standbys.insert(of.0, slot.0);
+    /// With `replication`, mirrors `SimDeployment::enable_replication`:
+    /// one standby slot reserved per active non-leaf, in id order.
+    fn new(h: Hierarchy, num_objects: u64, replication: bool) -> Self {
+        let mut model = TimelineModel {
+            h,
+            down: Default::default(),
+            standbys: BTreeMap::new(),
+            replication,
+            partitioned: false,
+            num_objects,
+        };
+        if replication {
+            let non_leaves: Vec<ServerId> =
+                model.h.active().filter(|c| !c.is_leaf()).map(|c| c.id).collect();
+            for of in non_leaves {
+                let slot = model.h.reserve_standby(of).expect("standby reservation");
+                model.standbys.insert(of.0, slot.0);
+            }
         }
         model
     }
@@ -322,14 +375,33 @@ impl TimelineModel {
                 }
                 true
             }
-            FaultAction::HealNetwork => true,
+            FaultAction::HealNetwork => {
+                self.partitioned = false;
+                true
+            }
+            FaultAction::Partition { isolated } => {
+                // Both sides must be non-empty sets of existing
+                // servers, and one cut is in force at a time.
+                let distinct: std::collections::BTreeSet<&ServerId> = isolated.iter().collect();
+                if self.partitioned
+                    || isolated.is_empty()
+                    || distinct.len() != isolated.len()
+                    || distinct.len() >= self.h.len()
+                    || !isolated.iter().all(|id| self.in_range(*id))
+                {
+                    return false;
+                }
+                self.partitioned = true;
+                true
+            }
+            FaultAction::Burst { obj, .. } => u64::from(*obj) < self.num_objects,
         }
     }
 
     /// Every still-down server is retired (exempt from the settle
     /// check); anything else must have been restarted.
     fn closed(&self) -> bool {
-        self.down.iter().all(|&id| self.h.is_retired(ServerId(id)))
+        self.down_unretired().is_empty()
     }
 
     fn down_unretired(&self) -> Vec<ServerId> {
@@ -343,21 +415,31 @@ impl TimelineModel {
 
 // ----------------------------------------------------------- generator
 
-/// Generates a random, valid fuzz scenario for `seed`. Same seed, same
-/// spec — the seed alone replays the generation bit-for-bit.
-pub fn generate(seed: u64, caches: CacheMode) -> FuzzSpec {
-    generate_with(seed, caches, false)
-}
-
-/// [`generate`] with the replication subsystem deployed. The timeline
-/// walk then models the standby-slot reservations, adds live standbys
-/// to the crash pool (a standby dying mid-delta-stream is exactly the
-/// race worth fuzzing), biases crashes toward the root and its
-/// shadow, and prefers a `PromoteStandby` follow-up over a root
-/// restart — the campaign must *exercise* promotions, not trip over
-/// them by luck. With `replication = false` the draw sequence is
-/// bit-identical to [`generate`].
-pub fn generate_with(seed: u64, caches: CacheMode, replication: bool) -> FuzzSpec {
+/// The generator: a random, valid plan for `runtime` from `seed` — same
+/// seed, same spec. It draws only what the runtime declares it can run
+/// ([`Runtime::capabilities`]): reshape verbs, the link model's faults
+/// and timed windows, clock-keyed update policies; `Partition` /
+/// `HealNetwork` verb pairs where the network can only be cut by verb;
+/// a shard layout; and — where inboxes are bounded — sometimes a tiny
+/// inbox with overload `Burst`s, so shedding is reachable. What a
+/// capability rules out costs no draw: the simulator's draw sequence is
+/// the one it always had.
+///
+/// With `replication` the subsystem is deployed (the runtime must be
+/// able to reshape). The timeline walk then models the standby-slot
+/// reservations, adds live standbys to the crash pool (a standby dying
+/// mid-delta-stream is exactly the race worth fuzzing), biases crashes
+/// toward the root and its shadow, and prefers a `PromoteStandby`
+/// follow-up over a root restart — the campaign must *exercise*
+/// promotions, not trip over them by luck.
+pub fn generate_with(
+    seed: u64,
+    caches: CacheMode,
+    replication: bool,
+    runtime: Runtime,
+) -> FuzzSpec {
+    let caps = runtime.capabilities();
+    assert!(caps.reshape || !replication, "runtime={runtime} cannot deploy replication");
     let mut g = Gen::for_seed(seed);
     let levels = if g.chance(0.5) { 1 } else { 2 };
     let fanout = 2;
@@ -370,27 +452,25 @@ pub fn generate_with(seed: u64, caches: CacheMode, replication: bool) -> FuzzSpe
         1 => MobilityKind::Manhattan { spacing_m: g.random_range(50.0..200.0) },
         _ => MobilityKind::GaussMarkov { alpha: g.random_range(0.3..0.9) },
     };
-    let policy = if g.chance(0.7) {
+    let policy = if !caps.virtual_time || g.chance(0.7) {
         UpdatePolicy::Distance { threshold_m: g.random_range(8.0..16.0) }
     } else {
         UpdatePolicy::Periodic { period_us: g.random_range(3..=6u64) * SECOND }
     };
 
-    let drop_prob = if g.chance(0.5) { g.random_range(0.0..0.10) } else { 0.0 };
-    let dup_prob = if g.chance(0.4) { g.random_range(0.0..0.06) } else { 0.0 };
-    let reorder = if g.chance(0.4) {
+    let link = caps.link_model;
+    let drop_prob = if link && g.chance(0.5) { g.random_range(0.0..0.10) } else { 0.0 };
+    let dup_prob = if link && g.chance(0.4) { g.random_range(0.0..0.06) } else { 0.0 };
+    let reorder = if link && g.chance(0.4) {
         Some((g.random_range(0.05..0.3), g.random_range(10_000..150_000u64)))
     } else {
         None
     };
 
-    let h0 = {
-        let rect = Rect::new(Point::new(0.0, 0.0), Point::new(AREA_M, AREA_M));
-        HierarchyBuilder::grid(rect, levels, fanout).build().expect("fuzz grid")
-    };
+    let h0 = grid(levels, fanout);
 
     let mut partitions = Vec::new();
-    for _ in 0..g.weighted(&[4, 3, 1]) {
+    for _ in 0..if link { g.weighted(&[4, 3, 1]) } else { 0 } {
         let start = g.random_range(2 * SECOND..(horizon_us * 6 / 10).max(3 * SECOND));
         let dur = g.random_range(4 * SECOND..=16 * SECOND);
         let ids: Vec<u32> = if g.chance(0.5) {
@@ -411,7 +491,7 @@ pub fn generate_with(seed: u64, caches: CacheMode, replication: bool) -> FuzzSpe
         partitions.push((start, start + dur, ids));
     }
     let mut spikes = Vec::new();
-    for _ in 0..g.weighted(&[3, 1]) {
+    for _ in 0..if link { g.weighted(&[3, 1]) } else { 0 } {
         let start = g.random_range(SECOND..(horizon_us * 7 / 10).max(2 * SECOND));
         let dur = g.random_range(2 * SECOND..=10 * SECOND);
         spikes.push((start, start + dur, g.random_range(50_000..400_000u64)));
@@ -420,10 +500,28 @@ pub fn generate_with(seed: u64, caches: CacheMode, replication: bool) -> FuzzSpe
     // ---- timeline walk: draw verbs only where they are legal *now*,
     // and schedule the follow-up that keeps the timeline closable
     // (every crash gets a restart — or, for a root, maybe a failover).
-    let mut model =
-        if replication { TimelineModel::new_replicated(h0) } else { TimelineModel::new(h0) };
+    let layout = ShardSpec {
+        shards: if caps.sharded { g.random_range(1..=4usize) } else { ShardSpec::default().shards },
+        inbox_cap: if caps.bounded_inbox && g.chance(0.3) {
+            g.random_range(2..=8usize)
+        } else {
+            ShardSpec::default().inbox_cap
+        },
+    };
+    let overload = layout.inbox_cap != ShardSpec::default().inbox_cap;
+    // The fleet size is drawn last; until then every fleet is known to
+    // hold at least `MIN_OBJECTS`, which is where bursts aim.
+    let mut model = TimelineModel::new(h0, MIN_OBJECTS, replication);
     let mut events: Vec<ScenarioEvent> = Vec::new();
     let mut scheduled: BTreeMap<u32, Vec<FaultAction>> = BTreeMap::new();
+    // What brings a crashed server back 1–4 steps later: a restart, or
+    // — for the root of a tree that can reshape — maybe a failover.
+    let promote_p = if replication { 0.85 } else { 0.5 };
+    let follow_crash = |g: &mut Gen, id: ServerId, root: ServerId, step: u32| {
+        let at = (step + g.random_range(1..=4u32)).min(steps - 1);
+        let promote = caps.reshape && id == root && g.chance(promote_p);
+        (at, if promote { FaultAction::PromoteStandby } else { FaultAction::Restart(id) })
+    };
     let budget = g.random_range(0..=5usize);
     let mut drawn = 0usize;
     for step in 1..steps {
@@ -454,7 +552,7 @@ pub fn generate_with(seed: u64, caches: CacheMode, replication: bool) -> FuzzSpe
             ids
         };
         let crashable: Vec<u32> = if crash_ok { live.clone() } else { Vec::new() };
-        let splittable: Vec<u32> = if model.h.len() < MAX_SERVERS {
+        let splittable: Vec<u32> = if caps.reshape && model.h.len() < MAX_SERVERS {
             model
                 .h
                 .active()
@@ -467,19 +565,23 @@ pub fn generate_with(seed: u64, caches: CacheMode, replication: bool) -> FuzzSpe
         let retirable: Vec<u32> = model
             .h
             .active()
-            .filter(|c| c.is_leaf() && !model.down.contains(&c.id.0))
+            .filter(|c| caps.reshape && c.is_leaf() && !model.down.contains(&c.id.0))
             .map(|c| c.id.0)
             .filter(|&id| model.h.clone().retire_leaf(ServerId(id)).is_ok())
             .collect();
         // (kind, weight): 0 = crash, 1 = power loss, 2 = spawn,
         // 3 = retire, 4 = checkpoint (often paired with an immediate
-        // power loss — the across-the-commit-boundary draw)
+        // power loss — the across-the-commit-boundary draw),
+        // 5 = partition verb (where no link model schedules timed
+        // windows), 6 = overload burst (where a tiny inbox was drawn)
         let weights = [
             if crashable.is_empty() { 0 } else { 3 },
             if crashable.is_empty() { 0 } else { 1 },
             if splittable.is_empty() { 0 } else { 2 },
             if retirable.is_empty() { 0 } else { 2 },
             if live.is_empty() { 0 } else { 2 },
+            if link || model.partitioned { 0 } else { 2 },
+            if overload { 3 } else { 0 },
         ];
         if weights.iter().all(|&w| w == 0) {
             continue;
@@ -514,13 +616,7 @@ pub fn generate_with(seed: u64, caches: CacheMode, replication: bool) -> FuzzSpe
                 };
                 if model.try_apply(&action) {
                     events.push(ScenarioEvent { at_step: step, action });
-                    let at = (step + g.random_range(1..=4u32)).min(steps - 1);
-                    let promote_p = if replication { 0.85 } else { 0.5 };
-                    let follow_up = if id == model.h.root() && g.chance(promote_p) {
-                        FaultAction::PromoteStandby
-                    } else {
-                        FaultAction::Restart(id)
-                    };
+                    let (at, follow_up) = follow_crash(&mut g, id, model.h.root(), step);
                     scheduled.entry(at).or_default().push(follow_up);
                 }
             }
@@ -538,7 +634,7 @@ pub fn generate_with(seed: u64, caches: CacheMode, replication: bool) -> FuzzSpe
                     events.push(ScenarioEvent { at_step: step, action });
                 }
             }
-            _ => {
+            4 => {
                 // A storage checkpoint — and, half the time, a power
                 // loss on the same server in the same step, so the loss
                 // lands right across the checkpoint commit boundary
@@ -552,16 +648,34 @@ pub fn generate_with(seed: u64, caches: CacheMode, replication: bool) -> FuzzSpe
                         let loss = FaultAction::PowerLoss(id);
                         if model.try_apply(&loss) {
                             events.push(ScenarioEvent { at_step: step, action: loss });
-                            let at = (step + g.random_range(1..=4u32)).min(steps - 1);
-                            let promote_p = if replication { 0.85 } else { 0.5 };
-                            let follow_up = if id == model.h.root() && g.chance(promote_p) {
-                                FaultAction::PromoteStandby
-                            } else {
-                                FaultAction::Restart(id)
-                            };
+                            let (at, follow_up) = follow_crash(&mut g, id, model.h.root(), step);
                             scheduled.entry(at).or_default().push(follow_up);
                         }
                     }
+                }
+            }
+            5 => {
+                // Cut one server — or the root together with one — off
+                // from the rest of the tree for a few steps.
+                let root = model.h.root();
+                let others: Vec<ServerId> =
+                    model.h.active().map(|c| c.id).filter(|&id| id != root).collect();
+                let id = *g.pick(&others);
+                let isolated = if g.chance(0.3) { vec![root, id] } else { vec![id] };
+                let action = FaultAction::Partition { isolated };
+                if model.try_apply(&action) {
+                    events.push(ScenarioEvent { at_step: step, action });
+                    let at = (step + g.random_range(1..=4u32)).min(steps - 1);
+                    scheduled.entry(at).or_default().push(FaultAction::HealNetwork);
+                }
+            }
+            _ => {
+                let action = FaultAction::Burst {
+                    obj: g.random_range(0..MIN_OBJECTS as u32),
+                    updates: g.random_range(200..=600u32),
+                };
+                if model.try_apply(&action) {
+                    events.push(ScenarioEvent { at_step: step, action });
                 }
             }
         }
@@ -578,10 +692,11 @@ pub fn generate_with(seed: u64, caches: CacheMode, replication: bool) -> FuzzSpe
     debug_assert!(model.closed(), "generator left an unclosable timeline");
 
     FuzzSpec {
+        runtime,
         seed,
         levels,
         fanout,
-        num_objects: g.random_range(6..=14),
+        num_objects: g.random_range(MIN_OBJECTS..=14),
         speed_mps: g.random_range(5.0..20.0),
         steps,
         step_dt_s,
@@ -597,6 +712,7 @@ pub fn generate_with(seed: u64, caches: CacheMode, replication: bool) -> FuzzSpe
         partitions,
         spikes,
         events,
+        layout,
     }
 }
 
@@ -607,7 +723,8 @@ thread_local! {
 }
 static PANIC_HOOK: Once = Once::new();
 
-/// Runs a spec, converting an oracle panic into `Err(message)` without
+/// Runs a spec, converting an oracle panic (like a rejection by the
+/// runtime it names) into `Err(message)` without
 /// spewing the (huge) failure report of every shrink candidate to
 /// stderr. The silencing is thread-local: concurrent tests keep their
 /// normal panic output.
@@ -621,244 +738,111 @@ pub fn run_captured(spec: &FuzzSpec) -> Result<ScenarioRun, String> {
         }));
     });
     QUIET_PANICS.with(|q| q.set(true));
-    let result = catch_unwind(AssertUnwindSafe(|| spec.to_scenario().run()));
+    let result = catch_unwind(AssertUnwindSafe(|| spec.run()));
     QUIET_PANICS.with(|q| q.set(false));
-    result.map_err(|payload| {
-        payload
+    result.unwrap_or_else(|payload| {
+        Err(payload
             .downcast_ref::<String>()
             .cloned()
             .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-            .unwrap_or_else(|| "non-string panic payload".to_string())
+            .unwrap_or_else(|| "non-string panic payload".to_string()))
     })
 }
 
 // ------------------------------------------------------------ shrinker
 
 /// Shrinks a failing spec to a (locally) minimal one that still fails:
-/// drops timeline verbs (singly, then in dependent pairs), strips
-/// faults, shortens the run, thins the fleet and disables the query
-/// load — every candidate re-validated against the timeline model and
-/// re-run against the oracle. Returns the smallest failing spec found
-/// within the shrink budget.
+/// the first candidate of [`simpler`] that is valid against the timeline
+/// model and still fails the oracle replaces the spec, until none does.
+/// Returns the smallest failing spec found within the shrink budget.
 pub fn shrink(spec: &FuzzSpec) -> FuzzSpec {
     let mut best = spec.clone();
     let mut runs = 0usize;
-    let still_fails = |s: &FuzzSpec, runs: &mut usize| -> bool {
-        if *runs >= SHRINK_BUDGET || !s.valid() {
-            return false;
-        }
-        *runs += 1;
-        run_captured(s).is_err()
+    let mut still_fails = |c: &FuzzSpec| {
+        let candidate = runs < SHRINK_BUDGET && c.valid();
+        runs += usize::from(candidate);
+        candidate && run_captured(c).is_err()
     };
-    loop {
-        let mut improved = false;
-
-        // Drop one verb (later verbs first: follow-ups before causes).
-        for i in (0..best.events.len()).rev() {
-            let mut c = best.clone();
-            c.events.remove(i);
-            if still_fails(&c, &mut runs) {
-                best = c;
-                improved = true;
-                break;
-            }
-        }
-        if improved {
-            continue;
-        }
-        // Drop dependent pairs (a crash and its restart/failover).
-        'pairs: for i in 0..best.events.len() {
-            for j in (i + 1..best.events.len()).rev() {
-                let mut c = best.clone();
-                c.events.remove(j);
-                c.events.remove(i);
-                if still_fails(&c, &mut runs) {
-                    best = c;
-                    improved = true;
-                    break 'pairs;
-                }
-            }
-        }
-        if improved {
-            continue;
-        }
-
-        // Strip network faults wholesale, then piecewise.
-        if best.drop_prob > 0.0
-            || best.dup_prob > 0.0
-            || best.reorder.is_some()
-            || !best.partitions.is_empty()
-            || !best.spikes.is_empty()
-        {
-            let mut c = best.clone();
-            c.drop_prob = 0.0;
-            c.dup_prob = 0.0;
-            c.reorder = None;
-            c.partitions.clear();
-            c.spikes.clear();
-            if still_fails(&c, &mut runs) {
-                best = c;
-                continue;
-            }
-        }
-        for i in (0..best.partitions.len()).rev() {
-            let mut c = best.clone();
-            c.partitions.remove(i);
-            if still_fails(&c, &mut runs) {
-                best = c;
-                improved = true;
-                break;
-            }
-        }
-        if improved {
-            continue;
-        }
-        for i in (0..best.spikes.len()).rev() {
-            let mut c = best.clone();
-            c.spikes.remove(i);
-            if still_fails(&c, &mut runs) {
-                best = c;
-                improved = true;
-                break;
-            }
-        }
-        if improved {
-            continue;
-        }
-        for (zero_drop, zero_dup, no_reorder) in
-            [(true, false, false), (false, true, false), (false, false, true)]
-        {
-            let mut c = best.clone();
-            if zero_drop {
-                c.drop_prob = 0.0;
-            }
-            if zero_dup {
-                c.dup_prob = 0.0;
-            }
-            if no_reorder {
-                c.reorder = None;
-            }
-            if c != best && still_fails(&c, &mut runs) {
-                best = c;
-                improved = true;
-                break;
-            }
-        }
-        if improved {
-            continue;
-        }
-
-        // Shorten the run to just past the last verb.
-        let last_step = best.events.iter().map(|e| e.at_step).max().unwrap_or(0);
-        if last_step + 2 < best.steps {
-            let mut c = best.clone();
-            c.steps = last_step + 2;
-            if still_fails(&c, &mut runs) {
-                best = c;
-                continue;
-            }
-        }
-        // Thin the fleet.
-        for n in [2, best.num_objects / 2] {
-            if n >= 2 && n < best.num_objects {
-                let mut c = best.clone();
-                c.num_objects = n;
-                if still_fails(&c, &mut runs) {
-                    best = c;
-                    improved = true;
-                    break;
-                }
-            }
-        }
-        if improved {
-            continue;
-        }
-        // Fall back from the macro query mix to the simple root round.
-        if best.macro_mix {
-            let mut c = best.clone();
-            c.macro_mix = false;
-            if still_fails(&c, &mut runs) {
-                best = c;
-                continue;
-            }
-        }
-        // Drop the mid-chaos query load.
-        if best.mid_chaos_queries {
-            let mut c = best.clone();
-            c.mid_chaos_queries = false;
-            if still_fails(&c, &mut runs) {
-                best = c;
-                continue;
-            }
-        }
-        // Strip the replication subsystem: a failure that survives
-        // this is an ordinary protocol bug, not a replication one.
-        // (Standby-slot ids shift, so re-validation may veto it.)
-        if best.replication {
-            let mut c = best.clone();
-            c.replication = false;
-            if still_fails(&c, &mut runs) {
-                best = c;
-                continue;
-            }
-        }
-        // Flatten the tree.
-        if best.levels > 1 {
-            let mut c = best.clone();
-            c.levels = 1;
-            if still_fails(&c, &mut runs) {
-                best = c;
-                continue;
-            }
-        }
-        break;
+    while let Some(smaller) = simpler(&best).into_iter().find(&mut still_fails) {
+        best = smaller;
     }
     best
 }
 
+/// Every one-edit simplification of `best`, most promising first: drop
+/// timeline verbs (singly, then in dependent pairs), strip faults,
+/// shorten the run, thin the fleet, disable the query load, strip
+/// replication, flatten the tree.
+fn simpler(best: &FuzzSpec) -> Vec<FuzzSpec> {
+    let mut out = Vec::new();
+    let mut edit = |apply: &dyn Fn(&mut FuzzSpec)| {
+        let mut c = best.clone();
+        apply(&mut c);
+        if c != *best {
+            out.push(c);
+        }
+    };
+    // One verb (later verbs first: follow-ups before causes), then
+    // dependent pairs (a crash and its restart/failover).
+    let verbs = best.events.len();
+    for i in (0..verbs).rev() {
+        edit(&|c| _ = c.events.remove(i));
+    }
+    for i in 0..verbs {
+        for j in (i + 1..verbs).rev() {
+            edit(&|c| {
+                c.events.remove(j);
+                c.events.remove(i);
+            });
+        }
+    }
+    // Network faults wholesale, then piecewise.
+    edit(&|c| {
+        (c.drop_prob, c.dup_prob, c.reorder) = (0.0, 0.0, None);
+        c.partitions.clear();
+        c.spikes.clear();
+    });
+    for i in (0..best.partitions.len()).rev() {
+        edit(&|c| _ = c.partitions.remove(i));
+    }
+    for i in (0..best.spikes.len()).rev() {
+        edit(&|c| _ = c.spikes.remove(i));
+    }
+    edit(&|c| c.drop_prob = 0.0);
+    edit(&|c| c.dup_prob = 0.0);
+    edit(&|c| c.reorder = None);
+    // The run, to just past the last verb; then the fleet.
+    let last_step = best.events.iter().map(|e| e.at_step).max().unwrap_or(0);
+    edit(&|c| c.steps = c.steps.min(last_step + 2));
+    for n in [2, best.num_objects / 2].into_iter().filter(|&n| n >= 2) {
+        edit(&|c| c.num_objects = c.num_objects.min(n));
+    }
+    // The macro query mix (falling back to the simple root round),
+    // then the mid-chaos query load altogether.
+    edit(&|c| c.macro_mix = false);
+    edit(&|c| c.mid_chaos_queries = false);
+    // The replication subsystem: a failure that survives this is an
+    // ordinary protocol bug, not a replication one. (Standby-slot ids
+    // shift, so re-validation may veto it.)
+    edit(&|c| c.replication = false);
+    edit(&|c| c.levels = c.levels.min(1));
+    out
+}
+
 // ------------------------------------------------------------- the DSL
-
-fn fmt_action(a: &FaultAction) -> String {
-    match a {
-        FaultAction::Crash(id) => format!("crash:{}", id.0),
-        FaultAction::PowerLoss(id) => format!("powerloss:{}", id.0),
-        FaultAction::Restart(id) => format!("restart:{}", id.0),
-        FaultAction::Spawn { split } => format!("spawn:{}", split.0),
-        FaultAction::Retire(id) => format!("retire:{}", id.0),
-        FaultAction::Checkpoint(id) => format!("checkpoint:{}", id.0),
-        FaultAction::PromoteStandby => "promote".to_string(),
-        FaultAction::HealNetwork => "heal".to_string(),
-    }
-}
-
-fn parse_action(s: &str) -> Result<FaultAction, String> {
-    let (verb, arg) = match s.split_once(':') {
-        Some((v, a)) => (v, Some(a)),
-        None => (s, None),
-    };
-    let id = |a: Option<&str>| -> Result<ServerId, String> {
-        let a = a.ok_or_else(|| format!("verb '{verb}' needs a server id"))?;
-        Ok(ServerId(a.parse::<u32>().map_err(|e| format!("bad server id '{a}': {e}"))?))
-    };
-    match verb {
-        "crash" => Ok(FaultAction::Crash(id(arg)?)),
-        "powerloss" => Ok(FaultAction::PowerLoss(id(arg)?)),
-        "restart" => Ok(FaultAction::Restart(id(arg)?)),
-        "spawn" => Ok(FaultAction::Spawn { split: id(arg)? }),
-        "retire" => Ok(FaultAction::Retire(id(arg)?)),
-        "checkpoint" => Ok(FaultAction::Checkpoint(id(arg)?)),
-        "promote" => Ok(FaultAction::PromoteStandby),
-        "heal" => Ok(FaultAction::HealNetwork),
-        _ => Err(format!("unknown timeline verb '{verb}'")),
-    }
-}
 
 impl FuzzSpec {
     /// The one-line replay DSL for this spec. Round-trips exactly
     /// through [`parse_dsl`]: every float is printed in its shortest
-    /// exact form.
+    /// exact form. `runtime=`, `shards=` and `inbox=` are printed when
+    /// they differ from what [`parse_dsl`] assumes (the simulator, the
+    /// default [`ShardSpec`]).
     pub fn to_dsl(&self) -> String {
-        let mut out = vec![
+        let mut out = Vec::new();
+        if self.runtime != Runtime::Sim {
+            out.push(format!("runtime={}", self.runtime));
+        }
+        out.extend([
             format!("seed={}", self.seed),
             format!("levels={}", self.levels),
             format!("fanout={}", self.fanout),
@@ -883,7 +867,13 @@ impl FuzzSpec {
                 CacheMode::Off => "caches=off".to_string(),
                 CacheMode::On { max_aged_acc_m } => format!("caches=on:{max_aged_acc_m}"),
             },
-        ];
+        ]);
+        if self.layout.shards != ShardSpec::default().shards {
+            out.push(format!("shards={}", self.layout.shards));
+        }
+        if self.layout.inbox_cap != ShardSpec::default().inbox_cap {
+            out.push(format!("inbox={}", self.layout.inbox_cap));
+        }
         if self.replication {
             out.push("repl=1".to_string());
         }
@@ -904,7 +894,7 @@ impl FuzzSpec {
             out.push(format!("spike={start}-{end}:{extra}"));
         }
         for ev in &self.events {
-            out.push(format!("ev={}:{}", ev.at_step, fmt_action(&ev.action)));
+            out.push(format!("ev={}:{}", ev.at_step, ev.action));
         }
         out.join(" ")
     }
@@ -924,6 +914,7 @@ pub fn parse_dsl(dsl: &str) -> Result<FuzzSpec, String> {
         v.parse::<T>().map_err(|e| format!("bad {key}='{v}': {e}"))
     }
     let mut spec = FuzzSpec {
+        runtime: Runtime::Sim,
         seed: 0,
         levels: 1,
         fanout: 2,
@@ -943,11 +934,15 @@ pub fn parse_dsl(dsl: &str) -> Result<FuzzSpec, String> {
         partitions: Vec::new(),
         spikes: Vec::new(),
         events: Vec::new(),
+        layout: ShardSpec::default(),
     };
     for token in dsl.split_whitespace() {
         let (key, value) =
             token.split_once('=').ok_or_else(|| format!("token '{token}' is not key=value"))?;
         match key {
+            "runtime" => spec.runtime = value.parse()?,
+            "shards" => spec.layout.shards = num("shards", value)?,
+            "inbox" => spec.layout.inbox_cap = num("inbox", value)?,
             "seed" => spec.seed = num("seed", value)?,
             "levels" => spec.levels = num("levels", value)?,
             "fanout" => spec.fanout = num("fanout", value)?,
@@ -993,34 +988,26 @@ pub fn parse_dsl(dsl: &str) -> Result<FuzzSpec, String> {
                     value.split_once(':').ok_or_else(|| format!("bad reorder '{value}'"))?;
                 spec.reorder = Some((num("reorder", p)?, num("reorder", spread)?));
             }
-            "part" => {
-                let (window, ids) =
-                    value.split_once(':').ok_or_else(|| format!("bad part '{value}'"))?;
-                let (start, end) =
-                    window.split_once('-').ok_or_else(|| format!("bad part window '{window}'"))?;
-                let ids = ids
-                    .split('+')
-                    .map(|i| num::<u32>("part id", i))
-                    .collect::<Result<Vec<u32>, String>>()?;
-                spec.partitions.push((num("part", start)?, num("part", end)?, ids));
-            }
-            "spike" => {
-                let (window, extra) =
-                    value.split_once(':').ok_or_else(|| format!("bad spike '{value}'"))?;
-                let (start, end) =
-                    window.split_once('-').ok_or_else(|| format!("bad spike window '{window}'"))?;
-                spec.spikes.push((
-                    num("spike", start)?,
-                    num("spike", end)?,
-                    num("spike", extra)?,
-                ));
+            "part" | "spike" => {
+                // `<start>-<end>:<what the window does>`
+                let (start, rest) =
+                    value.split_once('-').ok_or_else(|| format!("bad {key} window '{value}'"))?;
+                let (end, arg) =
+                    rest.split_once(':').ok_or_else(|| format!("bad {key} '{value}'"))?;
+                let (start, end) = (num(key, start)?, num(key, end)?);
+                if key == "spike" {
+                    spec.spikes.push((start, end, num(key, arg)?));
+                } else {
+                    let ids = arg.split('+').map(|i| num::<u32>("part id", i));
+                    spec.partitions.push((start, end, ids.collect::<Result<_, _>>()?));
+                }
             }
             "ev" => {
                 let (step, verb) =
                     value.split_once(':').ok_or_else(|| format!("bad ev '{value}'"))?;
                 spec.events.push(ScenarioEvent {
                     at_step: num("ev step", step)?,
-                    action: parse_action(verb)?,
+                    action: verb.parse()?,
                 });
             }
             _ => return Err(format!("unknown key '{key}'")),
@@ -1029,17 +1016,19 @@ pub fn parse_dsl(dsl: &str) -> Result<FuzzSpec, String> {
     Ok(spec)
 }
 
-/// Parses and runs a committed reproducer, panicking with the full
-/// oracle report on failure — the regression-corpus entry point.
+/// Parses and runs a committed reproducer on the runtime its
+/// `runtime=` token names (the simulator when absent), panicking with
+/// the full oracle report on failure — the regression-corpus entry
+/// point.
 ///
 /// # Panics
 ///
-/// Panics when the DSL is malformed, the timeline is invalid, or the
-/// oracle rejects the run.
+/// Panics when the DSL is malformed, the timeline is invalid, the
+/// runtime cannot run the plan, or the oracle rejects the run.
 pub fn replay_dsl(dsl: &str) -> ScenarioRun {
     let spec = parse_dsl(dsl).expect("malformed reproducer DSL");
     assert!(spec.valid(), "reproducer timeline is not constructible: {dsl}");
-    spec.to_scenario().run()
+    spec.run().unwrap_or_else(|rejection| panic!("reproducer rejected: {rejection}"))
 }
 
 // --------------------------------------------------------------- batch
@@ -1083,22 +1072,12 @@ pub fn cases_from_env(default: u32) -> u32 {
         .max(1)
 }
 
-/// Runs `cases` generated scenarios derived from `base_seed`. Each is
+/// Runs `cases` simulator scenarios generated from `base_seed`. Each is
 /// oracle-checked; the first failure is shrunk to a minimal reproducer
-/// and reported as a panic carrying one replayable DSL line.
-///
-/// # Panics
-///
-/// Panics with the shrunk reproducer when any generated scenario
-/// violates an oracle invariant.
-pub fn fuzz_batch(base_seed: u64, cases: u32, caches: CacheMode) -> BatchStats {
-    fuzz_batch_with(base_seed, cases, caches, false)
-}
-
-/// [`fuzz_batch`] over [`generate_with`]: with `replication` set,
-/// every generated scenario deploys warm standbys and the leaf replica
-/// rings, and the generator's bias steers the timelines at the new
-/// verbs (root/standby crashes, `PromoteStandby`).
+/// and reported as a panic carrying one replayable DSL line. With
+/// `replication` set, every scenario deploys warm standbys and the leaf
+/// replica rings, and the generator's bias steers the timelines at
+/// their verbs (root/standby crashes, `PromoteStandby`).
 ///
 /// # Panics
 ///
@@ -1113,44 +1092,26 @@ pub fn fuzz_batch_with(
     let mut stats = BatchStats::default();
     for case in 0..cases {
         let seed = base_seed ^ u64::from(case).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let spec = generate_with(seed, caches, replication);
+        let spec = generate_with(seed, caches, replication, Runtime::Sim);
         debug_assert!(spec.valid(), "generator produced an invalid timeline");
         match run_captured(&spec) {
             Ok(run) => {
+                use FaultAction::{Checkpoint, Crash, PowerLoss, PromoteStandby, Retire, Spawn};
+                let any = |verb: fn(&FaultAction) -> bool| {
+                    u32::from(spec.events.iter().any(|e| verb(&e.action)))
+                };
                 stats.cases += 1;
                 stats.events += spec.events.len() as u64;
-                if spec.events.iter().any(|e| {
-                    matches!(
-                        e.action,
-                        FaultAction::Spawn { .. }
-                            | FaultAction::Retire(_)
-                            | FaultAction::PromoteStandby
-                    )
-                }) {
-                    stats.reshapes += 1;
-                }
-                if spec.events.iter().any(|e| matches!(e.action, FaultAction::PromoteStandby)) {
-                    stats.promotions += 1;
-                }
-                if spec
-                    .events
-                    .iter()
-                    .any(|e| matches!(e.action, FaultAction::Crash(_) | FaultAction::PowerLoss(_)))
-                {
-                    stats.crashes += 1;
-                }
-                if spec.events.iter().any(|e| matches!(e.action, FaultAction::Checkpoint(_))) {
-                    stats.checkpoints += 1;
-                }
-                if spec.events.windows(2).any(|w| {
+                stats.reshapes += any(|a| matches!(a, Spawn { .. } | Retire(_) | PromoteStandby));
+                stats.promotions += any(|a| matches!(a, PromoteStandby));
+                stats.crashes += any(|a| matches!(a, Crash(_) | PowerLoss(_)));
+                stats.checkpoints += any(|a| matches!(a, Checkpoint(_)));
+                stats.checkpoint_cuts += u32::from(spec.events.windows(2).any(|w| {
                     matches!(
                         (&w[0].action, &w[1].action),
-                        (FaultAction::Checkpoint(a), FaultAction::PowerLoss(b))
-                            if a == b && w[0].at_step == w[1].at_step
+                        (Checkpoint(a), PowerLoss(b)) if a == b && w[0].at_step == w[1].at_step
                     )
-                }) {
-                    stats.checkpoint_cuts += 1;
-                }
+                }));
                 stats.cache_answers += run.stats.cache_answers;
                 stats.transfers_completed += run.stats.transfers_completed;
                 stats.alive += run.alive as u64;

@@ -14,26 +14,30 @@
 //! * [`WorkloadGen`] — query mixes with a locality model and Poisson
 //!   arrivals;
 //! * [`Fleet`] — registers a population of tracked objects against a
-//!   [`SimDeployment`](hiloc_core::runtime::SimDeployment) and moves
-//!   them with a configurable update policy;
+//!   deployment (any [`harness::Harness`]) and moves them with a
+//!   configurable update policy;
 //! * [`Samples`] — latency/throughput summaries (mean, percentiles);
-//! * [`scenario`] — scripted chaos scenarios (partitions, crashes,
-//!   restarts) with an oracle that checks no registered object is ever
-//!   lost and query answers stay within the accuracy contract;
-//! * [`fuzz`] — a generative scenario fuzzer: seeded random (but
-//!   valid) fault/reshape timelines run against the same oracle, with
-//!   shrinking to a one-line replayable reproducer, including runs
-//!   with the §6.5 caches enabled under bounded-staleness semantics;
-//! * [`real`] — the same generative idea pointed at the *deployment*
-//!   runtimes: seeded chaos plans (crash / restart / partition-by-drop
-//!   / overload bursts) executed over the sharded threaded and UDP
-//!   engines with an exactness oracle, plus a simulator parity
-//!   harness.
+//! * [`scenario`] — the one chaos plan ([`scenario::ScenarioSpec`]: a
+//!   fleet, a fault timeline of [`scenario::FaultAction`] verbs) and
+//!   its one executor, with an oracle that checks no registered object
+//!   is ever lost and query answers stay within the accuracy contract;
+//! * [`harness`] — the [`harness::Harness`] a plan runs over: the
+//!   simulator, or a real runtime; each declares what it can do and a
+//!   plan that needs more is rejected by name;
+//! * [`real`] — that harness over the sharded threaded and UDP
+//!   engines: durable restarts, power loss, checkpoint cuts,
+//!   partition-by-drop and overload bursts on the wall clock;
+//! * [`fuzz`] — the generative fuzzer over all of them: seeded random
+//!   (but valid) timelines for the runtime named, shrinking to a
+//!   one-line replayable reproducer (`runtime=sim|threaded|udp …`),
+//!   including runs with the §6.5 caches enabled under
+//!   bounded-staleness semantics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fuzz;
+pub mod harness;
 pub mod mobility;
 pub mod real;
 pub mod scenario;

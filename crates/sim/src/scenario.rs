@@ -1,44 +1,46 @@
-//! Scripted chaos scenarios with an oracle check.
+//! The one chaos plan, its one executor and the oracle.
 //!
 //! A [`ScenarioSpec`] drives a seeded [`Fleet`] through a fault
-//! timeline — timed partitions, latency spikes, lossy links (all
-//! scheduled in the [`FaultPlan`]) plus scripted server crashes and
-//! restarts — and then verifies, against an in-memory naive
-//! [`Oracle`], that the service healed:
+//! timeline — the [`FaultAction`] verbs, plus (where the runtime has a
+//! link model) timed partitions, latency spikes and lossy links
+//! scheduled in the [`FaultPlan`] — over any [`Harness`]:
+//! [`ScenarioSpec::run_on`] is the only function that walks a timeline,
+//! on the simulator and on the real runtimes alike. It then verifies,
+//! against an in-memory naive [`Oracle`], that the service healed:
 //!
 //! * **No registered object is lost** — every object that was never
-//!   deregistered is answerable by a position query routed through the
-//!   hierarchy root.
+//!   deregistered is answerable by a position query, routed through the
+//!   hierarchy root where the soft state was waited out and asked of
+//!   the object's agent otherwise.
 //! * **Point answers match the oracle** — the returned position equals
 //!   the last position the service *acknowledged* to the object, and
 //!   the accuracy is within the registration's contract.
 //! * **Range answers match the oracle** — the returned object set
 //!   equals the naive oracle's prediction under the paper's range
-//!   qualification predicate.
+//!   qualification predicate (where the soft state was waited out: a
+//!   handover ghost that has not expired yet would answer too).
 //! * **Durably-acked registrations survive crashes** — on every
 //!   scripted restart, the recovered visitor database is compared
-//!   record-for-record against a snapshot taken at the crash instant.
+//!   record-for-record against a snapshot taken at the crash instant
+//!   (where server internals can be read), and on every runtime a
+//!   durable plan must end with nobody re-registered.
 //!
-//! Every run is bit-for-bit deterministic given the spec (seed
-//! included), and every failure panics with the seed and the fault
-//! timeline needed to replay it.
-//!
-//! The settle phase leans on the protocol's soft state: ghost records
-//! left behind by handovers interrupted mid-partition expire after the
-//! sighting TTL, and leaf keep-alives re-assert forwarding paths every
-//! refresh period. The harness therefore advances virtual time past
-//! `TTL + 2 × refresh` before the verdict, refreshing live objects
-//! along the way.
+//! On the simulator every run is bit-for-bit deterministic given the
+//! spec (seed included); on every runtime the fleet's movement is, and
+//! every failure panics with the replay line, the seed and the fault
+//! timeline.
 
+use crate::harness::Harness;
 use crate::mobility::MobilityKind;
 use crate::{Fleet, FleetConfig};
 use hiloc_core::area::{Hierarchy, HierarchyBuilder};
 use hiloc_core::cache::CacheConfig;
 use hiloc_core::model::{
-    semantics, Hlc, LocationDescriptor, Micros, ObjectId, RangeQuery, UpdatePolicy, SECOND,
+    semantics, Hlc, LocationDescriptor, Micros, ObjectId, RangeQuery, Sighting, UpdatePolicy,
+    SECOND,
 };
 use hiloc_core::node::{DurabilityOptions, ServerOptions, StorageSyncPolicy, VisitorRecord};
-use hiloc_core::runtime::{CrashMode, SimDeployment};
+use hiloc_core::runtime::{CrashMode, ShardSpec, SimDeployment};
 use hiloc_geo::{Point, Rect, Region};
 use hiloc_net::{Endpoint, FaultPlan, LatencyModel, ServerId};
 use hiloc_util::tempdir::TempDir;
@@ -67,7 +69,11 @@ pub fn subtree_endpoints(h: &Hierarchy, root: ServerId) -> Vec<Endpoint> {
     out
 }
 
-/// A scripted fault action.
+/// A scripted fault action — the one verb set of every plan on every
+/// runtime (`Spawn`, `Retire` and `PromoteStandby` need
+/// [`Capabilities::reshape`](crate::harness::Capabilities::reshape)).
+/// Formats as, and parses from, the replay DSL's verb (`crash:1`,
+/// `part:0+3`, `burst:2:400`, `heal`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultAction {
     /// Crash a server: volatile state and in-flight messages to it are
@@ -91,9 +97,24 @@ pub enum FaultAction {
     /// recovery-arbitration case the generation-stamped WAL exists
     /// for.
     Checkpoint(ServerId),
-    /// Replace the fault plan with [`FaultPlan::none`] ahead of
-    /// schedule.
+    /// Heal the network ahead of the settle phase: lifts a `Partition`
+    /// and replaces the scheduled fault plan with [`FaultPlan::none`].
     HealNetwork,
+    /// Partition-by-drop: server↔server traffic between the listed
+    /// servers and everyone else is dropped until `HealNetwork` (or the
+    /// settle phase); client traffic still gets through.
+    Partition {
+        /// Servers cut off from the rest of the tree.
+        isolated: Vec<ServerId>,
+    },
+    /// Fire-and-forget flood of updates at one object's agent — the
+    /// overload generator (it sheds where inboxes are bounded).
+    Burst {
+        /// Index of the target object in the fleet.
+        obj: u32,
+        /// Number of un-awaited updates to send.
+        updates: u32,
+    },
     /// **Join**: a new server splits the area of the given leaf and
     /// receives the covered records via bulk state transfer. The new
     /// id is always the next dense slot (`hierarchy.len()` at apply
@@ -115,6 +136,59 @@ pub enum FaultAction {
     /// Without a (live) standby a fresh successor rebuilds via chunked
     /// `pathSync`.
     PromoteStandby,
+}
+
+impl std::fmt::Display for FaultAction {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FaultAction::Crash(id) => write!(f, "crash:{}", id.0),
+            FaultAction::PowerLoss(id) => write!(f, "powerloss:{}", id.0),
+            FaultAction::Restart(id) => write!(f, "restart:{}", id.0),
+            FaultAction::Spawn { split } => write!(f, "spawn:{}", split.0),
+            FaultAction::Retire(id) => write!(f, "retire:{}", id.0),
+            FaultAction::Checkpoint(id) => write!(f, "checkpoint:{}", id.0),
+            FaultAction::PromoteStandby => f.write_str("promote"),
+            FaultAction::HealNetwork => f.write_str("heal"),
+            FaultAction::Partition { isolated } => {
+                let ids: Vec<String> = isolated.iter().map(|id| id.0.to_string()).collect();
+                write!(f, "part:{}", ids.join("+"))
+            }
+            FaultAction::Burst { obj, updates } => write!(f, "burst:{obj}:{updates}"),
+        }
+    }
+}
+
+impl std::str::FromStr for FaultAction {
+    type Err = String;
+    fn from_str(s: &str) -> Result<Self, String> {
+        let (verb, arg) = match s.split_once(':') {
+            Some((v, a)) => (v, Some(a)),
+            None => (s, None),
+        };
+        let arg = || arg.ok_or_else(|| format!("verb '{verb}' needs an argument"));
+        let num = |a: &str| a.parse::<u32>().map_err(|e| format!("bad number '{a}' in '{s}': {e}"));
+        let id = || Ok::<_, String>(ServerId(num(arg()?)?));
+        match verb {
+            "crash" => Ok(FaultAction::Crash(id()?)),
+            "powerloss" => Ok(FaultAction::PowerLoss(id()?)),
+            "restart" => Ok(FaultAction::Restart(id()?)),
+            "spawn" => Ok(FaultAction::Spawn { split: id()? }),
+            "retire" => Ok(FaultAction::Retire(id()?)),
+            "checkpoint" => Ok(FaultAction::Checkpoint(id()?)),
+            "promote" => Ok(FaultAction::PromoteStandby),
+            "heal" => Ok(FaultAction::HealNetwork),
+            "part" => {
+                let ids = arg()?.split('+').map(|a| num(a).map(ServerId));
+                Ok(FaultAction::Partition { isolated: ids.collect::<Result<_, _>>()? })
+            }
+            "burst" => {
+                let (obj, updates) =
+                    arg()?.split_once(':').ok_or_else(|| format!("bad burst '{s}'"))?;
+                Ok(FaultAction::Burst { obj: num(obj)?, updates: num(updates)? })
+            }
+            _ => Err(format!("unknown timeline verb '{verb}'")),
+        }
+    }
 }
 
 /// A fault action bound to a step of the scenario clock (applied
@@ -198,6 +272,12 @@ pub struct ScenarioSpec {
     /// expire before a scripted restart ever fires. Values ≤ 1 mean
     /// "unscaled".
     pub time_scale: u32,
+    /// Shard count and per-shard inbox bound of the sharded engine; a
+    /// runtime without one of them rejects a non-default value.
+    pub layout: ShardSpec,
+    /// The DSL line that replays this spec, printed by every failure
+    /// report; empty for a hand-written spec (re-run it instead).
+    pub replay: String,
 }
 
 impl Default for ScenarioSpec {
@@ -223,29 +303,39 @@ impl Default for ScenarioSpec {
             replication: false,
             events: Vec::new(),
             time_scale: 1,
+            layout: ShardSpec::default(),
+            replay: String::new(),
         }
     }
 }
 
 /// The outcome of a green scenario run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioRun {
     /// One line per step/event — two same-seed runs produce identical
     /// traces, which is how determinism is asserted.
     pub trace: Vec<String>,
     /// Objects still registered at the verdict.
     pub alive: usize,
-    /// Virtual time at the verdict.
+    /// Every object's verified end state — `(object, last acknowledged
+    /// position)` — in fleet order. Movement is drawn from the seed
+    /// alone, so the same plan must end here on every runtime.
+    pub final_positions: Vec<(ObjectId, Point)>,
+    /// Objects the settle phase had to register afresh (a volatile
+    /// crash lost their record); always 0 for a durable plan.
+    pub reregistered: u64,
+    /// The service clock at the verdict (virtual on the simulator).
     pub virtual_end_us: Micros,
-    /// Network counters `(sent, delivered, dropped)` at the verdict.
+    /// The simulated network's counters `(sent, delivered, dropped)` at
+    /// the verdict; zero on a real runtime, whose transports keep none.
     pub net_counters: (u64, u64, u64),
-    /// Messages blackholed at crashed servers.
+    /// Messages the simulator blackholed at crashed servers.
     pub blackholed: u64,
     /// Aggregated server counters at the verdict (lets scenarios
     /// assert that the machinery under test — transfers, retries,
-    /// path syncs — actually ran).
+    /// path syncs, inbox sheds — actually ran).
     pub stats: hiloc_core::node::ServerStats,
-    /// Virtual-time latency of each mid-chaos query round (empty when
+    /// Service-clock latency of each mid-chaos query round (empty when
     /// `mid_chaos_queries` is off). Feed into
     /// [`crate::stats::Samples`] to assert percentile sanity under
     /// faults.
@@ -277,11 +367,6 @@ impl Oracle {
             }
         }
         Oracle { entries }
-    }
-
-    /// Live objects and their acknowledged descriptors.
-    pub fn entries(&self) -> impl Iterator<Item = (ObjectId, &LocationDescriptor)> {
-        self.entries.iter().map(|(&k, v)| (k, v))
     }
 
     /// The oracle's answer set for a range query, using the same
@@ -336,13 +421,31 @@ impl ScenarioSpec {
             .expect("scenario grid hierarchy")
     }
 
-    /// Runs the scenario to its verdict.
+    /// Runs the scenario on the simulator to its verdict.
     ///
     /// # Panics
     ///
     /// Panics — printing the seed and fault timeline needed to replay —
     /// when any oracle invariant is violated.
     pub fn run(&self) -> ScenarioRun {
+        self.run_on::<SimDeployment>()
+            .unwrap_or_else(|e| panic!("chaos scenario '{}' was rejected: {e}", self.name))
+    }
+
+    /// Runs the scenario on runtime `H` to its verdict — the one
+    /// function that walks a timeline.
+    ///
+    /// # Errors
+    ///
+    /// [`Capabilities::admit`](crate::harness::Capabilities::admit)'s
+    /// rejection; nothing has been deployed.
+    ///
+    /// # Panics
+    ///
+    /// Panics — printing the replay line, seed and fault timeline —
+    /// when a verb is not applied or an oracle invariant is violated.
+    pub fn run_on<H: Harness>(&self) -> Result<ScenarioRun, String> {
+        H::CAPS.admit(H::RUNTIME, self)?;
         let mut trace = Vec::new();
         // A mis-scheduled event would otherwise silently never fire and
         // the scenario would go green without testing what it scripted.
@@ -354,16 +457,13 @@ impl ScenarioSpec {
                 self.steps
             );
         }
-        let _dir_guard;
-        let durability = if self.durable {
-            let guard = TempDir::new(&format!("chaos-{}-{}", self.name, self.seed));
-            let dir = guard.path().to_path_buf();
-            _dir_guard = Some(guard);
-            Some(DurabilityOptions { dir, policy: StorageSyncPolicy::Always })
-        } else {
-            _dir_guard = None;
-            None
-        };
+        // Declared before the deployment, so the directory outlives it.
+        let dir_guard =
+            self.durable.then(|| TempDir::new(&format!("chaos-{}-{}", self.name, self.seed)));
+        let durability = dir_guard.as_ref().map(|guard| DurabilityOptions {
+            dir: guard.path().to_path_buf(),
+            policy: StorageSyncPolicy::Always,
+        });
         let scale = Micros::from(self.time_scale.max(1));
         let opts = ServerOptions {
             sighting_ttl_us: SIGHTING_TTL_US * scale,
@@ -374,16 +474,7 @@ impl ScenarioSpec {
             caches: self.caches,
             ..Default::default()
         };
-        // The fault plan is installed *after* the registration wave:
-        // `Fleet::register` is not retried, and chaos targets the
-        // steady state. Timed windows are still anchored at virtual 0.
-        let mut ls = SimDeployment::with_network(
-            self.hierarchy(),
-            opts,
-            self.latency,
-            FaultPlan::none(),
-            self.seed,
-        );
+        let mut h = H::deploy(self, opts);
         let cfg = FleetConfig {
             num_objects: self.num_objects,
             speed_mps: self.speed_mps,
@@ -395,39 +486,44 @@ impl ScenarioSpec {
         if self.replication {
             // Before the registration wave: every change then streams
             // as a delta rather than riding the designation snapshot.
+            let ls = reshaper(&mut h);
             ls.enable_replication();
             trace.push(format!(
                 "replication enabled: root standby = server {}",
                 ls.standby_of(ls.hierarchy().root()).map(|s| s.0).unwrap_or(u32::MAX)
             ));
         }
-        let mut fleet = match Fleet::register(cfg, &mut ls) {
+        let mut fleet = match Fleet::register(cfg, &mut h) {
             Ok(f) => f,
             Err(e) => self.fail(&trace, &format!("fleet registration failed: {e:?}")),
         };
         trace.push(format!(
             "registered {} objects across {} servers at t={}us",
             self.num_objects,
-            ls.hierarchy().len(),
-            ls.now_us()
+            h.hierarchy().len(),
+            h.now_us()
         ));
-        ls.set_faults(self.faults.clone());
+        h.arm(self);
 
-        let mut crash_snapshots: BTreeMap<u32, VisitorSnapshot> = BTreeMap::new();
-        let mut root_watermark: Option<(ServerId, BTreeMap<ObjectId, Hlc>)> = None;
+        let mut snapshots: BTreeMap<u32, VisitorSnapshot> = BTreeMap::new();
+        let mut watermark: Option<(ServerId, BTreeMap<ObjectId, Hlc>)> = None;
+        let mut down: BTreeSet<ServerId> = BTreeSet::new();
         let mut query_latency_us: Vec<Micros> = Vec::new();
         for step in 0..self.steps {
-            let events: Vec<ScenarioEvent> =
-                self.events.iter().filter(|e| e.at_step == step).cloned().collect();
-            for ev in events {
-                self.apply_event(&ev, &mut ls, &mut crash_snapshots, &mut root_watermark, &mut trace);
+            for ev in self.events.iter().filter(|e| e.at_step == step) {
+                if let FaultAction::Crash(id) | FaultAction::PowerLoss(id) = ev.action {
+                    down.insert(id);
+                } else if let FaultAction::Restart(id) = ev.action {
+                    down.remove(&id);
+                }
+                self.apply_event(ev, &mut h, &fleet, &mut snapshots, &mut watermark, &mut trace);
             }
-            let inbox = fleet.process_inbox(&mut ls);
-            let s = fleet.step(&mut ls, self.step_dt_s);
+            let inbox = fleet.process_inbox(&mut h);
+            let s = fleet.step(&mut h, self.step_dt_s);
             trace.push(format!(
                 "step {step:>3} t={:>10}us alive={} sent={} acks={} handovers={} lost={} dereg={} \
                  agent_changes={} probes={}",
-                ls.now_us(),
+                h.now_us(),
                 fleet.alive_count(),
                 s.updates_sent,
                 s.acks,
@@ -438,42 +534,29 @@ impl ScenarioSpec {
                 inbox.probes_answered,
             ));
             if self.mid_chaos_queries {
-                let t0 = ls.now_us();
+                let t0 = h.now_us();
                 trace.push(if self.macro_mix {
-                    self.macro_mix_query(step, &mut ls)
+                    self.macro_mix_query(step, &mut h)
                 } else {
-                    self.mid_chaos_query(step, &mut ls)
+                    self.mid_chaos_query(step, &mut h)
                 });
-                query_latency_us.push(ls.now_us() - t0);
+                query_latency_us.push(h.now_us() - t0);
             }
         }
 
-        // ---- settle: heal everything, then let the soft state quiesce.
+        // ---- settle: heal everything, then settle the harness's way.
         // Retired servers (left by `Retire`, or a root replaced by
         // failover) are down for good and exempt.
-        for cfg in ls.hierarchy().servers().to_vec() {
-            if ls.is_down(cfg.id) && !ls.is_retired(cfg.id) {
-                self.fail(
-                    &trace,
-                    &format!("server {} still down at settle: every Crash needs a Restart", cfg.id.0),
-                );
-            }
+        if let Some(id) = down.iter().find(|&&id| !h.hierarchy().is_retired(id)) {
+            self.fail(
+                &trace,
+                &format!("server {} still down at settle: every Crash needs a Restart", id.0),
+            );
         }
-        ls.set_faults(FaultPlan::none());
-        trace.push(format!("settle: network healed at t={}us", ls.now_us()));
-        // Ghosts (handover leftovers) expire after the sighting TTL and
-        // torn paths are re-asserted by keep-alives every refresh
-        // period; span both while keeping live objects refreshed.
-        let chunk = PATH_REFRESH_US * scale / 2;
-        let chunks = ((SIGHTING_TTL_US * scale + 2 * PATH_REFRESH_US * scale) / chunk + 1) as usize;
-        for _ in 0..chunks {
-            fleet.process_inbox(&mut ls);
-            fleet.report_all(&mut ls);
-            ls.advance_time(ls.now_us() + chunk);
-        }
-        fleet.process_inbox(&mut ls);
-        let last = fleet.report_all(&mut ls);
-        ls.run_until_quiet();
+        h.heal();
+        trace.push(format!("settle: network healed at t={}us", h.now_us()));
+        let settled = h.settle(&mut fleet, self);
+        let last = settled.last;
         if last.updates_sent != last.acks + last.handovers {
             self.fail(
                 &trace,
@@ -484,47 +567,45 @@ impl ScenarioSpec {
         }
         trace.push(format!(
             "settled at t={}us: alive={} final_reports={:?}",
-            ls.now_us(),
+            h.now_us(),
             fleet.alive_count(),
             last
         ));
+        if settled.reregistered > 0 {
+            trace.push(format!("settle re-registered {} lost objects", settled.reregistered));
+            if self.durable {
+                self.fail(&trace, "a durable restart lost registrations the settle had to redo");
+            }
+        }
 
-        self.check_invariants(&mut ls, &fleet, &trace);
+        self.check_invariants(&mut h, &fleet, settled.quiesced, &trace);
 
-        ScenarioRun {
+        let (net_counters, blackholed) =
+            h.internals().map(|ls| (ls.net_counters(), ls.blackholed())).unwrap_or_default();
+        Ok(ScenarioRun {
             alive: fleet.alive_count(),
-            virtual_end_us: ls.now_us(),
-            net_counters: ls.net_counters(),
-            blackholed: ls.blackholed(),
-            stats: ls.total_stats(),
+            final_positions: (0..fleet.len())
+                .map(|i| (fleet.oid(i), fleet.last_report(i).pos))
+                .collect(),
+            reregistered: settled.reregistered,
+            virtual_end_us: h.now_us(),
+            net_counters,
+            blackholed,
+            stats: h.total_stats(),
             query_latency_us,
             trace,
-        }
+        })
     }
 
     /// One round of mixed query load against the *current* root while
     /// faults are active. Outcomes go into the trace (deterministic
     /// per seed); correctness is only demanded of the settled verdict.
-    fn mid_chaos_query(&self, step: u32, ls: &mut SimDeployment) -> String {
+    fn mid_chaos_query<H: Harness>(&self, step: u32, ls: &mut H) -> String {
         let root = ls.hierarchy().root();
         let oid = ObjectId(u64::from(step) % self.num_objects);
-        let pos = match ls.pos_query(root, oid) {
-            Ok(ld) => format!("pos({oid})=({:.1},{:.1})", ld.pos.x, ld.pos.y),
-            Err(e) => format!("pos({oid})=err:{e:?}"),
-        };
-        let a = self.area_m;
-        let quadrant = match step % 4 {
-            0 => Rect::new(Point::new(0.0, 0.0), Point::new(a / 2.0, a / 2.0)),
-            1 => Rect::new(Point::new(a / 2.0, 0.0), Point::new(a, a / 2.0)),
-            2 => Rect::new(Point::new(0.0, a / 2.0), Point::new(a / 2.0, a)),
-            _ => Rect::new(Point::new(a / 2.0, a / 2.0), Point::new(a, a)),
-        };
-        let query = RangeQuery::new(Region::from(quadrant), FleetConfig::default().min_acc_m, 0.5);
-        let range = match ls.range_query(root, query) {
-            Ok(ans) => format!("range={}:{}", ans.objects.len(), ans.complete),
-            Err(e) => format!("range=err:{e:?}"),
-        };
-        format!("query step {step:>3} via root {}: {pos} {range}", root.0)
+        let quadrant = quadrants(self.area_m)[step as usize % 4];
+        let outcome = pos_and_range(ls, root, oid, quadrant);
+        format!("query step {step:>3} via root {}: {outcome}", root.0)
     }
 
     /// One round of the **macro workload mix** while faults are active:
@@ -534,7 +615,7 @@ impl ScenarioSpec {
     /// Outcomes go into the trace — mid-chaos they may time out or be
     /// stale (the entry leaf may even be crashed); the settled oracle
     /// is the verdict. Deterministic per `(seed, step)`.
-    fn macro_mix_query(&self, step: u32, ls: &mut SimDeployment) -> String {
+    fn macro_mix_query<H: Harness>(&self, step: u32, ls: &mut H) -> String {
         use hiloc_util::rng::{SeedableRng, StdRng};
         let mut rng = StdRng::seed_from_u64(self.seed ^ (u64::from(step) << 24) ^ 0x00AC_0517);
         let leaves: Vec<ServerId> = ls
@@ -550,186 +631,196 @@ impl ScenarioSpec {
 
         let entry = leaves[zipf_leaf.sample(&mut rng)];
         let oid = ObjectId(zipf_obj.sample(&mut rng) as u64);
-        let pos = match ls.pos_query(entry, oid) {
-            Ok(ld) => format!("pos({oid})=({:.1},{:.1})", ld.pos.x, ld.pos.y),
-            Err(e) => format!("pos({oid})=err:{e:?}"),
-        };
-
         let hot = ls.hierarchy().server(leaves[zipf_leaf.sample(&mut rng)]).area;
         let side = (hot.max().x - hot.min().x).max(hot.max().y - hot.min().y);
         let cell = Rect::from_center_size(hot.center(), side / 2.0, side / 2.0);
-        let query = RangeQuery::new(Region::from(cell), min_acc_m, 0.5);
-        let range = match ls.range_query(entry, query) {
-            Ok(ans) => format!("range={}:{}", ans.objects.len(), ans.complete),
-            Err(e) => format!("range=err:{e:?}"),
-        };
+        let pos_range = pos_and_range(ls, entry, oid, cell);
 
         let p = ls.hierarchy().server(leaves[zipf_leaf.sample(&mut rng)]).area.center();
         let nn = match ls.neighbor_query(entry, p, min_acc_m, min_acc_m / 2.0) {
             Ok(ans) => format!("nn={:?}:{}", ans.nearest.map(|(o, _)| o), ans.complete),
             Err(e) => format!("nn=err:{e:?}"),
         };
-        format!("macro step {step:>3} via leaf {}: {pos} {range} {nn}", entry.0)
+        format!("macro step {step:>3} via leaf {}: {pos_range} {nn}", entry.0)
     }
 
-    fn apply_event(
+    /// Applies one timeline verb, failing the run at the verb when the
+    /// harness reports it as not applied.
+    fn apply_event<H: Harness>(
         &self,
         ev: &ScenarioEvent,
-        ls: &mut SimDeployment,
+        h: &mut H,
+        fleet: &Fleet,
         crash_snapshots: &mut BTreeMap<u32, VisitorSnapshot>,
         root_watermark: &mut Option<(ServerId, BTreeMap<ObjectId, Hlc>)>,
         trace: &mut Vec<String>,
     ) {
-        // Crashing the *root* freezes its stream's durably-acked
-        // watermark: a later `PromoteStandby` that adopts this stream's
-        // sink is checked against exactly this snapshot.
-        let snapshot_watermark = |ls: &SimDeployment, id: ServerId| {
-            if id != ls.hierarchy().root() {
-                return None;
+        let at = ev.at_step;
+        // One trace line per verb: `what` ends inside its parenthesis.
+        let line = |what: String, now: Micros| format!("event@{at}: {what}t={now}us)");
+        let applied = match &ev.action {
+            &FaultAction::Crash(id) | &FaultAction::PowerLoss(id) => {
+                let (what, mode) = match ev.action {
+                    FaultAction::Crash(_) => ("crash server", CrashMode::Process),
+                    _ => ("power loss at server", CrashMode::PowerLoss),
+                };
+                let mut records = String::new();
+                if let Some(ls) = h.internals() {
+                    let snap = snapshot_visitors(ls, id);
+                    records = format!("{} visitor records, ", snap.len());
+                    crash_snapshots.insert(id.0, snap);
+                    // Crashing the *root* freezes its stream's
+                    // durably-acked watermark: a later `PromoteStandby`
+                    // that adopts this stream's sink is checked against
+                    // exactly this snapshot.
+                    if id == ls.hierarchy().root() {
+                        if let Some((sink, acked)) = ls.server(id).replication_acked() {
+                            *root_watermark = Some((sink, acked.clone()));
+                        }
+                    }
+                }
+                trace.push(line(format!("{what} {} ({records}", id.0), h.now_us()));
+                h.crash(id, mode)
             }
-            ls.server(id).replication_acked().map(|(t, acked)| (t, acked.clone()))
-        };
-        match ev.action {
-            FaultAction::Crash(id) => {
-                let snap = snapshot_visitors(ls, id);
-                trace.push(format!(
-                    "event@{}: crash server {} ({} visitor records, t={}us)",
-                    ev.at_step,
-                    id.0,
-                    snap.len(),
-                    ls.now_us()
-                ));
-                crash_snapshots.insert(id.0, snap);
-                *root_watermark = snapshot_watermark(ls, id).or(root_watermark.take());
-                ls.crash_server(id);
-            }
-            FaultAction::PowerLoss(id) => {
-                let snap = snapshot_visitors(ls, id);
-                trace.push(format!(
-                    "event@{}: power loss at server {} ({} visitor records, t={}us)",
-                    ev.at_step,
-                    id.0,
-                    snap.len(),
-                    ls.now_us()
-                ));
-                crash_snapshots.insert(id.0, snap);
-                *root_watermark = snapshot_watermark(ls, id).or(root_watermark.take());
-                ls.crash_server_with(id, CrashMode::PowerLoss);
-            }
-            FaultAction::Spawn { split } => {
+            &FaultAction::Spawn { split } => {
+                let ls = reshaper(h);
                 let new_id = ls.spawn_server(split);
-                trace.push(format!(
-                    "event@{}: server {} joined, splitting leaf {} (t={}us)",
-                    ev.at_step,
-                    new_id.0,
-                    split.0,
-                    ls.now_us()
-                ));
+                let what = format!("server {} joined, splitting leaf {} (", new_id.0, split.0);
+                trace.push(line(what, ls.now_us()));
+                true
             }
-            FaultAction::Retire(id) => {
+            &FaultAction::Retire(id) => {
+                let ls = reshaper(h);
                 let absorber = ls.retire_server(id);
-                trace.push(format!(
-                    "event@{}: server {} left; sibling {} absorbs its area (t={}us)",
-                    ev.at_step,
-                    id.0,
-                    absorber.0,
-                    ls.now_us()
-                ));
+                let what =
+                    format!("server {} left; sibling {} absorbs its area (", id.0, absorber.0);
+                trace.push(line(what, ls.now_us()));
+                true
             }
             FaultAction::PromoteStandby => {
-                let warm = ls.standby_of(ls.hierarchy().root()).map(|s| !ls.is_down(s));
+                let ls = reshaper(h);
+                let how = match ls.standby_of(ls.hierarchy().root()).map(|s| !ls.is_down(s)) {
+                    Some(true) => "warm standby adoption",
+                    Some(false) => "standby dead, cold pathSync",
+                    None => "no standby, cold pathSync",
+                };
                 let new_root = ls.promote_root();
-                trace.push(format!(
-                    "event@{}: root failed over to successor {} ({}, t={}us)",
-                    ev.at_step,
-                    new_root.0,
-                    match warm {
-                        Some(true) => "warm standby adoption",
-                        Some(false) => "standby dead, cold pathSync",
-                        None => "no standby, cold pathSync",
-                    },
-                    ls.now_us()
-                ));
+                let what = format!("root failed over to successor {} ({how}, ", new_root.0);
+                trace.push(line(what, ls.now_us()));
                 // Promotion contract: when the promoted server is the
                 // crashed root's stream sink, every durably-acked
                 // record must have survived adoption with at least its
                 // acked stamp. Only meaningful with durable stores —
                 // a volatile standby legitimately restarts empty.
-                if let Some((target, watermark)) = root_watermark.take() {
-                    if self.durable && new_root == target {
-                        for (oid, stamp) in watermark {
-                            let ok = ls
-                                .server(new_root)
-                                .visitors()
-                                .get(oid)
-                                .map(|rec| rec.epoch() >= stamp)
-                                .unwrap_or(false);
-                            if !ok {
-                                self.fail(
-                                    trace,
-                                    &format!(
-                                        "promotion lost durably-acked record {oid} \
-                                         (acked stamp {stamp}): the standby acknowledged \
-                                         it but the promoted table does not hold it\n\
-                                         record dump:\n{}",
-                                        record_dump(ls, oid)
-                                    ),
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-            FaultAction::Restart(id) => {
-                ls.restart_server(id);
-                let recovered = snapshot_visitors(ls, id);
-                trace.push(format!(
-                    "event@{}: restart server {} ({} visitor records recovered, t={}us)",
-                    ev.at_step,
-                    id.0,
-                    recovered.len(),
-                    ls.now_us()
-                ));
-                if let Some(expected) = crash_snapshots.remove(&id.0) {
-                    if self.durable {
-                        if recovered != expected {
-                            self.fail(
-                                trace,
-                                &format!(
-                                    "server {} lost durably-acked records across the crash: \
-                                     expected {expected:?}, recovered {recovered:?}",
-                                    id.0
-                                ),
-                            );
-                        }
-                    } else if !recovered.is_empty() {
+                let adopted =
+                    root_watermark.take().filter(|(sink, _)| self.durable && new_root == *sink);
+                for (oid, stamp) in adopted.map(|(_, acked)| acked).unwrap_or_default() {
+                    let rec = ls.server(new_root).visitors().get(oid);
+                    if rec.is_none_or(|rec| rec.epoch() < stamp) {
                         self.fail(
                             trace,
                             &format!(
-                                "volatile server {} must restart empty, got {recovered:?}",
-                                id.0
+                                "promotion lost durably-acked record {oid} (acked stamp {stamp}): \
+                                 the standby acknowledged it but the promoted table does not hold \
+                                 it\nrecord dump:\n{}",
+                                record_dump(ls, oid)
                             ),
                         );
                     }
                 }
+                true
             }
-            FaultAction::Checkpoint(id) => {
-                ls.checkpoint_server(id);
-                trace.push(format!(
-                    "event@{}: checkpoint at server {} (t={}us)",
-                    ev.at_step,
-                    id.0,
-                    ls.now_us()
-                ));
+            &FaultAction::Restart(id) => {
+                let restarted = h.restart(id);
+                let recovered = h.internals().map(|ls| snapshot_visitors(ls, id));
+                let records = recovered
+                    .as_ref()
+                    .map(|r| format!("{} visitor records recovered, ", r.len()))
+                    .unwrap_or_default();
+                trace.push(line(format!("restart server {} ({records}", id.0), h.now_us()));
+                let expected = crash_snapshots.remove(&id.0);
+                if let (Some(recovered), Some(expected)) = (recovered, expected) {
+                    if self.durable && recovered != expected {
+                        self.fail(
+                            trace,
+                            &format!(
+                                "server {} lost durably-acked records across the crash: \
+                                 expected {expected:?}, recovered {recovered:?}",
+                                id.0
+                            ),
+                        );
+                    } else if !self.durable && !recovered.is_empty() {
+                        let msg = format!("volatile server {} restarted with {recovered:?}", id.0);
+                        self.fail(trace, &msg);
+                    }
+                }
+                restarted
+            }
+            &FaultAction::Checkpoint(id) => {
+                let checkpointed = h.checkpoint(id);
+                trace.push(line(format!("checkpoint at server {} (", id.0), h.now_us()));
+                checkpointed
             }
             FaultAction::HealNetwork => {
-                ls.set_faults(FaultPlan::none());
-                trace.push(format!("event@{}: network healed (t={}us)", ev.at_step, ls.now_us()));
+                h.heal();
+                trace.push(line("network healed (".to_string(), h.now_us()));
+                true
             }
+            FaultAction::Partition { isolated } => {
+                let all = h.hierarchy().servers().iter().map(|c| c.id);
+                let rest: Vec<ServerId> = all.filter(|id| !isolated.contains(id)).collect();
+                // An empty side cuts nothing (and is no partition).
+                let cuts = !isolated.is_empty() && !rest.is_empty();
+                if cuts {
+                    h.partition(isolated, &rest);
+                }
+                let ids = |side: &[ServerId]| side.iter().map(|id| id.0).collect::<Vec<_>>();
+                let (cut, kept) = (ids(isolated), ids(&rest));
+                let what = format!("servers {cut:?} partitioned from {kept:?} (");
+                trace.push(line(what, h.now_us()));
+                cuts
+            }
+            &FaultAction::Burst { obj, updates } => {
+                let i = obj as usize;
+                let known = i < fleet.len();
+                if known {
+                    let agent = fleet.agent(i);
+                    // The last acked position: no new ground truth.
+                    let acked = fleet.last_report(i).pos;
+                    let acc_sens_m = FleetConfig::default().acc_sens_m;
+                    let flood = Sighting::new(fleet.oid(i), h.now_us(), acked, acc_sens_m);
+                    let sent = h.burst(agent, flood, updates);
+                    let what = format!(
+                        "burst of {updates} updates at {}'s agent {}, {sent} left the client (",
+                        fleet.oid(i),
+                        agent.0
+                    );
+                    trace.push(line(what, h.now_us()));
+                }
+                known
+            }
+        };
+        if !applied {
+            let msg = format!(
+                "verb ev={at}:{} was not applied by runtime={} (step {at})",
+                ev.action,
+                H::RUNTIME
+            );
+            self.fail(trace, &msg);
         }
     }
 
-    fn check_invariants(&self, ls: &mut SimDeployment, fleet: &Fleet, trace: &[String]) {
+    /// The verdict. Where the soft state was waited out (`quiesced`),
+    /// point queries enter at the root, exercising the whole forwarding
+    /// path, and range answers are checked; otherwise a handover ghost
+    /// may still sit on a stale path, and each object's agent is asked.
+    fn check_invariants<H: Harness>(
+        &self,
+        ls: &mut H,
+        fleet: &Fleet,
+        quiesced: bool,
+        trace: &[String],
+    ) {
         // Every mobility model stays inside the service area, so a
         // deregistered object means the service *lost* a registration
         // (e.g. a crash without durability) and talked the object into
@@ -751,38 +842,36 @@ impl ScenarioSpec {
         let root = ls.hierarchy().root();
         let min_acc_m = FleetConfig::default().min_acc_m;
 
-        // Point queries, routed through the root so the whole
-        // forwarding path is exercised. Each object is queried twice:
-        // with caches enabled the second query can be served from the
-        // entry's §6.5 caches, which the bounded-staleness rule below
-        // must still accept — a wrong cached answer fails the run.
-        for (oid, expect) in oracle.entries() {
+        // Point queries. Each object is queried twice: with caches
+        // enabled the second query can be served from the entry's §6.5
+        // caches, which the bounded-staleness rule below must still
+        // accept — a wrong cached answer fails the run.
+        for i in 0..fleet.len() {
+            let (oid, entry) = (fleet.oid(i), if quiesced { root } else { fleet.agent(i) });
+            let expect = oracle.entries[&oid];
             for attempt in 0..2 {
-                let ld = match ls.pos_query(root, oid) {
+                let ld = match ls.pos_query(entry, oid) {
                     Ok(ld) => ld,
                     Err(e) => self.fail(
                         trace,
                         &format!(
-                            "registered object {oid} lost (attempt {attempt}): {e:?}\n\
-                             record dump:\n{}",
-                            record_dump(ls, oid)
+                            "registered object {oid} lost (attempt {attempt}, asked server {}): \
+                             {e:?}\nrecord dump:\n{}",
+                            entry.0,
+                            ls.internals().map(|ls| record_dump(ls, oid)).unwrap_or_default()
                         ),
                     ),
                 };
-                self.check_point_answer(oid, &ld, expect, min_acc_m, attempt, trace);
+                self.check_point_answer(oid, &ld, &expect, min_acc_m, attempt, trace);
             }
+        }
+        if !quiesced {
+            return;
         }
 
         // Range queries: whole area plus the four quadrants.
-        let a = self.area_m;
-        let rects = [
-            Rect::new(Point::new(0.0, 0.0), Point::new(a, a)),
-            Rect::new(Point::new(0.0, 0.0), Point::new(a / 2.0, a / 2.0)),
-            Rect::new(Point::new(a / 2.0, 0.0), Point::new(a, a / 2.0)),
-            Rect::new(Point::new(0.0, a / 2.0), Point::new(a / 2.0, a)),
-            Rect::new(Point::new(a / 2.0, a / 2.0), Point::new(a, a)),
-        ];
-        for rect in rects {
+        let whole = Rect::new(Point::new(0.0, 0.0), Point::new(self.area_m, self.area_m));
+        for rect in std::iter::once(whole).chain(quadrants(self.area_m)) {
             let query = RangeQuery::new(Region::from(rect), min_acc_m, 0.5);
             let ans = match ls.range_query(root, query.clone()) {
                 Ok(a) => a,
@@ -885,15 +974,19 @@ impl ScenarioSpec {
     }
 
     fn fail(&self, trace: &[String], msg: &str) -> ! {
+        let replay = if self.replay.is_empty() {
+            format!("re-run this spec with seed={}", self.seed)
+        } else {
+            format!("hiloc_sim::fuzz::replay_dsl(\"{}\")", self.replay)
+        };
         panic!(
             "chaos scenario '{name}' failed: {msg}\n\
-             --- replay: re-run this spec with seed={seed} (runs are bit-for-bit deterministic)\n\
+             --- replay: {replay} (simulator runs are bit-for-bit deterministic)\n\
              --- fault timeline:\n{timeline}\n\
              --- scripted events: {events:?}\n\
              --- caches: {caches:?}\n\
              --- trace ({n} lines):\n{trace}",
             name = self.name,
-            seed = self.seed,
             timeline = self.faults.describe(),
             events = self.events,
             caches = self.caches,
@@ -901,4 +994,31 @@ impl ScenarioSpec {
             trace = trace.join("\n"),
         );
     }
+}
+
+/// The four quadrants of the square service area of side `a`.
+fn quadrants(a: f64) -> [Rect; 4] {
+    let h = a / 2.0;
+    [(0.0, 0.0), (h, 0.0), (0.0, h), (h, h)]
+        .map(|(x, y)| Rect::new(Point::new(x, y), Point::new(x + h, y + h)))
+}
+
+/// One mid-chaos position query and one range query via `entry`, as a
+/// trace fragment (faults are active: an error is an outcome).
+fn pos_and_range<H: Harness>(ls: &mut H, entry: ServerId, oid: ObjectId, rect: Rect) -> String {
+    let pos = match ls.pos_query(entry, oid) {
+        Ok(ld) => format!("pos({oid})=({:.1},{:.1})", ld.pos.x, ld.pos.y),
+        Err(e) => format!("pos({oid})=err:{e:?}"),
+    };
+    let query = RangeQuery::new(Region::from(rect), FleetConfig::default().min_acc_m, 0.5);
+    match ls.range_query(entry, query) {
+        Ok(ans) => format!("{pos} range={}:{}", ans.objects.len(), ans.complete),
+        Err(e) => format!("{pos} range=err:{e:?}"),
+    }
+}
+
+/// The simulator behind `h`, for the verbs and plan fields only a
+/// reshapable tree can honour.
+fn reshaper<H: Harness>(h: &mut H) -> &mut SimDeployment {
+    h.internals().expect("admit() lets a reshaping plan through only where the tree can change")
 }

@@ -7,6 +7,8 @@
 //! suite is fast and bit-for-bit reproducible — a failing run prints
 //! the seed and fault timeline needed to replay it.
 
+mod common;
+
 use hiloc_core::area::HierarchyBuilder;
 use hiloc_core::model::{ObjectId, Sighting, UpdatePolicy, SECOND};
 use hiloc_core::node::{DurabilityOptions, ServerOptions, StorageSyncPolicy, VisitorRecord};
@@ -73,6 +75,9 @@ fn flagship_is_deterministic_per_seed() {
     assert_eq!(a.trace, b.trace, "same seed must replay the identical trace");
     assert_eq!(a.net_counters, b.net_counters);
     assert_eq!(a.virtual_end_us, b.virtual_end_us);
+    // Behaviour-preservation pin: the run the flagship ran before the
+    // executor became generic over the runtime.
+    assert_eq!(common::run_digest(&a), 0x2CC0_1DE2_6620_0ACA, "the flagship run moved");
     let c = flagship(8).run();
     assert_ne!(a.trace, c.trace, "a different seed must explore a different run");
 }

@@ -12,7 +12,10 @@
 //! `HILOC_FUZZ_CASES=500 cargo test -p hiloc-sim --test
 //! fuzz_replication --release`.
 
+mod common;
+
 use hiloc_sim::fuzz::{cases_from_env, fuzz_batch_with, generate_with, parse_dsl, CacheMode};
+use hiloc_sim::harness::Runtime;
 
 /// Fixed CI base seeds for the replication gates.
 const BASE_SEED_OFF: u64 = 0x52_45_50_4C_00_01;
@@ -43,21 +46,42 @@ fn replication_fuzz_caches_on_is_oracle_green_under_bounded_staleness() {
     assert!(stats.cache_answers > 0, "no cache ever answered: {stats:?}");
 }
 
+/// Behaviour-preservation pin: case 0 of each replication base seed
+/// must run to the trace, network counters and end time it ran to
+/// before the executor became generic over the runtime.
+#[test]
+fn replicated_simulator_runs_are_frozen() {
+    let on = CacheMode::On { max_aged_acc_m: 100.0 };
+    for (seed, mode, digest) in [
+        (BASE_SEED_OFF, CacheMode::Off, 0xA8D2_0188_D2FF_ED4F),
+        (BASE_SEED_ON, on, 0xCC0D_BEF7_421D_0068),
+    ] {
+        let spec = generate_with(seed, mode, true, Runtime::Sim);
+        let run = spec.run().expect("the simulator runs it");
+        assert_eq!(common::run_digest(&run), digest, "replication case 0 of {seed:#x} moved");
+    }
+}
+
 #[test]
 fn replicated_timelines_are_valid_and_round_trip_through_the_dsl() {
+    let mut lines = Vec::new();
     for seed in 0..200u64 {
         let mode = if seed % 2 == 0 {
             CacheMode::Off
         } else {
             CacheMode::On { max_aged_acc_m: 50.0 + seed as f64 }
         };
-        let spec = generate_with(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15), mode, true);
+        let spec =
+            generate_with(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15), mode, true, Runtime::Sim);
         assert!(spec.replication);
         assert!(spec.valid(), "invalid replicated timeline for seed {seed}: {spec:?}");
         let parsed = parse_dsl(&spec.to_dsl())
             .unwrap_or_else(|e| panic!("DSL round-trip failed for seed {seed}: {e}"));
         assert_eq!(parsed, spec, "DSL round-trip must be exact (seed {seed})");
+        lines.push(spec.to_dsl());
     }
+    // Behaviour-preservation pin on what the replication bias draws.
+    assert_eq!(common::fnv1a(&lines), 0xFA9C_2CED_2115_BC6C);
 }
 
 #[test]
