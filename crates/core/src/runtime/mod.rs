@@ -25,6 +25,7 @@
 //! | | channels: [`ThreadedDeployment`], [`SyncClient`] | UDP: [`UdpDeployment`], [`UdpClient`] |
 //! |---|---|---|
 //! | shard's end of the wire | one bounded inbox (`ShardSpec::inbox_cap`) shared by the shard's servers | one socket shared by the shard's servers |
+//! | what a turn sends | one channel hop per envelope | packed: one datagram per destination socket, flushed at the end of the turn |
 //! | overload | shed at the full inbox, counted per destination (`shed_total`, `ServerStats::inbox_shed`) | dropped by the kernel socket buffer, uncounted (`shed_total` stays 0) |
 //! | the deployment keeps | the [`hiloc_net::ChannelNetwork`] | the address book (`server_addr`, UDP only) |
 //! | construction | `new`, `new_sharded`: infallible, panic on a durable-store failure | `bind`, `bind_sharded -> Result<_, UdpError>` |

@@ -15,7 +15,10 @@
 //!    (`recv_batch`: one timed receive, then non-blocking syscalls or
 //!    `try_recv` until empty), and
 //! 5. dispatches the batch, looping same-shard server→server traffic
-//!    through an in-memory queue without ever touching the transport.
+//!    through an in-memory queue without ever touching the transport,
+//!    and
+//! 6. flushes the transport: a turn's outputs leave as one datagram per
+//!    destination socket on UDP (see [`ShardTransport::flush`]).
 //!
 //! Inboxes are **bounded**: the channel transport backs every shard
 //! with `util::sync::channel::bounded(inbox_cap)` and sheds (drops +
@@ -101,6 +104,9 @@ pub(crate) struct Shared {
     partition_active: AtomicBool,
     /// Envelopes dropped by the partition filter.
     partition_dropped: AtomicU64,
+    /// Envelopes a shard could not send (see
+    /// [`ShardedDeployment::send_failed`]).
+    send_failed: AtomicU64,
     /// Per-destination-server shed counters (indexed by `id.0`):
     /// envelopes dropped because the destination's bounded inbox was
     /// full.
@@ -113,6 +119,7 @@ impl Shared {
             partition: RwLock::new(BTreeMap::new()),
             partition_active: AtomicBool::new(false),
             partition_dropped: AtomicU64::new(0),
+            send_failed: AtomicU64::new(0),
             shed: (0..n_servers).map(|_| AtomicU64::new(0)).collect(),
         })
     }
@@ -144,13 +151,36 @@ impl Shared {
     pub(crate) fn record_partition_drop(&self) {
         self.partition_dropped.fetch_add(1, Ordering::Relaxed);
     }
+
+    fn record_send_failed(&self, n: usize) {
+        self.send_failed.fetch_add(n as u64, Ordering::Relaxed);
+    }
 }
 
 /// What a shard needs from its wire: batch receive with a bounded
 /// wait, and a non-blocking send.
 pub(crate) trait ShardTransport: Send + 'static {
-    /// Sends one envelope leaving this shard, without blocking.
+    /// Hands one envelope leaving this shard to the wire, without
+    /// blocking. It may only be queued until the next
+    /// [`flush`](ShardTransport::flush). `Shed` when a bounded inbox
+    /// was full, `NoRoute` when the envelope is lost at once (no route,
+    /// or too large for the wire).
     fn send(&mut self, env: Envelope<Message>) -> SendOutcome;
+
+    /// Sends everything [`send`](ShardTransport::send) queued since the
+    /// last flush; the shard calls it once at the end of every turn, so
+    /// nothing stays queued while it waits, applies a command or exits.
+    /// Returns the queued envelopes that were lost (a failed socket
+    /// write loses its whole datagram). Nothing to do for a transport
+    /// that sends at once.
+    fn flush(&mut self) -> usize {
+        0
+    }
+
+    /// True when nothing sent waits for a flush.
+    fn is_flushed(&self) -> bool {
+        true
+    }
 
     /// Waits up to `nap` for traffic, then drains up to `max`
     /// envelopes into `out` without blocking. Returns `false` when the
@@ -226,6 +256,7 @@ impl<T: ShardTransport> Shard<T> {
     pub(crate) fn run(mut self) -> Vec<(ServerId, ServerStats)> {
         let mut rxbuf: Vec<Envelope<Message>> = Vec::with_capacity(BATCH_MAX);
         loop {
+            debug_assert!(self.transport.is_flushed(), "a turn ends flushed");
             while let Ok(cmd) = self.cmd_rx.try_recv() {
                 self.apply(cmd);
             }
@@ -239,6 +270,7 @@ impl<T: ShardTransport> Shard<T> {
             self.busy += t0.elapsed();
 
             let nap = self.nap();
+            debug_assert!(self.transport.is_flushed(), "the shard waits flushed");
             rxbuf.clear();
             if !self.transport.recv_batch(nap, BATCH_MAX, &mut rxbuf) {
                 break;
@@ -289,7 +321,9 @@ impl<T: ShardTransport> Shard<T> {
     }
 
     /// Dispatches queued envelopes to local servers until the queue is
-    /// empty (protocol chains terminate, so this cannot loop forever).
+    /// empty (protocol chains terminate, so this cannot loop forever),
+    /// then flushes the transport: every turn — timer output or a
+    /// received batch — ends here.
     fn drain_local(&mut self) {
         while let Some(env) = self.local_q.pop_front() {
             let Endpoint::Server(sid) = env.to else {
@@ -311,27 +345,33 @@ impl<T: ShardTransport> Shard<T> {
                 self.route(out);
             }
         }
+        let lost = self.transport.flush();
+        if lost > 0 {
+            self.shared.record_send_failed(lost);
+        }
     }
 
     /// Routes one outbound envelope: partition filter, then same-shard
     /// loopback or the transport. Sheds are attributed to the
-    /// destination server.
+    /// destination server; an envelope the transport cannot send is
+    /// counted as a send failure.
     fn route(&mut self, env: Envelope<Message>) {
         if self.shared.partitioned(env.from, env.to) {
             self.shared.record_partition_drop();
             return;
         }
-        if let Endpoint::Server(sid) = env.to {
+        let to = env.to;
+        if let Endpoint::Server(sid) = to {
             if self.local.contains_key(&sid.0) {
                 self.local_q.push_back(env);
                 return;
             }
-            if self.transport.send(env) == SendOutcome::Shed {
-                self.shared.record_shed(sid);
-            }
-            return;
         }
-        let _ = self.transport.send(env);
+        match (self.transport.send(env), to) {
+            (SendOutcome::Shed, Endpoint::Server(sid)) => self.shared.record_shed(sid),
+            (SendOutcome::NoRoute, _) => self.shared.record_send_failed(1),
+            _ => {}
+        }
     }
 
     fn apply(&mut self, cmd: Command) {
@@ -589,6 +629,15 @@ impl<W> ShardedDeployment<W> {
     /// Envelopes dropped by the partition filter so far.
     pub fn partition_dropped(&self) -> u64 {
         self.shared.partition_dropped.load(Ordering::Relaxed)
+    }
+
+    /// Envelopes the shards could not send so far: no route to the
+    /// destination, an encoding over the 60 000-byte datagram cap, or
+    /// a datagram whose socket write failed (each of its envelopes
+    /// counts). Nothing tells the sender; the request that caused one
+    /// ends in its client's timeout.
+    pub fn send_failed(&self) -> u64 {
+        self.shared.send_failed.load(Ordering::Relaxed)
     }
 
     /// Folds the shed counters into per-server stats and orders them

@@ -10,7 +10,8 @@ use crate::proto::Message;
 use crate::runtime::client::Client;
 use crate::runtime::sharded::{ShardSpec, ShardTransport, ShardedDeployment};
 use hiloc_net::{
-    ChannelNetwork, ChannelPort, Endpoint, Envelope, SendOutcome, ServerId, UdpEndpoint, UdpError,
+    ChannelNetwork, ChannelPort, Endpoint, Envelope, Outbox, SendOutcome, ServerId, UdpEndpoint,
+    UdpError,
 };
 use hiloc_util::sync::channel::{bounded, Receiver, RecvTimeoutError, TryRecvError};
 use std::collections::BTreeMap;
@@ -141,9 +142,12 @@ impl ThreadedDeployment {
 /// and server/server interactions"). Each shard owns **one** socket
 /// shared by its servers and drains it in batches (one timed receive,
 /// then non-blocking reads until empty); same-shard traffic never
-/// touches the network. Sockets bind on localhost; the address book
-/// is plain socket addresses, so the layout generalizes to several
-/// hosts.
+/// touches the network. What a shard's turn sends leaves packed: one
+/// datagram per destination socket (several back-to-back envelope
+/// frames, up to 60 000 bytes), flushed at the end of the turn, so a
+/// batch of requests from one client is answered in one datagram.
+/// Sockets bind on localhost; the address book is plain socket
+/// addresses, so the layout generalizes to several hosts.
 ///
 /// # Example
 ///
@@ -170,15 +174,31 @@ pub type UdpDeployment = ShardedDeployment<BTreeMap<Endpoint, SocketAddr>>;
 /// A blocking client of a [`UdpDeployment`], on its own socket.
 pub type UdpClient = Client<UdpEndpoint<Message>>;
 
-/// A shard's end of the UDP wire is a single socket serving every
-/// local server.
-impl ShardTransport for UdpEndpoint<Message> {
+/// A shard's end of the UDP wire: a single socket serving every local
+/// server, and the outbox a turn's outputs are packed into.
+struct UdpTransport {
+    ep: UdpEndpoint<Message>,
+    outbox: Outbox,
+}
+
+impl ShardTransport for UdpTransport {
     fn send(&mut self, env: Envelope<Message>) -> SendOutcome {
-        hiloc_net::Port::send(self, env)
+        match self.ep.enqueue(&mut self.outbox, env) {
+            Ok(()) => SendOutcome::Delivered,
+            Err(_) => SendOutcome::NoRoute,
+        }
+    }
+
+    fn flush(&mut self) -> usize {
+        self.ep.flush(&mut self.outbox)
+    }
+
+    fn is_flushed(&self) -> bool {
+        self.outbox.is_empty()
     }
 
     fn recv_batch(&mut self, nap: Duration, max: usize, out: &mut Vec<Envelope<Message>>) -> bool {
-        UdpEndpoint::recv_batch(self, nap, max, out).is_ok()
+        self.ep.recv_batch(nap, max, out).is_ok()
     }
 }
 
@@ -219,15 +239,15 @@ impl UdpDeployment {
         for s in 0..n_shards {
             let ep = bind_loopback(ServerId(s as u32).into())?;
             shard_addrs.push(ep.local_addr()?);
-            transports.push(ep);
+            transports.push(UdpTransport { ep, outbox: Outbox::new() });
         }
         let addrs: BTreeMap<Endpoint, SocketAddr> = hierarchy
             .servers()
             .iter()
             .map(|cfg| (cfg.id.into(), shard_addrs[ShardSpec::shard_of(cfg.id, n_shards)]))
             .collect();
-        for ep in &transports {
-            ep.add_routes(addrs.iter().map(|(e, a)| (*e, *a)));
+        for t in &transports {
+            t.ep.add_routes(addrs.iter().map(|(e, a)| (*e, *a)));
         }
         Self::start(hierarchy, &opts, addrs, transports, 1 << 52)
             .map_err(|e| UdpError::Io(std::io::Error::other(e.to_string())))

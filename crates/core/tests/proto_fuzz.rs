@@ -1,17 +1,18 @@
 //! Codec robustness: the wire decoder must never panic, whatever bytes
 //! arrive, must never reserve memory a datagram's size does not back,
 //! and encode∘decode must be the identity on valid messages under
-//! random mutation of unrelated inputs. The structured cases walk every
-//! `Message` variant of the shared sample table; the random ones run on
-//! the in-tree seeded harness ([`hiloc_util::prop`]), case counts
-//! mirroring the original proptest configuration.
+//! random mutation of unrelated inputs; a datagram packing several
+//! envelopes is delivered whole or not at all. The structured cases
+//! walk every `Message` variant of the shared sample table; the random
+//! ones run on the in-tree seeded harness ([`hiloc_util::prop`]), case
+//! counts mirroring the original proptest configuration.
 
 use hiloc_core::events::{EventKind, Predicate};
 use hiloc_core::model::{Hlc, LocationDescriptor, ObjectId, RangeQuery, RegInfo, Sighting};
 use hiloc_core::proto::{DeltaBody, DeltaRecord, Message, TransferRecord};
 use hiloc_geo::Point;
 use hiloc_net::wire::{WireCodec, MAX_ITEMS};
-use hiloc_net::CorrId;
+use hiloc_net::{decode_datagram, ClientId, CorrId, Envelope, Outbox, ServerId};
 use hiloc_util::prop::check;
 use hiloc_util::rng::RngExt;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -160,4 +161,72 @@ fn sequential_decode_of_concatenated_messages() {
         }
         assert!(slice.is_empty());
     });
+}
+
+/// `envs` packed by one outbox into datagrams for one destination.
+fn packed(envs: &[Envelope<Message>]) -> Vec<Vec<u8>> {
+    let mut outbox = Outbox::new();
+    let dst = "127.0.0.1:9".parse().expect("valid address");
+    for env in envs {
+        outbox.push(dst, env.clone(), |_, _| unreachable!("far below the cap")).unwrap();
+    }
+    let mut sent = Vec::new();
+    outbox.flush(|_, bytes| {
+        sent.push(bytes.to_vec());
+        true
+    });
+    sent
+}
+
+/// Two or three sample messages packed into one datagram, then cut at
+/// every offset and hit with every bit mask at every byte: decoding
+/// never panics and is all or nothing — a cut delivers exactly the
+/// frames before it when it falls on a frame boundary and nothing
+/// otherwise, a mutation delivers some envelopes or none, and what the
+/// caller's buffer held before is never disturbed.
+#[test]
+fn packed_datagrams_are_all_or_nothing_under_mutation() {
+    let masks: Vec<u8> = (0..8).map(|bit| 1 << bit).chain([0xFF]).collect();
+    let sentinel = Message::DeregisterReq { oid: ObjectId(0) };
+    let sentinel = Envelope::new(ClientId(0).into(), ServerId(0).into(), sentinel);
+    let samples = samples::sample_messages();
+    for (i, window) in samples.windows(3).enumerate() {
+        let envs: Vec<Envelope<Message>> = window[..2 + i % 2]
+            .iter()
+            .map(|msg| Envelope::new(ServerId(i as u32).into(), ClientId(9).into(), msg.clone()))
+            .collect();
+        // A packed datagram is the one-envelope datagrams back to back.
+        let singles: Vec<Vec<u8>> =
+            envs.iter().map(|e| packed(std::slice::from_ref(e)).concat()).collect();
+        let datagram = packed(&envs);
+        assert_eq!(datagram, [singles.concat()], "one datagram, no header");
+        let datagram = &datagram[0];
+        let ends: Vec<usize> = singles
+            .iter()
+            .scan(0, |end, frame| {
+                *end += frame.len();
+                Some(*end)
+            })
+            .collect();
+
+        let mut out = vec![sentinel.clone()];
+        for cut in 0..datagram.len() {
+            let ok = decode_datagram(&datagram[..cut], &mut out);
+            let whole = ends.iter().position(|&end| end == cut);
+            assert_eq!(ok, whole.is_some(), "window {i}: cut at {cut} of {ends:?}");
+            let delivered = whole.map_or(0, |k| k + 1);
+            assert_eq!(&out[1..], &envs[..delivered], "window {i}: cut at {cut}");
+            out.truncate(1);
+        }
+        for at in 0..datagram.len() {
+            for mask in &masks {
+                let mut flipped = datagram.clone();
+                flipped[at] ^= mask;
+                let ok = decode_datagram(&flipped, &mut out);
+                assert_eq!(ok, out.len() > 1, "window {i}: flip {mask:#04x} at {at}");
+                assert_eq!(out[0], sentinel);
+                out.truncate(1);
+            }
+        }
+    }
 }

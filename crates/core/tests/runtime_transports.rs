@@ -1,9 +1,11 @@
 //! The blocking client API end to end, every test on **both** real
 //! transports: in-process channels and UDP sockets on localhost (the
-//! paper's transport), driven from multiple OS threads.
+//! paper's transport), driven from multiple OS threads. The UDP-only
+//! tests at the end drive a shard with a raw socket to observe how its
+//! replies are packed into datagrams.
 
 use hiloc_core::area::{Hierarchy, HierarchyBuilder};
-use hiloc_core::model::{LsError, ObjectId, RangeQuery, Sighting};
+use hiloc_core::model::{LocationDescriptor, LsError, ObjectId, RangeQuery, Sighting};
 use hiloc_core::node::ServerStats;
 use hiloc_core::runtime::{
     Client, ShardedDeployment, SyncClient, ThreadedDeployment, UdpClient, UdpDeployment,
@@ -11,7 +13,8 @@ use hiloc_core::runtime::{
 };
 use hiloc_core::Message;
 use hiloc_geo::{Point, Rect, Region};
-use hiloc_net::{Port, ServerId};
+use hiloc_net::{ClientId, CorrId, Envelope, Outbox, Port, ServerId, UdpEndpoint};
+use std::time::Duration;
 
 /// The per-transport signatures, so each test body is written once.
 trait Transport {
@@ -325,4 +328,123 @@ fn unknown_server_is_no_route_at_once<T: Transport>() {
     let (agent, _) = client.register(ls.leaf_for(p), s, 10.0, 50.0, 2.0).unwrap();
     assert_eq!(client.pos_query(agent, ObjectId(1)).unwrap().pos, p);
     T::shutdown(ls);
+}
+
+// ------------------------------------------------- UDP datagram packing
+
+/// A UDP deployment, the leaf `n` fresh objects are registered at, a
+/// raw socket routed to that leaf's shard, and an in-leaf move for
+/// every object.
+fn packed_fixture(n: u64) -> (UdpDeployment, ServerId, UdpEndpoint<Message>, Vec<Sighting>) {
+    let ls = deployment::<Udp>();
+    let mut client = Udp::client(&ls);
+    let at = |i: u64, y: f64| Point::new(100.0 + i as f64, y);
+    let leaf = ls.leaf_for(at(0, 100.0));
+    for i in 0..n {
+        let s = Sighting::new(ObjectId(i), client.now_us(), at(i, 100.0), 5.0);
+        assert_eq!(client.register(leaf, s, 10.0, 50.0, 2.0).unwrap().0, leaf);
+    }
+    let raw = UdpEndpoint::bind(ClientId(1 << 60).into(), "127.0.0.1:0".parse().unwrap())
+        .expect("bind a raw socket");
+    raw.add_route(leaf.into(), ls.server_addr(leaf).expect("the leaf's shard socket"));
+    let moved = (0..n).map(|i| Sighting::new(ObjectId(i), client.now_us(), at(i, 110.0), 5.0));
+    (ls, leaf, raw, moved.collect())
+}
+
+/// Sends one `UpdateReq` per sighting to `leaf`, all in one datagram.
+fn send_packed(raw: &UdpEndpoint<Message>, leaf: ServerId, sightings: &[Sighting]) {
+    let mut outbox = Outbox::new();
+    for &sighting in sightings {
+        let env = Envelope::new(raw.endpoint(), leaf.into(), Message::UpdateReq { sighting });
+        raw.enqueue(&mut outbox, env).unwrap();
+    }
+    assert_eq!(raw.flush(&mut outbox), 0);
+}
+
+fn acked_oid(env: &Envelope<Message>) -> u64 {
+    match env.msg {
+        Message::UpdateAck { oid, .. } => oid.0,
+        ref other => panic!("expected an updateAck, got {}", other.label()),
+    }
+}
+
+/// 32 updates in one datagram are one turn of the leaf's shard, and
+/// that turn's 32 acks to one socket leave as one datagram.
+#[test]
+fn udp_packs_one_turns_acks_into_one_datagram() {
+    let (ls, leaf, raw, moved) = packed_fixture(32);
+    send_packed(&raw, leaf, &moved);
+    let (mut acks, mut datagrams) = (Vec::new(), 0);
+    while acks.len() < 32 {
+        let got = raw.recv_batch(Duration::from_secs(5), 64, &mut acks).unwrap();
+        assert!(got.received > 0, "acks stopped after {}", acks.len());
+        datagrams += got.datagrams;
+    }
+    let mut oids: Vec<u64> = acks.iter().map(acked_oid).collect();
+    oids.sort_unstable();
+    assert_eq!(oids, (0..32).collect::<Vec<_>>(), "each object acked exactly once");
+    assert_eq!(datagrams, 1);
+    ls.shutdown();
+}
+
+/// `recv_timeout` hands a packed reply out one envelope per call, in
+/// the order the leaf answered.
+#[test]
+fn udp_packed_reply_is_handed_out_one_envelope_per_call() {
+    let (ls, leaf, raw, moved) = packed_fixture(8);
+    send_packed(&raw, leaf, &moved);
+    for i in 0..8 {
+        let env = raw.recv_timeout(Duration::from_secs(5)).unwrap().expect("an ack");
+        assert_eq!(acked_oid(&env), i);
+    }
+    assert!(raw.recv_timeout(Duration::from_millis(20)).unwrap().is_none());
+    ls.shutdown();
+}
+
+/// `recv_batch`'s `max` is exact: the rest of the datagram comes
+/// first on the next calls, without another datagram being read.
+#[test]
+fn udp_recv_batch_max_is_exact_and_leftovers_come_first() {
+    let (ls, leaf, raw, moved) = packed_fixture(12);
+    send_packed(&raw, leaf, &moved);
+    let mut out = Vec::new();
+    let mut calls = Vec::new();
+    for _ in 0..3 {
+        let got = raw.recv_batch(Duration::from_secs(5), 5, &mut out).unwrap();
+        calls.push((got.received, got.datagrams));
+    }
+    assert_eq!(calls, [(5, 1), (5, 0), (2, 0)]);
+    assert_eq!(out.iter().map(acked_oid).collect::<Vec<_>>(), (0..12).collect::<Vec<_>>());
+    ls.shutdown();
+}
+
+/// A range answer too large for one datagram is lost — the client still
+/// times out — but no longer silently: the deployment counts it.
+#[test]
+fn udp_oversized_answer_counts_as_a_send_failure() {
+    const N: u64 = 2_000;
+    let answer = Message::RangeQueryRes {
+        items: vec![(ObjectId(0), LocationDescriptor::new(Point::new(0.0, 0.0), 5.0)); N as usize],
+        complete: true,
+        corr: CorrId(1),
+    };
+    assert!(answer.encoded_len() > 60_000, "{} bytes fit a datagram", answer.encoded_len());
+
+    let ls = deployment::<Udp>();
+    let mut client = Udp::client(&ls);
+    let at = |i: u64| Point::new(110.0 + (i % 40) as f64 * 7.0, 110.0 + (i / 40) as f64 * 5.0);
+    let leaf = ls.leaf_for(at(0));
+    for i in 0..N {
+        let s = Sighting::new(ObjectId(i), client.now_us(), at(i), 5.0);
+        assert_eq!(client.register(leaf, s, 10.0, 50.0, 2.0).unwrap().0, leaf);
+    }
+    assert_eq!(ls.send_failed(), 0);
+
+    // The probe stays inside the leaf, so the leaf answers at once.
+    let inside = Rect::new(Point::new(100.0, 100.0), Point::new(400.0, 400.0));
+    client.set_timeout(Duration::from_millis(300));
+    let err = client.range_query(leaf, RangeQuery::new(Region::from(inside), 50.0, 0.5));
+    assert_eq!(err.unwrap_err(), LsError::Timeout);
+    assert!(ls.send_failed() >= 1, "the oversized answer was not counted");
+    ls.shutdown();
 }

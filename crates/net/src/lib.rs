@@ -13,7 +13,10 @@
 //! * [`ChannelNetwork`] — in-process channels between OS threads, for
 //!   wall-clock throughput measurements (Table 2).
 //! * [`UdpEndpoint`] — real UDP datagrams over blocking std sockets,
-//!   one envelope per datagram, for deployments across processes/hosts.
+//!   for deployments across processes/hosts. A datagram carries one or
+//!   more envelope frames back to back: a sending loop packs what one
+//!   turn emits for one socket through an [`Outbox`], and a receiver
+//!   takes a datagram all or nothing ([`decode_datagram`]).
 //!
 //! [`Port`] is what a client sees of either real transport (a
 //! [`ChannelPort`] or a [`UdpEndpoint`]): send one envelope, wait for
@@ -36,7 +39,7 @@ pub use channel_net::{ChannelNetwork, Mailbox, SendOutcome, DEFAULT_MAILBOX_CAP}
 pub use endpoint::{ClientId, Endpoint, ServerId};
 pub use port::{ChannelPort, Port};
 pub use sim_net::{FaultPlan, LatencyModel, LatencySpike, LinkFault, Partition, SimNet, TraceEntry};
-pub use udp::{RecvBatch, UdpEndpoint, UdpError};
+pub use udp::{decode_datagram, Outbox, RecvBatch, UdpEndpoint, UdpError};
 pub use wire::WireCodec;
 
 use std::fmt;

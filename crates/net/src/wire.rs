@@ -2,7 +2,7 @@
 //! field types every hiloc format is built from, and the table macros
 //! that derive a whole type's codec from one declaration.
 //!
-//! hiloc frames one message per UDP datagram (as the paper's prototype
+//! hiloc frames messages into UDP datagrams (as the paper's prototype
 //! did), so encodings are compact, little-endian and length-prefixed
 //! where variable. A field type states its size, put and get **once**,
 //! in its `WireCodec` impl; composite formats — the protocol messages
