@@ -61,11 +61,14 @@ cargo test -q --offline -p hiloc-core --test replica_torn_tail
 # runtime cannot run is rejected by name. Wall time stays bounded: fixed
 # seeds, 200 ms per operation under chaos, the whole binary well under
 # 60 s. The sharded runtime's chaos-surface unit suite and the
-# client-API suite (every test on both transports) ride along.
+# client-API suite (every test on both transports) ride along, and the
+# event-watch example runs on the threaded runtime, asserting the
+# events it prints.
 echo "==> real-runtime fuzz gate (threaded + UDP: durable restart / power loss / checkpoint cut / partition / shed / faulted parity)"
 cargo test -q --offline -p hiloc-sim --test real_runtime_fuzz
 cargo test -q --offline -p hiloc-core --test sharded_runtime
 cargo test -q --offline -p hiloc-core --test runtime_transports
+cargo run -q --offline --example event_alerts
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings

@@ -14,8 +14,9 @@
 //!   position / range / nearest-neighbor query processing, soft-state
 //!   expiry — implemented as a sans-IO, event-driven state machine per
 //!   server ([`node`]);
-//! * the **caching optimizations** (§6.5) and the **event mechanism**
-//!   sketched in §1/§8 ([`cache`], [`events`]);
+//! * the **caching optimizations** (§6.5, [`cache`]);
+//! * the **event predicates** sketched in §1/§8, evaluated client-side
+//!   over the range query by a [`events::Watch`] ([`events`]);
 //! * **runtimes** that drive the same server logic deterministically in
 //!   virtual time, across OS threads, or over UDP ([`runtime`]).
 //!

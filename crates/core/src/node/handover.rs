@@ -66,8 +66,6 @@ impl LocationServer {
             // Lines 7–8: refresh the sighting (and its soft-state TTL).
             let stored = self.stored(&sighting, now);
             self.sightings.upsert(stored);
-            let deltas = self.leaf_events.on_position(oid, sighting.pos);
-            self.emit_event_reports(deltas);
             self.stats.updates += 1;
             // k=2: the fresh sighting streams to the replica sibling at
             // the record's *current* stamp (an in-place refresh is not
@@ -141,8 +139,6 @@ impl LocationServer {
                     .apply(oid, VisitorRecord::Leaf { offered_acc_m: offered, reg, epoch });
                 let stored = self.stored(&sighting, now);
                 self.sightings.upsert(stored);
-                let deltas = self.leaf_events.on_position(oid, sighting.pos);
-                self.emit_event_reports(deltas);
                 // k=2: the adopted record streams to the replica.
                 self.repl_note_leaf(now, oid);
                 self.emit(
@@ -215,8 +211,6 @@ impl LocationServer {
             // re-registration that raced the handover.
             if self.visitors.remove_if_older(origin.oid, epoch).is_some() {
                 self.sightings.remove(origin.oid.0);
-                let deltas = self.leaf_events.on_remove(origin.oid);
-                self.emit_event_reports(deltas);
                 // k=2: the object moved away — retire its replica copy.
                 self.repl_note_remove(now, origin.oid, epoch);
             }
@@ -322,8 +316,6 @@ impl LocationServer {
         if let Some(origin) = self.pending.handover_origin.remove(&corr) {
             if self.visitors.remove_if_older(origin.oid, epoch).is_some() {
                 self.sightings.remove(origin.oid.0);
-                let deltas = self.leaf_events.on_remove(origin.oid);
-                self.emit_event_reports(deltas);
                 self.repl_note_remove(now, origin.oid, epoch);
             }
             self.emit(origin.object, Message::OutOfServiceArea { oid });

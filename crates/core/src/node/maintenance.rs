@@ -31,8 +31,6 @@ impl LocationServer {
                     self.repl_note_remove(now, oid, removed.epoch());
                 }
                 self.caches.forget_object(oid);
-                let deltas = self.leaf_events.on_remove(oid);
-                self.emit_event_reports(deltas);
                 self.stats.expired += 1;
             }
         }
@@ -134,8 +132,6 @@ impl LocationServer {
                     for (oid, epoch) in zombies {
                         self.visitors.remove(oid);
                         self.caches.forget_object(oid);
-                        let deltas = self.leaf_events.on_remove(oid);
-                        self.emit_event_reports(deltas);
                         self.stats.expired += 1;
                         self.repl_note_remove(now, oid, epoch);
                         // The removal carries the zombie's *stale*

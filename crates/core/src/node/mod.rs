@@ -31,7 +31,6 @@ pub use hiloc_storage::SyncPolicy as StorageSyncPolicy;
 
 use crate::area::ServerConfig;
 use crate::cache::{CacheConfig, Caches};
-use crate::events::{CoordinatorEvents, LeafObservers, ObserverDelta};
 use crate::model::{
     Hlc, HlcClock, LocationDescriptor, Micros, ObjectId, RangeQuery, RegInfo, Sighting, SECOND,
 };
@@ -143,7 +142,7 @@ server_stats! {
     /// bulk-transfer targets, agent-lookup shortcuts).
     msgs_peer,
     /// Messages produced to client endpoints (answers, acks,
-    /// notifications, probes).
+    /// accuracy notices, probes).
     msgs_client,
     /// Successful registrations performed (as agent).
     registrations,
@@ -169,8 +168,6 @@ server_stats! {
     probes_sent,
     /// Updates dropped because no visitor record exists here.
     updates_dropped,
-    /// Event notifications emitted (as coordinator).
-    events_fired,
     /// Bulk state transfers initiated (as reconfiguration source).
     transfers_started,
     /// Bulk state transfers acked and completed (as source).
@@ -210,10 +207,7 @@ pub struct LocationServer {
     sightings: SightingDb,
     pending: Pending,
     caches: Caches,
-    leaf_events: LeafObservers,
-    coord_events: CoordinatorEvents,
     corr: CorrIdGen,
-    next_event_seq: u64,
     /// Next scheduled path-maintenance instant (keep-alives at leaves,
     /// stale-record scans at non-leaves); 0 = not yet scheduled.
     next_path_maintenance_us: Micros,
@@ -275,10 +269,7 @@ impl LocationServer {
             sightings,
             pending: Pending::default(),
             caches,
-            leaf_events: LeafObservers::new(),
-            coord_events: CoordinatorEvents::new(),
             corr,
-            next_event_seq: 0,
             next_path_maintenance_us: 0,
             clock,
             repl: Replication::default(),
@@ -433,17 +424,6 @@ impl LocationServer {
             Message::NeighborQuerySubRes { items, covered_area_m2, leaf, leaf_area, corr } => {
                 self.on_neighbor_sub_res(now, items, covered_area_m2, leaf, leaf_area, corr)
             }
-            Message::EventRegisterReq { predicate, corr } => {
-                self.on_event_register(now, from, predicate, corr)
-            }
-            Message::EventInstall { event_id, coordinator, predicate } => {
-                self.on_event_install(from, event_id, coordinator, predicate)
-            }
-            Message::EventUninstall { event_id } => self.on_event_uninstall(from, event_id),
-            Message::EventLocalReport { event_id, leaf, count, entered, left } => {
-                self.on_event_report(event_id, leaf, count, &entered, &left)
-            }
-            Message::EventCancelReq { event_id } => self.on_event_cancel(from, event_id),
             Message::AgentLookup { oid, object } => self.on_agent_lookup(now, from, oid, object),
             Message::StateTransfer { records, epoch, corr } => {
                 self.on_state_transfer(now, from, records, epoch, corr)
@@ -473,8 +453,6 @@ impl LocationServer {
             | Message::NotifyAvailAcc { .. }
             | Message::RangeQueryRes { .. }
             | Message::NeighborQueryRes { .. }
-            | Message::EventRegisterRes { .. }
-            | Message::EventNotify { .. }
             | Message::PositionProbe { .. } => {}
         }
         self.drain()
@@ -655,28 +633,5 @@ impl LocationServer {
             }
         });
         items
-    }
-
-    /// Emits event reports for observer deltas produced at this leaf.
-    pub(crate) fn emit_event_reports(&mut self, deltas: Vec<ObserverDelta>) {
-        let leaf = self.config.id;
-        for d in deltas {
-            self.emit(
-                d.coordinator,
-                Message::EventLocalReport {
-                    event_id: d.event_id,
-                    leaf,
-                    count: d.count,
-                    entered: d.entered,
-                    left: d.left,
-                },
-            );
-        }
-    }
-
-    /// Allocates a deployment-unique event id.
-    pub(crate) fn alloc_event_id(&mut self) -> u64 {
-        self.next_event_seq += 1;
-        ((self.config.id.0 as u64 + 1) << 40) | self.next_event_seq
     }
 }

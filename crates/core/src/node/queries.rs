@@ -1,10 +1,8 @@
 //! Query processing: position queries (Alg. 6-4), range queries
-//! (Alg. 6-5), the distributed nearest-neighbor search, and the event
-//! mechanism's message handlers.
+//! (Alg. 6-5) and the distributed nearest-neighbor search.
 
 use super::pending::{NnGather, PosWait, RangeGather};
 use super::{LocationServer, VisitorRecord};
-use crate::events::Predicate;
 use crate::model::semantics::select_neighbors;
 use crate::model::{LocationDescriptor, Micros, ObjectId, RangeQuery};
 use crate::proto::{Message, ObjectLocation};
@@ -572,107 +570,6 @@ impl LocationServer {
         if complete {
             let g = self.pending.nn_gather.remove(&corr).expect("checked above");
             self.finalize_nn(now, g);
-        }
-    }
-
-    // -------------------------------------------------------------- events
-
-    /// An application registers a predicate; this server becomes the
-    /// event's coordinator and installs leaf observers.
-    pub(crate) fn on_event_register(
-        &mut self,
-        _now: Micros,
-        from: Endpoint,
-        predicate: Predicate,
-        corr: CorrId,
-    ) {
-        let event_id = self.alloc_event_id();
-        self.coord_events.register(event_id, predicate.clone(), from);
-        self.emit(from, Message::EventRegisterRes { event_id, corr });
-        let probe = predicate.area().bounding_rect();
-        // Install locally when this (leaf) server overlaps the area.
-        if self.config.is_leaf() && self.config.area.intersects(&probe) {
-            self.install_observer(event_id, self.id(), predicate.clone());
-        }
-        let coordinator = self.id();
-        for t in self.scatter_targets(&probe, from) {
-            self.emit(t, Message::EventInstall { event_id, coordinator, predicate: predicate.clone() });
-        }
-    }
-
-    /// Observer installation scattered through the hierarchy.
-    pub(crate) fn on_event_install(
-        &mut self,
-        from: Endpoint,
-        event_id: u64,
-        coordinator: ServerId,
-        predicate: Predicate,
-    ) {
-        let probe = predicate.area().bounding_rect();
-        if self.config.is_leaf() {
-            if self.config.area.intersects(&probe) {
-                self.install_observer(event_id, coordinator, predicate);
-            }
-        } else {
-            for t in self.scatter_targets(&probe, from) {
-                self.emit(t, Message::EventInstall { event_id, coordinator, predicate: predicate.clone() });
-            }
-        }
-    }
-
-    fn install_observer(&mut self, event_id: u64, coordinator: ServerId, predicate: Predicate) {
-        let mut current = Vec::new();
-        self.sightings.for_each(&mut |rec| current.push((ObjectId(rec.key), rec.pos)));
-        let delta =
-            self.leaf_events.install(event_id, coordinator, predicate, current.into_iter());
-        self.emit_event_reports(vec![delta]);
-    }
-
-    /// Observer removal: flooded through the tree (areas are not
-    /// carried in the uninstall message; the flood terminates because
-    /// the hierarchy is acyclic).
-    pub(crate) fn on_event_uninstall(&mut self, from: Endpoint, event_id: u64) {
-        self.leaf_events.uninstall(event_id);
-        let mut targets: Vec<ServerId> = self.config.children.iter().map(|c| c.id).collect();
-        if let Some(p) = self.parent() {
-            targets.push(p);
-        }
-        for t in targets {
-            if Endpoint::Server(t) != from {
-                self.emit(t, Message::EventUninstall { event_id });
-            }
-        }
-    }
-
-    /// A leaf's membership report reaches the coordinator.
-    pub(crate) fn on_event_report(
-        &mut self,
-        event_id: u64,
-        leaf: ServerId,
-        count: u32,
-        entered: &[ObjectId],
-        left: &[ObjectId],
-    ) {
-        let notifications = self.coord_events.on_report(event_id, leaf, count, entered, left);
-        for (subscriber, kind) in notifications {
-            self.stats.events_fired += 1;
-            self.emit(subscriber, Message::EventNotify { event_id, kind });
-        }
-    }
-
-    /// The subscriber cancels an event at its coordinator.
-    pub(crate) fn on_event_cancel(&mut self, from: Endpoint, event_id: u64) {
-        if self.coord_events.cancel(event_id).is_some() {
-            self.leaf_events.uninstall(event_id);
-            let mut targets: Vec<ServerId> = self.config.children.iter().map(|c| c.id).collect();
-            if let Some(p) = self.parent() {
-                targets.push(p);
-            }
-            for t in targets {
-                if Endpoint::Server(t) != from {
-                    self.emit(t, Message::EventUninstall { event_id });
-                }
-            }
         }
     }
 }

@@ -200,8 +200,6 @@ impl LocationServer {
             if let Some(s) = r.sighting {
                 let stored = self.stored(&s, now);
                 self.sightings.upsert(stored);
-                let deltas = self.leaf_events.on_position(r.oid, s.pos);
-                self.emit_event_reports(deltas);
             }
         }
         let n = accepted.len() as u32;
@@ -263,8 +261,6 @@ impl LocationServer {
             // the transfer target so this server's own entry role does
             // not keep answering direct queries into its stale self.
             self.caches.patch_agent(*oid, target);
-            let deltas = self.leaf_events.on_remove(*oid);
-            self.emit_event_reports(deltas);
             // k=2: the record moved away — retire its replica copy.
             self.repl_note_remove(now, *oid, guard);
         }

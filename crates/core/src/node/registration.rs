@@ -73,8 +73,6 @@ impl LocationServer {
         self.visitors.apply(oid, VisitorRecord::Leaf { offered_acc_m: offered, reg, epoch });
         let stored = self.stored(&sighting, now);
         self.sightings.upsert(stored);
-        let deltas = self.leaf_events.on_position(oid, sighting.pos);
-        self.emit_event_reports(deltas);
         if let Some(p) = self.parent() {
             self.emit(p, Message::CreatePath { oid, epoch });
         }
@@ -183,7 +181,7 @@ impl LocationServer {
     }
 
     /// Removes an object's local state at a leaf: visitor record,
-    /// sighting, event memberships and the replica sibling's copy.
+    /// sighting, cache entries and the replica sibling's copy.
     pub(crate) fn remove_locally(&mut self, now: Micros, oid: ObjectId) {
         if let Some(rec) = self.visitors.remove(oid) {
             // The removal ships at the removed record's own stamp: the
@@ -196,7 +194,5 @@ impl LocationServer {
         // A deregistered object must not be resurrected by a cached
         // agent pointer or position answer (§6.5 invalidation).
         self.caches.forget_object(oid);
-        let deltas = self.leaf_events.on_remove(oid);
-        self.emit_event_reports(deltas);
     }
 }

@@ -5,9 +5,8 @@
 //! `createPath`, `update`, `handoverReq/Res`, `posQueryReq/Fwd/Res`,
 //! `rangeQueryReq/Fwd/SubRes/Res`. Additions beyond the paper are
 //! documented on each variant: nearest-neighbor scatter/gather (the
-//! paper defines the query semantics but no distributed algorithm),
-//! the event mechanism (paper §8 future work), and cache-support
-//! messages (§6.5).
+//! paper defines the query semantics but no distributed algorithm)
+//! and cache-support messages (§6.5).
 //!
 //! The protocol is **one table**: the [`wire_enum!`] invocation below
 //! states each variant's name, wire tag, trace label and typed fields
@@ -20,8 +19,10 @@
 //! clause of the type that owns it. Adding a message is one table
 //! entry plus one `sample_messages()` entry in the tests. Tags are
 //! wire-frozen and not in declaration order (`UpdateBatch` is 38).
+//! Tags 29–35 carried the removed in-server event protocol: they are
+//! refused on decode and must not be reused, so a peer still sending
+//! them is never misread.
 
-use crate::events::{EventKind, Predicate};
 use crate::model::{
     valid_acc, Hlc, LocationDescriptor, Micros, ObjectId, RangeQuery, RegInfo, Sighting,
 };
@@ -391,61 +392,6 @@ wire_enum! {
             corr: CorrId,
         },
 
-        // ------------------------------------------------------------ events
-        /// Registers a predicate (paper §8 future work).
-        EventRegisterReq = 29, "eventRegisterReq" {
-            /// The predicate to watch.
-            predicate: Predicate,
-            /// Correlation id.
-            corr: CorrId,
-        },
-        /// Acknowledges an event registration with its id.
-        EventRegisterRes = 30, "eventRegisterRes" {
-            /// The allocated event id.
-            event_id: u64,
-            /// Correlation id.
-            corr: CorrId,
-        },
-        /// Installs an observer at a leaf (scattered like a range query).
-        EventInstall = 31, "eventInstall" {
-            /// The event id.
-            event_id: u64,
-            /// The coordinating server (receives local reports).
-            coordinator: ServerId,
-            /// The predicate to observe.
-            predicate: Predicate,
-        },
-        /// Removes an observer from a leaf.
-        EventUninstall = 32, "eventUninstall" {
-            /// The event id.
-            event_id: u64,
-        },
-        /// A leaf's membership report to the coordinator.
-        EventLocalReport = 33, "eventLocalReport" {
-            /// The event id.
-            event_id: u64,
-            /// The reporting leaf.
-            leaf: ServerId,
-            /// Members currently in the watched area at this leaf.
-            count: u32,
-            /// Objects that entered since the last report.
-            entered: Vec<ObjectId>,
-            /// Objects that left since the last report.
-            left: Vec<ObjectId>,
-        },
-        /// An event notification to the subscriber.
-        EventNotify = 34, "eventNotify" {
-            /// The event id.
-            event_id: u64,
-            /// What happened.
-            kind: EventKind,
-        },
-        /// Cancels an event registration.
-        EventCancelReq = 35, "eventCancelReq" {
-            /// The event id.
-            event_id: u64,
-        },
-
         // ------------------------------------------------- restore-on-demand
         /// A recovering leaf asks a visitor for a fresh position update
         /// (paper §5: "persistent registration information also allows a
@@ -684,13 +630,6 @@ mod tests {
         "1b010000000300000000000000000000000000f03f000000000000004000000000000039400000000000c05e400200000000000000000000000000000000000000000000000000144000000000000014400700000000000000", // neighborQuerySubRes
         "1c010300000000000000000000000000f03f00000000000000400000000000003940010000000400000000000000000000000000f03f00000000000000400000000000003940010700000000000000", // neighborQueryRes
         "1c0000000000000700000000000000", // neighborQueryRes
-        "1d00000000000000000000000000000000000000000000000022400000000000002240050000000800000000000000", // eventRegisterReq
-        "1e0b000000000000000800000000000000", // eventRegisterRes
-        "1f0b00000000000000010000000100000000000000000000000000000000000000000000002240000000000000224000", // eventInstall
-        "200b00000000000000", // eventUninstall
-        "210b0000000000000004000000030000000100000001000000000000000200000002000000000000000300000000000000", // eventLocalReport
-        "220b000000000000000006000000", // eventNotify
-        "230b00000000000000", // eventCancelReq
         "242a00000000000000", // positionProbe
         "252a00000000000000010900000000000000", // agentLookup
         "28020000002a000000000000000109000000000000000000000000003940000000000000594000000000000008400000000000003940012a0000000000000040e2010000000000000000000000244000000000000014c000000000000029402b000000000000000109000000000000000000000000003940000000000000594000000000000008400000000000003e4000d0070000000000000900000000000000", // stateTransfer
@@ -785,6 +724,16 @@ mod tests {
     fn unknown_tag_rejected() {
         assert_eq!(Message::from_bytes(&[0xEE]), None);
         assert_eq!(Message::from_bytes(&[]), None);
+        // Tags 29–35 belonged to the retired in-server event protocol;
+        // a peer still sending them is refused, whatever body follows.
+        for tag in 29u8..=35 {
+            assert!(!Message::TAGS.contains(&tag), "tag {tag} is retired");
+            for body_len in [0usize, 9, 64] {
+                let mut bytes = vec![tag];
+                bytes.resize(1 + body_len, 0x01);
+                assert_eq!(Message::from_bytes(&bytes), None, "retired tag {tag} decoded");
+            }
+        }
     }
 
     #[test]
@@ -913,16 +862,6 @@ mod tests {
             (
                 Message::NeighborQueryRes { nearest: None, near_set: vec![], complete: true, corr: CorrId(1) },
                 vec![2],
-            ),
-            (
-                Message::EventLocalReport {
-                    event_id: 11,
-                    leaf: ServerId(4),
-                    count: 3,
-                    entered: vec![],
-                    left: vec![],
-                },
-                vec![17, 21],
             ),
             (Message::StateTransfer { records: vec![], epoch: Hlc(1), corr: CorrId(1) }, vec![1]),
             (Message::PathSyncRes { entries: vec![], done: true, corr: CorrId(1) }, vec![1]),

@@ -7,8 +7,8 @@
 //! `super`, so a new variant's sample is written once.
 
 use super::{
-    DeltaBody, DeltaRecord, EventKind, Hlc, LocationDescriptor, Message, ObjectId, Predicate,
-    RangeQuery, RegInfo, Sighting, TransferRecord,
+    DeltaBody, DeltaRecord, Hlc, LocationDescriptor, Message, ObjectId, RangeQuery, RegInfo,
+    Sighting, TransferRecord,
 };
 use hiloc_geo::{Point, Rect, Region};
 use hiloc_net::{ClientId, CorrId, ServerId};
@@ -105,26 +105,6 @@ pub fn sample_messages() -> Vec<Message> {
             corr: CorrId(7),
         },
         Message::NeighborQueryRes { nearest: None, near_set: vec![], complete: false, corr: CorrId(7) },
-        Message::EventRegisterReq {
-            predicate: Predicate::CountAtLeast { area: Region::from(Rect::new(Point::new(0.0, 0.0), Point::new(9.0, 9.0))), threshold: 5 },
-            corr: CorrId(8),
-        },
-        Message::EventRegisterRes { event_id: 11, corr: CorrId(8) },
-        Message::EventInstall {
-            event_id: 11,
-            coordinator: ServerId(1),
-            predicate: Predicate::Enter { area: Region::from(Rect::new(Point::new(0.0, 0.0), Point::new(9.0, 9.0))), oid: None },
-        },
-        Message::EventUninstall { event_id: 11 },
-        Message::EventLocalReport {
-            event_id: 11,
-            leaf: ServerId(4),
-            count: 3,
-            entered: vec![ObjectId(1)],
-            left: vec![ObjectId(2), ObjectId(3)],
-        },
-        Message::EventNotify { event_id: 11, kind: EventKind::CountReached { count: 6 } },
-        Message::EventCancelReq { event_id: 11 },
         Message::PositionProbe { oid: ObjectId(42) },
         Message::AgentLookup { oid: ObjectId(42), object: ClientId(9).into() },
         Message::StateTransfer {

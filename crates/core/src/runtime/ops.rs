@@ -9,7 +9,6 @@
 //! reply messages itself, so "which message answers which request,
 //! and what result it means" is decided in this module only.
 
-use crate::events::Predicate;
 use crate::model::{
     LocationDescriptor, LsError, NeighborAnswer, ObjectId, RangeAnswer, RangeQuery, Sighting,
 };
@@ -210,17 +209,6 @@ pub(crate) fn change_acc(
             Message::ChangeAccRes { ok, offered_acc_m, corr: c, .. } if *c == corr => {
                 Some(Ok((*ok, *offered_acc_m)))
             }
-            _ => None,
-        },
-    }
-}
-
-/// Registers an event predicate → the event id.
-pub(crate) fn event_register(predicate: Predicate, corr: CorrId) -> Op<impl Classify<u64>> {
-    Op {
-        request: Message::EventRegisterReq { predicate, corr },
-        classify: move |m: &mut Message| match m {
-            Message::EventRegisterRes { event_id, corr: c } if *c == corr => Some(Ok(*event_id)),
             _ => None,
         },
     }

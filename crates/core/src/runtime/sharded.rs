@@ -379,7 +379,7 @@ impl<T: ShardTransport> Shard<T> {
             Command::Crash(id, mode, ack) => {
                 // Queued envelopes to it blackhole at dispatch.
                 let crashed = self.local.get(&id.0).and_then(|&i| self.slots[i].server.take());
-                let _ = ack.send(crashed.is_some_and(|server| mode.kill(server).is_ok()));
+                let _ = ack.try_send(crashed.is_some_and(|server| mode.kill(server).is_ok()));
             }
             Command::Restart(id, ack) => {
                 let ok = match self.local.get(&id.0) {
@@ -396,11 +396,11 @@ impl<T: ShardTransport> Shard<T> {
                     }
                     None => false,
                 };
-                let _ = ack.send(ok);
+                let _ = ack.try_send(ok);
             }
             Command::Checkpoint(id, ack) => {
                 let live = self.local.get(&id.0).and_then(|&i| self.slots[i].server.as_mut());
-                let _ = ack.send(live.is_some_and(|server| server.compact().is_ok()));
+                let _ = ack.try_send(live.is_some_and(|server| server.compact().is_ok()));
             }
             Command::Snapshot(reply) => {
                 let stats = self
@@ -408,7 +408,7 @@ impl<T: ShardTransport> Shard<T> {
                     .iter()
                     .filter_map(|s| s.server.as_ref().map(|sv| (s.id, sv.stats())))
                     .collect();
-                let _ = reply.send(ShardSnapshot { stats, busy: self.busy });
+                let _ = reply.try_send(ShardSnapshot { stats, busy: self.busy });
             }
         }
     }
@@ -555,7 +555,7 @@ impl<W> ShardedDeployment<W> {
             return false;
         };
         let (ack_tx, ack_rx) = unbounded();
-        if self.cmd_txs[shard].send(make(ack_tx)).is_err() {
+        if self.cmd_txs[shard].try_send(make(ack_tx)).is_err() {
             return false;
         }
         matches!(ack_rx.recv_timeout(COMMAND_TIMEOUT), Ok(true))
@@ -655,7 +655,7 @@ impl<W> ShardedDeployment<W> {
         let mut busy = vec![Duration::ZERO; self.cmd_txs.len()];
         for (i, tx) in self.cmd_txs.iter().enumerate() {
             let (reply_tx, reply_rx) = unbounded();
-            if tx.send(Command::Snapshot(reply_tx)).is_err() {
+            if tx.try_send(Command::Snapshot(reply_tx)).is_err() {
                 continue;
             }
             match reply_rx.recv_timeout(COMMAND_TIMEOUT) {

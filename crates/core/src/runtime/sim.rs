@@ -1,7 +1,6 @@
 //! Deterministic virtual-time deployment.
 
 use crate::area::Hierarchy;
-use crate::events::{EventKind, Predicate};
 use crate::model::{
     LocationDescriptor, LsError, Micros, NeighborAnswer, ObjectId, RangeAnswer, RangeQuery,
     Sighting,
@@ -983,44 +982,6 @@ impl SimDeployment {
         let client = Self::object_endpoint(oid);
         let corr = self.corr.next_id();
         self.call(client, agent, ops::change_acc(oid, des_acc_m, min_acc_m, corr))
-    }
-
-    /// Registers an event predicate for `client` via `entry`, returning
-    /// the event id. Notifications arrive in the client's inbox (see
-    /// [`SimDeployment::poll_events`]).
-    ///
-    /// # Errors
-    ///
-    /// [`LsError::Timeout`] when no response arrives.
-    pub fn event_register(
-        &mut self,
-        entry: ServerId,
-        client: ClientId,
-        predicate: Predicate,
-    ) -> Result<u64, LsError> {
-        let corr = self.corr.next_id();
-        self.call(client, entry, ops::event_register(predicate, corr))
-    }
-
-    /// Cancels an event registration.
-    pub fn event_cancel(&mut self, entry: ServerId, client: ClientId, event_id: u64) {
-        self.send_from(client, entry, Message::EventCancelReq { event_id });
-        self.run_until_quiet();
-    }
-
-    /// Drains fired event notifications for `client`.
-    pub fn poll_events(&mut self, client: ClientId) -> Vec<(u64, EventKind)> {
-        self.run_until_quiet();
-        let Some(q) = self.inboxes.get_mut(&client) else { return Vec::new() };
-        let mut out = Vec::new();
-        q.retain(|m| match m {
-            Message::EventNotify { event_id, kind } => {
-                out.push((*event_id, kind.clone()));
-                false
-            }
-            _ => true,
-        });
-        out
     }
 
     /// The correlation-id generator (for advanced/manual flows).

@@ -296,10 +296,6 @@ fn client_addressed_messages_are_ignored_by_servers() {
         Message::UpdateAck { oid: ObjectId(1), offered_acc_m: 1.0, time_us: 0 },
         Message::RegisterRes { agent: ServerId(1), offered_acc_m: 1.0, corr: CorrId(1) },
         Message::AgentChanged { oid: ObjectId(1), new_agent: ServerId(2), offered_acc_m: 1.0 },
-        Message::EventNotify {
-            event_id: 1,
-            kind: hiloc_core::events::EventKind::CountReached { count: 1 },
-        },
         Message::PositionProbe { oid: ObjectId(1) },
     ] {
         let out = nodes[1].handle(0, env(ServerId(0).into(), ServerId(1), msg));

@@ -7,7 +7,6 @@
 //! ones run on the in-tree seeded harness ([`hiloc_util::prop`]), case
 //! counts mirroring the original proptest configuration.
 
-use hiloc_core::events::{EventKind, Predicate};
 use hiloc_core::model::{Hlc, LocationDescriptor, ObjectId, RangeQuery, RegInfo, Sighting};
 use hiloc_core::proto::{DeltaBody, DeltaRecord, Message, TransferRecord};
 use hiloc_geo::Point;

@@ -5,6 +5,7 @@
 //! replies are packed into datagrams.
 
 use hiloc_core::area::{Hierarchy, HierarchyBuilder};
+use hiloc_core::events::{EventKind, Predicate, Watch};
 use hiloc_core::model::{LocationDescriptor, LsError, ObjectId, RangeQuery, Sighting};
 use hiloc_core::node::ServerStats;
 use hiloc_core::runtime::{
@@ -71,6 +72,7 @@ on_both_transports!(
     multiple_clients_interleave,
     update_batch_then_deregister,
     unknown_server_is_no_route_at_once,
+    watch_sees_enter_then_leave,
 );
 
 fn deployment<T: Transport>() -> ShardedDeployment<T::Wire> {
@@ -327,6 +329,46 @@ fn unknown_server_is_no_route_at_once<T: Transport>() {
     // The client is still usable against real servers afterwards.
     let (agent, _) = client.register(ls.leaf_for(p), s, 10.0, 50.0, 2.0).unwrap();
     assert_eq!(client.pos_query(agent, ObjectId(1)).unwrap().pos, p);
+    T::shutdown(ls);
+}
+
+/// Event predicates work on every runtime: a client-side `Watch` polls
+/// the range query this client already speaks.
+fn watch_sees_enter_then_leave<T: Transport>() {
+    let ls = deployment::<T>();
+    let mut object = T::client(&ls);
+    let mut app = T::client(&ls);
+    // The watched square straddles all four leaves.
+    let area = Region::from(Rect::new(Point::new(400.0, 400.0), Point::new(600.0, 600.0)));
+    let mut enter = Watch::new(Predicate::Enter { area: area.clone(), oid: None }, 50.0, 0.5);
+    let mut leave = Watch::new(Predicate::Leave { area, oid: None }, 50.0, 0.5);
+    let entry = ls.leaf_for(Point::new(100.0, 100.0));
+    let mut poll = |app: &mut Client<T::Port>| {
+        let ans = app.range_query(entry, enter.query()).expect("range query succeeds");
+        assert!(ans.complete);
+        let mut events = enter.observe(&ans);
+        events.extend(leave.observe(&ans));
+        events
+    };
+
+    let start = Point::new(100.0, 100.0);
+    let s = Sighting::new(ObjectId(1), object.now_us(), start, 5.0);
+    let (mut agent, _) = object.register(entry, s, 10.0, 50.0, 3.0).unwrap();
+    assert_eq!(poll(&mut app), vec![]);
+    let path = [
+        (Point::new(450.0, 450.0), vec![EventKind::Entered { oid: ObjectId(1) }]),
+        // A handover to the NE leaf inside the watched square: no event.
+        (Point::new(550.0, 550.0), vec![]),
+        (Point::new(900.0, 900.0), vec![EventKind::Left { oid: ObjectId(1) }]),
+    ];
+    for (to, want) in path {
+        let s = Sighting::new(ObjectId(1), object.now_us(), to, 5.0);
+        if let UpdateOutcome::NewAgent { agent: new, .. } = object.update(agent, s).unwrap() {
+            agent = new;
+        }
+        assert_eq!(poll(&mut app), want, "after moving to {to:?}");
+    }
+    assert_eq!(agent, ls.leaf_for(Point::new(900.0, 900.0)));
     T::shutdown(ls);
 }
 

@@ -1,9 +1,10 @@
 //! End-to-end protocol tests over the deterministic sim deployment:
 //! registration, forwarding paths, updates, handovers, all three query
-//! types, deregistration, soft state, accuracy management and events.
+//! types, deregistration, soft state, accuracy management and
+//! client-side event watches.
 
 use hiloc_core::area::{Hierarchy, HierarchyBuilder};
-use hiloc_core::events::{EventKind, Predicate};
+use hiloc_core::events::{EventKind, Predicate, Watch};
 use hiloc_core::model::{LsError, ObjectId, RangeQuery, Sighting, SECOND};
 use hiloc_core::node::{ServerOptions, VisitorRecord};
 use hiloc_core::runtime::{SimDeployment, UpdateOutcome};
@@ -469,60 +470,68 @@ fn change_accuracy_renegotiates() {
     assert_eq!(ld.acc_m, 25.0);
 }
 
+/// One poll of a client-side watch: its range query via `entry`, then
+/// the events the answer implies.
+fn poll(ls: &mut SimDeployment, entry: ServerId, w: &mut Watch) -> Vec<EventKind> {
+    let answer = ls.range_query(entry, w.query()).unwrap();
+    w.observe(&answer)
+}
+
 #[test]
-fn count_event_fires_and_rearms() {
+fn count_watch_fires_and_rearms() {
     let mut ls = ls(testbed());
     let entry = ls.leaf_for(Point::new(100.0, 100.0));
-    let app = ls.new_client();
     let area = Region::from(Rect::new(Point::new(0.0, 0.0), Point::new(400.0, 400.0)));
-    let event_id = ls
-        .event_register(entry, app, Predicate::CountAtLeast { area, threshold: 2 })
-        .unwrap();
+    let mut w = Watch::new(Predicate::CountAtLeast { area, threshold: 2 }, 50.0, 0.5);
+    assert!(poll(&mut ls, entry, &mut w).is_empty());
 
     // First object: below threshold.
     ls.register(entry, sighting(50, 100.0, 100.0), 10.0, 50.0).unwrap();
-    assert!(ls.poll_events(app).is_empty());
+    assert!(poll(&mut ls, entry, &mut w).is_empty());
     // Second object: fires.
     ls.register(entry, sighting(51, 150.0, 150.0), 10.0, 50.0).unwrap();
-    let fired = ls.poll_events(app);
-    assert_eq!(fired.len(), 1);
-    assert_eq!(fired[0].0, event_id);
-    assert!(matches!(fired[0].1, EventKind::CountReached { count: 2 }));
+    assert_eq!(poll(&mut ls, entry, &mut w), vec![EventKind::CountReached { count: 2 }]);
+    assert!(poll(&mut ls, entry, &mut w).is_empty(), "fires once per crossing");
 
     // Moving one object out re-arms; moving it back fires again.
     let agent = ls.leaf_for(Point::new(100.0, 100.0));
     ls.update(agent, sighting(50, 600.0, 600.0)).unwrap();
-    assert!(ls.poll_events(app).is_empty());
+    assert!(poll(&mut ls, entry, &mut w).is_empty());
     ls.update(agent, sighting(50, 100.0, 100.0)).unwrap();
-    let fired = ls.poll_events(app);
-    assert_eq!(fired.len(), 1);
+    assert_eq!(poll(&mut ls, entry, &mut w), vec![EventKind::CountReached { count: 2 }]);
 }
 
 #[test]
-fn enter_event_across_leaf_boundary() {
+fn enter_watch_across_leaf_boundary() {
     let mut ls = ls(testbed());
     // Watched area straddles the seam between west and east leaves.
     let area = Region::from(Rect::new(Point::new(700.0, 50.0), Point::new(800.0, 150.0)));
     let entry = ls.leaf_for(Point::new(100.0, 100.0));
-    let app = ls.new_client();
-    let event_id =
-        ls.event_register(entry, app, Predicate::Enter { area, oid: None }).unwrap();
+    let mut enter = Watch::new(Predicate::Enter { area: area.clone(), oid: None }, 50.0, 0.5);
+    let mut leave = Watch::new(Predicate::Leave { area, oid: None }, 50.0, 0.5);
+    // Both watches poll the same query, so one answer serves both.
+    let mut poll_both = |ls: &mut SimDeployment| {
+        let answer = ls.range_query(entry, enter.query()).unwrap();
+        (enter.observe(&answer), leave.observe(&answer))
+    };
 
     // Register outside the area, then move in from the east side.
-    let (agent, _) = ls.register(ls.leaf_for(Point::new(1_000.0, 100.0)), sighting(52, 1_000.0, 100.0), 10.0, 50.0).unwrap();
-    assert!(ls.poll_events(app).is_empty());
+    let east = ls.leaf_for(Point::new(1_000.0, 100.0));
+    let (mut agent, _) = ls.register(east, sighting(52, 1_000.0, 100.0), 10.0, 50.0).unwrap();
+    assert_eq!(poll_both(&mut ls), (vec![], vec![]));
     ls.update(agent, sighting(52, 790.0, 100.0)).unwrap();
-    let fired = ls.poll_events(app);
-    assert_eq!(fired.len(), 1);
-    assert!(matches!(fired[0].1, EventKind::Entered { oid: ObjectId(52) }));
+    assert_eq!(poll_both(&mut ls), (vec![EventKind::Entered { oid: ObjectId(52) }], vec![]));
 
-    // Crossing the seam *within* the watched area must not re-fire
-    // (leave+enter across leaves is aggregated per leaf, so we expect a
-    // Left/Entered pair NOT to produce an Enter-only storm — drain and
-    // check the object is still considered inside by moving it out).
-    ls.event_cancel(entry, app, event_id);
-    ls.update(ls.leaf_for(Point::new(790.0, 100.0)), sighting(52, 100.0, 100.0)).unwrap();
-    assert!(ls.poll_events(app).is_empty(), "no events after cancel");
+    // Crossing the seam *within* the watched area hands the object to
+    // the west leaf but never takes it out of the answer: no event.
+    match ls.update(agent, sighting(52, 710.0, 100.0)).unwrap() {
+        UpdateOutcome::NewAgent { agent: west, .. } => agent = west,
+        other => panic!("expected a handover across the seam, got {other:?}"),
+    }
+    assert_eq!(poll_both(&mut ls), (vec![], vec![]));
+
+    ls.update(agent, sighting(52, 100.0, 100.0)).unwrap();
+    assert_eq!(poll_both(&mut ls), (vec![], vec![EventKind::Left { oid: ObjectId(52) }]));
 }
 
 #[test]

@@ -62,16 +62,6 @@ impl<M> Mailbox<M> {
             Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
         }
     }
-
-    /// Number of queued messages.
-    pub fn len(&self) -> usize {
-        self.rx.len()
-    }
-
-    /// True when no messages are queued.
-    pub fn is_empty(&self) -> bool {
-        self.rx.is_empty()
-    }
 }
 
 /// A shared in-process network: endpoints register to obtain a
@@ -252,9 +242,11 @@ mod tests {
         // Mailbox full: the stalled server sheds, the sender never blocks.
         assert_eq!(net.send_outcome(env(3)), SendOutcome::Shed);
         assert!(!net.send(env(4)));
-        assert_eq!(mb.len(), 2);
         assert_eq!(mb.try_recv().unwrap().msg, 1);
         assert_eq!(net.send_outcome(env(5)), SendOutcome::Delivered);
+        assert_eq!(mb.try_recv().unwrap().msg, 2);
+        assert_eq!(mb.try_recv().unwrap().msg, 5);
+        assert!(mb.try_recv().is_none(), "the shed envelopes are gone");
     }
 
     #[test]
@@ -280,13 +272,28 @@ mod tests {
     }
 
     #[test]
-    fn try_recv_and_len() {
+    fn try_recv_empty_then_one() {
         let net: ChannelNetwork<u32> = ChannelNetwork::new();
         let mb = net.register(ServerId(0).into());
-        assert!(mb.is_empty());
         assert!(mb.try_recv().is_none());
         net.send(Envelope::new(ServerId(0).into(), ServerId(0).into(), 5));
-        assert_eq!(mb.len(), 1);
         assert_eq!(mb.try_recv().unwrap().msg, 5);
+        assert!(mb.try_recv().is_none());
+    }
+
+    /// Checked at compile time, for every sendable message type (the
+    /// protocol's `Message` included): a mailbox can be shared by
+    /// reference with another thread, and the network used from many.
+    /// Callers rely on it (a scoped thread echoing from `&Mailbox`);
+    /// `std::sync::mpsc` could not stand in here, as its `Receiver` is
+    /// not `Sync`.
+    #[test]
+    fn mailbox_and_network_are_send_sync() {
+        fn send_sync<T: Send + Sync>() {}
+        fn for_any<M: Send>() {
+            send_sync::<Mailbox<M>>();
+            send_sync::<ChannelNetwork<M>>();
+        }
+        for_any::<u64>();
     }
 }

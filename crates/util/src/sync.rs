@@ -4,12 +4,11 @@
 //! the `parking_lot` calling convention (`lock()`/`read()`/`write()`
 //! return guards directly — a poisoned lock just hands back the inner
 //! guard, since hiloc treats a panic while holding a lock as fatal to
-//! the test/process, not to the lock). [`channel`] is an unbounded
-//! channel with queue introspection and disconnect semantics, standing
+//! the test/process, not to the lock). [`channel`] is a multi-producer
+//! queue with a non-blocking send and disconnect semantics, standing
 //! in for `crossbeam::channel`.
 
 // lint:allow-file(wallclock) condvar wait timeouts are genuine wall-clock deadlines
-use std::sync::TryLockError;
 
 /// A mutual-exclusion lock that does not surface poisoning.
 #[derive(Debug, Default)]
@@ -20,31 +19,12 @@ impl<T> Mutex<T> {
     pub fn new(value: T) -> Self {
         Mutex(std::sync::Mutex::new(value))
     }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking until available.
     pub fn lock(&self) -> std::sync::MutexGuard<'_, T> {
         self.0.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Attempts the lock without blocking.
-    pub fn try_lock(&self) -> Option<std::sync::MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(g),
-            Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -56,11 +36,6 @@ impl<T> RwLock<T> {
     /// Creates a lock holding `value`.
     pub fn new(value: T) -> Self {
         RwLock(std::sync::RwLock::new(value))
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -74,23 +49,20 @@ impl<T: ?Sized> RwLock<T> {
     pub fn write(&self) -> std::sync::RwLockWriteGuard<'_, T> {
         self.0.write().unwrap_or_else(|e| e.into_inner())
     }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 pub mod channel {
-    //! Unbounded and bounded channels with `len()`, `recv_timeout` and
+    //! Unbounded and bounded channels with `recv_timeout` and
     //! crossbeam-style disconnect semantics.
     //!
     //! Senders are cheap to clone; the receiver observes disconnection
     //! once every sender is dropped **and** the queue has drained.
-    //! Bounded channels ([`bounded`]) add backpressure: `send` blocks
-    //! until space frees up, while [`Sender::try_send`] reports
-    //! [`TrySendError::Full`] immediately — the primitive behind the
-    //! sharded runtime's shed-on-overload inboxes.
+    //! The one send, [`Sender::try_send`], never blocks: on a full
+    //! bounded channel ([`bounded`]) it reports [`TrySendError::Full`]
+    //! — the primitive behind the sharded runtime's shed-on-overload
+    //! inboxes — and on an unbounded one it never does. Since no sender
+    //! ever waits, a receive wakes nobody: the only condition variable
+    //! is the receiver's.
 
     use super::Mutex;
     use std::collections::VecDeque;
@@ -98,32 +70,15 @@ pub mod channel {
     use std::sync::{Arc, Condvar};
     use std::time::{Duration, Instant};
 
-    /// Sending on a channel whose receiver is gone.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct SendError<T>(pub T);
-
-    /// Outcome of a non-blocking send attempt on a bounded channel.
+    /// Outcome of a failed [`Sender::try_send`]; both hand the value
+    /// back.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum TrySendError<T> {
-        /// The queue is at capacity; the value is handed back so the
-        /// caller can shed it (count + drop) or retry.
+        /// A bounded queue is at capacity: the caller sheds (count +
+        /// drop) or retries.
         Full(T),
         /// The receiver has been dropped.
         Disconnected(T),
-    }
-
-    impl<T> TrySendError<T> {
-        /// Recovers the value that could not be sent.
-        pub fn into_inner(self) -> T {
-            match self {
-                TrySendError::Full(v) | TrySendError::Disconnected(v) => v,
-            }
-        }
-
-        /// True for the [`TrySendError::Full`] outcome.
-        pub fn is_full(&self) -> bool {
-            matches!(self, TrySendError::Full(_))
-        }
     }
 
     /// Blocking receive on a channel with no remaining senders.
@@ -158,10 +113,8 @@ pub mod channel {
 
     struct Inner<T> {
         state: Mutex<State<T>>,
+        /// Signalled when a message is queued or the last sender goes.
         available: Condvar,
-        /// Signalled when a bounded queue pops below capacity (or the
-        /// receiver goes away) so blocked `send`s re-check.
-        space: Condvar,
     }
 
     /// The sending half; clone freely.
@@ -191,10 +144,9 @@ pub mod channel {
         new_channel(None)
     }
 
-    /// Creates a bounded channel holding at most `cap` messages.
-    ///
-    /// `send` blocks while full (backpressure); [`Sender::try_send`]
-    /// returns [`TrySendError::Full`] instead, letting the caller shed.
+    /// Creates a bounded channel holding at most `cap` messages;
+    /// [`Sender::try_send`] returns [`TrySendError::Full`] beyond that,
+    /// letting the caller shed.
     ///
     /// # Panics
     ///
@@ -214,7 +166,6 @@ pub mod channel {
                 cap,
             }),
             available: Condvar::new(),
-            space: Condvar::new(),
         });
         (Sender { inner: Arc::clone(&inner) }, Receiver { inner })
     }
@@ -240,68 +191,29 @@ pub mod channel {
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
             self.inner.state.lock().receiver_alive = false;
-            // Senders parked on a full bounded queue must observe the
-            // disconnect rather than wait forever.
-            self.inner.space.notify_all();
         }
     }
 
     impl<T> Sender<T> {
-        /// Enqueues `value`, blocking while a bounded queue is full
-        /// (backpressure; unbounded channels never block).
-        ///
-        /// # Errors
-        ///
-        /// Returns the value when the receiver has been dropped.
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            let mut st = self.inner.state.lock();
-            loop {
-                if !st.receiver_alive {
-                    return Err(SendError(value));
-                }
-                match st.cap {
-                    Some(cap) if st.queue.len() >= cap => {
-                        st = self
-                            .inner
-                            .space
-                            .wait(st)
-                            .unwrap_or_else(|e| e.into_inner());
-                    }
-                    _ => break,
-                }
-            }
-            st.queue.push_back(value);
-            drop(st);
-            self.inner.available.notify_one();
-            Ok(())
-        }
-
         /// Non-blocking enqueue.
         ///
         /// # Errors
         ///
         /// [`TrySendError::Full`] when a bounded queue is at capacity
-        /// (the shed outcome), [`TrySendError::Disconnected`] when the
-        /// receiver is gone. Both hand the value back.
+        /// (the shed outcome; never on an unbounded channel),
+        /// [`TrySendError::Disconnected`] when the receiver is gone.
         pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
             let mut st = self.inner.state.lock();
             if !st.receiver_alive {
                 return Err(TrySendError::Disconnected(value));
             }
-            if let Some(cap) = st.cap {
-                if st.queue.len() >= cap {
-                    return Err(TrySendError::Full(value));
-                }
+            if st.cap.is_some_and(|cap| st.queue.len() >= cap) {
+                return Err(TrySendError::Full(value));
             }
             st.queue.push_back(value);
             drop(st);
             self.inner.available.notify_one();
             Ok(())
-        }
-
-        /// The channel's capacity; `None` when unbounded.
-        pub fn capacity(&self) -> Option<usize> {
-            self.inner.state.lock().cap
         }
     }
 
@@ -316,8 +228,6 @@ pub mod channel {
             let mut st = self.inner.state.lock();
             loop {
                 if let Some(v) = st.queue.pop_front() {
-                    drop(st);
-                    self.inner.space.notify_one();
                     return Ok(v);
                 }
                 if st.senders == 0 {
@@ -342,8 +252,6 @@ pub mod channel {
             let mut st = self.inner.state.lock();
             loop {
                 if let Some(v) = st.queue.pop_front() {
-                    drop(st);
-                    self.inner.space.notify_one();
                     return Ok(v);
                 }
                 if st.senders == 0 {
@@ -370,24 +278,10 @@ pub mod channel {
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut st = self.inner.state.lock();
             match st.queue.pop_front() {
-                Some(v) => {
-                    drop(st);
-                    self.inner.space.notify_one();
-                    Ok(v)
-                }
+                Some(v) => Ok(v),
                 None if st.senders == 0 => Err(TryRecvError::Disconnected),
                 None => Err(TryRecvError::Empty),
             }
-        }
-
-        /// Number of queued messages.
-        pub fn len(&self) -> usize {
-            self.inner.state.lock().queue.len()
-        }
-
-        /// True when nothing is queued.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
         }
     }
 
@@ -399,19 +293,18 @@ pub mod channel {
         #[test]
         fn send_recv_fifo() {
             let (tx, rx) = unbounded();
-            tx.send(1).unwrap();
-            tx.send(2).unwrap();
-            assert_eq!(rx.len(), 2);
+            tx.try_send(1).unwrap();
+            tx.try_send(2).unwrap();
             assert_eq!(rx.recv(), Ok(1));
             assert_eq!(rx.recv(), Ok(2));
-            assert!(rx.is_empty());
+            assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
         }
 
         #[test]
         fn try_recv_states() {
             let (tx, rx) = unbounded::<u32>();
             assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-            tx.send(7).unwrap();
+            tx.try_send(7).unwrap();
             assert_eq!(rx.try_recv(), Ok(7));
             drop(tx);
             assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
@@ -420,17 +313,10 @@ pub mod channel {
         #[test]
         fn disconnect_drains_queue_first() {
             let (tx, rx) = unbounded();
-            tx.send(1).unwrap();
+            tx.try_send(1).unwrap();
             drop(tx);
             assert_eq!(rx.recv(), Ok(1));
             assert_eq!(rx.recv(), Err(RecvError));
-        }
-
-        #[test]
-        fn send_to_dropped_receiver_errors() {
-            let (tx, rx) = unbounded();
-            drop(rx);
-            assert_eq!(tx.send(5), Err(SendError(5)));
         }
 
         #[test]
@@ -445,7 +331,7 @@ pub mod channel {
             let (tx, rx) = unbounded::<u32>();
             let tx2 = tx.clone();
             drop(tx);
-            tx2.send(3).unwrap();
+            tx2.try_send(3).unwrap();
             drop(tx2);
             assert_eq!(rx.recv(), Ok(3));
             assert_eq!(rx.recv(), Err(RecvError));
@@ -456,7 +342,7 @@ pub mod channel {
             let (tx, rx) = unbounded();
             let h = std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(20));
-                tx.send(99u64).unwrap();
+                tx.try_send(99u64).unwrap();
             });
             assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(99));
             h.join().unwrap();
@@ -465,12 +351,9 @@ pub mod channel {
         #[test]
         fn bounded_try_send_sheds_when_full() {
             let (tx, rx) = bounded::<u32>(2);
-            assert_eq!(tx.capacity(), Some(2));
             tx.try_send(1).unwrap();
             tx.try_send(2).unwrap();
-            let err = tx.try_send(3).unwrap_err();
-            assert!(err.is_full());
-            assert_eq!(err.into_inner(), 3);
+            assert_eq!(tx.try_send(3), Err(TrySendError::Full(3)));
             // Popping one frees one slot.
             assert_eq!(rx.recv(), Ok(1));
             tx.try_send(3).unwrap();
@@ -479,47 +362,23 @@ pub mod channel {
         }
 
         #[test]
-        fn bounded_try_send_disconnected() {
+        fn try_send_to_dropped_receiver_is_disconnected() {
             let (tx, rx) = bounded::<u32>(1);
             drop(rx);
             assert_eq!(tx.try_send(7), Err(TrySendError::Disconnected(7)));
+            let (tx, rx) = unbounded::<u32>();
+            drop(rx);
+            assert_eq!(tx.try_send(5), Err(TrySendError::Disconnected(5)));
         }
 
         #[test]
         fn unbounded_try_send_never_full() {
             let (tx, rx) = unbounded::<u32>();
-            assert_eq!(tx.capacity(), None);
             for i in 0..10_000 {
                 tx.try_send(i).unwrap();
             }
-            assert_eq!(rx.len(), 10_000);
-        }
-
-        /// A blocking `send` on a full bounded queue parks until the
-        /// receiver drains a slot (backpressure, not shedding).
-        #[test]
-        fn bounded_send_blocks_until_space() {
-            let (tx, rx) = bounded::<u32>(1);
-            tx.send(1).unwrap();
-            let h = std::thread::spawn(move || {
-                tx.send(2).unwrap(); // parks: queue is full
-            });
-            std::thread::sleep(Duration::from_millis(20));
-            assert_eq!(rx.recv(), Ok(1));
-            assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(2));
-            h.join().unwrap();
-        }
-
-        /// A sender parked on a full queue must observe the receiver
-        /// dropping rather than hang.
-        #[test]
-        fn bounded_send_wakes_on_receiver_drop() {
-            let (tx, rx) = bounded::<u32>(1);
-            tx.send(1).unwrap();
-            let h = std::thread::spawn(move || tx.send(2));
-            std::thread::sleep(Duration::from_millis(20));
-            drop(rx);
-            assert_eq!(h.join().unwrap(), Err(SendError(2)));
+            drop(tx);
+            assert_eq!(std::iter::from_fn(|| rx.try_recv().ok()).count(), 10_000);
         }
 
         #[test]
@@ -539,7 +398,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        assert_eq!(m.into_inner(), 2);
     }
 
     #[test]
@@ -561,14 +419,5 @@ mod tests {
         .join();
         *m.lock() += 1;
         assert_eq!(*m.lock(), 1);
-    }
-
-    #[test]
-    fn try_lock_contention() {
-        let m = Mutex::new(0);
-        let g = m.lock();
-        assert!(m.try_lock().is_none());
-        drop(g);
-        assert!(m.try_lock().is_some());
     }
 }
