@@ -417,7 +417,7 @@ fn register_fleets(cfg: &MacroConfig, ls: &mut SimDeployment) -> (Vec<Fleet>, Th
     let headroom = u64::from(u32::MAX / 4);
     assert!(cfg.objects <= headroom, "population {} exceeds the slot headroom {headroom}", cfg.objects);
     for server_cfg in ls.hierarchy().servers().to_vec() {
-        let slots = ls.server(server_cfg.id).sighting_slot_capacity();
+        let slots = ls.server(server_cfg.id).map_or(0, |s| s.sighting_slot_capacity());
         assert!(
             (slots as u64) <= headroom,
             "server {} uses {slots} slab slots — too close to the u32 slot-index ceiling",
@@ -565,6 +565,7 @@ fn cross_root_probe(cfg: &MacroConfig, ls: &SimDeployment) -> (ServerId, ObjectI
     }
     let oid = ls
         .server(far_top)
+        .expect("no server is down before the failover phase")
         .visitors()
         .iter()
         .map(|(oid, _)| oid)
@@ -579,7 +580,7 @@ fn cross_root_probe(cfg: &MacroConfig, ls: &SimDeployment) -> (ServerId, ObjectI
 /// timeout of virtual time, which is exactly what a client at the
 /// entry leaf experiences.
 fn measure_blackout(ls: &mut SimDeployment, entry: ServerId, oid: ObjectId) -> u64 {
-    ls.crash_server(ls.hierarchy().root());
+    assert!(ls.crash_server(ls.hierarchy().root()), "the root runs until its failover");
     ls.promote_root();
     let t0 = ls.now_us();
     for _ in 0..10_000 {

@@ -1,21 +1,25 @@
 //! Runtimes that drive [`crate::node::LocationServer`]s.
 //!
 //! The server logic is sans-IO; these drivers move its envelopes. There
-//! is **one engine, two transports, one client**:
+//! is **one engine, two drivers, two transports, one client**:
 //!
-//! * [`ShardedDeployment`] is the real-time deployment: servers
-//!   partitioned by id across per-core event-loop shards
-//!   ([`ShardSpec`]), batch receive, same-shard traffic short-circuited
-//!   in memory, and the chaos verbs (crash with a [`CrashMode`],
-//!   restart, checkpoint, partition-by-drop) a fuzz plan drives.
-//! * [`Client`] is its blocking client, written once over any
-//!   [`hiloc_net::Port`].
+//! * The engine is one clock-free server table (`runtime/engine.rs`),
+//!   the only code that builds, dispatches to, ticks, crashes (with a
+//!   [`CrashMode`]), restarts and checkpoints a server.
+//! * [`ShardedDeployment`] drives it in real time: servers partitioned
+//!   by id across per-core event-loop shards ([`ShardSpec`]), one table
+//!   per shard, batch receive, same-shard traffic short-circuited in
+//!   memory, and the chaos verbs (crash, restart, checkpoint,
+//!   partition-by-drop) a fuzz plan drives.
+//! * [`SimDeployment`] drives one table of every server in virtual time
+//!   over [`hiloc_net::SimNet`] (reproducible experiments, message-flow
+//!   tracing, fault injection, reshape verbs).
+//! * [`Client`] is the real runtimes' blocking client, written once
+//!   over any [`hiloc_net::Port`].
 //! * The client protocol itself — which request an operation sends,
 //!   which message answers it, what result that means — is defined once
 //!   (`runtime/ops.rs`) and driven both by [`Client`] and by
-//!   [`SimDeployment`], the deterministic virtual-time simulation over
-//!   [`hiloc_net::SimNet`] (reproducible experiments, message-flow
-//!   tracing, fault injection).
+//!   [`SimDeployment`].
 //!
 //! A transport contributes only what really differs. The four aliases
 //! are distinct types with inherent methods, and the signatures in this
@@ -37,6 +41,7 @@
 //! generic implementation.
 
 mod client;
+mod engine;
 mod ops;
 mod sharded;
 mod sim;
@@ -45,5 +50,6 @@ mod transport;
 pub use client::Client;
 pub use ops::UpdateOutcome;
 pub use sharded::{ShardSpec, ShardedDeployment};
-pub use sim::{CrashMode, LevelStats, SimDeployment};
+pub use engine::CrashMode;
+pub use sim::{LevelStats, SimDeployment};
 pub use transport::{SyncClient, ThreadedDeployment, UdpClient, UdpDeployment};

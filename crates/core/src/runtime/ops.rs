@@ -7,7 +7,9 @@
 //! transport and the wall clock, [`SimDeployment`](super::SimDeployment)
 //! over the simulated network in virtual time. Neither matches on
 //! reply messages itself, so "which message answers which request,
-//! and what result it means" is decided in this module only.
+//! and what result it means" is decided in this module only. The
+//! server side has one home too: both drive their servers through the
+//! same engine table (`runtime/engine.rs`).
 
 use crate::model::{
     LocationDescriptor, LsError, NeighborAnswer, ObjectId, RangeAnswer, RangeQuery, Sighting,

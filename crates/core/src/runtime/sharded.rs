@@ -1,14 +1,19 @@
-//! [`ShardedDeployment`] and the sharded, event-driven engine under
-//! it, the same on every transport.
+//! [`ShardedDeployment`] and the sharded event loop under it, the same
+//! on every transport.
 //!
-//! The engine runs **one event loop per shard**: servers are partitioned
-//! across shards by server id (`id % shards`), which — because every
-//! leaf owns a disjoint service area and objects map to leaves by
-//! area — partitions visitor/object state across cores the same way
-//! the slab store decouples storage from index. Each loop:
+//! The deployment runs **one event loop per shard**: servers are
+//! partitioned across shards by server id (`id % shards`), which —
+//! because every leaf owns a disjoint service area and objects map to
+//! leaves by area — partitions visitor/object state across cores the
+//! same way the slab store decouples storage from index. A shard's
+//! servers live in its own engine table ([`Servers`], the one the
+//! simulator drives too), which builds, dispatches to, ticks, crashes,
+//! restarts and checkpoints them; the shard keeps only the loop, the
+//! routing of what the table returns, the control commands and its busy
+//! accounting. Each loop:
 //!
 //! 1. applies pending control commands (crash / restart / checkpoint /
-//!    snapshot),
+//!    snapshot) through the table,
 //! 2. fires due timers on its local servers,
 //! 3. naps until the earliest local timer (bounded by [`MAX_NAP`]),
 //! 4. drains a **batch** of envelopes from its transport in one wait
@@ -37,10 +42,10 @@
 // lint:allow-file(wallclock) real-time event-loop runtime: naps, busy-time accounting and command deadlines come from the host clock by design
 use crate::area::Hierarchy;
 use crate::model::Micros;
-use crate::node::{LocationServer, ServerOptions, ServerStats};
+use crate::node::{ServerOptions, ServerStats};
 use crate::proto::Message;
 use crate::runtime::client::Client;
-use crate::runtime::sim::CrashMode;
+use crate::runtime::engine::{CrashMode, Servers};
 use hiloc_geo::Point;
 use hiloc_net::{ClientId, Endpoint, Envelope, Port, SendOutcome, ServerId};
 use hiloc_storage::StorageError;
@@ -192,20 +197,12 @@ pub(crate) trait ShardTransport: Send + 'static {
 /// unbounded channel so a flooded data inbox can never wedge chaos
 /// verbs or shutdown.
 pub(crate) enum Command {
-    /// Kill the server's instance ([`CrashMode::kill`]: a process
-    /// crash keeps what the OS buffered, a power loss only what was
-    /// fsynced); subsequent envelopes to it are blackholed. Replies
-    /// `false` when the server is not on this shard or already down.
+    /// [`Servers::crash`]; replies its answer.
     Crash(ServerId, CrashMode, Sender<bool>),
-    /// Rebuild the server from its config (+ durable state when the
-    /// deployment has durability configured). Also restarts a
-    /// *running* server (crash-restart in one verb). Replies `false`
-    /// when the server is not on this shard or its durable store will
-    /// not reopen; the server then stays down.
+    /// [`Servers::restart`] (also of a running server); replies its
+    /// answer.
     Restart(ServerId, Sender<bool>),
-    /// Checkpoint the live server's storage engine (a no-op for a
-    /// volatile one). Replies `false` when the server is not on this
-    /// shard, is down, or the checkpoint write failed.
+    /// [`Servers::checkpoint`]; replies its answer.
     Checkpoint(ServerId, Sender<bool>),
     /// Report per-server stats of live local servers (shed counters
     /// folded in by the deployment) and this shard's busy time.
@@ -221,21 +218,13 @@ pub(crate) struct ShardSnapshot {
     pub busy: Duration,
 }
 
-/// One server slot on a shard; `server: None` = crashed.
-struct Slot {
-    id: ServerId,
-    server: Option<LocationServer>,
-}
-
 /// A single event-loop shard. Generic over the transport so every
 /// deployment shares the loop verbatim, statically dispatched.
 pub(crate) struct Shard<T: ShardTransport> {
     transport: T,
-    slots: Vec<Slot>,
-    /// Server id → index into `slots`.
-    local: BTreeMap<u32, usize>,
+    /// The servers this shard owns.
+    servers: Servers,
     hierarchy: Arc<Hierarchy>,
-    opts: ServerOptions,
     shared: Arc<Shared>,
     cmd_rx: Receiver<Command>,
     shutdown: Arc<AtomicBool>,
@@ -265,7 +254,9 @@ impl<T: ShardTransport> Shard<T> {
             }
 
             let t0 = Instant::now();
-            self.fire_timers();
+            for out in self.servers.fire_due(self.now_us()).into_iter().flatten() {
+                self.route(out);
+            }
             self.drain_local();
             self.busy += t0.elapsed();
 
@@ -282,42 +273,15 @@ impl<T: ShardTransport> Shard<T> {
                 self.busy += t1.elapsed();
             }
         }
-        self.slots
-            .iter()
-            .filter_map(|s| s.server.as_ref().map(|sv| (s.id, sv.stats())))
-            .collect()
+        self.servers.stats()
     }
 
     /// Time until the earliest live local timer, bounded by [`MAX_NAP`].
     fn nap(&self) -> Duration {
         let now = self.now_us();
-        let mut nap = MAX_NAP;
-        for slot in &self.slots {
-            if let Some(server) = &slot.server {
-                if let Some(t) = server.next_timer() {
-                    nap = nap.min(Duration::from_micros(t.saturating_sub(now)));
-                }
-            }
-        }
-        nap
-    }
-
-    fn fire_timers(&mut self) {
-        let now = self.now_us();
-        for i in 0..self.slots.len() {
-            let due = self.slots[i]
-                .server
-                .as_ref()
-                .and_then(|s| s.next_timer())
-                .map(|t| t <= now)
-                .unwrap_or(false);
-            if due {
-                let outs = self.slots[i].server.as_mut().expect("checked above").tick(now);
-                for out in outs {
-                    self.route(out);
-                }
-            }
-        }
+        self.servers
+            .next_timer()
+            .map_or(MAX_NAP, |t| MAX_NAP.min(Duration::from_micros(t.saturating_sub(now))))
     }
 
     /// Dispatches queued envelopes to local servers until the queue is
@@ -326,21 +290,10 @@ impl<T: ShardTransport> Shard<T> {
     /// received batch — ends here.
     fn drain_local(&mut self) {
         while let Some(env) = self.local_q.pop_front() {
-            let Endpoint::Server(sid) = env.to else {
-                // Client-addressed envelopes never enter the local
-                // queue via `route`; a transport can still deliver a
-                // stray one — drop it.
-                continue;
-            };
-            let Some(&i) = self.local.get(&sid.0) else {
-                // Misrouted (not our shard): drop, UDP semantics.
-                continue;
-            };
-            let Some(server) = self.slots[i].server.as_mut() else {
-                continue; // crashed server: blackhole
-            };
-            let now = self.epoch.elapsed().as_micros() as Micros;
-            let outs = server.handle(now, env);
+            // A crashed server blackholes; a stray client-addressed or
+            // misrouted envelope (not our shard) is dropped, UDP
+            // semantics.
+            let Some(outs) = self.servers.deliver(self.now_us(), env) else { continue };
             for out in outs {
                 self.route(out);
             }
@@ -362,7 +315,7 @@ impl<T: ShardTransport> Shard<T> {
         }
         let to = env.to;
         if let Endpoint::Server(sid) = to {
-            if self.local.contains_key(&sid.0) {
+            if self.servers.hosts(sid) {
                 self.local_q.push_back(env);
                 return;
             }
@@ -376,38 +329,18 @@ impl<T: ShardTransport> Shard<T> {
 
     fn apply(&mut self, cmd: Command) {
         match cmd {
+            // Queued envelopes to a crashed server blackhole at dispatch.
             Command::Crash(id, mode, ack) => {
-                // Queued envelopes to it blackhole at dispatch.
-                let crashed = self.local.get(&id.0).and_then(|&i| self.slots[i].server.take());
-                let _ = ack.try_send(crashed.is_some_and(|server| mode.kill(server).is_ok()));
+                let _ = ack.try_send(self.servers.crash(id, mode));
             }
             Command::Restart(id, ack) => {
-                let ok = match self.local.get(&id.0) {
-                    Some(&i) => {
-                        // Drop any live instance first so the durable
-                        // engine reopens exclusively.
-                        self.slots[i].server = None;
-                        let cfg = self.hierarchy.server(id).clone();
-                        // A store that will not reopen (a corrupt
-                        // snapshot is an error by design) leaves this
-                        // one server down; its shard keeps serving.
-                        self.slots[i].server = LocationServer::new(cfg, self.opts.clone()).ok();
-                        self.slots[i].server.is_some()
-                    }
-                    None => false,
-                };
-                let _ = ack.try_send(ok);
+                let _ = ack.try_send(self.servers.restart(&self.hierarchy, id));
             }
             Command::Checkpoint(id, ack) => {
-                let live = self.local.get(&id.0).and_then(|&i| self.slots[i].server.as_mut());
-                let _ = ack.try_send(live.is_some_and(|server| server.compact().is_ok()));
+                let _ = ack.try_send(self.servers.checkpoint(id));
             }
             Command::Snapshot(reply) => {
-                let stats = self
-                    .slots
-                    .iter()
-                    .filter_map(|s| s.server.as_ref().map(|sv| (s.id, sv.stats())))
-                    .collect();
+                let stats = self.servers.stats();
                 let _ = reply.try_send(ShardSnapshot { stats, busy: self.busy });
             }
         }
@@ -471,12 +404,12 @@ impl<W> ShardedDeployment<W> {
     ) -> Result<Self, StorageError> {
         let n_shards = transports.len();
         let mut owner = Vec::with_capacity(hierarchy.len());
-        let mut per_shard: Vec<Vec<Slot>> = (0..n_shards).map(|_| Vec::new()).collect();
+        let mut per_shard: Vec<Servers> =
+            (0..n_shards).map(|_| Servers::new(opts.clone())).collect();
         for cfg in hierarchy.servers() {
             let shard = ShardSpec::shard_of(cfg.id, n_shards);
             owner.push(shard);
-            let server = LocationServer::new(cfg.clone(), opts.clone())?;
-            per_shard[shard].push(Slot { id: cfg.id, server: Some(server) });
+            per_shard[shard].spawn(cfg)?;
         }
 
         let shared = Shared::new(hierarchy.len());
@@ -484,15 +417,13 @@ impl<W> ShardedDeployment<W> {
         let epoch = Instant::now();
         let mut cmd_txs = Vec::with_capacity(n_shards);
         let mut handles = Vec::with_capacity(n_shards);
-        for (transport, slots) in transports.into_iter().zip(per_shard) {
+        for (transport, servers) in transports.into_iter().zip(per_shard) {
             let (cmd_tx, cmd_rx) = unbounded();
             cmd_txs.push(cmd_tx);
             let shard = Shard {
                 transport,
-                local: slots.iter().enumerate().map(|(i, s)| (s.id.0, i)).collect(),
-                slots,
+                servers,
                 hierarchy: Arc::clone(&hierarchy),
-                opts: opts.clone(),
                 shared: Arc::clone(&shared),
                 cmd_rx,
                 shutdown: Arc::clone(&shutdown),
@@ -570,9 +501,10 @@ impl<W> ShardedDeployment<W> {
 
     /// [`ShardedDeployment::crash_server`] with an explicit
     /// [`CrashMode`]: `PowerLoss` also truncates the server's engine
-    /// files back to their last fsynced byte, exactly as
-    /// [`SimDeployment::crash_server_with`](super::SimDeployment::crash_server_with)
-    /// does. Returns `false` when the server is already down or the
+    /// files back to their last fsynced byte. The shard's engine table
+    /// runs the crash, the same code that runs
+    /// [`SimDeployment::crash_server_with`](super::SimDeployment::crash_server_with).
+    /// Returns `false` when the server is already down or the
     /// truncation failed.
     pub fn crash_server_with(&self, id: ServerId, mode: CrashMode) -> bool {
         self.command_to_owner(id, |ack| Command::Crash(id, mode, ack))

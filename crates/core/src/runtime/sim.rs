@@ -1,4 +1,7 @@
-//! Deterministic virtual-time deployment.
+//! Deterministic virtual-time deployment: the engine table's second
+//! driver. [`SimDeployment`] keeps the simulated network, the client
+//! inboxes, virtual-time scheduling and the reshape verbs; its servers
+//! and their lifecycle live in the same table a real shard drives.
 
 use crate::area::Hierarchy;
 use crate::model::{
@@ -7,6 +10,7 @@ use crate::model::{
 };
 use crate::node::{LocationServer, ServerOptions, ServerStats};
 use crate::proto::Message;
+use crate::runtime::engine::{CrashMode, Servers};
 use crate::runtime::ops::{self, Classify, Op, UpdateOutcome};
 use hiloc_geo::Point;
 use hiloc_net::{
@@ -18,56 +22,6 @@ use std::collections::{BTreeMap, VecDeque};
 /// Safety cap on deliveries per blocking operation (guards against
 /// protocol loops in development).
 const MAX_STEPS_PER_OP: usize = 1_000_000;
-
-/// How a scripted crash loses state (see
-/// [`SimDeployment::crash_server_with`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrashMode {
-    /// Process crash: volatile state and in-flight messages are lost,
-    /// but OS-buffered WAL bytes survive (the file handle's buffers
-    /// flush when the process dies gracefully enough for the OS to
-    /// keep its page cache).
-    Process,
-    /// Power loss: additionally drops every WAL byte that was not yet
-    /// fsynced — the durable store recovers exactly the synced prefix,
-    /// with a torn tail repaired by the WAL's usual scan.
-    PowerLoss,
-}
-
-impl CrashMode {
-    /// Kills a server instance the way this mode loses state — the one
-    /// crash routine every deployment calls. Dropping the instance
-    /// releases the durable store's file handles, flushing user-space
-    /// buffers into the page cache. `PowerLoss` then truncates every
-    /// file of the storage engine (visitor WAL, checkpoint snapshot)
-    /// back to its last fsynced byte: the page cache dying with the
-    /// machine. (With `SyncPolicy::Always` outside a group commit
-    /// nothing acknowledged is ever un-synced, so the two modes then
-    /// coincide.) Because the checkpoint commit renames a synced
-    /// snapshot into place and only then resets the WAL, a power loss
-    /// landing *between* those steps leaves a stale-generation WAL next
-    /// to a newer snapshot — a state recovery must (and does)
-    /// arbitrate, covered by the fuzzer's checkpoint/power-loss pairing.
-    /// The replica sibling copies live in their own engine directory
-    /// (`server-N/replica/`), so both stores tear independently — a torn
-    /// replica tail must not take the visitor log with it, and vice
-    /// versa.
-    pub(crate) fn kill(self, server: LocationServer) -> std::io::Result<()> {
-        let loss_points = match self {
-            CrashMode::Process => Vec::new(),
-            CrashMode::PowerLoss => {
-                let mut points = server.wal_power_loss_points();
-                points.extend(server.replica_power_loss_points());
-                points
-            }
-        };
-        drop(server);
-        for (path, synced) in loss_points {
-            std::fs::OpenOptions::new().write(true).open(&path)?.set_len(synced)?;
-        }
-        Ok(())
-    }
-}
 
 /// Per-hierarchy-level aggregate of server counters (see
 /// [`SimDeployment::level_stats`]).
@@ -107,11 +61,8 @@ pub struct LevelStats {
 /// ```
 pub struct SimDeployment {
     hierarchy: Hierarchy,
-    opts: ServerOptions,
-    servers: Vec<LocationServer>,
-    /// Crashed servers: their timers do not fire and messages delivered
-    /// to them are blackholed until [`SimDeployment::restart_server`].
-    down: Vec<bool>,
+    /// Every server, the retired and the standbys included.
+    servers: Servers,
     net: SimNet<Message>,
     inboxes: BTreeMap<ClientId, VecDeque<Message>>,
     corr: CorrIdGen,
@@ -131,7 +82,7 @@ pub struct SimDeployment {
 impl std::fmt::Debug for SimDeployment {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimDeployment")
-            .field("servers", &self.servers.len())
+            .field("servers", &self.hierarchy.len())
             .field("now_us", &self.net.now_us())
             .finish()
     }
@@ -157,20 +108,13 @@ impl SimDeployment {
         faults: FaultPlan,
         seed: u64,
     ) -> Self {
-        let servers: Vec<LocationServer> = hierarchy
-            .servers()
-            .iter()
-            .map(|cfg| {
-                LocationServer::new(cfg.clone(), opts.clone())
-                    .expect("server construction failed")
-            })
-            .collect();
-        let down = vec![false; servers.len()];
+        let mut servers = Servers::new(opts);
+        for cfg in hierarchy.servers() {
+            servers.spawn(cfg).expect("server construction failed");
+        }
         SimDeployment {
             hierarchy,
-            opts,
             servers,
-            down,
             net: SimNet::new(latency, faults, seed),
             inboxes: BTreeMap::new(),
             corr: CorrIdGen::namespaced(1 << 20),
@@ -181,103 +125,69 @@ impl SimDeployment {
         }
     }
 
-    /// Crash-restarts one server: all volatile state (sightings,
-    /// pending operations, caches) is lost; the durable visitor store,
-    /// when configured, is recovered from disk — the paper's §5
-    /// restart model. Also brings a server crashed with
-    /// [`SimDeployment::crash_server`] back up.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the durable store cannot be reopened.
-    pub fn restart_server(&mut self, id: ServerId) {
+    /// Crash-restarts one server, or brings a crashed one back up: the
+    /// paper's §5 restart model (volatile state lost, the durable
+    /// visitor store recovered). Returns `false` on an unknown or
+    /// retired id, or when the durable store will not reopen — that
+    /// server then stays down while the rest serve on.
+    pub fn restart_server(&mut self, id: ServerId) -> bool {
         // A standby slot is marked retired in the hierarchy (it takes
-        // no part in routing until promoted) but its server instance
-        // is live — it crash-restarts like any other.
+        // no part in routing until promoted) but crash-restarts like
+        // any other server.
         let is_standby = self.standbys.values().any(|s| *s == id);
-        assert!(
-            is_standby || !self.hierarchy.is_retired(id),
-            "server {} is retired and can never rejoin under that id",
-            id.0
-        );
-        let cfg = self.hierarchy.server(id).clone();
-        if !self.down[id.0 as usize] {
-            // Restarting a *running* server: release the durable
-            // store's file handles (flushing any buffered WAL bytes)
-            // before the new instance replays the log — two live
-            // writers on one WAL would interleave records.
-            let mut volatile = self.opts.clone();
-            volatile.durability = None;
-            self.servers[id.0 as usize] = LocationServer::new(cfg.clone(), volatile)
-                .expect("volatile placeholder construction");
+        let retired = self.servers.hosts(id) && self.hierarchy.is_retired(id);
+        if retired && !is_standby {
+            return false;
         }
-        self.servers[id.0 as usize] =
-            LocationServer::new(cfg, self.opts.clone()).expect("server restart failed");
+        if !self.servers.restart(&self.hierarchy, id) {
+            return false;
+        }
         if is_standby {
             // The fresh instance must resume the passive role: its
             // source re-streams a full snapshot on the live stream,
             // and local expiry stays off until promotion.
-            self.servers[id.0 as usize].enter_standby_mode();
+            if let Some(server) = self.servers.get_mut(id) {
+                server.enter_standby_mode();
+            }
         }
-        self.down[id.0 as usize] = false;
+        true
     }
 
     /// Crashes one server at the current virtual instant: its in-memory
     /// state and every in-flight message addressed to it are dropped,
-    /// its timers stop firing, and until [`SimDeployment::restart_server`]
-    /// any message delivered to it is blackholed. Durable state (the
-    /// visitor WAL + snapshot) stays on disk and is replayed on restart.
-    ///
-    /// This is a *process* crash ([`CrashMode::Process`]); see
-    /// [`SimDeployment::crash_server_with`] for power loss.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the server is already down.
-    pub fn crash_server(&mut self, id: ServerId) {
-        self.crash_server_with(id, CrashMode::Process);
+    /// and until [`SimDeployment::restart_server`] its timers stop and
+    /// messages to it are blackholed. Durable state stays on disk. A
+    /// *process* crash ([`CrashMode::Process`]); returns `false` when
+    /// the server is not running.
+    pub fn crash_server(&mut self, id: ServerId) -> bool {
+        self.crash_server_with(id, CrashMode::Process)
     }
 
     /// [`SimDeployment::crash_server`] with an explicit [`CrashMode`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the server is already down.
-    pub fn crash_server_with(&mut self, id: ServerId, mode: CrashMode) {
-        assert!(!self.down[id.0 as usize], "server {} is already down", id.0);
-        // A volatile placeholder takes the slot: the old instance dies
-        // at the crash instant, so the restart reopens the engine
-        // exclusively.
-        let cfg = self.hierarchy.server(id).clone();
-        let mut volatile = self.opts.clone();
-        volatile.durability = None;
-        let placeholder =
-            LocationServer::new(cfg, volatile).expect("volatile placeholder construction");
-        let crashed = std::mem::replace(&mut self.servers[id.0 as usize], placeholder);
-        mode.kill(crashed).expect("power-loss truncation: engine file must exist");
-        self.down[id.0 as usize] = true;
-        self.net.discard_where(|env| env.to == Endpoint::Server(id));
+    /// Returns `false` when the server is not running, or when the
+    /// power-loss truncation failed (the server is down either way).
+    pub fn crash_server_with(&mut self, id: ServerId, mode: CrashMode) -> bool {
+        let was_running = self.servers.get(id).is_some();
+        let ok = self.servers.crash(id, mode);
+        if was_running {
+            self.net.discard_where(|env| env.to == Endpoint::Server(id));
+        }
+        ok
     }
 
-    /// Takes a storage-engine checkpoint on a running server: the
-    /// visitor and replica tables are each written as a sealed
-    /// snapshot, and each WAL truncates behind its snapshot. A no-op
-    /// for volatile deployments. Pairing this with a
+    /// Takes a storage-engine checkpoint on a running server (a no-op
+    /// for volatile deployments). Pairing this with a
     /// [`CrashMode::PowerLoss`] crash in the same instant is how
     /// scenarios (and the fuzzer) land power losses across the
-    /// checkpoint commit boundary.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the server is down or the checkpoint write fails.
-    pub fn checkpoint_server(&mut self, id: ServerId) {
-        assert!(!self.down[id.0 as usize], "server {} is down", id.0);
-        self.servers[id.0 as usize].compact().expect("checkpoint failed");
+    /// checkpoint commit boundary. Returns `false` when the server is
+    /// not running or the checkpoint write failed.
+    pub fn checkpoint_server(&mut self, id: ServerId) -> bool {
+        self.servers.checkpoint(id)
     }
 
     /// Whether a server is currently crashed.
     pub fn is_down(&self, id: ServerId) -> bool {
-        self.down[id.0 as usize]
+        self.servers.is_down(id)
     }
 
     /// Whether a server has left the hierarchy for good (a retired
@@ -309,47 +219,29 @@ impl SimDeployment {
     /// root-leaf).
     pub fn spawn_server(&mut self, split: ServerId) -> ServerId {
         let new_id = self.hierarchy.split_leaf(split).expect("split_leaf rejected");
-        let cfg = self.hierarchy.server(new_id).clone();
-        self.servers
-            .push(LocationServer::new(cfg, self.opts.clone()).expect("spawned server construction"));
-        self.down.push(false);
+        self.spawn(new_id);
         let parent = self.hierarchy.server(split).parent.expect("split leaf has a parent");
         self.push_config(split);
         self.push_config(parent);
-        if !self.down[split.0 as usize] {
+        if !self.servers.is_down(split) {
             let now = self.net.now_us();
             let area = self.hierarchy.server(new_id).area;
-            let out = self.servers[split.0 as usize].begin_transfer_out(now, new_id, Some(area));
-            for e in out {
-                self.net.send(e);
-            }
+            self.on(split, |s| s.begin_transfer_out(now, new_id, Some(area)));
             if self.replication {
                 // Wire the newcomer into the sibling replica ring,
                 // keeping the one-source-per-target invariant: the
                 // split leaf now streams to the newcomer, the newcomer
                 // to the split leaf's previous buddy (or back to the
                 // split leaf when it had none).
-                let mut sends = Vec::new();
-                match self.servers[split.0 as usize].replication_sink() {
+                match self.servers.get(split).and_then(LocationServer::replication_sink) {
                     Some((tgt, true)) => {
-                        sends.extend(
-                            self.servers[new_id.0 as usize].set_replication_sink(now, tgt, true),
-                        );
-                        sends.extend(
-                            self.servers[split.0 as usize].set_replication_sink(now, new_id, true),
-                        );
+                        self.on(new_id, |s| s.set_replication_sink(now, tgt, true));
+                        self.on(split, |s| s.set_replication_sink(now, new_id, true));
                     }
                     _ => {
-                        sends.extend(
-                            self.servers[split.0 as usize].set_replication_sink(now, new_id, true),
-                        );
-                        sends.extend(
-                            self.servers[new_id.0 as usize].set_replication_sink(now, split, true),
-                        );
+                        self.on(split, |s| s.set_replication_sink(now, new_id, true));
+                        self.on(new_id, |s| s.set_replication_sink(now, split, true));
                     }
-                }
-                for e in sends {
-                    self.net.send(e);
                 }
             }
         }
@@ -371,17 +263,14 @@ impl SimDeployment {
     /// scenarios retire it after restart), or when the hierarchy
     /// rejects the retirement (no mergeable sibling, root-leaf).
     pub fn retire_server(&mut self, id: ServerId) -> ServerId {
-        assert!(!self.down[id.0 as usize], "server {} is down and cannot drain", id.0);
+        assert!(!self.servers.is_down(id), "server {} is down and cannot drain", id.0);
         let absorber = self.hierarchy.retire_leaf(id).expect("retire_leaf rejected");
         let parent = self.hierarchy.server(absorber).parent.expect("absorber has a parent");
         self.push_config(absorber);
         self.push_config(parent);
         self.push_config(id);
         let now = self.net.now_us();
-        let out = self.servers[id.0 as usize].begin_transfer_out(now, absorber, None);
-        for e in out {
-            self.net.send(e);
-        }
+        self.on(id, |s| s.begin_transfer_out(now, absorber, None));
         absorber
     }
 
@@ -407,29 +296,22 @@ impl SimDeployment {
     pub fn promote_root(&mut self) -> ServerId {
         let old = self.hierarchy.root();
         assert!(
-            self.down[old.0 as usize],
+            self.servers.is_down(old),
             "root failover requires the root (server {}) to be down",
             old.0
         );
         if let Some(standby) = self.standbys.remove(&old) {
-            if !self.down[standby.0 as usize] {
+            if !self.servers.is_down(standby) {
                 // Warm path: O(1) table adoption.
                 self.hierarchy
                     .fail_over_root_to(standby)
                     .expect("fail_over_root_to rejected");
                 self.push_config(standby);
                 let now = self.net.now_us();
-                self.servers[standby.0 as usize].leave_standby_mode(now);
-                let repointed: Vec<ServerId> = self
-                    .hierarchy
-                    .servers()
-                    .iter()
-                    .filter(|c| c.id != standby && c.parent == Some(standby))
-                    .map(|c| c.id)
-                    .collect();
-                for id in repointed {
-                    self.push_config(id);
+                if let Some(server) = self.servers.get_mut(standby) {
+                    server.leave_standby_mode(now);
                 }
+                self.repoint_children(standby);
                 if self.replication {
                     self.designate_standby(standby);
                 }
@@ -439,29 +321,10 @@ impl SimDeployment {
             // forever; fall through to the cold rebuild path.
         }
         let new_id = self.hierarchy.fail_over_root().expect("fail_over_root rejected");
-        let cfg = self.hierarchy.server(new_id).clone();
-        self.servers
-            .push(LocationServer::new(cfg, self.opts.clone()).expect("successor construction"));
-        self.down.push(false);
-        // Every server whose parent pointer moved gets the new record:
-        // the successor's children, and any *retired* straggler that
-        // pointed at the dead root (its agent-lookup healing path must
-        // not black-hole forever).
-        let repointed: Vec<ServerId> = self
-            .hierarchy
-            .servers()
-            .iter()
-            .filter(|c| c.id != new_id && c.parent == Some(new_id))
-            .map(|c| c.id)
-            .collect();
-        for id in repointed {
-            self.push_config(id);
-        }
+        self.spawn(new_id);
+        self.repoint_children(new_id);
         let now = self.net.now_us();
-        let out = self.servers[new_id.0 as usize].begin_path_sync(now);
-        for e in out {
-            self.net.send(e);
-        }
+        self.on(new_id, |s| s.begin_path_sync(now));
         if self.replication {
             self.designate_standby(new_id);
         }
@@ -505,10 +368,7 @@ impl SimDeployment {
             }
             for (i, &leaf) in group.iter().enumerate() {
                 let buddy = group[(i + 1) % group.len()];
-                let out = self.servers[leaf.0 as usize].set_replication_sink(now, buddy, true);
-                for e in out {
-                    self.net.send(e);
-                }
+                self.on(leaf, |s| s.set_replication_sink(now, buddy, true));
             }
         }
     }
@@ -524,20 +384,13 @@ impl SimDeployment {
     /// standby.
     pub fn designate_standby(&mut self, of: ServerId) -> ServerId {
         assert!(!self.hierarchy.server(of).is_leaf(), "standbys shadow non-leaves");
-        assert!(!self.down[of.0 as usize], "server {} is down", of.0);
+        assert!(!self.servers.is_down(of), "server {} is down", of.0);
         assert!(!self.standbys.contains_key(&of), "server {} already has a standby", of.0);
         let standby = self.hierarchy.reserve_standby(of).expect("reserve_standby rejected");
-        let cfg = self.hierarchy.server(standby).clone();
-        let mut server = LocationServer::new(cfg, self.opts.clone()).expect("standby construction");
-        server.enter_standby_mode();
-        self.servers.push(server);
-        self.down.push(false);
+        self.spawn(standby).enter_standby_mode();
         self.standbys.insert(of, standby);
         let now = self.net.now_us();
-        let out = self.servers[of.0 as usize].set_replication_sink(now, standby, false);
-        for e in out {
-            self.net.send(e);
-        }
+        self.on(of, |s| s.set_replication_sink(now, standby, false));
         standby
     }
 
@@ -546,12 +399,46 @@ impl SimDeployment {
         self.standbys.get(&of).copied()
     }
 
+    /// Builds a reshape's newcomer `id`; panics when its durable store
+    /// cannot be opened.
+    fn spawn(&mut self, id: ServerId) -> &mut LocationServer {
+        let cfg = self.hierarchy.server(id);
+        self.servers.spawn(cfg).expect("reshaped server construction")
+    }
+
+    /// Runs `f` on server `id` when it is running and sends what it
+    /// returns; a down server is skipped.
+    fn on(&mut self, id: ServerId, f: impl FnOnce(&mut LocationServer) -> Vec<Envelope<Message>>) {
+        for e in self.servers.get_mut(id).map(f).into_iter().flatten() {
+            self.net.send(e);
+        }
+    }
+
+    /// Pushes the new record to every server whose parent pointer moved
+    /// to the successor root `root`: its children, and any *retired*
+    /// straggler that pointed at the dead root (its agent-lookup healing
+    /// path must not black-hole forever).
+    fn repoint_children(&mut self, root: ServerId) {
+        let children: Vec<ServerId> = self
+            .hierarchy
+            .servers()
+            .iter()
+            .filter(|c| c.id != root && c.parent == Some(root))
+            .map(|c| c.id)
+            .collect();
+        for id in children {
+            self.push_config(id);
+        }
+    }
+
     /// Installs the hierarchy's current configuration record into the
-    /// running (or placeholder) server instance. Crashed servers get
-    /// theirs on restart, which re-reads the hierarchy.
+    /// running server instance. Crashed servers get theirs on restart,
+    /// which re-reads the hierarchy.
     fn push_config(&mut self, id: ServerId) {
         let cfg = self.hierarchy.server(id).clone();
-        self.servers[id.0 as usize].reconfigure(cfg);
+        if let Some(server) = self.servers.get_mut(id) {
+            server.reconfigure(cfg);
+        }
     }
 
     /// Number of messages blackholed at crashed servers so far.
@@ -575,16 +462,16 @@ impl SimDeployment {
         &self.hierarchy
     }
 
-    /// Read access to a server (stats, databases). While a server is
-    /// crashed this returns its empty volatile placeholder.
-    pub fn server(&self, id: ServerId) -> &LocationServer {
-        &self.servers[id.0 as usize]
+    /// Read access to a running server (stats, databases); `None`
+    /// while it is down, or for an unknown id.
+    pub fn server(&self, id: ServerId) -> Option<&LocationServer> {
+        self.servers.get(id)
     }
 
-    /// Aggregated stats over all servers.
+    /// Aggregated stats over all running servers.
     pub fn total_stats(&self) -> ServerStats {
         let mut total = ServerStats::default();
-        for s in &self.servers {
+        for s in self.servers.running() {
             total.add(&s.stats());
         }
         total
@@ -602,7 +489,9 @@ impl SimDeployment {
                 .entry(cfg.level)
                 .or_insert(LevelStats { level: cfg.level, servers: 0, stats: ServerStats::default() });
             entry.servers += 1;
-            entry.stats.add(&self.servers[cfg.id.0 as usize].stats());
+            if let Some(s) = self.servers.get(cfg.id) {
+                entry.stats.add(&s.stats());
+            }
         }
         by_level.into_values().collect()
     }
@@ -611,7 +500,7 @@ impl SimDeployment {
     pub fn cache_hit_stats(&self) -> (u64, u64) {
         let mut hits = 0;
         let mut misses = 0;
-        for s in &self.servers {
+        for s in self.servers.running() {
             let (h, m) = s.cache_stats();
             hits += h;
             misses += m;
@@ -624,7 +513,7 @@ impl SimDeployment {
     /// earns its memory under a given workload.
     pub fn cache_stats_by_cache(&self) -> crate::cache::CacheStats {
         let mut total = crate::cache::CacheStats::default();
-        for s in &self.servers {
+        for s in self.servers.running() {
             total.add(&s.cache_stats_detail());
         }
         total
@@ -637,10 +526,7 @@ impl SimDeployment {
     /// with caches off, flip them on, re-measure — without rebuilding
     /// the deployment's registrations.
     pub fn set_caches(&mut self, cfg: crate::cache::CacheConfig) {
-        self.opts.caches = cfg;
-        for s in &mut self.servers {
-            s.set_cache_config(cfg);
-        }
+        self.servers.set_caches(cfg);
     }
 
     /// Current virtual time (microseconds).
@@ -708,54 +594,29 @@ impl SimDeployment {
     /// quiet.
     pub fn step_message(&mut self) -> bool {
         let Some((now, env)) = self.net.next() else { return false };
-        match env.to {
-            Endpoint::Server(sid) => {
-                if self.down[sid.0 as usize] {
-                    // Crashed server: the datagram vanishes.
-                    self.blackholed += 1;
-                } else {
-                    let out = self.servers[sid.0 as usize].handle(now, env);
-                    for e in out {
-                        self.net.send(e);
-                    }
-                    // Fire timers that became due at this instant.
-                    self.fire_due_timers(now);
+        if let Endpoint::Client(cid) = env.to {
+            self.inboxes.entry(cid).or_default().push_back(env.msg);
+            return true;
+        }
+        match self.servers.deliver(now, env) {
+            Some(out) => {
+                for e in out {
+                    self.net.send(e);
                 }
+                // Fire timers that became due at this instant.
+                self.fire_due(now);
             }
-            Endpoint::Client(cid) => {
-                self.inboxes.entry(cid).or_default().push_back(env.msg);
-            }
+            // Crashed server: the datagram vanishes.
+            None => self.blackholed += 1,
         }
         true
     }
 
-    /// The earliest pending timer across live (non-crashed) servers.
-    fn earliest_timer(&self) -> Option<Micros> {
-        self.servers
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !self.down[*i])
-            .filter_map(|(_, s)| s.next_timer())
-            .min()
-    }
-
-    fn fire_due_timers(&mut self, now: Micros) {
-        loop {
-            let mut fired = false;
-            for i in 0..self.servers.len() {
-                if self.down[i] {
-                    continue;
-                }
-                if self.servers[i].next_timer().map(|t| t <= now).unwrap_or(false) {
-                    for e in self.servers[i].tick(now) {
-                        self.net.send(e);
-                    }
-                    fired = true;
-                }
-            }
-            if !fired {
-                break;
-            }
+    /// Advances the network clock to `now` and fires every timer due.
+    fn fire_due(&mut self, now: Micros) {
+        self.net.advance_to(now);
+        for e in self.servers.fire_due(now).into_iter().flatten() {
+            self.net.send(e);
         }
     }
 
@@ -774,16 +635,13 @@ impl SimDeployment {
     /// state expiry etc.) and draining resulting traffic.
     pub fn advance_time(&mut self, t_us: Micros) {
         loop {
-            let next_timer = self.earliest_timer();
+            let next_timer = self.servers.next_timer();
             let next_msg = self.net.peek_time();
             match (next_msg, next_timer) {
                 (Some(tm), _) if tm <= t_us => {
                     self.step_message();
                 }
-                (_, Some(tt)) if tt <= t_us => {
-                    self.net.advance_to(tt);
-                    self.fire_due_timers(tt);
-                }
+                (_, Some(tt)) if tt <= t_us => self.fire_due(tt),
                 _ => break,
             }
         }
@@ -803,8 +661,8 @@ impl SimDeployment {
         client: ClientId,
         classify: impl Classify<R>,
     ) -> Result<R, LsError> {
-        let deadline = self.net.now_us()
-            + self.opts.query_timeout_us.saturating_mul(2).max(2 * crate::model::SECOND);
+        let timeout_us = self.servers.options().query_timeout_us;
+        let deadline = self.net.now_us() + timeout_us.saturating_mul(2).max(2 * crate::model::SECOND);
         for _ in 0..MAX_STEPS_PER_OP {
             if let Some(q) = self.inboxes.get_mut(&client) {
                 if let Some(reply) = ops::take_reply(q, &classify) {
@@ -812,18 +670,13 @@ impl SimDeployment {
                 }
             }
             let next_msg = self.net.peek_time();
-            let next_timer = self.earliest_timer();
-            let next = match (next_msg, next_timer) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-            match next {
+            let next_timer = self.servers.next_timer();
+            match next_msg.into_iter().chain(next_timer).min() {
                 Some(t) if t <= deadline => {
                     if next_msg.map(|m| m <= t).unwrap_or(false) {
                         self.step_message();
                     } else {
-                        self.net.advance_to(t);
-                        self.fire_due_timers(t);
+                        self.fire_due(t);
                     }
                 }
                 _ => return Err(LsError::Timeout),

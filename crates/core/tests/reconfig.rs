@@ -44,18 +44,18 @@ fn join_splits_the_leaf_and_bulk_moves_the_covered_records() {
     let mut ls = grid(1);
     let victim = ls.leaf_for(Point::new(100.0, 100.0));
     register_line(&mut ls, 8);
-    assert_eq!(ls.server(victim).visitor_count(), 8);
+    assert_eq!(ls.server(victim).unwrap().visitor_count(), 8);
 
     let new_id = ls.spawn_server(victim);
     ls.run_until_quiet();
 
     // The victim's old area was split vertically: records in the right
     // half moved to the newcomer, in one bulk transfer.
-    let moved = ls.server(new_id).visitor_count();
-    let kept = ls.server(victim).visitor_count();
+    let moved = ls.server(new_id).unwrap().visitor_count();
+    let kept = ls.server(victim).unwrap().visitor_count();
     assert!(moved > 0, "some records must cover the split-off half");
     assert_eq!(moved + kept, 8, "no record may be lost or duplicated");
-    assert_eq!(ls.server(new_id).sighting_count(), moved, "sightings travel with the records");
+    assert_eq!(ls.server(new_id).unwrap().sighting_count(), moved, "sightings travel with the records");
     let st = ls.total_stats();
     assert_eq!(st.transfers_started, 1);
     assert_eq!(st.transfers_completed, 1);
@@ -86,24 +86,24 @@ fn join_transfer_retries_until_the_target_durably_acks() {
     let new_id = ls.spawn_server(victim);
     // The newcomer dies before the transfer reaches it: the datagram
     // dies with it, the source keeps the records and keeps retrying.
-    ls.crash_server(new_id);
+    assert!(ls.crash_server(new_id));
     // Let at least one re-send fire into the void while the target is
     // down (blackholed on delivery) — the retry deadline is the
     // default 2 s query timeout.
     ls.advance_time(ls.now_us() + 5_000_000);
     assert!(ls.blackholed() > 0, "retries must be blackholed at the down target");
-    assert_eq!(ls.server(victim).visitor_count(), 6, "source must keep unacked records");
+    assert_eq!(ls.server(victim).unwrap().visitor_count(), 6, "source must keep unacked records");
 
-    ls.restart_server(new_id);
+    assert!(ls.restart_server(new_id));
     // Let the re-send deadline pass; the retry lands this time.
     ls.advance_time(ls.now_us() + 3_000_000);
     ls.run_until_quiet();
     let st = ls.total_stats();
     assert!(st.transfer_retries >= 1, "a re-send must have happened");
     assert_eq!(st.transfers_completed, 1);
-    let moved = ls.server(new_id).visitor_count();
+    let moved = ls.server(new_id).unwrap().visitor_count();
     assert!(moved > 0);
-    assert_eq!(moved + ls.server(victim).visitor_count(), 6);
+    assert_eq!(moved + ls.server(victim).unwrap().visitor_count(), 6);
     let root = ls.hierarchy().root();
     for k in 0..6 {
         ls.pos_query(root, ObjectId(k)).expect("object survives the crashed transfer");
@@ -116,15 +116,15 @@ fn leave_drains_every_record_to_the_absorbing_sibling() {
     let victim = ls.leaf_for(Point::new(100.0, 100.0));
     register_line(&mut ls, 8);
     let before: Vec<(ObjectId, VisitorRecord)> =
-        ls.server(victim).visitors().iter().map(|(o, r)| (o, *r)).collect();
+        ls.server(victim).unwrap().visitors().iter().map(|(o, r)| (o, *r)).collect();
     assert_eq!(before.len(), 8);
 
     let absorber = ls.retire_server(victim);
     ls.run_until_quiet();
 
     assert!(ls.is_retired(victim));
-    assert_eq!(ls.server(victim).visitor_count(), 0, "the leaver must drain completely");
-    assert_eq!(ls.server(absorber).visitor_count(), 8);
+    assert_eq!(ls.server(victim).unwrap().visitor_count(), 0, "the leaver must drain completely");
+    assert_eq!(ls.server(absorber).unwrap().visitor_count(), 8);
     let root = ls.hierarchy().root();
     for k in 0..8 {
         ls.pos_query(root, ObjectId(k)).expect("object survives the leave");
@@ -155,9 +155,9 @@ fn root_failover_rebuilds_routing_from_the_children() {
     // Let the createPath climbs finish before counting root records.
     ls.run_until_quiet();
     let old_root = ls.hierarchy().root();
-    assert_eq!(ls.server(old_root).visitor_count() as u64, n);
+    assert_eq!(ls.server(old_root).unwrap().visitor_count() as u64, n);
 
-    ls.crash_server(old_root);
+    assert!(ls.crash_server(old_root));
     let new_root = ls.promote_root();
     ls.run_until_quiet();
 
@@ -165,7 +165,7 @@ fn root_failover_rebuilds_routing_from_the_children() {
     assert_eq!(ls.hierarchy().root(), new_root);
     assert!(ls.is_retired(old_root));
     // The path sync rebuilt a forwarding record per object.
-    assert_eq!(ls.server(new_root).visitor_count() as u64, n);
+    assert_eq!(ls.server(new_root).unwrap().visitor_count() as u64, n);
     assert!(ls.total_stats().path_syncs > 0);
     for k in 0..n {
         ls.pos_query(new_root, ObjectId(k))
@@ -240,10 +240,10 @@ fn power_loss_drops_unsynced_wal_bytes_but_a_process_crash_does_not() {
             ls.register(leaf, Sighting::new(ObjectId(k), 0, p, 5.0), 10.0, 50.0)
                 .unwrap();
         }
-        ls.crash_server_with(leaf, mode);
-        ls.restart_server(leaf);
+        assert!(ls.crash_server_with(leaf, mode));
+        assert!(ls.restart_server(leaf));
         assert_eq!(
-            ls.server(leaf).visitor_count(),
+            ls.server(leaf).unwrap().visitor_count(),
             survivors,
             "{mode:?} with OsFlush must recover {survivors} records"
         );
@@ -272,9 +272,9 @@ fn power_loss_drops_unsynced_wal_bytes_but_a_process_crash_does_not() {
         let p = Point::new(50.0 + k as f64 * 40.0, 80.0);
         ls.register(leaf, Sighting::new(ObjectId(k), 0, p, 5.0), 10.0, 50.0).unwrap();
     }
-    ls.crash_server_with(leaf, CrashMode::PowerLoss);
-    ls.restart_server(leaf);
-    assert_eq!(ls.server(leaf).visitor_count(), 4, "Always must survive power loss");
+    assert!(ls.crash_server_with(leaf, CrashMode::PowerLoss));
+    assert!(ls.restart_server(leaf));
+    assert_eq!(ls.server(leaf).unwrap().visitor_count(), 4, "Always must survive power loss");
 }
 
 /// A delayed ack for an *earlier* transfer send must not delete source
@@ -300,7 +300,7 @@ fn stale_transfer_ack_cannot_delete_a_newer_re_registration() {
     let newcomer = ls.spawn_server(victim);
     // The target dies: the transfer never lands, retries bump the
     // pending epoch past everything below.
-    ls.crash_server(newcomer);
+    assert!(ls.crash_server(newcomer));
     // Object 0 re-registers in the *kept* half — a newer record at the
     // source that no send before the next retry has shipped.
     let p_new = Point::new(100.0, 100.0);

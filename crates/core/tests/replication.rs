@@ -47,13 +47,13 @@ fn warm_promotion_adopts_the_streamed_table() {
     // The delta stream has shipped the snapshot: the standby mirrors
     // the root's forwarding table.
     assert_eq!(
-        ls.server(standby).visitors().len(),
-        ls.server(root).visitors().len(),
+        ls.server(standby).unwrap().visitors().len(),
+        ls.server(root).unwrap().visitors().len(),
         "standby must mirror the root's table"
     );
-    assert!(ls.server(root).stats().deltas_sent > 0);
+    assert!(ls.server(root).unwrap().stats().deltas_sent > 0);
 
-    ls.crash_server(root);
+    assert!(ls.crash_server(root));
     let new_root = ls.promote_root();
     assert_eq!(new_root, standby, "warm promotion activates the standby slot in place");
     ls.run_until_quiet();
@@ -64,7 +64,7 @@ fn warm_promotion_adopts_the_streamed_table() {
     let ld = ls.pos_query(entry, ObjectId(3)).expect("query across the promoted root");
     assert_eq!(ld.pos, points[3]);
     assert_eq!(
-        ls.server(new_root).stats().path_syncs,
+        ls.server(new_root).unwrap().stats().path_syncs,
         0,
         "a warm promotion must not rebuild via pathSync"
     );
@@ -81,18 +81,18 @@ fn promotion_loses_no_durably_acked_record() {
     let root = ls.hierarchy().root();
     let standby = ls.standby_of(root).unwrap();
     let watermark: BTreeMap<ObjectId, Hlc> = {
-        let (target, acked) = ls.server(root).replication_acked().expect("sink designated");
+        let (target, acked) = ls.server(root).unwrap().replication_acked().expect("sink designated");
         assert_eq!(target, standby);
         acked.clone()
     };
     assert!(!watermark.is_empty(), "acked watermark must have advanced");
 
-    ls.crash_server(root);
+    assert!(ls.crash_server(root));
     let promoted = ls.promote_root();
     assert_eq!(promoted, standby);
     for (oid, stamp) in watermark {
         let rec = ls
-            .server(promoted)
+            .server(promoted).unwrap()
             .visitors()
             .get(oid)
             .unwrap_or_else(|| panic!("acked object {oid:?} lost by promotion"));
@@ -113,13 +113,13 @@ fn standby_crash_falls_back_to_cold_pathsync() {
     let (mut ls, points) = replicated_deployment(13, ServerOptions::default());
     let root = ls.hierarchy().root();
     let standby = ls.standby_of(root).unwrap();
-    ls.crash_server(root);
-    ls.crash_server(standby);
+    assert!(ls.crash_server(root));
+    assert!(ls.crash_server(standby));
     let new_root = ls.promote_root();
     assert_ne!(new_root, standby, "dead standby cannot be promoted");
     ls.run_until_quiet();
     assert!(
-        ls.server(new_root).stats().path_syncs > 0,
+        ls.server(new_root).unwrap().stats().path_syncs > 0,
         "cold promotion must rebuild via pathSync"
     );
     let entry = ls.leaf_for(points[0]);
@@ -138,19 +138,19 @@ fn replica_sibling_serves_bounded_staleness_reads() {
     let (mut ls, points) = replicated_deployment(17, opts);
     let agent = ls.leaf_for(points[0]);
     let (buddy, is_replica) =
-        ls.server(agent).replication_sink().expect("leaf buddy designated");
+        ls.server(agent).unwrap().replication_sink().expect("leaf buddy designated");
     assert!(is_replica);
     assert!(
-        ls.server(buddy).replica_count() > 0,
+        ls.server(buddy).unwrap().replica_count() > 0,
         "buddy must hold shadow copies before the crash"
     );
 
-    ls.crash_server(agent);
+    assert!(ls.crash_server(agent));
     let ld = ls
         .pos_query(buddy, ObjectId(0))
         .expect("replica must answer for the crashed agent");
     assert_eq!(ld.pos, points[0]);
-    assert!(ls.server(buddy).stats().replica_answers > 0);
+    assert!(ls.server(buddy).unwrap().stats().replica_answers > 0);
 
     // Outside the staleness bound the shadow copy goes quiet: the
     // query falls through to the hierarchy and the dead agent.
@@ -190,32 +190,32 @@ fn standby_power_loss_mid_stream_loses_nothing_acked() {
         ls.register(entry, Sighting::new(ObjectId(10 + k as u64), ls.now_us(), *p, 5.0), 10.0, 50.0)
             .unwrap();
     }
-    ls.crash_server_with(standby, CrashMode::PowerLoss);
-    ls.restart_server(standby);
+    assert!(ls.crash_server_with(standby, CrashMode::PowerLoss));
+    assert!(ls.restart_server(standby));
     ls.run_until_quiet();
 
     // The healed stream must have durably acked every record: the 4
     // originals and the 4 registered mid-stream.
     let watermark: BTreeMap<ObjectId, Hlc> = {
-        let (target, acked) = ls.server(root).replication_acked().unwrap();
+        let (target, acked) = ls.server(root).unwrap().replication_acked().unwrap();
         assert_eq!(target, standby);
         acked.clone()
     };
     assert!(watermark.len() >= 8, "stream must re-ack after the power loss: {watermark:?}");
 
-    ls.crash_server(root);
+    assert!(ls.crash_server(root));
     let promoted = ls.promote_root();
     assert_eq!(promoted, standby);
     for (oid, stamp) in watermark {
         let rec = ls
-            .server(promoted)
+            .server(promoted).unwrap()
             .visitors()
             .get(oid)
             .unwrap_or_else(|| panic!("acked object {oid:?} lost across the power loss"));
         assert!(rec.epoch() >= stamp, "object {oid:?} regressed below its acked stamp");
     }
     ls.run_until_quiet();
-    assert_eq!(ls.server(promoted).stats().path_syncs, 0, "promotion must stay O(1)");
+    assert_eq!(ls.server(promoted).unwrap().stats().path_syncs, 0, "promotion must stay O(1)");
     let entry = ls.leaf_for(points[0]);
     assert!(ls.pos_query(entry, ObjectId(13)).is_ok(), "cross-root query after promotion");
 }
@@ -226,16 +226,16 @@ fn standby_power_loss_mid_stream_loses_nothing_acked() {
 fn spawn_rewires_the_replica_ring() {
     let (mut ls, points) = replicated_deployment(19, ServerOptions::default());
     let split = ls.leaf_for(points[0]);
-    let old_buddy = ls.server(split).replication_sink().unwrap().0;
+    let old_buddy = ls.server(split).unwrap().replication_sink().unwrap().0;
     let newcomer = ls.spawn_server(split);
     ls.run_until_quiet();
     assert_eq!(
-        ls.server(split).replication_sink().unwrap().0,
+        ls.server(split).unwrap().replication_sink().unwrap().0,
         newcomer,
         "split leaf streams to the newcomer"
     );
     assert_eq!(
-        ls.server(newcomer).replication_sink().unwrap().0,
+        ls.server(newcomer).unwrap().replication_sink().unwrap().0,
         old_buddy,
         "newcomer inherits the split leaf's previous target"
     );
@@ -244,7 +244,7 @@ fn spawn_rewires_the_replica_ring() {
         .hierarchy()
         .active()
         .filter(|c| c.is_leaf())
-        .filter_map(|c| ls.server(c.id).replication_sink())
+        .filter_map(|c| ls.server(c.id).unwrap().replication_sink())
         .map(|(t, _)| t)
         .collect();
     let n = targets.len();

@@ -1,27 +1,30 @@
 //! The blocking client API end to end, every test on **both** real
 //! transports: in-process channels and UDP sockets on localhost (the
-//! paper's transport), driven from multiple OS threads. The UDP-only
-//! tests at the end drive a shard with a raw socket to observe how its
-//! replies are packed into datagrams.
+//! paper's transport), driven from multiple OS threads. The lifecycle
+//! verbs (crash, restart, checkpoint) keep one contract, checked on the
+//! simulator too. The UDP-only tests at the end drive a shard with a
+//! raw socket to observe how its replies are packed into datagrams.
 
 use hiloc_core::area::{Hierarchy, HierarchyBuilder};
 use hiloc_core::events::{EventKind, Predicate, Watch};
 use hiloc_core::model::{LocationDescriptor, LsError, ObjectId, RangeQuery, Sighting};
-use hiloc_core::node::ServerStats;
+use hiloc_core::node::{DurabilityOptions, ServerOptions, ServerStats, StorageSyncPolicy};
 use hiloc_core::runtime::{
-    Client, ShardedDeployment, SyncClient, ThreadedDeployment, UdpClient, UdpDeployment,
-    UpdateOutcome,
+    Client, ShardedDeployment, SimDeployment, SyncClient, ThreadedDeployment, UdpClient,
+    UdpDeployment, UpdateOutcome,
 };
 use hiloc_core::Message;
 use hiloc_geo::{Point, Rect, Region};
 use hiloc_net::{ClientId, CorrId, Envelope, Outbox, Port, ServerId, UdpEndpoint};
+use hiloc_util::tempdir::TempDir;
+use std::path::Path;
 use std::time::Duration;
 
 /// The per-transport signatures, so each test body is written once.
 trait Transport {
     type Wire: Send + Sync;
     type Port: Port<Message> + Send + 'static;
-    fn deploy(h: Hierarchy) -> ShardedDeployment<Self::Wire>;
+    fn deploy(h: Hierarchy, opts: ServerOptions) -> ShardedDeployment<Self::Wire>;
     fn client(ls: &ShardedDeployment<Self::Wire>) -> Client<Self::Port>;
     fn shutdown(ls: ShardedDeployment<Self::Wire>) -> Vec<ServerStats>;
 }
@@ -32,8 +35,8 @@ struct Udp;
 impl Transport for Channels {
     type Wire = hiloc_net::ChannelNetwork<Message>;
     type Port = hiloc_net::ChannelPort<Message>;
-    fn deploy(h: Hierarchy) -> ThreadedDeployment {
-        ThreadedDeployment::new(h, Default::default())
+    fn deploy(h: Hierarchy, opts: ServerOptions) -> ThreadedDeployment {
+        ThreadedDeployment::new(h, opts)
     }
     fn client(ls: &ThreadedDeployment) -> SyncClient {
         ls.client()
@@ -46,8 +49,8 @@ impl Transport for Channels {
 impl Transport for Udp {
     type Wire = std::collections::BTreeMap<hiloc_net::Endpoint, std::net::SocketAddr>;
     type Port = hiloc_net::UdpEndpoint<Message>;
-    fn deploy(h: Hierarchy) -> UdpDeployment {
-        UdpDeployment::bind(h, Default::default()).expect("bind localhost sockets")
+    fn deploy(h: Hierarchy, opts: ServerOptions) -> UdpDeployment {
+        UdpDeployment::bind(h, opts).expect("bind localhost sockets")
     }
     fn client(ls: &UdpDeployment) -> UdpClient {
         ls.client().expect("bind a client socket")
@@ -73,17 +76,19 @@ on_both_transports!(
     update_batch_then_deregister,
     unknown_server_is_no_route_at_once,
     watch_sees_enter_then_leave,
+    lifecycle_verbs_keep_one_contract,
+    corrupt_snapshot_fails_restart_and_the_rest_serve,
 );
 
+/// Root 0 over the four leaves 1..=4 of a 1 km square.
+fn hierarchy() -> Hierarchy {
+    HierarchyBuilder::grid(Rect::new(Point::new(0.0, 0.0), Point::new(1_000.0, 1_000.0)), 1, 2)
+        .build()
+        .unwrap()
+}
+
 fn deployment<T: Transport>() -> ShardedDeployment<T::Wire> {
-    let h = HierarchyBuilder::grid(
-        Rect::new(Point::new(0.0, 0.0), Point::new(1_000.0, 1_000.0)),
-        1,
-        2,
-    )
-    .build()
-    .unwrap();
-    T::deploy(h)
+    T::deploy(hierarchy(), Default::default())
 }
 
 fn whole_area(max: f64) -> RangeQuery {
@@ -370,6 +375,149 @@ fn watch_sees_enter_then_leave<T: Transport>() {
     }
     assert_eq!(agent, ls.leaf_for(Point::new(900.0, 900.0)));
     T::shutdown(ls);
+}
+
+// ---------------------------------------------------- lifecycle verbs
+
+/// One runtime under the lifecycle contract: the three verbs, plus a
+/// registration and a query to see a server answer.
+trait Lifecycle {
+    fn crash(&mut self, id: ServerId) -> bool;
+    fn restart(&mut self, id: ServerId) -> bool;
+    fn checkpoint(&mut self, id: ServerId) -> bool;
+    /// Registers `oid` at the centre of `leaf`'s area; returns where.
+    fn register_at(&mut self, leaf: ServerId, oid: u64) -> Point;
+    fn locate(&mut self, entry: ServerId, oid: u64) -> Result<LocationDescriptor, LsError>;
+}
+
+/// A real deployment with one client.
+struct Real<T: Transport> {
+    ls: ShardedDeployment<T::Wire>,
+    client: Client<T::Port>,
+}
+
+impl<T: Transport> Real<T> {
+    fn new(opts: ServerOptions) -> Self {
+        let ls = T::deploy(hierarchy(), opts);
+        let mut client = T::client(&ls);
+        client.set_timeout(Duration::from_secs(2));
+        Real { ls, client }
+    }
+}
+
+impl<T: Transport> Lifecycle for Real<T> {
+    fn crash(&mut self, id: ServerId) -> bool {
+        self.ls.crash_server(id)
+    }
+    fn restart(&mut self, id: ServerId) -> bool {
+        self.ls.restart_server(id)
+    }
+    fn checkpoint(&mut self, id: ServerId) -> bool {
+        self.ls.checkpoint_server(id)
+    }
+    fn register_at(&mut self, leaf: ServerId, oid: u64) -> Point {
+        let p = self.ls.hierarchy().server(leaf).area.center();
+        let s = Sighting::new(ObjectId(oid), self.client.now_us(), p, 5.0);
+        assert_eq!(self.client.register(leaf, s, 10.0, 50.0, 2.0).expect("registration").0, leaf);
+        p
+    }
+    fn locate(&mut self, entry: ServerId, oid: u64) -> Result<LocationDescriptor, LsError> {
+        self.client.pos_query(entry, ObjectId(oid))
+    }
+}
+
+impl Lifecycle for SimDeployment {
+    fn crash(&mut self, id: ServerId) -> bool {
+        self.crash_server(id)
+    }
+    fn restart(&mut self, id: ServerId) -> bool {
+        self.restart_server(id)
+    }
+    fn checkpoint(&mut self, id: ServerId) -> bool {
+        self.checkpoint_server(id)
+    }
+    fn register_at(&mut self, leaf: ServerId, oid: u64) -> Point {
+        let p = self.hierarchy().server(leaf).area.center();
+        let s = Sighting::new(ObjectId(oid), self.now_us(), p, 5.0);
+        assert_eq!(self.register(leaf, s, 10.0, 50.0).expect("registration").0, leaf);
+        p
+    }
+    fn locate(&mut self, entry: ServerId, oid: u64) -> Result<LocationDescriptor, LsError> {
+        self.pos_query(entry, ObjectId(oid))
+    }
+}
+
+/// Durable stores under `dir`, `OsFlush`.
+fn durable(dir: &Path) -> ServerOptions {
+    ServerOptions {
+        durability: Some(DurabilityOptions {
+            dir: dir.to_path_buf(),
+            policy: StorageSyncPolicy::OsFlush,
+        }),
+        ..Default::default()
+    }
+}
+
+/// Every runtime's lifecycle verbs answer alike: a second crash, a
+/// checkpoint of a down server and a restart of an unknown id report
+/// `false`; a restart, also of a running server, reports `true` and the
+/// server answers again.
+fn lifecycle_contract(rt: &mut impl Lifecycle) {
+    let leaf = ServerId(1);
+    rt.register_at(leaf, 1);
+    assert!(rt.crash(leaf), "crashing a running server");
+    assert!(!rt.crash(leaf), "a second crash");
+    assert!(!rt.checkpoint(leaf), "checkpoint while down");
+    assert!(rt.restart(leaf), "restart");
+    let p = rt.register_at(leaf, 2);
+    assert_eq!(rt.locate(leaf, 2).expect("the restarted server answers").pos, p);
+    assert!(rt.restart(leaf), "restarting a running server");
+    assert!(!rt.restart(ServerId(99)), "restarting an unknown id");
+    assert!(rt.checkpoint(leaf), "checkpoint of a running (volatile) server");
+}
+
+/// A bit-flipped snapshot is an error by design, never an empty store:
+/// the restart reports `false`, that one server stays down, and the
+/// others keep answering.
+fn corrupt_snapshot_contract(rt: &mut impl Lifecycle, dir: &Path) {
+    let (victim, sibling) = (ServerId(1), ServerId(2));
+    rt.register_at(victim, 1);
+    let p = rt.register_at(sibling, 2);
+    assert!(rt.checkpoint(victim), "a running durable server checkpoints");
+    assert!(rt.crash(victim));
+    let snapshot = dir.join(format!("server-{}", victim.0)).join("checkpoint.bin");
+    let mut bytes = std::fs::read(&snapshot).expect("the checkpoint wrote a snapshot");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&snapshot, bytes).unwrap();
+    assert!(!rt.restart(victim), "a store that will not reopen must report false");
+    assert!(!rt.crash(victim), "the victim stayed down");
+    assert_eq!(rt.locate(sibling, 2).expect("the others still answer").pos, p);
+}
+
+fn lifecycle_verbs_keep_one_contract<T: Transport>() {
+    lifecycle_contract(&mut Real::<T>::new(Default::default()));
+}
+
+fn corrupt_snapshot_fails_restart_and_the_rest_serve<T: Transport>() {
+    let dir = TempDir::new("corrupt-snapshot");
+    corrupt_snapshot_contract(&mut Real::<T>::new(durable(dir.path())), dir.path());
+}
+
+mod sim {
+    use super::*;
+
+    #[test]
+    fn lifecycle_verbs_keep_one_contract() {
+        lifecycle_contract(&mut SimDeployment::new(hierarchy(), Default::default(), 1));
+    }
+
+    #[test]
+    fn corrupt_snapshot_fails_restart_and_the_rest_serve() {
+        let dir = TempDir::new("sim-corrupt-snapshot");
+        let mut ls = SimDeployment::new(hierarchy(), durable(dir.path()), 1);
+        corrupt_snapshot_contract(&mut ls, dir.path());
+    }
 }
 
 // ------------------------------------------------- UDP datagram packing

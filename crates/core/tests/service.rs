@@ -53,7 +53,7 @@ fn registration_builds_forwarding_path_to_root() {
     // toward the agent.
     let mut cur = ServerId(0); // root
     loop {
-        let server = ls.server(cur);
+        let server = ls.server(cur).unwrap();
         if cur == agent {
             assert!(matches!(
                 server.visitors().get(ObjectId(1)),
@@ -120,10 +120,10 @@ fn registration_the_decoders_would_refuse_is_refused_at_the_leaf() {
         assert!(matches!(err, LsError::AccuracyUnavailable { .. }), "{err}");
         ls.run_until_quiet();
         for sid in 0..5 {
-            assert!(ls.server(ServerId(sid)).visitors().get(ObjectId(oid)).is_none());
+            assert!(ls.server(ServerId(sid)).unwrap().visitors().get(ObjectId(oid)).is_none());
         }
     }
-    assert_eq!(ls.server(west).stats().registrations, 0);
+    assert_eq!(ls.server(west).unwrap().stats().registrations, 0);
 }
 
 #[test]
@@ -166,12 +166,12 @@ fn handover_between_sibling_leaves() {
 
     // Old agent forgot the object; new agent has it; the root's
     // forwarding ref points at the new side.
-    assert!(ls.server(west).visitors().get(ObjectId(6)).is_none());
+    assert!(ls.server(west).unwrap().visitors().get(ObjectId(6)).is_none());
     assert!(matches!(
-        ls.server(east).visitors().get(ObjectId(6)),
+        ls.server(east).unwrap().visitors().get(ObjectId(6)),
         Some(VisitorRecord::Leaf { .. })
     ));
-    match ls.server(ServerId(0)).visitors().get(ObjectId(6)) {
+    match ls.server(ServerId(0)).unwrap().visitors().get(ObjectId(6)) {
         Some(VisitorRecord::Forward { child, .. }) => assert_eq!(*child, east),
         other => panic!("bad root record {other:?}"),
     }
@@ -200,7 +200,7 @@ fn handover_across_subtrees_in_deep_hierarchy() {
     // clean.
     let mut cur = ServerId(0);
     loop {
-        match ls.server(cur).visitors().get(ObjectId(7)) {
+        match ls.server(cur).unwrap().visitors().get(ObjectId(7)) {
             Some(VisitorRecord::Forward { child, .. }) => cur = *child,
             Some(VisitorRecord::Leaf { .. }) => {
                 assert_eq!(cur, b);
@@ -209,9 +209,9 @@ fn handover_across_subtrees_in_deep_hierarchy() {
             None => panic!("path broken at {cur}"),
         }
     }
-    assert!(ls.server(a).visitors().get(ObjectId(7)).is_none());
+    assert!(ls.server(a).unwrap().visitors().get(ObjectId(7)).is_none());
     let parent_of_a = ls.hierarchy().server(a).parent.unwrap();
-    assert!(ls.server(parent_of_a).visitors().get(ObjectId(7)).is_none());
+    assert!(ls.server(parent_of_a).unwrap().visitors().get(ObjectId(7)).is_none());
 }
 
 #[test]
@@ -224,7 +224,7 @@ fn object_leaving_service_area_is_deregistered() {
     ls.run_until_quiet();
     for sid in 0..ls.hierarchy().len() as u32 {
         assert!(
-            ls.server(ServerId(sid)).visitors().get(ObjectId(8)).is_none(),
+            ls.server(ServerId(sid)).unwrap().visitors().get(ObjectId(8)).is_none(),
             "record lingers at s{sid}"
         );
     }
@@ -415,7 +415,7 @@ fn deregister_removes_whole_path() {
     ls.run_until_quiet();
     ls.deregister(agent, ObjectId(40));
     for sid in 0..ls.hierarchy().len() as u32 {
-        assert!(ls.server(ServerId(sid)).visitors().get(ObjectId(40)).is_none());
+        assert!(ls.server(ServerId(sid)).unwrap().visitors().get(ObjectId(40)).is_none());
     }
 }
 
@@ -441,9 +441,9 @@ fn soft_state_expiry_deregisters_silent_objects() {
         Err(LsError::UnknownObject(_))
     ));
     for sid in 0..ls.hierarchy().len() as u32 {
-        assert!(ls.server(ServerId(sid)).visitors().get(ObjectId(41)).is_none());
+        assert!(ls.server(ServerId(sid)).unwrap().visitors().get(ObjectId(41)).is_none());
     }
-    assert_eq!(ls.server(agent).stats().expired, 1);
+    assert_eq!(ls.server(agent).unwrap().stats().expired, 1);
 }
 
 #[test]
@@ -549,9 +549,9 @@ fn caches_accelerate_repeat_queries() {
     // First remote query: through the hierarchy; second: served from
     // the position cache at the entry.
     ls.pos_query(east, ObjectId(60)).unwrap();
-    let before = ls.server(east).stats().cache_answers;
+    let before = ls.server(east).unwrap().stats().cache_answers;
     ls.pos_query(east, ObjectId(60)).unwrap();
-    let after = ls.server(east).stats().cache_answers;
+    let after = ls.server(east).unwrap().stats().cache_answers;
     assert_eq!(after, before + 1, "second query must hit the position cache");
 }
 
@@ -657,7 +657,7 @@ fn many_objects_many_handovers_consistency() {
         assert_eq!(agents[oid as usize], ls.leaf_for(positions[oid as usize]));
     }
     // Root sees every object exactly once.
-    assert_eq!(ls.server(ServerId(0)).visitor_count(), n as usize);
+    assert_eq!(ls.server(ServerId(0)).unwrap().visitor_count(), n as usize);
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! stray `sync_all()` anywhere else either duplicates a barrier the
 //! engine already provides (hiding latency the benchmarks must see) or
 //! invents a new durability point the power-loss model in
-//! `crates/core/src/runtime/sim.rs` doesn't know about — and a sync
+//! `crates/core/src/runtime/engine.rs` doesn't know about — and a sync
 //! the simulator can't observe is a sync the fuzzer can't falsify.
 
 use super::{tokens_match, Rule};

@@ -292,23 +292,13 @@ impl Harness for SimDeployment {
     }
 
     fn crash(&mut self, id: ServerId, mode: CrashMode) -> bool {
-        let up = !self.is_down(id);
-        if up {
-            self.crash_server_with(id, mode);
-        }
-        up
+        self.crash_server_with(id, mode)
     }
-    /// A store that will not reopen panics inside `restart_server`.
     fn restart(&mut self, id: ServerId) -> bool {
-        self.restart_server(id);
-        true
+        self.restart_server(id)
     }
     fn checkpoint(&mut self, id: ServerId) -> bool {
-        let up = !self.is_down(id);
-        if up {
-            self.checkpoint_server(id);
-        }
-        up
+        self.checkpoint_server(id)
     }
     /// The server↔server drop filter the sharded engine's
     /// `set_partition` applies, as an open-ended `SimNet` partition

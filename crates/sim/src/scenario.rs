@@ -393,7 +393,7 @@ fn record_dump(ls: &SimDeployment, oid: ObjectId) -> String {
             (true, _) => " [down]",
             _ => "",
         };
-        if let Some(rec) = ls.server(id).visitors().get(oid) {
+        if let Some(rec) = ls.server(id).and_then(|s| s.visitors().get(oid)) {
             lines.push(format!("  server {}{state}: {rec:?}", id.0));
         }
     }
@@ -406,7 +406,8 @@ fn record_dump(ls: &SimDeployment, oid: ObjectId) -> String {
 type VisitorSnapshot = Vec<(ObjectId, VisitorRecord)>;
 
 fn snapshot_visitors(ls: &SimDeployment, id: ServerId) -> VisitorSnapshot {
-    ls.server(id).visitors().iter().map(|(oid, rec)| (oid, *rec)).collect()
+    let Some(server) = ls.server(id) else { return Vec::new() };
+    server.visitors().iter().map(|(oid, rec)| (oid, *rec)).collect()
 }
 
 impl ScenarioSpec {
@@ -674,7 +675,9 @@ impl ScenarioSpec {
                     // that adopts this stream's sink is checked against
                     // exactly this snapshot.
                     if id == ls.hierarchy().root() {
-                        if let Some((sink, acked)) = ls.server(id).replication_acked() {
+                        if let Some((sink, acked)) =
+                            ls.server(id).and_then(|s| s.replication_acked())
+                        {
                             *root_watermark = Some((sink, acked.clone()));
                         }
                     }
@@ -715,7 +718,7 @@ impl ScenarioSpec {
                 let adopted =
                     root_watermark.take().filter(|(sink, _)| self.durable && new_root == *sink);
                 for (oid, stamp) in adopted.map(|(_, acked)| acked).unwrap_or_default() {
-                    let rec = ls.server(new_root).visitors().get(oid);
+                    let rec = ls.server(new_root).and_then(|s| s.visitors().get(oid));
                     if rec.is_none_or(|rec| rec.epoch() < stamp) {
                         self.fail(
                             trace,

@@ -190,7 +190,7 @@ fn run_mid_batch_crash(seed: u64) -> Vec<String> {
     trace.push(format!("batch1 acked {} at t={}us", acks.len(), ls.now_us()));
 
     let snapshot: Vec<(ObjectId, VisitorRecord)> =
-        ls.server(leaf).visitors().iter().map(|(oid, rec)| (oid, *rec)).collect();
+        ls.server(leaf).unwrap().visitors().iter().map(|(oid, rec)| (oid, *rec)).collect();
     assert_eq!(snapshot.len(), n as usize);
 
     // Batch 2 goes on the wire… and the leaf dies before (or while)
@@ -201,13 +201,13 @@ fn run_mid_batch_crash(seed: u64) -> Vec<String> {
         (0..n).map(|k| Sighting::new(ObjectId(k), now, pos_of(k, 2), 5.0)).collect();
     let corr = ls.next_corr();
     ls.send_from(gateway, leaf, Message::UpdateBatch { sightings: batch2.clone(), corr });
-    ls.crash_server(leaf);
+    assert!(ls.crash_server(leaf));
     ls.run_until_quiet();
     trace.push(format!("crashed mid-batch at t={}us", ls.now_us()));
 
-    ls.restart_server(leaf);
+    assert!(ls.restart_server(leaf));
     let recovered: Vec<(ObjectId, VisitorRecord)> =
-        ls.server(leaf).visitors().iter().map(|(oid, rec)| (oid, *rec)).collect();
+        ls.server(leaf).unwrap().visitors().iter().map(|(oid, rec)| (oid, *rec)).collect();
     assert_eq!(
         recovered, snapshot,
         "WAL replay must recover the durably-acked registrations record-for-record"
@@ -216,7 +216,7 @@ fn run_mid_batch_crash(seed: u64) -> Vec<String> {
     // batch-2 sightings (its sighting store is volatile; the batch was
     // never acknowledged, so nothing of it may look applied).
     assert_eq!(
-        ls.server(leaf).sighting_count(),
+        ls.server(leaf).unwrap().sighting_count(),
         0,
         "a never-acked batch must not be partially visible after recovery"
     );

@@ -98,6 +98,6 @@ fn main() {
     println!("\nper-leaf sightings (load balance):");
     let leaves: Vec<_> = ls.hierarchy().leaves().map(|cfg| cfg.id).collect();
     for id in leaves {
-        println!("  {}: {} objects", id, ls.server(id).sighting_count());
+        println!("  {}: {} objects", id, ls.server(id).map_or(0, |s| s.sighting_count()));
     }
 }

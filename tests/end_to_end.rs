@@ -68,11 +68,11 @@ fn hundred_objects_three_level_hierarchy() {
     ls.run_until_quiet();
 
     // The root knows all 100; leaves partition them.
-    assert_eq!(ls.server(ls.hierarchy().root()).visitor_count(), 100);
+    assert_eq!(ls.server(ls.hierarchy().root()).unwrap().visitor_count(), 100);
     let leaf_total: usize = ls
         .hierarchy()
         .leaves()
-        .map(|cfg| ls.server(cfg.id).sighting_count())
+        .map(|cfg| ls.server(cfg.id).unwrap().sighting_count())
         .sum();
     assert_eq!(leaf_total, 100);
 

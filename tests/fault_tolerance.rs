@@ -193,7 +193,7 @@ fn soft_state_cleans_up_after_lost_handover() {
     ls.advance_time(120 * SECOND);
     for cfg in ls.hierarchy().servers() {
         assert!(
-            ls.server(cfg.id).visitors().get(ObjectId(1)).is_none(),
+            ls.server(cfg.id).unwrap().visitors().get(ObjectId(1)).is_none(),
             "zombie record at {}",
             cfg.id
         );

@@ -18,7 +18,7 @@ const AREA: f64 = 2_000.0;
 fn assert_path_consistent(ls: &SimDeployment, oid: ObjectId, expected_pos: Point) {
     let mut cur = ls.hierarchy().root();
     loop {
-        match ls.server(cur).visitors().get(oid) {
+        match ls.server(cur).unwrap().visitors().get(oid) {
             Some(VisitorRecord::Forward { child, .. }) => cur = *child,
             Some(VisitorRecord::Leaf { .. }) => {
                 assert_eq!(
@@ -76,7 +76,7 @@ fn random_walk_consistency_three_levels() {
         let leaf_records: usize = ls
             .hierarchy()
             .leaves()
-            .map(|cfg| ls.server(cfg.id).sighting_count())
+            .map(|cfg| ls.server(cfg.id).unwrap().sighting_count())
             .sum();
         assert_eq!(leaf_records, n as usize, "round {round}");
     }
@@ -105,7 +105,7 @@ fn expiry_and_reregistration_interleaved_with_handover() {
     ls.advance_time(60 * SECOND);
     assert!(ls.pos_query(entry, ObjectId(1)).is_err(), "expired after silence");
     for sid in 0..ls.hierarchy().len() as u32 {
-        assert!(ls.server(ServerId(sid)).visitors().get(ObjectId(1)).is_none());
+        assert!(ls.server(ServerId(sid)).unwrap().visitors().get(ObjectId(1)).is_none());
     }
     let _ = new_agent;
 
@@ -157,6 +157,6 @@ fn interleaved_queries_during_handover_storm() {
     // Nothing leaked in pending tables once quiet.
     ls.run_until_quiet();
     for sid in 0..ls.hierarchy().len() as u32 {
-        assert_eq!(ls.server(ServerId(sid)).pending_count(), 0, "pending leak at s{sid}");
+        assert_eq!(ls.server(ServerId(sid)).unwrap().pending_count(), 0, "pending leak at s{sid}");
     }
 }

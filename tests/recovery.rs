@@ -54,14 +54,14 @@ fn forwarding_paths_survive_full_restart() {
     // Crash-restart every server: volatile sightings are gone, durable
     // visitor records recovered.
     for cfg in ls.hierarchy().servers().to_vec() {
-        ls.restart_server(cfg.id);
+        assert!(ls.restart_server(cfg.id));
     }
     let root = ls.hierarchy().root();
-    assert_eq!(ls.server(root).visitor_count(), 3, "root forwarding refs recovered");
+    assert_eq!(ls.server(root).unwrap().visitor_count(), 3, "root forwarding refs recovered");
     for (i, p) in positions.iter().enumerate() {
         let agent = ls.leaf_for(*p);
-        assert_eq!(ls.server(agent).visitor_count(), 1, "agent record for object {i}");
-        assert_eq!(ls.server(agent).sighting_count(), 0, "sightings are volatile");
+        assert_eq!(ls.server(agent).unwrap().visitor_count(), 1, "agent record for object {i}");
+        assert_eq!(ls.server(agent).unwrap().sighting_count(), 0, "sightings are volatile");
     }
 }
 
@@ -75,7 +75,7 @@ fn position_query_after_restart_probes_and_recovers_on_update() {
         ls.register(entry, Sighting::new(ObjectId(7), 0, p, 10.0), 25.0, 100.0).unwrap();
     ls.run_until_quiet();
 
-    ls.restart_server(agent);
+    assert!(ls.restart_server(agent));
 
     // The query cannot be answered yet (sighting lost) — the server
     // asks the registrant for a fresh update (restore-on-demand, §5).
@@ -84,7 +84,7 @@ fn position_query_after_restart_probes_and_recovers_on_update() {
     // proactively each refresh period, so the count is a floor.
     let err = ls.pos_query(entry, ObjectId(7)).unwrap_err();
     assert!(matches!(err, LsError::UnknownObject(_)));
-    assert!(ls.server(agent).stats().probes_sent >= 1);
+    assert!(ls.server(agent).unwrap().stats().probes_sent >= 1);
     ls.run_until_quiet(); // let the in-flight probe reach the object
     let probes = ls.drain_client(SimDeployment::object_endpoint(ObjectId(7)));
     assert!(
@@ -112,7 +112,7 @@ fn restart_preserves_queryability_of_other_leaves() {
 
     // Restart only the leaf owning object 0.
     let crashed = ls.leaf_for(a);
-    ls.restart_server(crashed);
+    assert!(ls.restart_server(crashed));
 
     // Object 1 on another leaf is still fully queryable from anywhere,
     // including from the restarted leaf as entry.
@@ -132,8 +132,8 @@ fn without_durability_restart_loses_registrations() {
         ls.register(entry, Sighting::new(ObjectId(1), 0, p, 10.0), 25.0, 100.0).unwrap();
     ls.run_until_quiet();
 
-    ls.restart_server(agent);
-    assert_eq!(ls.server(agent).visitor_count(), 0);
+    assert!(ls.restart_server(agent));
+    assert_eq!(ls.server(agent).unwrap().visitor_count(), 0);
     // No probe possible — registration info is gone with the record.
     let err = ls.pos_query(agent, ObjectId(1)).unwrap_err();
     assert!(matches!(err, LsError::UnknownObject(_) | LsError::Timeout));
