@@ -56,6 +56,17 @@ cargo test -q --offline -p hiloc-core --test replica_torn_tail
 echo "==> storage gate (torn tails, snapshot cuts and flips, model + power-loss properties)"
 cargo test -q --offline -p hiloc-storage
 
+# The query path: the distributed range/NN/pos answers against the
+# brute-force semantics (reqOverlap ½ and 1 drawn on purpose), the
+# geometry kernels (exact circle∩rect at both ends), the spatial
+# indexes against the naive oracle (with the NN filter-call guard) and
+# the entry server's gathers under duplicated and reordered sub-results.
+echo "==> query path gate (semantics oracle, geometry, index conformance, gathers)"
+cargo test -q --offline --test semantics_prop
+cargo test -q --offline -p hiloc-geo
+cargo test -q --offline -p hiloc-spatial --test conformance
+cargo test -q --offline -p hiloc-core --test query_gather
+
 # The real-runtime fuzz gate: the simulator fuzzer's own plans (one verb
 # set, one generator, one DSL, one executor) run against the *sharded
 # threaded* and *UDP* deployments — real threads, real sockets, durable

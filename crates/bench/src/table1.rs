@@ -126,8 +126,9 @@ pub fn run(index: IndexChoice, objects: usize, ops: usize, seed: u64) -> Vec<Tab
         let mut total_hits = 0usize;
         for c in &centers {
             let region = Region::from(Rect::from_center_size(*c, extent, extent));
-            db.range_candidates(&region, req_acc, &mut |rec| {
-                let ld = LocationDescriptor { pos: rec.pos, acc_m: rec.acc_sens_m };
+            db.range_candidates(&region, req_acc, &mut |e| {
+                let Some(rec) = db.get(e.key) else { return };
+                let ld = LocationDescriptor { pos: e.pos, acc_m: rec.acc_sens_m };
                 if qualifies_for_range(&region, &ld, req_acc, req_overlap) {
                     total_hits += 1;
                 }

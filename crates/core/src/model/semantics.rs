@@ -1,7 +1,7 @@
 //! Exact query semantics from paper §3.2.
 
 use super::{LocationDescriptor, ObjectId};
-use hiloc_geo::{Point, Region};
+use hiloc_geo::{Point, Rect, Region};
 
 /// The overlap degree `Overlap(a, o) = SIZE(a ∩ ld(o)) / SIZE(ld(o))`.
 ///
@@ -50,6 +50,30 @@ pub fn qualifies_for_range(
         return false;
     }
     overlap(area, ld) >= req_overlap
+}
+
+/// How far outside a rectangular query area [`center_bound`] still
+/// admits a recorded center, in meters: room for the rounding of the
+/// overlap computation on a center that lies on the border.
+const CENTER_SLACK_M: f64 = 1e-6;
+
+/// The rectangle every qualifying object's recorded center lies in, for
+/// a range query over `area` with `req_overlap`, when one is known.
+///
+/// For a rectangular area and `req_overlap ≥ ½` it is the area itself,
+/// enlarged by [`CENTER_SLACK_M`]. This is exact, by a half-plane
+/// argument: a center outside the rectangle lies outside the half-plane
+/// of one of its sides, and that half-plane holds the rectangle but
+/// less than half of any disc centered outside it. So the overlap is
+/// below ½, and the object cannot qualify. A zero-accuracy object
+/// outside the area has overlap 0. A polygon area, or a lower
+/// `req_overlap`, yields `None`: the caller falls back to the
+/// `Enlarge(area, reqAcc)` candidate rectangle.
+pub fn center_bound(area: &Region, req_overlap: f64) -> Option<Rect> {
+    match area {
+        Region::Rect(r) if req_overlap >= 0.5 => Some(r.enlarged(CENTER_SLACK_M)),
+        _ => None,
+    }
 }
 
 /// The result of [`select_neighbors`]: the chosen nearest object (when
@@ -149,6 +173,69 @@ mod tests {
         assert!(!qualifies_for_range(&area, &ld, 5.0, 0.3));
         // reqOverlap must be positive.
         assert!(!qualifies_for_range(&area, &ld, 25.0, 0.0));
+    }
+
+    /// Regression: a circle wholly inside a rectangular area summed its
+    /// four edge terms to 0.99999999999999978 of its own area, so
+    /// `reqOverlap = 1` rejected objects that lie fully inside.
+    #[test]
+    fn overlap_is_exactly_one_for_a_contained_circle() {
+        use hiloc_util::rng::{RngExt, SeedableRng, StdRng};
+        let area = rect_region(0.0, 0.0, 2_000.0, 2_000.0);
+        let mut g = StdRng::seed_from_u64(0x0E1);
+        for _ in 0..2_000 {
+            let acc = g.random_range(0.5..25.0);
+            let pos = Point::new(g.random_range(acc..2_000.0 - acc), g.random_range(acc..2_000.0 - acc));
+            let ld = LocationDescriptor::new(pos, acc);
+            assert_eq!(overlap(&area, &ld), 1.0, "{pos} acc {acc}");
+            assert!(qualifies_for_range(&area, &ld, 25.0, 1.0), "{pos} acc {acc}");
+        }
+    }
+
+    /// The center bound never rejects an object that qualifies: centers
+    /// on a border, within 1e-9 m of it and up to 2·acc away on either
+    /// side, with `acc ∈ (0, reqAcc]` and `reqOverlap ∈ [½, 1]`, both
+    /// endpoints of each range drawn on purpose.
+    #[test]
+    fn center_bound_rejects_only_non_qualifying_objects() {
+        use hiloc_util::prop::check;
+        use hiloc_util::rng::RngExt;
+        let (x0, y0, x1, y1) = (1_000.0, 3_000.0, 1_250.0, 3_100.0);
+        let area = rect_region(x0, y0, x1, y1);
+        check(512, |g| {
+            let req_acc = *g.pick(&[25.0, 50.0, 1_000.0]);
+            let acc = if g.chance(0.2) { req_acc } else { g.random_range(1e-9..req_acc) };
+            let between = g.random_range(0.5..1.0);
+            let req_overlap = *g.pick(&[0.5, 1.0, between]);
+            let anywhere = g.random_range(-2.0 * acc..2.0 * acc);
+            let off = *g.pick(&[0.0, 1e-9, -1e-9, anywhere]);
+            // Offset from one side (positive = outward), anywhere along it.
+            let pos = match g.index(4) {
+                0 => Point::new(x0 - off, g.random_range(y0 - acc..y1 + acc)),
+                1 => Point::new(x1 + off, g.random_range(y0 - acc..y1 + acc)),
+                2 => Point::new(g.random_range(x0 - acc..x1 + acc), y0 - off),
+                _ => Point::new(g.random_range(x0 - acc..x1 + acc), y1 + off),
+            };
+            let bound = center_bound(&area, req_overlap).expect("rect area, reqOverlap >= 1/2");
+            let ld = LocationDescriptor::new(pos, acc);
+            if !bound.contains(pos) {
+                assert!(
+                    !qualifies_for_range(&area, &ld, req_acc, req_overlap),
+                    "bound rejected a qualifying object: {pos} acc {acc} reqOverlap {req_overlap} \
+                     overlap {}",
+                    overlap(&area, &ld)
+                );
+            }
+        });
+        // Below one half, or over a polygon, there is no bound.
+        assert!(center_bound(&area, 0.5 - 1e-12).is_none());
+        let tri = hiloc_geo::Polygon::new(vec![
+            Point::new(0.0, 0.0),
+            Point::new(10.0, 0.0),
+            Point::new(0.0, 10.0),
+        ])
+        .unwrap();
+        assert!(center_bound(&Region::from(tri), 1.0).is_none());
     }
 
     #[test]

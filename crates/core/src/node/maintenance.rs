@@ -217,10 +217,8 @@ impl LocationServer {
                 }
             }
             self.stats.gathers_timed_out += 1;
-            self.emit(
-                g.client,
-                Message::RangeQueryRes { items: dedup_items(g.items), complete: false, corr },
-            );
+            let items = dedup_items(g.items, g.seen_leaves.len());
+            self.emit(g.client, Message::RangeQueryRes { items, complete: false, corr });
         }
 
         // NN gathers: best effort from what arrived.
@@ -234,7 +232,7 @@ impl LocationServer {
         for corr in due {
             let g = self.pending.nn_gather.remove(&corr).expect("listed above");
             self.stats.gathers_timed_out += 1;
-            let items = dedup_items(g.items);
+            let items = dedup_items(g.items, g.seen_leaves.len());
             let (nearest, near_set) = select_neighbors(g.p, &items, g.req_acc_m, g.near_qual_m);
             self.emit(
                 g.client,

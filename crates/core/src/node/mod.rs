@@ -32,12 +32,13 @@ pub use hiloc_storage::SyncPolicy as StorageSyncPolicy;
 use crate::area::ServerConfig;
 use crate::cache::{CacheConfig, Caches};
 use crate::model::{
-    Hlc, HlcClock, LocationDescriptor, Micros, ObjectId, RangeQuery, RegInfo, Sighting, SECOND,
+    semantics, Hlc, HlcClock, LocationDescriptor, Micros, ObjectId, RangeQuery, RegInfo, Sighting,
+    SECOND,
 };
 use crate::proto::{Message, ObjectLocation};
 use hiloc_geo::{Point, Rect};
 use hiloc_net::{CorrIdGen, Endpoint, Envelope, ServerId};
-use hiloc_storage::{SightingDb, StorageError, StoredSighting, SyncPolicy};
+use hiloc_storage::{Entry, SightingDb, StorageError, StoredSighting, SyncPolicy};
 use std::path::PathBuf;
 
 /// Durability settings for the visitor database.
@@ -593,24 +594,31 @@ impl LocationServer {
     /// A leaf's qualifying items for a range query (paper Alg. 6-5,
     /// lines 3–5: candidates from the spatial index, then the exact
     /// accuracy + overlap predicate).
+    ///
+    /// The candidates are index entries, so the walk never reads the
+    /// sighting slab; each one costs one visitor probe. For a
+    /// rectangular area at `reqOverlap ≥ ½` the walk covers only
+    /// [`semantics::center_bound`] instead of `Enlarge(area, reqAcc)`.
+    /// That is exact by a half-plane argument: a center outside the
+    /// rectangle is outside the half-plane of one of its sides, which
+    /// holds less than half of any disc centered there, so such an
+    /// object's overlap is below ½ and it cannot qualify.
     pub(crate) fn leaf_range_items(&self, query: &RangeQuery) -> Vec<ObjectLocation> {
         let mut items = Vec::new();
         let visitors = &self.visitors;
-        self.sightings.range_candidates(&query.area, query.req_acc_m, &mut |rec| {
-            let Some(VisitorRecord::Leaf { offered_acc_m, .. }) = visitors.get(ObjectId(rec.key))
-            else {
+        let mut visit = |e: Entry| {
+            let Some(VisitorRecord::Leaf { offered_acc_m, .. }) = visitors.get(ObjectId(e.key)) else {
                 return;
             };
-            let ld = LocationDescriptor { pos: rec.pos, acc_m: *offered_acc_m };
-            if crate::model::semantics::qualifies_for_range(
-                &query.area,
-                &ld,
-                query.req_acc_m,
-                query.req_overlap,
-            ) {
-                items.push((ObjectId(rec.key), ld));
+            let ld = LocationDescriptor { pos: e.pos, acc_m: *offered_acc_m };
+            if semantics::qualifies_for_range(&query.area, &ld, query.req_acc_m, query.req_overlap) {
+                items.push((ObjectId(e.key), ld));
             }
-        });
+        };
+        match semantics::center_bound(&query.area, query.req_overlap) {
+            Some(bound) => self.sightings.query_rect(&bound, &mut visit),
+            None => self.sightings.range_candidates(&query.area, query.req_acc_m, &mut visit),
+        }
         items
     }
 
@@ -620,16 +628,15 @@ impl LocationServer {
         let mut items = Vec::new();
         let probe = Self::nn_probe(p, radius_m);
         let visitors = &self.visitors;
-        self.sightings.query_rect(&probe, &mut |rec| {
-            if rec.pos.distance(p) > radius_m {
+        self.sightings.query_rect(&probe, &mut |e| {
+            if e.pos.distance(p) > radius_m {
                 return;
             }
-            let Some(VisitorRecord::Leaf { offered_acc_m, .. }) = visitors.get(ObjectId(rec.key))
-            else {
+            let Some(VisitorRecord::Leaf { offered_acc_m, .. }) = visitors.get(ObjectId(e.key)) else {
                 return;
             };
             if *offered_acc_m <= req_acc_m {
-                items.push((ObjectId(rec.key), LocationDescriptor { pos: rec.pos, acc_m: *offered_acc_m }));
+                items.push((ObjectId(e.key), LocationDescriptor { pos: e.pos, acc_m: *offered_acc_m }));
             }
         });
         items

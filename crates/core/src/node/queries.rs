@@ -22,9 +22,15 @@ enum LocalAnswer {
     NotHere,
 }
 
-/// Removes duplicate objects (message duplication can deliver a leaf's
-/// sub-result twice) keeping first occurrences.
-pub(crate) fn dedup_items(items: Vec<ObjectLocation>) -> Vec<ObjectLocation> {
+/// The items a gather collected from `leaves` distinct leaves, each
+/// object once, keeping first occurrences (an object caught mid-handover
+/// is reported by two leaves). One leaf's items are already distinct:
+/// its index holds each key once, and `seen_leaves` admits each leaf's
+/// sub-result once, so a one-leaf gather is passed through as it is.
+pub(crate) fn dedup_items(items: Vec<ObjectLocation>, leaves: usize) -> Vec<ObjectLocation> {
+    if leaves <= 1 {
+        return items;
+    }
     let mut seen = BTreeSet::new();
     items.into_iter().filter(|(oid, _)| seen.insert(*oid)).collect()
 }
@@ -279,7 +285,8 @@ impl LocationServer {
         }
         if gather.is_complete() {
             self.stats.gathers_completed += 1;
-            self.emit(from, Message::RangeQueryRes { items: dedup_items(gather.items), complete: true, corr });
+            let items = dedup_items(gather.items, gather.seen_leaves.len());
+            self.emit(from, Message::RangeQueryRes { items, complete: true, corr });
             return;
         }
         // §6.5 area cache: when the cached leaves cover the rest of the
@@ -314,10 +321,8 @@ impl LocationServer {
             // Nowhere to go (isolated root): answer with what we have.
             let complete = gather.is_complete();
             self.stats.gathers_completed += 1;
-            self.emit(
-                from,
-                Message::RangeQueryRes { items: dedup_items(gather.items), complete, corr },
-            );
+            let items = dedup_items(gather.items, gather.seen_leaves.len());
+            self.emit(from, Message::RangeQueryRes { items, complete, corr });
             return;
         }
         let entry = self.id();
@@ -382,7 +387,8 @@ impl LocationServer {
         if complete {
             let g = self.pending.range_gather.remove(&corr).expect("checked above");
             self.stats.gathers_completed += 1;
-            self.emit(g.client, Message::RangeQueryRes { items: dedup_items(g.items), complete: true, corr });
+            let items = dedup_items(g.items, g.seen_leaves.len());
+            self.emit(g.client, Message::RangeQueryRes { items, complete: true, corr });
         }
     }
 
@@ -401,9 +407,9 @@ impl LocationServer {
     ) {
         let local_best = if self.config.is_leaf() {
             let visitors = &self.visitors;
-            self.sightings.nearest_where(p, &mut |rec| {
+            self.sightings.nearest_where(p, &mut |key| {
                 matches!(
-                    visitors.get(ObjectId(rec.key)),
+                    visitors.get(ObjectId(key)),
                     Some(VisitorRecord::Leaf { offered_acc_m, .. }) if *offered_acc_m <= req_acc_m
                 )
             })
@@ -471,7 +477,7 @@ impl LocationServer {
 
     /// Completes a gather round: answer, or escalate the ring.
     pub(crate) fn finalize_nn(&mut self, now: Micros, g: NnGather) {
-        let items = dedup_items(g.items);
+        let items = dedup_items(g.items, g.seen_leaves.len());
         let (nearest, near_set) = select_neighbors(g.p, &items, g.req_acc_m, g.near_qual_m);
         let exhausted = g.radius_m >= self.root_diag() || g.escalations >= 40;
         match nearest {

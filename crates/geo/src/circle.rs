@@ -113,11 +113,24 @@ impl Circle {
     }
 
     /// Area of the intersection with a rectangle, in square meters.
+    ///
+    /// Exactly [`Circle::area`] when the rectangle contains the circle
+    /// and exactly zero when they are disjoint. Otherwise it sums the
+    /// same edge terms as [`Circle::intersection_area_with_polygon`]
+    /// over `rect.corners()`, without building a polygon.
     pub fn intersection_area_with_rect(&self, rect: &Rect) -> f64 {
-        if rect.area() <= 0.0 {
+        if rect.area() <= 0.0 || self.radius <= 0.0 || !self.intersects_rect(rect) {
             return 0.0;
         }
-        self.intersection_area_with_polygon(&Polygon::from_rect(rect))
+        if rect.contains_rect(&self.bounding_rect()) {
+            return self.area();
+        }
+        let c = rect.corners();
+        let mut total = 0.0;
+        for i in 0..4 {
+            total += self.edge_contribution(c[i] - self.center, c[(i + 1) % 4] - self.center);
+        }
+        total.abs()
     }
 
     /// Signed contribution of the edge `(a, b)` (translated so the circle
@@ -338,6 +351,31 @@ mod tests {
         assert!((c.intersection_area_with_rect(&r) - c.area()).abs() < 1e-9);
         let far = Rect::new(Point::new(100.0, 100.0), Point::new(110.0, 110.0));
         assert!(!c.intersects_rect(&far));
+    }
+
+    #[test]
+    fn rect_overlap_is_exact_at_both_ends_and_matches_the_polygon_path_between() {
+        let r = Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 60.0));
+        // Contained (touching the border included): exactly πr².
+        for c in [Circle::new(Point::new(37.3, 21.9), 7.7), Circle::new(Point::new(10.0, 30.0), 10.0)] {
+            assert_eq!(c.intersection_area_with_rect(&r), c.area());
+        }
+        // Disjoint: exactly zero.
+        assert_eq!(Circle::new(Point::new(-20.0, 30.0), 5.0).intersection_area_with_rect(&r), 0.0);
+        // Straddling: bit-identical to the polygon path.
+        let poly = Polygon::from_rect(&r);
+        for c in [
+            Circle::new(Point::new(0.0, 30.0), 10.0),
+            Circle::new(Point::new(99.0, 59.0), 4.0),
+            Circle::new(Point::new(50.0, 30.0), 80.0),
+            Circle::new(Point::new(-3.0, 61.0), 5.0),
+        ] {
+            assert_eq!(
+                c.intersection_area_with_rect(&r).to_bits(),
+                c.intersection_area_with_polygon(&poly).to_bits(),
+                "{c}"
+            );
+        }
     }
 
     #[test]

@@ -131,6 +131,8 @@ pub trait SpatialIndex: Send {
 
     /// The entry nearest to `p` among those accepted by `filter`,
     /// together with its distance. Ties are broken by the smaller key.
+    /// `filter` must depend on the key alone: an implementation may
+    /// skip it for entries that cannot beat the best found so far.
     fn nearest_where(
         &self,
         p: Point,

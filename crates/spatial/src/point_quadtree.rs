@@ -338,11 +338,13 @@ impl PointQuadtree {
             }
         }
         let node = &self.nodes[id as usize];
-        if !node.deleted && filter(node.key) {
+        if !node.deleted {
+            // Rank first: the filter (a visitor probe at a leaf) runs
+            // only on an entry that would replace the current best.
             let cand = (Entry::new(node.key, node.pos), p.distance(node.pos));
-            match best {
-                Some(b) if candidate_cmp(&cand, b).is_ge() => {}
-                _ => *best = Some(cand),
+            let beats = best.as_ref().is_none_or(|b| candidate_cmp(&cand, b).is_lt());
+            if beats && filter(node.key) {
+                *best = Some(cand);
             }
         }
         // Visit the quadrant containing p first for early pruning.

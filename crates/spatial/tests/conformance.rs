@@ -291,3 +291,41 @@ fn bulk_uniform_population_cross_check() {
         assert_eq!(grid.nearest(p).map(|(e, _)| e.key), expect_nn, "grid nn");
     }
 }
+
+/// The quadtree ranks an entry before asking the filter about it, so a
+/// nearest search at a leaf's population (12 500 uniform objects over
+/// 2 km × 2 km) consults its filter — a visitor probe in the server —
+/// only about as often as the best candidate improves. Filtered results
+/// still match the oracle.
+#[test]
+fn quadtree_nearest_calls_the_filter_only_on_improvements() {
+    use hiloc_util::rng::StdRng;
+    use hiloc_util::rng::{RngExt, SeedableRng};
+
+    let mut rng = StdRng::seed_from_u64(0x7e57);
+    let mut quad = PointQuadtree::new();
+    let mut oracle = NaiveIndex::new();
+    for k in 0..12_500u64 {
+        let p = Point::new(rng.random_range(0.0..2_000.0), rng.random_range(0.0..2_000.0));
+        quad.insert(k, p);
+        oracle.insert(k, p);
+    }
+    const QUERIES: usize = 400;
+    let mut calls = 0usize;
+    for _ in 0..QUERIES {
+        let p = Point::new(rng.random_range(0.0..2_000.0), rng.random_range(0.0..2_000.0));
+        let got = quad.nearest_where(p, &mut |_| {
+            calls += 1;
+            true
+        });
+        assert_eq!(got.map(|(e, _)| e.key), oracle.nearest(p).map(|(e, _)| e.key));
+        let accept = |k: u64| !k.is_multiple_of(3);
+        assert_eq!(
+            quad.nearest_where(p, &mut |k| accept(k)).map(|(e, _)| e.key),
+            oracle.nearest_where(p, &mut |k| accept(k)).map(|(e, _)| e.key),
+            "filtered nearest at {p}"
+        );
+    }
+    let per_query = calls as f64 / QUERIES as f64;
+    assert!(per_query <= 10.0, "{per_query:.1} filter calls per nearest search");
+}

@@ -52,6 +52,7 @@ pub use crc::crc32;
 pub use durable_map::{
     BatchOp, DurableMap, DurableMapStats, RecordValue, SyncPolicy, DEFAULT_AUTO_CHECKPOINT_BYTES,
 };
+pub use hiloc_spatial::Entry;
 pub use sighting_db::{SightingDb, StoredSighting};
 pub use wal::{Wal, WalError, WalReplay};
 

@@ -10,7 +10,7 @@
 //! buckets are warm.
 
 use hiloc_geo::{Point, Rect, Region};
-use hiloc_spatial::{GridIndex, PointQuadtree, RTree, SpatialIndex};
+use hiloc_spatial::{Entry, GridIndex, PointQuadtree, RTree, SpatialIndex};
 // lint:allow(determinism) import for the lookup-only slot map annotated below
 use std::collections::{BTreeMap, HashMap};
 
@@ -411,65 +411,48 @@ impl SightingDb {
         self.wheel.values().next().map(|b| b.min_us)
     }
 
-    /// Invokes `sink` for every sighting positioned inside `rect`.
-    pub fn query_rect(&self, rect: &Rect, sink: &mut dyn FnMut(&StoredSighting)) {
-        let slots = &self.slots;
-        let by_key = &self.by_key;
-        self.index.query_rect(rect, &mut |e| {
-            if let Some(&slot) = by_key.get(&e.key) {
-                sink(&slots[slot as usize].rec);
-            }
-        });
+    /// Invokes `sink` with the index entry `(key, pos)` of every
+    /// sighting positioned inside `rect`.
+    ///
+    /// The walk reads the spatial index alone: an entry's position is
+    /// always the slab record's (every upsert moves both), so callers
+    /// that need more than the key and position read the record with
+    /// [`SightingDb::get`].
+    pub fn query_rect(&self, rect: &Rect, sink: &mut dyn FnMut(Entry)) {
+        self.index.query_rect(rect, sink);
     }
 
-    /// Invokes `sink` for every *candidate* sighting for a range query
-    /// over `region`: all records within the region's bounding rectangle
-    /// enlarged by `margin` meters (the paper's `Enlarge(area, reqAcc)`
-    /// — an object's location area may poke outside the region by up to
-    /// its accuracy). The caller applies the exact overlap predicate.
-    pub fn range_candidates(
-        &self,
-        region: &Region,
-        margin: f64,
-        sink: &mut dyn FnMut(&StoredSighting),
-    ) {
+    /// Invokes `sink` with the index entry of every *candidate* for a
+    /// range query over `region`: all sightings within the region's
+    /// bounding rectangle enlarged by `margin` meters (the paper's
+    /// `Enlarge(area, reqAcc)` — an object's location area may poke
+    /// outside the region by up to its accuracy). The caller applies
+    /// the exact overlap predicate.
+    pub fn range_candidates(&self, region: &Region, margin: f64, sink: &mut dyn FnMut(Entry)) {
         let probe = region.bounding_rect().enlarged(margin.max(0.0));
         self.query_rect(&probe, sink);
     }
 
-    /// The sighting nearest to `p` among those accepted by `filter`.
+    /// The index entry nearest to `p` among those whose key `filter`
+    /// accepts, with its distance. The filter sees only entries that
+    /// would beat the best found so far.
     pub fn nearest_where(
         &self,
         p: Point,
-        filter: &mut dyn FnMut(&StoredSighting) -> bool,
-    ) -> Option<(StoredSighting, f64)> {
-        let slots = &self.slots;
-        let by_key = &self.by_key;
-        let rec_of = |key: u64| by_key.get(&key).map(|&slot| &slots[slot as usize].rec);
-        let found = self.index.nearest_where(p, &mut |key| {
-            rec_of(key).map(&mut *filter).unwrap_or(false)
-        })?;
-        rec_of(found.0.key).map(|r| (*r, found.1))
+        filter: &mut dyn FnMut(u64) -> bool,
+    ) -> Option<(Entry, f64)> {
+        self.index.nearest_where(p, filter)
     }
 
-    /// The `k` sightings nearest to `p` among those accepted by
-    /// `filter`, ascending by distance.
+    /// The `k` index entries nearest to `p` among those whose key
+    /// `filter` accepts, ascending by distance.
     pub fn k_nearest_where(
         &self,
         p: Point,
         k: usize,
-        filter: &mut dyn FnMut(&StoredSighting) -> bool,
-    ) -> Vec<(StoredSighting, f64)> {
-        let slots = &self.slots;
-        let by_key = &self.by_key;
-        let rec_of = |key: u64| by_key.get(&key).map(|&slot| &slots[slot as usize].rec);
-        self.index
-            .k_nearest_where(p, k, &mut |key| {
-                rec_of(key).map(&mut *filter).unwrap_or(false)
-            })
-            .into_iter()
-            .filter_map(|(e, d)| rec_of(e.key).map(|r| (*r, d)))
-            .collect()
+        filter: &mut dyn FnMut(u64) -> bool,
+    ) -> Vec<(Entry, f64)> {
+        self.index.k_nearest_where(p, k, filter)
     }
 
     /// Invokes `sink` for every stored sighting, in slab (arena) order —
@@ -625,10 +608,10 @@ mod tests {
         db.upsert(StoredSighting { key: 1, pos: Point::new(1.0, 0.0), time_us: 0, acc_sens_m: 100.0, expires_us: 1_000 });
         db.upsert(StoredSighting { key: 2, pos: Point::new(5.0, 0.0), time_us: 0, acc_sens_m: 5.0, expires_us: 1_000 });
         // Accuracy-threshold filter, as in the paper's reqAcc handling.
-        let (rec, _) = db
-            .nearest_where(Point::ORIGIN, &mut |r| r.acc_sens_m <= 10.0)
+        let (e, _) = db
+            .nearest_where(Point::ORIGIN, &mut |key| db.get(key).unwrap().acc_sens_m <= 10.0)
             .unwrap();
-        assert_eq!(rec.key, 2);
+        assert_eq!(e.key, 2);
     }
 
     #[test]

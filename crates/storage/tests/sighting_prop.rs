@@ -2,10 +2,11 @@
 //! wheel) must behave exactly like a naive `HashMap` + linear-scan
 //! oracle under randomized upsert/remove/expire/query workloads —
 //! including slot reuse after removal and stale-wheel-entry handling
-//! after refreshes.
+//! after refreshes — and every index entry a spatial query yields must
+//! carry its record's key and position.
 
 use hiloc_geo::{Point, Rect};
-use hiloc_storage::{SightingDb, StoredSighting};
+use hiloc_storage::{Entry, SightingDb, StoredSighting};
 use hiloc_util::prop::{check, Gen};
 use hiloc_util::rng::{RngExt, SeedableRng, StdRng};
 use std::collections::HashMap;
@@ -42,9 +43,16 @@ fn oracle_query(oracle: &HashMap<u64, StoredSighting>, rect: &Rect) -> Vec<u64> 
     keys
 }
 
+/// The keys `query_rect` yields. Every entry must also match the slab:
+/// the walk reads the index alone, so an entry's position has to be the
+/// record's own (the invariant that lets range and NN skip the slab).
 fn db_query(db: &SightingDb, rect: &Rect) -> Vec<u64> {
     let mut keys = Vec::new();
-    db.query_rect(rect, &mut |r| keys.push(r.key));
+    db.query_rect(rect, &mut |e| {
+        let rec = db.get(e.key).unwrap_or_else(|| panic!("index entry {} has no record", e.key));
+        assert_eq!(e, Entry::new(rec.key, rec.pos), "index and slab disagree on {}", e.key);
+        keys.push(e.key);
+    });
     keys.sort_unstable();
     keys
 }
@@ -73,7 +81,12 @@ fn run_against_oracle(g: &mut Gen, mut db: SightingDb, name: &str) {
         match g.random_range(0..10u32) {
             // Upserts dominate: the update-storm shape.
             0..=4 => {
-                let s = random_sighting(g, now);
+                let mut s = random_sighting(g, now);
+                if let (true, Some(old)) = (g.chance(0.5), oracle.get(&s.key)) {
+                    // A local move, the index's in-place update path.
+                    let (dx, dy) = (g.random_range(-3.0..3.0), g.random_range(-3.0..3.0));
+                    s.pos = Point::new(old.pos.x + dx, old.pos.y + dy);
+                }
                 let a = db.upsert(s);
                 let b = oracle.insert(s.key, s);
                 assert_eq!(a, b, "[{name}] step {step}: upsert return mismatch");
@@ -112,6 +125,9 @@ fn run_against_oracle(g: &mut Gen, mut db: SightingDb, name: &str) {
             }
         }
         assert_eq!(db.len(), oracle.len(), "[{name}] step {step}: len mismatch");
+        if let Some(everything) = Rect::bounding(oracle.values().map(|r| r.pos)) {
+            assert_eq!(db_query(&db, &everything), oracle_query(&oracle, &everything), "[{name}] step {step}");
+        }
         assert_memory_bounded(&db, KEYS as usize, name, step);
         // The expiry hint may be stale-early but never later than the
         // earliest real deadline.
@@ -179,6 +195,8 @@ fn update_storm_keeps_wheel_and_slab_bounded() {
         assert_memory_bounded(&db, LIVE, "storm", step);
     }
     assert_eq!(db.len(), LIVE);
+    let everything = Rect::bounding(positions.iter().copied()).expect("live objects");
+    assert_eq!(db_query(&db, &everything).len(), LIVE);
 }
 
 /// Slot reuse after removal, driven hard: a churn loop that

@@ -63,7 +63,13 @@ fn distributed_range_query_matches_oracle() {
         let cy = g.random_range(0.0..AREA);
         let extent = g.random_range(10.0..600.0);
         let req_acc = g.random_range(10.0..200.0);
-        let req_overlap = g.random_range(0.1..1.0);
+        // reqOverlap ∈ (0, 1]: both ends of the leaf's center bound
+        // (½ and 1) are drawn on purpose, beside the open interval.
+        let req_overlap = match g.index(4) {
+            0 => 0.5,
+            1 => 1.0,
+            _ => g.random_range(0.1..1.0),
+        };
         let entry_x = g.random_range(1.0..AREA - 1.0);
         let entry_y = g.random_range(1.0..AREA - 1.0);
 
