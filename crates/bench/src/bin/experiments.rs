@@ -11,8 +11,8 @@
 //! experiments hierarchy-sweep   # height/fan-out/locality sweep (§8)
 //! experiments update-policy     # update protocol comparison (ref [15])
 //! experiments geo               # geometry kernels (ns per call)
-//! experiments macro             # million-object scale-and-ratio run
-//! experiments macro --json      # …writing BENCH_macro.json (see --out)
+//! experiments macro             # million-object count-and-ratio run
+//! experiments macro --json      # …writing BENCH_macro.json (--out <file>)
 //! experiments validate-bench F  # strict util::json check of a macro report
 //! experiments all               # everything above (except validate)
 //! experiments all --quick       # reduced sizes (CI-friendly)
@@ -20,7 +20,6 @@
 
 use hiloc_bench::figures::{fig3, fig4, fig6, involved_servers};
 use hiloc_bench::macro_bench::{self, MacroConfig};
-use hiloc_bench::table1::IndexChoice;
 use hiloc_bench::{ablations, fmt_rate, geo, print_table, table1, table2};
 use std::time::Duration;
 
@@ -74,38 +73,50 @@ impl Scale {
 
 const SEED: u64 = 0x10CA_7E57;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
+/// The parsed command line.
+struct Args {
+    quick: bool,
+    json: bool,
+    /// Where `macro --json` writes its report.
+    out: String,
+    positional: Vec<String>,
+}
+
+/// Parses the arguments after the program name. The flags are
+/// `--quick`, `--json` and `--out <file>`. A missing file, a file that
+/// starts with `-`, or any other flag is an error.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let (mut quick, mut json, mut out, mut positional) = (false, false, None, Vec::new());
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--quick" => quick = true,
+            "--json" => json = true,
+            "--out" => match it.next() {
+                Some(path) if !path.starts_with('-') => out = Some(path.clone()),
+                _ => return Err("--out needs a file name".into()),
+            },
+            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
+            _ => positional.push(a.clone()),
+        }
+    }
     // A quick run must never silently clobber a committed full-scale
     // baseline at the default path.
-    let macro_out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| {
-            if quick { "BENCH_macro_quick.json" } else { "BENCH_macro.json" }.to_string()
-        });
+    let out = out.unwrap_or_else(|| {
+        if quick { "BENCH_macro_quick.json" } else { "BENCH_macro.json" }.to_string()
+    });
+    Ok(Args { quick, json, out, positional })
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Args { quick, json, out: macro_out, positional } = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("experiments: {e}");
+        eprintln!("usage: experiments [<experiment> [<file>]] [--quick] [--json] [--out <file>]");
+        std::process::exit(2);
+    });
     let scale = if quick { Scale::quick() } else { Scale::full() };
-    let positional: Vec<&str> = {
-        let mut skip_next = false;
-        args.iter()
-            .filter_map(|a| {
-                if skip_next {
-                    skip_next = false;
-                    return None;
-                }
-                if a == "--out" {
-                    skip_next = true;
-                    return None;
-                }
-                (!a.starts_with('-')).then_some(a.as_str())
-            })
-            .collect()
-    };
-    let cmd = positional.first().copied().unwrap_or("all");
+    let cmd = positional.first().map_or("all", String::as_str);
 
     match cmd {
         "table1" => run_table1(&scale),
@@ -162,6 +173,7 @@ fn run_macro(quick: bool, json: bool, out_path: &str) {
     let cfg = if quick { MacroConfig::quick() } else { MacroConfig::full() };
     let report = macro_bench::run(&cfg);
 
+    let u = &report.updates;
     print_table(
         &format!(
             "Macro benchmark: {} objects, {} servers ({} levels), {:.1} km area",
@@ -170,46 +182,30 @@ fn run_macro(quick: bool, json: bool, out_path: &str) {
             report.config.total_levels(),
             report.config.area_m / 1_000.0
         ),
-        &["phase", "ops", "wall", "rate"],
-        &[
-            vec![
-                "register".to_string(),
-                report.register.ops.to_string(),
-                format!("{:.2} s", report.register.wall_s),
-                fmt_rate(report.register.ops as f64 / report.register.wall_s),
-            ],
-            vec![
-                format!("updates ({} steps)", report.updates.steps),
-                report.updates.sent.to_string(),
-                format!("{:.2} s", report.updates.wall_s),
-                fmt_rate(report.updates.sent as f64 / report.updates.wall_s),
-            ],
-        ],
+        &["phase", "sent", "acks", "handovers", "deregistered", "lost"],
+        &[vec![
+            format!("updates ({} steps)", u.steps),
+            u.sent.to_string(),
+            u.acks.to_string(),
+            u.handovers.to_string(),
+            u.deregistered.to_string(),
+            u.lost.to_string(),
+        ]],
     );
     let phases: Vec<Vec<String>> = report
         .query_phases
         .iter()
-        .flat_map(|p| {
-            let hit_rate = {
-                let total = p.cache_hits + p.cache_misses;
-                if total == 0 { 0.0 } else { p.cache_hits as f64 / total as f64 }
-            };
-            [("pos", &p.pos), ("range", &p.range), ("nn", &p.nn)].map(|(kind, s)| {
-                vec![
-                    format!("caches {}", p.caches),
-                    kind.to_string(),
-                    s.count.to_string(),
-                    format!("{:.1} ms", s.p50 / 1_000.0),
-                    format!("{:.1} ms", s.p90 / 1_000.0),
-                    format!("{:.1} ms", s.p99 / 1_000.0),
-                    format!("{:.1}%", hit_rate * 100.0),
-                ]
-            })
+        .map(|p| {
+            let mut row = vec![format!("caches {}", p.caches)];
+            row.extend(p.counts.iter().map(u64::to_string));
+            row.push(format!("{:.2}", p.msgs_per_query()));
+            row.push(format!("{:.1}%", p.hit_rate() * 100.0));
+            row
         })
         .collect();
     print_table(
-        "Macro query phases: Zipf-skewed mix, virtual time",
-        &["phase", "kind", "count", "p50", "p90", "p99", "cache hits"],
+        "Macro query phases: Zipf-skewed mix, the same queries with caches off and on",
+        &["phase", "pos", "range", "nn", "msgs/query", "cache hits"],
         &phases,
     );
     let levels: Vec<Vec<String>> = report
@@ -230,29 +226,6 @@ fn run_macro(quick: bool, json: bool, out_path: &str) {
         &["level", "servers", "updates", "queries (caches off)", "queries (caches on)"],
         &levels,
     );
-    let shard_rows: Vec<Vec<String>> = report
-        .shard_scaling
-        .rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.shards.to_string(),
-                r.ops.to_string(),
-                format!("{:.2} s", r.wall_s),
-                format!("{:.3} s", r.max_busy_s),
-                format!("{:.3} s", r.busy_total_s),
-                fmt_rate(r.ops as f64 / r.max_busy_s.max(1e-9)),
-            ]
-        })
-        .collect();
-    print_table(
-        &format!(
-            "Shard scaling: threaded runtime, batched updates (host parallelism {})",
-            report.shard_scaling.host_parallelism
-        ),
-        &["shards", "ops", "wall", "max shard busy", "total busy", "ops/busy-s (critical path)"],
-        &shard_rows,
-    );
 
     if json {
         let text = report.to_json(quick).to_string_pretty();
@@ -271,7 +244,7 @@ fn validate_bench(path: &str) {
         }
     };
     match macro_bench::validate_report(&text) {
-        Ok(()) => println!("{path}: valid hiloc-bench-macro/v1 report"),
+        Ok(()) => println!("{path}: valid {} report", macro_bench::SCHEMA),
         Err(e) => {
             eprintln!("validate-bench: {path}: {e}");
             std::process::exit(1);
@@ -280,7 +253,7 @@ fn validate_bench(path: &str) {
 }
 
 fn run_table1(scale: &Scale) {
-    let rows = table1::run(IndexChoice::Quadtree, scale.t1_objects, scale.t1_ops, SEED);
+    let rows = table1::run(scale.t1_objects, scale.t1_ops, SEED);
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -289,6 +262,7 @@ fn run_table1(scale: &Scale) {
                 fmt_rate(r.ops_per_s),
                 fmt_rate(r.paper_ops_per_s),
                 format!("{:.2}x", r.ops_per_s / r.paper_ops_per_s),
+                r.hits.to_string(),
             ]
         })
         .collect();
@@ -297,7 +271,7 @@ fn run_table1(scale: &Scale) {
             "Table 1: data-storage throughput ({} objects, {} ops/row, 10 km x 10 km, point quadtree)",
             scale.t1_objects, scale.t1_ops
         ),
-        &["operation", "measured", "paper (2001 hardware)", "ratio"],
+        &["operation", "measured", "paper (2001 hardware)", "ratio", "hits"],
         &table,
     );
 }
@@ -479,4 +453,33 @@ fn run_policies(scale: &Scale) {
         &["policy", "speed", "updates/obj/min", "handovers/obj/min"],
         &table,
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        parse_args(&line.split_whitespace().map(String::from).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn out_takes_a_file_name_or_is_a_usage_error() {
+        let a = parse("macro --json --out target/m.json --quick").unwrap();
+        assert_eq!(a.out, "target/m.json");
+        assert!(a.quick && a.json);
+        assert_eq!(a.positional, ["macro"]);
+        // The next flag is not a file name, and a trailing `--out` has
+        // none: neither may fall back to a default path.
+        assert!(parse("macro --json --out --quick").is_err());
+        assert!(parse("macro --json --quick --out").is_err());
+        assert!(parse("macro --qiuck").is_err());
+    }
+
+    #[test]
+    fn a_quick_run_never_defaults_to_the_committed_baseline() {
+        assert_eq!(parse("macro --json --quick").unwrap().out, "BENCH_macro_quick.json");
+        assert_eq!(parse("macro --json").unwrap().out, "BENCH_macro.json");
+        assert_eq!(parse("validate-bench F").unwrap().positional, ["validate-bench", "F"]);
+    }
 }

@@ -4,30 +4,36 @@
 //! [`SimDeployment`], a million tracked objects split across the three
 //! mobility models, Zipf-skewed position/range/nearest-neighbor query
 //! load entering at Zipf-hot leaves — everything end-to-end through
-//! the real node/message path. Measured: sustained registration and
-//! update throughput (wall clock), query latency percentiles (virtual
-//! time), per-level message amplification, the §6.5 cache hit rates
-//! with caches off vs. on, and the root-failover blackout — a cold
-//! pathSync rebuild vs. a warm standby adoption.
+//! the real node/message path. It reports what only a run at this scale
+//! produces, and no speed: the update accounting, per-level message
+//! amplification, messages per query and the §6.5 cache hit rates with
+//! caches off vs. on, the root-failover blackout (a cold pathSync
+//! rebuild vs. a warm standby adoption, in virtual time) and the
+//! storage engine's recovery asymptotics. Speed is measured by the
+//! repository benchmark (`benchmark/`) alone.
 //!
 //! Run `experiments macro --json` to regenerate the committed
 //! `BENCH_macro.json`; `--quick` runs the CI smoke scale. See the
-//! README "Performance" section for the `hiloc-bench-macro/v1` schema.
+//! README "Performance" section for the [`SCHEMA`] layout.
 
 use hiloc_core::area::HierarchyBuilder;
 use hiloc_core::cache::{CacheConfig, CacheStats, HitMiss};
-use hiloc_core::model::{ObjectId, RangeQuery, Sighting, SECOND};
+use hiloc_core::model::{ObjectId, RangeQuery, SECOND};
 use hiloc_core::node::ServerOptions;
-use hiloc_core::runtime::{LevelStats, ShardSpec, SimDeployment, ThreadedDeployment};
+use hiloc_core::runtime::{LevelStats, SimDeployment};
 use hiloc_geo::{Point, Rect, Region};
 use hiloc_net::ServerId;
 use hiloc_sim::mobility::MobilityKind;
-use hiloc_sim::{Fleet, FleetConfig, Samples, Summary, Zipf};
+use hiloc_sim::{Fleet, FleetConfig, Zipf};
 use hiloc_storage::{DurableMap, SyncPolicy};
 use hiloc_util::json::Json;
 use hiloc_util::rng::{RngExt, SeedableRng, StdRng};
 use hiloc_util::tempdir::TempDir;
-use std::time::{Duration, Instant};
+use std::time::Instant;
+
+/// The report schema [`MacroReport::to_json`] writes and
+/// [`validate_report`] accepts.
+pub const SCHEMA: &str = "hiloc-bench-macro/v2";
 
 // ------------------------------------------------------------- config
 
@@ -101,21 +107,6 @@ impl MacroConfig {
 
 // ------------------------------------------------------------- results
 
-/// Wall-clock throughput of one load phase.
-#[derive(Debug, Clone, Copy)]
-pub struct Throughput {
-    /// Operations performed.
-    pub ops: u64,
-    /// Wall-clock seconds.
-    pub wall_s: f64,
-}
-
-impl Throughput {
-    fn per_s(&self) -> f64 {
-        self.ops as f64 / self.wall_s
-    }
-}
-
 /// Aggregate of the update phase.
 #[derive(Debug, Clone, Copy)]
 pub struct UpdatePhase {
@@ -138,8 +129,6 @@ pub struct UpdatePhase {
     /// a silent `sent != acks` gap in the report (the gap is handovers,
     /// not loss, and the validator now enforces that).
     pub in_flight: u64,
-    /// Wall-clock seconds of the phase.
-    pub wall_s: f64,
 }
 
 /// One Zipf query phase (identical sequence per phase; only the cache
@@ -148,12 +137,8 @@ pub struct UpdatePhase {
 pub struct QueryPhase {
     /// `"off"` or `"on"`.
     pub caches: &'static str,
-    /// Position-query latency (virtual µs).
-    pub pos: Summary,
-    /// Range-query latency (virtual µs).
-    pub range: Summary,
-    /// Nearest-neighbor latency (virtual µs).
-    pub nn: Summary,
+    /// Queries answered, indexed `[pos, range, nn]`.
+    pub counts: [u64; 3],
     /// Failed queries (timeouts, unknown objects). Must be zero on a
     /// healthy network.
     pub errors: u64,
@@ -176,10 +161,16 @@ pub struct QueryPhase {
 
 impl QueryPhase {
     fn queries(&self) -> u64 {
-        self.pos.count as u64 + self.range.count as u64 + self.nn.count as u64
+        self.counts.iter().sum()
     }
 
-    fn hit_rate(&self) -> f64 {
+    /// Network messages per answered query.
+    pub fn msgs_per_query(&self) -> f64 {
+        self.msgs_sent as f64 / self.queries() as f64
+    }
+
+    /// The share of §6.5 cache lookups that hit.
+    pub fn hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
         if total == 0 {
             0.0
@@ -258,59 +249,6 @@ impl RecoveryPhase {
     }
 }
 
-/// One shard count of the shard-scaling phase.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardRow {
-    /// Event-loop shards the deployment ran with.
-    pub shards: usize,
-    /// Batched update operations acknowledged.
-    pub ops: u64,
-    /// Wall-clock seconds of the load (includes the client's side).
-    pub wall_s: f64,
-    /// Busy seconds of the busiest shard — the critical path.
-    pub max_busy_s: f64,
-    /// Busy seconds summed over all shards.
-    pub busy_total_s: f64,
-}
-
-impl ShardRow {
-    /// Critical-path throughput: acked ops per busiest-shard busy
-    /// second.
-    fn per_busy_s(&self) -> f64 {
-        self.ops as f64 / self.max_busy_s.max(1e-9)
-    }
-}
-
-/// The shard-scaling phase of the tentpole runtime fix: the identical
-/// per-leaf `UpdateBatch` load against sharded [`ThreadedDeployment`]s
-/// at 1, 2 and 4 shards. The scaling figure is **critical-path
-/// throughput** — acked ops per busiest-shard busy second — which
-/// measures how evenly `server id % shards` spreads the work and is
-/// independent of how many cores the bench host happens to have
-/// (`host_parallelism` records that honestly; wall clock on a 1-core
-/// host cannot improve with shard count, busy-time balance can).
-#[derive(Debug, Clone)]
-pub struct ShardScaling {
-    /// `std::thread::available_parallelism()` of the bench host.
-    pub host_parallelism: usize,
-    /// One row per shard count (1, 2, 4).
-    pub rows: Vec<ShardRow>,
-}
-
-impl ShardScaling {
-    fn per_busy_at(&self, shards: usize) -> Option<f64> {
-        self.rows.iter().find(|r| r.shards == shards).map(ShardRow::per_busy_s)
-    }
-
-    /// Critical-path speedup of 4 shards over 1.
-    fn speedup_4x(&self) -> f64 {
-        match (self.per_busy_at(1), self.per_busy_at(4)) {
-            (Some(one), Some(four)) if one > 0.0 => four / one,
-            _ => 0.0,
-        }
-    }
-}
-
 /// A complete macro run.
 #[derive(Debug, Clone)]
 pub struct MacroReport {
@@ -320,8 +258,6 @@ pub struct MacroReport {
     pub servers: usize,
     /// Leaf servers in the hierarchy.
     pub leaf_servers: usize,
-    /// Registration throughput.
-    pub register: Throughput,
     /// The update phase.
     pub updates: UpdatePhase,
     /// The two query phases: caches off, then caches on.
@@ -332,9 +268,6 @@ pub struct MacroReport {
     pub failover: FailoverPhase,
     /// The storage-recovery phase: full-log vs. checkpointed reopen.
     pub recovery: RecoveryPhase,
-    /// The shard-scaling phase: the event-driven runtime at 1/2/4
-    /// shards under identical batched update load.
-    pub shard_scaling: ShardScaling,
 }
 
 // ------------------------------------------------------------ workload
@@ -382,7 +315,7 @@ fn build_deployment(cfg: &MacroConfig) -> SimDeployment {
 
 /// Registers the population: three fleets, one per mobility model,
 /// sharing the deployment through disjoint object-id ranges.
-fn register_fleets(cfg: &MacroConfig, ls: &mut SimDeployment) -> (Vec<Fleet>, Throughput) {
+fn register_fleets(cfg: &MacroConfig, ls: &mut SimDeployment) -> Vec<Fleet> {
     let models = [
         MobilityKind::RandomWaypoint,
         MobilityKind::Manhattan { spacing_m: 100.0 },
@@ -392,7 +325,6 @@ fn register_fleets(cfg: &MacroConfig, ls: &mut SimDeployment) -> (Vec<Fleet>, Th
     let counts = [cfg.objects - 2 * third, third, third];
     let mut first_oid = 0u64;
     let mut fleets = Vec::new();
-    let t0 = Instant::now();
     for (i, (model, count)) in models.into_iter().zip(counts).enumerate() {
         let fleet = Fleet::register(
             FleetConfig {
@@ -409,7 +341,6 @@ fn register_fleets(cfg: &MacroConfig, ls: &mut SimDeployment) -> (Vec<Fleet>, Th
         first_oid += count;
         fleets.push(fleet);
     }
-    let wall_s = t0.elapsed().as_secs_f64();
 
     // The slab-growth headroom check (the satellite u32 conversion
     // fix): no leaf may be anywhere near the u32 slot-index ceiling,
@@ -424,7 +355,7 @@ fn register_fleets(cfg: &MacroConfig, ls: &mut SimDeployment) -> (Vec<Fleet>, Th
             server_cfg.id.0
         );
     }
-    (fleets, Throughput { ops: cfg.objects, wall_s })
+    fleets
 }
 
 fn run_updates(cfg: &MacroConfig, ls: &mut SimDeployment, fleets: &mut [Fleet]) -> UpdatePhase {
@@ -436,9 +367,7 @@ fn run_updates(cfg: &MacroConfig, ls: &mut SimDeployment, fleets: &mut [Fleet]) 
         lost: 0,
         deregistered: 0,
         in_flight: 0,
-        wall_s: 0.0,
     };
-    let t0 = Instant::now();
     for _ in 0..cfg.update_steps {
         for fleet in fleets.iter_mut() {
             fleet.process_inbox(ls);
@@ -450,7 +379,6 @@ fn run_updates(cfg: &MacroConfig, ls: &mut SimDeployment, fleets: &mut [Fleet]) 
             agg.deregistered += s.deregistered;
         }
     }
-    agg.wall_s = t0.elapsed().as_secs_f64();
     let resolved = agg.acks + agg.handovers + agg.deregistered + agg.lost;
     assert!(
         resolved <= agg.sent,
@@ -484,7 +412,7 @@ fn run_queries(cfg: &MacroConfig, ls: &mut SimDeployment, caches: &'static str) 
     let (hits_before, misses_before) = ls.cache_hit_stats();
     let detail_before = ls.cache_stats_by_cache();
 
-    let (mut pos, mut range, mut nn) = (Samples::new(), Samples::new(), Samples::new());
+    let mut counts = [0u64; 3];
     let mut by_kind = [CacheStats::default(); 3];
     let mut errors = 0u64;
     for _ in 0..cfg.queries {
@@ -493,35 +421,34 @@ fn run_queries(cfg: &MacroConfig, ls: &mut SimDeployment, caches: &'static str) 
         // paper's locality argument) are.
         let entry = leaves[zipf_leaf.sample(&mut rng)];
         let kind: f64 = rng.random();
-        let t0 = ls.now_us();
+        let k = if kind < 0.7 { 0 } else if kind < 0.9 { 1 } else { 2 };
         let detail_q = ls.cache_stats_by_cache();
-        if kind < 0.7 {
-            let oid = rank_to_oid(zipf_obj.sample(&mut rng), cfg.objects);
-            match ls.pos_query(entry, oid) {
-                Ok(_) => pos.record((ls.now_us() - t0) as f64),
-                Err(_) => errors += 1,
+        let answered = match k {
+            0 => {
+                let oid = rank_to_oid(zipf_obj.sample(&mut rng), cfg.objects);
+                ls.pos_query(entry, oid).is_ok()
             }
-        } else if kind < 0.9 {
-            // A hot cell: half a leaf's side, centered on a Zipf-hot
-            // leaf — the "where is everyone downtown" query.
-            let hot = ls.hierarchy().server(leaves[zipf_leaf.sample(&mut rng)]).area;
-            let side = (hot.max().x - hot.min().x) / 2.0;
-            let cell = Rect::from_center_size(hot.center(), side, side);
-            match ls.range_query(entry, RangeQuery::new(Region::from(cell), min_acc_m, 0.5)) {
-                Ok(_) => range.record((ls.now_us() - t0) as f64),
-                Err(_) => errors += 1,
+            1 => {
+                // A hot cell: half a leaf's side, centered on a Zipf-hot
+                // leaf — the "where is everyone downtown" query.
+                let hot = ls.hierarchy().server(leaves[zipf_leaf.sample(&mut rng)]).area;
+                let side = (hot.max().x - hot.min().x) / 2.0;
+                let cell = Rect::from_center_size(hot.center(), side, side);
+                ls.range_query(entry, RangeQuery::new(Region::from(cell), min_acc_m, 0.5)).is_ok()
             }
+            _ => {
+                let p = ls.hierarchy().server(leaves[zipf_leaf.sample(&mut rng)]).area.center();
+                ls.neighbor_query(entry, p, min_acc_m, min_acc_m / 2.0).is_ok()
+            }
+        };
+        if answered {
+            counts[k] += 1;
         } else {
-            let p = ls.hierarchy().server(leaves[zipf_leaf.sample(&mut rng)]).area.center();
-            match ls.neighbor_query(entry, p, min_acc_m, min_acc_m / 2.0) {
-                Ok(_) => nn.record((ls.now_us() - t0) as f64),
-                Err(_) => errors += 1,
-            }
+            errors += 1;
         }
         // Attribute the cache traffic of this query to its kind. The
         // sim is single-threaded, so the snapshot delta around the
         // blocking call is exactly this query's footprint.
-        let k = if kind < 0.7 { 0 } else if kind < 0.9 { 1 } else { 2 };
         by_kind[k].add(&cache_delta(&ls.cache_stats_by_cache(), &detail_q));
     }
 
@@ -530,9 +457,7 @@ fn run_queries(cfg: &MacroConfig, ls: &mut SimDeployment, caches: &'static str) 
     let (hits, misses) = ls.cache_hit_stats();
     QueryPhase {
         caches,
-        pos: pos.summary(),
-        range: range.summary(),
-        nn: nn.summary(),
+        counts,
         errors,
         msgs_sent: ls.net_counters().0 - net_before,
         msgs_dir: (delta.msgs_up, delta.msgs_down, delta.msgs_peer, delta.msgs_client),
@@ -683,109 +608,6 @@ fn run_recovery(cfg: &MacroConfig) -> RecoveryPhase {
     phase
 }
 
-/// The shard-scaling phase: deploys the *threaded* runtime (real
-/// threads, channel transport, bounded inboxes) over a 1-level
-/// fanout-2 grid at 1, 2 and 4 shards, registers the same per-leaf
-/// population into each, and drives identical rounds of per-leaf
-/// `UpdateBatch` load. Busy time is snapshotted after registration so
-/// the rows measure steady-state update work only.
-fn run_shard_scaling(cfg: &MacroConfig) -> ShardScaling {
-    let per_leaf = (cfg.objects / 500).clamp(100, 2_000);
-    let rounds = if cfg.objects >= 500_000 { 10 } else { 2 };
-    let side = 2_000.0;
-    let margin = 50.0;
-    let mut rows = Vec::new();
-    for shards in [1usize, 2, 4] {
-        let area = Rect::new(Point::new(0.0, 0.0), Point::new(side, side));
-        let h = HierarchyBuilder::grid(area, 1, 2).build().expect("shard-scaling hierarchy");
-        let leaves: Vec<(ServerId, Rect)> = h
-            .servers()
-            .iter()
-            .filter(|c| c.is_leaf())
-            .map(|c| (c.id, c.area))
-            .collect();
-        let ls = ThreadedDeployment::new_sharded(
-            h,
-            server_opts(),
-            ShardSpec { shards, ..Default::default() },
-        );
-        let mut client = ls.client();
-        client.set_timeout(Duration::from_secs(30));
-
-        // Identical seed per shard count: every deployment sees the
-        // byte-identical registration and update load.
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x0005_44D5);
-        let jiggle = |rng: &mut StdRng, r: &Rect| {
-            Point::new(
-                rng.random_range(r.min().x + margin..r.max().x - margin),
-                rng.random_range(r.min().y + margin..r.max().y - margin),
-            )
-        };
-        let mut oid = 0u64;
-        for (leaf, rect) in &leaves {
-            for _ in 0..per_leaf {
-                let s = Sighting::new(ObjectId(oid), ls.now_us(), jiggle(&mut rng, rect), 5.0);
-                let (agent, _) = client
-                    .register(*leaf, s, 10.0, 50.0, cfg.speed_mps)
-                    .expect("shard-scaling registration");
-                assert_eq!(agent, *leaf, "objects register inside their leaf");
-                oid += 1;
-            }
-        }
-
-        let busy0 = ls.shard_busy();
-        let mut ops = 0u64;
-        let t0 = Instant::now();
-        for (li, (leaf, rect)) in leaves.iter().enumerate() {
-            for _ in 0..rounds {
-                let base = li as u64 * per_leaf;
-                let sightings: Vec<Sighting> = (0..per_leaf)
-                    .map(|i| {
-                        Sighting::new(
-                            ObjectId(base + i),
-                            ls.now_us(),
-                            jiggle(&mut rng, rect),
-                            5.0,
-                        )
-                    })
-                    .collect();
-                let n = sightings.len();
-                let acks =
-                    client.update_batch(*leaf, sightings).expect("shard-scaling update batch");
-                assert_eq!(acks.len(), n, "every batched update must be acked");
-                ops += acks.len() as u64;
-            }
-        }
-        let wall_s = t0.elapsed().as_secs_f64();
-        let busy1 = ls.shard_busy();
-        let deltas: Vec<f64> = busy1
-            .iter()
-            .zip(&busy0)
-            .map(|(a, b)| (*a - *b).as_secs_f64())
-            .collect();
-        let max_busy_s = deltas.iter().cloned().fold(0.0, f64::max);
-        let busy_total_s = deltas.iter().sum();
-        let stats = ls.shutdown();
-        if std::env::var_os("HILOC_SHARD_DEBUG").is_some() {
-            eprintln!("shards={shards} busy={deltas:?}");
-            for (i, s) in stats.iter().enumerate() {
-                eprintln!(
-                    "  server {i}: in={} up={} down={} peer={} client={}",
-                    s.msgs_in, s.msgs_up, s.msgs_down, s.msgs_peer, s.msgs_client
-                );
-            }
-        }
-        let shed: u64 = stats.iter().map(|s| s.inbox_shed).sum();
-        assert_eq!(shed, 0, "the blocking scaling load must not overflow default inboxes");
-        assert_eq!(ops, leaves.len() as u64 * per_leaf * rounds);
-        rows.push(ShardRow { shards, ops, wall_s, max_busy_s, busy_total_s });
-    }
-    ShardScaling {
-        host_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        rows,
-    }
-}
-
 fn level_delta(after: &[LevelStats], before: &[LevelStats]) -> Vec<(u32, usize, u64)> {
     after
         .iter()
@@ -804,7 +626,7 @@ pub fn run(cfg: &MacroConfig) -> MacroReport {
     let servers = ls.hierarchy().len();
     let leaf_servers = ls.hierarchy().servers().iter().filter(|c| c.is_leaf()).count();
 
-    let (mut fleets, register) = register_fleets(cfg, &mut ls);
+    let mut fleets = register_fleets(cfg, &mut ls);
     let after_register = ls.level_stats();
 
     let updates = run_updates(cfg, &mut ls, &mut fleets);
@@ -821,7 +643,6 @@ pub fn run(cfg: &MacroConfig) -> MacroReport {
 
     let failover = run_failover(cfg, &mut ls);
     let recovery = run_recovery(cfg);
-    let shard_scaling = run_shard_scaling(cfg);
 
     let upd = level_delta(&after_updates, &after_register);
     let qoff = level_delta(&after_off, &after_updates);
@@ -843,13 +664,11 @@ pub fn run(cfg: &MacroConfig) -> MacroReport {
         config: *cfg,
         servers,
         leaf_servers,
-        register,
         updates,
         query_phases: vec![off, on],
         levels,
         failover,
         recovery,
-        shard_scaling,
     }
 }
 
@@ -857,12 +676,6 @@ pub fn run(cfg: &MacroConfig) -> MacroReport {
 
 fn num(v: f64) -> Json {
     Json::Num(v)
-}
-
-fn rate(v: f64) -> Json {
-    // Whole ops/s: sub-op precision is machine noise and integers keep
-    // the committed baseline diff-friendly.
-    Json::Num(v.round())
 }
 
 fn hit_miss_json(h: &HitMiss) -> Json {
@@ -880,15 +693,6 @@ fn cache_stats_json(c: &CacheStats) -> Json {
     ])
 }
 
-fn summary_json(s: &Summary) -> Json {
-    Json::Obj(vec![
-        ("count".into(), num(s.count as f64)),
-        ("p50_us".into(), num(s.p50.round())),
-        ("p90_us".into(), num(s.p90.round())),
-        ("p99_us".into(), num(s.p99.round())),
-    ])
-}
-
 impl MacroReport {
     /// The machine-readable report (schema documented in the README).
     pub fn to_json(&self, quick: bool) -> Json {
@@ -899,13 +703,20 @@ impl MacroReport {
                 let (up, down, peer, client) = p.msgs_dir;
                 Json::Obj(vec![
                     ("caches".into(), Json::Str(p.caches.into())),
-                    ("pos".into(), summary_json(&p.pos)),
-                    ("range".into(), summary_json(&p.range)),
-                    ("nn".into(), summary_json(&p.nn)),
+                    (
+                        "queries".into(),
+                        Json::Obj(
+                            ["pos", "range", "nn"]
+                                .iter()
+                                .zip(p.counts)
+                                .map(|(kind, n)| (kind.to_string(), num(n as f64)))
+                                .collect(),
+                        ),
+                    ),
                     ("errors".into(), num(p.errors as f64)),
                     (
                         "msgs_per_query".into(),
-                        num((p.msgs_sent as f64 / p.queries() as f64 * 100.0).round() / 100.0),
+                        num((p.msgs_per_query() * 100.0).round() / 100.0),
                     ),
                     (
                         "msgs".into(),
@@ -958,7 +769,7 @@ impl MacroReport {
             })
             .collect();
         Json::Obj(vec![
-            ("schema".into(), Json::Str("hiloc-bench-macro/v1".into())),
+            ("schema".into(), Json::Str(SCHEMA.into())),
             ("quick".into(), Json::Bool(quick)),
             ("seed".into(), num(self.config.seed as f64)),
             (
@@ -979,14 +790,6 @@ impl MacroReport {
                 ]),
             ),
             (
-                "register".into(),
-                Json::Obj(vec![
-                    ("ops".into(), num(self.register.ops as f64)),
-                    ("wall_s".into(), num((self.register.wall_s * 1_000.0).round() / 1_000.0)),
-                    ("per_s".into(), rate(self.register.per_s())),
-                ]),
-            ),
-            (
                 "updates".into(),
                 Json::Obj(vec![
                     ("steps".into(), num(f64::from(self.updates.steps))),
@@ -996,11 +799,6 @@ impl MacroReport {
                     ("lost".into(), num(self.updates.lost as f64)),
                     ("deregistered".into(), num(self.updates.deregistered as f64)),
                     ("in_flight".into(), num(self.updates.in_flight as f64)),
-                    ("wall_s".into(), num((self.updates.wall_s * 1_000.0).round() / 1_000.0)),
-                    (
-                        "per_s".into(),
-                        rate(self.updates.sent as f64 / self.updates.wall_s),
-                    ),
                 ]),
             ),
             ("query_phases".into(), Json::Arr(phases)),
@@ -1031,64 +829,28 @@ impl MacroReport {
                     ("checkpointed_2x".into(), num(self.recovery.checkpointed_2x_us as f64)),
                 ]),
             ),
-            (
-                "shard_scaling".into(),
-                Json::Obj(vec![
-                    (
-                        "host_parallelism".into(),
-                        num(self.shard_scaling.host_parallelism as f64),
-                    ),
-                    (
-                        "rows".into(),
-                        Json::Arr(
-                            self.shard_scaling
-                                .rows
-                                .iter()
-                                .map(|r| {
-                                    Json::Obj(vec![
-                                        ("shards".into(), num(r.shards as f64)),
-                                        ("ops".into(), num(r.ops as f64)),
-                                        (
-                                            "wall_s".into(),
-                                            num((r.wall_s * 1e6).round() / 1e6),
-                                        ),
-                                        (
-                                            "max_busy_s".into(),
-                                            num((r.max_busy_s * 1e6).round() / 1e6),
-                                        ),
-                                        (
-                                            "busy_total_s".into(),
-                                            num((r.busy_total_s * 1e6).round() / 1e6),
-                                        ),
-                                        ("per_busy_s".into(), rate(r.per_busy_s())),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "speedup_4x".into(),
-                        num((self.shard_scaling.speedup_4x() * 100.0).round() / 100.0),
-                    ),
-                ]),
-            ),
             ("levels".into(), Json::Arr(levels)),
         ])
     }
 }
 
 /// Validates a `BENCH_macro.json` document: parseable by
-/// [`hiloc_util::json`], schema-correct, and — for a full-scale run —
-/// at the committed-baseline scale (≥ 1M objects, ≥ 4 hierarchy
-/// levels, ≥ 24 servers). Returns a human-readable error on failure.
+/// [`hiloc_util::json`], of schema [`SCHEMA`], internally consistent,
+/// with fewer messages per query and per level once the caches are on,
+/// and — for a full-scale run — at the committed-baseline scale (≥ 1M
+/// objects, ≥ 4 hierarchy levels, ≥ 24 servers). Returns a
+/// human-readable error on failure.
 pub fn validate_report(text: &str) -> Result<(), String> {
     let doc = Json::parse(text).map_err(|e| e.to_string())?;
     let schema = doc
         .get("schema")
         .and_then(Json::as_str)
         .ok_or_else(|| "missing schema field".to_string())?;
-    if schema != "hiloc-bench-macro/v1" {
-        return Err(format!("unexpected schema {schema:?}"));
+    if schema != SCHEMA {
+        return Err(format!(
+            "schema {schema:?} is not {SCHEMA:?}; regenerate the report with \
+             `experiments macro --json`"
+        ));
     }
     let quick = doc
         .get("quick")
@@ -1113,17 +875,6 @@ pub fn validate_report(text: &str) -> Result<(), String> {
         }
         if servers < 24.0 {
             return Err(format!("full run must involve >= 24 servers, got {servers}"));
-        }
-    }
-
-    for phase in ["register", "updates"] {
-        let per_s = doc
-            .get(phase)
-            .and_then(|p| p.get("per_s"))
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("missing {phase}.per_s"))?;
-        if !(per_s.is_finite() && per_s > 0.0) {
-            return Err(format!("non-positive {phase}.per_s {per_s}"));
         }
     }
 
@@ -1160,6 +911,7 @@ pub fn validate_report(text: &str) -> Result<(), String> {
     if phases.len() != 2 {
         return Err(format!("expected 2 query phases (off, on), got {}", phases.len()));
     }
+    let mut msgs_per_query = Vec::new();
     for (phase, want) in phases.iter().zip(["off", "on"]) {
         let caches = phase
             .get("caches")
@@ -1172,27 +924,21 @@ pub fn validate_report(text: &str) -> Result<(), String> {
             return Err(format!("query phase {want:?} reported errors"));
         }
         for kind in ["pos", "range", "nn"] {
-            let k = phase
-                .get(kind)
-                .ok_or_else(|| format!("query phase without {kind} summary"))?;
-            let get = |f: &str| {
-                k.get(f)
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| format!("missing {kind}.{f}"))
-            };
-            if get("count")? <= 0.0 {
+            let count = phase
+                .get("queries")
+                .and_then(|q| q.get(kind))
+                .and_then(Json::as_f64)
+                .ok_or_else(|| format!("missing queries.{kind}"))?;
+            if count <= 0.0 {
                 return Err(format!("query phase {want:?} ran no {kind} queries"));
             }
-            let (p50, p90, p99) = (get("p50_us")?, get("p90_us")?, get("p99_us")?);
-            for v in [p50, p90, p99] {
-                if !(v.is_finite() && v > 0.0) {
-                    return Err(format!("{kind} percentile {v} is not a positive latency"));
-                }
-            }
-            if !(p50 <= p90 && p90 <= p99) {
-                return Err(format!("{kind} percentiles not monotone: {p50}/{p90}/{p99}"));
-            }
         }
+        msgs_per_query.push(
+            phase
+                .get("msgs_per_query")
+                .and_then(Json::as_f64)
+                .ok_or_else(|| format!("query phase {want:?} without msgs_per_query"))?,
+        );
         let cache_num = |f: &str| {
             phase
                 .get("cache")
@@ -1265,6 +1011,15 @@ pub fn validate_report(text: &str) -> Result<(), String> {
                  counters {hits}/{misses}"
             ));
         }
+    }
+
+    // The §6.5 caches exist to save messages: the caches-on phase
+    // replays the identical query sequence, so it must send fewer.
+    if msgs_per_query[1] >= msgs_per_query[0] {
+        return Err(format!(
+            "caches-on msgs_per_query {} is not below caches-off {}",
+            msgs_per_query[1], msgs_per_query[0]
+        ));
     }
 
     let fo_num = |field: &str| {
@@ -1346,51 +1101,6 @@ pub fn validate_report(text: &str) -> Result<(), String> {
         }
     }
 
-    let ss = doc.get("shard_scaling").ok_or_else(|| "missing shard_scaling".to_string())?;
-    let hp = ss
-        .get("host_parallelism")
-        .and_then(Json::as_f64)
-        .ok_or_else(|| "missing shard_scaling.host_parallelism".to_string())?;
-    if hp < 1.0 {
-        return Err(format!("shard_scaling.host_parallelism {hp} below 1"));
-    }
-    let rows = ss
-        .get("rows")
-        .and_then(Json::as_array)
-        .ok_or_else(|| "missing shard_scaling.rows".to_string())?;
-    let mut counts = Vec::new();
-    for row in rows {
-        let row_num = |f: &str| {
-            row.get(f).and_then(Json::as_f64).ok_or_else(|| format!("shard row without {f}"))
-        };
-        counts.push(row_num("shards")?);
-        for f in ["ops", "wall_s", "max_busy_s", "busy_total_s", "per_busy_s"] {
-            let v = row_num(f)?;
-            if !(v.is_finite() && v > 0.0) {
-                return Err(format!("shard row {f} {v} is not positive"));
-            }
-        }
-    }
-    if counts != [1.0, 2.0, 4.0] {
-        return Err(format!("shard_scaling must cover shards [1, 2, 4], got {counts:?}"));
-    }
-    let speedup = ss
-        .get("speedup_4x")
-        .and_then(Json::as_f64)
-        .ok_or_else(|| "missing shard_scaling.speedup_4x".to_string())?;
-    if !(speedup.is_finite() && speedup > 0.0) {
-        return Err(format!("shard_scaling.speedup_4x {speedup} is not positive"));
-    }
-    // The tentpole gate: at full scale, 4 shards must deliver >= 2.5x
-    // the 1-shard critical-path (busiest-shard busy-time) throughput.
-    // Quick/tiny loads are small enough for busy-time deltas to be
-    // scheduler noise, so the ratio is only enforced on full runs.
-    if !quick && speedup < 2.5 {
-        return Err(format!(
-            "full run: 4-shard critical-path speedup {speedup} is below the 2.5x gate"
-        ));
-    }
-
     let levels = doc
         .get("levels")
         .and_then(Json::as_array)
@@ -1402,11 +1112,20 @@ pub fn validate_report(text: &str) -> Result<(), String> {
         ));
     }
     for l in levels {
-        for field in ["level", "servers", "update_msgs_in", "query_off_msgs_in", "query_on_msgs_in"]
-        {
-            if l.get(field).and_then(Json::as_f64).is_none() {
-                return Err(format!("level row without {field}"));
-            }
+        let row_num = |f: &str| {
+            l.get(f).and_then(Json::as_f64).ok_or_else(|| format!("level row without {f}"))
+        };
+        for f in ["servers", "update_msgs_in"] {
+            row_num(f)?;
+        }
+        let (level, off, on) =
+            (row_num("level")?, row_num("query_off_msgs_in")?, row_num("query_on_msgs_in")?);
+        // No level may work harder for the same queries with its
+        // caches on.
+        if on > off {
+            return Err(format!(
+                "level {level}: caches-on queries consumed {on} messages, caches-off {off}"
+            ));
         }
     }
     Ok(())
@@ -1437,7 +1156,6 @@ mod tests {
         assert_eq!(report.servers, 5, "1 root + 4 leaves");
         assert_eq!(report.query_phases.len(), 2);
         assert_eq!(report.updates.in_flight, 0, "the blocking sim leaves nothing in flight");
-        assert_eq!(report.shard_scaling.rows.len(), 3, "shard counts 1, 2, 4");
         assert!(report.failover.cold_blackout_us > 0);
         assert!(report.failover.warm_blackout_us > 0);
         assert!(
@@ -1450,26 +1168,34 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "full-scale shard phase (~minutes); run explicitly before committing a baseline"]
-    fn full_scale_shard_scaling_hits_the_gate() {
-        let ss = run_shard_scaling(&MacroConfig::full());
-        assert!(
-            ss.speedup_4x() >= 2.5,
-            "4-shard critical-path speedup {:.2} below the 2.5x gate: {ss:?}",
-            ss.speedup_4x()
-        );
-    }
-
-    #[test]
     fn validator_rejects_malformed_documents() {
         assert!(validate_report("{").is_err());
         assert!(validate_report("{}").is_err());
         assert!(validate_report(r#"{"schema": "not-a-macro-report/v1"}"#).is_err());
-        assert!(validate_report(r#"{"schema": "hiloc-bench-macro/v1"}"#).is_err());
+        assert!(validate_report(r#"{"schema": "hiloc-bench-macro/v2"}"#).is_err());
         // A full-scale report below the committed floor must fail.
         let report = run(&tiny());
         let text = report.to_json(false).to_string_pretty();
         assert!(validate_report(&text).is_err(), "tiny scale must not pass as a full run");
+
+        // A v1 document (the retired timing schema) is refused by a
+        // message that names v2 and the regeneration command.
+        let v1 = report.to_json(true).to_string_pretty().replace(SCHEMA, "hiloc-bench-macro/v1");
+        let err = validate_report(&v1).expect_err("a v1 report must be refused");
+        assert!(err.contains(SCHEMA) && err.contains("experiments macro --json"), "{err}");
+
+        // Caches that cost messages instead of saving them.
+        let mut doctored = report.clone();
+        doctored.query_phases[1].msgs_sent = doctored.query_phases[0].msgs_sent + 1;
+        let err = validate_report(&doctored.to_json(true).to_string_pretty())
+            .expect_err("caches-on msgs_per_query above caches-off must fail");
+        assert!(err.contains("msgs_per_query"), "{err}");
+        let mut doctored = report.clone();
+        let root = &mut doctored.levels[0];
+        root.query_on_msgs_in = root.query_off_msgs_in + 1;
+        let err = validate_report(&doctored.to_json(true).to_string_pretty())
+            .expect_err("a level consuming more messages with caches on must fail");
+        assert!(err.contains("level 0"), "{err}");
     }
 
     #[test]

@@ -21,54 +21,34 @@ pub struct Table1Row {
     pub ops_per_s: f64,
     /// The paper's reported value (ops/s) for shape comparison.
     pub paper_ops_per_s: f64,
+    /// Objects the row's queries returned, summed over all of them:
+    /// found records for the position query, qualifying objects for a
+    /// range query, 0 for the two write rows.
+    pub hits: usize,
 }
 
-/// Which index backs the sighting database.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexChoice {
-    /// Point quadtree (the paper's index).
-    Quadtree,
-    /// R-tree baseline.
-    RTree,
-    /// Uniform grid baseline (cell auto-sized to ~50 objects/cell).
-    Grid,
-    /// Linear scan (lower bound).
-    Naive,
-}
-
-impl IndexChoice {
-    fn build(self) -> SightingDb {
-        match self {
-            IndexChoice::Quadtree => SightingDb::new_quadtree(),
-            IndexChoice::RTree => SightingDb::new_rtree(),
-            // ~200 m cells over 10 km => 2_500 cells for 25 k objects.
-            IndexChoice::Grid => SightingDb::new_grid(200.0),
-            IndexChoice::Naive => SightingDb::with_index(Box::new(hiloc_spatial::NaiveIndex::new())),
-        }
-    }
-
-    /// Human-readable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            IndexChoice::Quadtree => "point quadtree",
-            IndexChoice::RTree => "r-tree",
-            IndexChoice::Grid => "grid",
-            IndexChoice::Naive => "naive scan",
-        }
-    }
-}
-
-/// Runs the full Table 1 workload and returns the measured rows.
+/// Runs the full Table 1 workload over the leaf's sighting database
+/// (the point quadtree) and returns the measured rows.
 ///
 /// `objects` and `ops` default to the paper's 25 000 / 10 000 in the
 /// experiments binary; tests use smaller sizes.
-pub fn run(index: IndexChoice, objects: usize, ops: usize, seed: u64) -> Vec<Table1Row> {
+///
+/// The 10 m range row qualifies nothing. Every object has 10 m
+/// accuracy, and a disc of radius 10 m (314 m²) can have at most
+/// 100/314 < ½ of its area inside a 10 m square (100 m²), so none
+/// reaches the required overlap of ½.
+///
+/// # Panics
+///
+/// When the range rows' hits are not `10 m ≤ 100 m < 1 km`: a bigger
+/// square must qualify more objects.
+pub fn run(objects: usize, ops: usize, seed: u64) -> Vec<Table1Row> {
     let area = table1_area();
     let points = uniform_points(objects, area, seed);
     let mut rows = Vec::new();
 
     // Row 1: creating the index (bulk insert of the whole population).
-    let mut db = index.build();
+    let mut db = SightingDb::new_quadtree();
     let t0 = Instant::now();
     for (i, p) in points.iter().enumerate() {
         db.upsert(stored(i as u64, *p));
@@ -78,6 +58,7 @@ pub fn run(index: IndexChoice, objects: usize, ops: usize, seed: u64) -> Vec<Tab
         operation: "creating index",
         ops_per_s: objects as f64 / dt,
         paper_ops_per_s: 24_015.0,
+        hits: 0,
     });
 
     // Row 2: position updates (move random objects to new positions).
@@ -92,6 +73,7 @@ pub fn run(index: IndexChoice, objects: usize, ops: usize, seed: u64) -> Vec<Tab
         operation: "position updates",
         ops_per_s: ops as f64 / dt,
         paper_ops_per_s: 41_494.0,
+        hits: 0,
     });
 
     // Row 3: position queries (hash-index lookups).
@@ -109,6 +91,7 @@ pub fn run(index: IndexChoice, objects: usize, ops: usize, seed: u64) -> Vec<Tab
         operation: "position query",
         ops_per_s: ops as f64 / dt,
         paper_ops_per_s: 384_615.0,
+        hits: found,
     });
 
     // Rows 4-6: range queries of three sizes (the paper's 10 m, 100 m,
@@ -123,26 +106,30 @@ pub fn run(index: IndexChoice, objects: usize, ops: usize, seed: u64) -> Vec<Tab
         let req_acc = 50.0;
         let req_overlap = 0.5;
         let t0 = Instant::now();
-        let mut total_hits = 0usize;
+        let mut hits = 0usize;
         for c in &centers {
             let region = Region::from(Rect::from_center_size(*c, extent, extent));
             db.range_candidates(&region, req_acc, &mut |e| {
                 let Some(rec) = db.get(e.key) else { return };
                 let ld = LocationDescriptor { pos: e.pos, acc_m: rec.acc_sens_m };
                 if qualifies_for_range(&region, &ld, req_acc, req_overlap) {
-                    total_hits += 1;
+                    hits += 1;
                 }
             });
         }
         let dt = t0.elapsed().as_secs_f64();
-        // A sanity anchor: bigger areas must return more objects.
-        let _ = total_hits;
         rows.push(Table1Row {
             operation: label,
             ops_per_s: ops as f64 / dt,
             paper_ops_per_s: paper,
+            hits,
         });
     }
+    let [h10, h100, h1k] = [3, 4, 5].map(|i| rows[i].hits);
+    assert!(
+        h10 <= h100 && h100 < h1k,
+        "range hits must grow with the square: {h10} / {h100} / {h1k}"
+    );
     rows
 }
 
@@ -152,17 +139,18 @@ mod tests {
 
     #[test]
     fn small_run_produces_all_rows_with_positive_rates() {
-        let rows = run(IndexChoice::Quadtree, 2_000, 500, 42);
+        let rows = run(2_000, 500, 42);
         assert_eq!(rows.len(), 6);
         for r in &rows {
             assert!(r.ops_per_s > 0.0, "{} rate must be positive", r.operation);
         }
+        assert_eq!(rows[3].hits, 0, "no 10 m-accuracy disc is half inside a 10 m square");
     }
 
     #[test]
     fn range_query_rate_decreases_with_area() {
         // The paper's qualitative shape: 10 m ≫ 1 km throughput.
-        let rows = run(IndexChoice::Quadtree, 10_000, 1_000, 7);
+        let rows = run(10_000, 1_000, 7);
         let small = rows.iter().find(|r| r.operation.contains("10 m x")).unwrap();
         let large = rows.iter().find(|r| r.operation.contains("1 km")).unwrap();
         assert!(
@@ -171,13 +159,5 @@ mod tests {
             small.ops_per_s,
             large.ops_per_s
         );
-    }
-
-    #[test]
-    fn all_indexes_complete_the_workload() {
-        for idx in [IndexChoice::Quadtree, IndexChoice::RTree, IndexChoice::Grid, IndexChoice::Naive] {
-            let rows = run(idx, 500, 100, 3);
-            assert_eq!(rows.len(), 6, "{}", idx.name());
-        }
     }
 }

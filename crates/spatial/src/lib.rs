@@ -6,15 +6,16 @@
 //! for range and nearest-neighbor queries. This crate provides:
 //!
 //! * [`PointQuadtree`] — the paper's choice (Samet's point quadtree),
-//!   used by default.
+//!   the index every sighting database is built on.
 //! * [`RTree`] — the alternative the paper cites (Guttman), used as an
 //!   ablation baseline.
 //! * [`GridIndex`] — a uniform-grid baseline.
 //! * [`NaiveIndex`] — a linear scan, the correctness oracle for the
 //!   conformance test-suite.
 //!
-//! All indexes implement the object-safe [`SpatialIndex`] trait so the
-//! sighting database can be configured with any of them.
+//! All indexes implement the object-safe [`SpatialIndex`] trait, through
+//! which the conformance suite checks each against the naive oracle and
+//! the benchmark compares their costs.
 //!
 //! # Example
 //!
@@ -70,8 +71,8 @@ impl Entry {
 /// A mutable main-memory index over `(key, position)` pairs.
 ///
 /// The trait is object-safe (query results are delivered through
-/// `FnMut` sinks) so a sighting database can hold a `Box<dyn
-/// SpatialIndex>` chosen at configuration time.
+/// `FnMut` sinks), so one test or benchmark loop can drive every
+/// implementation as a `Box<dyn SpatialIndex>`.
 ///
 /// # Contract
 ///

@@ -21,8 +21,8 @@ enum Node {
 /// An R-tree over points with Guttman's quadratic split.
 ///
 /// The paper names the R-tree (Guttman 1984) as the alternative spatial
-/// index for the sighting database; hiloc ships it as an ablation
-/// baseline against the default [`crate::PointQuadtree`].
+/// index for the sighting database; hiloc ships it as a baseline for
+/// the [`crate::PointQuadtree`] the sighting database uses.
 ///
 /// # Example
 ///

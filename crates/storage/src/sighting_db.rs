@@ -5,12 +5,12 @@
 //! expiry is tracked by a coarse-bucket expiry wheel instead of an
 //! unbounded lazy-deletion heap. In steady state a position update
 //! touches the key→slot map once, rewrites the slot in place, moves the
-//! spatial index via its [`SpatialIndex::update`] fast path and pushes
+//! point quadtree via its [`SpatialIndex::update`] fast path and pushes
 //! one wheel entry — no per-update allocation once the arena and
 //! buckets are warm.
 
 use hiloc_geo::{Point, Rect, Region};
-use hiloc_spatial::{Entry, GridIndex, PointQuadtree, RTree, SpatialIndex};
+use hiloc_spatial::{Entry, PointQuadtree, SpatialIndex};
 // lint:allow(determinism) import for the lookup-only slot map annotated below
 use std::collections::{BTreeMap, HashMap};
 
@@ -89,8 +89,8 @@ struct Bucket {
 ///
 /// Combines the paper's three volatile structures (§5, Fig. 7):
 ///
-/// * a **spatial index** over positions — candidates for range and
-///   nearest-neighbor queries;
+/// * a **point quadtree** over positions (the paper's spatial index) —
+///   candidates for range and nearest-neighbor queries;
 /// * a **hash index** over object identifiers — position queries;
 /// * **expiration** tracking implementing the soft-state principle.
 ///
@@ -134,7 +134,7 @@ struct Bucket {
 /// assert_eq!(in_range, 5);
 /// ```
 pub struct SightingDb {
-    index: Box<dyn SpatialIndex>,
+    index: PointQuadtree,
     /// The slab arena; slots are reused through `free`.
     slots: Vec<Slot>,
     free: Vec<u32>,
@@ -182,24 +182,8 @@ impl SightingDb {
     /// Creates a database indexed by a [`PointQuadtree`] (the paper's
     /// choice).
     pub fn new_quadtree() -> Self {
-        Self::with_index(Box::new(PointQuadtree::new()))
-    }
-
-    /// Creates a database indexed by an [`RTree`].
-    pub fn new_rtree() -> Self {
-        Self::with_index(Box::new(RTree::new()))
-    }
-
-    /// Creates a database indexed by a [`GridIndex`] with the given cell
-    /// size in meters.
-    pub fn new_grid(cell_size_m: f64) -> Self {
-        Self::with_index(Box::new(GridIndex::new(cell_size_m)))
-    }
-
-    /// Creates a database over any spatial index implementation.
-    pub fn with_index(index: Box<dyn SpatialIndex>) -> Self {
         SightingDb {
-            index,
+            index: PointQuadtree::new(),
             slots: Vec::new(),
             free: Vec::new(),
             // lint:allow(determinism) constructor for the annotated lookup-only map
@@ -562,7 +546,7 @@ mod tests {
 
     #[test]
     fn wheel_memory_bounded_by_live_records() {
-        let mut db = SightingDb::new_grid(50.0);
+        let mut db = SightingDb::new_quadtree();
         let live = 100u64;
         // An update storm: 10 000 refreshes over 100 live records. The
         // pre-slab heap grew to ~10 000 entries here.
@@ -586,7 +570,7 @@ mod tests {
 
     #[test]
     fn spatial_queries_see_current_positions() {
-        let mut db = SightingDb::new_rtree();
+        let mut db = SightingDb::new_quadtree();
         db.upsert(s(1, 0.0, 0.0, 1_000));
         db.upsert(s(2, 100.0, 100.0, 1_000));
         db.upsert(s(1, 50.0, 50.0, 1_000)); // moved
@@ -616,7 +600,7 @@ mod tests {
 
     #[test]
     fn range_candidates_include_margin() {
-        let mut db = SightingDb::new_grid(10.0);
+        let mut db = SightingDb::new_quadtree();
         // Object just outside the region, but within the accuracy margin.
         db.upsert(s(1, 104.0, 50.0, 1_000));
         let region = Region::from(Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0)));

@@ -154,16 +154,6 @@ fn slab_db_matches_oracle_quadtree() {
     check(CASES, |g| run_against_oracle(g, SightingDb::new_quadtree(), "quadtree"));
 }
 
-#[test]
-fn slab_db_matches_oracle_rtree() {
-    check(CASES, |g| run_against_oracle(g, SightingDb::new_rtree(), "rtree"));
-}
-
-#[test]
-fn slab_db_matches_oracle_grid() {
-    check(CASES, |g| run_against_oracle(g, SightingDb::new_grid(20.0), "grid"));
-}
-
 /// The update-storm shape, where an append-only expiry heap grows with
 /// every refresh: updates ≫ live, each one a small local move that
 /// pushes the record's deadline out by the TTL.
@@ -172,7 +162,7 @@ fn update_storm_keeps_wheel_and_slab_bounded() {
     const LIVE: usize = 1_000;
     const UPDATES: usize = 50_000;
     const TTL_US: u64 = 300_000_000;
-    let mut db = SightingDb::new_grid(200.0);
+    let mut db = SightingDb::new_quadtree();
     let mut g = StdRng::seed_from_u64(0x3E4);
     let mut positions: Vec<Point> = (0..LIVE)
         .map(|_| Point::new(g.random_range(0.0..10_000.0), g.random_range(0.0..10_000.0)))
@@ -204,7 +194,7 @@ fn update_storm_keeps_wheel_and_slab_bounded() {
 /// arena at the peak population while answering queries exactly.
 #[test]
 fn slot_reuse_churn() {
-    let mut db = SightingDb::new_grid(25.0);
+    let mut db = SightingDb::new_quadtree();
     let mut oracle: HashMap<u64, StoredSighting> = HashMap::new();
     for round in 0..50u64 {
         let base = (round % 4) * 25; // rotating key window
