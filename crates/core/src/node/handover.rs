@@ -50,8 +50,7 @@ impl LocationServer {
         batch_acks: Option<&mut Vec<(crate::model::ObjectId, f64)>>,
     ) {
         let oid = sighting.oid;
-        let Some(VisitorRecord::Leaf { offered_acc_m, reg, .. }) = self.visitors.get(oid).copied()
-        else {
+        let Some(VisitorRecord::Leaf { offered_acc_m, reg, .. }) = self.visitors.get(oid) else {
             // Not this object's agent: the object's AgentChanged was
             // lost (or this server restarted without durability). Route
             // an agent lookup so the object learns its current agent
@@ -90,7 +89,7 @@ impl LocationServer {
         if let Some(existing) = self.sightings.get(oid.0) {
             let refreshed = hiloc_storage::StoredSighting {
                 expires_us: now + self.opts.sighting_ttl_us,
-                ..*existing
+                ..existing
             };
             self.sightings.upsert(refreshed);
         }
@@ -254,12 +253,10 @@ impl LocationServer {
     ) {
         match self.visitors.get(oid) {
             Some(VisitorRecord::Leaf { offered_acc_m, .. }) => {
-                let offered = *offered_acc_m;
                 let me = self.id();
-                self.emit(object, Message::AgentChanged { oid, new_agent: me, offered_acc_m: offered });
+                self.emit(object, Message::AgentChanged { oid, new_agent: me, offered_acc_m });
             }
             Some(VisitorRecord::Forward { child, .. }) => {
-                let child = *child;
                 self.emit(child, Message::AgentLookup { oid, object });
             }
             None => match self.parent() {

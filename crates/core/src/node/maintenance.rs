@@ -108,15 +108,15 @@ impl LocationServer {
                             refreshed.push((
                                 oid,
                                 super::VisitorRecord::Leaf {
-                                    offered_acc_m: *offered_acc_m,
-                                    reg: *reg,
+                                    offered_acc_m,
+                                    reg,
                                     epoch: stamp,
                                 },
                             ));
                         } else if epoch.physical_us().saturating_add(ttl) <= now {
-                            zombies.push((oid, *epoch));
+                            zombies.push((oid, epoch));
                         } else {
-                            pending.push((oid, *epoch, reg.registrant));
+                            pending.push((oid, epoch, reg.registrant));
                         }
                     }
                     let oids: Vec<ObjectId> = refreshed.iter().map(|(oid, _)| *oid).collect();

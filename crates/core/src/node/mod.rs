@@ -610,7 +610,7 @@ impl LocationServer {
             let Some(VisitorRecord::Leaf { offered_acc_m, .. }) = visitors.get(ObjectId(e.key)) else {
                 return;
             };
-            let ld = LocationDescriptor { pos: e.pos, acc_m: *offered_acc_m };
+            let ld = LocationDescriptor { pos: e.pos, acc_m: offered_acc_m };
             if semantics::qualifies_for_range(&query.area, &ld, query.req_acc_m, query.req_overlap) {
                 items.push((ObjectId(e.key), ld));
             }
@@ -635,8 +635,8 @@ impl LocationServer {
             let Some(VisitorRecord::Leaf { offered_acc_m, .. }) = visitors.get(ObjectId(e.key)) else {
                 return;
             };
-            if *offered_acc_m <= req_acc_m {
-                items.push((ObjectId(e.key), LocationDescriptor { pos: e.pos, acc_m: *offered_acc_m }));
+            if offered_acc_m <= req_acc_m {
+                items.push((ObjectId(e.key), LocationDescriptor { pos: e.pos, acc_m: offered_acc_m }));
             }
         });
         items

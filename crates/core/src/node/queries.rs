@@ -41,7 +41,7 @@ impl LocationServer {
             Some(VisitorRecord::Leaf { offered_acc_m, reg, .. }) => {
                 match self.sightings.get(oid.0) {
                     Some(rec) => LocalAnswer::Found(
-                        LocationDescriptor { pos: rec.pos, acc_m: *offered_acc_m },
+                        LocationDescriptor { pos: rec.pos, acc_m: offered_acc_m },
                         rec.time_us,
                         reg.max_speed_mps,
                     ),
@@ -150,7 +150,7 @@ impl LocationServer {
     ) {
         let entry = self.id();
         let next: Option<Endpoint> = match self.visitors.get(oid) {
-            Some(VisitorRecord::Forward { child, .. }) => Some(Endpoint::Server(*child)),
+            Some(VisitorRecord::Forward { child, .. }) => Some(Endpoint::Server(child)),
             _ => self.parent().map(Endpoint::Server),
         };
         match next {
@@ -208,7 +208,6 @@ impl LocationServer {
         }
         let from_parent = self.parent().map(Endpoint::Server) == Some(from);
         if let Some(VisitorRecord::Forward { child, .. }) = self.visitors.get(oid) {
-            let child = *child;
             self.emit(child, Message::PosQueryFwd { oid, entry, direct, corr });
         } else if direct {
             // The entry's agent cache was stale.
@@ -410,7 +409,7 @@ impl LocationServer {
             self.sightings.nearest_where(p, &mut |key| {
                 matches!(
                     visitors.get(ObjectId(key)),
-                    Some(VisitorRecord::Leaf { offered_acc_m, .. }) if *offered_acc_m <= req_acc_m
+                    Some(VisitorRecord::Leaf { offered_acc_m, .. }) if offered_acc_m <= req_acc_m
                 )
             })
         } else {

@@ -109,7 +109,7 @@ impl LocationServer {
             .sightings
             .get(oid.0)
             .map(|s| crate::model::Sighting::new(oid, s.time_us, s.pos, s.acc_sens_m));
-        Some(TransferRecord { oid, reg: *reg, offered_acc_m: *offered_acc_m, sighting })
+        Some(TransferRecord { oid, reg, offered_acc_m, sighting })
     }
 
     /// The records a transfer send ships. `area = None` means drain

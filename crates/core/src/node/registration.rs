@@ -96,7 +96,7 @@ impl LocationServer {
 
     /// Explicit deregistration at (or routed to) the object's agent.
     pub(crate) fn on_deregister(&mut self, now: Micros, oid: ObjectId) {
-        match self.visitors.get(oid).copied() {
+        match self.visitors.get(oid) {
             Some(VisitorRecord::Leaf { .. }) => {
                 let epoch = self.stamp(now);
                 self.remove_locally(now, oid);
@@ -139,7 +139,7 @@ impl LocationServer {
         min_acc_m: f64,
         corr: CorrId,
     ) {
-        match self.visitors.get(oid).copied() {
+        match self.visitors.get(oid) {
             Some(VisitorRecord::Leaf { offered_acc_m: old_offered, reg, epoch }) => {
                 let candidate =
                     RegInfo::try_new(reg.registrant, des_acc_m, min_acc_m, reg.max_speed_mps)

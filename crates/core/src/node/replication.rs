@@ -98,7 +98,7 @@ impl LocationServer {
         let stream = self.clock.now(now).0;
         let mut buffer = BTreeMap::new();
         for (oid, rec) in self.visitors.iter() {
-            let body = match *rec {
+            let body = match rec {
                 VisitorRecord::Forward { child, epoch } => DeltaBody::Forward { child, epoch },
                 VisitorRecord::Leaf { offered_acc_m, reg, epoch } => DeltaBody::Leaf {
                     reg,
@@ -191,9 +191,7 @@ impl LocationServer {
         if self.repl.sink.is_none() {
             return;
         }
-        let Some(VisitorRecord::Leaf { offered_acc_m, reg, epoch }) =
-            self.visitors.get(oid).copied()
-        else {
+        let Some(VisitorRecord::Leaf { offered_acc_m, reg, epoch }) = self.visitors.get(oid) else {
             return;
         };
         let sighting = self

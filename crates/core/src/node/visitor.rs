@@ -2,7 +2,9 @@
 
 use crate::model::{Hlc, ObjectId, RegInfo};
 use hiloc_net::{wire_enum, ServerId};
-use hiloc_storage::{BatchOp, DurableMap, RecordValue, StorageError, SyncPolicy};
+use hiloc_storage::{BatchOp, DurableMap, RecordValue, StorageError, SyncPolicy, Table};
+use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::path::Path;
 
 wire_enum! {
@@ -54,6 +56,109 @@ impl RecordValue for VisitorRecord {
     }
 }
 
+/// A leaf record's fields, as the leaf table holds them.
+#[derive(Debug, Clone, Copy)]
+struct Leaf {
+    offered_acc_m: f64,
+    reg: RegInfo,
+    epoch: Hlc,
+}
+
+/// A forward record's fields: 16 bytes, where the `VisitorRecord` enum
+/// takes the 56 of its leaf variant.
+#[derive(Debug, Clone, Copy)]
+struct Forward {
+    child: ServerId,
+    epoch: Hlc,
+}
+
+/// The visitor database's in-memory table: leaf records and forward
+/// records in two ordered maps, each key in at most one of them. A
+/// leaf server holds only the first and every ancestor only the second,
+/// so a lookup probes one non-empty map. Reads hand out the
+/// `VisitorRecord` by value, and iteration merges the two maps into one
+/// ascending key order.
+#[derive(Debug, Default)]
+struct VisitorTable {
+    leaves: BTreeMap<u64, Leaf>,
+    forwards: BTreeMap<u64, Forward>,
+}
+
+impl Leaf {
+    fn record(&self) -> VisitorRecord {
+        VisitorRecord::Leaf { offered_acc_m: self.offered_acc_m, reg: self.reg, epoch: self.epoch }
+    }
+}
+
+impl Forward {
+    fn record(&self) -> VisitorRecord {
+        VisitorRecord::Forward { child: self.child, epoch: self.epoch }
+    }
+}
+
+impl Table<VisitorRecord> for VisitorTable {
+    type Ref<'a> = VisitorRecord;
+
+    fn from_snapshot(map: BTreeMap<u64, VisitorRecord>) -> Self {
+        // Ascending input bulk-builds each map densely packed.
+        let (mut leaves, mut forwards) = (Vec::new(), Vec::new());
+        for (key, rec) in map {
+            match rec {
+                VisitorRecord::Leaf { offered_acc_m, reg, epoch } => {
+                    leaves.push((key, Leaf { offered_acc_m, reg, epoch }))
+                }
+                VisitorRecord::Forward { child, epoch } => forwards.push((key, Forward { child, epoch })),
+            }
+        }
+        VisitorTable { leaves: leaves.into_iter().collect(), forwards: forwards.into_iter().collect() }
+    }
+
+    fn get(&self, key: u64) -> Option<VisitorRecord> {
+        match self.leaves.get(&key) {
+            Some(leaf) => Some(leaf.record()),
+            None => self.forwards.get(&key).map(Forward::record),
+        }
+    }
+
+    fn insert(&mut self, key: u64, value: VisitorRecord) {
+        // A key that flips kind leaves the other map.
+        match value {
+            VisitorRecord::Leaf { offered_acc_m, reg, epoch } => {
+                self.leaves.insert(key, Leaf { offered_acc_m, reg, epoch });
+                self.forwards.remove(&key);
+            }
+            VisitorRecord::Forward { child, epoch } => {
+                self.forwards.insert(key, Forward { child, epoch });
+                self.leaves.remove(&key);
+            }
+        }
+    }
+
+    fn remove(&mut self, key: u64) -> bool {
+        self.leaves.remove(&key).is_some() || self.forwards.remove(&key).is_some()
+    }
+
+    fn len(&self) -> usize {
+        self.leaves.len() + self.forwards.len()
+    }
+
+    fn range(&self, keys: (Bound<u64>, Bound<u64>)) -> impl Iterator<Item = (u64, VisitorRecord)> {
+        let mut leaves = self.leaves.range(keys).peekable();
+        let mut forwards = self.forwards.range(keys).peekable();
+        std::iter::from_fn(move || {
+            let leaf_first = match (leaves.peek(), forwards.peek()) {
+                (Some((l, _)), Some((f, _))) => l < f,
+                (l, _) => l.is_some(),
+            };
+            if leaf_first {
+                leaves.next().map(|(&k, leaf)| (k, leaf.record()))
+            } else {
+                forwards.next().map(|(&k, fwd)| (k, fwd.record()))
+            }
+        })
+    }
+}
+
 /// The visitor database: the records of one server, read in place from
 /// the map that logs them (the paper keeps the visitorDB on persistent
 /// storage so forwarding paths survive failures; simulation runs use a
@@ -65,7 +170,7 @@ pub struct VisitorDb {
     // Iteration (keep-alives, stale scans) is in key order:
     // deterministic emission order is what makes same-seed simulation
     // runs bit-for-bit reproducible.
-    map: DurableMap<VisitorRecord>,
+    map: DurableMap<VisitorRecord, VisitorTable>,
 }
 
 impl std::fmt::Debug for VisitorDb {
@@ -97,7 +202,7 @@ impl VisitorDb {
     }
 
     /// The record for `oid`.
-    pub fn get(&self, oid: ObjectId) -> Option<&VisitorRecord> {
+    pub fn get(&self, oid: ObjectId) -> Option<VisitorRecord> {
         self.map.get(oid.0)
     }
 
@@ -112,7 +217,7 @@ impl VisitorDb {
     }
 
     /// Iterates over all records.
-    pub fn iter(&self) -> impl Iterator<Item = (ObjectId, &VisitorRecord)> {
+    pub fn iter(&self) -> impl Iterator<Item = (ObjectId, VisitorRecord)> + '_ {
         self.map.iter().map(|(k, v)| (ObjectId(k), v))
     }
 
@@ -122,7 +227,7 @@ impl VisitorDb {
     pub fn iter_after(
         &self,
         after: Option<ObjectId>,
-    ) -> impl Iterator<Item = (ObjectId, &VisitorRecord)> {
+    ) -> impl Iterator<Item = (ObjectId, VisitorRecord)> + '_ {
         use std::ops::Bound;
         let lower = match after {
             None => Bound::Unbounded,
@@ -135,7 +240,7 @@ impl VisitorDb {
     /// newer (`existing.epoch <= record.epoch`). Returns whether the
     /// record was applied.
     pub fn apply(&mut self, oid: ObjectId, record: VisitorRecord) -> bool {
-        if !not_older(self.map.get(oid.0), &record) {
+        if !not_older(self.map.get(oid.0).as_ref(), &record) {
             return false;
         }
         let _ = self.map.insert(oid.0, record);
@@ -145,7 +250,7 @@ impl VisitorDb {
     /// Removes the record **iff** it is not newer than `epoch`.
     /// Returns the removed record.
     pub fn remove_if_older(&mut self, oid: ObjectId, epoch: Hlc) -> Option<VisitorRecord> {
-        let rec = *self.map.get(oid.0).filter(|rec| rec.epoch() <= epoch)?;
+        let rec = self.map.get(oid.0).filter(|rec| rec.epoch() <= epoch)?;
         let _ = self.map.remove(oid.0);
         Some(rec)
     }
@@ -266,7 +371,7 @@ mod tests {
         assert!(db.apply(ObjectId(1), fwd_rec(1, 100)));
         // Older epoch rejected.
         assert!(!db.apply(ObjectId(1), fwd_rec(2, 50)));
-        assert_eq!(db.get(ObjectId(1)), Some(&fwd_rec(1, 100)));
+        assert_eq!(db.get(ObjectId(1)), Some(fwd_rec(1, 100)));
         // Equal epoch wins (last-writer for same logical instant).
         assert!(db.apply(ObjectId(1), fwd_rec(3, 100)));
         // Newer epoch wins.
@@ -305,9 +410,35 @@ mod tests {
             (ObjectId(2), leaf_rec(7)),
         ];
         assert_eq!(db.apply_all(batch), 2);
-        assert_eq!(db.get(ObjectId(1)), Some(&fwd_rec(1, 100)));
+        assert_eq!(db.get(ObjectId(1)), Some(fwd_rec(1, 100)));
         let after: Vec<ObjectId> = db.iter_after(Some(ObjectId(1))).map(|(oid, _)| oid).collect();
         assert_eq!(after, [ObjectId(2)]);
+    }
+
+    /// Bytes-per-object ceiling for forward records at 12 500 records,
+    /// estimated as len × `size_of` plus std's B-tree overhead: nodes
+    /// of 11 entries behind a 12-byte header (parent pointer, parent
+    /// index, length), internal nodes adding 12 child pointers, all
+    /// filled to ln 2 ≈ 69 %, the expected occupancy under random-order
+    /// inserts. (Ascending appends leave std's nodes about 6/11 full,
+    /// ≈ 49 B per record; a snapshot reload packs them full, ≈ 26 B.)
+    /// The 56-byte `VisitorRecord` costs 108 B under the same estimate.
+    #[test]
+    fn forward_records_cost_at_most_45_bytes() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Forward>(), 16);
+        let mut db = VisitorDb::volatile();
+        for i in 0..12_500u64 {
+            db.apply(ObjectId(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)), fwd_rec(3, i));
+        }
+        assert_eq!(db.len(), 12_500);
+        let per_node = 11.0 * std::f64::consts::LN_2;
+        let leaf_node = (12 + 11 * size_of::<(u64, Forward)>()).next_multiple_of(8) as f64;
+        let leaves = db.len() as f64 / per_node;
+        // Each level above holds one node per (per_node + 1) below.
+        let internal = leaves / per_node;
+        let per_record = (leaves * leaf_node + internal * (leaf_node + 12.0 * 8.0)) / db.len() as f64;
+        assert!(per_record <= 45.0, "{per_record:.1} B per forward record");
     }
 
     #[test]
@@ -323,7 +454,7 @@ mod tests {
         {
             let db = VisitorDb::durable(&dir, SyncPolicy::OsFlush).unwrap();
             assert_eq!(db.len(), 1);
-            assert_eq!(db.get(ObjectId(2)), Some(&fwd_rec(4, 20)));
+            assert_eq!(db.get(ObjectId(2)), Some(fwd_rec(4, 20)));
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -175,8 +175,9 @@ impl<L: Port<Message>> Client<L> {
 
     /// Sends a coalesced batch of position updates (one
     /// [`Message::UpdateBatch`] envelope) to `agent` and waits for the
-    /// batch acknowledgement — the bulk-reporting primitive the
-    /// shard-scaling benchmark drives. Returns the `(object, offered
+    /// batch acknowledgement — the bulk-reporting primitive (no
+    /// benchmark workload sends batches; `runtime_transports.rs`
+    /// covers it on both transports). Returns the `(object, offered
     /// accuracy)` pairs applied in place; objects that triggered a
     /// handover or deregistration are missing from the list and
     /// produce their usual individual messages.

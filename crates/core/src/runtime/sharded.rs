@@ -33,11 +33,12 @@
 //! [`ServerStats::inbox_shed`] in snapshots and shutdown stats.
 //!
 //! The loop also keeps a per-shard **busy time**: wall clock spent
-//! processing (timers + dispatch), excluding the nap waits. Busy time
-//! is the scaling metric the macro bench's shard phase reports — on a
-//! host with at least as many cores as shards it is the wall clock of
-//! the critical-path shard, and unlike wall clock it measures load
-//! balance honestly even when CI pins everything to one core.
+//! processing (timers + dispatch), excluding the nap waits. The
+//! benchmark reads it as `runtime.shard_busy_frac` (busy time over the
+//! measured window). On a host with at least as many cores as shards
+//! it is the wall clock of the critical-path shard, and unlike wall
+//! clock it measures load balance honestly even when everything is
+//! pinned to one core.
 
 // lint:allow-file(wallclock) real-time event-loop runtime: naps, busy-time accounting and command deadlines come from the host clock by design
 use crate::area::Hierarchy;

@@ -116,7 +116,7 @@ fn leave_drains_every_record_to_the_absorbing_sibling() {
     let victim = ls.leaf_for(Point::new(100.0, 100.0));
     register_line(&mut ls, 8);
     let before: Vec<(ObjectId, VisitorRecord)> =
-        ls.server(victim).unwrap().visitors().iter().map(|(o, r)| (o, *r)).collect();
+        ls.server(victim).unwrap().visitors().iter().collect();
     assert_eq!(before.len(), 8);
 
     let absorber = ls.retire_server(victim);
@@ -206,7 +206,7 @@ fn transfer_record_torn_tail_is_all_or_nothing_at_every_offset() {
             0 => {} // the torn record was dropped whole
             5 => {
                 for (oid, rec) in &recs {
-                    assert_eq!(db.get(*oid), Some(rec), "cut {cut}: record diverged");
+                    assert_eq!(db.get(*oid), Some(*rec), "cut {cut}: record diverged");
                 }
             }
             n => panic!("cut {cut}: partial transfer visible ({n} of 5 records)"),

@@ -62,7 +62,7 @@ fn registration_builds_forwarding_path_to_root() {
             break;
         }
         match server.visitors().get(ObjectId(1)) {
-            Some(VisitorRecord::Forward { child, .. }) => cur = *child,
+            Some(VisitorRecord::Forward { child, .. }) => cur = child,
             other => panic!("expected forward ref at {cur}, got {other:?}"),
         }
     }
@@ -172,7 +172,7 @@ fn handover_between_sibling_leaves() {
         Some(VisitorRecord::Leaf { .. })
     ));
     match ls.server(ServerId(0)).unwrap().visitors().get(ObjectId(6)) {
-        Some(VisitorRecord::Forward { child, .. }) => assert_eq!(*child, east),
+        Some(VisitorRecord::Forward { child, .. }) => assert_eq!(child, east),
         other => panic!("bad root record {other:?}"),
     }
     // Queries find it at the new location from either entry.
@@ -201,7 +201,7 @@ fn handover_across_subtrees_in_deep_hierarchy() {
     let mut cur = ServerId(0);
     loop {
         match ls.server(cur).unwrap().visitors().get(ObjectId(7)) {
-            Some(VisitorRecord::Forward { child, .. }) => cur = *child,
+            Some(VisitorRecord::Forward { child, .. }) => cur = child,
             Some(VisitorRecord::Leaf { .. }) => {
                 assert_eq!(cur, b);
                 break;

@@ -407,7 +407,7 @@ type VisitorSnapshot = Vec<(ObjectId, VisitorRecord)>;
 
 fn snapshot_visitors(ls: &SimDeployment, id: ServerId) -> VisitorSnapshot {
     let Some(server) = ls.server(id) else { return Vec::new() };
-    server.visitors().iter().map(|(oid, rec)| (oid, *rec)).collect()
+    server.visitors().iter().collect()
 }
 
 impl ScenarioSpec {

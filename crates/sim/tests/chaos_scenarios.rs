@@ -190,7 +190,7 @@ fn run_mid_batch_crash(seed: u64) -> Vec<String> {
     trace.push(format!("batch1 acked {} at t={}us", acks.len(), ls.now_us()));
 
     let snapshot: Vec<(ObjectId, VisitorRecord)> =
-        ls.server(leaf).unwrap().visitors().iter().map(|(oid, rec)| (oid, *rec)).collect();
+        ls.server(leaf).unwrap().visitors().iter().collect();
     assert_eq!(snapshot.len(), n as usize);
 
     // Batch 2 goes on the wire… and the leaf dies before (or while)
@@ -207,7 +207,7 @@ fn run_mid_batch_crash(seed: u64) -> Vec<String> {
 
     assert!(ls.restart_server(leaf));
     let recovered: Vec<(ObjectId, VisitorRecord)> =
-        ls.server(leaf).unwrap().visitors().iter().map(|(oid, rec)| (oid, *rec)).collect();
+        ls.server(leaf).unwrap().visitors().iter().collect();
     assert_eq!(
         recovered, snapshot,
         "WAL replay must recover the durably-acked registrations record-for-record"

@@ -23,12 +23,14 @@
 //! its commit point — is deleted silently; the previous snapshot is
 //! still the truth.)
 
-use crate::durable_map::RecordValue;
+use crate::durable_map::{RecordValue, Table};
 use crate::{crc32, StorageError};
 use hiloc_util::buf::{Buf, BufMut};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write;
+use std::ops::Bound;
 use std::path::Path;
 
 /// File magic ("HCK2").
@@ -48,17 +50,17 @@ const ENTRY_FRAME: usize = 8 + 4;
 /// A committed snapshot: its generation and the table it holds.
 pub type Snapshot<V> = (u64, BTreeMap<u64, V>);
 
-fn encode<V: RecordValue>(generation: u64, map: &BTreeMap<u64, V>) -> Vec<u8> {
+fn encode<V: RecordValue>(generation: u64, map: &impl Table<V>) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_BYTES + 4 + map.len() * (ENTRY_FRAME + 16));
     out.put_u32_le(SNAPSHOT_MAGIC);
     out.put_u64_le(generation);
     out.put_u64_le(map.len() as u64);
-    for (&key, value) in map {
+    for (key, value) in map.range((Bound::Unbounded, Bound::Unbounded)) {
         out.put_u64_le(key);
         // Reserve the length slot, encode in place, then backpatch.
         let len_at = out.len();
         out.put_u32_le(0);
-        value.encode(&mut out);
+        value.borrow().encode(&mut out);
         let len = (out.len() - len_at - 4) as u32;
         out[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
     }
@@ -139,7 +141,7 @@ pub fn load<V: RecordValue>(dir: &Path) -> Result<Option<Snapshot<V>>, StorageEr
 pub fn write<V: RecordValue>(
     dir: &Path,
     generation: u64,
-    map: &BTreeMap<u64, V>,
+    map: &impl Table<V>,
 ) -> Result<(), StorageError> {
     let tmp = dir.join(SNAPSHOT_TMP);
     {

@@ -18,7 +18,10 @@
 //! In memory the map holds every value exactly once, in one ordered
 //! table that callers read in place ([`DurableMap::get`],
 //! [`DurableMap::iter`], [`DurableMap::range`]): the visitor and
-//! replica tables are views over this map, not copies beside it.
+//! replica tables are views over this map, not copies beside it. The
+//! table is a `BTreeMap<u64, V>` unless the owner supplies a narrower
+//! [`Table`] (the visitor database keeps its forward references in 16
+//! bytes each); the files hold `V`'s encoding either way.
 //! Recovery is *load the snapshot + replay the WAL suffix* — its cost
 //! follows the live state and the suffix length, never the total
 //! history. A [`DurableMap::volatile`] map is the same table with no
@@ -27,9 +30,10 @@
 use crate::checkpoint;
 use crate::{StorageError, Wal};
 use hiloc_util::buf::{Buf, BufMut};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fs;
-use std::ops::RangeBounds;
+use std::ops::{Bound, RangeBounds};
 use std::path::{Path, PathBuf};
 
 /// How aggressively the map makes writes durable.
@@ -60,6 +64,59 @@ impl RecordValue for Vec<u8> {
     }
     fn decode(buf: &[u8]) -> Option<Self> {
         Some(buf.to_vec())
+    }
+}
+
+/// The ordered in-memory table behind a [`DurableMap`]: each `u64` key
+/// to one `V`, read in ascending key order.
+pub trait Table<V>: Default {
+    /// What reads hand out: a reference where the table stores `V`
+    /// itself, the value where it stores a narrower form of it.
+    type Ref<'a>: Borrow<V>
+    where
+        Self: 'a;
+
+    /// The table a committed snapshot holds (a bulk-built map).
+    fn from_snapshot(map: BTreeMap<u64, V>) -> Self;
+    /// The value for `key`, when present.
+    fn get(&self, key: u64) -> Option<Self::Ref<'_>>;
+    /// Inserts or replaces the value for `key`.
+    fn insert(&mut self, key: u64, value: V);
+    /// Removes `key`, returning whether it was present.
+    fn remove(&mut self, key: u64) -> bool;
+    /// Number of entries.
+    fn len(&self) -> usize;
+    /// True when no entries exist.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+    /// The entries whose keys fall in `keys`, ascending.
+    fn range(&self, keys: (Bound<u64>, Bound<u64>)) -> impl Iterator<Item = (u64, Self::Ref<'_>)>;
+}
+
+impl<V> Table<V> for BTreeMap<u64, V> {
+    type Ref<'a>
+        = &'a V
+    where
+        V: 'a;
+
+    fn from_snapshot(map: BTreeMap<u64, V>) -> Self {
+        map
+    }
+    fn get(&self, key: u64) -> Option<&V> {
+        BTreeMap::get(self, &key)
+    }
+    fn insert(&mut self, key: u64, value: V) {
+        BTreeMap::insert(self, key, value);
+    }
+    fn remove(&mut self, key: u64) -> bool {
+        BTreeMap::remove(self, &key).is_some()
+    }
+    fn len(&self) -> usize {
+        BTreeMap::len(self)
+    }
+    fn range(&self, keys: (Bound<u64>, Bound<u64>)) -> impl Iterator<Item = (u64, &V)> {
+        BTreeMap::range(self, keys).map(|(&k, v)| (k, v))
     }
 }
 
@@ -176,18 +233,23 @@ impl Log {
 /// # }
 /// ```
 #[derive(Debug)]
-pub struct DurableMap<V: RecordValue> {
-    map: BTreeMap<u64, V>,
+pub struct DurableMap<V: RecordValue, T: Table<V> = BTreeMap<u64, V>> {
+    map: T,
+    value: std::marker::PhantomData<V>,
     /// `None` for a volatile map.
     log: Option<Log>,
     stats: DurableMapStats,
 }
 
-impl<V: RecordValue> DurableMap<V> {
+impl<V: RecordValue, T: Table<V>> DurableMap<V, T> {
     /// A map with no files behind it: mutations touch only memory,
     /// checkpoints and syncs are no-ops. Simulation runs use it.
     pub fn volatile() -> Self {
-        DurableMap { map: BTreeMap::new(), log: None, stats: DurableMapStats::default() }
+        DurableMap::with(T::default(), None, DurableMapStats::default())
+    }
+
+    fn with(map: T, log: Option<Log>, stats: DurableMapStats) -> Self {
+        DurableMap { map, value: std::marker::PhantomData, log, stats }
     }
 
     /// Opens (creating if needed) a durable map stored in directory
@@ -212,7 +274,8 @@ impl<V: RecordValue> DurableMap<V> {
         fs::create_dir_all(&dir)?;
         let mut stats = DurableMapStats::default();
 
-        let (generation, mut map) = checkpoint::load(&dir)?.unwrap_or_default();
+        let (generation, snapshot) = checkpoint::load(&dir)?.unwrap_or_default();
+        let mut map = T::from_snapshot(snapshot);
         stats.snapshot_loaded = map.len() as u64;
 
         let (mut wal, mut replay) = Wal::open(dir.join("wal.log"))?;
@@ -246,7 +309,7 @@ impl<V: RecordValue> DurableMap<V> {
             sync_pending: false,
             auto_checkpoint_bytes: Some(DEFAULT_AUTO_CHECKPOINT_BYTES),
         };
-        Ok(DurableMap { map, log: Some(log), stats })
+        Ok(DurableMap::with(map, Some(log), stats))
     }
 
     /// Inserts or replaces the value for `key`, logging the mutation
@@ -275,7 +338,7 @@ impl<V: RecordValue> DurableMap<V> {
     ///
     /// Returns an error when the WAL write fails.
     pub fn remove(&mut self, key: u64) -> Result<bool, StorageError> {
-        if self.map.remove(&key).is_none() {
+        if !self.map.remove(key) {
             return Ok(false);
         }
         self.stats.mutations += 1;
@@ -324,7 +387,7 @@ impl<V: RecordValue> DurableMap<V> {
         });
         let mut applied = 0u32;
         for op in ops {
-            if !keep(self.map.get(&op.key()), &op) {
+            if !keep(self.map.get(op.key()).as_ref().map(Borrow::borrow), &op) {
                 continue;
             }
             if let Some(p) = payload.as_mut() {
@@ -372,13 +435,13 @@ impl<V: RecordValue> DurableMap<V> {
     }
 
     /// The value for `key`, when present.
-    pub fn get(&self, key: u64) -> Option<&V> {
-        self.map.get(&key)
+    pub fn get(&self, key: u64) -> Option<T::Ref<'_>> {
+        self.map.get(key)
     }
 
     /// True when `key` is present.
     pub fn contains_key(&self, key: u64) -> bool {
-        self.map.contains_key(&key)
+        self.map.get(key).is_some()
     }
 
     /// Number of entries.
@@ -392,13 +455,13 @@ impl<V: RecordValue> DurableMap<V> {
     }
 
     /// Every `(key, value)` pair in ascending key order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
-        self.map.iter().map(|(&k, v)| (k, v))
+    pub fn iter(&self) -> impl Iterator<Item = (u64, T::Ref<'_>)> {
+        self.map.range((Bound::Unbounded, Bound::Unbounded))
     }
 
     /// The `(key, value)` pairs whose keys fall in `keys`, ascending.
-    pub fn range(&self, keys: impl RangeBounds<u64>) -> impl Iterator<Item = (u64, &V)> {
-        self.map.range(keys).map(|(&k, v)| (k, v))
+    pub fn range(&self, keys: impl RangeBounds<u64>) -> impl Iterator<Item = (u64, T::Ref<'_>)> {
+        self.map.range((keys.start_bound().cloned(), keys.end_bound().cloned()))
     }
 
     /// Current statistics.
@@ -519,19 +582,17 @@ fn encode_op<V: RecordValue>(payload: &mut Vec<u8>, op: &BatchOp<V>) {
     }
 }
 
-fn apply_op<V>(map: &mut BTreeMap<u64, V>, op: BatchOp<V>) {
+fn apply_op<V>(map: &mut impl Table<V>, op: BatchOp<V>) {
     match op {
-        BatchOp::Put(key, value) => {
-            map.insert(key, value);
-        }
+        BatchOp::Put(key, value) => map.insert(key, value),
         BatchOp::Del(key) => {
-            map.remove(&key);
+            map.remove(key);
         }
     }
 }
 
 /// Replays one WAL record into the table.
-fn apply_record<V: RecordValue>(map: &mut BTreeMap<u64, V>, rec: &[u8]) -> Option<()> {
+fn apply_record<V: RecordValue>(map: &mut impl Table<V>, rec: &[u8]) -> Option<()> {
     let mut buf = rec;
     if buf.remaining() < 1 {
         return None;
@@ -549,7 +610,7 @@ fn apply_record<V: RecordValue>(map: &mut BTreeMap<u64, V>, rec: &[u8]) -> Optio
             if buf.remaining() < 8 {
                 return None;
             }
-            map.remove(&buf.get_u64_le());
+            map.remove(buf.get_u64_le());
             Some(())
         }
         OP_BATCH => {

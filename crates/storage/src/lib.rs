@@ -50,7 +50,8 @@ mod wal;
 
 pub use crc::crc32;
 pub use durable_map::{
-    BatchOp, DurableMap, DurableMapStats, RecordValue, SyncPolicy, DEFAULT_AUTO_CHECKPOINT_BYTES,
+    BatchOp, DurableMap, DurableMapStats, RecordValue, SyncPolicy, Table,
+    DEFAULT_AUTO_CHECKPOINT_BYTES,
 };
 pub use hiloc_spatial::Entry;
 pub use sighting_db::{SightingDb, StoredSighting};

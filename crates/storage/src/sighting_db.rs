@@ -3,16 +3,16 @@
 //! Rebuilt for the allocation-free update hot path: records live in a
 //! slab arena (dense `u32` slots with a free list) and soft-state
 //! expiry is tracked by a coarse-bucket expiry wheel instead of an
-//! unbounded lazy-deletion heap. In steady state a position update
-//! touches the key→slot map once, rewrites the slot in place, moves the
-//! point quadtree via its [`SpatialIndex::update`] fast path and pushes
-//! one wheel entry — no per-update allocation once the arena and
-//! buckets are warm.
+//! unbounded lazy-deletion heap. The point quadtree holds each
+//! object's key and position once, and its key map is the only one: a
+//! node carries its record's slab slot as a handle. In steady state a
+//! position update makes one hash probe, moves the node in place,
+//! rewrites the slot and at most pushes one wheel entry — no
+//! per-update allocation once the arena and buckets are warm.
 
 use hiloc_geo::{Point, Rect, Region};
 use hiloc_spatial::{Entry, PointQuadtree, SpatialIndex};
-// lint:allow(determinism) import for the lookup-only slot map annotated below
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// A sighting record as stored by a leaf location server.
 ///
@@ -48,18 +48,41 @@ const WHEEL_SHIFT: u32 = 22;
 /// the rebuild (mirrors the quadtree's tombstone floor).
 const WHEEL_COMPACT_FLOOR: usize = 64;
 
-/// One slab slot. `gen` is bumped whenever the slot's wheel entry is
+/// One slab slot: a record less its position, which the quadtree node
+/// holds. `gen` is bumped whenever the slot's wheel entry is
 /// superseded (a reschedule into a different bucket, or a removal), so
 /// entries minted for an earlier state of the slot — or for a previous
-/// occupant after slot reuse — are recognizably stale. `sched_bucket`
-/// is the bucket of the slot's current (gen-matching) wheel entry; a
-/// refresh into the same bucket keeps the entry and touches nothing.
+/// occupant after slot reuse — are recognizably stale. The slot's
+/// current (gen-matching) wheel entry sits in the bucket of
+/// `expires_us`; a refresh into the same bucket keeps the entry and
+/// touches nothing.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    rec: StoredSighting,
+    key: u64,
+    time_us: u64,
+    acc_sens_m: f64,
+    expires_us: u64,
     gen: u32,
     live: bool,
-    sched_bucket: u64,
+}
+
+impl Slot {
+    fn record(&self, pos: Point) -> StoredSighting {
+        StoredSighting {
+            key: self.key,
+            pos,
+            time_us: self.time_us,
+            acc_sens_m: self.acc_sens_m,
+            expires_us: self.expires_us,
+        }
+    }
+
+    fn set(&mut self, s: &StoredSighting) {
+        self.key = s.key;
+        self.time_us = s.time_us;
+        self.acc_sens_m = s.acc_sens_m;
+        self.expires_us = s.expires_us;
+    }
 }
 
 /// One expiry-wheel entry: the `(slot, gen)` pair it was minted for.
@@ -91,7 +114,9 @@ struct Bucket {
 ///
 /// * a **point quadtree** over positions (the paper's spatial index) —
 ///   candidates for range and nearest-neighbor queries;
-/// * a **hash index** over object identifiers — position queries;
+/// * a **hash index** over object identifiers — position queries. It is
+///   the quadtree's own key map: each node carries the slab slot of
+///   its record;
 /// * **expiration** tracking implementing the soft-state principle.
 ///
 /// Everything lives in volatile memory by design; after a crash the
@@ -108,9 +133,9 @@ struct Bucket {
 ///
 /// # Determinism
 ///
-/// Iteration (`for_each`) walks slots in arena order and expiry
-/// delivers records sorted by `(deadline, key)`, so two runs that issue
-/// the same operations observe identical orders — a property the
+/// Expiry delivers records sorted by `(deadline, key)` and wheel
+/// compaction walks slots in arena order, so two runs that issue the
+/// same operations observe identical orders — a property the
 /// deterministic chaos harness relies on.
 ///
 /// # Example
@@ -134,13 +159,12 @@ struct Bucket {
 /// assert_eq!(in_range, 5);
 /// ```
 pub struct SightingDb {
+    /// Key → (position, slot): the spatial index and, through its node
+    /// handles, the key → slot map. Touched once per update.
     index: PointQuadtree,
     /// The slab arena; slots are reused through `free`.
     slots: Vec<Slot>,
     free: Vec<u32>,
-    /// Key → slot. The only per-key hash map; touched once per update.
-    // lint:allow(determinism) O(1) key → slot lookup on the hot path; never iterated (for_each walks the slab arena)
-    by_key: HashMap<u64, u32>,
     /// The expiry wheel: bucket index (`deadline >> WHEEL_SHIFT`) →
     /// entries. A `BTreeMap` keeps bucket order deterministic and
     /// handles arbitrarily distant deadlines without a fixed horizon.
@@ -152,7 +176,7 @@ pub struct SightingDb {
 impl std::fmt::Debug for SightingDb {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SightingDb")
-            .field("records", &self.by_key.len())
+            .field("records", &self.index.len())
             .field("pending_expiries", &self.wheel_len)
             .finish()
     }
@@ -161,21 +185,23 @@ impl std::fmt::Debug for SightingDb {
 /// The slot index for a slab about to grow past `len` slots.
 ///
 /// Slot indices are `u32` (half the per-record footprint of `usize` in
-/// the wheel and free list). A plain `as u32` would silently wrap once
-/// the slab crosses 2³² slots and corrupt the free list / expiry wheel
-/// by aliasing slot 0 — detect it and fail loudly instead. One leaf
-/// holding 4 billion live sightings is far beyond any deployment this
-/// crate targets (the macro benchmark asserts capacity headroom at
+/// the wheel and free list), and `u32::MAX` is the quadtree's
+/// tombstone mark, never a handle. A plain `as u32` would silently wrap
+/// once the slab crosses 2³² slots and corrupt the free list / expiry
+/// wheel by aliasing slot 0 — detect it and fail loudly instead. One
+/// leaf holding 4 billion live sightings is far beyond any deployment
+/// this crate targets (the macro benchmark asserts capacity headroom at
 /// setup); the right fix at that scale is sharding the leaf, not wider
 /// indices.
 fn checked_slot_index(len: usize) -> u32 {
-    u32::try_from(len).unwrap_or_else(|_| {
-        panic!(
-            "SightingDb slab exceeded {} slots — u32 slot indices would wrap \
+    match u32::try_from(len) {
+        Ok(slot) if slot != u32::MAX => slot,
+        _ => panic!(
+            "SightingDb slab reached {} slots — u32 slot indices would wrap \
              and corrupt the free list; shard this leaf's service area instead",
             u32::MAX
-        )
-    })
+        ),
+    }
 }
 
 impl SightingDb {
@@ -186,8 +212,6 @@ impl SightingDb {
             index: PointQuadtree::new(),
             slots: Vec::new(),
             free: Vec::new(),
-            // lint:allow(determinism) constructor for the annotated lookup-only map
-            by_key: HashMap::new(),
             wheel: BTreeMap::new(),
             wheel_len: 0,
         }
@@ -198,45 +222,46 @@ impl SightingDb {
     // lint:hot_path
     pub fn upsert(&mut self, s: StoredSighting) -> Option<StoredSighting> {
         let bucket = s.expires_us >> WHEEL_SHIFT;
-        let old = if let Some(&slot) = self.by_key.get(&s.key) {
-            // Steady-state refresh: rewrite the slot and move the index
-            // in place when the motion is local. When the new deadline
+        // The slot a new key takes: the free list's top, else a fresh one.
+        let vacant = match self.free.last() {
+            Some(&slot) => slot,
+            None => checked_slot_index(self.slots.len()),
+        };
+        let old = if let Some((slot, old_pos)) = self.index.upsert_handle(s.key, s.pos, vacant) {
+            // Steady-state refresh: the index moved in place when the
+            // motion is local; rewrite the slot. When the new deadline
             // stays in the already-scheduled bucket — the common case
             // for TTL refreshes under a sustained update stream — the
             // wheel is not touched at all.
             let sl = &mut self.slots[slot as usize];
-            debug_assert!(sl.live && sl.rec.key == s.key);
-            let old = sl.rec;
-            sl.rec = s;
+            debug_assert!(sl.live && sl.key == s.key);
+            let old = sl.record(old_pos);
+            sl.set(&s);
             // The skip also requires a non-shrinking deadline (the
             // TTL-refresh case), so bucket min bounds stay safe-early.
-            if sl.sched_bucket != bucket || s.expires_us < old.expires_us {
+            if old.expires_us >> WHEEL_SHIFT != bucket || s.expires_us < old.expires_us {
                 sl.gen = sl.gen.wrapping_add(1);
-                sl.sched_bucket = bucket;
                 let gen = sl.gen;
                 self.wheel_push(bucket, slot, gen, s.expires_us);
             }
-            self.index.update(s.key, s.pos);
             Some(old)
         } else {
-            let slot = match self.free.pop() {
-                Some(slot) => {
-                    let sl = &mut self.slots[slot as usize];
-                    sl.rec = s;
-                    sl.live = true;
-                    sl.sched_bucket = bucket;
-                    slot
-                }
-                None => {
-                    let slot = checked_slot_index(self.slots.len());
-                    self.slots.push(Slot { rec: s, gen: 0, live: true, sched_bucket: bucket });
-                    slot
-                }
-            };
-            self.by_key.insert(s.key, slot);
-            let gen = self.slots[slot as usize].gen;
-            self.index.insert(s.key, s.pos);
-            self.wheel_push(bucket, slot, gen, s.expires_us);
+            if self.free.pop().is_some() {
+                let sl = &mut self.slots[vacant as usize];
+                sl.set(&s);
+                sl.live = true;
+            } else {
+                self.slots.push(Slot {
+                    key: s.key,
+                    time_us: s.time_us,
+                    acc_sens_m: s.acc_sens_m,
+                    expires_us: s.expires_us,
+                    gen: 0,
+                    live: true,
+                });
+            }
+            let gen = self.slots[vacant as usize].gen;
+            self.wheel_push(bucket, vacant, gen, s.expires_us);
             None
         };
         self.maybe_compact_wheel();
@@ -246,34 +271,34 @@ impl SightingDb {
     /// The sighting for `key`, when present (the hash-index path used by
     /// position queries).
     // lint:hot_path
-    pub fn get(&self, key: u64) -> Option<&StoredSighting> {
-        self.by_key.get(&key).map(|&slot| &self.slots[slot as usize].rec)
+    pub fn get(&self, key: u64) -> Option<StoredSighting> {
+        let (slot, pos) = self.index.get_handle(key)?;
+        Some(self.slots[slot as usize].record(pos))
     }
 
     /// Removes the sighting for `key`.
     pub fn remove(&mut self, key: u64) -> Option<StoredSighting> {
-        let slot = self.by_key.remove(&key)?;
+        let (slot, pos) = self.index.remove_handle(key)?;
         let sl = &mut self.slots[slot as usize];
         debug_assert!(sl.live);
         sl.live = false;
         // Invalidate any wheel entry still pointing here, including
         // after the slot is handed to a different key.
         sl.gen = sl.gen.wrapping_add(1);
-        let rec = sl.rec;
+        let rec = sl.record(pos);
         self.free.push(slot);
-        self.index.remove(key);
         self.maybe_compact_wheel();
         Some(rec)
     }
 
     /// Number of live sightings.
     pub fn len(&self) -> usize {
-        self.by_key.len()
+        self.index.len()
     }
 
     /// True when no sightings are stored.
     pub fn is_empty(&self) -> bool {
-        self.by_key.is_empty()
+        self.index.is_empty()
     }
 
     /// Number of expiry-wheel entries currently held (live + stale).
@@ -295,7 +320,6 @@ impl SightingDb {
         self.index.clear();
         self.slots.clear();
         self.free.clear();
-        self.by_key.clear();
         self.wheel.clear();
         self.wheel_len = 0;
     }
@@ -316,7 +340,7 @@ impl SightingDb {
     /// live slots in arena order (deterministic), restoring the
     /// one-entry-per-record invariant.
     fn maybe_compact_wheel(&mut self) {
-        if self.wheel_len <= WHEEL_COMPACT_FLOOR.max(2 * self.by_key.len()) {
+        if self.wheel_len <= WHEEL_COMPACT_FLOOR.max(2 * self.index.len()) {
             return;
         }
         self.wheel.clear();
@@ -324,8 +348,7 @@ impl SightingDb {
         for slot in 0..self.slots.len() as u32 {
             let sl = self.slots[slot as usize];
             if sl.live {
-                debug_assert_eq!(sl.sched_bucket, sl.rec.expires_us >> WHEEL_SHIFT);
-                self.wheel_push(sl.sched_bucket, slot, sl.gen, sl.rec.expires_us);
+                self.wheel_push(sl.expires_us >> WHEEL_SHIFT, slot, sl.gen, sl.expires_us);
             }
         }
     }
@@ -354,12 +377,12 @@ impl SightingDb {
                 }
                 // The entry is current, so the slot's exact deadline
                 // lives in this bucket.
-                if sl.rec.expires_us <= now_us {
+                if sl.expires_us <= now_us {
                     self.wheel_len -= 1;
-                    due.push((sl.rec.expires_us, sl.rec.key));
+                    due.push((sl.expires_us, sl.key));
                 } else {
                     // Same (boundary) bucket, deadline still ahead.
-                    keep_min = keep_min.min(sl.rec.expires_us);
+                    keep_min = keep_min.min(sl.expires_us);
                     keep.push(e);
                 }
             }
@@ -437,16 +460,6 @@ impl SightingDb {
         filter: &mut dyn FnMut(u64) -> bool,
     ) -> Vec<(Entry, f64)> {
         self.index.k_nearest_where(p, k, filter)
-    }
-
-    /// Invokes `sink` for every stored sighting, in slab (arena) order —
-    /// deterministic across same-seed runs.
-    pub fn for_each(&self, sink: &mut dyn FnMut(&StoredSighting)) {
-        for sl in &self.slots {
-            if sl.live {
-                sink(&sl.rec);
-            }
-        }
     }
 }
 
@@ -624,17 +637,6 @@ mod tests {
     }
 
     #[test]
-    fn for_each_in_arena_order() {
-        let mut db = SightingDb::new_quadtree();
-        db.upsert(s(7, 0.0, 0.0, 100));
-        db.upsert(s(3, 1.0, 0.0, 100));
-        db.upsert(s(5, 2.0, 0.0, 100));
-        let mut keys = Vec::new();
-        db.for_each(&mut |r| keys.push(r.key));
-        assert_eq!(keys, vec![7, 3, 5], "arena order = insertion order here");
-    }
-
-    #[test]
     fn clear_resets_everything() {
         let mut db = SightingDb::new_quadtree();
         db.upsert(s(1, 0.0, 0.0, 100));
@@ -646,13 +648,49 @@ mod tests {
         assert!(db.expire_due(u64::MAX).is_empty());
     }
 
+    /// Bytes-per-object ceiling at 12 500 objects (one leaf of a
+    /// 200 000-object, 16-leaf deployment), estimated as len ×
+    /// `size_of` plus stated container overhead:
+    ///
+    /// * one quadtree node per object, at most 96 B (asserted in
+    ///   `hiloc-spatial`);
+    /// * one slab slot per object;
+    /// * the quadtree's key map, a std (SwissTable) `HashMap<u64, u32>`:
+    ///   a power-of-two bucket count at most 8/7 of the entries, each
+    ///   bucket a 16-byte `(u64, u32)` plus one control byte;
+    /// * the wheel's entries (up to 2 per object before compaction; its
+    ///   bucket headers and `Vec` slack are not counted).
+    #[test]
+    fn bytes_per_object_stay_under_180() {
+        const NODE_BYTES: usize = 96;
+        assert!(std::mem::size_of::<Slot>() <= 40, "Slot is {} B", std::mem::size_of::<Slot>());
+        assert_eq!(std::mem::size_of::<WheelEntry>(), 8);
+        let n = 12_500u64;
+        let mut db = SightingDb::new_quadtree();
+        for key in 0..n {
+            db.upsert(s(key, (key % 100) as f64 * 50.0, (key / 100) as f64 * 40.0, 300_000_000));
+        }
+        // TTL refreshes into later buckets leave stale wheel entries.
+        for key in 0..n {
+            db.upsert(s(key, (key % 100) as f64 * 50.0 + 15.0, (key / 100) as f64 * 40.0, 310_000_000));
+        }
+        assert_eq!(db.len(), n as usize);
+        let buckets = (n as usize * 8).div_ceil(7).next_power_of_two();
+        let bytes = db.len() * NODE_BYTES
+            + db.slot_capacity() * std::mem::size_of::<Slot>()
+            + buckets * (std::mem::size_of::<(u64, u32)>() + 1)
+            + db.expiry_entries() * std::mem::size_of::<WheelEntry>();
+        let per_object = bytes as f64 / n as f64;
+        assert!(per_object <= 180.0, "{per_object:.1} B per object");
+    }
+
     /// Regression: slab growth converted `slots.len()` with a plain
     /// `as u32`. In-range lengths must map to their exact index…
     #[test]
     fn slot_index_conversion_is_exact_in_range() {
         assert_eq!(checked_slot_index(0), 0);
         assert_eq!(checked_slot_index(12_345), 12_345);
-        assert_eq!(checked_slot_index(u32::MAX as usize), u32::MAX);
+        assert_eq!(checked_slot_index(u32::MAX as usize - 1), u32::MAX - 1);
     }
 
     /// …and a slab at 2³² slots must fail loudly: the unchecked cast

@@ -108,7 +108,7 @@ fn run_against_oracle(g: &mut Gen, mut db: SightingDb, name: &str) {
             7 => {
                 let key = g.random_range(0..KEYS);
                 assert_eq!(
-                    db.get(key).copied(),
+                    db.get(key),
                     oracle.get(&key).copied(),
                     "[{name}] step {step}: get mismatch"
                 );

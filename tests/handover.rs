@@ -19,7 +19,7 @@ fn assert_path_consistent(ls: &SimDeployment, oid: ObjectId, expected_pos: Point
     let mut cur = ls.hierarchy().root();
     loop {
         match ls.server(cur).unwrap().visitors().get(oid) {
-            Some(VisitorRecord::Forward { child, .. }) => cur = *child,
+            Some(VisitorRecord::Forward { child, .. }) => cur = child,
             Some(VisitorRecord::Leaf { .. }) => {
                 assert_eq!(
                     cur,
