@@ -133,9 +133,9 @@ struct Bucket {
 ///
 /// # Determinism
 ///
-/// Expiry delivers records sorted by `(deadline, key)` and wheel
-/// compaction walks slots in arena order, so two runs that issue the
-/// same operations observe identical orders — a property the
+/// Iteration (`for_each`) walks slots in arena order and expiry
+/// delivers records sorted by `(deadline, key)`, so two runs that issue
+/// the same operations observe identical orders — a property the
 /// deterministic chaos harness relies on.
 ///
 /// # Example
@@ -461,6 +461,17 @@ impl SightingDb {
     ) -> Vec<(Entry, f64)> {
         self.index.k_nearest_where(p, k, filter)
     }
+
+    /// Invokes `sink` for every stored sighting, in slab (arena) order —
+    /// deterministic across same-seed runs.
+    pub fn for_each(&self, sink: &mut dyn FnMut(&StoredSighting)) {
+        for sl in &self.slots {
+            if sl.live {
+                let (_, pos) = self.index.get_handle(sl.key).expect("a live slot's key is indexed");
+                sink(&sl.record(pos));
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -637,6 +648,17 @@ mod tests {
     }
 
     #[test]
+    fn for_each_in_arena_order() {
+        let mut db = SightingDb::new_quadtree();
+        db.upsert(s(7, 0.0, 0.0, 100));
+        db.upsert(s(3, 1.0, 0.0, 100));
+        db.upsert(s(5, 2.0, 0.0, 100));
+        let mut keys = Vec::new();
+        db.for_each(&mut |r| keys.push(r.key));
+        assert_eq!(keys, vec![7, 3, 5], "arena order = insertion order here");
+    }
+
+    #[test]
     fn clear_resets_everything() {
         let mut db = SightingDb::new_quadtree();
         db.upsert(s(1, 0.0, 0.0, 100));
@@ -652,7 +674,8 @@ mod tests {
     /// 200 000-object, 16-leaf deployment), estimated as len ×
     /// `size_of` plus stated container overhead:
     ///
-    /// * one quadtree node per object, at most 96 B (asserted in
+    /// * one quadtree node per live entry and per tombstone, as the
+    ///   index reports them, each at most 96 B (asserted in
     ///   `hiloc-spatial`);
     /// * one slab slot per object;
     /// * the quadtree's key map, a std (SwissTable) `HashMap<u64, u32>`:
@@ -676,7 +699,8 @@ mod tests {
         }
         assert_eq!(db.len(), n as usize);
         let buckets = (n as usize * 8).div_ceil(7).next_power_of_two();
-        let bytes = db.len() * NODE_BYTES
+        let nodes = db.index.len() + db.index.tombstone_count();
+        let bytes = nodes * NODE_BYTES
             + db.slot_capacity() * std::mem::size_of::<Slot>()
             + buckets * (std::mem::size_of::<(u64, u32)>() + 1)
             + db.expiry_entries() * std::mem::size_of::<WheelEntry>();
@@ -701,5 +725,13 @@ mod tests {
     #[should_panic(expected = "shard this leaf")]
     fn slot_index_past_u32_panics_instead_of_wrapping() {
         let _ = checked_slot_index(u32::MAX as usize + 1);
+    }
+
+    /// `u32::MAX` is the quadtree's tombstone mark: handed out as a
+    /// slot, a live record would read as a tombstone.
+    #[test]
+    #[should_panic(expected = "shard this leaf")]
+    fn slot_index_at_the_tombstone_mark_panics() {
+        let _ = checked_slot_index(u32::MAX as usize);
     }
 }
