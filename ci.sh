@@ -73,12 +73,20 @@ cargo test -q --offline -p hiloc-core --test visitor_prop
 # brute-force semantics (reqOverlap ½ and 1 drawn on purpose), the
 # geometry kernels (exact circle∩rect at both ends), the spatial
 # indexes against the naive oracle (with the NN filter-call guard) and
-# the entry server's gathers under duplicated and reordered sub-results.
-echo "==> query path gate (semantics oracle, geometry, index conformance, gathers)"
+# the entry server's one gather: duplicated and reordered sub-results,
+# deadlines (an escalated NN round, the cache-direct range retry, range
+# before NN in one tick) and client corr ids disjoint from servers'.
+echo "==> query path gate (semantics oracle, geometry, index conformance, gathers, corr namespaces)"
 cargo test -q --offline --test semantics_prop
 cargo test -q --offline -p hiloc-geo
 cargo test -q --offline -p hiloc-spatial --test conformance
 cargo test -q --offline -p hiloc-core --test query_gather
+cargo test -q --offline -p hiloc-core --test query_gather -- --exact \
+    nn_gather_that_escalates_then_times_out_answers_partially_with_the_client_corr \
+    cache_direct_range_scatter_that_times_out_rescatters_through_the_hierarchy_once \
+    gathers_due_in_one_tick_answer_range_before_nn_in_corr_order
+cargo test -q --offline -p hiloc-core --lib -- --exact \
+    runtime::client::tests::client_corr_ids_never_collide_with_server_corr_ids
 
 # The real-runtime fuzz gate: the simulator fuzzer's own plans (one verb
 # set, one generator, one DSL, one executor) run against the *sharded

@@ -1,8 +1,6 @@
 //! Timers: soft-state expiry and pending-operation deadlines.
 
-use super::queries::dedup_items;
 use super::LocationServer;
-use crate::model::semantics::select_neighbors;
 use crate::model::{Micros, ObjectId};
 use crate::proto::Message;
 use hiloc_net::{CorrId, Endpoint, Envelope};
@@ -171,74 +169,8 @@ impl LocationServer {
             }
         }
 
-        // Range gathers: a timed-out *cache-direct* scatter means the
-        // cached leaf areas went stale (the hierarchy reshaped, or a
-        // cached leaf died) — flush the area cache and retry once
-        // through the hierarchy before answering. The retry restarts
-        // the gather from this server's own contribution: coverage
-        // collected from pre-reshape answers cannot be mixed with
-        // post-reshape ones (a leaf that answered with its old area
-        // overlaps the newcomer that took half of it, and the
-        // double-count could mark an incomplete answer complete). A
-        // hierarchy-routed gather that times out answers partially.
-        let due: Vec<CorrId> = self
-            .pending
-            .range_gather
-            .iter()
-            .filter(|(_, g)| g.deadline_us <= now)
-            .map(|(c, _)| *c)
-            .collect();
-        for corr in due {
-            let mut g = self.pending.range_gather.remove(&corr).expect("listed above");
-            if g.via_cache {
-                self.caches.flush_areas();
-                let probe = Self::probe_rect(&g.query);
-                let targets = self.scatter_targets(&probe, g.client);
-                if !targets.is_empty() {
-                    g.via_cache = false;
-                    g.deadline_us = now + self.opts.query_timeout_us;
-                    g.items.clear();
-                    g.covered_m2 = 0.0;
-                    g.seen_leaves.clear();
-                    if self.config.is_leaf() && self.config.area.intersects(&probe) {
-                        g.items = self.leaf_range_items(&g.query);
-                        g.covered_m2 = probe.intersection_area(&self.config.area);
-                        g.seen_leaves.insert(self.id());
-                    }
-                    let entry = self.id();
-                    for t in targets {
-                        self.emit(
-                            t,
-                            Message::RangeQueryFwd { query: g.query.clone(), entry, corr },
-                        );
-                    }
-                    self.pending.range_gather.insert(corr, g);
-                    continue;
-                }
-            }
-            self.stats.gathers_timed_out += 1;
-            let items = dedup_items(g.items, g.seen_leaves.len());
-            self.emit(g.client, Message::RangeQueryRes { items, complete: false, corr });
-        }
-
-        // NN gathers: best effort from what arrived.
-        let due: Vec<CorrId> = self
-            .pending
-            .nn_gather
-            .iter()
-            .filter(|(_, g)| g.deadline_us <= now)
-            .map(|(c, _)| *c)
-            .collect();
-        for corr in due {
-            let g = self.pending.nn_gather.remove(&corr).expect("listed above");
-            self.stats.gathers_timed_out += 1;
-            let items = dedup_items(g.items, g.seen_leaves.len());
-            let (nearest, near_set) = select_neighbors(g.p, &items, g.req_acc_m, g.near_qual_m);
-            self.emit(
-                g.client,
-                Message::NeighborQueryRes { nearest, near_set, complete: false, corr: g.client_corr },
-            );
-        }
+        // Range and NN gathers: partial answers, or the area-cache retry.
+        self.expire_gathers(now);
 
         // Position waits. A timed-out wait whose first attempt went
         // *directly to a cached agent* (§6.5) must not answer "unknown"
@@ -310,7 +242,7 @@ impl LocationServer {
         // ack is overdue (at-least-once; the sink's HLC guard dedups).
         self.repl_tick(now);
 
-        self.drain_outbox()
+        self.drain()
     }
 
     /// The next instant at which [`LocationServer::tick`] has work.
@@ -325,10 +257,5 @@ impl LocationServer {
         };
         let repl = self.repl_next_deadline();
         [expiry, deadline, maintenance, repl].into_iter().flatten().min()
-    }
-
-    fn drain_outbox(&mut self) -> Vec<Envelope<Message>> {
-        self.stats.msgs_out += self.outbox.len() as u64;
-        std::mem::take(&mut self.outbox)
     }
 }

@@ -17,12 +17,12 @@ mod replication;
 mod visitor;
 
 pub use pending::{
-    HandoverOrigin, HandoverRelay, NnGather, PathSyncOut, Pending, PosWait, RangeGather,
-    RelayAction, TransferOut,
+    HandoverOrigin, HandoverRelay, PathSyncOut, Pending, PosWait, RelayAction, TransferOut,
 };
 pub use replica::{ReplicaDb, ReplicaValue};
 pub use visitor::{VisitorDb, VisitorRecord};
 
+use queries::{Probe, Ring};
 use replication::Replication;
 
 /// Re-exported so durability can be configured without a direct
@@ -36,7 +36,7 @@ use crate::model::{
     SECOND,
 };
 use crate::proto::{Message, ObjectLocation};
-use hiloc_geo::{Point, Rect};
+use hiloc_geo::Rect;
 use hiloc_net::{CorrIdGen, Endpoint, Envelope, ServerId};
 use hiloc_storage::{Entry, SightingDb, StorageError, StoredSighting, SyncPolicy};
 use std::path::PathBuf;
@@ -82,6 +82,15 @@ pub struct ServerOptions {
     /// only while its shipped sighting is at most this old, and only
     /// when §6.5 caching is on — the same approximate-answer contract.
     pub replica_staleness_us: Micros,
+}
+
+impl ServerOptions {
+    /// The wait before the next re-send of an operation that must not
+    /// give up (bulk transfer, pathSync pull, replication batch): the
+    /// query timeout doubled per attempt, capped at 8×.
+    pub(crate) fn retry_backoff_us(&self, attempts: u32) -> Micros {
+        self.query_timeout_us.saturating_mul(1 << attempts.min(3))
+    }
 }
 
 impl Default for ServerOptions {
@@ -261,7 +270,7 @@ impl LocationServer {
             }
         };
         let caches = Caches::new(opts.caches);
-        let corr = CorrIdGen::namespaced(config.id.0 as u64 + 1);
+        let corr = CorrIdGen::for_server(config.id);
         let clock = HlcClock::new(config.id.0 as u16);
         Ok(LocationServer {
             config,
@@ -411,19 +420,17 @@ impl LocationServer {
                 self.on_range_query_req(now, from, query, corr)
             }
             Message::RangeQueryFwd { query, entry, corr } => {
-                self.on_range_query_fwd(from, query, entry, corr)
-            }
-            Message::RangeQuerySubRes { items, covered_area_m2, leaf, leaf_area, corr } => {
-                self.on_range_sub_res(items, covered_area_m2, leaf, leaf_area, corr)
+                self.on_probe_fwd(from, Probe::Range(&query), entry, corr)
             }
             Message::NeighborQueryReq { p, req_acc_m, near_qual_m, corr } => {
                 self.on_neighbor_query_req(now, from, p, req_acc_m, near_qual_m, corr)
             }
             Message::NeighborQueryFwd { p, req_acc_m, radius_m, entry, corr } => {
-                self.on_neighbor_query_fwd(from, p, req_acc_m, radius_m, entry, corr)
+                self.on_probe_fwd(from, Probe::Ring(Ring { p, req_acc_m, radius_m }), entry, corr)
             }
-            Message::NeighborQuerySubRes { items, covered_area_m2, leaf, leaf_area, corr } => {
-                self.on_neighbor_sub_res(now, items, covered_area_m2, leaf, leaf_area, corr)
+            Message::RangeQuerySubRes { items, covered_area_m2, leaf, leaf_area, corr }
+            | Message::NeighborQuerySubRes { items, covered_area_m2, leaf, leaf_area, corr } => {
+                self.on_sub_res(now, items, covered_area_m2, leaf, leaf_area, corr)
             }
             Message::AgentLookup { oid, object } => self.on_agent_lookup(now, from, oid, object),
             Message::StateTransfer { records, epoch, corr } => {
@@ -549,17 +556,6 @@ impl LocationServer {
         }
     }
 
-    /// The probe rectangle for a range query: the bounding box of the
-    /// query area enlarged by `reqAcc` (the paper's `Enlarge`).
-    pub(crate) fn probe_rect(query: &RangeQuery) -> Rect {
-        query.area.enlarged(query.req_acc_m).bounding_rect()
-    }
-
-    /// The probe rectangle for a nearest-neighbor ring.
-    pub(crate) fn nn_probe(p: Point, radius_m: f64) -> Rect {
-        Rect::from_center_size(p, 2.0 * radius_m, 2.0 * radius_m)
-    }
-
     /// The diagonal of the root service area (upper bound for NN rings).
     pub(crate) fn root_diag(&self) -> f64 {
         let r = self.config.root_area;
@@ -624,11 +620,11 @@ impl LocationServer {
 
     /// A leaf's candidates for a nearest-neighbor ring: recorded
     /// position within `radius_m` of `p`, accuracy within `req_acc_m`.
-    pub(crate) fn leaf_nn_items(&self, p: Point, radius_m: f64, req_acc_m: f64) -> Vec<ObjectLocation> {
+    pub(crate) fn leaf_nn_items(&self, ring: Ring) -> Vec<ObjectLocation> {
+        let Ring { p, req_acc_m, radius_m } = ring;
         let mut items = Vec::new();
-        let probe = Self::nn_probe(p, radius_m);
         let visitors = &self.visitors;
-        self.sightings.query_rect(&probe, &mut |e| {
+        self.sightings.query_rect(&Probe::Ring(ring).rect(), &mut |e| {
             if e.pos.distance(p) > radius_m {
                 return;
             }

@@ -4,10 +4,12 @@
 //! after sending `handoverReq`). hiloc's servers are event-driven: an
 //! operation that awaits a response parks its continuation here, keyed
 //! by correlation id, with a deadline enforced by the maintenance tick.
+//! Range and nearest-neighbour queries share one table of [`Gather`]s.
 
+use super::queries::{Probe, Ring};
 use crate::model::{Hlc, Micros, ObjectId, RangeQuery};
 use crate::proto::ObjectLocation;
-use hiloc_geo::Point;
+use hiloc_geo::Rect;
 use hiloc_net::{CorrId, Endpoint, ServerId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -103,71 +105,70 @@ pub struct PosWait {
     pub deadline_us: Micros,
 }
 
-/// Scatter/gather state for a range query at its entry server.
+/// Scatter–gather state at a query's entry server: a range query
+/// (paper Alg. 6-5) or one round of a nearest-neighbour query's
+/// expanding ring.
 #[derive(Debug, Clone)]
-pub struct RangeGather {
+pub(crate) struct Gather {
     /// The client to answer.
     pub client: Endpoint,
-    /// The query (needed to re-check semantics and for diagnostics).
-    pub query: RangeQuery,
+    /// The client's correlation id, which the answer echoes (an NN
+    /// escalation round is parked under a fresh id).
+    pub client_corr: CorrId,
+    /// What is probed, and the state only one kind has.
+    pub kind: GatherKind,
+    /// The probe's rectangle (computed once, when the gather opens).
+    pub rect: Rect,
     /// Items collected so far.
     pub items: Vec<ObjectLocation>,
-    /// Area of the enlarged query region covered by received
-    /// sub-results (m²).
+    /// Area of the probe rectangle covered by received sub-results (m²).
     pub covered_m2: f64,
-    /// Target coverage: area of `Enlarge(a) ∩ root area` (m²).
+    /// Target coverage: area of `rect ∩ root area` (m²).
     pub target_m2: f64,
     /// Leaves already counted (guards against duplicate delivery).
     pub seen_leaves: BTreeSet<ServerId>,
-    /// True while the scatter went directly to cached leaf areas
-    /// (§6.5): on deadline the entry flushes the area cache and retries
-    /// once through the hierarchy instead of giving up — a stale cache
-    /// must never turn into a wrong (incomplete) answer.
-    pub via_cache: bool,
     /// Give-up deadline.
     pub deadline_us: Micros,
 }
 
-impl RangeGather {
-    /// Whether coverage is complete (within floating-point tolerance).
-    pub fn is_complete(&self) -> bool {
-        self.covered_m2 + coverage_eps(self.target_m2) >= self.target_m2
+/// The part of a [`Gather`] that differs between range and
+/// nearest-neighbour queries. The probe is borrowed from here, so a
+/// gather cannot pair a range probe with an NN answer.
+#[derive(Debug, Clone)]
+pub(crate) enum GatherKind {
+    /// A range query.
+    Range {
+        /// The query.
+        query: RangeQuery,
+        /// True while the scatter went directly to cached leaf areas
+        /// (§6.5): on deadline the entry flushes the area cache and
+        /// retries once through the hierarchy instead of giving up — a
+        /// stale cache must never turn into a wrong (incomplete) answer.
+        via_cache: bool,
+    },
+    /// One round of a nearest-neighbour query's expanding ring.
+    Nn {
+        /// This round's ring.
+        ring: Ring,
+        /// Near-set qualification distance (meters).
+        near_qual_m: f64,
+        /// Number of ring escalations performed.
+        escalations: u32,
+    },
+}
+
+impl GatherKind {
+    /// What the gather sends to the hierarchy.
+    pub fn probe(&self) -> Probe<'_> {
+        match self {
+            GatherKind::Range { query, .. } => Probe::Range(query),
+            GatherKind::Nn { ring, .. } => Probe::Ring(*ring),
+        }
     }
 }
 
-/// Scatter/gather state for a nearest-neighbor query at its entry
-/// server (expanding-ring search).
-#[derive(Debug, Clone)]
-pub struct NnGather {
-    /// The client to answer.
-    pub client: Endpoint,
-    /// The client's correlation id (rounds allocate fresh ids; the
-    /// final answer must echo this one).
-    pub client_corr: CorrId,
-    /// The queried position.
-    pub p: Point,
-    /// Accuracy threshold (meters).
-    pub req_acc_m: f64,
-    /// Near-set qualification distance (meters).
-    pub near_qual_m: f64,
-    /// Current ring radius (meters).
-    pub radius_m: f64,
-    /// Candidates collected in this round.
-    pub items: Vec<ObjectLocation>,
-    /// Covered area of the ring's bounding box (m²).
-    pub covered_m2: f64,
-    /// Target coverage for this round (m²).
-    pub target_m2: f64,
-    /// Leaves already counted this round.
-    pub seen_leaves: BTreeSet<ServerId>,
-    /// Number of ring escalations performed.
-    pub escalations: u32,
-    /// Give-up deadline.
-    pub deadline_us: Micros,
-}
-
-impl NnGather {
-    /// Whether this round's coverage is complete.
+impl Gather {
+    /// Whether coverage is complete (within floating-point tolerance).
     pub fn is_complete(&self) -> bool {
         self.covered_m2 + coverage_eps(self.target_m2) >= self.target_m2
     }
@@ -192,10 +193,8 @@ pub struct Pending {
     pub handover_relay: BTreeMap<CorrId, HandoverRelay>,
     /// Entry servers awaiting `PosQueryRes`.
     pub pos_wait: BTreeMap<CorrId, PosWait>,
-    /// Entry servers gathering range-query sub-results.
-    pub range_gather: BTreeMap<CorrId, RangeGather>,
-    /// Entry servers gathering nearest-neighbor candidates.
-    pub nn_gather: BTreeMap<CorrId, NnGather>,
+    /// Entry servers gathering range and nearest-neighbour sub-results.
+    pub(crate) gathers: BTreeMap<CorrId, Gather>,
     /// Source leaves with a bulk state transfer awaiting its ack.
     pub transfer_out: BTreeMap<CorrId, TransferOut>,
     /// Reconfiguring non-leaves pulling forwarding tables in chunks.
@@ -215,8 +214,7 @@ impl Pending {
         self.handover_origin.values().for_each(|x| consider(x.deadline_us));
         self.handover_relay.values().for_each(|x| consider(x.deadline_us));
         self.pos_wait.values().for_each(|x| consider(x.deadline_us));
-        self.range_gather.values().for_each(|x| consider(x.deadline_us));
-        self.nn_gather.values().for_each(|x| consider(x.deadline_us));
+        self.gathers.values().for_each(|x| consider(x.deadline_us));
         self.transfer_out.values().for_each(|x| consider(x.deadline_us));
         self.path_sync.values().for_each(|x| consider(x.deadline_us));
         min
@@ -227,8 +225,7 @@ impl Pending {
         self.handover_origin.len()
             + self.handover_relay.len()
             + self.pos_wait.len()
-            + self.range_gather.len()
-            + self.nn_gather.len()
+            + self.gathers.len()
             + self.transfer_out.len()
             + self.path_sync.len()
     }
@@ -262,18 +259,19 @@ mod tests {
 
     #[test]
     fn gather_completion_tolerance() {
-        let g = RangeGather {
+        let rect = Rect::new(hiloc_geo::Point::new(0.0, 0.0), hiloc_geo::Point::new(1.0, 1.0));
+        let g = Gather {
             client: Endpoint::Client(hiloc_net::ClientId(1)),
-            query: RangeQuery::new(
-                hiloc_geo::Region::from(hiloc_geo::Rect::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0))),
-                10.0,
-                0.5,
-            ),
+            client_corr: CorrId(1),
+            kind: GatherKind::Range {
+                query: RangeQuery::new(hiloc_geo::Region::from(rect), 10.0, 0.5),
+                via_cache: false,
+            },
+            rect,
             items: Vec::new(),
             covered_m2: 0.999_999_999_9,
             target_m2: 1.0,
             seen_leaves: BTreeSet::new(),
-            via_cache: false,
             deadline_us: 0,
         };
         assert!(g.is_complete(), "tiny float deficit must still complete");

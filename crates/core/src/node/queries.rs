@@ -1,7 +1,14 @@
 //! Query processing: position queries (Alg. 6-4), range queries
 //! (Alg. 6-5) and the distributed nearest-neighbor search.
+//!
+//! Range and nearest-neighbour queries share one scatter–gather: the
+//! entry server opens a [`Gather`], sends its [`Probe`] through the
+//! hierarchy, and gathers the leaves' sub-results until the area they
+//! covered reaches the target or the deadline passes. Only the probe,
+//! the range query's area-cache shortcut and how a finished gather
+//! answers depend on the kind.
 
-use super::pending::{NnGather, PosWait, RangeGather};
+use super::pending::{Gather, GatherKind, PosWait};
 use super::{LocationServer, VisitorRecord};
 use crate::model::semantics::select_neighbors;
 use crate::model::{LocationDescriptor, Micros, ObjectId, RangeQuery};
@@ -9,6 +16,68 @@ use crate::proto::{Message, ObjectLocation};
 use hiloc_geo::{Point, Rect};
 use hiloc_net::{CorrId, Endpoint, ServerId};
 use std::collections::BTreeSet;
+
+/// One ring of a nearest-neighbour search: candidates whose recorded
+/// position lies within `radius_m` of `p`, accuracy within `req_acc_m`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Ring {
+    /// The queried position.
+    pub p: Point,
+    /// Accuracy threshold (meters).
+    pub req_acc_m: f64,
+    /// Ring radius (meters).
+    pub radius_m: f64,
+}
+
+/// What a scatter sends through the hierarchy: a range query or one
+/// nearest-neighbour ring.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Probe<'a> {
+    /// A range query.
+    Range(&'a RangeQuery),
+    /// A nearest-neighbour ring.
+    Ring(Ring),
+}
+
+impl Probe<'_> {
+    /// The probe rectangle: a range query's area enlarged by `reqAcc`
+    /// (the paper's `Enlarge`) and bounded, or the ring's bounding box.
+    pub fn rect(&self) -> Rect {
+        match self {
+            Probe::Range(q) => q.area.enlarged(q.req_acc_m).bounding_rect(),
+            Probe::Ring(r) => Rect::from_center_size(r.p, 2.0 * r.radius_m, 2.0 * r.radius_m),
+        }
+    }
+
+    /// The forward carrying this probe towards the leaves.
+    pub fn fwd(&self, entry: ServerId, corr: CorrId) -> Message {
+        match *self {
+            Probe::Range(query) => Message::RangeQueryFwd { query: query.clone(), entry, corr },
+            Probe::Ring(Ring { p, req_acc_m, radius_m }) => {
+                Message::NeighborQueryFwd { p, req_acc_m, radius_m, entry, corr }
+            }
+        }
+    }
+
+    /// A leaf's answer to this probe.
+    pub fn sub_res(
+        &self,
+        items: Vec<ObjectLocation>,
+        covered_area_m2: f64,
+        leaf: ServerId,
+        leaf_area: Rect,
+        corr: CorrId,
+    ) -> Message {
+        match self {
+            Probe::Range(_) => {
+                Message::RangeQuerySubRes { items, covered_area_m2, leaf, leaf_area, corr }
+            }
+            Probe::Ring(_) => {
+                Message::NeighborQuerySubRes { items, covered_area_m2, leaf, leaf_area, corr }
+            }
+        }
+    }
+}
 
 /// Outcome of checking whether this server can answer a position query
 /// from its own databases.
@@ -27,7 +96,7 @@ enum LocalAnswer {
 /// is reported by two leaves). One leaf's items are already distinct:
 /// its index holds each key once, and `seen_leaves` admits each leaf's
 /// sub-result once, so a one-leaf gather is passed through as it is.
-pub(crate) fn dedup_items(items: Vec<ObjectLocation>, leaves: usize) -> Vec<ObjectLocation> {
+fn dedup_items(items: Vec<ObjectLocation>, leaves: usize) -> Vec<ObjectLocation> {
     if leaves <= 1 {
         return items;
     }
@@ -254,7 +323,7 @@ impl LocationServer {
         self.route_pos_query(wait.client, oid, corr, wait.deadline_us);
     }
 
-    // --------------------------------------------------------- range query
+    // ------------------------------------------------------ scatter–gather
 
     /// Algorithm 6-5, entry side: contribute locally, then scatter via
     /// the hierarchy (or directly to cached leaves, §6.5) and gather.
@@ -265,133 +334,35 @@ impl LocationServer {
         query: RangeQuery,
         corr: CorrId,
     ) {
-        let probe = Self::probe_rect(&query);
-        let target_m2 = probe.intersection_area(&self.config.root_area);
-        let mut gather = RangeGather {
-            client: from,
-            query: query.clone(),
-            items: Vec::new(),
-            covered_m2: 0.0,
-            target_m2,
-            seen_leaves: BTreeSet::new(),
-            via_cache: false,
-            deadline_us: now + self.opts.query_timeout_us,
-        };
-        if self.config.is_leaf() && self.config.area.intersects(&probe) {
-            gather.items = self.leaf_range_items(&query);
-            gather.covered_m2 = probe.intersection_area(&self.config.area);
-            gather.seen_leaves.insert(self.id());
-        }
-        if gather.is_complete() {
-            self.stats.gathers_completed += 1;
-            let items = dedup_items(gather.items, gather.seen_leaves.len());
-            self.emit(from, Message::RangeQueryRes { items, complete: true, corr });
-            return;
-        }
+        let mut g = self.open_gather(now, from, corr, GatherKind::Range { query, via_cache: false });
         // §6.5 area cache: when the cached leaves cover the rest of the
         // probe, scatter directly without traversing the hierarchy.
-        if self.caches.config().area_cache {
-            let (cached, _) = self.caches.leaves_covering(&probe);
-            let mut covered = gather.covered_m2;
+        if !g.is_complete() && self.caches.config().area_cache {
+            let (cached, _) = self.caches.leaves_covering(&g.rect);
+            let mut covered = g.covered_m2;
             let mut targets = Vec::new();
             for (id, area) in cached {
                 if id == self.id() {
                     continue;
                 }
-                let inter = probe.intersection_area(&area);
+                let inter = g.rect.intersection_area(&area);
                 if inter > 0.0 {
                     targets.push(id);
                     covered += inter;
                 }
             }
-            let hit = !targets.is_empty() && covered + 1e-9 * target_m2.max(1.0) >= target_m2;
+            let hit = !targets.is_empty() && covered + 1e-9 * g.target_m2.max(1.0) >= g.target_m2;
             self.caches.record_area(hit);
             if hit {
-                for t in targets {
-                    self.emit(t, Message::RangeQueryFwd { query: query.clone(), entry: self.id(), corr });
+                if let GatherKind::Range { via_cache, .. } = &mut g.kind {
+                    *via_cache = true;
                 }
-                gather.via_cache = true;
-                self.pending.range_gather.insert(corr, gather);
+                self.park(corr, g, targets);
                 return;
             }
         }
-        let targets = self.scatter_targets(&probe, from);
-        if targets.is_empty() {
-            // Nowhere to go (isolated root): answer with what we have.
-            let complete = gather.is_complete();
-            self.stats.gathers_completed += 1;
-            let items = dedup_items(gather.items, gather.seen_leaves.len());
-            self.emit(from, Message::RangeQueryRes { items, complete, corr });
-            return;
-        }
-        let entry = self.id();
-        for t in targets {
-            self.emit(t, Message::RangeQueryFwd { query: query.clone(), entry, corr });
-        }
-        self.pending.range_gather.insert(corr, gather);
+        self.scatter(now, corr, g);
     }
-
-    /// Algorithm 6-5, forwarding side: leaves answer the entry server
-    /// directly; non-leaves scatter on.
-    pub(crate) fn on_range_query_fwd(
-        &mut self,
-        from: Endpoint,
-        query: RangeQuery,
-        entry: ServerId,
-        corr: CorrId,
-    ) {
-        let probe = Self::probe_rect(&query);
-        if self.config.is_leaf() {
-            if !self.config.area.intersects(&probe) {
-                return;
-            }
-            let items = self.leaf_range_items(&query);
-            let covered = probe.intersection_area(&self.config.area);
-            self.stats.sub_results += 1;
-            self.emit(
-                entry,
-                Message::RangeQuerySubRes {
-                    items,
-                    covered_area_m2: covered,
-                    leaf: self.id(),
-                    leaf_area: self.config.area,
-                    corr,
-                },
-            );
-        } else {
-            for t in self.scatter_targets(&probe, from) {
-                self.emit(t, Message::RangeQueryFwd { query: query.clone(), entry, corr });
-            }
-        }
-    }
-
-    /// A leaf's partial result arrives at the entry server.
-    pub(crate) fn on_range_sub_res(
-        &mut self,
-        items: Vec<ObjectLocation>,
-        covered_area_m2: f64,
-        leaf: ServerId,
-        leaf_area: Rect,
-        corr: CorrId,
-    ) {
-        self.caches.learn_area(leaf, leaf_area);
-        let complete = {
-            let Some(g) = self.pending.range_gather.get_mut(&corr) else { return };
-            if g.seen_leaves.insert(leaf) {
-                g.items.extend(items);
-                g.covered_m2 += covered_area_m2;
-            }
-            g.is_complete()
-        };
-        if complete {
-            let g = self.pending.range_gather.remove(&corr).expect("checked above");
-            self.stats.gathers_completed += 1;
-            let items = dedup_items(g.items, g.seen_leaves.len());
-            self.emit(g.client, Message::RangeQueryRes { items, complete: true, corr });
-        }
-    }
-
-    // ---------------------------------------------------- nearest neighbor
 
     /// Entry side of the distributed nearest-neighbor search: seed the
     /// ring radius from the local best candidate, then scatter.
@@ -415,146 +386,119 @@ impl LocationServer {
         } else {
             None
         };
-        let radius = match local_best {
+        let radius_m = match local_best {
             Some((_, d)) => d + near_qual_m + 1e-6,
             None => self.nn_seed_radius(),
         };
-        self.start_nn_round(now, from, p, req_acc_m, near_qual_m, radius, corr, 0);
+        self.start_nn_round(now, from, corr, Ring { p, req_acc_m, radius_m }, near_qual_m, 0);
     }
 
-    /// Starts (or escalates) one expanding-ring round.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn start_nn_round(
+    /// Starts (or escalates) one expanding-ring round. The first round
+    /// is parked under the client's corr, every escalation under a
+    /// fresh one.
+    fn start_nn_round(
         &mut self,
         now: Micros,
         client: Endpoint,
-        p: Point,
-        req_acc_m: f64,
-        near_qual_m: f64,
-        radius_m: f64,
         client_corr: CorrId,
+        mut ring: Ring,
+        near_qual_m: f64,
         escalations: u32,
     ) {
-        let radius_m = radius_m.min(self.root_diag() + near_qual_m + 1.0);
-        let probe = Self::nn_probe(p, radius_m);
-        let target_m2 = probe.intersection_area(&self.config.root_area);
+        ring.radius_m = ring.radius_m.min(self.root_diag() + near_qual_m + 1.0);
         let round_corr = if escalations == 0 { client_corr } else { self.corr.next_id() };
-        let mut g = NnGather {
+        let kind = GatherKind::Nn { ring, near_qual_m, escalations };
+        let g = self.open_gather(now, client, client_corr, kind);
+        self.scatter(now, round_corr, g);
+    }
+
+    /// A new gather with this server's own contribution counted.
+    fn open_gather(
+        &self,
+        now: Micros,
+        client: Endpoint,
+        client_corr: CorrId,
+        kind: GatherKind,
+    ) -> Gather {
+        let rect = kind.probe().rect();
+        let mut g = Gather {
             client,
             client_corr,
-            p,
-            req_acc_m,
-            near_qual_m,
-            radius_m,
+            kind,
+            rect,
             items: Vec::new(),
             covered_m2: 0.0,
-            target_m2,
+            target_m2: rect.intersection_area(&self.config.root_area),
             seen_leaves: BTreeSet::new(),
-            escalations,
             deadline_us: now + self.opts.query_timeout_us,
         };
-        if self.config.is_leaf() && self.config.area.intersects(&probe) {
-            g.items = self.leaf_nn_items(p, radius_m, req_acc_m);
-            g.covered_m2 = probe.intersection_area(&self.config.area);
+        self.contribute_locally(&mut g);
+        g
+    }
+
+    /// Restarts `g`'s coverage from this server's own contribution: a
+    /// leaf entry overlapping the probe adds its items and its area.
+    fn contribute_locally(&self, g: &mut Gather) {
+        g.items.clear();
+        g.covered_m2 = 0.0;
+        g.seen_leaves.clear();
+        if self.config.is_leaf() && self.config.area.intersects(&g.rect) {
+            g.items = self.leaf_items(g.kind.probe());
+            g.covered_m2 = g.rect.intersection_area(&self.config.area);
             g.seen_leaves.insert(self.id());
         }
-        if g.is_complete() {
-            self.finalize_nn(now, g);
-            return;
-        }
-        let targets = self.scatter_targets(&probe, client);
+    }
+
+    /// Finishes `g` when its coverage is already complete or nothing is
+    /// left to ask (an isolated root); otherwise sends its probe
+    /// through the hierarchy and parks it under `corr`.
+    fn scatter(&mut self, now: Micros, corr: CorrId, g: Gather) {
+        let targets =
+            if g.is_complete() { Vec::new() } else { self.scatter_targets(&g.rect, g.client) };
         if targets.is_empty() {
-            self.finalize_nn(now, g);
-            return;
+            self.finish(now, g, false);
+        } else {
+            self.park(corr, g, targets);
         }
+    }
+
+    /// Sends `g`'s probe to `targets` and parks it under `corr`.
+    fn park(&mut self, corr: CorrId, g: Gather, targets: Vec<ServerId>) {
         let entry = self.id();
         for t in targets {
-            self.emit(t, Message::NeighborQueryFwd { p, req_acc_m, radius_m, entry, corr: round_corr });
+            self.emit(t, g.kind.probe().fwd(entry, corr));
         }
-        self.pending.nn_gather.insert(round_corr, g);
+        self.pending.gathers.insert(corr, g);
     }
 
-    /// Completes a gather round: answer, or escalate the ring.
-    pub(crate) fn finalize_nn(&mut self, now: Micros, g: NnGather) {
-        let items = dedup_items(g.items, g.seen_leaves.len());
-        let (nearest, near_set) = select_neighbors(g.p, &items, g.req_acc_m, g.near_qual_m);
-        let exhausted = g.radius_m >= self.root_diag() || g.escalations >= 40;
-        match nearest {
-            None if !exhausted => {
-                // Empty ring: double and retry.
-                self.start_nn_round(
-                    now,
-                    g.client,
-                    g.p,
-                    g.req_acc_m,
-                    g.near_qual_m,
-                    g.radius_m * 2.0,
-                    g.client_corr,
-                    g.escalations + 1,
-                );
-            }
-            Some((_, ld)) if ld.distance_to(g.p) + g.near_qual_m > g.radius_m + 1e-9 && !exhausted => {
-                // The near set may extend beyond the ring: one more
-                // round with the exact radius.
-                let radius = ld.distance_to(g.p) + g.near_qual_m + 1e-6;
-                self.start_nn_round(
-                    now,
-                    g.client,
-                    g.p,
-                    g.req_acc_m,
-                    g.near_qual_m,
-                    radius,
-                    g.client_corr,
-                    g.escalations + 1,
-                );
-            }
-            _ => {
-                self.stats.gathers_completed += 1;
-                self.emit(
-                    g.client,
-                    Message::NeighborQueryRes { nearest, near_set, complete: true, corr: g.client_corr },
-                );
-            }
-        }
-    }
-
-    /// Forwarding side of the ring scatter.
-    pub(crate) fn on_neighbor_query_fwd(
+    /// Forwarding side of both scatters: a leaf answers the entry
+    /// server directly; a non-leaf scatters on.
+    pub(crate) fn on_probe_fwd(
         &mut self,
         from: Endpoint,
-        p: Point,
-        req_acc_m: f64,
-        radius_m: f64,
+        probe: Probe<'_>,
         entry: ServerId,
         corr: CorrId,
     ) {
-        let probe = Self::nn_probe(p, radius_m);
+        let rect = probe.rect();
         if self.config.is_leaf() {
-            if !self.config.area.intersects(&probe) {
+            if !self.config.area.intersects(&rect) {
                 return;
             }
-            let items = self.leaf_nn_items(p, radius_m, req_acc_m);
-            let covered = probe.intersection_area(&self.config.area);
+            let items = self.leaf_items(probe);
+            let covered_area_m2 = rect.intersection_area(&self.config.area);
             self.stats.sub_results += 1;
-            self.emit(
-                entry,
-                Message::NeighborQuerySubRes {
-                    items,
-                    covered_area_m2: covered,
-                    leaf: self.id(),
-                    leaf_area: self.config.area,
-                    corr,
-                },
-            );
+            let (leaf, leaf_area) = (self.id(), self.config.area);
+            self.emit(entry, probe.sub_res(items, covered_area_m2, leaf, leaf_area, corr));
         } else {
-            for t in self.scatter_targets(&probe, from) {
-                self.emit(t, Message::NeighborQueryFwd { p, req_acc_m, radius_m, entry, corr });
+            for t in self.scatter_targets(&rect, from) {
+                self.emit(t, probe.fwd(entry, corr));
             }
         }
     }
 
-    /// A leaf's ring candidates arrive at the entry server.
-    pub(crate) fn on_neighbor_sub_res(
+    /// A leaf's sub-result arrives at the entry server.
+    pub(crate) fn on_sub_res(
         &mut self,
         now: Micros,
         items: Vec<ObjectLocation>,
@@ -564,17 +508,109 @@ impl LocationServer {
         corr: CorrId,
     ) {
         self.caches.learn_area(leaf, leaf_area);
-        let complete = {
-            let Some(g) = self.pending.nn_gather.get_mut(&corr) else { return };
-            if g.seen_leaves.insert(leaf) {
-                g.items.extend(items);
-                g.covered_m2 += covered_area_m2;
+        let Some(g) = self.pending.gathers.get_mut(&corr) else { return };
+        if g.seen_leaves.insert(leaf) {
+            g.items.extend(items);
+            g.covered_m2 += covered_area_m2;
+        }
+        if g.is_complete() {
+            let g = self.pending.gathers.remove(&corr).expect("present above");
+            self.finish(now, g, false);
+        }
+    }
+
+    /// Resolves the gathers due at `now`: range gathers first, then NN
+    /// gathers, each in corr order (the order the simulator digests
+    /// pin).
+    ///
+    /// A timed-out *cache-direct* range scatter means the cached leaf
+    /// areas went stale (the hierarchy reshaped, or a cached leaf
+    /// died): the entry flushes the area cache and retries once through
+    /// the hierarchy before answering. The retry restarts the gather
+    /// from this server's own contribution: coverage collected from
+    /// pre-reshape answers cannot be mixed with post-reshape ones (a
+    /// leaf that answered with its old area overlaps the newcomer that
+    /// took half of it, and the double-count could mark an incomplete
+    /// answer complete). Every other gather answers partially from what
+    /// arrived.
+    pub(crate) fn expire_gathers(&mut self, now: Micros) {
+        let mut due: Vec<(bool, CorrId)> = self
+            .pending
+            .gathers
+            .iter()
+            .filter(|(_, g)| g.deadline_us <= now)
+            .map(|(c, g)| (matches!(g.kind, GatherKind::Nn { .. }), *c))
+            .collect();
+        due.sort_unstable();
+        for (_, corr) in due {
+            let mut g = self.pending.gathers.remove(&corr).expect("listed above");
+            if let GatherKind::Range { via_cache: true, .. } = g.kind {
+                self.caches.flush_areas();
+                let targets = self.scatter_targets(&g.rect, g.client);
+                if !targets.is_empty() {
+                    if let GatherKind::Range { via_cache, .. } = &mut g.kind {
+                        *via_cache = false;
+                    }
+                    g.deadline_us = now + self.opts.query_timeout_us;
+                    self.contribute_locally(&mut g);
+                    self.park(corr, g, targets);
+                    continue;
+                }
             }
-            g.is_complete()
+            self.finish(now, g, true);
+        }
+    }
+
+    /// Answers the client from a finished gather. A range gather
+    /// reports whether its coverage closed. A completed NN round
+    /// selects the nearest object and its near set, and escalates
+    /// instead while the ring came up empty or the near set may reach
+    /// past it.
+    fn finish(&mut self, now: Micros, g: Gather, timed_out: bool) {
+        let covered = g.is_complete();
+        let items = dedup_items(g.items, g.seen_leaves.len());
+        let msg = match g.kind {
+            GatherKind::Range { .. } => {
+                Message::RangeQueryRes { items, complete: covered && !timed_out, corr: g.client_corr }
+            }
+            GatherKind::Nn { ring, near_qual_m, escalations } => {
+                let (nearest, near_set) =
+                    select_neighbors(ring.p, &items, ring.req_acc_m, near_qual_m);
+                let exhausted = ring.radius_m >= self.root_diag() || escalations >= 40;
+                let wider = match nearest {
+                    _ if timed_out || exhausted => None,
+                    // Empty ring: double and retry.
+                    None => Some(ring.radius_m * 2.0),
+                    // The near set may extend beyond the ring: one more
+                    // round with the exact radius.
+                    Some((_, ld)) if ld.distance_to(ring.p) + near_qual_m > ring.radius_m + 1e-9 => {
+                        Some(ld.distance_to(ring.p) + near_qual_m + 1e-6)
+                    }
+                    Some(_) => None,
+                };
+                if let Some(radius_m) = wider {
+                    let ring = Ring { radius_m, ..ring };
+                    let escalations = escalations + 1;
+                    self.start_nn_round(now, g.client, g.client_corr, ring, near_qual_m, escalations);
+                    return;
+                }
+                let complete = !timed_out;
+                Message::NeighborQueryRes { nearest, near_set, complete, corr: g.client_corr }
+            }
         };
-        if complete {
-            let g = self.pending.nn_gather.remove(&corr).expect("checked above");
-            self.finalize_nn(now, g);
+        if timed_out {
+            self.stats.gathers_timed_out += 1;
+        } else {
+            self.stats.gathers_completed += 1;
+        }
+        self.emit(g.client, msg);
+    }
+
+    /// A leaf's items for a probe.
+    fn leaf_items(&self, probe: Probe<'_>) -> Vec<ObjectLocation> {
+        match probe {
+            Probe::Range(query) => self.leaf_range_items(query),
+            Probe::Ring(ring) => self.leaf_nn_items(ring),
         }
     }
 }

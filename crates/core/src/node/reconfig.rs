@@ -153,8 +153,7 @@ impl LocationServer {
         let epoch = self.stamp(now);
         t.epoch = epoch;
         t.attempts += 1;
-        let backoff = self.opts.query_timeout_us.saturating_mul(1 << t.attempts.min(3));
-        t.deadline_us = now + backoff;
+        t.deadline_us = now + self.opts.retry_backoff_us(t.attempts);
         self.stats.transfer_retries += 1;
         let target = t.target;
         self.pending.transfer_out.insert(corr, t);
@@ -378,8 +377,7 @@ impl LocationServer {
     pub(crate) fn resend_path_sync(&mut self, now: Micros, corr: CorrId) {
         let Some(sync) = self.pending.path_sync.get_mut(&corr) else { return };
         sync.attempts += 1;
-        let backoff = self.opts.query_timeout_us.saturating_mul(1 << sync.attempts.min(3));
-        sync.deadline_us = now + backoff;
+        sync.deadline_us = now + self.opts.retry_backoff_us(sync.attempts);
         let (child, after) = (sync.child, sync.after);
         self.emit(child, Message::PathSyncReq { after, corr });
     }

@@ -256,9 +256,8 @@ impl LocationServer {
     }
 
     /// Re-sends a timed-out batch with capped exponential backoff
-    /// (like `stateTransfer`: the deadline doubles per attempt, ×8 cap).
+    /// (`ServerOptions::retry_backoff_us`, like `stateTransfer`).
     pub(crate) fn repl_tick(&mut self, now: Micros) {
-        let timeout = self.opts.query_timeout_us;
         let resend = {
             let Some(sink) = self.repl.sink.as_mut() else { return };
             let Some(inf) = sink.inflight.as_mut() else { return };
@@ -266,7 +265,7 @@ impl LocationServer {
                 return;
             }
             inf.attempts += 1;
-            inf.deadline_us = now + timeout.saturating_mul(1 << inf.attempts.min(3));
+            inf.deadline_us = now + self.opts.retry_backoff_us(inf.attempts);
             (
                 sink.target,
                 Message::FwdDelta {

@@ -47,7 +47,7 @@ impl<L: Port<Message>> Client<L> {
             id,
             port,
             shared,
-            corr: CorrIdGen::namespaced(id.0 & 0xFF_FFFF),
+            corr: CorrIdGen::for_client(id),
             epoch,
             timeout: Duration::from_secs(5),
             stash: VecDeque::new(),
@@ -245,5 +245,32 @@ impl<L: Port<Message>> Client<L> {
     /// Explicit deregistration (fire-and-forget).
     pub fn deregister(&mut self, agent: ServerId, oid: ObjectId) {
         self.send(agent, ops::deregister(oid));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::runtime::transport::{CHANNEL_FIRST_CLIENT, UDP_FIRST_CLIENT};
+    use hiloc_net::{ClientId, CorrId, CorrIdGen, ServerId};
+    use std::collections::BTreeSet;
+
+    fn first_ids(mut g: CorrIdGen) -> Vec<CorrId> {
+        (0..3).map(|_| g.next_id()).collect()
+    }
+
+    #[test]
+    fn client_corr_ids_never_collide_with_server_corr_ids() {
+        const N: u64 = 256;
+        let servers: BTreeSet<CorrId> =
+            (0..N as u32).flat_map(|s| first_ids(CorrIdGen::for_server(ServerId(s)))).collect();
+        for first in [CHANNEL_FIRST_CLIENT, UDP_FIRST_CLIENT] {
+            let mut clients = BTreeSet::new();
+            for id in first..first + N {
+                for c in first_ids(CorrIdGen::for_client(ClientId(id))) {
+                    assert!(!servers.contains(&c), "client {id} draws a server's {c}");
+                    assert!(clients.insert(c), "client {id} draws another client's {c}");
+                }
+            }
+        }
     }
 }

@@ -19,6 +19,12 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// The first client id of a channel deployment.
+pub(crate) const CHANNEL_FIRST_CLIENT: u64 = 1 << 48;
+
+/// The first client id of a UDP deployment.
+pub(crate) const UDP_FIRST_CLIENT: u64 = 1 << 52;
+
 // ------------------------------------------------------------- channels
 
 /// A location service running as sharded event loops over an
@@ -116,7 +122,7 @@ impl ThreadedDeployment {
             net.register_sender(cfg.id.into(), inbox.clone());
         }
         drop(inboxes);
-        Self::start(hierarchy, &opts, net, transports, 1 << 48)
+        Self::start(hierarchy, &opts, net, transports, CHANNEL_FIRST_CLIENT)
             .expect("server construction failed")
     }
 
@@ -249,7 +255,7 @@ impl UdpDeployment {
         for t in &transports {
             t.ep.add_routes(addrs.iter().map(|(e, a)| (*e, *a)));
         }
-        Self::start(hierarchy, &opts, addrs, transports, 1 << 52)
+        Self::start(hierarchy, &opts, addrs, transports, UDP_FIRST_CLIENT)
             .map_err(|e| UdpError::Io(std::io::Error::other(e.to_string())))
     }
 

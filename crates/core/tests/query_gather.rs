@@ -6,17 +6,24 @@
 //! from double-counting coverage, `dedup_items` must keep the first
 //! occurrence of an object reported by two leaves (a handover race),
 //! and a straggler arriving after the gather completed must not
-//! produce a second answer. These tests drive the sans-IO state
-//! machine directly, delivering hand-crafted sub-result envelopes.
+//! produce a second answer. A gather that falls due answers partially
+//! (an NN gather after escalating, too), a cache-direct range scatter
+//! retries once through the hierarchy first, and gathers due in one
+//! tick answer range before nearest-neighbour. These tests drive the
+//! sans-IO state machine directly, delivering hand-crafted sub-result
+//! envelopes.
 
 use hiloc_core::area::HierarchyBuilder;
+use hiloc_core::cache::CacheConfig;
 use hiloc_core::model::{LocationDescriptor, ObjectId, RangeQuery};
 use hiloc_core::node::{LocationServer, ServerOptions};
 use hiloc_core::proto::Message;
 use hiloc_geo::{Point, Rect, Region};
 use hiloc_net::{ClientId, CorrId, Endpoint, Envelope, ServerId};
 
-fn root_server() -> LocationServer {
+/// Server `i` of a root over four 500 m leaves (ids 1–4 are the
+/// quadrants below).
+fn grid_server(i: usize, opts: ServerOptions) -> LocationServer {
     let h = HierarchyBuilder::grid(
         Rect::new(Point::new(0.0, 0.0), Point::new(1_000.0, 1_000.0)),
         1,
@@ -24,7 +31,11 @@ fn root_server() -> LocationServer {
     )
     .build()
     .unwrap();
-    LocationServer::new(h.servers()[0].clone(), ServerOptions::default()).unwrap()
+    LocationServer::new(h.servers()[i].clone(), opts).unwrap()
+}
+
+fn root_server() -> LocationServer {
+    grid_server(0, ServerOptions::default())
 }
 
 fn client() -> Endpoint {
@@ -266,4 +277,170 @@ fn nn_gather_converges_under_duplicate_and_reordered_sub_results() {
     // Straggler after the ring closed: ignored.
     let out = root.handle(0, env(ServerId(4), nn_sub_res(4, vec![], round)));
     assert!(out.is_empty());
+}
+
+// ------------------------------------------------------ deadlines
+
+/// A client request to server `to`.
+fn request(to: u32, msg: Message) -> Envelope<Message> {
+    Envelope::new(client(), ServerId(to).into(), msg)
+}
+
+/// A leaf's reply to the entry leaf 1.
+fn to_leaf_1(from: u32, msg: Message) -> Envelope<Message> {
+    Envelope::new(ServerId(from).into(), ServerId(1).into(), msg)
+}
+
+/// The `(to, corr)` of every forward in `out`, and the client answers
+/// as `(is_nn, complete, corr)`.
+type Fwds = Vec<(Endpoint, CorrId)>;
+type Answers = Vec<(bool, bool, CorrId)>;
+
+fn split(out: &[Envelope<Message>]) -> (Fwds, Answers) {
+    let (mut fwds, mut answers) = (Vec::new(), Vec::new());
+    for e in out {
+        match &e.msg {
+            Message::RangeQueryFwd { corr, .. } | Message::NeighborQueryFwd { corr, .. } => {
+                fwds.push((e.to, *corr));
+            }
+            Message::RangeQueryRes { complete, corr, .. } => {
+                assert_eq!(e.to, client());
+                answers.push((false, *complete, *corr));
+            }
+            Message::NeighborQueryRes { complete, corr, .. } => {
+                assert_eq!(e.to, client());
+                answers.push((true, *complete, *corr));
+            }
+            _ => {}
+        }
+    }
+    (fwds, answers)
+}
+
+#[test]
+fn nn_gather_that_escalates_then_times_out_answers_partially_with_the_client_corr() {
+    let mut leaf = grid_server(1, ServerOptions::default());
+    assert_eq!(leaf.config().area, quadrant(1));
+    let client_corr = CorrId(920);
+    let p = Point::new(250.0, 250.0);
+    let out = leaf.handle(0, request(1, Message::NeighborQueryReq {
+        p,
+        req_acc_m: 50.0,
+        near_qual_m: 0.0,
+        corr: client_corr,
+    }));
+    // No local candidate: the seed ring (the leaf's diagonal) escapes
+    // the leaf, so it goes up to the parent under the client's corr.
+    let radius = match out.as_slice() {
+        [Envelope { to, msg: Message::NeighborQueryFwd { radius_m, corr, .. }, .. }] => {
+            assert_eq!((*to, *corr), (ServerId(0).into(), client_corr));
+            *radius_m
+        }
+        other => panic!("expected one forward to the parent: {other:?}"),
+    };
+    let ring = Rect::from_center_size(p, 2.0 * radius, 2.0 * radius);
+
+    // The other three leaves find nothing in the ring (at t = 1 s): the
+    // ring closes empty and escalates under a fresh round corr.
+    let t1 = 1_000_000;
+    let mut out = Vec::new();
+    for l in [2, 3, 4] {
+        let m = Message::NeighborQuerySubRes {
+            items: vec![],
+            covered_area_m2: quadrant(l).intersection_area(&ring),
+            leaf: ServerId(l),
+            leaf_area: quadrant(l),
+            corr: client_corr,
+        };
+        out = leaf.handle(t1, to_leaf_1(l, m));
+    }
+    let (fwds, answers) = split(&out);
+    assert!(answers.is_empty(), "an empty ring escalates instead of answering: {out:?}");
+    assert_eq!(fwds.len(), 1, "the wider ring goes to the parent: {out:?}");
+    assert_eq!(fwds[0].0, ServerId(0).into());
+    assert_ne!(fwds[0].1, client_corr, "an escalation round is keyed by a fresh corr");
+    assert_eq!(leaf.pending_count(), 1);
+
+    // The escalated round's deadline counts from the escalation.
+    let deadline = leaf.next_timer().expect("the escalated round is parked");
+    assert_eq!(deadline, t1 + ServerOptions::default().query_timeout_us);
+    assert!(split(&leaf.tick(deadline - 1)).1.is_empty());
+    let out = leaf.tick(deadline);
+    assert_eq!(split(&out), (vec![], vec![(true, false, client_corr)]), "{out:?}");
+    assert_eq!(leaf.pending_count(), 0);
+}
+
+#[test]
+fn cache_direct_range_scatter_that_times_out_rescatters_through_the_hierarchy_once() {
+    let opts = ServerOptions {
+        caches: CacheConfig { area_cache: true, ..CacheConfig::default() },
+        ..ServerOptions::default()
+    };
+    let mut leaf = grid_server(1, opts);
+    let parent: Endpoint = ServerId(0).into();
+
+    // A first query goes through the hierarchy and teaches the area
+    // cache the other three leaves.
+    let first = Message::RangeQueryReq { query: whole_area_query(), corr: CorrId(930) };
+    let out = leaf.handle(0, request(1, first));
+    assert_eq!(split(&out).0, vec![(parent, CorrId(930))], "cold cache: scatter via the parent");
+    let mut out = Vec::new();
+    for l in [2, 3, 4] {
+        out = leaf.handle(0, to_leaf_1(l, range_sub_res(l, vec![], CorrId(930))));
+    }
+    assert_eq!(split(&out).1, vec![(false, true, CorrId(930))]);
+
+    // A second query scatters straight to the cached leaves ...
+    let corr = CorrId(931);
+    let out = leaf.handle(0, request(1, Message::RangeQueryReq { query: whole_area_query(), corr }));
+    let direct: Vec<Endpoint> = split(&out).0.iter().map(|(to, _)| *to).collect();
+    assert_eq!(direct, vec![ServerId(2).into(), ServerId(3).into(), ServerId(4).into()]);
+
+    // ... and when they stay silent, the entry flushes the area cache and
+    // re-scatters once through the hierarchy instead of answering.
+    let retry_at = leaf.next_timer().expect("parked");
+    let out = leaf.tick(retry_at);
+    assert_eq!(split(&out), (vec![(parent, corr)], vec![]), "{out:?}");
+    assert_eq!(leaf.pending_count(), 1);
+
+    // A second timeout answers partially, without another retry.
+    let give_up_at = leaf.next_timer().expect("re-parked");
+    assert_eq!(give_up_at, retry_at + ServerOptions::default().query_timeout_us);
+    let out = leaf.tick(give_up_at);
+    assert_eq!(split(&out), (vec![], vec![(false, false, corr)]), "{out:?}");
+    assert_eq!(leaf.pending_count(), 0);
+
+    // The cache was flushed: the next query goes via the parent again.
+    let third = Message::RangeQueryReq { query: whole_area_query(), corr: CorrId(932) };
+    let out = leaf.handle(give_up_at, request(1, third));
+    assert_eq!(split(&out).0, vec![(parent, CorrId(932))]);
+}
+
+#[test]
+fn gathers_due_in_one_tick_answer_range_before_nn_in_corr_order() {
+    let mut root = root_server();
+    // Interleaved corrs: a single corr-ordered scan would answer NN 2
+    // first; the answers come range first, each kind in corr order.
+    for c in [5, 3] {
+        let m = Message::RangeQueryReq { query: whole_area_query(), corr: CorrId(c) };
+        let out = root.handle(0, request(0, m));
+        assert_eq!(split(&out).0.len(), 4);
+    }
+    for c in [4, 2] {
+        assert_eq!(start_nn_gather(&mut root, CorrId(c)), CorrId(c));
+    }
+    assert_eq!(root.pending_count(), 4);
+    let deadline = root.next_timer().expect("four gathers parked");
+    let (fwds, answers) = split(&root.tick(deadline));
+    assert!(fwds.is_empty());
+    assert_eq!(
+        answers,
+        vec![
+            (false, false, CorrId(3)),
+            (false, false, CorrId(5)),
+            (true, false, CorrId(2)),
+            (true, false, CorrId(4)),
+        ]
+    );
+    assert_eq!(root.pending_count(), 0);
 }

@@ -76,10 +76,30 @@ impl CorrIdGen {
     }
 
     /// Creates a generator in a private namespace: ids are
-    /// `(namespace << 40) + n`. Nodes use their own id as namespace so
-    /// correlation ids are globally unique across a deployment.
+    /// `(namespace << 40) + n`. A deployment splits the namespaces so
+    /// correlation ids are globally unique across it: server `s` takes
+    /// `s + 1` ([`CorrIdGen::for_server`]), the simulator's driver takes
+    /// `1 << 20`, and runtime clients take [`CorrIdGen::CLIENT_NAMESPACE`]
+    /// plus the low 23 bits of their id ([`CorrIdGen::for_client`]). Ids
+    /// stay unique while servers number fewer than `(1 << 20) - 1` and
+    /// live clients fewer than `1 << 23`.
     pub fn namespaced(namespace: u64) -> Self {
         CorrIdGen { next: namespace << 40 }
+    }
+
+    /// The bit that sets client namespaces apart from server ones.
+    pub const CLIENT_NAMESPACE: u64 = 1 << 23;
+
+    /// The generator of server `id`: namespace `id + 1`.
+    pub fn for_server(id: ServerId) -> Self {
+        Self::namespaced(u64::from(id.0) + 1)
+    }
+
+    /// The generator of client `id`: namespace
+    /// [`CorrIdGen::CLIENT_NAMESPACE`] plus the id's low 23 bits, so a
+    /// deployment's clients never draw a server's ids.
+    pub fn for_client(id: ClientId) -> Self {
+        Self::namespaced(Self::CLIENT_NAMESPACE | (id.0 & (Self::CLIENT_NAMESPACE - 1)))
     }
 
     /// Allocates the next correlation id.
