@@ -30,13 +30,19 @@ echo "==> churn scenario suite (reconfiguration under faults)"
 cargo test -q --offline -p hiloc-sim --test churn_scenarios
 cargo test -q --offline -p hiloc-core --test reconfig
 
-# Generative chaos: a fixed-seed batch of 64 generated scenarios (32
-# with the §6.5 caches off, 32 on under bounded-staleness semantics),
-# all oracle-checked, plus the corpus of shrunk reproducers from bugs
-# the fuzzer has already found. Fixed seeds keep the gate bit-for-bit
+# Generative chaos over the one plan type (`ScenarioSpec`: generated,
+# validated, shrunk, printed, parsed, replayed and run as one type): a
+# fixed-seed batch of 64 generated plans (32 with the §6.5 caches off,
+# 32 on under bounded-staleness semantics), all oracle-checked, plus the
+# corpus of shrunk reproducers from bugs the fuzzer has already found.
+# Named: a failing hand-written plan prints a replay line that parses
+# back to it, and the DSL refuses out-of-range fault values instead of
+# leaving them to panic later. Fixed seeds keep the gate bit-for-bit
 # deterministic and CI time bounded; HILOC_FUZZ_CASES scales local runs.
-echo "==> fuzz gate (generated scenarios, caches off+on, shrunk-reproducer corpus)"
+echo "==> fuzz gate (one plan type: generated plans, caches off+on, replay lines, shrunk-reproducer corpus)"
 cargo test -q --offline -p hiloc-sim --test fuzz_scenarios
+cargo test -q --offline -p hiloc-sim --test fuzz_scenarios -- --exact \
+    a_failing_hand_written_plan_prints_its_replay_line dsl_rejects_malformed_input
 cargo test -q --offline -p hiloc-sim --test fuzz_regressions
 
 # The replication chaos gate: fixed-seed generated scenarios with the
@@ -99,13 +105,16 @@ cargo test -q --offline -p hiloc-core --lib -- --exact \
 # runtime cannot run is rejected by name. Wall time stays bounded: fixed
 # seeds, 200 ms per operation under chaos, the whole binary well under
 # 60 s. The sharded runtime's chaos-surface unit suite and the
-# client-API suite (every test on both transports) ride along, and the
-# event-watch example runs on the threaded runtime, asserting the
-# events it prints.
+# client-API suite (every test on both transports) ride along, with the
+# UDP case named in which a datagram carrying a NaN position is dropped
+# as a stray and the object it named still answers; the event-watch
+# example runs on the threaded runtime, asserting the events it prints.
 echo "==> real-runtime fuzz gate (threaded + UDP: durable restart / power loss / checkpoint cut / partition / shed / faulted parity)"
 cargo test -q --offline -p hiloc-sim --test real_runtime_fuzz
 cargo test -q --offline -p hiloc-core --test sharded_runtime
 cargo test -q --offline -p hiloc-core --test runtime_transports
+cargo test -q --offline -p hiloc-core --test runtime_transports -- --exact \
+    udp_nan_update_is_a_stray_and_the_object_still_answers
 cargo run -q --offline --example event_alerts
 
 echo "==> cargo clippy -- -D warnings"

@@ -40,11 +40,6 @@ impl ServerConfig {
         self.children.is_empty()
     }
 
-    /// True when this server has no parent.
-    pub fn is_root(&self) -> bool {
-        self.parent.is_none()
-    }
-
     /// Half-open containment in this server's service area.
     pub fn contains(&self, p: Point) -> bool {
         self.area.contains_half_open(p)
@@ -179,11 +174,6 @@ impl Hierarchy {
     /// Iterator over the active (non-retired) configurations.
     pub fn active(&self) -> impl Iterator<Item = &ServerConfig> {
         self.servers.iter().filter(|s| !self.retired[s.id.0 as usize])
-    }
-
-    /// Number of active servers.
-    pub fn active_count(&self) -> usize {
-        self.active().count()
     }
 
     /// The configuration record of `id`.
@@ -857,7 +847,7 @@ mod tests {
         let h = HierarchyBuilder::grid(root_rect(), 0, 2).build().unwrap();
         assert_eq!(h.len(), 1);
         assert!(h.server(ServerId(0)).is_leaf());
-        assert!(h.server(ServerId(0)).is_root());
+        assert!(h.server(ServerId(0)).parent.is_none());
         assert_eq!(h.height(), 0);
         assert_eq!(h.leaf_for(Point::new(1.0, 1.0)), Some(ServerId(0)));
     }
@@ -1015,7 +1005,7 @@ mod tests {
         assert_eq!(absorber, victim);
         assert!(h.is_retired(new_id));
         assert_eq!(h.server(victim).area, old_area);
-        assert_eq!(h.active_count(), 5);
+        assert_eq!(h.active().count(), 5);
         assert_eq!(h.len(), 6, "retired slots are kept, ids never reused");
         // The retired record is degenerate: it contains nothing.
         assert_eq!(h.server(new_id).area.area(), 0.0);

@@ -638,3 +638,23 @@ fn udp_oversized_answer_counts_as_a_send_failure() {
     assert!(ls.send_failed() >= 1, "the oversized answer was not counted");
     ls.shutdown();
 }
+
+/// A position that is not finite does not decode: the update's
+/// datagram is one stray, the update times out, and the object keeps
+/// its registration and answers where it last was.
+#[test]
+fn udp_nan_update_is_a_stray_and_the_object_still_answers() {
+    let ls = deployment::<Udp>();
+    let mut client = Udp::client(&ls);
+    let pos = Point::new(100.0, 100.0);
+    let leaf = ls.leaf_for(pos);
+    let s = Sighting::new(ObjectId(1), client.now_us(), pos, 5.0);
+    let (agent, _) = client.register(leaf, s, 10.0, 50.0, 2.0).expect("registration");
+    client.set_timeout(Duration::from_millis(300));
+    let nan = Sighting::new(ObjectId(1), client.now_us(), Point::new(f64::NAN, 10.0), 5.0);
+    assert_eq!(client.update(agent, nan), Err(LsError::Timeout));
+    let root = ls.hierarchy().root();
+    let ld = client.pos_query(root, ObjectId(1)).expect("the object is still registered");
+    assert_eq!(ld.pos, pos);
+    ls.shutdown();
+}

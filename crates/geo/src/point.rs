@@ -79,12 +79,6 @@ impl Point {
         self.lerp(other, 0.5)
     }
 
-    /// Rotates this point (as a vector) counter-clockwise by `radians`.
-    pub fn rotated(self, radians: f64) -> Point {
-        let (s, c) = radians.sin_cos();
-        Point::new(self.x * c - self.y * s, self.x * s + self.y * c)
-    }
-
     /// Returns the unit vector in this direction.
     ///
     /// Returns `None` for the zero vector.
@@ -268,13 +262,6 @@ mod tests {
         let b = Point::new(10.0, 20.0);
         assert_eq!(a.lerp(b, 0.25), Point::new(2.5, 5.0));
         assert_eq!(a.midpoint(b), Point::new(5.0, 10.0));
-    }
-
-    #[test]
-    fn rotation_quarter_turn() {
-        let p = Point::new(1.0, 0.0).rotated(std::f64::consts::FRAC_PI_2);
-        assert!((p.x - 0.0).abs() < 1e-12);
-        assert!((p.y - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -99,66 +99,6 @@ impl Polygon {
         Polygon { vertices }
     }
 
-    /// The convex hull of a point set (Andrew's monotone chain),
-    /// as a counter-clockwise polygon.
-    ///
-    /// Useful for deriving a query area from observed positions (e.g.
-    /// "the area my fleet currently covers").
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidPolygon`] when fewer than three non-collinear
-    /// points are supplied.
-    pub fn convex_hull(points: &[Point]) -> Result<Self, InvalidPolygon> {
-        if points.len() < 3 {
-            return Err(InvalidPolygon::TooFewVertices);
-        }
-        if points.iter().any(|p| !p.is_finite()) {
-            return Err(InvalidPolygon::NonFiniteVertex);
-        }
-        let mut pts = points.to_vec();
-        pts.sort_by(|a, b| {
-            a.x.partial_cmp(&b.x)
-                .expect("finite coords")
-                .then(a.y.partial_cmp(&b.y).expect("finite coords"))
-        });
-        pts.dedup_by(|a, b| a.distance(*b) < GEO_EPS);
-        let n = pts.len();
-        if n < 3 {
-            return Err(InvalidPolygon::ZeroArea);
-        }
-        let mut hull: Vec<Point> = Vec::with_capacity(2 * n);
-        // Lower hull.
-        for &p in &pts {
-            while hull.len() >= 2 {
-                let q = hull[hull.len() - 1];
-                let r = hull[hull.len() - 2];
-                if (q - r).cross(p - r) <= GEO_EPS {
-                    hull.pop();
-                } else {
-                    break;
-                }
-            }
-            hull.push(p);
-        }
-        // Upper hull.
-        let lower_len = hull.len() + 1;
-        for &p in pts.iter().rev().skip(1) {
-            while hull.len() >= lower_len {
-                let q = hull[hull.len() - 1];
-                let r = hull[hull.len() - 2];
-                if (q - r).cross(p - r) <= GEO_EPS {
-                    hull.pop();
-                } else {
-                    break;
-                }
-            }
-            hull.push(p);
-        }
-        hull.pop(); // last point equals the first
-        Polygon::new(hull)
-    }
-
     /// The vertices in counter-clockwise order.
     pub fn vertices(&self) -> &[Point] {
         &self.vertices
@@ -183,11 +123,6 @@ impl Polygon {
     /// Area in square meters (always positive).
     pub fn area(&self) -> f64 {
         signed_area(&self.vertices)
-    }
-
-    /// Perimeter in meters.
-    pub fn perimeter(&self) -> f64 {
-        self.edges().map(|(a, b)| a.distance(b)).sum()
     }
 
     /// The centroid (area-weighted).
@@ -247,25 +182,6 @@ impl Polygon {
                 sign = cross.signum();
             } else if cross.signum() != sign {
                 return false;
-            }
-        }
-        true
-    }
-
-    /// True when no two non-adjacent edges intersect (O(n²) check,
-    /// intended for configuration validation, not hot paths).
-    pub fn is_simple(&self) -> bool {
-        let edges: Vec<(Point, Point)> = self.edges().collect();
-        let n = edges.len();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                // Adjacent edges share an endpoint by construction.
-                if j == i + 1 || (i == 0 && j == n - 1) {
-                    continue;
-                }
-                if segments_intersect(edges[i].0, edges[i].1, edges[j].0, edges[j].1) {
-                    return false;
-                }
             }
         }
         true
@@ -418,23 +334,6 @@ fn point_segment_distance(p: Point, a: Point, b: Point) -> f64 {
     p.distance(a + ab * t)
 }
 
-/// True when segments `ab` and `cd` properly intersect or touch.
-fn segments_intersect(a: Point, b: Point, c: Point, d: Point) -> bool {
-    let d1 = (b - a).cross(c - a);
-    let d2 = (b - a).cross(d - a);
-    let d3 = (d - c).cross(a - c);
-    let d4 = (d - c).cross(b - c);
-    if ((d1 > 0.0 && d2 < 0.0) || (d1 < 0.0 && d2 > 0.0))
-        && ((d3 > 0.0 && d4 < 0.0) || (d3 < 0.0 && d4 > 0.0))
-    {
-        return true;
-    }
-    (d1.abs() < GEO_EPS && point_on_segment(c, a, b))
-        || (d2.abs() < GEO_EPS && point_on_segment(d, a, b))
-        || (d3.abs() < GEO_EPS && point_on_segment(a, c, d))
-        || (d4.abs() < GEO_EPS && point_on_segment(b, c, d))
-}
-
 /// Intersection of infinite lines `p1p2` and `p3p4`; `None` when parallel.
 fn line_intersection(p1: Point, p2: Point, p3: Point, p4: Point) -> Option<Point> {
     let d1 = p2 - p1;
@@ -494,10 +393,9 @@ mod tests {
     }
 
     #[test]
-    fn area_perimeter_centroid() {
+    fn area_and_centroid() {
         let sq = unit_square();
         assert_eq!(sq.area(), 1.0);
-        assert_eq!(sq.perimeter(), 4.0);
         let c = sq.centroid();
         assert!((c.x - 0.5).abs() < 1e-12 && (c.y - 0.5).abs() < 1e-12);
     }
@@ -528,21 +426,6 @@ mod tests {
         assert!(l.contains(Point::new(0.5, 1.5)));
         assert!(!l.contains(Point::new(1.5, 1.5))); // in the notch
         assert!(!l.is_convex());
-        assert!(l.is_simple());
-    }
-
-    #[test]
-    fn self_intersecting_detected() {
-        // Bowtie: vertex list crosses itself; shoelace area is near zero
-        // for the symmetric case, so use an asymmetric bowtie.
-        let bowtie = Polygon::new(vec![
-            Point::new(0.0, 0.0),
-            Point::new(2.0, 2.0),
-            Point::new(2.0, 0.0),
-            Point::new(0.0, 1.5),
-        ])
-        .unwrap();
-        assert!(!bowtie.is_simple());
     }
 
     #[test]
@@ -652,49 +535,6 @@ mod tests {
         assert!((p.area() - circle_area).abs() / circle_area < 1e-3);
         assert!(p.is_convex());
         assert!(p.contains(Point::new(5.0, 5.0)));
-    }
-
-    #[test]
-    fn convex_hull_of_square_with_interior_points() {
-        let pts = vec![
-            Point::new(0.0, 0.0),
-            Point::new(10.0, 0.0),
-            Point::new(10.0, 10.0),
-            Point::new(0.0, 10.0),
-            Point::new(5.0, 5.0), // interior
-            Point::new(2.0, 3.0), // interior
-        ];
-        let hull = Polygon::convex_hull(&pts).unwrap();
-        assert_eq!(hull.len(), 4);
-        assert!((hull.area() - 100.0).abs() < 1e-9);
-        assert!(hull.is_convex());
-        for p in &pts {
-            assert!(hull.contains(*p));
-        }
-    }
-
-    #[test]
-    fn convex_hull_handles_duplicates_and_collinear() {
-        let pts = vec![
-            Point::new(0.0, 0.0),
-            Point::new(0.0, 0.0),
-            Point::new(5.0, 0.0), // collinear with the corners below
-            Point::new(10.0, 0.0),
-            Point::new(5.0, 7.0),
-        ];
-        let hull = Polygon::convex_hull(&pts).unwrap();
-        assert!(hull.is_convex());
-        assert!((hull.area() - 35.0).abs() < 1e-9);
-        // Degenerate inputs fail cleanly.
-        assert!(Polygon::convex_hull(&[Point::new(0.0, 0.0), Point::new(1.0, 1.0)]).is_err());
-        // All-collinear input cannot form a hull (the chain collapses
-        // to its endpoints).
-        assert!(Polygon::convex_hull(&[
-            Point::new(0.0, 0.0),
-            Point::new(1.0, 1.0),
-            Point::new(2.0, 2.0)
-        ])
-        .is_err());
     }
 
     #[test]

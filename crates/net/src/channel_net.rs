@@ -167,11 +167,6 @@ impl<M> ChannelNetwork<M> {
             None => SendOutcome::NoRoute,
         }
     }
-
-    /// Number of registered endpoints.
-    pub fn endpoint_count(&self) -> usize {
-        self.routes.read().len()
-    }
 }
 
 #[cfg(test)]
@@ -184,7 +179,6 @@ mod tests {
         let net: ChannelNetwork<String> = ChannelNetwork::new();
         let a = net.register(ServerId(0).into());
         let _b = net.register(ServerId(1).into());
-        assert_eq!(net.endpoint_count(), 2);
         assert!(net.send(Envelope::new(ServerId(1).into(), ServerId(0).into(), "hi".into())));
         let env = a.recv().unwrap();
         assert_eq!(env.msg, "hi");

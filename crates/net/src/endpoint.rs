@@ -50,14 +50,6 @@ impl Endpoint {
             Endpoint::Client(_) => None,
         }
     }
-
-    /// The client id, when this endpoint is a client.
-    pub fn as_client(self) -> Option<ClientId> {
-        match self {
-            Endpoint::Client(id) => Some(id),
-            Endpoint::Server(_) => None,
-        }
-    }
 }
 
 impl From<ServerId> for Endpoint {
@@ -89,9 +81,7 @@ mod tests {
     fn conversions() {
         let s: Endpoint = ServerId(3).into();
         assert_eq!(s.as_server(), Some(ServerId(3)));
-        assert_eq!(s.as_client(), None);
         let c: Endpoint = ClientId(7).into();
-        assert_eq!(c.as_client(), Some(ClientId(7)));
         assert_eq!(c.as_server(), None);
     }
 

@@ -366,7 +366,8 @@ impl<T: WireCodec> WireCodec for Vec<T> {
 wire_newtype!(ServerId(u32));
 wire_newtype!(CorrId(u64));
 
-/// A planar point: x then y (16 bytes).
+/// A planar point: x then y (16 bytes). A non-finite coordinate does
+/// not decode: no position on the service area is NaN or infinite.
 impl WireCodec for Point {
     const MIN_LEN: usize = 16;
 
@@ -382,7 +383,8 @@ impl WireCodec for Point {
     }
 
     fn decode(buf: &mut &[u8]) -> Option<Self> {
-        Some(Point::new(f64::decode(buf)?, f64::decode(buf)?))
+        let p = Point::new(f64::decode(buf)?, f64::decode(buf)?);
+        (p.x.is_finite() && p.y.is_finite()).then_some(p)
     }
 }
 
@@ -516,6 +518,18 @@ mod tests {
         for cut in 0..buf.len() {
             let mut r = &buf[..cut];
             assert!(Point::decode(&mut r).is_none(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn non_finite_points_do_not_decode() {
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        for (x, y) in [(nan, 10.0), (10.0, nan), (inf, 0.0), (0.0, -inf)] {
+            let mut buf = Vec::new();
+            x.encode(&mut buf);
+            y.encode(&mut buf);
+            assert_eq!(Point::from_bytes(&buf), None, "({x}, {y})");
+            assert_eq!(Rect::from_bytes(&[buf.as_slice(), &buf].concat()), None, "({x}, {y})");
         }
     }
 

@@ -1,18 +1,20 @@
-//! Generative chaos: a property-based scenario fuzzer with shrinking.
+//! Generative chaos: a property-based scenario fuzzer with shrinking,
+//! over the one chaos plan.
 //!
 //! The scripted suites (`chaos_scenarios.rs`, `churn_scenarios.rs`)
 //! explore a handful of curated timelines. This module explores the
-//! *space*: a seeded generator emits random but **valid** scenario
-//! timelines for the [`Runtime`] it is asked to target — mixed
-//! update/query load interleaved with every
-//! [`FaultAction`] verb and fault-plan window that runtime declares it
-//! can run — runs each against the [`scenario`](crate::scenario)
-//! oracle (optionally with the §6.5 caches enabled under
-//! bounded-staleness semantics), and on failure **shrinks** the
-//! timeline to a minimal reproducer printed as a single replayable DSL
-//! line. One generator, one validity model and one DSL serve the
-//! simulator and the real runtimes; the line's `runtime=` token says
-//! where [`replay_dsl`] runs it.
+//! *space*: a seeded generator emits random but **valid** plans — the
+//! same [`ScenarioSpec`] a scripted suite writes by hand — for the
+//! [`Runtime`] it is asked to target: mixed update/query load
+//! interleaved with every [`FaultAction`] verb and fault-plan window
+//! that runtime declares it can run, optionally with the §6.5 caches
+//! enabled under bounded-staleness semantics. [`ScenarioSpec::run`]
+//! checks each against the [`scenario`](crate::scenario) oracle, and on
+//! failure [`shrink`] cuts the plan to a minimal reproducer printed as
+//! a single replayable DSL line. One plan type, one generator, one
+//! validity model and one DSL serve the simulator and the real
+//! runtimes; the line's `runtime=` token says where [`replay_dsl`] runs
+//! it, and every plan — generated or hand-written — prints one.
 //!
 //! Validity is enforced at construction time by replaying every
 //! candidate timeline against a [`Hierarchy`] model: never crash an
@@ -24,23 +26,21 @@
 //! `Crash` also drops its paired `Restart` rather than producing a
 //! nonsense timeline.
 //!
-//! Everything is seed-deterministic: `generate(seed, mode)` always
-//! yields the same spec, a simulator run of that spec always produces
+//! Everything is seed-deterministic: `generate_with(seed, …)` always
+//! yields the same plan, a simulator run of that plan always produces
 //! the same trace (a real runtime replays the same movement on the
-//! host's clock), and the printed DSL replays the exact scenario via
+//! host's clock), and the printed DSL replays the exact plan via
 //! [`replay_dsl`]. `HILOC_FUZZ_CASES` scales batch sizes for longer
 //! local runs (CI uses the fixed default).
 
-use crate::harness::{Capabilities, Harness, Runtime};
+use crate::harness::Runtime;
 use crate::mobility::MobilityKind;
-use crate::real::{ThreadedHarness, UdpHarness};
 use crate::scenario::{subtree_endpoints, FaultAction, ScenarioEvent, ScenarioRun, ScenarioSpec};
-use hiloc_core::area::{Hierarchy, HierarchyBuilder};
+use hiloc_core::area::Hierarchy;
 use hiloc_core::cache::CacheConfig;
-use hiloc_core::model::{Micros, UpdatePolicy, SECOND};
-use hiloc_core::runtime::{ShardSpec, SimDeployment};
-use hiloc_geo::{Point, Rect};
-use hiloc_net::{Endpoint, FaultPlan, LatencySpike, Partition, ServerId};
+use hiloc_core::model::{UpdatePolicy, SECOND};
+use hiloc_core::runtime::ShardSpec;
+use hiloc_net::{Endpoint, FaultPlan, LatencySpike, LinkFault, Partition, ServerId};
 use hiloc_util::prop::Gen;
 use hiloc_util::rng::RngExt;
 use std::cell::Cell;
@@ -48,8 +48,6 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Once;
 
-/// Service-area side length used by every generated scenario (m).
-const AREA_M: f64 = 1_000.0;
 /// Hard cap on the number of servers a timeline may grow to.
 const MAX_SERVERS: usize = 32;
 /// The smallest fleet the generator draws.
@@ -57,162 +55,15 @@ const MIN_OBJECTS: u64 = 6;
 /// Hard cap on candidate runs one [`shrink`] call may spend.
 const SHRINK_BUDGET: usize = 300;
 
-/// Whether generated scenarios run with the §6.5 caches on, and under
-/// which staleness bound.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CacheMode {
-    /// All caches off — the paper's measured prototype.
-    Off,
-    /// Area, agent and position caches on.
-    On {
-        /// The position cache's `position_max_aged_acc_m` bound (m).
-        max_aged_acc_m: f64,
-    },
+/// The §6.5 caches the DSL's `caches=on:<aged>` deploys: area, agent
+/// and position caches on, the position cache's
+/// `position_max_aged_acc_m` staleness bound at `max_aged_acc_m`.
+/// (`caches=off` is [`CacheConfig::default`].)
+pub fn caches_on(max_aged_acc_m: f64) -> CacheConfig {
+    CacheConfig { position_max_aged_acc_m: max_aged_acc_m, ..CacheConfig::all_enabled() }
 }
 
-impl CacheMode {
-    /// The [`CacheConfig`] this mode deploys.
-    pub fn to_config(self) -> CacheConfig {
-        match self {
-            CacheMode::Off => CacheConfig::default(),
-            CacheMode::On { max_aged_acc_m } => CacheConfig {
-                position_max_aged_acc_m: max_aged_acc_m,
-                ..CacheConfig::all_enabled()
-            },
-        }
-    }
-}
-
-/// A generated (or parsed) fuzz scenario: everything needed to rebuild
-/// the exact [`ScenarioSpec`], in a shape the shrinker can mutate and
-/// the DSL can round-trip.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FuzzSpec {
-    /// The deployment the plan runs on; it must declare every
-    /// capability the plan needs ([`Capabilities::admit`]).
-    pub runtime: Runtime,
-    /// Master seed (placement, mobility, network jitter).
-    pub seed: u64,
-    /// Hierarchy depth below the root.
-    pub levels: u32,
-    /// Grid fan-out per level.
-    pub fanout: u32,
-    /// Number of tracked objects.
-    pub num_objects: u64,
-    /// Object speed (m/s).
-    pub speed_mps: f64,
-    /// Chaos steps before the settle phase.
-    pub steps: u32,
-    /// Virtual seconds per step.
-    pub step_dt_s: f64,
-    /// Mobility model.
-    pub mobility: MobilityKind,
-    /// Update-reporting policy.
-    pub policy: UpdatePolicy,
-    /// Mixed query load through the root during chaos.
-    pub mid_chaos_queries: bool,
-    /// Use the macro-benchmark query mix (Zipf-skewed pos/range/NN
-    /// entering at hot leaves) instead of the root round. Only
-    /// meaningful when `mid_chaos_queries` is set.
-    pub macro_mix: bool,
-    /// §6.5 cache mode.
-    pub caches: CacheMode,
-    /// Deploy the replication subsystem (warm standbys + leaf replica
-    /// rings). Standby slots shift every later-spawned server id, so
-    /// the validity model mirrors the reservation exactly.
-    pub replication: bool,
-    /// Global message-drop probability.
-    pub drop_prob: f64,
-    /// Global message-duplication probability.
-    pub dup_prob: f64,
-    /// Message reordering `(probability, spread_us)`, when enabled.
-    pub reorder: Option<(f64, u64)>,
-    /// Timed partitions: `(start_us, end_us, isolated server ids)`.
-    pub partitions: Vec<(Micros, Micros, Vec<u32>)>,
-    /// Timed latency spikes: `(start_us, end_us, extra_us)`.
-    pub spikes: Vec<(Micros, Micros, Micros)>,
-    /// The scripted timeline verbs.
-    pub events: Vec<ScenarioEvent>,
-    /// Shard count and per-shard inbox bound of a sharded runtime.
-    pub layout: ShardSpec,
-}
-
-/// The initial (pre-reshape) grid hierarchy a fuzz scenario deploys.
-fn grid(levels: u32, fanout: u32) -> Hierarchy {
-    let rect = Rect::new(Point::new(0.0, 0.0), Point::new(AREA_M, AREA_M));
-    HierarchyBuilder::grid(rect, levels, fanout).build().expect("fuzz grid")
-}
-
-impl Runtime {
-    /// What the runtime's harness declares it can do.
-    pub fn capabilities(self) -> Capabilities {
-        match self {
-            Runtime::Sim => SimDeployment::CAPS,
-            Runtime::Threaded => ThreadedHarness::CAPS,
-            Runtime::Udp => UdpHarness::CAPS,
-        }
-    }
-}
-
-impl FuzzSpec {
-    /// The concrete scenario this spec runs.
-    pub fn to_scenario(&self) -> ScenarioSpec {
-        let mut faults = FaultPlan::uniform(self.drop_prob, self.dup_prob);
-        if let Some((p, spread)) = self.reorder {
-            faults = faults.with_reorder(p, spread);
-        }
-        for (start, end, ids) in &self.partitions {
-            let eps: Vec<Endpoint> =
-                ids.iter().map(|&id| Endpoint::Server(ServerId(id))).collect();
-            faults = faults.with_partition(Partition::isolate(*start, *end, eps));
-        }
-        for (start, end, extra) in &self.spikes {
-            faults = faults.with_spike(LatencySpike::new(*start, *end, *extra));
-        }
-        ScenarioSpec {
-            name: format!("fuzz-{}", self.seed),
-            seed: self.seed,
-            area_m: AREA_M,
-            levels: self.levels,
-            fanout: self.fanout,
-            num_objects: self.num_objects,
-            speed_mps: self.speed_mps,
-            mobility: self.mobility,
-            policy: self.policy,
-            step_dt_s: self.step_dt_s,
-            steps: self.steps,
-            faults,
-            durable: true,
-            mid_chaos_queries: self.mid_chaos_queries,
-            macro_mix: self.macro_mix,
-            caches: self.caches.to_config(),
-            replication: self.replication,
-            events: self.events.clone(),
-            layout: self.layout,
-            replay: self.to_dsl(),
-            ..Default::default()
-        }
-    }
-
-    /// Runs the plan on the runtime it names.
-    ///
-    /// # Errors
-    ///
-    /// That runtime cannot do something the plan needs; the message
-    /// names it, and nothing was deployed.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the oracle's report when the run goes red.
-    pub fn run(&self) -> Result<ScenarioRun, String> {
-        let scenario = self.to_scenario();
-        match self.runtime {
-            Runtime::Sim => scenario.run_on::<SimDeployment>(),
-            Runtime::Threaded => scenario.run_on::<ThreadedHarness>(),
-            Runtime::Udp => scenario.run_on::<UdpHarness>(),
-        }
-    }
-
+impl ScenarioSpec {
     /// Whether the timeline is constructible: every verb is legal at
     /// its step (replayed against a hierarchy model) and every crashed
     /// server is back up — or retired — before the settle phase.
@@ -226,8 +77,7 @@ impl FuzzSpec {
         {
             return false;
         }
-        let h0 = grid(self.levels, self.fanout);
-        let mut model = TimelineModel::new(h0, self.num_objects, self.replication);
+        let mut model = TimelineModel::new(self.hierarchy(), self.num_objects, self.replication);
         for step in 0..self.steps {
             for ev in self.events.iter().filter(|e| e.at_step == step) {
                 if !model.try_apply(&ev.action) {
@@ -415,13 +265,14 @@ impl TimelineModel {
 
 // ----------------------------------------------------------- generator
 
-/// The generator: a random, valid plan for `runtime` from `seed` — same
-/// seed, same spec. It draws only what the runtime declares it can run
-/// ([`Runtime::capabilities`]): reshape verbs, the link model's faults
-/// and timed windows, clock-keyed update policies; `Partition` /
-/// `HealNetwork` verb pairs where the network can only be cut by verb;
-/// a shard layout; and — where inboxes are bounded — sometimes a tiny
-/// inbox with overload `Burst`s, so shedding is reachable. What a
+/// The generator: a random, valid plan for `runtime` from `seed`,
+/// deploying `caches` — same seed, same plan. It draws only what the
+/// runtime declares it can run ([`Runtime::capabilities`]): reshape
+/// verbs, the link model's faults and timed windows, clock-keyed update
+/// policies; `Partition` / `HealNetwork` verb pairs where the network
+/// can only be cut by verb; a shard layout; and — where inboxes are
+/// bounded — sometimes a tiny inbox with overload `Burst`s, so shedding
+/// is reachable. What a
 /// capability rules out costs no draw: the simulator's draw sequence is
 /// the one it always had.
 ///
@@ -434,10 +285,10 @@ impl TimelineModel {
 /// promotions, not trip over them by luck.
 pub fn generate_with(
     seed: u64,
-    caches: CacheMode,
+    caches: CacheConfig,
     replication: bool,
     runtime: Runtime,
-) -> FuzzSpec {
+) -> ScenarioSpec {
     let caps = runtime.capabilities();
     assert!(caps.reshape || !replication, "runtime={runtime} cannot deploy replication");
     let mut g = Gen::for_seed(seed);
@@ -461,40 +312,35 @@ pub fn generate_with(
     let link = caps.link_model;
     let drop_prob = if link && g.chance(0.5) { g.random_range(0.0..0.10) } else { 0.0 };
     let dup_prob = if link && g.chance(0.4) { g.random_range(0.0..0.06) } else { 0.0 };
-    let reorder = if link && g.chance(0.4) {
-        Some((g.random_range(0.05..0.3), g.random_range(10_000..150_000u64)))
-    } else {
-        None
-    };
+    let mut faults = FaultPlan::uniform(drop_prob, dup_prob);
+    if link && g.chance(0.4) {
+        faults = faults.with_reorder(g.random_range(0.05..0.3), g.random_range(10_000..150_000u64));
+    }
 
-    let h0 = grid(levels, fanout);
+    let h0 = ScenarioSpec { levels, fanout, ..Default::default() }.hierarchy();
 
-    let mut partitions = Vec::new();
     for _ in 0..if link { g.weighted(&[4, 3, 1]) } else { 0 } {
         let start = g.random_range(2 * SECOND..(horizon_us * 6 / 10).max(3 * SECOND));
         let dur = g.random_range(4 * SECOND..=16 * SECOND);
-        let ids: Vec<u32> = if g.chance(0.5) {
+        let isolated: Vec<Endpoint> = if g.chance(0.5) {
             // Isolate a whole subtree.
             let all: Vec<ServerId> = h0.servers().iter().map(|c| c.id).collect();
             let sub = *g.pick(&all[1..]); // never the root's subtree (everything)
             subtree_endpoints(&h0, sub)
-                .iter()
-                .filter_map(|e| e.as_server().map(|s| s.0))
-                .collect()
         } else {
             // Isolate one or two individual servers.
             let mut ids: Vec<u32> = (0..h0.len() as u32).collect();
             g.shuffle(&mut ids);
             ids.truncate(g.random_range(1..=2));
-            ids
+            ids.into_iter().map(|id| Endpoint::Server(ServerId(id))).collect()
         };
-        partitions.push((start, start + dur, ids));
+        faults = faults.with_partition(Partition::isolate(start, start + dur, isolated));
     }
-    let mut spikes = Vec::new();
     for _ in 0..if link { g.weighted(&[3, 1]) } else { 0 } {
         let start = g.random_range(SECOND..(horizon_us * 7 / 10).max(2 * SECOND));
         let dur = g.random_range(2 * SECOND..=10 * SECOND);
-        spikes.push((start, start + dur, g.random_range(50_000..400_000u64)));
+        let extra_us = g.random_range(50_000..400_000u64);
+        faults = faults.with_spike(LatencySpike::new(start, start + dur, extra_us));
     }
 
     // ---- timeline walk: draw verbs only where they are legal *now*,
@@ -691,7 +537,8 @@ pub fn generate_with(
     }
     debug_assert!(model.closed(), "generator left an unclosable timeline");
 
-    FuzzSpec {
+    ScenarioSpec {
+        name: format!("fuzz-{seed}"),
         runtime,
         seed,
         levels,
@@ -702,17 +549,15 @@ pub fn generate_with(
         step_dt_s,
         mobility,
         policy,
+        faults,
+        durable: true,
         mid_chaos_queries: g.chance(0.7),
         macro_mix: g.chance(0.35),
         caches,
         replication,
-        drop_prob,
-        dup_prob,
-        reorder,
-        partitions,
-        spikes,
         events,
         layout,
+        ..Default::default()
     }
 }
 
@@ -723,12 +568,12 @@ thread_local! {
 }
 static PANIC_HOOK: Once = Once::new();
 
-/// Runs a spec, converting an oracle panic (like a rejection by the
-/// runtime it names) into `Err(message)` without
+/// Runs a plan, converting an oracle panic into `Err(message)`, as a
+/// rejection before deployment already is, without
 /// spewing the (huge) failure report of every shrink candidate to
 /// stderr. The silencing is thread-local: concurrent tests keep their
 /// normal panic output.
-pub fn run_captured(spec: &FuzzSpec) -> Result<ScenarioRun, String> {
+pub fn run_captured(spec: &ScenarioSpec) -> Result<ScenarioRun, String> {
     PANIC_HOOK.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
@@ -755,10 +600,10 @@ pub fn run_captured(spec: &FuzzSpec) -> Result<ScenarioRun, String> {
 /// the first candidate of [`simpler`] that is valid against the timeline
 /// model and still fails the oracle replaces the spec, until none does.
 /// Returns the smallest failing spec found within the shrink budget.
-pub fn shrink(spec: &FuzzSpec) -> FuzzSpec {
+pub fn shrink(spec: &ScenarioSpec) -> ScenarioSpec {
     let mut best = spec.clone();
     let mut runs = 0usize;
-    let mut still_fails = |c: &FuzzSpec| {
+    let mut still_fails = |c: &ScenarioSpec| {
         let candidate = runs < SHRINK_BUDGET && c.valid();
         runs += usize::from(candidate);
         candidate && run_captured(c).is_err()
@@ -773,9 +618,9 @@ pub fn shrink(spec: &FuzzSpec) -> FuzzSpec {
 /// timeline verbs (singly, then in dependent pairs), strip faults,
 /// shorten the run, thin the fleet, disable the query load, strip
 /// replication, flatten the tree.
-fn simpler(best: &FuzzSpec) -> Vec<FuzzSpec> {
+fn simpler(best: &ScenarioSpec) -> Vec<ScenarioSpec> {
     let mut out = Vec::new();
-    let mut edit = |apply: &dyn Fn(&mut FuzzSpec)| {
+    let mut edit = |apply: &dyn Fn(&mut ScenarioSpec)| {
         let mut c = best.clone();
         apply(&mut c);
         if c != *best {
@@ -796,21 +641,21 @@ fn simpler(best: &FuzzSpec) -> Vec<FuzzSpec> {
             });
         }
     }
-    // Network faults wholesale, then piecewise.
-    edit(&|c| {
-        (c.drop_prob, c.dup_prob, c.reorder) = (0.0, 0.0, None);
-        c.partitions.clear();
-        c.spikes.clear();
-    });
-    for i in (0..best.partitions.len()).rev() {
-        edit(&|c| _ = c.partitions.remove(i));
+    // Network faults wholesale, then piecewise: one fault token off the
+    // replay line (partitions and spikes last first, then drop, dup and
+    // reorder), parsed back.
+    edit(&|c| c.faults = FaultPlan::none());
+    let line = best.to_dsl();
+    let tokens: Vec<&str> = line.split_whitespace().collect();
+    let at = |key: &'static str| tokens.iter().enumerate().filter(move |(_, t)| t.starts_with(key));
+    let pieces = at("part=").rev().chain(at("spike=").rev());
+    let pieces = pieces.chain(at("drop=")).chain(at("dup=")).chain(at("reorder="));
+    for (i, _) in pieces {
+        let without: Vec<&str> =
+            tokens.iter().enumerate().filter(|&(j, _)| j != i).map(|(_, t)| *t).collect();
+        let faults = parse_dsl(&without.join(" ")).expect("a replay line less one token").faults;
+        edit(&|c| c.faults = faults.clone());
     }
-    for i in (0..best.spikes.len()).rev() {
-        edit(&|c| _ = c.spikes.remove(i));
-    }
-    edit(&|c| c.drop_prob = 0.0);
-    edit(&|c| c.dup_prob = 0.0);
-    edit(&|c| c.reorder = None);
     // The run, to just past the last verb; then the fleet.
     let last_step = best.events.iter().map(|e| e.at_step).max().unwrap_or(0);
     edit(&|c| c.steps = c.steps.min(last_step + 2));
@@ -831,12 +676,17 @@ fn simpler(best: &FuzzSpec) -> Vec<FuzzSpec> {
 
 // ------------------------------------------------------------- the DSL
 
-impl FuzzSpec {
-    /// The one-line replay DSL for this spec. Round-trips exactly
-    /// through [`parse_dsl`]: every float is printed in its shortest
-    /// exact form. `runtime=`, `shards=` and `inbox=` are printed when
-    /// they differ from what [`parse_dsl`] assumes (the simulator, the
-    /// default [`ShardSpec`]).
+impl ScenarioSpec {
+    /// The one-line replay DSL for this plan; [`parse_dsl`] reads it
+    /// back to the same plan, name aside, and [`ScenarioSpec::run`]
+    /// checks that before deploying. Every float is printed in its
+    /// shortest exact form. `runtime=`, `shards=`, `inbox=`, `repl=`,
+    /// `durable=`, `scale=` and the fault tokens are printed only when
+    /// they differ from what [`parse_dsl`] assumes. A setting the DSL
+    /// cannot say — a partition that is not an isolated server set, a
+    /// link fault not between two servers, a cache configuration other
+    /// than off or [`caches_on`] — does not survive the line, and
+    /// [`ScenarioSpec::run`] refuses the plan, naming the field.
     pub fn to_dsl(&self) -> String {
         let mut out = Vec::new();
         if self.runtime != Runtime::Sim {
@@ -863,9 +713,10 @@ impl FuzzSpec {
             },
             format!("queries={}", u8::from(self.mid_chaos_queries)),
             format!("mix={}", u8::from(self.macro_mix)),
-            match self.caches {
-                CacheMode::Off => "caches=off".to_string(),
-                CacheMode::On { max_aged_acc_m } => format!("caches=on:{max_aged_acc_m}"),
+            if self.caches == CacheConfig::default() {
+                "caches=off".to_string()
+            } else {
+                format!("caches=on:{}", self.caches.position_max_aged_acc_m)
             },
         ]);
         if self.layout.shards != ShardSpec::default().shards {
@@ -877,21 +728,41 @@ impl FuzzSpec {
         if self.replication {
             out.push("repl=1".to_string());
         }
-        if self.drop_prob > 0.0 {
-            out.push(format!("drop={}", self.drop_prob));
+        if !self.durable {
+            out.push("durable=0".to_string());
         }
-        if self.dup_prob > 0.0 {
-            out.push(format!("dup={}", self.dup_prob));
+        if self.time_scale != 1 {
+            out.push(format!("scale={}", self.time_scale));
         }
-        if let Some((p, spread)) = self.reorder {
+        let faults = &self.faults;
+        if faults.drop_prob() > 0.0 {
+            out.push(format!("drop={}", faults.drop_prob()));
+        }
+        if faults.duplicate_prob() > 0.0 {
+            out.push(format!("dup={}", faults.duplicate_prob()));
+        }
+        let (p, spread) = faults.reorder();
+        if p > 0.0 || spread > 0 {
             out.push(format!("reorder={p}:{spread}"));
         }
-        for (start, end, ids) in &self.partitions {
-            let ids: Vec<String> = ids.iter().map(|i| i.to_string()).collect();
-            out.push(format!("part={start}-{end}:{}", ids.join("+")));
+        for link in faults.links() {
+            if let (Some(Endpoint::Server(from)), Some(Endpoint::Server(to))) = link.ends() {
+                let (drop, dup, extra_us) = link.effects();
+                out.push(format!("link={}-{}:{drop}:{dup}:{extra_us}", from.0, to.0));
+            }
         }
-        for (start, end, extra) in &self.spikes {
-            out.push(format!("spike={start}-{end}:{extra}"));
+        for partition in faults.partitions() {
+            let ids: Option<Vec<String>> = partition.isolated().and_then(|set| {
+                set.iter().map(|e| e.as_server().map(|id| id.0.to_string())).collect()
+            });
+            if let Some(ids) = ids {
+                let (start, end) = partition.window();
+                out.push(format!("part={start}-{end}:{}", ids.join("+")));
+            }
+        }
+        for spike in faults.spikes() {
+            let (start, end) = spike.window();
+            out.push(format!("spike={start}-{end}:{}", spike.extra_us()));
         }
         for ev in &self.events {
             out.push(format!("ev={}:{}", ev.at_step, ev.action));
@@ -900,42 +771,56 @@ impl FuzzSpec {
     }
 }
 
-/// Parses a replay line produced by [`FuzzSpec::to_dsl`] (as printed
-/// by a failing fuzz batch) back into the exact spec.
+/// Parses a replay line produced by [`ScenarioSpec::to_dsl`] (as
+/// printed by every failing plan) back into the exact plan, named
+/// `fuzz-<seed>`. A key the line leaves out takes the parse base: the
+/// simulator, seed 0, 8 objects over 10 steps of 2 s, one level of
+/// fan-out 2, random waypoint at 10 m/s reporting every 10 m, durable
+/// stores, no query load, caches off, no faults — otherwise
+/// [`ScenarioSpec::default`].
 ///
 /// # Errors
 ///
-/// Returns a description of the first malformed token.
-pub fn parse_dsl(dsl: &str) -> Result<FuzzSpec, String> {
+/// Returns a description of the first malformed token — a flag other
+/// than `0` or `1`, and a fault value out of range (a probability
+/// outside `[0, 1]`, a window that ends before it starts), which
+/// [`FaultPlan`] would refuse, included.
+pub fn parse_dsl(dsl: &str) -> Result<ScenarioSpec, String> {
     fn num<T: std::str::FromStr>(key: &str, v: &str) -> Result<T, String>
     where
         T::Err: std::fmt::Display,
     {
         v.parse::<T>().map_err(|e| format!("bad {key}='{v}': {e}"))
     }
-    let mut spec = FuzzSpec {
-        runtime: Runtime::Sim,
-        seed: 0,
-        levels: 1,
-        fanout: 2,
-        num_objects: 8,
-        speed_mps: 10.0,
-        steps: 10,
-        step_dt_s: 2.0,
-        mobility: MobilityKind::RandomWaypoint,
-        policy: UpdatePolicy::Distance { threshold_m: 10.0 },
-        mid_chaos_queries: false,
-        macro_mix: false,
-        caches: CacheMode::Off,
-        replication: false,
-        drop_prob: 0.0,
-        dup_prob: 0.0,
-        reorder: None,
-        partitions: Vec::new(),
-        spikes: Vec::new(),
-        events: Vec::new(),
-        layout: ShardSpec::default(),
-    };
+    fn flag(key: &str, v: &str) -> Result<bool, String> {
+        match v {
+            "0" => Ok(false),
+            "1" => Ok(true),
+            _ => Err(format!("bad {key}='{v}': neither 0 nor 1")),
+        }
+    }
+    fn prob(key: &str, v: &str) -> Result<f64, String> {
+        let p: f64 = num(key, v)?;
+        if (0.0..=1.0).contains(&p) {
+            Ok(p)
+        } else {
+            Err(format!("bad {key}='{v}': not a probability in [0, 1]"))
+        }
+    }
+    /// `<start>-<end>:<what the window does>`, start at most end.
+    fn window<'v>(key: &str, v: &'v str) -> Result<(u64, u64, &'v str), String> {
+        let (start, rest) = v.split_once('-').ok_or_else(|| format!("bad {key} window '{v}'"))?;
+        let (end, arg) = rest.split_once(':').ok_or_else(|| format!("bad {key} '{v}'"))?;
+        let (start, end) = (num(key, start)?, num(key, end)?);
+        if start <= end {
+            Ok((start, end, arg))
+        } else {
+            Err(format!("bad {key} window '{v}': it ends before it starts"))
+        }
+    }
+    let server = |v: &str| num::<u32>("server id", v).map(|id| Endpoint::Server(ServerId(id)));
+    let mut spec =
+        ScenarioSpec { seed: 0, num_objects: 8, steps: 10, durable: true, ..Default::default() };
     for token in dsl.split_whitespace() {
         let (key, value) =
             token.split_once('=').ok_or_else(|| format!("token '{token}' is not key=value"))?;
@@ -971,36 +856,52 @@ pub fn parse_dsl(dsl: &str) -> Result<FuzzSpec, String> {
                     _ => return Err(format!("unknown policy '{value}'")),
                 }
             }
-            "queries" => spec.mid_chaos_queries = value == "1",
-            "mix" => spec.macro_mix = value == "1",
+            "queries" => spec.mid_chaos_queries = flag(key, value)?,
+            "mix" => spec.macro_mix = flag(key, value)?,
             "caches" => {
                 spec.caches = match value.split_once(':') {
-                    None if value == "off" => CacheMode::Off,
-                    Some(("on", a)) => CacheMode::On { max_aged_acc_m: num("caches", a)? },
+                    None if value == "off" => CacheConfig::default(),
+                    Some(("on", a)) => caches_on(num("caches", a)?),
                     _ => return Err(format!("unknown cache mode '{value}'")),
                 }
             }
-            "repl" => spec.replication = value == "1",
-            "drop" => spec.drop_prob = num("drop", value)?,
-            "dup" => spec.dup_prob = num("dup", value)?,
-            "reorder" => {
-                let (p, spread) =
-                    value.split_once(':').ok_or_else(|| format!("bad reorder '{value}'"))?;
-                spec.reorder = Some((num("reorder", p)?, num("reorder", spread)?));
-            }
-            "part" | "spike" => {
-                // `<start>-<end>:<what the window does>`
-                let (start, rest) =
-                    value.split_once('-').ok_or_else(|| format!("bad {key} window '{value}'"))?;
-                let (end, arg) =
-                    rest.split_once(':').ok_or_else(|| format!("bad {key} '{value}'"))?;
-                let (start, end) = (num(key, start)?, num(key, end)?);
-                if key == "spike" {
-                    spec.spikes.push((start, end, num(key, arg)?));
-                } else {
-                    let ids = arg.split('+').map(|i| num::<u32>("part id", i));
-                    spec.partitions.push((start, end, ids.collect::<Result<_, _>>()?));
-                }
+            "repl" => spec.replication = flag(key, value)?,
+            "durable" => spec.durable = flag(key, value)?,
+            "scale" => spec.time_scale = num("scale", value)?,
+            "drop" | "dup" | "reorder" | "link" | "part" | "spike" => {
+                let faults = std::mem::take(&mut spec.faults);
+                spec.faults = match key {
+                    "drop" => faults.with_drop(prob(key, value)?),
+                    "dup" => faults.with_duplicate(prob(key, value)?),
+                    "reorder" => {
+                        let (p, spread) =
+                            value.split_once(':').ok_or_else(|| format!("bad reorder '{value}'"))?;
+                        faults.with_reorder(prob(key, p)?, num(key, spread)?)
+                    }
+                    "link" => {
+                        // `<from>-<to>:<drop>:<dup>:<extra_us>`, two server ids
+                        let bad = || format!("bad link '{value}'");
+                        let (ends, effects) = value.split_once(':').ok_or_else(bad)?;
+                        let (from, to) = ends.split_once('-').ok_or_else(bad)?;
+                        let effects: Vec<&str> = effects.split(':').collect();
+                        let [drop, dup, extra_us] = effects[..] else { return Err(bad()) };
+                        faults.with_link(
+                            LinkFault::between(server(from)?, server(to)?)
+                                .with_drop(prob(key, drop)?)
+                                .with_duplicate(prob(key, dup)?)
+                                .with_extra_latency(num(key, extra_us)?),
+                        )
+                    }
+                    "part" => {
+                        let (start, end, ids) = window(key, value)?;
+                        let isolated = ids.split('+').map(server).collect::<Result<_, _>>()?;
+                        faults.with_partition(Partition::isolate(start, end, isolated))
+                    }
+                    _ => {
+                        let (start, end, extra_us) = window(key, value)?;
+                        faults.with_spike(LatencySpike::new(start, end, num(key, extra_us)?))
+                    }
+                };
             }
             "ev" => {
                 let (step, verb) =
@@ -1013,6 +914,7 @@ pub fn parse_dsl(dsl: &str) -> Result<FuzzSpec, String> {
             _ => return Err(format!("unknown key '{key}'")),
         }
     }
+    spec.name = format!("fuzz-{}", spec.seed);
     Ok(spec)
 }
 
@@ -1072,7 +974,8 @@ pub fn cases_from_env(default: u32) -> u32 {
         .max(1)
 }
 
-/// Runs `cases` simulator scenarios generated from `base_seed`. Each is
+/// Runs `cases` simulator plans generated from `base_seed`, each
+/// deploying `caches`. Each is
 /// oracle-checked; the first failure is shrunk to a minimal reproducer
 /// and reported as a panic carrying one replayable DSL line. With
 /// `replication` set, every scenario deploys warm standbys and the leaf
@@ -1086,7 +989,7 @@ pub fn cases_from_env(default: u32) -> u32 {
 pub fn fuzz_batch_with(
     base_seed: u64,
     cases: u32,
-    caches: CacheMode,
+    caches: CacheConfig,
     replication: bool,
 ) -> BatchStats {
     let mut stats = BatchStats::default();

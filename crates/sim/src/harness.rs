@@ -1,8 +1,9 @@
 //! The seam between a chaos plan and the deployment it runs on.
 //!
-//! [`ScenarioSpec::run_on`] walks one plan over any [`Harness`] — the
-//! simulator ([`SimDeployment`], implemented here) or a real sharded
-//! runtime ([`RuntimeHarness`](crate::real::RuntimeHarness)). Fleet,
+//! [`ScenarioSpec::run`] walks a plan over the [`Harness`] of the
+//! [`Runtime`] it names — the simulator ([`SimDeployment`], implemented
+//! here) or a real sharded runtime
+//! ([`RuntimeHarness`](crate::real::RuntimeHarness)). Fleet,
 //! verbs, query load and oracle are the same code everywhere; what
 //! legitimately differs stays behind this trait: what the runtime can
 //! do ([`Capabilities`] — a plan needing more is rejected by name
@@ -11,6 +12,7 @@
 //! ([`Settled::quiesced`], [`Harness::internals`]).
 
 use crate::fleet::{Fleet, StepStats};
+use crate::real::{ThreadedHarness, UdpHarness};
 use crate::scenario::{ScenarioSpec, PATH_REFRESH_US, SIGHTING_TTL_US};
 use hiloc_core::area::Hierarchy;
 use hiloc_core::model::{
@@ -21,7 +23,7 @@ use hiloc_core::node::{ServerOptions, ServerStats};
 use hiloc_core::proto::Message;
 use hiloc_core::runtime::{CrashMode, ShardSpec, SimDeployment, UpdateOutcome};
 use hiloc_geo::Point;
-use hiloc_net::{Endpoint, FaultPlan, LatencyModel, Partition, ServerId};
+use hiloc_net::{Endpoint, FaultPlan, Partition, ServerId};
 
 /// The deployments a plan can name — the DSL's `runtime=` token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,6 +56,17 @@ impl std::str::FromStr for Runtime {
     }
 }
 
+impl Runtime {
+    /// What the runtime's harness declares it can do.
+    pub fn capabilities(self) -> Capabilities {
+        match self {
+            Runtime::Sim => SimDeployment::CAPS,
+            Runtime::Threaded => ThreadedHarness::CAPS,
+            Runtime::Udp => UdpHarness::CAPS,
+        }
+    }
+}
+
 /// What a runtime can do beyond the verbs and client operations every
 /// runtime runs (`Crash` / `PowerLoss` / `Restart` / `Checkpoint` /
 /// `Partition` / `HealNetwork` / `Burst`). Declared by the harness from
@@ -76,20 +89,21 @@ pub struct Capabilities {
 }
 
 impl Capabilities {
-    /// Whether a runtime with these capabilities can run `spec`.
+    /// Whether a runtime with these capabilities can run `spec` (the
+    /// runtime it names declares them).
     ///
     /// # Errors
     ///
     /// Names the first verb or plan field the runtime cannot honour —
     /// a plan is rejected, never run with part of it silently ignored.
-    pub fn admit(&self, runtime: Runtime, spec: &ScenarioSpec) -> Result<(), String> {
+    pub fn admit(&self, spec: &ScenarioSpec) -> Result<(), String> {
         use crate::scenario::FaultAction::{PromoteStandby, Retire, Spawn};
         let reshaping = spec
             .events
             .iter()
             .find(|e| matches!(e.action, Spawn { .. } | Retire(_) | PromoteStandby))
             .map(|e| format!("ev={}:{}", e.at_step, e.action));
-        let lossy = spec.faults != FaultPlan::none() || spec.latency != LatencyModel::default();
+        let lossy = spec.faults != FaultPlan::none();
         let clocked = !matches!(spec.policy, UpdatePolicy::Distance { .. });
         let (shards, inbox_cap) = (spec.layout.shards, spec.layout.inbox_cap);
         // (the plan needs it and the runtime lacks it, what, why)
@@ -108,7 +122,7 @@ impl Capabilities {
             ),
             (
                 !self.link_model && lossy,
-                "drop= / dup= / reorder= / part= / spike= (a fault plan or latency model)".into(),
+                "drop= / dup= / reorder= / link= / part= / spike= (a fault plan)".into(),
                 "the SimNet link model exists only on runtime=sim; cut a real runtime's servers \
                  apart with ev=<step>:part:<ids> … ev=<step>:heal",
             ),
@@ -130,7 +144,9 @@ impl Capabilities {
             ),
         ];
         match rules.into_iter().find(|rule| rule.0) {
-            Some((_, what, why)) => Err(format!("runtime={runtime} cannot run {what}: {why}")),
+            Some((_, what, why)) => {
+                Err(format!("runtime={} cannot run {what}: {why}", spec.runtime))
+            }
             None => Ok(()),
         }
     }
@@ -149,7 +165,7 @@ pub struct Settled {
     pub quiesced: bool,
 }
 
-/// What the plan executor ([`ScenarioSpec::run_on`]) and the [`Fleet`]
+/// What the plan executor ([`ScenarioSpec::run`]) and the [`Fleet`]
 /// need from a deployment.
 ///
 /// A verb handler is infallible or reports whether the verb was applied
@@ -159,8 +175,6 @@ pub struct Settled {
 /// through [`Capabilities::virtual_time`]), and [`Harness::internals`]
 /// is `None` where server state cannot be read from outside.
 pub trait Harness: Sized {
-    /// The `runtime=` token naming this deployment.
-    const RUNTIME: Runtime;
     /// What it can do beyond the common verb set.
     const CAPS: Capabilities;
 
@@ -229,7 +243,6 @@ pub trait Harness: Sized {
 }
 
 impl Harness for SimDeployment {
-    const RUNTIME: Runtime = Runtime::Sim;
     const CAPS: Capabilities = Capabilities {
         reshape: true,
         link_model: true,
@@ -239,8 +252,7 @@ impl Harness for SimDeployment {
     };
 
     fn deploy(spec: &ScenarioSpec, opts: ServerOptions) -> Self {
-        let (h, unarmed) = (spec.hierarchy(), FaultPlan::none());
-        SimDeployment::with_network(h, opts, spec.latency, unarmed, spec.seed)
+        SimDeployment::new(spec.hierarchy(), opts, spec.seed)
     }
     /// The fault plan is installed *after* the registration wave:
     /// `Fleet::register` is not retried, and chaos targets the steady

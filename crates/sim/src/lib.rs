@@ -17,21 +17,23 @@
 //!   deployment (any [`harness::Harness`]) and moves them with a
 //!   configurable update policy;
 //! * [`Samples`] — latency/throughput summaries (mean, percentiles);
-//! * [`scenario`] — the one chaos plan ([`scenario::ScenarioSpec`]: a
-//!   fleet, a fault timeline of [`scenario::FaultAction`] verbs) and
-//!   its one executor, with an oracle that checks no registered object
-//!   is ever lost and query answers stay within the accuracy contract;
+//! * [`scenario`] — the one chaos plan ([`scenario::ScenarioSpec`]: the
+//!   runtime it runs on, a fleet, a fault timeline of
+//!   [`scenario::FaultAction`] verbs), scripted or generated, the one
+//!   way to run it ([`scenario::ScenarioSpec::run`]) and an oracle that
+//!   checks no registered object is ever lost and query answers stay
+//!   within the accuracy contract; every failing plan prints the
+//!   one-line replay DSL (`runtime=sim|threaded|udp …`) that reruns it;
 //! * [`harness`] — the [`harness::Harness`] a plan runs over: the
 //!   simulator, or a real runtime; each declares what it can do and a
 //!   plan that needs more is rejected by name;
 //! * [`real`] — that harness over the sharded threaded and UDP
 //!   engines: durable restarts, power loss, checkpoint cuts,
 //!   partition-by-drop and overload bursts on the wall clock;
-//! * [`fuzz`] — the generative fuzzer over all of them: seeded random
-//!   (but valid) timelines for the runtime named, shrinking to a
-//!   one-line replayable reproducer (`runtime=sim|threaded|udp …`),
-//!   including runs with the §6.5 caches enabled under
-//!   bounded-staleness semantics.
+//! * [`fuzz`] — the plan's DSL, validity model and generative fuzzer
+//!   over all of them: seeded random (but valid) plans for the runtime
+//!   named, shrinking to a minimal replay line, including runs with the
+//!   §6.5 caches enabled under bounded-staleness semantics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,7 +3,7 @@
 //! [`RuntimeHarness`] puts a [`ShardedDeployment`] — on in-process
 //! channels ([`ThreadedHarness`]) or loopback sockets ([`UdpHarness`]),
 //! wall clock and all — behind the [`Harness`] the simulator also
-//! implements, so [`ScenarioSpec::run_on`] drives the same plan, fleet
+//! implements, so [`ScenarioSpec::run`] drives the same plan, fleet
 //! and oracle over it. Verbs map onto the engine's control commands,
 //! restarts replay the durable store the executor deployed, and each
 //! tracked object talks through its own blocking [`Client`], as each
@@ -19,7 +19,7 @@
 //! truth: load-shedding is the contract, losing acked state the bug.
 
 use crate::fleet::{Fleet, InboxStats, StepStats};
-use crate::harness::{Capabilities, Harness, Runtime, Settled};
+use crate::harness::{Capabilities, Harness, Settled};
 use crate::scenario::ScenarioSpec;
 use hiloc_core::area::Hierarchy;
 use hiloc_core::model::{
@@ -52,8 +52,6 @@ const REPAIR_ATTEMPTS: u32 = 5;
 /// opened, how a client connects, and whether its inboxes are bounded
 /// where the process can see it.
 pub trait Wire: Sized {
-    /// The `runtime=` token of the deployment over this wire.
-    const RUNTIME: Runtime;
     /// Whether a full inbox sheds in-process, counted.
     const BOUNDED_INBOX: bool;
     /// The client's end of the wire.
@@ -65,7 +63,6 @@ pub trait Wire: Sized {
 }
 
 impl Wire for ChannelNetwork<Message> {
-    const RUNTIME: Runtime = Runtime::Threaded;
     const BOUNDED_INBOX: bool = true;
     type Port = ChannelPort<Message>;
     fn deploy(h: Hierarchy, opts: ServerOptions, layout: ShardSpec) -> ThreadedDeployment {
@@ -79,7 +76,6 @@ impl Wire for ChannelNetwork<Message> {
 /// The inbox bound over UDP is the kernel socket buffer, whose drops
 /// the process never sees.
 impl Wire for BTreeMap<Endpoint, SocketAddr> {
-    const RUNTIME: Runtime = Runtime::Udp;
     const BOUNDED_INBOX: bool = false;
     type Port = UdpEndpoint<Message>;
     fn deploy(h: Hierarchy, opts: ServerOptions, layout: ShardSpec) -> UdpDeployment {
@@ -124,7 +120,6 @@ impl<W: Wire> RuntimeHarness<W> {
 }
 
 impl<W: Wire> Harness for RuntimeHarness<W> {
-    const RUNTIME: Runtime = W::RUNTIME;
     const CAPS: Capabilities = Capabilities {
         reshape: false,
         link_model: false,

@@ -1,12 +1,14 @@
 //! The one chaos plan, its one executor and the oracle.
 //!
-//! A [`ScenarioSpec`] drives a seeded [`Fleet`] through a fault
-//! timeline — the [`FaultAction`] verbs, plus (where the runtime has a
-//! link model) timed partitions, latency spikes and lossy links
-//! scheduled in the [`FaultPlan`] — over any [`Harness`]:
-//! [`ScenarioSpec::run_on`] is the only function that walks a timeline,
-//! on the simulator and on the real runtimes alike. It then verifies,
-//! against an in-memory naive [`Oracle`], that the service healed:
+//! A [`ScenarioSpec`] — scripted by hand or drawn by the
+//! [`fuzz`](crate::fuzz) generator — drives a seeded [`Fleet`] through a
+//! fault timeline: the [`FaultAction`] verbs, plus (where the runtime
+//! has a link model) timed partitions, latency spikes and lossy links
+//! scheduled in the [`FaultPlan`]. [`ScenarioSpec::run`] runs it on the
+//! [`Runtime`] it names, over that runtime's [`Harness`]; one private
+//! executor walks every timeline, on the simulator and on the real
+//! runtimes alike. It then verifies, against an in-memory naive
+//! [`Oracle`], that the service healed:
 //!
 //! * **No registered object is lost** — every object that was never
 //!   deregistered is answerable by a position query, routed through the
@@ -26,12 +28,14 @@
 //!   durable plan must end with nobody re-registered.
 //!
 //! On the simulator every run is bit-for-bit deterministic given the
-//! spec (seed included); on every runtime the fleet's movement is, and
-//! every failure panics with the replay line, the seed and the fault
-//! timeline.
+//! plan (seed included); on every runtime the fleet's movement is, and
+//! every failure panics with the plan's one-line replay DSL
+//! ([`ScenarioSpec::to_dsl`]).
 
-use crate::harness::Harness;
+use crate::fuzz::parse_dsl;
+use crate::harness::{Harness, Runtime};
 use crate::mobility::MobilityKind;
+use crate::real::{ThreadedHarness, UdpHarness};
 use crate::{Fleet, FleetConfig};
 use hiloc_core::area::{Hierarchy, HierarchyBuilder};
 use hiloc_core::cache::CacheConfig;
@@ -42,10 +46,12 @@ use hiloc_core::model::{
 use hiloc_core::node::{DurabilityOptions, ServerOptions, StorageSyncPolicy, VisitorRecord};
 use hiloc_core::runtime::{CrashMode, ShardSpec, SimDeployment};
 use hiloc_geo::{Point, Rect, Region};
-use hiloc_net::{Endpoint, FaultPlan, LatencyModel, ServerId};
+use hiloc_net::{Endpoint, FaultPlan, ServerId};
 use hiloc_util::tempdir::TempDir;
 use std::collections::{BTreeMap, BTreeSet};
 
+/// Side length of the square service area every plan deploys (m).
+pub const AREA_M: f64 = 1_000.0;
 /// Soft-state sighting TTL used by scenario deployments.
 pub const SIGHTING_TTL_US: Micros = 60 * SECOND;
 /// Path keep-alive period used by scenario deployments.
@@ -201,16 +207,21 @@ pub struct ScenarioEvent {
     pub action: FaultAction,
 }
 
-/// A complete scripted chaos scenario.
-#[derive(Debug, Clone)]
+/// A complete chaos plan, scripted or generated. It deploys a grid
+/// hierarchy over the [`AREA_M`] square on the paper's default link
+/// latency, and prints as, and parses from, one replay DSL line
+/// ([`ScenarioSpec::to_dsl`], [`parse_dsl`]).
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
-    /// Name, printed in failure reports.
+    /// Name, printed in failure reports (the DSL does not carry it).
     pub name: String,
+    /// The deployment the plan runs on; it must declare every
+    /// capability the plan needs
+    /// ([`Capabilities::admit`](crate::harness::Capabilities::admit)).
+    pub runtime: Runtime,
     /// Master seed: placement, mobility, network jitter and fault draws
     /// all derive from it. Two runs with the same spec are identical.
     pub seed: u64,
-    /// Side length of the square service area (meters).
-    pub area_m: f64,
     /// Hierarchy depth below the root.
     pub levels: u32,
     /// Grid fan-out per level (`k × k` children).
@@ -227,8 +238,6 @@ pub struct ScenarioSpec {
     pub step_dt_s: f64,
     /// Number of chaos steps before the settle phase.
     pub steps: u32,
-    /// Network latency model.
-    pub latency: LatencyModel,
     /// The scheduled fault plan (partitions, spikes, loss, reordering).
     pub faults: FaultPlan,
     /// Whether visitor databases are durable (required for crash
@@ -275,17 +284,14 @@ pub struct ScenarioSpec {
     /// Shard count and per-shard inbox bound of the sharded engine; a
     /// runtime without one of them rejects a non-default value.
     pub layout: ShardSpec,
-    /// The DSL line that replays this spec, printed by every failure
-    /// report; empty for a hand-written spec (re-run it instead).
-    pub replay: String,
 }
 
 impl Default for ScenarioSpec {
     fn default() -> Self {
         ScenarioSpec {
             name: "unnamed".to_string(),
+            runtime: Runtime::Sim,
             seed: 1,
-            area_m: 1_000.0,
             levels: 1,
             fanout: 2,
             num_objects: 20,
@@ -294,7 +300,6 @@ impl Default for ScenarioSpec {
             policy: UpdatePolicy::Distance { threshold_m: 10.0 },
             step_dt_s: 2.0,
             steps: 20,
-            latency: LatencyModel::default(),
             faults: FaultPlan::none(),
             durable: false,
             mid_chaos_queries: false,
@@ -304,7 +309,6 @@ impl Default for ScenarioSpec {
             events: Vec::new(),
             time_scale: 1,
             layout: ShardSpec::default(),
-            replay: String::new(),
         }
     }
 }
@@ -415,38 +419,67 @@ impl ScenarioSpec {
     /// [`ScenarioSpec::run`] to pick server ids for partitions and
     /// crash events (grid construction is deterministic).
     pub fn hierarchy(&self) -> Hierarchy {
-        let rect =
-            Rect::new(Point::new(0.0, 0.0), Point::new(self.area_m, self.area_m));
+        let rect = Rect::new(Point::new(0.0, 0.0), Point::new(AREA_M, AREA_M));
         HierarchyBuilder::grid(rect, self.levels, self.fanout)
             .build()
             .expect("scenario grid hierarchy")
     }
 
-    /// Runs the scenario on the simulator to its verdict.
-    ///
-    /// # Panics
-    ///
-    /// Panics — printing the seed and fault timeline needed to replay —
-    /// when any oracle invariant is violated.
-    pub fn run(&self) -> ScenarioRun {
-        self.run_on::<SimDeployment>()
-            .unwrap_or_else(|e| panic!("chaos scenario '{}' was rejected: {e}", self.name))
-    }
-
-    /// Runs the scenario on runtime `H` to its verdict — the one
-    /// function that walks a timeline.
+    /// Runs the plan on the runtime it names to its verdict — the one
+    /// way to run a plan.
     ///
     /// # Errors
     ///
-    /// [`Capabilities::admit`](crate::harness::Capabilities::admit)'s
-    /// rejection; nothing has been deployed.
+    /// Nothing has been deployed when the runtime cannot do something
+    /// the plan needs
+    /// ([`Capabilities::admit`](crate::harness::Capabilities::admit)
+    /// names it), or when the plan does not survive its own replay
+    /// line: a failure must print a line that replays *this* plan, so
+    /// a setting the DSL cannot say is named here.
     ///
     /// # Panics
     ///
-    /// Panics — printing the replay line, seed and fault timeline —
-    /// when a verb is not applied or an oracle invariant is violated.
-    pub fn run_on<H: Harness>(&self) -> Result<ScenarioRun, String> {
-        H::CAPS.admit(H::RUNTIME, self)?;
+    /// Panics — printing the replay line and the trace — when a verb is
+    /// not applied or an oracle invariant is violated.
+    pub fn run(&self) -> Result<ScenarioRun, String> {
+        self.runtime.capabilities().admit(self)?;
+        self.survives_its_line()?;
+        Ok(match self.runtime {
+            Runtime::Sim => self.run_on::<SimDeployment>(),
+            Runtime::Threaded => self.run_on::<ThreadedHarness>(),
+            Runtime::Udp => self.run_on::<UdpHarness>(),
+        })
+    }
+
+    /// Whether [`parse_dsl`] reads [`ScenarioSpec::to_dsl`] back to this
+    /// plan, name aside; otherwise the field the line loses is named,
+    /// read off the pretty `Debug` forms: the last line indented by
+    /// exactly four spaces, at or above the first line that differs.
+    fn survives_its_line(&self) -> Result<(), String> {
+        let line = self.to_dsl();
+        let parsed = ScenarioSpec { name: self.name.clone(), ..parse_dsl(&line)? };
+        if parsed == *self {
+            return Ok(());
+        }
+        let (ours, theirs) = (format!("{self:#?}"), format!("{parsed:#?}"));
+        let differs = ours.lines().zip(theirs.lines()).position(|(a, b)| a != b);
+        let field = ours
+            .lines()
+            .take(differs.map_or(usize::MAX, |at| at + 1))
+            .filter(|l| l.starts_with("    ") && !l.starts_with("     "))
+            .last()
+            .and_then(|l| l.trim_start().split(':').next())
+            .unwrap_or("?");
+        Err(format!(
+            "plan '{}' does not survive its replay line: the DSL has no token for its \
+             `{field}` ({line})",
+            self.name
+        ))
+    }
+
+    /// Runs the plan on runtime `H` to its verdict — the one function
+    /// that walks a timeline.
+    fn run_on<H: Harness>(&self) -> ScenarioRun {
         let mut trace = Vec::new();
         // A mis-scheduled event would otherwise silently never fire and
         // the scenario would go green without testing what it scripted.
@@ -583,7 +616,7 @@ impl ScenarioSpec {
 
         let (net_counters, blackholed) =
             h.internals().map(|ls| (ls.net_counters(), ls.blackholed())).unwrap_or_default();
-        Ok(ScenarioRun {
+        ScenarioRun {
             alive: fleet.alive_count(),
             final_positions: (0..fleet.len())
                 .map(|i| (fleet.oid(i), fleet.last_report(i).pos))
@@ -595,7 +628,7 @@ impl ScenarioSpec {
             stats: h.total_stats(),
             query_latency_us,
             trace,
-        })
+        }
     }
 
     /// One round of mixed query load against the *current* root while
@@ -604,7 +637,7 @@ impl ScenarioSpec {
     fn mid_chaos_query<H: Harness>(&self, step: u32, ls: &mut H) -> String {
         let root = ls.hierarchy().root();
         let oid = ObjectId(u64::from(step) % self.num_objects);
-        let quadrant = quadrants(self.area_m)[step as usize % 4];
+        let quadrant = quadrants()[step as usize % 4];
         let outcome = pos_and_range(ls, root, oid, quadrant);
         format!("query step {step:>3} via root {}: {outcome}", root.0)
     }
@@ -806,8 +839,7 @@ impl ScenarioSpec {
         if !applied {
             let msg = format!(
                 "verb ev={at}:{} was not applied by runtime={} (step {at})",
-                ev.action,
-                H::RUNTIME
+                ev.action, self.runtime
             );
             self.fail(trace, &msg);
         }
@@ -873,8 +905,8 @@ impl ScenarioSpec {
         }
 
         // Range queries: whole area plus the four quadrants.
-        let whole = Rect::new(Point::new(0.0, 0.0), Point::new(self.area_m, self.area_m));
-        for rect in std::iter::once(whole).chain(quadrants(self.area_m)) {
+        let whole = Rect::new(Point::new(0.0, 0.0), Point::new(AREA_M, AREA_M));
+        for rect in std::iter::once(whole).chain(quadrants()) {
             let query = RangeQuery::new(Region::from(rect), min_acc_m, 0.5);
             let ans = match ls.range_query(root, query.clone()) {
                 Ok(a) => a,
@@ -977,31 +1009,22 @@ impl ScenarioSpec {
     }
 
     fn fail(&self, trace: &[String], msg: &str) -> ! {
-        let replay = if self.replay.is_empty() {
-            format!("re-run this spec with seed={}", self.seed)
-        } else {
-            format!("hiloc_sim::fuzz::replay_dsl(\"{}\")", self.replay)
-        };
         panic!(
             "chaos scenario '{name}' failed: {msg}\n\
-             --- replay: {replay} (simulator runs are bit-for-bit deterministic)\n\
-             --- fault timeline:\n{timeline}\n\
-             --- scripted events: {events:?}\n\
-             --- caches: {caches:?}\n\
+             --- replay with: hiloc_sim::fuzz::replay_dsl(\"{line}\") \
+             (simulator runs are bit-for-bit deterministic)\n\
              --- trace ({n} lines):\n{trace}",
             name = self.name,
-            timeline = self.faults.describe(),
-            events = self.events,
-            caches = self.caches,
+            line = self.to_dsl(),
             n = trace.len(),
             trace = trace.join("\n"),
         );
     }
 }
 
-/// The four quadrants of the square service area of side `a`.
-fn quadrants(a: f64) -> [Rect; 4] {
-    let h = a / 2.0;
+/// The four quadrants of the service area.
+fn quadrants() -> [Rect; 4] {
+    let h = AREA_M / 2.0;
     [(0.0, 0.0), (h, 0.0), (0.0, h), (h, h)]
         .map(|(x, y)| Rect::new(Point::new(x, y), Point::new(x + h, y + h)))
 }

@@ -62,7 +62,7 @@ fn flagship(seed: u64) -> ScenarioSpec {
 
 #[test]
 fn flagship_partition_crash_restart_is_green() {
-    let run = flagship(0xC0FFEE).run();
+    let run = flagship(0xC0FFEE).run().unwrap();
     assert_eq!(run.alive, 32, "no object may be falsely deregistered");
     assert!(run.blackholed > 0, "the crash must actually blackhole traffic");
     assert!(run.net_counters.2 > 0, "the partition must actually drop messages");
@@ -70,15 +70,15 @@ fn flagship_partition_crash_restart_is_green() {
 
 #[test]
 fn flagship_is_deterministic_per_seed() {
-    let a = flagship(7).run();
-    let b = flagship(7).run();
+    let a = flagship(7).run().unwrap();
+    let b = flagship(7).run().unwrap();
     assert_eq!(a.trace, b.trace, "same seed must replay the identical trace");
     assert_eq!(a.net_counters, b.net_counters);
     assert_eq!(a.virtual_end_us, b.virtual_end_us);
     // Behaviour-preservation pin: the run the flagship ran before the
     // executor became generic over the runtime.
     assert_eq!(common::run_digest(&a), 0x2CC0_1DE2_6620_0ACA, "the flagship run moved");
-    let c = flagship(8).run();
+    let c = flagship(8).run().unwrap();
     assert_ne!(a.trace, c.trace, "a different seed must explore a different run");
 }
 
@@ -106,7 +106,7 @@ fn crash_restart_recovers_every_durably_acked_registration() {
         ScenarioEvent { at_step: 3, action: FaultAction::Crash(victim) },
         ScenarioEvent { at_step: 6, action: FaultAction::Restart(victim) },
     ];
-    let run = spec.run();
+    let run = spec.run().unwrap();
     assert_eq!(run.alive, 16, "durable recovery must lose nobody");
 }
 
@@ -267,11 +267,11 @@ fn reorder_duplicate_loss_storm_keeps_invariants() {
         faults: FaultPlan::uniform(0.03, 0.05).with_reorder(0.2, 300_000),
         ..Default::default()
     };
-    let run = spec.run();
+    let run = spec.run().unwrap();
     assert_eq!(run.alive, 24);
     assert!(run.net_counters.2 > 0, "the storm must actually drop messages");
     // Determinism holds under heavy fault-RNG usage too.
-    let again = spec.clone().run();
+    let again = spec.clone().run().unwrap();
     assert_eq!(run.trace, again.trace);
 }
 
@@ -296,6 +296,6 @@ fn dead_uplink_and_latency_spike_heal() {
         .with_link(LinkFault::between(mid.into(), root.into()).with_drop(0.8))
         // …and everything crawls for a while.
         .with_spike(LatencySpike::new(4 * SECOND, 12 * SECOND, 200_000));
-    let run = spec.run();
+    let run = spec.run().unwrap();
     assert_eq!(run.alive, 20);
 }

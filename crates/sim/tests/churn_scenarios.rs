@@ -53,7 +53,7 @@ fn join_under_partition(seed: u64) -> ScenarioSpec {
 fn join_under_partition_is_green() {
     // Seed picked so the split-off half holds records at the spawn
     // instant: the transfer is non-empty and must fight the partition.
-    let run = join_under_partition(8).run();
+    let run = join_under_partition(8).run().unwrap();
     assert_eq!(run.alive, 24, "no registration may be lost across the join");
     assert!(run.net_counters.2 > 0, "the partition must actually drop messages");
     assert_eq!(run.stats.transfers_started, 1, "the join must start a bulk transfer");
@@ -67,11 +67,11 @@ fn join_under_partition_is_green() {
 
 #[test]
 fn join_under_partition_is_deterministic_per_seed() {
-    let a = join_under_partition(7).run();
-    let b = join_under_partition(7).run();
+    let a = join_under_partition(7).run().unwrap();
+    let b = join_under_partition(7).run().unwrap();
     assert_eq!(a.trace, b.trace, "same seed must replay the identical trace");
     assert_eq!(a.net_counters, b.net_counters);
-    let c = join_under_partition(8).run();
+    let c = join_under_partition(8).run().unwrap();
     assert_ne!(a.trace, c.trace, "a different seed must explore a different run");
 }
 
@@ -106,14 +106,15 @@ fn join_crash_mid_transfer(seed: u64) -> ScenarioSpec {
 
 #[test]
 fn join_crash_mid_transfer_recovers_consistently() {
-    let run = join_crash_mid_transfer(0xABCD).run();
+    let run = join_crash_mid_transfer(0xABCD).run().unwrap();
     assert_eq!(run.alive, 24);
     assert!(run.blackholed > 0, "the crash must blackhole transfer retries");
 }
 
 #[test]
 fn join_crash_mid_transfer_is_deterministic_per_seed() {
-    assert_eq!(join_crash_mid_transfer(3).run().trace, join_crash_mid_transfer(3).run().trace);
+    let trace = || join_crash_mid_transfer(3).run().unwrap().trace;
+    assert_eq!(trace(), trace());
 }
 
 /// **Leave under message loss.** A leaf drains everything to its
@@ -143,14 +144,15 @@ fn leave_under_loss(seed: u64) -> ScenarioSpec {
 
 #[test]
 fn leave_under_loss_drains_and_stays_green() {
-    let run = leave_under_loss(0x1EAF).run();
+    let run = leave_under_loss(0x1EAF).run().unwrap();
     assert_eq!(run.alive, 24, "the drain must not lose a registration");
     assert!(run.net_counters.2 > 0, "the loss plan must actually drop messages");
 }
 
 #[test]
 fn leave_under_loss_is_deterministic_per_seed() {
-    assert_eq!(leave_under_loss(9).run().trace, leave_under_loss(9).run().trace);
+    let trace = || leave_under_loss(9).run().unwrap().trace;
+    assert_eq!(trace(), trace());
 }
 
 /// **Root failover under mixed update/query load.** The root crashes
@@ -182,7 +184,7 @@ fn root_failover(seed: u64) -> ScenarioSpec {
 
 #[test]
 fn root_failover_under_load_is_green() {
-    let run = root_failover(0xF00D).run();
+    let run = root_failover(0xF00D).run().unwrap();
     assert_eq!(run.alive, 24, "failover must not lose a registration");
     assert!(run.blackholed > 0, "the dead root must blackhole traffic until failover");
     // The mid-chaos query probe must have seen the successor as root.
@@ -195,10 +197,10 @@ fn root_failover_under_load_is_green() {
 
 #[test]
 fn root_failover_is_deterministic_per_seed() {
-    let a = root_failover(4).run();
-    let b = root_failover(4).run();
+    let a = root_failover(4).run().unwrap();
+    let b = root_failover(4).run().unwrap();
     assert_eq!(a.trace, b.trace);
-    assert_ne!(a.trace, root_failover(5).run().trace);
+    assert_ne!(a.trace, root_failover(5).run().unwrap().trace);
 }
 
 /// **Non-leaf crash under mixed load** (ROADMAP's open extension): a
@@ -227,7 +229,7 @@ fn midlevel_crash_under_mixed_load_recovers() {
         ScenarioEvent { at_step: 5, action: FaultAction::Crash(mid) },
         ScenarioEvent { at_step: 11, action: FaultAction::Restart(mid) },
     ];
-    let run = spec.run();
+    let run = spec.run().unwrap();
     assert_eq!(run.alive, 24);
     assert!(run.blackholed > 0);
 }
@@ -254,7 +256,7 @@ fn root_crash_restart_under_mixed_load_recovers() {
         ScenarioEvent { at_step: 4, action: FaultAction::Crash(root) },
         ScenarioEvent { at_step: 10, action: FaultAction::Restart(root) },
     ];
-    let run = spec.run();
+    let run = spec.run().unwrap();
     assert_eq!(run.alive, 24);
     assert!(run.blackholed > 0, "the dead root must blackhole traffic");
 }
@@ -286,11 +288,11 @@ fn leaf_and_parent_simultaneous_crash_recovers_record_for_record() {
         ScenarioEvent { at_step: 12, action: FaultAction::Restart(mid) },
         ScenarioEvent { at_step: 13, action: FaultAction::Restart(leaf) },
     ];
-    let run = spec.run();
+    let run = spec.run().unwrap();
     assert_eq!(run.alive, 24, "simultaneous failures must not lose a registration");
     assert!(run.blackholed > 0);
     // Determinism for the multi-failure case too.
-    assert_eq!(run.trace, spec.run().trace);
+    assert_eq!(run.trace, spec.run().unwrap().trace);
 }
 
 /// **Power loss at a leaf agent**: the harness stores with
@@ -318,7 +320,7 @@ fn power_loss_crash_keeps_every_acked_registration() {
         ScenarioEvent { at_step: 3, action: FaultAction::PowerLoss(victim) },
         ScenarioEvent { at_step: 7, action: FaultAction::Restart(victim) },
     ];
-    let run = spec.run();
+    let run = spec.run().unwrap();
     assert_eq!(run.alive, 16, "Always-synced state must survive power loss");
 }
 
@@ -354,7 +356,7 @@ fn join_then_leave_roundtrip_under_partition() {
         ScenarioEvent { at_step: 3, action: FaultAction::Spawn { split } },
         ScenarioEvent { at_step: 16, action: FaultAction::Retire(newcomer) },
     ];
-    let run = spec.run();
+    let run = spec.run().unwrap();
     assert_eq!(run.alive, 20);
     assert!(run.net_counters.2 > 0, "the partition must actually drop messages");
 }

@@ -14,7 +14,8 @@
 
 mod common;
 
-use hiloc_sim::fuzz::{cases_from_env, fuzz_batch_with, generate_with, parse_dsl, CacheMode};
+use hiloc_core::cache::CacheConfig;
+use hiloc_sim::fuzz::{caches_on, cases_from_env, fuzz_batch_with, generate_with, parse_dsl};
 use hiloc_sim::harness::Runtime;
 
 /// Fixed CI base seeds for the replication gates.
@@ -24,7 +25,7 @@ const BASE_SEED_ON: u64 = 0x52_45_50_4C_CA_C4;
 #[test]
 fn replication_fuzz_caches_off_is_oracle_green() {
     let cases = cases_from_env(32);
-    let stats = fuzz_batch_with(BASE_SEED_OFF, cases, CacheMode::Off, true);
+    let stats = fuzz_batch_with(BASE_SEED_OFF, cases, CacheConfig::default(), true);
     assert_eq!(stats.cases, cases);
     // The bias must actually land on the new machinery: crashes under
     // active delta streams, and warm/cold promotions over them.
@@ -36,7 +37,7 @@ fn replication_fuzz_caches_off_is_oracle_green() {
 #[test]
 fn replication_fuzz_caches_on_is_oracle_green_under_bounded_staleness() {
     let cases = cases_from_env(32);
-    let stats = fuzz_batch_with(BASE_SEED_ON, cases, CacheMode::On { max_aged_acc_m: 100.0 }, true);
+    let stats = fuzz_batch_with(BASE_SEED_ON, cases, caches_on(100.0), true);
     assert_eq!(stats.cases, cases);
     assert!(stats.crashes > 0, "no scenario crashed a server: {stats:?}");
     assert!(stats.promotions > 0, "no scenario promoted over the root: {stats:?}");
@@ -51,9 +52,9 @@ fn replication_fuzz_caches_on_is_oracle_green_under_bounded_staleness() {
 /// before the executor became generic over the runtime.
 #[test]
 fn replicated_simulator_runs_are_frozen() {
-    let on = CacheMode::On { max_aged_acc_m: 100.0 };
+    let on = caches_on(100.0);
     for (seed, mode, digest) in [
-        (BASE_SEED_OFF, CacheMode::Off, 0xA8D2_0188_D2FF_ED4F),
+        (BASE_SEED_OFF, CacheConfig::default(), 0xA8D2_0188_D2FF_ED4F),
         (BASE_SEED_ON, on, 0xCC0D_BEF7_421D_0068),
     ] {
         let spec = generate_with(seed, mode, true, Runtime::Sim);
@@ -66,11 +67,8 @@ fn replicated_simulator_runs_are_frozen() {
 fn replicated_timelines_are_valid_and_round_trip_through_the_dsl() {
     let mut lines = Vec::new();
     for seed in 0..200u64 {
-        let mode = if seed % 2 == 0 {
-            CacheMode::Off
-        } else {
-            CacheMode::On { max_aged_acc_m: 50.0 + seed as f64 }
-        };
+        let mode =
+            if seed % 2 == 0 { CacheConfig::default() } else { caches_on(50.0 + seed as f64) };
         let spec =
             generate_with(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15), mode, true, Runtime::Sim);
         assert!(spec.replication);

@@ -11,14 +11,17 @@
 
 mod common;
 
+use hiloc_core::cache::CacheConfig;
+use hiloc_core::model::SECOND;
+use hiloc_net::{Endpoint, FaultPlan, LatencySpike, LinkFault, Partition, ServerId};
 use hiloc_sim::fuzz::{
-    cases_from_env, fuzz_batch_with, generate_with, parse_dsl, run_captured, shrink, CacheMode,
-    FuzzSpec,
+    caches_on, cases_from_env, fuzz_batch_with, generate_with, parse_dsl, run_captured, shrink,
 };
 use hiloc_sim::harness::Runtime;
+use hiloc_sim::scenario::{FaultAction, ScenarioEvent, ScenarioSpec};
 
 /// The one generator, aimed at the simulator without replication.
-fn generate(seed: u64, caches: CacheMode) -> FuzzSpec {
+fn generate(seed: u64, caches: CacheConfig) -> ScenarioSpec {
     generate_with(seed, caches, false, Runtime::Sim)
 }
 
@@ -29,7 +32,7 @@ const BASE_SEED_ON: u64 = 0x48_49_4C_4F_CA_C4;
 #[test]
 fn fuzz_batch_caches_off_is_oracle_green() {
     let cases = cases_from_env(32);
-    let stats = fuzz_batch_with(BASE_SEED_OFF, cases, CacheMode::Off, false);
+    let stats = fuzz_batch_with(BASE_SEED_OFF, cases, CacheConfig::default(), false);
     assert_eq!(stats.cases, cases);
     // The batch must exercise the machinery, not idle: a fixed seed
     // guarantees these hold deterministically.
@@ -48,7 +51,7 @@ fn fuzz_batch_caches_off_is_oracle_green() {
 #[test]
 fn fuzz_batch_caches_on_is_oracle_green_under_bounded_staleness() {
     let cases = cases_from_env(32);
-    let on = CacheMode::On { max_aged_acc_m: 100.0 };
+    let on = caches_on(100.0);
     let stats = fuzz_batch_with(BASE_SEED_ON, cases, on, false);
     assert_eq!(stats.cases, cases);
     assert!(stats.events > 0 && stats.reshapes > 0 && stats.crashes > 0, "{stats:?}");
@@ -60,11 +63,11 @@ fn fuzz_batch_caches_on_is_oracle_green_under_bounded_staleness() {
 
 #[test]
 fn generator_is_deterministic_per_seed() {
-    let a = generate(0xDEAD_BEEF, CacheMode::Off);
-    let b = generate(0xDEAD_BEEF, CacheMode::Off);
+    let a = generate(0xDEAD_BEEF, CacheConfig::default());
+    let b = generate(0xDEAD_BEEF, CacheConfig::default());
     assert_eq!(a, b, "same seed must generate the identical spec");
     assert_eq!(a.to_dsl(), b.to_dsl());
-    let c = generate(0xDEAD_BEE0, CacheMode::Off);
+    let c = generate(0xDEAD_BEE0, CacheConfig::default());
     assert_ne!(a.to_dsl(), c.to_dsl(), "different seeds must explore different scenarios");
 }
 
@@ -73,9 +76,9 @@ fn generator_is_deterministic_per_seed() {
 /// the executor became generic over the runtime.
 #[test]
 fn simulator_runs_are_frozen() {
-    let off = generate(BASE_SEED_OFF, CacheMode::Off).run().expect("the simulator runs it");
+    let off = generate(BASE_SEED_OFF, CacheConfig::default()).run().expect("the simulator runs it");
     assert_eq!(common::run_digest(&off), 0x165F_C539_E46C_D721, "caches-off case 0 moved");
-    let on = generate(BASE_SEED_ON, CacheMode::On { max_aged_acc_m: 100.0 }).run().expect("ditto");
+    let on = generate(BASE_SEED_ON, caches_on(100.0)).run().expect("ditto");
     assert_eq!(common::run_digest(&on), 0x956F_E841_42A1_BA2E, "caches-on case 0 moved");
 }
 
@@ -87,15 +90,12 @@ fn generated_timelines_are_valid_and_round_trip_through_the_dsl() {
     for runtime in [Runtime::Sim, Runtime::Threaded, Runtime::Udp] {
         let mut lines = Vec::new();
         for seed in 0..200u64 {
-            let mode = if seed % 2 == 0 {
-                CacheMode::Off
-            } else {
-                CacheMode::On { max_aged_acc_m: 50.0 + seed as f64 }
-            };
+            let mode =
+                if seed % 2 == 0 { CacheConfig::default() } else { caches_on(50.0 + seed as f64) };
             let spec =
                 generate_with(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15), mode, false, runtime);
             assert!(spec.valid(), "invalid {runtime} timeline for seed {seed}: {spec:?}");
-            assert_eq!(runtime.capabilities().admit(runtime, &spec.to_scenario()), Ok(()));
+            assert_eq!(runtime.capabilities().admit(&spec), Ok(()));
             let parsed = parse_dsl(&spec.to_dsl())
                 .unwrap_or_else(|e| panic!("DSL round-trip failed for seed {seed}: {e}"));
             assert_eq!(parsed, spec, "DSL round-trip must be exact ({runtime}, seed {seed})");
@@ -172,6 +172,89 @@ fn dsl_rejects_malformed_input() {
     assert!(parse_dsl("runtime=carrier-pigeon").is_err());
     assert!(parse_dsl("ev=3:part:1+x").is_err());
     assert!(parse_dsl("ev=3:burst:1").is_err());
+    assert!(parse_dsl("durable=no").is_err(), "a flag is 0 or 1, never silently 0");
+    // Fault values the fault plan would refuse are refused by the
+    // parser, never left to panic later.
+    for out_of_range in ["drop=1.5", "dup=-0.1", "reorder=2:10", "part=5-3:1", "spike=9-2:5"] {
+        let parsed = parse_dsl(out_of_range);
+        assert!(parsed.is_err(), "{out_of_range} parsed: {parsed:?}");
+    }
+}
+
+/// A hand-written plan that fails prints the one-line replay DSL, and
+/// that line reads back to the very plan that failed — here the
+/// simulator twin of `real_runtime_fuzz.rs`'s not-applied verb: a
+/// checkpoint of a server the plan crashed and never restarted.
+#[test]
+fn a_failing_hand_written_plan_prints_its_replay_line() {
+    let spec = ScenarioSpec {
+        name: "checkpoint-of-a-down-server".to_string(),
+        num_objects: 4,
+        steps: 6,
+        durable: true,
+        events: vec![
+            ScenarioEvent { at_step: 2, action: FaultAction::Crash(ServerId(1)) },
+            ScenarioEvent { at_step: 3, action: FaultAction::Checkpoint(ServerId(1)) },
+        ],
+        ..Default::default()
+    };
+    let report = run_captured(&spec).expect_err("a checkpoint of a down server is not applied");
+    assert!(report.contains("verb ev=3:checkpoint:1 was not applied by runtime=sim"), "{report}");
+    let (_, rest) = report.split_once("replay_dsl(\"").expect("a replay_dsl(\"…\") line");
+    let (line, _) = rest.split_once("\")").expect("the replay line is closed");
+    let replayed = parse_dsl(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+    assert_eq!(ScenarioSpec { name: spec.name.clone(), ..replayed }, spec, "{line}");
+}
+
+/// A plan whose replay line would lose a setting is refused before
+/// anything is deployed, naming the field the DSL has no token for.
+#[test]
+fn a_plan_its_line_cannot_say_is_refused_by_field() {
+    let cut = Partition::between(0, SECOND, vec![ServerId(1).into()], vec![ServerId(2).into()]);
+    let faults = FaultPlan::none().with_partition(cut);
+    let caches = CacheConfig { position_cache: true, ..CacheConfig::default() };
+    for (spec, field) in [
+        (ScenarioSpec { faults, ..Default::default() }, "`faults`"),
+        (ScenarioSpec { caches, ..Default::default() }, "`caches`"),
+    ] {
+        let refusal = spec.run().expect_err(field);
+        assert!(refusal.contains("does not survive its replay line"), "{refusal}");
+        assert!(refusal.contains(field), "{field} not named: {refusal}");
+    }
+}
+
+/// One plan holding every fault component the link model has — drop,
+/// duplication, reordering, a per-link fault, a partition and a
+/// latency spike — round-trips through its replay line.
+#[test]
+fn every_fault_component_round_trips_through_the_dsl() {
+    let server = |id| Endpoint::Server(ServerId(id));
+    let spec = ScenarioSpec {
+        faults: FaultPlan::uniform(0.1, 0.2)
+            .with_reorder(0.3, 400)
+            .with_link(
+                LinkFault::between(server(0), server(1))
+                    .with_drop(0.9)
+                    .with_duplicate(0.05)
+                    .with_extra_latency(700),
+            )
+            .with_partition(Partition::isolate(5 * SECOND, 9 * SECOND, vec![server(2), server(4)]))
+            .with_spike(LatencySpike::new(SECOND, 2 * SECOND, 3_000)),
+        ..Default::default()
+    };
+    let line = spec.to_dsl();
+    for token in [
+        "drop=0.1",
+        "dup=0.2",
+        "reorder=0.3:400",
+        "link=0-1:0.9:0.05:700",
+        "part=5000000-9000000:2+4",
+        "spike=1000000-2000000:3000",
+    ] {
+        assert!(line.split_whitespace().any(|t| t == token), "{token} missing from {line}");
+    }
+    let parsed = parse_dsl(&line).unwrap_or_else(|e| panic!("{e}: {line}"));
+    assert_eq!(ScenarioSpec { name: spec.name.clone(), ..parsed }, spec, "{line}");
 }
 
 #[test]

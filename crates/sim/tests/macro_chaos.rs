@@ -43,7 +43,7 @@ fn city(seed: u64) -> ScenarioSpec {
 
 #[test]
 fn macro_mix_survives_leaf_crash_with_sane_stats() {
-    let run = city(0xC17F).run();
+    let run = city(0xC17F).run().unwrap();
 
     // The oracle inside `run()` is the correctness verdict; on top of
     // it, nobody may be lost and the crash must have bitten.

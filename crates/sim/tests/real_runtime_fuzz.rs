@@ -8,16 +8,17 @@
 //! seed set is small and fixed. A failure prints one
 //! `hiloc_sim::fuzz::replay_dsl("runtime=… …")` line.
 
+use hiloc_core::cache::CacheConfig;
 use hiloc_core::model::{ObjectId, Sighting};
 use hiloc_core::runtime::ShardSpec;
 use hiloc_geo::Point;
 use hiloc_net::ServerId;
-use hiloc_sim::fuzz::{generate_with, parse_dsl, replay_dsl, CacheMode, FuzzSpec};
+use hiloc_sim::fuzz::{generate_with, parse_dsl, replay_dsl};
 use hiloc_sim::harness::{Harness, Runtime};
 use hiloc_sim::real::{ThreadedHarness, UdpHarness};
 use hiloc_sim::scenario::{FaultAction, ScenarioEvent, ScenarioSpec};
 
-fn has(spec: &FuzzSpec, verb: fn(&FaultAction) -> bool) -> bool {
+fn has(spec: &ScenarioSpec, verb: fn(&FaultAction) -> bool) -> bool {
     spec.events.iter().any(|e| verb(&e.action))
 }
 fn crashes(a: &FaultAction) -> bool {
@@ -31,9 +32,9 @@ fn checkpoints(a: &FaultAction) -> bool {
 }
 
 /// The first seed whose generated plan for `runtime` satisfies `want`.
-fn find_plan(runtime: Runtime, want: impl Fn(&FuzzSpec) -> bool) -> FuzzSpec {
+fn find_plan(runtime: Runtime, want: impl Fn(&ScenarioSpec) -> bool) -> ScenarioSpec {
     (0..400)
-        .map(|seed| generate_with(seed, CacheMode::Off, false, runtime))
+        .map(|seed| generate_with(seed, CacheConfig::default(), false, runtime))
         .find(|spec| spec.valid() && want(spec))
         .expect("a fixed seed with the wanted verbs")
 }
@@ -144,6 +145,7 @@ fn power_loss_across_a_checkpoint_boundary_recovers_on_real_runtimes() {
 fn volatile_restart_is_repaired_by_reregistration() {
     let spec = ScenarioSpec {
         name: "volatile-crash-is-repaired".to_string(),
+        runtime: Runtime::Threaded,
         seed: 42,
         num_objects: 16,
         steps: 6,
@@ -154,7 +156,7 @@ fn volatile_restart_is_repaired_by_reregistration() {
         ],
         ..Default::default()
     };
-    let run = spec.run_on::<ThreadedHarness>().expect("admitted");
+    let run = spec.run().expect("admitted");
     assert_eq!(run.alive, 16);
     assert!(run.reregistered > 0, "the leaf's objects must be registered afresh: {:#?}", run.trace);
 }
@@ -193,6 +195,7 @@ fn a_plan_the_runtime_cannot_run_is_rejected_by_name() {
 fn a_verb_that_is_not_applied_fails_the_run_at_the_verb() {
     let spec = ScenarioSpec {
         name: "checkpoint-of-a-down-server".to_string(),
+        runtime: Runtime::Threaded,
         num_objects: 4,
         steps: 6,
         durable: true,
@@ -202,7 +205,7 @@ fn a_verb_that_is_not_applied_fails_the_run_at_the_verb() {
         ],
         ..Default::default()
     };
-    let _ = spec.run_on::<ThreadedHarness>();
+    let _ = spec.run();
 }
 
 /// `Burst` goes through the object's own client's no-wait path on
@@ -217,7 +220,7 @@ fn burst_reports_what_was_sent_on_both_transports() {
         let s = Sighting::new(ObjectId(1), h.now_us(), pos, 5.0);
         let entry = h.hierarchy().leaf_for(pos).expect("in area");
         let (agent, _) = h.register(entry, s, 10.0, 50.0, 2.0).expect("registration");
-        let on = H::RUNTIME;
+        let on = std::any::type_name::<H>();
         assert_eq!(h.burst(agent, s, 50), 50, "[{on}] a roomy inbox takes the whole burst");
         assert_eq!(h.burst(ServerId(99), s, 5), 0, "[{on}] nothing leaves for an unknown server");
         assert_eq!(h.total_stats().inbox_shed, 0, "[{on}]");

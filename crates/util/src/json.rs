@@ -94,11 +94,6 @@ impl Json {
         }
     }
 
-    /// True when this is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
-    }
-
     /// Serializes with two-space indentation.
     pub fn to_string_pretty(&self) -> String {
         let mut out = String::new();
@@ -412,7 +407,7 @@ mod tests {
     fn parses_plain_documents() {
         let v = Json::parse(r#"{"a": [1, 2e3, -4.5], "b": {"c": null}}"#).unwrap();
         assert_eq!(v.get("a").unwrap().as_array().unwrap()[1].as_f64(), Some(2000.0));
-        assert!(v.get("b").unwrap().get("c").unwrap().is_null());
+        assert_eq!(v.get("b").unwrap().get("c"), Some(&Json::Null));
     }
 
     #[test]
