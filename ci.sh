@@ -106,16 +106,33 @@ cargo test -q --offline -p hiloc-core --lib -- --exact \
 # seeds, 200 ms per operation under chaos, the whole binary well under
 # 60 s. The sharded runtime's chaos-surface unit suite and the
 # client-API suite (every test on both transports) ride along, with the
-# UDP case named in which a datagram carrying a NaN position is dropped
-# as a stray and the object it named still answers; the event-watch
+# cases named in which a NaN position is dropped (a stray datagram on
+# UDP, at the leaf on channels and the simulator) and the object it
+# named still answers; the event-watch
 # example runs on the threaded runtime, asserting the events it prints.
 echo "==> real-runtime fuzz gate (threaded + UDP: durable restart / power loss / checkpoint cut / partition / shed / faulted parity)"
 cargo test -q --offline -p hiloc-sim --test real_runtime_fuzz
 cargo test -q --offline -p hiloc-core --test sharded_runtime
 cargo test -q --offline -p hiloc-core --test runtime_transports
 cargo test -q --offline -p hiloc-core --test runtime_transports -- --exact \
-    udp_nan_update_is_a_stray_and_the_object_still_answers
+    udp_nan_update_is_a_stray_and_the_object_still_answers \
+    channel_nan_update_is_dropped_and_the_object_still_answers \
+    sim_nan_position_is_dropped_and_the_object_still_answers
 cargo run -q --offline --example event_alerts
+
+# Shard placement: the one table (`ShardSpec::placement`) every
+# transport wires its shards from. Its unit tests: every server placed,
+# subtrees kept whole, deterministic, one shard maps everything to 0,
+# more shards than level-1 subtrees move the cut one level down. Then
+# the exact count of server→server envelopes that cross a shard
+# (`cross_shard_sends`), on channels and on UDP, over a root + 4 + 16
+# tree with 2 shards: 0 for a handover between sibling leaves, a
+# position query entered at the agent's sibling and path creation up
+# to the mid level; only root hops cross between quadrants.
+echo "==> shard placement gate (placement unit tests, cross-shard counts on channels + UDP)"
+cargo test -q --offline -p hiloc-core --lib -- runtime::sharded::tests
+cargo test -q --offline -p hiloc-core --test sharded_runtime -- --exact \
+    channel_cross_shard_sends_stay_inside_subtrees udp_cross_shard_sends_stay_inside_subtrees
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings

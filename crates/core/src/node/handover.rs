@@ -49,6 +49,14 @@ impl LocationServer {
         sighting: Sighting,
         batch_acks: Option<&mut Vec<(crate::model::ObjectId, f64)>>,
     ) {
+        // A non-finite position is no position: drop the sighting and
+        // change nothing, as UDP drops its datagram at `Point::decode`.
+        // Taken as a move it would fail `contains` and hand over to the
+        // root, which answers `OutOfServiceArea` and so deregisters a
+        // live object.
+        if !sighting.pos.is_finite() {
+            return;
+        }
         let oid = sighting.oid;
         let Some(VisitorRecord::Leaf { offered_acc_m, reg, .. }) = self.visitors.get(oid) else {
             // Not this object's agent: the object's AgentChanged was

@@ -20,6 +20,12 @@ impl LocationServer {
         registrant: Endpoint,
         corr: CorrId,
     ) {
+        // A non-finite position fails every `contains` and would climb
+        // to the root for an `achievable_m: inf` refusal: drop it, as
+        // UDP drops its datagram at `Point::decode`.
+        if !sighting.pos.is_finite() {
+            return;
+        }
         let fwd = |corr| Message::RegisterReq {
             sighting,
             des_acc_m,

@@ -7,7 +7,7 @@
 //!   the only code that builds, dispatches to, ticks, crashes (with a
 //!   [`CrashMode`]), restarts and checkpoints a server.
 //! * [`ShardedDeployment`] drives it in real time: servers partitioned
-//!   by id across per-core event-loop shards ([`ShardSpec`]), one table
+//!   by subtree across per-core event-loop shards ([`ShardSpec`]), one table
 //!   per shard, batch receive, same-shard traffic short-circuited in
 //!   memory, and the chaos verbs (crash, restart, checkpoint,
 //!   partition-by-drop) a fuzz plan drives.

@@ -2,10 +2,15 @@
 //! on every transport.
 //!
 //! The deployment runs **one event loop per shard**: servers are
-//! partitioned across shards by server id (`id % shards`), which —
-//! because every leaf owns a disjoint service area and objects map to
-//! leaves by area — partitions visitor/object state across cores the
-//! same way the slab store decouples storage from index. A shard's
+//! partitioned across shards **by subtree** ([`ShardSpec::placement`]):
+//! the tree is cut at the shallowest level with at least one server per
+//! shard, and each shard takes a contiguous depth-first run of whole
+//! subtrees below the cut, so parent↔child and sibling hops under the
+//! cut stay in one shard's in-memory queue and only hops through the
+//! servers above the cut can cross the transport. Because every leaf
+//! owns a disjoint service area and objects map to leaves by area, this
+//! also partitions visitor/object state across cores, the same way the
+//! slab store decouples storage from index. A shard's
 //! servers live in its own engine table ([`Servers`], the one the
 //! simulator drives too), which builds, dispatches to, ticks, crashes,
 //! restarts and checkpoints them; the shard keeps only the loop, the
@@ -91,10 +96,99 @@ impl ShardSpec {
         raw.clamp(1, n_servers.max(1))
     }
 
-    /// The partitioning rule: which shard owns server `id`. An
-    /// unresolved `shards == 0` answers as one shard does.
+    /// The retired breadth-first rule, `id % shards`, which no
+    /// deployment uses any more: the benchmark's inline replay still
+    /// models it when it decides which hops cross a socket. ROADMAP item
+    /// 15 re-points that replay at [`ShardSpec::placement`] and retires
+    /// this name. An unresolved `shards == 0` answers as one shard does.
     pub fn shard_of(id: ServerId, shards: usize) -> usize {
         id.0 as usize % shards.max(1)
+    }
+
+    /// The partitioning rule: the shard of every server, indexed by
+    /// `id.0`. The tree is cut at the shallowest level with at least
+    /// `shards` servers (the deepest level when none has); the subtrees
+    /// rooted at the cut, and any leaf above it, are split in
+    /// depth-first order into `shards` contiguous runs whose leaf
+    /// counts are as equal as the subtree sizes allow. A subtree stays
+    /// whole, a server above the cut goes with its first child, and a
+    /// retired or standby slot goes with its recorded parent (shard 0
+    /// without one). An unresolved `shards == 0` answers as one shard
+    /// does.
+    pub fn placement(hierarchy: &Hierarchy, shards: usize) -> Vec<usize> {
+        let shards = shards.max(1);
+        // The active tree in depth-first preorder, and its leaf counts.
+        let mut dfs = Vec::with_capacity(hierarchy.len());
+        let mut stack = vec![hierarchy.root()];
+        while let Some(id) = stack.pop() {
+            dfs.push(id);
+            stack.extend(hierarchy.server(id).children.iter().rev().map(|c| c.id));
+        }
+        let mut leaves = vec![0usize; hierarchy.len()];
+        for &id in dfs.iter().rev() {
+            let cfg = hierarchy.server(id);
+            leaves[id.0 as usize] = if cfg.is_leaf() {
+                1
+            } else {
+                cfg.children.iter().map(|c| leaves[c.id.0 as usize]).sum()
+            };
+        }
+        let level = |id: ServerId| hierarchy.server(id).level;
+        let height = dfs.iter().map(|&id| level(id)).max().unwrap_or(0);
+        let cut = (0..=height)
+            .find(|&l| dfs.iter().filter(|&&id| level(id) == l).count() >= shards)
+            .unwrap_or(height);
+        let units: Vec<ServerId> = dfs
+            .iter()
+            .copied()
+            .filter(|&id| level(id) == cut || (level(id) < cut && hierarchy.server(id).is_leaf()))
+            .collect();
+        let total: usize = units.iter().map(|u| leaves[u.0 as usize]).sum();
+
+        let mut owner: Vec<Option<usize>> = vec![None; hierarchy.len()];
+        let mut next = 0;
+        let mut prefix = 0;
+        for s in 0..shards {
+            // Run `s` ends as near the `(s + 1) / shards` share of the
+            // leaves as it can, taking at least one unit and leaving one
+            // for each later run.
+            let off_target = |n: usize| (n * shards).abs_diff(total * (s + 1));
+            let mut took = false;
+            while let Some(&unit) = units.get(next) {
+                let w = leaves[unit.0 as usize];
+                let later_runs_fed = units.len() - next >= shards - s;
+                let closer = off_target(prefix + w) < off_target(prefix);
+                if took && s + 1 < shards && !(later_runs_fed && closer) {
+                    break;
+                }
+                owner[unit.0 as usize] = Some(s);
+                prefix += w;
+                next += 1;
+                took = true;
+            }
+        }
+        // Below the cut a server goes with its parent (preorder reaches
+        // the parent first), above it with its first child (reverse
+        // preorder reaches the child first), and a slot outside the
+        // active tree with its recorded parent.
+        for &id in &dfs {
+            if let Some(p) = hierarchy.server(id).parent {
+                owner[id.0 as usize] = owner[id.0 as usize].or(owner[p.0 as usize]);
+            }
+        }
+        for &id in dfs.iter().rev() {
+            if let Some(first) = hierarchy.server(id).children.first() {
+                owner[id.0 as usize] = owner[id.0 as usize].or(owner[first.id.0 as usize]);
+            }
+        }
+        hierarchy
+            .servers()
+            .iter()
+            .map(|cfg| {
+                let parent = cfg.parent.and_then(|p| owner[p.0 as usize]);
+                owner[cfg.id.0 as usize].or(parent).unwrap_or(0)
+            })
+            .collect()
     }
 }
 
@@ -113,6 +207,9 @@ pub(crate) struct Shared {
     /// Envelopes a shard could not send (see
     /// [`ShardedDeployment::send_failed`]).
     send_failed: AtomicU64,
+    /// Server→server envelopes handed to the transport (see
+    /// [`ShardedDeployment::cross_shard_sends`]).
+    cross_shard_sends: AtomicU64,
     /// Per-destination-server shed counters (indexed by `id.0`):
     /// envelopes dropped because the destination's bounded inbox was
     /// full.
@@ -126,6 +223,7 @@ impl Shared {
             partition_active: AtomicBool::new(false),
             partition_dropped: AtomicU64::new(0),
             send_failed: AtomicU64::new(0),
+            cross_shard_sends: AtomicU64::new(0),
             shed: (0..n_servers).map(|_| AtomicU64::new(0)).collect(),
         })
     }
@@ -320,6 +418,9 @@ impl<T: ShardTransport> Shard<T> {
                 self.local_q.push_back(env);
                 return;
             }
+            if matches!(env.from, Endpoint::Server(_)) {
+                self.shared.cross_shard_sends.fetch_add(1, Ordering::Relaxed);
+            }
         }
         match (self.transport.send(env), to) {
             (SendOutcome::Shed, Endpoint::Server(sid)) => self.shared.record_shed(sid),
@@ -388,9 +489,10 @@ const COMMAND_TIMEOUT: Duration = Duration::from_secs(10);
 impl<W> ShardedDeployment<W> {
     /// Builds every server of `hierarchy` and starts one event loop
     /// per transport: shard `i` runs over `transports[i]` and owns the
-    /// servers with `ShardSpec::shard_of(id, transports.len()) == i`.
-    /// `first_client` seeds the client-id range (one range per
-    /// transport, clear of object-derived ids).
+    /// servers with `placement[id.0] == i`, the table the transport
+    /// wired its inboxes or address book from
+    /// ([`ShardSpec::placement`]). `first_client` seeds the client-id
+    /// range (one range per transport, clear of object-derived ids).
     ///
     /// # Errors
     ///
@@ -401,16 +503,14 @@ impl<W> ShardedDeployment<W> {
         opts: &ServerOptions,
         wire: W,
         transports: Vec<T>,
+        placement: Vec<usize>,
         first_client: u64,
     ) -> Result<Self, StorageError> {
         let n_shards = transports.len();
-        let mut owner = Vec::with_capacity(hierarchy.len());
         let mut per_shard: Vec<Servers> =
             (0..n_shards).map(|_| Servers::new(opts.clone())).collect();
         for cfg in hierarchy.servers() {
-            let shard = ShardSpec::shard_of(cfg.id, n_shards);
-            owner.push(shard);
-            per_shard[shard].spawn(cfg)?;
+            per_shard[placement[cfg.id.0 as usize]].spawn(cfg)?;
         }
 
         let shared = Shared::new(hierarchy.len());
@@ -441,7 +541,7 @@ impl<W> ShardedDeployment<W> {
             shared,
             epoch,
             cmd_txs,
-            owner,
+            owner: placement,
             shutdown,
             handles,
             next_client,
@@ -573,6 +673,15 @@ impl<W> ShardedDeployment<W> {
         self.shared.send_failed.load(Ordering::Relaxed)
     }
 
+    /// Server→server envelopes the shards have handed to the transport
+    /// so far: the protocol's messages that crossed a shard boundary
+    /// (same-shard ones loop through the shard's in-memory queue and are
+    /// not counted), whatever became of them (shed or unroutable
+    /// included). Client traffic is never counted.
+    pub fn cross_shard_sends(&self) -> u64 {
+        self.shared.cross_shard_sends.load(Ordering::Relaxed)
+    }
+
     /// Folds the shed counters into per-server stats and orders them
     /// by server id.
     fn finish_stats(&self, stats: &mut [(ServerId, ServerStats)]) {
@@ -636,5 +745,121 @@ impl<W> ShardedDeployment<W> {
 impl<W> Drop for ShardedDeployment<W> {
     fn drop(&mut self) {
         self.join_all();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::ShardSpec;
+    use crate::area::{Hierarchy, HierarchyBuilder};
+    use hiloc_geo::{Point, Rect};
+    use hiloc_net::ServerId;
+
+    /// Root 0, mid-level 1..=4, leaves 5..=20 (breadth-first ids).
+    fn tree(levels: u32) -> Hierarchy {
+        let area = Rect::new(Point::new(0.0, 0.0), Point::new(1_000.0, 1_000.0));
+        HierarchyBuilder::grid(area, levels, 2).build().unwrap()
+    }
+
+    fn leaves_per_shard(h: &Hierarchy, placement: &[usize], shards: usize) -> Vec<usize> {
+        let mut n = vec![0; shards];
+        for leaf in h.leaves() {
+            n[placement[leaf.id.0 as usize]] += 1;
+        }
+        n
+    }
+
+    #[test]
+    fn placement_places_every_server_on_a_running_shard() {
+        for levels in 0..=3 {
+            let h = tree(levels);
+            for shards in 1..=8 {
+                let placement = ShardSpec::placement(&h, shards);
+                assert_eq!(placement.len(), h.len(), "levels={levels} shards={shards}");
+                assert!(placement.iter().all(|&s| s < shards), "levels={levels} shards={shards}");
+            }
+        }
+    }
+
+    #[test]
+    fn placement_keeps_quadrants_whole_on_the_benchmark_tree() {
+        let placement = ShardSpec::placement(&tree(2), 2);
+        // Quadrants 1 and 2 go with the root, quadrants 3 and 4 share
+        // the other shard, each with its four leaves.
+        let mut want = vec![0, 0, 0, 1, 1];
+        want.extend([0; 8]);
+        want.extend([1; 8]);
+        assert_eq!(placement, want);
+    }
+
+    #[test]
+    fn placement_keeps_subtrees_whole_and_leaf_counts_even() {
+        let h = tree(2);
+        for shards in 2..=4 {
+            // At most 4 shards the cut is at the mid level: every
+            // server below it sits with its parent.
+            let placement = ShardSpec::placement(&h, shards);
+            for cfg in h.servers().iter().filter(|c| c.level == 2) {
+                let parent = cfg.parent.unwrap();
+                assert_eq!(placement[cfg.id.0 as usize], placement[parent.0 as usize]);
+            }
+            let per = leaves_per_shard(&h, &placement, shards);
+            assert!(per.iter().all(|&n| n > 0), "shards={shards}: {per:?}");
+            assert!(per.iter().max().unwrap() - per.iter().min().unwrap() <= 4, "{per:?}");
+            assert_eq!(placement[0], placement[1], "the root goes with its first child");
+        }
+    }
+
+    #[test]
+    fn placement_is_deterministic() {
+        for shards in 1..=6 {
+            let once = || ShardSpec::placement(&tree(2), shards);
+            assert_eq!(once(), once());
+        }
+        let h = tree(3);
+        assert_eq!(ShardSpec::placement(&h, 3), ShardSpec::placement(&h.clone(), 3));
+    }
+
+    #[test]
+    fn placement_on_one_shard_maps_everything_to_0() {
+        let h = tree(2);
+        assert!(ShardSpec::placement(&h, 1).iter().all(|&s| s == 0));
+        // An unresolved `shards == 0` answers as one shard does.
+        assert!(ShardSpec::placement(&h, 0).iter().all(|&s| s == 0));
+        assert_eq!(ShardSpec::placement(&tree(0), 3), vec![0]);
+    }
+
+    #[test]
+    fn more_shards_than_level_1_subtrees_moves_the_cut_one_level_down() {
+        let h = tree(2);
+        let placement = ShardSpec::placement(&h, 5);
+        // Five runs of the sixteen leaves, in depth-first order: every
+        // shard serves some, none more than its share rounded up.
+        let per = leaves_per_shard(&h, &placement, 5);
+        assert!(per.iter().all(|&n| (3..=4).contains(&n)), "{per:?}");
+        // A mid-level server now splits across shards and goes with
+        // its first child; the leaves' runs stay contiguous.
+        for mid in 1..=4u32 {
+            let first = h.server(ServerId(mid)).children[0].id;
+            assert_eq!(placement[mid as usize], placement[first.0 as usize]);
+        }
+        let leaf_shards: Vec<usize> = (5..21).map(|i| placement[i]).collect();
+        assert!(leaf_shards.is_sorted(), "{leaf_shards:?}");
+        // Fewer leaves than shards: one leaf per shard, the rest idle.
+        let small = ShardSpec::placement(&tree(1), 5);
+        assert_eq!(small, vec![0, 0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn slots_outside_the_active_tree_go_with_their_parent() {
+        let mut h = tree(2);
+        let absorber = h.retire_leaf(ServerId(20)).unwrap();
+        let split = h.split_leaf(ServerId(5)).unwrap();
+        let standby = h.reserve_standby(h.root()).unwrap();
+        let placement = ShardSpec::placement(&h, 2);
+        assert_eq!(placement.len(), h.len());
+        assert_eq!(placement[20], placement[absorber.0 as usize]);
+        assert_eq!(placement[split.0 as usize], placement[5]);
+        assert_eq!(placement[standby.0 as usize], 0);
     }
 }

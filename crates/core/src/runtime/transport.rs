@@ -109,6 +109,7 @@ impl ThreadedDeployment {
         let hierarchy = Arc::new(hierarchy);
         let net: ChannelNetwork<Message> = ChannelNetwork::new();
         let n_shards = spec.resolve(hierarchy.len());
+        let placement = ShardSpec::placement(&hierarchy, n_shards);
         // One bounded inbox per shard; every server on the shard
         // routes to it, and the network holds the only senders.
         let (inboxes, transports): (Vec<_>, Vec<_>) = (0..n_shards)
@@ -118,11 +119,10 @@ impl ThreadedDeployment {
             })
             .unzip();
         for cfg in hierarchy.servers() {
-            let inbox = &inboxes[ShardSpec::shard_of(cfg.id, n_shards)];
-            net.register_sender(cfg.id.into(), inbox.clone());
+            net.register_sender(cfg.id.into(), inboxes[placement[cfg.id.0 as usize]].clone());
         }
         drop(inboxes);
-        Self::start(hierarchy, &opts, net, transports, CHANNEL_FIRST_CLIENT)
+        Self::start(hierarchy, &opts, net, transports, placement, CHANNEL_FIRST_CLIENT)
             .expect("server construction failed")
     }
 
@@ -238,6 +238,7 @@ impl UdpDeployment {
     ) -> Result<Self, UdpError> {
         let hierarchy = Arc::new(hierarchy);
         let n_shards = spec.resolve(hierarchy.len());
+        let placement = ShardSpec::placement(&hierarchy, n_shards);
         // One socket per shard. Its endpoint identity is the shard
         // index (cosmetic — envelopes carry their own from/to).
         let mut transports = Vec::with_capacity(n_shards);
@@ -250,12 +251,12 @@ impl UdpDeployment {
         let addrs: BTreeMap<Endpoint, SocketAddr> = hierarchy
             .servers()
             .iter()
-            .map(|cfg| (cfg.id.into(), shard_addrs[ShardSpec::shard_of(cfg.id, n_shards)]))
+            .map(|cfg| (cfg.id.into(), shard_addrs[placement[cfg.id.0 as usize]]))
             .collect();
         for t in &transports {
             t.ep.add_routes(addrs.iter().map(|(e, a)| (*e, *a)));
         }
-        Self::start(hierarchy, &opts, addrs, transports, UDP_FIRST_CLIENT)
+        Self::start(hierarchy, &opts, addrs, transports, placement, UDP_FIRST_CLIENT)
             .map_err(|e| UdpError::Io(std::io::Error::other(e.to_string())))
     }
 

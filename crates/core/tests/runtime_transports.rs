@@ -658,3 +658,46 @@ fn udp_nan_update_is_a_stray_and_the_object_still_answers() {
     assert_eq!(ld.pos, pos);
     ls.shutdown();
 }
+
+/// The channel transport hands a position to the leaf undecoded; the
+/// leaf drops a non-finite one itself, so the update times out as it
+/// does on UDP and the object keeps its registration.
+#[test]
+fn channel_nan_update_is_dropped_and_the_object_still_answers() {
+    let ls = deployment::<Channels>();
+    let mut client = Channels::client(&ls);
+    let pos = Point::new(100.0, 100.0);
+    let leaf = ls.leaf_for(pos);
+    let s = Sighting::new(ObjectId(1), client.now_us(), pos, 5.0);
+    let (agent, _) = client.register(leaf, s, 10.0, 50.0, 2.0).expect("registration");
+    client.set_timeout(Duration::from_millis(300));
+    let nan = Sighting::new(ObjectId(1), client.now_us(), Point::new(f64::NAN, 10.0), 5.0);
+    assert_eq!(client.update(agent, nan), Err(LsError::Timeout));
+    let root = ls.hierarchy().root();
+    let ld = client.pos_query(root, ObjectId(1)).expect("the object is still registered");
+    assert_eq!(ld.pos, pos);
+    ls.shutdown();
+}
+
+/// The simulator, like the channel transport, carries positions
+/// undecoded: a non-finite update, batch entry or registration is
+/// dropped at the server and changes nothing.
+#[test]
+fn sim_nan_position_is_dropped_and_the_object_still_answers() {
+    let mut ls = SimDeployment::new(hierarchy(), Default::default(), 1);
+    let pos = Point::new(100.0, 100.0);
+    let leaf = ls.leaf_for(pos);
+    let at = |ls: &SimDeployment, oid, p| Sighting::new(ObjectId(oid), ls.now_us(), p, 5.0);
+    let (agent, _) = ls.register(leaf, at(&ls, 1, pos), 10.0, 50.0).expect("registration");
+    assert_eq!(ls.update(agent, at(&ls, 1, Point::new(f64::NAN, 10.0))), Err(LsError::Timeout));
+    let acked = ls
+        .update_batch(agent, vec![at(&ls, 1, Point::new(10.0, f64::NAN)), at(&ls, 1, pos)])
+        .expect("the batch is answered");
+    assert_eq!(acked.len(), 1, "only the finite sighting is applied");
+    let root = ls.hierarchy().root();
+    assert_eq!(ls.pos_query(root, ObjectId(1)).expect("the object is still registered").pos, pos);
+    for bad in [Point::new(f64::NAN, 10.0), Point::new(f64::INFINITY, 10.0)] {
+        assert_eq!(ls.register(leaf, at(&ls, 2, bad), 10.0, 50.0), Err(LsError::Timeout));
+    }
+    assert_eq!(ls.pos_query(root, ObjectId(2)), Err(LsError::UnknownObject(ObjectId(2))));
+}

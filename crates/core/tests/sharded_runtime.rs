@@ -6,10 +6,12 @@ use hiloc_core::area::HierarchyBuilder;
 use hiloc_core::model::{ObjectId, Sighting};
 use hiloc_core::node::{DurabilityOptions, ServerOptions, StorageSyncPolicy};
 use hiloc_core::runtime::{
-    CrashMode, ShardSpec, SyncClient, ThreadedDeployment, UdpDeployment, UpdateOutcome,
+    Client, CrashMode, ShardSpec, ShardedDeployment, SyncClient, ThreadedDeployment,
+    UdpDeployment, UpdateOutcome,
 };
+use hiloc_core::Message;
 use hiloc_geo::{Point, Rect};
-use hiloc_net::ServerId;
+use hiloc_net::{Port, ServerId};
 use hiloc_util::tempdir::TempDir;
 use std::time::Duration;
 
@@ -91,16 +93,19 @@ fn failed_restart_leaves_one_server_down_and_its_shard_serving() {
         }),
         ..Default::default()
     };
-    // Root 0 + leaves 1..=4 over 2 shards: leaves 1 and 3 share shard 1.
+    // Root 0 + leaves 1..=4 over 2 shards: leaves 3 and 4 share
+    // shard 1 (leaves 1 and 2 go with the root on shard 0).
     let ls = ThreadedDeployment::new_sharded(
         hierarchy(1_000.0, 1, 2),
         opts,
         ShardSpec { shards: 2, ..Default::default() },
     );
-    let (victim, sibling) = (ServerId(1), ServerId(3));
-    assert_eq!(ShardSpec::shard_of(victim, 2), ShardSpec::shard_of(sibling, 2));
+    let (victim, sibling) = (ServerId(3), ServerId(4));
+    let placement = ShardSpec::placement(ls.hierarchy(), 2);
+    assert_eq!(placement, [0, 0, 0, 1, 1]);
     // Total: the unresolved default (`shards: 0`) answers as one shard does.
-    assert_eq!(ShardSpec::shard_of(victim, ShardSpec::default().shards), 0);
+    let unresolved = ShardSpec::placement(ls.hierarchy(), ShardSpec::default().shards);
+    assert!(unresolved.iter().all(|&s| s == 0));
     let mut client = ls.client();
     client.set_timeout(Duration::from_secs(2));
     let register = |client: &mut SyncClient, oid: u64, leaf: ServerId| {
@@ -311,4 +316,102 @@ fn udp_sharded_crash_restart_and_cross_shard_ops() {
     let ld = client.pos_query(agent2, ObjectId(9)).expect("query after UDP restart");
     assert_eq!(ld.pos, pos);
     ls.shutdown();
+}
+
+/// The server→server envelopes `ls` hands its transport from `since`
+/// on: waits (up to 2 s) until `want` have crossed, then a little
+/// longer, so a late extra crossing would still be counted.
+fn crossed<W>(ls: &ShardedDeployment<W>, since: u64, want: u64) -> u64 {
+    for _ in 0..2_000 {
+        if ls.cross_shard_sends() >= since + want {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(50));
+    ls.cross_shard_sends() - since
+}
+
+/// Root 0, quadrants 1..=4 and leaves 5..=20 over 2 shards: quadrants
+/// 1 and 2 (y < 500) share shard 0 with the root, quadrants 3 and 4
+/// (y ≥ 500) shard 1. Hops under a quadrant never cross the transport;
+/// an operation between quadrants crosses only between the root and
+/// the other shard's quadrant.
+fn crossings_stay_inside_subtrees<W, L: Port<Message>>(
+    ls: ShardedDeployment<W>,
+    mut client: Client<L>,
+) {
+    assert_eq!(ls.shard_count(), 2);
+    assert_eq!(ls.hierarchy().server(ServerId(13)).parent, Some(ServerId(3)));
+    let sighting = |client: &Client<L>, oid, x, y| {
+        Sighting::new(ObjectId(oid), client.now_us(), Point::new(x, y), 5.0)
+    };
+
+    // A leaf re-asserts its paths as soon as it holds its first
+    // visitor (its path maintenance starts out due), so warm every
+    // leaf first: the counts below are then per operation. Each of the
+    // eight leaves under quadrants 3 and 4 crosses twice, at the root:
+    // its warm-up registration's CreatePath and that re-assertion.
+    let n = ls.cross_shard_sends();
+    for (i, leaf) in (5..21).map(ServerId).enumerate() {
+        let pos = ls.hierarchy().server(leaf).area.center();
+        let s = Sighting::new(ObjectId(100 + i as u64), client.now_us(), pos, 5.0);
+        assert_eq!(client.register(leaf, s, 10.0, 50.0, 2.0).unwrap().0, leaf);
+    }
+    assert_eq!(crossed(&ls, n, 16), 16, "warm-up");
+
+    // Path creation under quadrant 1 stays on the root's shard.
+    let n = ls.cross_shard_sends();
+    let s = sighting(&client, 1, 100.0, 100.0);
+    assert_eq!(client.register(ServerId(5), s, 10.0, 50.0, 2.0).unwrap().0, ServerId(5));
+    assert_eq!(crossed(&ls, n, 0), 0, "register under quadrant 1");
+
+    // Under quadrant 3 it reaches the mid-level server without
+    // crossing, and crosses once, to the root.
+    let n = ls.cross_shard_sends();
+    let s = sighting(&client, 2, 100.0, 600.0);
+    assert_eq!(client.register(ServerId(13), s, 10.0, 50.0, 2.0).unwrap().0, ServerId(13));
+    assert_eq!(crossed(&ls, n, 1), 1, "register under quadrant 3: CreatePath 3 → 0");
+
+    // A handover between sibling leaves goes through their common
+    // parent, on their shard.
+    let n = ls.cross_shard_sends();
+    let moved = client.update(ServerId(13), sighting(&client, 2, 300.0, 600.0)).unwrap();
+    assert!(matches!(moved, UpdateOutcome::NewAgent { agent: ServerId(14), .. }), "{moved:?}");
+    assert_eq!(crossed(&ls, n, 0), 0, "handover 13 → 14");
+
+    // A position query entered at a sibling of the agent leaf.
+    let n = ls.cross_shard_sends();
+    assert_eq!(client.pos_query(ServerId(13), ObjectId(2)).unwrap().pos, Point::new(300.0, 600.0));
+    assert_eq!(crossed(&ls, n, 0), 0, "pos query entered at 13 for an object at 14");
+
+    // A handover from quadrant 3 to quadrant 1 crosses at the root
+    // only: HandoverReq 3 → 0 and HandoverRes 0 → 3.
+    let n = ls.cross_shard_sends();
+    let moved = client.update(ServerId(14), sighting(&client, 2, 100.0, 100.0)).unwrap();
+    assert!(matches!(moved, UpdateOutcome::NewAgent { agent: ServerId(5), .. }), "{moved:?}");
+    assert_eq!(crossed(&ls, n, 2), 2, "handover 14 → 5 across quadrants");
+}
+
+#[test]
+fn channel_cross_shard_sends_stay_inside_subtrees() {
+    let ls = ThreadedDeployment::new_sharded(
+        hierarchy(1_000.0, 2, 2),
+        Default::default(),
+        ShardSpec { shards: 2, ..Default::default() },
+    );
+    let client = ls.client();
+    crossings_stay_inside_subtrees(ls, client);
+}
+
+#[test]
+fn udp_cross_shard_sends_stay_inside_subtrees() {
+    let ls = UdpDeployment::bind_sharded(
+        hierarchy(1_000.0, 2, 2),
+        Default::default(),
+        ShardSpec { shards: 2, ..Default::default() },
+    )
+    .expect("bind");
+    let client = ls.client().expect("client socket");
+    crossings_stay_inside_subtrees(ls, client);
 }

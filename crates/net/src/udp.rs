@@ -24,6 +24,7 @@ use std::fmt;
 use std::io::ErrorKind;
 use std::marker::PhantomData;
 use std::net::{SocketAddr, UdpSocket};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -101,6 +102,9 @@ pub struct UdpEndpoint<M> {
     /// Envelopes of datagrams already read that did not fit the
     /// receive call that read them; the next call hands them out first.
     pending: Arc<Mutex<VecDeque<Envelope<M>>>>,
+    /// The socket's read timeout in whole milliseconds, as last set (0:
+    /// never set), shared like the socket so no clone sets it again.
+    read_timeout_ms: Arc<AtomicU64>,
     _marker: PhantomData<fn(M) -> M>,
 }
 
@@ -120,6 +124,7 @@ impl<M> Clone for UdpEndpoint<M> {
             socket: Arc::clone(&self.socket),
             routes: Arc::clone(&self.routes),
             pending: Arc::clone(&self.pending),
+            read_timeout_ms: Arc::clone(&self.read_timeout_ms),
             _marker: PhantomData,
         }
     }
@@ -327,6 +332,7 @@ impl<M: WireCodec> UdpEndpoint<M> {
             socket: Arc::new(socket),
             routes: Arc::new(RwLock::new(BTreeMap::new())),
             pending: Arc::new(Mutex::new(VecDeque::new())),
+            read_timeout_ms: Arc::new(AtomicU64::new(0)),
             _marker: PhantomData,
         })
     }
@@ -488,9 +494,7 @@ impl<M: WireCodec> UdpEndpoint<M> {
                 if remaining.is_zero() {
                     return Ok(counts);
                 }
-                // A zero read timeout is rejected by the OS; round up.
-                self.socket
-                    .set_read_timeout(Some(remaining.max(Duration::from_millis(1))))?;
+                self.set_read_timeout(remaining)?;
                 match self.read_datagram(buf, max, out, &mut counts) {
                     Ok(()) => {}
                     Err(UdpError::Io(ref e)) if is_timeout(e) => return Ok(counts),
@@ -517,6 +521,20 @@ impl<M: WireCodec> UdpEndpoint<M> {
             self.socket.set_nonblocking(false)?;
             drained.map(|()| counts)
         })
+    }
+
+    /// Sets the socket's read timeout to `wait` rounded up to whole
+    /// milliseconds (at least 1: the OS rejects a zero timeout), with
+    /// no syscall when that is the value already set. The rounding
+    /// keeps a wait from returning early and lets back-to-back waits
+    /// of about the same length share one setting.
+    fn set_read_timeout(&self, wait: Duration) -> Result<(), UdpError> {
+        let ms = (wait.as_nanos().div_ceil(1_000_000) as u64).max(1);
+        if self.read_timeout_ms.load(Ordering::Relaxed) != ms {
+            self.socket.set_read_timeout(Some(Duration::from_millis(ms)))?;
+            self.read_timeout_ms.store(ms, Ordering::Relaxed);
+        }
+        Ok(())
     }
 
     /// One receive syscall. A well-formed datagram's envelopes go to
@@ -671,6 +689,23 @@ mod tests {
         let a = bind(0);
         let got = a.recv_timeout(Duration::from_millis(20)).unwrap();
         assert!(got.is_none());
+    }
+
+    #[test]
+    fn recv_timeout_never_returns_before_the_requested_wait() {
+        let a = bind(0);
+        let waits_us = [300, 1_000, 1_500, 2_200, 1_400, 7_000, 999];
+        for wait in waits_us.map(Duration::from_micros) {
+            let t0 = Instant::now();
+            assert!(a.recv_timeout(wait).unwrap().is_none());
+            assert!(t0.elapsed() >= wait, "{:?} returned after {:?}", wait, t0.elapsed());
+        }
+        // Clones share the cached setting along with the socket.
+        let b = a.clone();
+        let t0 = Instant::now();
+        assert!(b.recv_timeout(Duration::from_micros(2_500)).unwrap().is_none());
+        assert!(t0.elapsed() >= Duration::from_micros(2_500));
+        assert_eq!(a.read_timeout_ms.load(Ordering::Relaxed), 3);
     }
 
     #[test]
