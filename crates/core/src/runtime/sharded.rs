@@ -207,9 +207,6 @@ pub(crate) struct Shared {
     /// Envelopes a shard could not send (see
     /// [`ShardedDeployment::send_failed`]).
     send_failed: AtomicU64,
-    /// Server→server envelopes handed to the transport (see
-    /// [`ShardedDeployment::cross_shard_sends`]).
-    cross_shard_sends: AtomicU64,
     /// Per-destination-server shed counters (indexed by `id.0`):
     /// envelopes dropped because the destination's bounded inbox was
     /// full.
@@ -223,7 +220,6 @@ impl Shared {
             partition_active: AtomicBool::new(false),
             partition_dropped: AtomicU64::new(0),
             send_failed: AtomicU64::new(0),
-            cross_shard_sends: AtomicU64::new(0),
             shed: (0..n_servers).map(|_| AtomicU64::new(0)).collect(),
         })
     }
@@ -315,6 +311,8 @@ pub(crate) struct ShardSnapshot {
     /// Wall clock this shard spent processing (timers + dispatch),
     /// excluding transport waits.
     pub busy: Duration,
+    /// Server→server envelopes this shard handed to its transport.
+    pub cross_shard_sends: u64,
 }
 
 /// A single event-loop shard. Generic over the transport so every
@@ -329,6 +327,10 @@ pub(crate) struct Shard<T: ShardTransport> {
     shutdown: Arc<AtomicBool>,
     epoch: Instant,
     busy: Duration,
+    /// Server→server envelopes handed to the transport. The shard's
+    /// own count, read through [`Command::Snapshot`], so the hot path
+    /// writes no memory another shard reads.
+    cross_shard_sends: u64,
     /// Same-shard forwarding queue: outputs addressed to a local
     /// server loop here instead of through the transport.
     local_q: VecDeque<Envelope<Message>>,
@@ -419,7 +421,7 @@ impl<T: ShardTransport> Shard<T> {
                 return;
             }
             if matches!(env.from, Endpoint::Server(_)) {
-                self.shared.cross_shard_sends.fetch_add(1, Ordering::Relaxed);
+                self.cross_shard_sends += 1;
             }
         }
         match (self.transport.send(env), to) {
@@ -443,7 +445,11 @@ impl<T: ShardTransport> Shard<T> {
             }
             Command::Snapshot(reply) => {
                 let stats = self.servers.stats();
-                let _ = reply.try_send(ShardSnapshot { stats, busy: self.busy });
+                let _ = reply.try_send(ShardSnapshot {
+                    stats,
+                    busy: self.busy,
+                    cross_shard_sends: self.cross_shard_sends,
+                });
             }
         }
     }
@@ -530,6 +536,7 @@ impl<W> ShardedDeployment<W> {
                 shutdown: Arc::clone(&shutdown),
                 epoch,
                 busy: Duration::ZERO,
+                cross_shard_sends: 0,
                 local_q: VecDeque::new(),
             };
             handles.push(std::thread::spawn(move || shard.run()));
@@ -677,9 +684,10 @@ impl<W> ShardedDeployment<W> {
     /// so far: the protocol's messages that crossed a shard boundary
     /// (same-shard ones loop through the shard's in-memory queue and are
     /// not counted), whatever became of them (shed or unroutable
-    /// included). Client traffic is never counted.
+    /// included). Client traffic is never counted. Asks every shard,
+    /// as [`ShardedDeployment::shard_busy`] does.
     pub fn cross_shard_sends(&self) -> u64 {
-        self.shared.cross_shard_sends.load(Ordering::Relaxed)
+        self.snapshot().2
     }
 
     /// Folds the shed counters into per-server stats and orders them
@@ -691,10 +699,12 @@ impl<W> ShardedDeployment<W> {
         stats.sort_by_key(|(id, _)| id.0);
     }
 
-    /// Asks every shard for its live servers' stats and its busy time.
-    fn snapshot(&self) -> (Vec<(ServerId, ServerStats)>, Vec<Duration>) {
+    /// Asks every shard for its live servers' stats, its busy time and
+    /// its cross-shard sends (summed).
+    fn snapshot(&self) -> (Vec<(ServerId, ServerStats)>, Vec<Duration>, u64) {
         let mut stats: Vec<(ServerId, ServerStats)> = Vec::new();
         let mut busy = vec![Duration::ZERO; self.cmd_txs.len()];
+        let mut cross = 0;
         for (i, tx) in self.cmd_txs.iter().enumerate() {
             let (reply_tx, reply_rx) = unbounded();
             if tx.try_send(Command::Snapshot(reply_tx)).is_err() {
@@ -703,13 +713,14 @@ impl<W> ShardedDeployment<W> {
             match reply_rx.recv_timeout(COMMAND_TIMEOUT) {
                 Ok(snap) => {
                     busy[i] = snap.busy;
+                    cross += snap.cross_shard_sends;
                     stats.extend(snap.stats);
                 }
                 Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {}
             }
         }
         self.finish_stats(&mut stats);
-        (stats, busy)
+        (stats, busy, cross)
     }
 
     /// Mid-run stats of every live server (shed counters folded in),
