@@ -62,16 +62,17 @@ cargo test -q --offline -p hiloc-core --test replica_torn_tail
 echo "==> storage gate (torn tails, snapshot cuts and flips, model + power-loss properties)"
 cargo test -q --offline -p hiloc-storage
 
-# Bytes per tracked object: the quadtree node, slab slot and forward
-# value sizes and the per-object estimates at 12 500 objects (≤ 180 B
-# per sighting, ≤ 45 B per forward record), the node arena bounded
-# under a 15 m random walk, a 100 000-deep quadtree queried on a 2 MiB
-# stack (walks are loops, not recursion), and the split visitor table
-# against one reference table.
-echo "==> bytes-per-object gate (node/slot/forward ceilings, bounded arena, deep-quadtree walks, split visitor table)"
-cargo test -q --offline -p hiloc-spatial --lib -- node_fits_in_96_bytes arena_stays_bounded_under_a_15_m_random_walk \
-    deep_chain_queries_do_not_overflow_a_2_mib_stack chain_builder_matches_plain_inserts
-cargo test -q --offline -p hiloc-storage --lib -- bytes_per_object_stay_under_180
+# Bytes per tracked object: the quadtree entry, cell, slab slot and
+# forward value sizes, the quadtree arena's share (≤ 56 B per entry)
+# and the per-object estimates at 12 500 objects (≤ 135 B per
+# sighting, ≤ 45 B per forward record), the cell arena bounded under a
+# 15 m random walk, 100 000 objects along one line and 20 000 at one
+# point held under the quadtree's height cap and queried on a 2 MiB
+# stack, and the split visitor table against one reference table.
+echo "==> bytes-per-object gate (entry/slot/forward ceilings, bounded arena, height cap, split visitor table)"
+cargo test -q --offline -p hiloc-spatial --lib -- entries_fit_in_32_bytes arena_costs_at_most_56_bytes_per_entry \
+    arena_stays_bounded_under_a_15_m_random_walk adversarial_shapes_stay_under_the_height_cap_on_a_2_mib_stack
+cargo test -q --offline -p hiloc-storage --lib -- bytes_per_object_stay_under_135
 cargo test -q --offline -p hiloc-core --lib -- forward_records_cost_at_most_45_bytes
 cargo test -q --offline -p hiloc-core --test visitor_prop
 

@@ -28,7 +28,7 @@ pub struct Table1Row {
 }
 
 /// Runs the full Table 1 workload over the leaf's sighting database
-/// (the point quadtree) and returns the measured rows.
+/// (its quadtree) and returns the measured rows.
 ///
 /// `objects` and `ops` default to the paper's 25 000 / 10 000 in the
 /// experiments binary; tests use smaller sizes.

@@ -257,7 +257,8 @@ impl LocationServer {
     /// Returns an error when the durable visitor store cannot be
     /// opened.
     pub fn new(config: ServerConfig, opts: ServerOptions) -> Result<Self, StorageError> {
-        // The point quadtree is the paper's index.
+        // A region quadtree in place of the paper's point quadtree
+        // (see `hiloc_spatial::PointQuadtree`).
         let sightings = SightingDb::new_quadtree();
         let (visitors, replicas) = match &opts.durability {
             None => (VisitorDb::volatile(), ReplicaDb::volatile()),

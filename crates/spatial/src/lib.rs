@@ -5,8 +5,10 @@
 //! information in the sighting records (e.g., a Quadtree or an R-Tree)"
 //! for range and nearest-neighbor queries. This crate provides:
 //!
-//! * [`PointQuadtree`] — the paper's choice (Samet's point quadtree),
-//!   the index every sighting database is built on.
+//! * [`PointQuadtree`] — the index every sighting database is built
+//!   on. The paper chose Samet's point quadtree; this one keeps the
+//!   name but is a bucketed region quadtree, so insertion order cannot
+//!   skew its shape.
 //! * [`RTree`] — the alternative the paper cites (Guttman), used as an
 //!   ablation baseline.
 //! * [`GridIndex`] — a uniform-grid baseline.
@@ -92,10 +94,9 @@ pub trait SpatialIndex: Send {
     /// Semantically identical to [`insert`](SpatialIndex::insert), but
     /// implementations are expected to recognize *local* movement (the
     /// common case under a sustained update storm) and avoid the full
-    /// remove + re-insert: the grid moves within a cell in place, the
-    /// quadtree mutates a childless node whose routing region still
-    /// contains the point, and the R-tree rewrites the entry when the
-    /// containing leaf MBR still covers it.
+    /// remove + re-insert: the grid and the quadtree move an entry
+    /// within its cell in place, and the R-tree rewrites the entry when
+    /// the containing leaf MBR still covers it.
     fn update(&mut self, key: ObjectKey, pos: Point) -> Option<Point> {
         self.insert(key, pos)
     }

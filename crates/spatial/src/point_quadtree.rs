@@ -1,144 +1,167 @@
-//! Samet's point quadtree — the paper's spatial index.
+//! The sighting database's spatial index: a bucketed region quadtree.
+//!
+//! The paper's prototype used Samet's *point* quadtree, in which every
+//! entry is a split point, so the order of insertion decides the tree's
+//! shape. This index keeps the paper's name but splits *space*: each
+//! cell of one fixed root square splits at its midpoint, so the
+//! positions alone decide the shape, and a depth cap bounds the height.
 
 use crate::{candidate_cmp, Entry, ObjectKey, SpatialIndex};
 use hiloc_geo::{Point, Rect};
 // lint:allow(determinism) import for the lookup-only key map annotated below
 use std::collections::HashMap;
 
-/// Child quadrant indexes: SW, SE, NW, NE relative to a node's point.
-const SW: usize = 0;
-const SE: usize = 1;
-const NW: usize = 2;
-const NE: usize = 3;
+/// Half the side of the root square in meters: the root covers
+/// `[-2²⁵, 2²⁵)` on both axes (±33 554 km), wider than any projected
+/// deployment. Every cell corner and midpoint is then a short dyadic
+/// number, so each split comparison is exact.
+const ROOT_HALF: f64 = (1u64 << 25) as f64;
 
-/// The absent link in `children` and `parent`, and the tombstone mark
-/// in `handle`.
+/// Entries a leaf cell holds before it splits.
+const BUCKET: usize = 32;
+
+/// The depth cap: levels of cells, the root included. A cell on the
+/// last level never splits and its bucket grows instead, so coincident
+/// positions cannot split forever.
+const MAX_HEIGHT: usize = 32;
+
+/// The side of a cell on the last level: 2⁻⁵ m, about 3 cm.
+const MIN_SIDE: f64 = 2.0 * ROOT_HALF / (1u64 << (MAX_HEIGHT - 1)) as f64;
+
+/// The absent link: a leaf's `first_child` and the root's `parent`.
 const NIL: u32 = u32::MAX;
 
-/// One arena node. The fields a walk reads (`key`, `split`, `pos`,
-/// `children`) come first, in the first 56 of its 96 bytes.
-#[derive(Debug, Clone)]
-#[repr(C)]
-struct Node {
+/// The cell holding every position the root cannot (non-finite, or
+/// beyond `ROOT_HALF`): a bucket that never splits and that every query
+/// scans.
+const OVERFLOW: u32 = 0;
+
+/// The root cell.
+const ROOT: u32 = 1;
+
+/// One bucket entry.
+#[derive(Debug, Clone, Copy)]
+struct Item {
     key: ObjectKey,
-    /// The node's *split point*: fixed at insertion, it defines the
-    /// quadrant decomposition below this node and never moves.
-    split: Point,
-    /// The object's *current position*: free to drift anywhere inside
-    /// `bounds` without restructuring (the update hot path). Always
-    /// inside `bounds`; starts equal to `split`.
     pos: Point,
-    /// Child arena indexes per quadrant, [`NIL`] where absent.
-    children: [u32; 4],
-    /// Parent arena index, [`NIL`] at the root.
-    parent: u32,
-    /// The owner's handle for the entry (see
-    /// [`PointQuadtree::upsert_handle`]), or [`NIL`] for a tombstone:
-    /// the node stays in the tree as a split point but no longer
-    /// represents a live object. Also marks freed slots (which are
-    /// additionally unlinked and on the free list).
+    /// The owner's handle (see [`PointQuadtree::upsert_handle`]).
     handle: u32,
-    /// The node's routing region (quadrant constraints accumulated from
-    /// the root at insertion). Cached so the update fast path is O(1),
-    /// and read by the nearest-neighbour walk as the subtree's region.
-    bounds: QuadBounds,
 }
 
-impl Node {
-    fn is_live(&self) -> bool {
-        self.handle != NIL
+/// One arena cell: the half-open square `[min, min + side)` on both
+/// axes. A leaf holds its entries in `items`; an inner cell holds none
+/// and has four children, consecutive in the arena from `first_child`
+/// in the order SW, SE, NW, NE.
+#[derive(Debug, Clone)]
+struct Cell {
+    items: Vec<Item>,
+    min: Point,
+    side: f64,
+    first_child: u32,
+    parent: u32,
+}
+
+impl Cell {
+    fn leaf(min: Point, side: f64, parent: u32) -> Self {
+        Cell { items: Vec::new(), min, side, first_child: NIL, parent }
     }
 
-    fn is_childless(&self) -> bool {
-        self.children == [NIL; 4]
+    fn is_leaf(&self) -> bool {
+        self.first_child == NIL
     }
 
-    fn unlink_child(&mut self, id: u32) {
-        for slot in &mut self.children {
-            if *slot == id {
-                *slot = NIL;
-            }
-        }
+    fn contains(&self, p: Point) -> bool {
+        p.x >= self.min.x && p.x < self.min.x + self.side && p.y >= self.min.y && p.y < self.min.y + self.side
+    }
+
+    /// The child quadrant (SW 0, SE 1, NW 2, NE 3) that `p` routes to;
+    /// a midpoint coordinate belongs to the east or north side.
+    fn quadrant(&self, p: Point) -> u32 {
+        let half = self.side / 2.0;
+        (p.x >= self.min.x + half) as u32 | ((p.y >= self.min.y + half) as u32) << 1
+    }
+
+    fn overlaps(&self, rect: &Rect) -> bool {
+        let (lo, hi) = (rect.min(), rect.max());
+        hi.x >= self.min.x && lo.x < self.min.x + self.side && hi.y >= self.min.y && lo.y < self.min.y + self.side
+    }
+
+    fn min_distance(&self, p: Point) -> f64 {
+        let dx = (self.min.x - p.x).max(0.0).max(p.x - self.min.x - self.side);
+        let dy = (self.min.y - p.y).max(0.0).max(p.y - self.min.y - self.side);
+        (dx * dx + dy * dy).sqrt()
     }
 }
 
-/// Entries a walk keeps inline before it spills to the heap: a walk
-/// holds at most three pending siblings per level, so only a tree far
-/// deeper than its ordinary O(log n) height ever allocates.
-const WALK_INLINE: usize = 128;
-
-/// The pending-node stack of a tree walk. Walks are loops over this
-/// stack, never recursion, so a degenerate (chain-like) tree costs
-/// time but can never exhaust the thread's stack.
-struct WalkStack {
-    inline: [u32; WALK_INLINE],
+/// The pending cells of a tree walk. A walk holds at most three pending
+/// siblings per level plus the four children it just pushed, and the
+/// height is capped, so a fixed array always suffices.
+struct Walk {
+    ids: [u32; 3 * MAX_HEIGHT + 1],
     len: usize,
-    spill: Vec<u32>,
 }
 
-impl WalkStack {
-    fn new(root: u32) -> Self {
-        let mut stack = WalkStack { inline: [NIL; WALK_INLINE], len: 0, spill: Vec::new() };
-        stack.push(root);
-        stack
+impl Walk {
+    fn new() -> Self {
+        Walk { ids: [ROOT; 3 * MAX_HEIGHT + 1], len: 1 }
     }
 
     fn push(&mut self, id: u32) {
-        if id == NIL {
-            return;
-        }
-        if self.len < WALK_INLINE {
-            self.inline[self.len] = id;
-            self.len += 1;
-        } else {
-            self.spill.push(id);
-        }
+        self.ids[self.len] = id;
+        self.len += 1;
     }
 
     fn pop(&mut self) -> Option<u32> {
-        if let Some(id) = self.spill.pop() {
-            return Some(id);
-        }
         self.len = self.len.checked_sub(1)?;
-        Some(self.inline[self.len])
+        Some(self.ids[self.len])
     }
 }
 
-/// A point quadtree (Samet, *The Design and Analysis of Spatial Data
-/// Structures*): every node stores one data point; its insertion
-/// position splits the region into four quadrants.
+/// Offers `item` to a nearest-neighbour search: it replaces `best` when
+/// it ranks before it and `filter` accepts it. The filter (a visitor
+/// probe at a leaf) runs only on an entry that would replace the best.
+fn offer(
+    best: &mut Option<(Entry, f64)>,
+    p: Point,
+    item: &Item,
+    filter: &mut dyn FnMut(ObjectKey) -> bool,
+) {
+    let cand = (Entry::new(item.key, item.pos), p.distance(item.pos));
+    if best.as_ref().is_none_or(|b| candidate_cmp(&cand, b).is_lt()) && filter(item.key) {
+        *best = Some(cand);
+    }
+}
+
+/// A bucketed region quadtree (PR-quadtree): the index every sighting
+/// database is built on.
 ///
-/// This is the index the paper's prototype uses for the sighting
-/// database ("For the spatial index we used a Point Quadtree
-/// implementation, which we found to be very well suited for our
-/// purpose").
+/// The paper's prototype used a *point* quadtree (Samet, *The Design
+/// and Analysis of Spatial Data Structures*: "For the spatial index we
+/// used a Point Quadtree implementation"). There each entry splits the
+/// plane at its own position, so insertion order decides the shape:
+/// objects registered in order along a street build a chain as deep as
+/// their count, and deletion needs tombstones and rebuilds. This index
+/// keeps the paper's type name and splits space instead.
 ///
-/// # Update hot path
+/// # Shape
+///
+/// The root is a fixed square of side 2²⁶ m centred on the origin.
+/// A leaf cell holds up to 16 entries `(key, position, handle)` in a
+/// flat bucket; the 17th splits it at its midpoint into four children,
+/// and four leaf siblings merge back into their parent once their
+/// entries fit in one bucket. Cells stop splitting 32 levels down
+/// (3 cm cells), where the bucket grows instead, so the height never
+/// exceeds 32 whatever the input, and walks use a fixed-size stack.
+/// Positions outside the root (non-finite or farther than 2²⁵ m)
+/// live in one overflow bucket that every query scans.
+///
+/// # Updates
 ///
 /// Position updates are the dominant load of a location server (the
-/// paper measures 41 494 updates/s), so the structure is tuned for
-/// them: each node's **split point** (the routing structure) is
-/// decoupled from the object's **current position**, and the node's
-/// routing region is cached. A move that stays inside the region — the
-/// common case for the local motion of tracked objects — is a single
-/// in-place write, no matter whether the node has children.
-///
-/// # Deletion strategy
-///
-/// True point-quadtree deletion requires re-inserting entire subtrees.
-/// A childless node is unlinked outright (its arena slot is reused;
-/// emptied tombstone ancestors are pruned on the way up). A node with
-/// children is tombstoned: it stays as a split point and the tree is
-/// rebuilt from the live nodes once tombstones outnumber them —
-/// amortized O(log n) per operation and a bounded 2× space overhead.
-///
-/// # Depth
-///
-/// Queries walk the tree with an explicit stack, so their stack use
-/// does not depend on the tree's height. Insertion order still shapes
-/// the height: objects registered in order along a line build a chain
-/// as deep as their count, and each insert then costs O(n) until a
-/// tombstone rebuild reshuffles the tree.
+/// paper measures 41 494 updates/s). The key map locates each entry's
+/// cell and its index within the bucket, so a move that stays inside
+/// the cell is one hash probe and one in-place write. A move across
+/// cells is a removal plus an insertion from the root, O(height).
 ///
 /// # Example
 ///
@@ -156,28 +179,24 @@ impl WalkStack {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PointQuadtree {
-    nodes: Vec<Node>,
-    /// Freed arena slots available for reuse.
+    /// The overflow bucket, the root, then groups of four children.
+    cells: Vec<Cell>,
+    /// First cells of freed four-child groups, reused by splits.
     free: Vec<u32>,
-    root: u32,
-    /// Key → node index, for O(1) lookup/removal. An owner that keeps a
-    /// side table per entry reaches it through the node's handle (see
+    /// Key → (cell, index in its bucket), for O(1) lookup, in-place
+    /// moves and removal. An owner that keeps a side table per entry
+    /// reaches it through the entry's handle (see
     /// [`PointQuadtree::upsert_handle`]), so this is the owner's only
     /// key map too.
-    // lint:allow(determinism) lookups only; maybe_rebuild sorts by mixed key before reinserting
-    by_key: HashMap<ObjectKey, u32>,
-    tombstones: usize,
+    // lint:allow(determinism) lookups only; walks and for_each read the cell arena, never this map
+    by_key: HashMap<ObjectKey, (u32, u32)>,
 }
 
 impl Default for PointQuadtree {
     fn default() -> Self {
-        PointQuadtree {
-            nodes: Vec::new(),
-            free: Vec::new(),
-            root: NIL,
-            by_key: Default::default(),
-            tombstones: 0,
-        }
+        let root = Cell::leaf(Point::new(-ROOT_HALF, -ROOT_HALF), 2.0 * ROOT_HALF, NIL);
+        let overflow = Cell::leaf(Point::ORIGIN, 0.0, NIL);
+        PointQuadtree { cells: vec![overflow, root], free: Vec::new(), by_key: Default::default() }
     }
 }
 
@@ -187,22 +206,20 @@ impl PointQuadtree {
         Self::default()
     }
 
-    /// Number of tombstoned nodes currently retained (exposed for tests
-    /// and diagnostics).
-    pub fn tombstone_count(&self) -> usize {
-        self.tombstones
-    }
-
-    /// Height of the tree (0 for empty); diagnostic only.
+    /// Levels of cells from the root to the deepest leaf (0 when
+    /// empty); never more than the depth cap of 32. Diagnostic only.
     pub fn height(&self) -> usize {
+        if self.is_empty() {
+            return 0;
+        }
         let mut height = 0;
-        let mut pending = vec![(self.root, 1)];
+        let mut pending = vec![(ROOT, 1)];
         while let Some((id, depth)) = pending.pop() {
-            if id == NIL {
-                continue;
-            }
             height = height.max(depth);
-            pending.extend(self.nodes[id as usize].children.map(|c| (c, depth + 1)));
+            let first = self.cells[id as usize].first_child;
+            if first != NIL {
+                pending.extend((first..first + 4).map(|c| (c, depth + 1)));
+            }
         }
         height
     }
@@ -213,306 +230,139 @@ impl PointQuadtree {
     ///
     /// The handle is an owner's index into a side table (the sighting
     /// database's slab slot). It travels with the entry through every
-    /// restructuring, so the tree's key map serves the owner too and a
-    /// position update costs one hash probe. Plain [`SpatialIndex`]
-    /// calls store handle 0. `handle` must not be `u32::MAX`, which
-    /// marks tombstones.
+    /// split and merge, so the tree's key map serves the owner too and
+    /// a position update costs one hash probe. Plain [`SpatialIndex`]
+    /// calls store handle 0.
     // lint:hot_path
     pub fn upsert_handle(&mut self, key: ObjectKey, pos: Point, handle: u32) -> Option<(u32, Point)> {
-        debug_assert_ne!(handle, NIL, "u32::MAX is the tombstone mark");
-        let Some(&id) = self.by_key.get(&key) else {
-            self.insert_node(key, pos, handle);
+        let Some(&(cell, idx)) = self.by_key.get(&key) else {
+            self.place(Item { key, pos, handle });
             return None;
         };
-        // The split point is fixed structure; only the data position
-        // moves. As long as the new position stays inside the node's
-        // cached routing region, queries remain exact — O(1), no
-        // unlink, no tombstone, no rebuild pressure.
-        let node = &mut self.nodes[id as usize];
-        let (handle, old_pos) = (node.handle, node.pos);
-        if node.bounds.routes_here(pos) {
-            node.pos = pos;
-            return Some((handle, old_pos));
-        }
-        // Non-finite coordinates defeat the region algebra (no region
-        // admits NaN, and +∞ escapes even the root's half-open bounds):
-        // take the plain re-insert path, which routes them the same way
-        // the tree always has.
-        if !(pos.x.is_finite() && pos.y.is_finite()) {
-            self.remove_handle(key);
-            self.insert_node(key, pos, handle);
-            return Some((handle, old_pos));
-        }
-        // Local motion mostly crosses into a *sibling* region: ascend
-        // to the nearest ancestor whose region admits the new point
-        // (the root admits everything) and re-place the object from
-        // there, instead of paying a full root descent.
-        let mut start = self.nodes[id as usize].parent;
-        debug_assert_ne!(start, NIL, "the root's region is unbounded and always hits the fast path");
-        while !self.nodes[start as usize].bounds.routes_here(pos) {
-            start = self.nodes[start as usize].parent;
-            debug_assert_ne!(start, NIL, "the root's region admits every point");
-        }
-        if self.nodes[id as usize].is_childless() {
-            self.relocate(id, start, pos);
+        let holds = if cell == OVERFLOW {
+            !self.cells[ROOT as usize].contains(pos)
         } else {
-            // The node splits its subtree and must stay as structure.
-            self.nodes[id as usize].handle = NIL;
-            self.tombstones += 1;
-            self.by_key.remove(&key);
-            self.insert_from(start, key, pos, handle);
-            self.maybe_rebuild();
+            self.cells[cell as usize].contains(pos)
+        };
+        let item = &mut self.cells[cell as usize].items[idx as usize];
+        let found = (item.handle, item.pos);
+        if holds {
+            item.pos = pos;
+        } else {
+            self.take(cell, idx);
+            self.place(Item { key, pos, handle: found.0 });
         }
-        Some((handle, old_pos))
+        Some(found)
     }
 
     /// The handle and position of `key`, when present (see
     /// [`PointQuadtree::upsert_handle`]).
     // lint:hot_path
     pub fn get_handle(&self, key: ObjectKey) -> Option<(u32, Point)> {
-        self.by_key.get(&key).map(|&id| {
-            let node = &self.nodes[id as usize];
-            (node.handle, node.pos)
+        self.by_key.get(&key).map(|&(cell, idx)| {
+            let item = &self.cells[cell as usize].items[idx as usize];
+            (item.handle, item.pos)
         })
     }
 
     /// Removes `key`, returning its handle and position when present
     /// (see [`PointQuadtree::upsert_handle`]).
     pub fn remove_handle(&mut self, key: ObjectKey) -> Option<(u32, Point)> {
-        let id = self.by_key.remove(&key)?;
-        let node = &mut self.nodes[id as usize];
-        debug_assert!(node.is_live());
-        let found = (node.handle, node.pos);
-        if node.is_childless() {
-            // Childless: unlink for real and reuse the slot.
-            self.detach(id);
-        } else {
-            node.handle = NIL;
-            self.tombstones += 1;
-            self.maybe_rebuild();
-        }
-        Some(found)
+        let (cell, idx) = self.by_key.remove(&key)?;
+        let item = self.take(cell, idx);
+        Some((item.handle, item.pos))
     }
 
-    fn quadrant(split: Point, p: Point) -> usize {
-        match (p.x >= split.x, p.y >= split.y) {
-            (false, false) => SW,
-            (true, false) => SE,
-            (false, true) => NW,
-            (true, true) => NE,
-        }
-    }
-
-    fn alloc(&mut self, node: Node) -> u32 {
-        match self.free.pop() {
-            Some(id) => {
-                self.nodes[id as usize] = node;
-                id
-            }
-            None => {
-                self.nodes.push(node);
-                (self.nodes.len() - 1) as u32
+    /// Files `item` in the leaf its position routes to (or in the
+    /// overflow bucket), splitting full leaves on the way down, and
+    /// points the key map at it.
+    fn place(&mut self, item: Item) {
+        let mut id = if self.cells[ROOT as usize].contains(item.pos) { ROOT } else { OVERFLOW };
+        while id != OVERFLOW {
+            let cell = &self.cells[id as usize];
+            if !cell.is_leaf() {
+                id = cell.first_child + cell.quadrant(item.pos);
+            } else if cell.items.len() < BUCKET || cell.side == MIN_SIDE {
+                break;
+            } else {
+                self.split(id);
             }
         }
+        let items = &mut self.cells[id as usize].items;
+        self.by_key.insert(item.key, (id, items.len() as u32));
+        items.push(item);
     }
 
-    fn insert_node(&mut self, key: ObjectKey, pos: Point, handle: u32) {
-        if self.root == NIL {
-            let id = self.alloc(Node {
-                key,
-                split: pos,
-                pos,
-                children: [NIL; 4],
-                parent: NIL,
-                handle,
-                bounds: QuadBounds::unbounded(),
-            });
-            self.root = id;
-            self.by_key.insert(key, id);
-        } else {
-            self.insert_from(self.root, key, pos, handle);
+    /// Turns the full leaf `id` into an inner cell over four new leaves
+    /// and moves its entries down one level.
+    fn split(&mut self, id: u32) {
+        let first = self.free.pop().unwrap_or_else(|| {
+            let first = self.cells.len() as u32;
+            self.cells.resize(self.cells.len() + 4, Cell::leaf(Point::ORIGIN, 0.0, NIL));
+            first
+        });
+        let parent = &mut self.cells[id as usize];
+        let (min, half) = (parent.min, parent.side / 2.0);
+        parent.first_child = first;
+        let items = std::mem::take(&mut parent.items);
+        for q in 0..4 {
+            let corner = Point::new(min.x + half * (q & 1) as f64, min.y + half * (q >> 1) as f64);
+            self.cells[(first + q) as usize] = Cell::leaf(corner, half, id);
+        }
+        for item in items {
+            let child = first + self.cells[id as usize].quadrant(item.pos);
+            let bucket = &mut self.cells[child as usize].items;
+            self.by_key.insert(item.key, (child, bucket.len() as u32));
+            bucket.push(item);
         }
     }
 
-    /// Inserts below `start`, whose region must contain `pos`. The
-    /// first tombstone on the descent path is revived instead of
-    /// allocating: the object lands on a shallow node with a large
-    /// region — future in-place moves hit more often — and the
-    /// tombstone pool is recycled instead of forcing rebuilds.
-    fn insert_from(&mut self, start: u32, key: ObjectKey, pos: Point, handle: u32) {
-        let mut cur = start;
-        loop {
-            let n = &mut self.nodes[cur as usize];
-            if !n.is_live() {
-                n.key = key;
-                n.pos = pos;
-                n.handle = handle;
-                self.tombstones -= 1;
-                self.by_key.insert(key, cur);
-                return;
-            }
-            let q = Self::quadrant(n.split, pos);
-            if n.children[q] != NIL {
-                cur = n.children[q];
-                continue;
-            }
-            let bounds = n.bounds.child(n.split, q);
-            let node = Node { key, split: pos, pos, children: [NIL; 4], parent: cur, handle, bounds };
-            let id = self.alloc(node);
-            self.nodes[cur as usize].children[q] = id;
-            self.by_key.insert(key, id);
-            return;
+    /// Removes the entry at `idx` of `cell`'s bucket (its key-map entry
+    /// is the caller's), then merges emptied-out siblings upwards.
+    fn take(&mut self, cell: u32, idx: u32) -> Item {
+        let items = &mut self.cells[cell as usize].items;
+        let item = items.swap_remove(idx as usize);
+        if let Some(moved) = items.get(idx as usize) {
+            self.by_key.insert(moved.key, (cell, idx));
         }
+        let mut id = cell;
+        while id > ROOT {
+            let parent = self.cells[id as usize].parent;
+            if !self.merge(parent) {
+                break;
+            }
+            id = parent;
+        }
+        item
     }
 
-    /// Moves the childless node `id` below `start` (whose region must
-    /// contain `pos`): unlink, then re-link as a fresh leaf with
-    /// `split = pos`. The arena slot, key, handle and `by_key` entry
-    /// are all kept — a miss on the in-place fast path costs an ascent
-    /// plus a short local descent instead of a removal and a root
-    /// descent.
-    fn relocate(&mut self, id: u32, start: u32, pos: Point) {
-        debug_assert!(self.nodes[id as usize].is_childless());
-        let parent = self.nodes[id as usize].parent;
-        debug_assert_ne!(parent, NIL, "the root's region is unbounded and never relocates");
-        self.nodes[parent as usize].unlink_child(id);
-        let mut cur = start;
-        loop {
-            let n = &self.nodes[cur as usize];
-            let q = Self::quadrant(n.split, pos);
-            if n.children[q] != NIL {
-                cur = n.children[q];
-                continue;
-            }
-            let bounds = n.bounds.child(n.split, q);
-            let node = &mut self.nodes[id as usize];
-            node.split = pos;
-            node.pos = pos;
-            node.parent = cur;
-            node.bounds = bounds;
-            self.nodes[cur as usize].children[q] = id;
-            return;
+    /// Folds the four children of `id` back into it when they are all
+    /// leaves whose entries fit in one bucket; returns whether it did.
+    fn merge(&mut self, id: u32) -> bool {
+        let first = self.cells[id as usize].first_child as usize;
+        let kids = &self.cells[first..first + 4];
+        if kids.iter().any(|c| !c.is_leaf()) || kids.iter().map(|c| c.items.len()).sum::<usize>() > BUCKET {
+            return false;
         }
-    }
-
-    /// Unlinks a childless node from its parent, frees its slot, and
-    /// prunes tombstone ancestors that became childless in the process.
-    fn detach(&mut self, mut id: u32) {
-        loop {
-            debug_assert!(self.nodes[id as usize].is_childless());
-            let parent = self.nodes[id as usize].parent;
-            self.nodes[id as usize].handle = NIL;
-            self.free.push(id);
-            if parent == NIL {
-                self.root = NIL;
-                return;
-            }
-            let pn = &mut self.nodes[parent as usize];
-            pn.unlink_child(id);
-            if !pn.is_live() && pn.is_childless() {
-                // The tombstone no longer splits anything.
-                self.tombstones -= 1;
-                id = parent;
-                continue;
-            }
-            return;
+        let mut items = std::mem::take(&mut self.cells[first].items);
+        for c in first + 1..first + 4 {
+            items.append(&mut std::mem::take(&mut self.cells[c].items));
         }
-    }
-
-    /// Rebuilds the tree from live entries when tombstones dominate.
-    ///
-    /// Entries are re-inserted in a deterministic pseudo-shuffled order
-    /// (by a mixed hash of the key) which yields expected O(log n)
-    /// depth, like a randomized BST. Each entry keeps its handle.
-    fn maybe_rebuild(&mut self) {
-        if self.tombstones <= self.by_key.len() || self.tombstones < 64 {
-            return;
+        for (i, item) in items.iter().enumerate() {
+            self.by_key.insert(item.key, (id, i as u32));
         }
-        let mut live: Vec<(ObjectKey, Point, u32)> = self
-            .by_key
-            .values()
-            .map(|&id| {
-                let n = &self.nodes[id as usize];
-                (n.key, n.pos, n.handle)
-            })
-            .collect();
-        live.sort_by_key(|(k, _, _)| mix64(*k));
-        self.clear();
-        for (k, p, h) in live {
-            self.insert_node(k, p, h);
-        }
+        let parent = &mut self.cells[id as usize];
+        parent.items = items;
+        parent.first_child = NIL;
+        self.free.push(first as u32);
+        true
     }
 }
-
-/// Open bounds of a quadtree subtree; starts unbounded at the root.
-#[derive(Debug, Clone, Copy)]
-struct QuadBounds {
-    min_x: f64,
-    min_y: f64,
-    max_x: f64,
-    max_y: f64,
-}
-
-impl QuadBounds {
-    fn unbounded() -> Self {
-        QuadBounds {
-            min_x: f64::NEG_INFINITY,
-            min_y: f64::NEG_INFINITY,
-            max_x: f64::INFINITY,
-            max_y: f64::INFINITY,
-        }
-    }
-
-    fn child(self, split: Point, quadrant: usize) -> Self {
-        let mut b = self;
-        match quadrant {
-            SW => {
-                b.max_x = b.max_x.min(split.x);
-                b.max_y = b.max_y.min(split.y);
-            }
-            SE => {
-                b.min_x = b.min_x.max(split.x);
-                b.max_y = b.max_y.min(split.y);
-            }
-            NW => {
-                b.max_x = b.max_x.min(split.x);
-                b.min_y = b.min_y.max(split.y);
-            }
-            _ => {
-                b.min_x = b.min_x.max(split.x);
-                b.min_y = b.min_y.max(split.y);
-            }
-        }
-        b
-    }
-
-    fn min_distance(&self, p: Point) -> f64 {
-        let dx = (self.min_x - p.x).max(0.0).max(p.x - self.max_x);
-        let dy = (self.min_y - p.y).max(0.0).max(p.y - self.max_y);
-        (dx * dx + dy * dy).sqrt()
-    }
-
-    /// Whether routing `p` from the root reaches this region: quadrant
-    /// choice treats the split value as belonging to the east/north
-    /// side, so regions are half-open (min inclusive, max exclusive).
-    fn routes_here(&self, p: Point) -> bool {
-        p.x >= self.min_x && p.x < self.max_x && p.y >= self.min_y && p.y < self.max_y
-    }
-}
-
-/// SplitMix64 finalizer: decorrelates sequential keys for rebuild order.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 
 impl SpatialIndex for PointQuadtree {
     fn insert(&mut self, key: ObjectKey, pos: Point) -> Option<Point> {
         let old = self.remove_handle(key).map(|(_, p)| p);
-        self.insert_node(key, pos, 0);
+        self.place(Item { key, pos, handle: 0 });
         old
     }
 
@@ -534,77 +384,66 @@ impl SpatialIndex for PointQuadtree {
     }
 
     fn clear(&mut self) {
-        self.nodes.clear();
-        self.free.clear();
-        self.by_key.clear();
-        self.root = NIL;
-        self.tombstones = 0;
+        *self = Self::default();
     }
 
-    /// Pre-order walk: a node, then its SW, SE, NW and NE subtrees,
-    /// each visited only when the rectangle reaches that side of the
-    /// node's split point.
+    /// The overflow bucket, then a pre-order walk of the cells the
+    /// rectangle reaches, SW before SE, NW and NE.
     fn query_rect(&self, rect: &Rect, sink: &mut dyn FnMut(Entry)) {
-        let mut stack = WalkStack::new(self.root);
-        while let Some(id) = stack.pop() {
-            let node = &self.nodes[id as usize];
-            if node.is_live() && rect.contains(node.pos) {
-                sink(Entry::new(node.key, node.pos));
+        for item in &self.cells[OVERFLOW as usize].items {
+            if rect.contains(item.pos) {
+                sink(Entry::new(item.key, item.pos));
             }
-            let west = rect.min().x < node.split.x;
-            let east = rect.max().x >= node.split.x;
-            let south = rect.min().y < node.split.y;
-            let north = rect.max().y >= node.split.y;
-            // Pushed last-visited first, so SW pops next.
-            let c = node.children;
-            if east && north {
-                stack.push(c[NE]);
+        }
+        let mut walk = Walk::new();
+        while let Some(id) = walk.pop() {
+            let cell = &self.cells[id as usize];
+            if !cell.overlaps(rect) {
+                continue;
             }
-            if west && north {
-                stack.push(c[NW]);
-            }
-            if east && south {
-                stack.push(c[SE]);
-            }
-            if west && south {
-                stack.push(c[SW]);
+            if cell.is_leaf() {
+                for item in &cell.items {
+                    if rect.contains(item.pos) {
+                        sink(Entry::new(item.key, item.pos));
+                    }
+                }
+            } else {
+                for q in (0..4).rev() {
+                    walk.push(cell.first_child + q);
+                }
             }
         }
     }
 
-    /// Branch-and-bound, pre-order: the quadrant containing `p` first
-    /// for early pruning, and a subtree whose region (its root's cached
-    /// `bounds`) lies farther than the best so far is skipped when it
-    /// comes off the stack. Every node's data position lies inside its
-    /// region (the in-place update invariant), so region pruning stays
-    /// sound.
+    /// Branch-and-bound, depth first: the quadrant containing `p` first
+    /// for early pruning, and a cell farther than the best so far is
+    /// skipped when it comes off the stack. The overflow bucket is
+    /// scanned last.
     fn nearest_where(
         &self,
         p: Point,
         filter: &mut dyn FnMut(ObjectKey) -> bool,
     ) -> Option<(Entry, f64)> {
         let mut best: Option<(Entry, f64)> = None;
-        let mut stack = WalkStack::new(self.root);
-        while let Some(id) = stack.pop() {
-            let node = &self.nodes[id as usize];
-            if let Some((_, d)) = best {
-                if node.bounds.min_distance(p) > d {
-                    continue;
+        let mut walk = Walk::new();
+        while let Some(id) = walk.pop() {
+            let cell = &self.cells[id as usize];
+            if best.as_ref().is_some_and(|&(_, d)| cell.min_distance(p) > d) {
+                continue;
+            }
+            if cell.is_leaf() {
+                for item in &cell.items {
+                    offer(&mut best, p, item, filter);
+                }
+            } else {
+                let first = cell.quadrant(p);
+                for q in [first ^ 3, first ^ 2, first ^ 1, first] {
+                    walk.push(cell.first_child + q);
                 }
             }
-            if node.is_live() {
-                // Rank first: the filter (a visitor probe at a leaf) runs
-                // only on an entry that would replace the current best.
-                let cand = (Entry::new(node.key, node.pos), p.distance(node.pos));
-                let beats = best.as_ref().is_none_or(|b| candidate_cmp(&cand, b).is_lt());
-                if beats && filter(node.key) {
-                    best = Some(cand);
-                }
-            }
-            let first = Self::quadrant(node.split, p);
-            for q in [first ^ 3, first ^ 2, first ^ 1, first] {
-                stack.push(node.children[q]);
-            }
+        }
+        for item in &self.cells[OVERFLOW as usize].items {
+            offer(&mut best, p, item, filter);
         }
         best
     }
@@ -635,10 +474,8 @@ impl SpatialIndex for PointQuadtree {
     }
 
     fn for_each(&self, sink: &mut dyn FnMut(Entry)) {
-        for node in &self.nodes {
-            if node.is_live() {
-                sink(Entry::new(node.key, node.pos));
-            }
+        for item in self.cells.iter().flat_map(|c| &c.items) {
+            sink(Entry::new(item.key, item.pos));
         }
     }
 }
@@ -718,86 +555,82 @@ mod tests {
         assert_eq!(t.k_nearest_where(Point::ORIGIN, 5, &mut |_| true).len(), 1);
     }
 
+    /// Splits allocate four-child groups; removals merge them back and
+    /// free them, and later splits reuse the freed groups.
     #[test]
-    fn childless_removal_reuses_slots_without_tombstones() {
+    fn removals_merge_cells_and_splits_reuse_them() {
         let mut t = PointQuadtree::new();
         for i in 0..100u64 {
             t.insert(i, Point::new(i as f64, (i * 13 % 50) as f64));
         }
-        // Removing in reverse insertion order hits childless nodes
-        // almost exclusively: tombstones stay near zero and the arena
-        // shrinks through the free list.
+        let grown = t.cells.len();
+        assert!(grown > 2 + 4, "100 entries must split the root");
         for i in (50..100u64).rev() {
             t.remove(i);
         }
         assert_eq!(t.len(), 50);
-        assert!(
-            t.tombstone_count() <= 5,
-            "reverse removals should mostly unlink, got {} tombstones",
-            t.tombstone_count()
-        );
         for i in 0..50u64 {
             assert!(t.get(i).is_some());
         }
-        // Re-inserting reuses freed slots: the arena must not grow.
-        let before = t.nodes.len();
-        for i in 50..100u64 {
-            t.insert(i, Point::new(i as f64, 1.0));
-        }
-        assert_eq!(t.nodes.len(), before, "freed slots must be reused");
-    }
-
-    #[test]
-    fn tombstones_trigger_rebuild() {
-        let mut t = PointQuadtree::new();
-        for i in 0..500u64 {
-            t.insert(i, Point::new(i as f64, (i % 17) as f64));
-        }
-        for i in 0..400u64 {
+        for i in 0..50u64 {
             t.remove(i);
         }
-        assert_eq!(t.len(), 100);
-        // Rebuild happened: tombstones were collapsed.
-        assert!(t.tombstone_count() <= t.len(), "tombstones {}", t.tombstone_count());
-        // Survivors still queryable.
-        for i in 400..500u64 {
-            assert!(t.get(i).is_some());
+        // Everything merged back into one root leaf.
+        assert!(t.cells[ROOT as usize].is_leaf());
+        assert_eq!(t.free.len() * 4 + 2, t.cells.len());
+        assert_eq!(t.height(), 0);
+        for i in 0..100u64 {
+            t.insert(i, Point::new(i as f64, (i * 13 % 50) as f64));
         }
+        assert_eq!(t.cells.len(), grown, "freed groups must be reused");
     }
 
+    /// A move inside the entry's cell rewrites its bucket slot; a move
+    /// across cells refiles it, and either way the key map follows.
     #[test]
-    fn update_in_place_within_routing_region() {
-        // Root at (0,0); key 2 is the NE child: its routing region is
-        // x >= 0, y >= 0, so NE-quadrant moves rewrite in place.
-        let mut t = tree_with(&[(1, 0.0, 0.0), (2, 5.0, 5.0)]);
-        assert_eq!(t.update(2, Point::new(7.0, 1.0)), Some(Point::new(5.0, 5.0)));
-        assert_eq!(t.tombstone_count(), 0, "in-region move must not tombstone");
-        assert_eq!(t.get(2), Some(Point::new(7.0, 1.0)));
-        let (e, _) = t.nearest(Point::new(7.0, 1.1)).unwrap();
-        assert_eq!(e.key, 2);
+    fn update_in_place_within_a_cell() {
+        let mut t = PointQuadtree::new();
+        for i in 0..64u64 {
+            t.insert(i, Point::new((i % 8) as f64 * 100.0, (i / 8) as f64 * 100.0));
+        }
+        let at = t.by_key[&9];
+        assert_eq!(t.update(9, Point::new(101.0, 99.0)), Some(Point::new(100.0, 100.0)));
+        assert_eq!(t.by_key[&9], at, "an in-cell move stays in its bucket slot");
+        assert_eq!(t.get(9), Some(Point::new(101.0, 99.0)));
+        let (e, _) = t.nearest(Point::new(101.0, 98.0)).unwrap();
+        assert_eq!(e.key, 9);
 
-        // The root's region is unbounded, so the root moves in place
-        // too — its *split* stays at the origin, keeping key 2's NE
-        // placement valid.
-        assert_eq!(t.update(1, Point::new(-3.0, -4.0)), Some(Point::ORIGIN));
-        assert_eq!(t.get(1), Some(Point::new(-3.0, -4.0)));
+        assert_eq!(t.update(9, Point::new(-50.0, -50.0)), Some(Point::new(101.0, 99.0)));
+        assert_ne!(t.by_key[&9].0, at.0, "a cross-cell move changes the cell");
         let mut hits = Vec::new();
-        t.query_rect(&Rect::new(Point::new(-5.0, -5.0), Point::new(0.0, 0.0)), &mut |e| {
-            hits.push(e.key)
-        });
-        assert_eq!(hits, vec![1]);
-
-        // Key 2 crossing into the SW quadrant leaves its region: the
-        // node is re-inserted (childless → unlinked, no tombstone).
-        assert_eq!(t.update(2, Point::new(-1.0, -1.0)), Some(Point::new(7.0, 1.0)));
-        assert_eq!(t.tombstone_count(), 0);
-        assert_eq!(t.get(2), Some(Point::new(-1.0, -1.0)));
-        let mut hits = Vec::new();
-        t.query_rect(&Rect::new(Point::new(-10.0, -10.0), Point::new(10.0, 10.0)), &mut |e| {
+        t.query_rect(&Rect::new(Point::new(-60.0, -60.0), Point::new(0.0, 0.0)), &mut |e| {
             hits.push(e.key)
         });
         hits.sort();
-        assert_eq!(hits, vec![1, 2]);
+        assert_eq!(hits, vec![0, 9]);
+        for (&key, &(cell, idx)) in &t.by_key {
+            assert_eq!(t.cells[cell as usize].items[idx as usize].key, key);
+        }
+    }
+
+    /// Positions the root cannot hold share one overflow bucket, which
+    /// every query scans, and they move between it and the tree.
+    #[test]
+    fn positions_beyond_the_root_overflow_and_stay_queryable() {
+        let far = Point::new(4e7, 0.0);
+        let mut t = tree_with(&[(1, 0.0, 0.0), (2, f64::INFINITY, 1.0), (3, 4e7, 0.0), (4, f64::NAN, 0.0)]);
+        assert_eq!(t.cells[OVERFLOW as usize].items.len(), 3);
+        let mut hits = Vec::new();
+        t.query_rect(&Rect::new(Point::new(3e7, -1.0), Point::new(5e7, 1.0)), &mut |e| hits.push(e.key));
+        assert_eq!(hits, vec![3]);
+        assert!(t.remove(4).is_some_and(|p| p.x.is_nan()));
+        assert_eq!(t.nearest(Point::new(3.9e7, 0.0)).map(|(e, _)| e.key), Some(3));
+        assert_eq!(t.update(3, Point::new(4.1e7, 0.0)), Some(far));
+        assert_eq!(t.update(3, Point::new(5.0, 5.0)), Some(Point::new(4.1e7, 0.0)));
+        assert_eq!(t.cells[OVERFLOW as usize].items.len(), 1);
+        assert_eq!(t.nearest(Point::new(6.0, 6.0)).map(|(e, _)| e.key), Some(3));
+        assert_eq!(t.update(2, Point::new(-1.0, 0.0)), Some(Point::new(f64::INFINITY, 1.0)));
+        assert!(t.cells[OVERFLOW as usize].items.is_empty());
     }
 
     #[test]
@@ -832,10 +665,35 @@ mod tests {
         assert_eq!(t.height(), 0);
     }
 
-    /// Bytes-per-object ceiling: one arena node per live object.
+    /// Bytes-per-object ceilings: a bucket entry is 32 B, a key-map
+    /// entry 16 B (a `u64` key, the cell and the index in its bucket),
+    /// and a cell 56 B.
     #[test]
-    fn node_fits_in_96_bytes() {
-        assert!(std::mem::size_of::<Node>() <= 96, "Node is {} B", std::mem::size_of::<Node>());
+    fn entries_fit_in_32_bytes() {
+        assert!(std::mem::size_of::<Item>() <= 32, "Item is {} B", std::mem::size_of::<Item>());
+        assert_eq!(std::mem::size_of::<(ObjectKey, (u32, u32))>(), 16);
+        assert!(std::mem::size_of::<Cell>() <= 56, "Cell is {} B", std::mem::size_of::<Cell>());
+    }
+
+    /// The arena's bytes per entry at one leaf's population, laid out
+    /// as `hiloc-storage`'s bytes-per-object estimate lays it out:
+    /// 12 500 objects on a 50 m × 40 m grid, each then moved 15 m east.
+    /// Every cell counts, and every bucket at its capacity. That
+    /// estimate takes this ceiling as the index's share.
+    #[test]
+    fn arena_costs_at_most_56_bytes_per_entry() {
+        let n = 12_500u64;
+        let at = |key: u64, dx: f64| Point::new((key % 100) as f64 * 50.0 + dx, (key / 100) as f64 * 40.0);
+        let mut t = PointQuadtree::new();
+        for dx in [0.0, 15.0] {
+            for key in 0..n {
+                t.upsert_handle(key, at(key, dx), key as u32);
+            }
+        }
+        let slots: usize = t.cells.iter().map(|c| c.items.capacity()).sum();
+        let bytes = t.cells.len() * std::mem::size_of::<Cell>() + slots * std::mem::size_of::<Item>();
+        let per_entry = bytes as f64 / n as f64;
+        assert!(per_entry <= 56.0, "{per_entry:.1} B per entry");
     }
 
     /// A tiny deterministic generator, so the spatial crate needs no
@@ -854,8 +712,8 @@ mod tests {
             let at = Point::new(lcg(&mut rng) * 1e3, lcg(&mut rng) * 1e3);
             assert_eq!(t.upsert_handle(k, at, k as u32 * 3), None);
         }
-        // Long jumps leave their regions: relocations, tombstone
-        // re-inserts and (with the removals) several rebuilds.
+        // Long jumps leave their cells: removals, refiles, splits and
+        // (with the removals) merges.
         for round in 0..20u64 {
             for k in 0..n {
                 let to = Point::new(lcg(&mut rng) * 1e3, lcg(&mut rng) * 1e3);
@@ -875,6 +733,9 @@ mod tests {
         assert_eq!(t.len(), n as usize);
     }
 
+    /// 2 000 objects take 40 000 steps of 15 m: the cells in use and the
+    /// bucket slots stay proportional to the live population, and the
+    /// arena never outgrows what the population needs at its densest.
     #[test]
     fn arena_stays_bounded_under_a_15_m_random_walk() {
         let mut t = PointQuadtree::new();
@@ -885,85 +746,83 @@ mod tests {
         for (k, p) in pos.iter().enumerate() {
             t.insert(k as u64, *p);
         }
+        let mut peak = t.cells.len();
         for step in 0..40_000usize {
             let k = step % live as usize;
             let angle = lcg(&mut rng) * std::f64::consts::TAU;
             pos[k] = Point::new(pos[k].x + 15.0 * angle.cos(), pos[k].y + 15.0 * angle.sin());
             t.update(k as u64, pos[k]);
-            assert!(t.nodes.len() <= 2 * t.len() + 64, "arena {} for {} live", t.nodes.len(), t.len());
+            let in_use = t.cells.len() - 4 * t.free.len();
+            let slots: usize = t.cells.iter().map(|c| c.items.capacity()).sum();
+            assert!(in_use <= t.len() / 4 + 4 * MAX_HEIGHT, "{in_use} cells for {} live", t.len());
+            assert!(slots <= 2 * t.len(), "{slots} bucket slots for {} live", t.len());
+            peak = peak.max(in_use);
         }
+        // Splits reuse merged-away groups before the arena grows.
+        assert_eq!(t.cells.len(), peak);
         for (k, p) in pos.iter().enumerate() {
             assert_eq!(t.get(k as u64), Some(*p));
         }
     }
 
-    /// Appends `n` points along a rising line. Each lands NE of every
-    /// earlier one, so the tree is one chain as deep as `n`. The
-    /// descent starts at the chain's end (whose region holds the next
-    /// point, and which a root descent would reach anyway), keeping the
-    /// build O(n) instead of O(n²).
-    fn chain(n: u64) -> PointQuadtree {
-        let mut t = PointQuadtree::new();
-        t.insert(0, Point::ORIGIN);
-        for k in 1..n {
-            let end = t.by_key[&(k - 1)];
-            t.insert_from(end, k, Point::new(k as f64, k as f64 * 0.5), 0);
-        }
-        t
-    }
-
+    /// Insertion order cannot shape the tree: 100 000 objects in order
+    /// along one line and 20 000 at one point stay within the depth cap
+    /// and are queried on a thread with a 2 MiB stack (the std default
+    /// for spawned threads, and so for shard threads). A point quadtree
+    /// built a chain as deep as the count from either.
     #[test]
-    fn chain_builder_matches_plain_inserts() {
-        let mut plain = PointQuadtree::new();
-        for k in 0..300u64 {
-            plain.insert(k, Point::new(k as f64, k as f64 * 0.5));
-        }
-        let built = chain(300);
-        assert_eq!(format!("{:?}", built.nodes), format!("{:?}", plain.nodes));
-        assert_eq!(built.height(), 300);
-    }
-
-    /// Walks are loops over an explicit stack: a 100 000-deep chain is
-    /// queried on a thread with a 2 MiB stack (the std default for
-    /// spawned threads, and so for shard threads). Recursive walks
-    /// overflowed that stack and aborted the process.
-    #[test]
-    fn deep_chain_queries_do_not_overflow_a_2_mib_stack() {
-        let n = 100_000u64;
-        let t = chain(n);
+    fn adversarial_shapes_stay_under_the_height_cap_on_a_2_mib_stack() {
         let walk = std::thread::Builder::new()
             .stack_size(2 << 20)
-            .spawn(move || {
-                assert_eq!(t.height(), n as usize);
+            .spawn(|| {
+                let n = 100_000u64;
+                let mut line = PointQuadtree::new();
+                for k in 0..n {
+                    line.insert(k, Point::new(k as f64, k as f64 * 0.5));
+                }
+                assert!(line.height() <= MAX_HEIGHT, "line height {}", line.height());
                 let mut all = 0u64;
-                t.query_rect(&Rect::new(Point::ORIGIN, Point::new(n as f64, n as f64)), &mut |_| all += 1);
+                line.query_rect(&Rect::new(Point::ORIGIN, Point::new(n as f64, n as f64)), &mut |_| all += 1);
                 assert_eq!(all, n);
                 let mut tail = Vec::new();
                 let far = (n - 3) as f64;
-                t.query_rect(&Rect::new(Point::new(far, 0.0), Point::new(n as f64, n as f64)), &mut |e| {
+                line.query_rect(&Rect::new(Point::new(far, 0.0), Point::new(n as f64, n as f64)), &mut |e| {
                     tail.push(e.key)
                 });
+                tail.sort();
                 assert_eq!(tail, vec![n - 3, n - 2, n - 1]);
                 let end = Point::new(n as f64, n as f64 * 0.5);
-                let (e, _) = t.nearest_where(end, &mut |k| k % 2 == 0).unwrap();
+                let (e, _) = line.nearest_where(end, &mut |k| k % 2 == 0).unwrap();
                 assert_eq!(e.key, n - 2);
                 let keys: Vec<u64> =
-                    t.k_nearest_where(end, 3, &mut |_| true).iter().map(|(e, _)| e.key).collect();
+                    line.k_nearest_where(end, 3, &mut |_| true).iter().map(|(e, _)| e.key).collect();
                 assert_eq!(keys, vec![n - 1, n - 2, n - 3]);
+
+                let m = 20_000u64;
+                let at = Point::new(250.0, -40.0);
+                let mut point = PointQuadtree::new();
+                for k in 0..m {
+                    point.insert(k, at);
+                }
+                assert!(point.height() <= MAX_HEIGHT, "point height {}", point.height());
+                let mut all = 0u64;
+                point.query_rect(&Rect::new(at, at), &mut |_| all += 1);
+                assert_eq!(all, m);
+                assert_eq!(point.nearest_where(Point::ORIGIN, &mut |k| k >= 7).map(|(e, _)| e.key), Some(7));
+                let keys: Vec<u64> =
+                    point.k_nearest_where(at, 3, &mut |_| true).iter().map(|(e, _)| e.key).collect();
+                assert_eq!(keys, vec![0, 1, 2]);
             })
             .unwrap();
-        walk.join().expect("deep-chain walks completed on a 2 MiB stack");
+        walk.join().expect("adversarial shapes built and queried on a 2 MiB stack");
     }
 
     #[test]
-    fn sequential_inserts_stay_shallow_after_rebuild() {
-        // Sequential keys at sequential positions produce a degenerate
-        // path; the rebuild shuffle must keep lookups correct.
+    fn sequential_inserts_then_removals_stay_consistent() {
         let mut t = PointQuadtree::new();
         for i in 0..2_000u64 {
             t.insert(i, Point::new(i as f64, i as f64));
         }
-        // Force a rebuild cycle.
         for i in 0..1_500u64 {
             t.remove(i);
         }

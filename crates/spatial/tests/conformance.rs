@@ -23,16 +23,58 @@ enum Op {
     KNearest(f64, f64, usize),
 }
 
+/// Where a workload's inserts land: uniformly at random, in order along
+/// one line (each insert a step beyond the last), or all at one point.
+/// On the last two a point quadtree grows as deep as its entry count.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    Uniform,
+    Line { next: f64 },
+    Point,
+}
+
+impl Shape {
+    fn random(g: &mut Gen) -> Self {
+        match g.random_range(0..3u32) {
+            0 => Shape::Uniform,
+            1 => Shape::Line { next: -90.0 },
+            _ => Shape::Point,
+        }
+    }
+
+    fn place(&mut self, g: &mut Gen) -> (f64, f64) {
+        match self {
+            Shape::Uniform => (coord(g), coord(g)),
+            Shape::Line { next } => {
+                *next += 0.75;
+                (*next, *next * 0.5)
+            }
+            Shape::Point => (7.0, -3.0),
+        }
+    }
+
+    /// A query's corner or centre: on the one-point shape half of them
+    /// sit exactly on the point, which is also a cell midpoint.
+    fn probe(&self, g: &mut Gen) -> (f64, f64) {
+        match self {
+            Shape::Point if g.chance(0.5) => (7.0, -3.0),
+            _ => (coord(g), coord(g)),
+        }
+    }
+}
+
+fn coord(g: &mut Gen) -> f64 {
+    g.random_range(-100.0..100.0)
+}
+
 /// Weighted as the original proptest strategy: 4 insert, 2 remove,
 /// 2 rect query, 1 circle query, 2 nearest, 1 filtered nearest,
 /// 1 k-nearest.
-fn random_op(g: &mut Gen) -> Op {
-    let coord = |g: &mut Gen| g.random_range(-100.0..100.0);
+fn random_op(g: &mut Gen, shape: &mut Shape) -> Op {
     match g.random_range(0..17u32) {
         0..=3 => {
             let k = g.random_range(0..40u64);
-            let x = coord(g);
-            let y = coord(g);
+            let (x, y) = shape.place(g);
             Op::Insert(k, x, y)
         }
         13..=14 => {
@@ -49,10 +91,8 @@ fn random_op(g: &mut Gen) -> Op {
         }
         4..=5 => Op::Remove(g.random_range(0..40u64)),
         6..=7 => {
-            let a = coord(g);
-            let b = coord(g);
-            let c = coord(g);
-            let d = coord(g);
+            let (a, b) = shape.probe(g);
+            let (c, d) = shape.probe(g);
             Op::QueryRect(a, b, c, d)
         }
         8 => {
@@ -62,19 +102,16 @@ fn random_op(g: &mut Gen) -> Op {
             Op::QueryCircle(x, y, r)
         }
         9..=10 => {
-            let x = coord(g);
-            let y = coord(g);
+            let (x, y) = shape.probe(g);
             Op::Nearest(x, y)
         }
         11 => {
-            let x = coord(g);
-            let y = coord(g);
+            let (x, y) = shape.probe(g);
             let k = g.random_range(0..40u64);
             Op::NearestFiltered(x, y, k)
         }
         _ => {
-            let x = coord(g);
-            let y = coord(g);
+            let (x, y) = shape.probe(g);
             let k = g.random_range(1..6usize);
             Op::KNearest(x, y, k)
         }
@@ -82,8 +119,22 @@ fn random_op(g: &mut Gen) -> Op {
 }
 
 fn random_ops(g: &mut Gen, max_len: usize) -> Vec<Op> {
+    let mut shape = Shape::random(g);
+    // The line and the point open with a burst of inserts in key order,
+    // up to twice the keys the later ops touch, so buckets overflow.
+    let burst = match shape {
+        Shape::Uniform => 0,
+        _ => g.random_range(0..80u64),
+    };
+    let mut ops: Vec<Op> = (0..burst)
+        .map(|k| {
+            let (x, y) = shape.place(g);
+            Op::Insert(k, x, y)
+        })
+        .collect();
     let n = g.random_range(1..max_len);
-    (0..n).map(|_| random_op(g)).collect()
+    ops.extend((0..n).map(|_| random_op(g, &mut shape)));
+    ops
 }
 
 fn sorted_keys(mut v: Vec<u64>) -> Vec<u64> {

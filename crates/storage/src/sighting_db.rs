@@ -3,12 +3,13 @@
 //! Rebuilt for the allocation-free update hot path: records live in a
 //! slab arena (dense `u32` slots with a free list) and soft-state
 //! expiry is tracked by a coarse-bucket expiry wheel instead of an
-//! unbounded lazy-deletion heap. The point quadtree holds each
-//! object's key and position once, and its key map is the only one: a
-//! node carries its record's slab slot as a handle. In steady state a
-//! position update makes one hash probe, moves the node in place,
-//! rewrites the slot and at most pushes one wheel entry — no
-//! per-update allocation once the arena and buckets are warm.
+//! unbounded lazy-deletion heap. The quadtree holds each object's key
+//! and position once, and its key map is the only one: a bucket entry
+//! carries its record's slab slot as a handle. In steady state a
+//! position update makes one hash probe, moves the entry in place
+//! within its cell, rewrites the slot and at most pushes one wheel
+//! entry — no per-update allocation once the arena and buckets are
+//! warm.
 
 use hiloc_geo::{Point, Rect, Region};
 use hiloc_spatial::{Entry, PointQuadtree, SpatialIndex};
@@ -45,11 +46,11 @@ pub struct StoredSighting {
 const WHEEL_SHIFT: u32 = 22;
 
 /// Below this many wheel entries, stale-entry compaction is not worth
-/// the rebuild (mirrors the quadtree's tombstone floor).
+/// the rebuild.
 const WHEEL_COMPACT_FLOOR: usize = 64;
 
-/// One slab slot: a record less its position, which the quadtree node
-/// holds. `gen` is bumped whenever the slot's wheel entry is
+/// One slab slot: a record less its position, which the quadtree's
+/// bucket entry holds. `gen` is bumped whenever the slot's wheel entry is
 /// superseded (a reschedule into a different bucket, or a removal), so
 /// entries minted for an earlier state of the slot — or for a previous
 /// occupant after slot reuse — are recognizably stale. The slot's
@@ -112,10 +113,12 @@ struct Bucket {
 ///
 /// Combines the paper's three volatile structures (§5, Fig. 7):
 ///
-/// * a **point quadtree** over positions (the paper's spatial index) —
-///   candidates for range and nearest-neighbor queries;
+/// * a **quadtree** over positions — candidates for range and
+///   nearest-neighbor queries. The paper used a point quadtree; this
+///   one is a bucketed region quadtree, whose shape insertion order
+///   cannot skew (see [`PointQuadtree`]);
 /// * a **hash index** over object identifiers — position queries. It is
-///   the quadtree's own key map: each node carries the slab slot of
+///   the quadtree's own key map: each entry carries the slab slot of
 ///   its record;
 /// * **expiration** tracking implementing the soft-state principle.
 ///
@@ -159,7 +162,7 @@ struct Bucket {
 /// assert_eq!(in_range, 5);
 /// ```
 pub struct SightingDb {
-    /// Key → (position, slot): the spatial index and, through its node
+    /// Key → (position, slot): the spatial index and, through its entry
     /// handles, the key → slot map. Touched once per update.
     index: PointQuadtree,
     /// The slab arena; slots are reused through `free`.
@@ -185,8 +188,9 @@ impl std::fmt::Debug for SightingDb {
 /// The slot index for a slab about to grow past `len` slots.
 ///
 /// Slot indices are `u32` (half the per-record footprint of `usize` in
-/// the wheel and free list), and `u32::MAX` is the quadtree's
-/// tombstone mark, never a handle. A plain `as u32` would silently wrap
+/// the wheel and free list). `u32::MAX` itself is refused too, so the
+/// slab's length, one past its last index, also fits in a `u32`, and
+/// the next growth is what fails. A plain `as u32` would silently wrap
 /// once the slab crosses 2³² slots and corrupt the free list / expiry
 /// wheel by aliasing slot 0 — detect it and fail loudly instead. One
 /// leaf holding 4 billion live sightings is far beyond any deployment
@@ -674,18 +678,18 @@ mod tests {
     /// 200 000-object, 16-leaf deployment), estimated as len ×
     /// `size_of` plus stated container overhead:
     ///
-    /// * one quadtree node per live entry and per tombstone, as the
-    ///   index reports them, each at most 96 B (asserted in
-    ///   `hiloc-spatial`);
+    /// * the quadtree's cells and bucket entries, at most 56 B per
+    ///   entry for this layout (asserted in `hiloc-spatial` by
+    ///   `arena_costs_at_most_56_bytes_per_entry`);
     /// * one slab slot per object;
-    /// * the quadtree's key map, a std (SwissTable) `HashMap<u64, u32>`:
-    ///   a power-of-two bucket count at most 8/7 of the entries, each
-    ///   bucket a 16-byte `(u64, u32)` plus one control byte;
+    /// * the quadtree's key map, a std (SwissTable) `HashMap<u64, (u32,
+    ///   u32)>`: a power-of-two bucket count at most 8/7 of the entries,
+    ///   each bucket a 16-byte entry plus one control byte;
     /// * the wheel's entries (up to 2 per object before compaction; its
     ///   bucket headers and `Vec` slack are not counted).
     #[test]
-    fn bytes_per_object_stay_under_180() {
-        const NODE_BYTES: usize = 96;
+    fn bytes_per_object_stay_under_135() {
+        const INDEX_BYTES: usize = 56;
         assert!(std::mem::size_of::<Slot>() <= 40, "Slot is {} B", std::mem::size_of::<Slot>());
         assert_eq!(std::mem::size_of::<WheelEntry>(), 8);
         let n = 12_500u64;
@@ -699,13 +703,12 @@ mod tests {
         }
         assert_eq!(db.len(), n as usize);
         let buckets = (n as usize * 8).div_ceil(7).next_power_of_two();
-        let nodes = db.index.len() + db.index.tombstone_count();
-        let bytes = nodes * NODE_BYTES
+        let bytes = db.len() * INDEX_BYTES
             + db.slot_capacity() * std::mem::size_of::<Slot>()
-            + buckets * (std::mem::size_of::<(u64, u32)>() + 1)
+            + buckets * (std::mem::size_of::<(u64, (u32, u32))>() + 1)
             + db.expiry_entries() * std::mem::size_of::<WheelEntry>();
         let per_object = bytes as f64 / n as f64;
-        assert!(per_object <= 180.0, "{per_object:.1} B per object");
+        assert!(per_object <= 135.0, "{per_object:.1} B per object");
     }
 
     /// Regression: slab growth converted `slots.len()` with a plain
@@ -727,11 +730,11 @@ mod tests {
         let _ = checked_slot_index(u32::MAX as usize + 1);
     }
 
-    /// `u32::MAX` is the quadtree's tombstone mark: handed out as a
-    /// slot, a live record would read as a tombstone.
+    /// A slab of `u32::MAX` slots is full: its length is the largest
+    /// `u32`, and one more slot would not fit.
     #[test]
     #[should_panic(expected = "shard this leaf")]
-    fn slot_index_at_the_tombstone_mark_panics() {
+    fn slot_index_at_u32_max_panics() {
         let _ = checked_slot_index(u32::MAX as usize);
     }
 }

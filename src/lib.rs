@@ -8,7 +8,7 @@
 //! * [`util`] — std-only substrate: PRNG, buffers, sync, JSON, test
 //!   and bench harnesses (the in-tree substitutes for external crates).
 //! * [`geo`] — coordinates, projections, polygons, circle overlap areas.
-//! * [`spatial`] — point quadtree, R-tree, grid indexes.
+//! * [`spatial`] — region quadtree, R-tree, grid indexes.
 //! * [`storage`] — sighting database (volatile) and visitor database
 //!   (durable WAL + snapshots).
 //! * [`net`] — protocol messages, binary codec and transports.
