@@ -87,7 +87,9 @@ impl Default for ShardSpec {
 }
 
 impl ShardSpec {
-    /// The effective shard count for `n_servers` servers.
+    /// The shard count to ask [`ShardSpec::placement`] for, for
+    /// `n_servers` servers. A deployment then starts only the shards
+    /// the placement hands a server, which may be fewer.
     pub fn resolve(&self, n_servers: usize) -> usize {
         let auto = || {
             std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
@@ -856,7 +858,8 @@ mod tests {
         }
         let leaf_shards: Vec<usize> = (5..21).map(|i| placement[i]).collect();
         assert!(leaf_shards.is_sorted(), "{leaf_shards:?}");
-        // Fewer leaves than shards: one leaf per shard, the rest idle.
+        // Fewer leaves than shards: one leaf per shard and no server on
+        // shard 4, so a deployment starts only shards 0 to 3.
         let small = ShardSpec::placement(&tree(1), 5);
         assert_eq!(small, vec![0, 0, 1, 2, 3]);
     }

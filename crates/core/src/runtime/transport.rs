@@ -108,8 +108,9 @@ impl ThreadedDeployment {
     pub fn new_sharded(hierarchy: Hierarchy, opts: ServerOptions, spec: ShardSpec) -> Self {
         let hierarchy = Arc::new(hierarchy);
         let net: ChannelNetwork<Message> = ChannelNetwork::new();
-        let n_shards = spec.resolve(hierarchy.len());
-        let placement = ShardSpec::placement(&hierarchy, n_shards);
+        let placement = ShardSpec::placement(&hierarchy, spec.resolve(hierarchy.len()));
+        // A shard the placement hands no server would only nap.
+        let n_shards = placement.iter().max().map_or(1, |&s| s + 1);
         // One bounded inbox per shard; every server on the shard
         // routes to it, and the network holds the only senders.
         let (inboxes, transports): (Vec<_>, Vec<_>) = (0..n_shards)
@@ -237,8 +238,9 @@ impl UdpDeployment {
         spec: ShardSpec,
     ) -> Result<Self, UdpError> {
         let hierarchy = Arc::new(hierarchy);
-        let n_shards = spec.resolve(hierarchy.len());
-        let placement = ShardSpec::placement(&hierarchy, n_shards);
+        let placement = ShardSpec::placement(&hierarchy, spec.resolve(hierarchy.len()));
+        // A shard the placement hands no server would only nap.
+        let n_shards = placement.iter().max().map_or(1, |&s| s + 1);
         // One socket per shard. Its endpoint identity is the shard
         // index (cosmetic — envelopes carry their own from/to).
         let mut transports = Vec::with_capacity(n_shards);

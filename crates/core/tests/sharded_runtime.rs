@@ -50,6 +50,15 @@ fn explicit_shard_layout_is_respected() {
         ShardSpec { shards: 64, ..Default::default() },
     );
     assert_eq!(small.shard_count(), 1);
+    // 5 shards over root + 4: the placement hands out shards 0 to 3
+    // only, and no transport starts a fifth shard that would only nap.
+    let five = ShardSpec { shards: 5, ..Default::default() };
+    assert_eq!(ShardSpec::placement(ls.hierarchy(), five.resolve(5)), [0, 0, 1, 2, 3]);
+    let chan = ThreadedDeployment::new_sharded(hierarchy(1_000.0, 1, 2), Default::default(), five);
+    assert_eq!(chan.shard_count(), 4);
+    let udp = UdpDeployment::bind_sharded(hierarchy(1_000.0, 1, 2), Default::default(), five).unwrap();
+    assert_eq!(udp.shard_count(), 4);
+    udp.shutdown();
 }
 
 #[test]
