@@ -36,8 +36,8 @@ impl LocationServer {
         // Path soft state: leaves re-assert their visitors' forwarding
         // paths; non-leaves discard records whose epoch went stale (a
         // lost RemovePath must not leave zombies forever).
-        if self.next_path_maintenance_us <= now {
-            self.next_path_maintenance_us = now + self.opts.path_refresh_us.max(1);
+        if self.next_path_maintenance_us.is_some_and(|due| due <= now) {
+            self.next_path_maintenance_us = Some(now + self.opts.path_refresh_us.max(1));
             // Replica soft state: shadow records the agent stopped
             // refreshing must not serve stale answers forever.
             self.replicas.sweep_expired(now, self.opts.sighting_ttl_us);
@@ -249,13 +249,8 @@ impl LocationServer {
     pub fn next_timer(&self) -> Option<Micros> {
         let expiry = if self.config.is_leaf() { self.sightings.next_expiry() } else { None };
         let deadline = self.pending.next_deadline();
-        // Path maintenance only matters while any state could go stale.
-        let maintenance = if self.visitors.is_empty() && self.next_path_maintenance_us == 0 {
-            None
-        } else {
-            Some(self.next_path_maintenance_us)
-        };
+        // Path maintenance is scheduled once any state could go stale.
         let repl = self.repl_next_deadline();
-        [expiry, deadline, maintenance, repl].into_iter().flatten().min()
+        [expiry, deadline, self.next_path_maintenance_us, repl].into_iter().flatten().min()
     }
 }

@@ -219,8 +219,10 @@ pub struct LocationServer {
     caches: Caches,
     corr: CorrIdGen,
     /// Next scheduled path-maintenance instant (keep-alives at leaves,
-    /// stale-record scans at non-leaves); 0 = not yet scheduled.
-    next_path_maintenance_us: Micros,
+    /// stale-record scans at non-leaves). `None` until the server first
+    /// holds a visitor; a server that recovered visitors at open starts
+    /// due at once, to re-assert their paths.
+    next_path_maintenance_us: Option<Micros>,
     /// The hybrid logical clock stamping every path change this server
     /// originates; incoming stamps are merged in [`LocationServer::handle`]
     /// so a fresh local stamp always outbids anything stored here.
@@ -270,6 +272,7 @@ impl LocationServer {
                 (VisitorDb::durable(dir, d.policy)?, replicas)
             }
         };
+        let next_path_maintenance_us = (!visitors.is_empty()).then_some(0);
         let caches = Caches::new(opts.caches);
         let corr = CorrIdGen::for_server(config.id);
         let clock = HlcClock::new(config.id.0 as u16);
@@ -281,7 +284,7 @@ impl LocationServer {
             pending: Pending::default(),
             caches,
             corr,
-            next_path_maintenance_us: 0,
+            next_path_maintenance_us,
             clock,
             repl: Replication::default(),
             replicas,
@@ -463,6 +466,11 @@ impl LocationServer {
             | Message::RangeQueryRes { .. }
             | Message::NeighborQueryRes { .. }
             | Message::PositionProbe { .. } => {}
+        }
+        if self.next_path_maintenance_us.is_none() && !self.visitors.is_empty() {
+            // The first visitor's path was just asserted by the message
+            // that brought it: the first keep-alive is one period away.
+            self.next_path_maintenance_us = Some(now + self.opts.path_refresh_us.max(1));
         }
         self.drain()
     }

@@ -144,7 +144,7 @@ impl LocationServer {
     /// long source outage would dump the freshly adopted table).
     pub fn leave_standby_mode(&mut self, now: Micros) {
         self.repl.standby_mode = false;
-        self.next_path_maintenance_us = now + self.opts.path_refresh_us.max(1);
+        self.next_path_maintenance_us = Some(now + self.opts.path_refresh_us.max(1));
     }
 
     /// The current sink, as `(target, is_replica_stream)`.

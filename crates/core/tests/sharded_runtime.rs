@@ -356,18 +356,10 @@ fn crossings_stay_inside_subtrees<W, L: Port<Message>>(
         Sighting::new(ObjectId(oid), client.now_us(), Point::new(x, y), 5.0)
     };
 
-    // A leaf re-asserts its paths as soon as it holds its first
-    // visitor (its path maintenance starts out due), so warm every
-    // leaf first: the counts below are then per operation. Each of the
-    // eight leaves under quadrants 3 and 4 crosses twice, at the root:
-    // its warm-up registration's CreatePath and that re-assertion.
-    let n = ls.cross_shard_sends();
-    for (i, leaf) in (5..21).map(ServerId).enumerate() {
-        let pos = ls.hierarchy().server(leaf).area.center();
-        let s = Sighting::new(ObjectId(100 + i as u64), client.now_us(), pos, 5.0);
-        assert_eq!(client.register(leaf, s, 10.0, 50.0, 2.0).unwrap().0, leaf);
-    }
-    assert_eq!(crossed(&ls, n, 16), 16, "warm-up");
+    // Every server starts cold. A leaf's first keep-alive is one path
+    // refresh period after its first visitor, so the registration's own
+    // CreatePath is the only one, and the counts below are per
+    // operation.
 
     // Path creation under quadrant 1 stays on the root's shard.
     let n = ls.cross_shard_sends();
@@ -380,7 +372,7 @@ fn crossings_stay_inside_subtrees<W, L: Port<Message>>(
     let n = ls.cross_shard_sends();
     let s = sighting(&client, 2, 100.0, 600.0);
     assert_eq!(client.register(ServerId(13), s, 10.0, 50.0, 2.0).unwrap().0, ServerId(13));
-    assert_eq!(crossed(&ls, n, 1), 1, "register under quadrant 3: CreatePath 3 → 0");
+    assert_eq!(crossed(&ls, n, 1), 1, "cold register under quadrant 3: CreatePath 3 → 0");
 
     // A handover between sibling leaves goes through their common
     // parent, on their shard.

