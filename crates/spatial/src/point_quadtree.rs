@@ -93,9 +93,10 @@ impl Cell {
     }
 }
 
-/// The pending cells of a tree walk. A walk holds at most three pending
-/// siblings per level plus the four children it just pushed, and the
-/// height is capped, so a fixed array always suffices.
+/// The pending cells of a tree walk, starting with the root. A walk
+/// holds at most three pending siblings per level plus the four
+/// children it just pushed, and the height is capped, so a fixed array
+/// always suffices.
 struct Walk {
     ids: [u32; 3 * MAX_HEIGHT + 1],
     len: usize,

@@ -189,8 +189,8 @@ impl std::fmt::Debug for SightingDb {
 ///
 /// Slot indices are `u32` (half the per-record footprint of `usize` in
 /// the wheel and free list). `u32::MAX` itself is refused too, so the
-/// slab's length, one past its last index, also fits in a `u32`, and
-/// the next growth is what fails. A plain `as u32` would silently wrap
+/// slab's length, one past its last index, always fits in a `u32` as
+/// well. A plain `as u32` would silently wrap
 /// once the slab crosses 2³² slots and corrupt the free list / expiry
 /// wheel by aliasing slot 0 — detect it and fail loudly instead. One
 /// leaf holding 4 billion live sightings is far beyond any deployment
