@@ -162,9 +162,14 @@ pub trait SpatialIndex: Send {
 /// Deterministic ordering for (distance, key) candidate pairs: ascending
 /// distance, ties by ascending key.
 pub(crate) fn candidate_cmp(a: &(Entry, f64), b: &(Entry, f64)) -> std::cmp::Ordering {
-    a.1.partial_cmp(&b.1)
-        .unwrap_or(std::cmp::Ordering::Equal)
-        .then_with(|| a.0.key.cmp(&b.0.key))
+    distance_cmp(a.1, b.1).then_with(|| a.0.key.cmp(&b.0.key))
+}
+
+/// A total order on distances in which NaN (the distance to a position
+/// with a NaN coordinate) ranks as +∞, after every real distance.
+pub(crate) fn distance_cmp(a: f64, b: f64) -> std::cmp::Ordering {
+    let rank = |d: f64| if d.is_nan() { f64::INFINITY } else { d };
+    rank(a).total_cmp(&rank(b))
 }
 
 #[cfg(test)]

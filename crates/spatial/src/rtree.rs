@@ -1,6 +1,6 @@
 //! R-tree with quadratic split (Guttman) — the paper's cited alternative.
 
-use crate::{candidate_cmp, Entry, ObjectKey, SpatialIndex};
+use crate::{candidate_cmp, distance_cmp, Entry, ObjectKey, SpatialIndex};
 use hiloc_geo::{Point, Rect};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -321,11 +321,7 @@ impl PartialOrd for HeapItem {
 impl Ord for HeapItem {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse: smaller distance = greater priority. Ties: smaller key first.
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.tie_key.cmp(&self.tie_key))
+        distance_cmp(other.dist, self.dist).then_with(|| other.tie_key.cmp(&self.tie_key))
     }
 }
 

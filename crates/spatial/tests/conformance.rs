@@ -276,6 +276,39 @@ fn grid_tiny_cells_matches_oracle() {
     });
 }
 
+/// An entry at a NaN position is at a NaN distance from every probe,
+/// which ranks last, as +∞: it never beats a real candidate, whatever
+/// its key and whichever entry the index visits first.
+#[test]
+fn a_nan_position_ranks_after_every_real_distance() {
+    let indexes: [fn() -> Box<dyn SpatialIndex>; 4] = [
+        || Box::new(NaiveIndex::new()),
+        || Box::new(PointQuadtree::new()),
+        || Box::new(RTree::new()),
+        || Box::new(GridIndex::new(25.0)),
+    ];
+    let nan = Point::new(f64::NAN, 1.0);
+    let near = Point::new(7.0, 7.0);
+    for (i, make) in indexes.into_iter().enumerate() {
+        for nan_first in [true, false] {
+            let mut idx = make();
+            if nan_first {
+                idx.insert(2, nan);
+            }
+            idx.insert(3, near);
+            if !nan_first {
+                idx.insert(2, nan);
+            }
+            let (best, d) = idx.nearest(Point::new(6.0, 6.0)).expect("two entries");
+            assert_eq!(best.key, 3, "index {i}, NaN inserted first: {nan_first}");
+            assert!((d - 2f64.sqrt()).abs() < 1e-12, "index {i}: distance {d}");
+            let two = idx.k_nearest_where(Point::new(6.0, 6.0), 2, &mut |_| true);
+            let keys: Vec<u64> = two.iter().map(|(e, _)| e.key).collect();
+            assert_eq!(keys, [3, 2], "index {i}, NaN inserted first: {nan_first}");
+        }
+    }
+}
+
 /// Deterministic bulk test at a scale proptest cases do not reach:
 /// mirrors the paper's Table 1 population (uniform random objects), then
 /// cross-checks a batch of queries on all three indexes.
