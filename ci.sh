@@ -111,6 +111,14 @@ cargo test -q --offline -p hiloc-core --lib -- --exact \
 # UDP, at the leaf on channels and the simulator) and the object it
 # named still answers; the event-watch
 # example runs on the threaded runtime, asserting the events it prints.
+# The receive path's spin-then-nap rule is named too: a hot UDP socket
+# makes no mode switch over 100 batches and exactly one each way around
+# a wait that traffic ends, never returns before its nap, delivers what
+# arrives during the spin, still gives a clone's one-envelope receive
+# its full timeout and counts a refused nonblocking send; the channel
+# transport heats and cools by the same rule, and the spin budget is 0
+# on one CPU. The client-API suite then runs again pinned to one CPU,
+# where the budget is 0.
 echo "==> real-runtime fuzz gate (threaded + UDP: durable restart / power loss / checkpoint cut / partition / shed / faulted parity)"
 cargo test -q --offline -p hiloc-sim --test real_runtime_fuzz
 cargo test -q --offline -p hiloc-core --test sharded_runtime
@@ -119,6 +127,23 @@ cargo test -q --offline -p hiloc-core --test runtime_transports -- --exact \
     udp_nan_update_is_a_stray_and_the_object_still_answers \
     channel_nan_update_is_dropped_and_the_object_still_answers \
     sim_nan_position_is_dropped_and_the_object_still_answers
+cargo test -q --offline -p hiloc-net --lib -- --exact \
+    udp::tests::hot_batches_back_to_back_make_no_mode_switch \
+    udp::tests::an_expired_spin_then_a_wake_switch_once_each_way \
+    udp::tests::a_hot_endpoint_with_no_traffic_never_returns_before_nap \
+    udp::tests::a_datagram_sent_during_the_spin_is_delivered_by_that_call \
+    udp::tests::a_clones_recv_timeout_on_a_hot_socket_waits_its_full_timeout \
+    udp::tests::failed_sends_count_every_envelope_of_their_datagram
+cargo test -q --offline -p hiloc-core --lib -- --exact \
+    runtime::transport::tests::a_channel_transport_heats_on_traffic_and_cools_on_an_expired_wait
+cargo test -q --offline -p hiloc-util --lib -- --exact \
+    sync::tests::spin_budget_is_zero_on_one_cpu \
+    sync::tests::spin_poll_stops_at_the_first_answer_or_the_shorter_limit
+if command -v taskset > /dev/null; then
+    taskset -c 0 cargo test -q --offline -p hiloc-core --test runtime_transports
+else
+    echo "taskset not found: skipping the one-CPU run of runtime_transports"
+fi
 cargo run -q --offline --example event_alerts
 
 # Shard placement: the one table (`ShardSpec::placement`) every

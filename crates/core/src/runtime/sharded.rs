@@ -20,10 +20,16 @@
 //! 1. applies pending control commands (crash / restart / checkpoint /
 //!    snapshot) through the table,
 //! 2. fires due timers on its local servers,
-//! 3. naps until the earliest local timer (bounded by [`MAX_NAP`]),
-//! 4. drains a **batch** of envelopes from its transport in one wait
-//!    (`recv_batch`: one timed receive, then non-blocking syscalls or
-//!    `try_recv` until empty), and
+//! 3. waits for traffic until the earliest local timer (bounded by
+//!    [`MAX_NAP`]): a transport whose last receive got traffic is *hot*
+//!    and first polls without blocking, yielding between polls, for at
+//!    most `min(`[`SPIN`](hiloc_util::sync::SPIN)`, nap)` (none on a
+//!    one-core host), and naps in a timed wait only when that spin runs
+//!    out,
+//! 4. drains a **batch** of envelopes from its transport in that one
+//!    wait (`recv_batch`: non-blocking syscalls or `try_recv` until
+//!    empty; a hot UDP socket stays nonblocking, so a busy shard makes
+//!    no mode switch), and
 //! 5. dispatches the batch, looping same-shard server→server traffic
 //!    through an in-memory queue without ever touching the transport,
 //!    and
@@ -38,7 +44,7 @@
 //! [`ServerStats::inbox_shed`] in snapshots and shutdown stats.
 //!
 //! The loop also keeps a per-shard **busy time**: wall clock spent
-//! processing (timers + dispatch), excluding the nap waits. The
+//! processing (timers + dispatch), excluding the waits, spin included. The
 //! benchmark reads it as `runtime.shard_busy_frac` (busy time over the
 //! measured window). On a host with at least as many cores as shards
 //! it is the wall clock of the critical-path shard, and unlike wall
@@ -285,8 +291,13 @@ pub(crate) trait ShardTransport: Send + 'static {
     }
 
     /// Waits up to `nap` for traffic, then drains up to `max`
-    /// envelopes into `out` without blocking. Returns `false` when the
-    /// transport is dead and the shard should exit.
+    /// envelopes into `out` without blocking. After a call that got
+    /// traffic the transport is hot: its next call first spins on a
+    /// non-blocking poll for at most `min(SPIN, nap)`
+    /// ([`spin_poll`](hiloc_util::sync::spin_poll)) and naps in a timed
+    /// wait only for what is left of `nap`, so the wait never outlasts
+    /// `nap` and due timers and commands are still met. Returns `false`
+    /// when the transport is dead and the shard should exit.
     fn recv_batch(&mut self, nap: Duration, max: usize, out: &mut Vec<Envelope<Message>>) -> bool;
 }
 
@@ -676,8 +687,10 @@ impl<W> ShardedDeployment<W> {
     /// Envelopes the shards could not send so far: no route to the
     /// destination, an encoding over the 60 000-byte datagram cap, or
     /// a datagram whose socket write failed (each of its envelopes
-    /// counts). Nothing tells the sender; the request that caused one
-    /// ends in its client's timeout.
+    /// counts). A hot UDP socket is nonblocking, so there a write that
+    /// would block fails too, and its envelopes count here as lost.
+    /// Nothing tells the sender; the request that caused one ends in
+    /// its client's timeout.
     pub fn send_failed(&self) -> u64 {
         self.shared.send_failed.load(Ordering::Relaxed)
     }

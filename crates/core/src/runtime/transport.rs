@@ -14,6 +14,7 @@ use hiloc_net::{
     UdpError,
 };
 use hiloc_util::sync::channel::{bounded, Receiver, RecvTimeoutError, TryRecvError};
+use hiloc_util::sync::{host_spin_budget, spin_poll};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -64,6 +65,9 @@ pub type SyncClient = Client<ChannelPort<Message>>;
 struct ChannelTransport {
     net: ChannelNetwork<Message>,
     rx: Receiver<Envelope<Message>>,
+    /// True after a receive that got traffic: the next one spins on
+    /// `try_recv` before its timed wait ([`spin_poll`]).
+    hot: bool,
 }
 
 impl ShardTransport for ChannelTransport {
@@ -72,11 +76,30 @@ impl ShardTransport for ChannelTransport {
     }
 
     fn recv_batch(&mut self, nap: Duration, max: usize, out: &mut Vec<Envelope<Message>>) -> bool {
-        match self.rx.recv_timeout(nap) {
+        let first = if self.hot && max > 1 {
+            let polled = spin_poll(host_spin_budget(), nap, || match self.rx.try_recv() {
+                Ok(env) => Some(Ok(env)),
+                Err(TryRecvError::Empty) => None,
+                Err(TryRecvError::Disconnected) => Some(Err(RecvTimeoutError::Disconnected)),
+            });
+            match polled {
+                Ok(first) => first,
+                // The spin used the whole nap: no wait ran out.
+                Err(left) if left.is_zero() => return true,
+                Err(left) => self.rx.recv_timeout(left),
+            }
+        } else {
+            self.rx.recv_timeout(nap)
+        };
+        match first {
             Ok(env) => out.push(env),
-            Err(RecvTimeoutError::Timeout) => return true,
+            Err(RecvTimeoutError::Timeout) => {
+                self.hot = false;
+                return true;
+            }
             Err(RecvTimeoutError::Disconnected) => return false,
         }
+        self.hot = max > 1;
         while out.len() < max {
             match self.rx.try_recv() {
                 Ok(env) => out.push(env),
@@ -116,7 +139,7 @@ impl ThreadedDeployment {
         let (inboxes, transports): (Vec<_>, Vec<_>) = (0..n_shards)
             .map(|_| {
                 let (tx, rx) = bounded(spec.inbox_cap);
-                (tx, ChannelTransport { net: net.clone(), rx })
+                (tx, ChannelTransport { net: net.clone(), rx, hot: false })
             })
             .unzip();
         for cfg in hierarchy.servers() {
@@ -147,9 +170,11 @@ impl ThreadedDeployment {
 /// A location service deployed over real UDP sockets, as the paper's
 /// prototype was ("on top of UDP to achieve efficient client/server
 /// and server/server interactions"). Each shard owns **one** socket
-/// shared by its servers and drains it in batches (one timed receive,
-/// then non-blocking reads until empty); same-shard traffic never
-/// touches the network. What a shard's turn sends leaves packed: one
+/// shared by its servers and drains it in batches (one wait, then
+/// non-blocking reads until empty; a socket that got traffic stays
+/// nonblocking and spins briefly before its next timed wait, see
+/// [`UdpEndpoint::recv_batch`]); same-shard traffic never touches the
+/// network. What a shard's turn sends leaves packed: one
 /// datagram per destination socket (several back-to-back envelope
 /// frames, up to 60 000 bytes), flushed at the end of the turn, so a
 /// batch of requests from one client is answered in one datagram.
@@ -286,5 +311,57 @@ impl UdpDeployment {
     /// final per-server counters.
     pub fn shutdown(self) {
         self.shutdown_with_stats();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hiloc_util::sync::channel::Sender;
+    use std::time::Instant;
+
+    fn transport() -> (Sender<Envelope<Message>>, ChannelTransport) {
+        let (tx, rx) = bounded(16);
+        (tx, ChannelTransport { net: ChannelNetwork::new(), rx, hot: false })
+    }
+
+    fn envelope() -> Envelope<Message> {
+        let msg = Message::DeregisterReq { oid: crate::model::ObjectId(1) };
+        Envelope::new(ServerId(0).into(), ServerId(0).into(), msg)
+    }
+
+    #[test]
+    fn a_channel_transport_heats_on_traffic_and_cools_on_an_expired_wait() {
+        let (tx, mut t) = transport();
+        let mut out = Vec::new();
+        tx.try_send(envelope()).unwrap();
+        assert!(t.recv_batch(Duration::from_secs(5), 8, &mut out));
+        assert_eq!(out.len(), 1);
+        assert!(t.hot);
+        // Hot with no traffic: the spin and the timed wait together
+        // never return before the nap, and the expired wait cools.
+        for nap in [0, 10, 80, 2_200].map(Duration::from_micros) {
+            t.hot = true;
+            let t0 = Instant::now();
+            assert!(t.recv_batch(nap, 8, &mut out));
+            assert!(t0.elapsed() >= nap, "{:?} returned after {:?}", nap, t0.elapsed());
+        }
+        assert!(!t.hot);
+        assert_eq!(out.len(), 1);
+        // A one-envelope receive never heats.
+        tx.try_send(envelope()).unwrap();
+        assert!(t.recv_batch(Duration::from_secs(5), 1, &mut out));
+        assert!(!t.hot);
+        // Traffic sent while a hot transport spins is delivered by that
+        // call; a dead inbox ends the shard.
+        t.hot = true;
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(5));
+            tx.try_send(envelope()).unwrap();
+        });
+        assert!(t.recv_batch(Duration::from_secs(5), 8, &mut out));
+        assert_eq!(out.len(), 3);
+        sender.join().unwrap();
+        assert!(!t.recv_batch(Duration::from_secs(5), 8, &mut out), "every sender is gone");
     }
 }

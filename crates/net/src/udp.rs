@@ -18,13 +18,13 @@ use crate::wire::WireCodec;
 use crate::{Endpoint, Envelope};
 #[cfg(test)]
 use crate::ServerId;
-use hiloc_util::sync::{Mutex, RwLock};
+use hiloc_util::sync::{host_spin_budget, spin_poll, Mutex, RwLock};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::io::ErrorKind;
 use std::marker::PhantomData;
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -80,6 +80,10 @@ pub struct RecvBatch {
     pub datagrams: usize,
     /// Datagrams dropped as stray (bad magic, truncated, corrupt).
     pub stray: usize,
+    /// `set_nonblocking` calls this call made: 0 while a hot socket
+    /// keeps receiving, one each way around a timed wait that a spin
+    /// fell back to and that traffic then ended.
+    pub mode_switches: usize,
 }
 
 /// A UDP-backed network endpoint carrying [`Envelope`]s of `M`.
@@ -92,9 +96,16 @@ pub struct RecvBatch {
 /// Routes (endpoint → socket address) are added explicitly; a
 /// deployment bootstrapper distributes the address book.
 ///
-/// Cloning shares the underlying socket (and its read timeout) and the
-/// queue of received envelopes not yet handed out, so an endpoint
-/// should have a single receiving thread.
+/// Cloning shares the underlying socket, its read timeout, its blocking
+/// mode (`O_NONBLOCK` belongs to the file description every clone
+/// holds) and the queue of received envelopes not yet handed out, so
+/// an endpoint should have a single receiving thread.
+///
+/// A socket that [`recv_batch`](UdpEndpoint::recv_batch) left
+/// nonblocking also sends without blocking: a `send_to` that would
+/// block fails, and its datagram is lost like any other failed send
+/// (counted by [`flush`](UdpEndpoint::flush), an error from
+/// [`send`](UdpEndpoint::send)).
 pub struct UdpEndpoint<M> {
     endpoint: Endpoint,
     socket: Arc<UdpSocket>,
@@ -105,6 +116,9 @@ pub struct UdpEndpoint<M> {
     /// The socket's read timeout in whole milliseconds, as last set (0:
     /// never set), shared like the socket so no clone sets it again.
     read_timeout_ms: Arc<AtomicU64>,
+    /// True while the socket is in nonblocking mode, which is also
+    /// what makes its receiver hot; shared like the read timeout.
+    nonblocking: Arc<AtomicBool>,
     _marker: PhantomData<fn(M) -> M>,
 }
 
@@ -125,6 +139,7 @@ impl<M> Clone for UdpEndpoint<M> {
             routes: Arc::clone(&self.routes),
             pending: Arc::clone(&self.pending),
             read_timeout_ms: Arc::clone(&self.read_timeout_ms),
+            nonblocking: Arc::clone(&self.nonblocking),
             _marker: PhantomData,
         }
     }
@@ -333,6 +348,7 @@ impl<M: WireCodec> UdpEndpoint<M> {
             routes: Arc::new(RwLock::new(BTreeMap::new())),
             pending: Arc::new(Mutex::new(VecDeque::new())),
             read_timeout_ms: Arc::new(AtomicU64::new(0)),
+            nonblocking: Arc::new(AtomicBool::new(false)),
             _marker: PhantomData,
         })
     }
@@ -447,10 +463,19 @@ impl<M: WireCodec> UdpEndpoint<M> {
 
     /// Waits up to `nap` for traffic, then drains the socket without
     /// blocking — up to `max` envelopes appended to `out` — before
-    /// returning. This is the event-loop receive primitive: one
-    /// timed wait, then batch syscalls until `WouldBlock`, so a busy
-    /// socket costs ~one mode switch per *batch* instead of one timed
-    /// receive per *datagram*.
+    /// returning. This is the event-loop receive primitive.
+    ///
+    /// A call with `max > 1` that receives traffic leaves the socket
+    /// nonblocking, which makes it *hot*. A hot socket's next call polls
+    /// it, yielding between polls, until traffic arrives or
+    /// `min(`[`SPIN`](hiloc_util::sync::SPIN)`, nap)` has passed
+    /// ([`spin_poll`]; no spin on a one-core host); only a spin that
+    /// runs out switches the socket to blocking for a timed wait on the
+    /// rest of `nap`. So a busy socket makes no mode switch at all, and
+    /// a wait that traffic ends makes one each way
+    /// ([`RecvBatch::mode_switches`]). A call with `max == 1`
+    /// ([`recv_timeout`](UdpEndpoint::recv_timeout)) neither spins nor
+    /// heats the socket, and waits in blocking mode even on a hot one.
     ///
     /// `max` is exact: a datagram holding more envelopes than the call
     /// has room for leaves the rest in a pending queue shared by the
@@ -472,6 +497,18 @@ impl<M: WireCodec> UdpEndpoint<M> {
         max: usize,
         out: &mut Vec<Envelope<M>>,
     ) -> Result<RecvBatch, UdpError> {
+        self.recv_batch_spinning(host_spin_budget(), nap, max, out)
+    }
+
+    /// [`recv_batch`](UdpEndpoint::recv_batch) with an explicit spin
+    /// budget.
+    fn recv_batch_spinning(
+        &self,
+        spin: Duration,
+        nap: Duration,
+        max: usize,
+        out: &mut Vec<Envelope<M>>,
+    ) -> Result<RecvBatch, UdpError> {
         let mut counts = RecvBatch::default();
         if max == 0 {
             return Ok(counts);
@@ -485,15 +522,30 @@ impl<M: WireCodec> UdpEndpoint<M> {
         if counts.received > 0 {
             return Ok(counts);
         }
+        let deadline = Instant::now() + nap;
         RECV_BUF.with_borrow_mut(|buf| {
-            // Phase 1: one blocking wait (bounded by `nap`) for the
-            // first datagram; strays burn none of the batch budget.
-            let deadline = Instant::now() + nap;
+            // Phase 1: the first datagram; strays burn none of the
+            // batch budget. A hot socket, still nonblocking, is polled
+            // first.
+            if max > 1 && self.nonblocking.load(Ordering::Relaxed) {
+                let polled = spin_poll(spin, nap, || {
+                    match self.read_datagram(buf, max, out, &mut counts) {
+                        Ok(()) => (counts.received > 0).then_some(Ok(())),
+                        Err(UdpError::Io(ref e)) if is_timeout(e) => None,
+                        Err(e) => Some(Err(e)),
+                    }
+                });
+                if let Ok(Err(e)) = polled {
+                    return Err(e);
+                }
+            }
+            // Then a timed wait, which needs blocking mode.
             while counts.received == 0 {
                 let remaining = deadline.saturating_duration_since(Instant::now());
                 if remaining.is_zero() {
                     return Ok(counts);
                 }
+                self.set_nonblocking(false, &mut counts)?;
                 self.set_read_timeout(remaining)?;
                 match self.read_datagram(buf, max, out, &mut counts) {
                     Ok(()) => {}
@@ -501,26 +553,32 @@ impl<M: WireCodec> UdpEndpoint<M> {
                     Err(e) => return Err(e),
                 }
             }
-            if counts.received >= max {
+            if max == 1 {
                 return Ok(counts);
             }
             // Phase 2: drain without blocking until the socket is empty
-            // or the batch is full.
-            self.socket.set_nonblocking(true)?;
-            let drained = loop {
-                if counts.received >= max {
-                    break Ok(());
-                }
+            // or the batch is full; the socket stays nonblocking (hot).
+            self.set_nonblocking(true, &mut counts)?;
+            while counts.received < max {
                 match self.read_datagram(buf, max - counts.received, out, &mut counts) {
                     Ok(()) => {}
-                    Err(UdpError::Io(ref e)) if is_timeout(e) => break Ok(()),
-                    Err(e) => break Err(e),
+                    Err(UdpError::Io(ref e)) if is_timeout(e) => break,
+                    Err(e) => return Err(e),
                 }
-            };
-            // Restore blocking mode even when the drain failed.
-            self.socket.set_nonblocking(false)?;
-            drained.map(|()| counts)
+            }
+            Ok(counts)
         })
+    }
+
+    /// Puts the socket in (non)blocking mode, counting the syscall in
+    /// `counts`, with none when it is in that mode already.
+    fn set_nonblocking(&self, nonblocking: bool, counts: &mut RecvBatch) -> Result<(), UdpError> {
+        if self.nonblocking.load(Ordering::Relaxed) != nonblocking {
+            self.socket.set_nonblocking(nonblocking)?;
+            self.nonblocking.store(nonblocking, Ordering::Relaxed);
+            counts.mode_switches += 1;
+        }
+        Ok(())
     }
 
     /// Sets the socket's read timeout to `wait` rounded up to whole
@@ -970,5 +1028,134 @@ mod tests {
         }
         assert_eq!(outbox.flush(|_, _| true), 6);
         assert_eq!(outbox.flush(|_, _| false), 0, "an empty outbox loses nothing");
+
+        // On a hot (nonblocking) socket a refused `send_to` is counted
+        // the same way: port 0 is refused by the OS.
+        let (a, b) = pair();
+        heat(&b, &a);
+        b.add_route(ServerId(7).into(), addr(0));
+        let mut outbox = Outbox::new();
+        for i in 0..3 {
+            b.enqueue(&mut outbox, env(1, 7, i, "lost")).unwrap();
+        }
+        b.enqueue(&mut outbox, env(1, 0, 3, "kept")).unwrap();
+        assert_eq!(b.flush(&mut outbox), 3);
+        let got = a.recv_timeout(Duration::from_secs(5)).unwrap().expect("the routed datagram");
+        assert_eq!(got.msg.0, 3);
+    }
+
+    /// `b` routes to `a` and `a` to `b`.
+    fn pair() -> (UdpEndpoint<TestMsg>, UdpEndpoint<TestMsg>) {
+        let (a, b) = (bind(0), bind(1));
+        a.add_route(ServerId(1).into(), b.local_addr().unwrap());
+        b.add_route(ServerId(0).into(), a.local_addr().unwrap());
+        (a, b)
+    }
+
+    /// Makes `rx` hot: `tx` sends it one envelope, which a batch
+    /// receive takes, leaving the socket nonblocking.
+    fn heat(rx: &UdpEndpoint<TestMsg>, tx: &UdpEndpoint<TestMsg>) {
+        let to = match rx.endpoint() {
+            Endpoint::Server(id) => id.0,
+            other => panic!("test endpoints are servers, not {other}"),
+        };
+        tx.send(env(9, to, 0, "heat")).unwrap();
+        let mut out = Vec::new();
+        let c = rx.recv_batch(Duration::from_secs(5), 64, &mut out).unwrap();
+        assert_eq!(c.received, 1);
+        assert!(rx.nonblocking.load(Ordering::Relaxed), "a drained socket stays nonblocking");
+    }
+
+    /// A spin budget far above any test's send delay, so the counts
+    /// below hold on any host.
+    const LONG_SPIN: Duration = Duration::from_secs(5);
+
+    #[test]
+    fn hot_batches_back_to_back_make_no_mode_switch() {
+        let (a, b) = pair();
+        heat(&a, &b);
+        let mut out = Vec::new();
+        let mut switches = 0;
+        for i in 0..100 {
+            b.send(env(1, 0, i, "hot")).unwrap();
+            let c = a.recv_batch_spinning(LONG_SPIN, Duration::from_secs(5), 64, &mut out).unwrap();
+            assert_eq!(c.received, 1);
+            switches += c.mode_switches;
+        }
+        assert_eq!(switches, 0);
+        assert_eq!(out.len(), 100);
+    }
+
+    #[test]
+    fn an_expired_spin_then_a_wake_switch_once_each_way() {
+        let (a, b) = pair();
+        heat(&a, &b);
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(30));
+            b.send(env(1, 0, 1, "wake")).unwrap();
+            b
+        });
+        let mut out = Vec::new();
+        let spin = Duration::from_millis(2);
+        let c = a.recv_batch_spinning(spin, Duration::from_secs(5), 64, &mut out).unwrap();
+        assert_eq!((c.received, c.mode_switches), (1, 2), "one switch each way");
+        assert!(a.nonblocking.load(Ordering::Relaxed));
+        let b = sender.join().unwrap();
+
+        // A wait that runs out leaves the socket blocking (cold); the
+        // next traffic makes it hot again, one switch each.
+        let c = a.recv_batch_spinning(spin, Duration::from_millis(10), 64, &mut out).unwrap();
+        assert_eq!((c.received, c.mode_switches), (0, 1));
+        assert!(!a.nonblocking.load(Ordering::Relaxed));
+        b.send(env(1, 0, 2, "again")).unwrap();
+        let c = a.recv_batch_spinning(spin, Duration::from_secs(5), 64, &mut out).unwrap();
+        assert_eq!((c.received, c.mode_switches), (1, 1));
+        assert!(a.nonblocking.load(Ordering::Relaxed));
+    }
+
+    #[test]
+    fn a_hot_endpoint_with_no_traffic_never_returns_before_nap() {
+        let (a, b) = pair();
+        let naps_us = [0, 10, 30, 50, 80, 300, 1_000, 2_200];
+        for nap in naps_us.map(Duration::from_micros) {
+            heat(&a, &b);
+            let mut out = Vec::new();
+            let t0 = Instant::now();
+            let c = a.recv_batch(nap, 64, &mut out).unwrap();
+            assert_eq!(c.received, 0);
+            assert!(t0.elapsed() >= nap, "{:?} returned after {:?}", nap, t0.elapsed());
+        }
+    }
+
+    #[test]
+    fn a_datagram_sent_during_the_spin_is_delivered_by_that_call() {
+        let (a, b) = pair();
+        heat(&a, &b);
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            b.send(env(1, 0, 5, "spun")).unwrap();
+        });
+        let mut out = Vec::new();
+        let c = a.recv_batch_spinning(LONG_SPIN, Duration::from_secs(5), 64, &mut out).unwrap();
+        sender.join().unwrap();
+        assert_eq!((c.received, c.mode_switches), (1, 0), "caught by the spin, no timed wait");
+        assert_eq!(out[0].msg.0, 5);
+    }
+
+    #[test]
+    fn a_clones_recv_timeout_on_a_hot_socket_waits_its_full_timeout() {
+        let (a, b) = pair();
+        heat(&a, &b);
+        let clone = a.clone();
+        for wait in [300, 2_500].map(Duration::from_micros) {
+            let t0 = Instant::now();
+            assert!(clone.recv_timeout(wait).unwrap().is_none());
+            assert!(t0.elapsed() >= wait, "{:?} returned after {:?}", wait, t0.elapsed());
+        }
+        assert!(!a.nonblocking.load(Ordering::Relaxed), "the clone switched the mode");
+        // A one-envelope receive does not heat the socket.
+        b.send(env(1, 0, 6, "one")).unwrap();
+        assert_eq!(clone.recv_timeout(Duration::from_secs(5)).unwrap().unwrap().msg.0, 6);
+        assert!(!a.nonblocking.load(Ordering::Relaxed));
     }
 }

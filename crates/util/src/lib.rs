@@ -9,9 +9,10 @@
 //!   use (replaces `rand`).
 //! * [`buf`] — `Buf`/`BufMut` extension traits over `&[u8]` and
 //!   `Vec<u8>` for little-endian wire encoding (replaces `bytes`).
-//! * [`sync`] — poison-transparent `Mutex`/`RwLock` wrappers and an
+//! * [`sync`] — poison-transparent `Mutex`/`RwLock` wrappers, an
 //!   unbounded MPMC-ish channel with `len()`/`recv_timeout` (replaces
-//!   `parking_lot` and `crossbeam-channel`).
+//!   `parking_lot` and `crossbeam-channel`), and the spin-then-nap
+//!   receive rule the real transports share.
 //! * [`json`] — a minimal JSON tree with emitter and parser (replaces
 //!   `serde`/`serde_json` for configuration persistence).
 //! * [`prop`] — a seeded property-test harness with failure-case

@@ -6,9 +6,13 @@
 //! guard, since hiloc treats a panic while holding a lock as fatal to
 //! the test/process, not to the lock). [`channel`] is a multi-producer
 //! queue with a non-blocking send and disconnect semantics, standing
-//! in for `crossbeam::channel`.
+//! in for `crossbeam::channel`. [`spin_poll`] is the receive rule every
+//! real transport shares: a hot receiver polls briefly before it naps.
 
-// lint:allow-file(wallclock) condvar wait timeouts are genuine wall-clock deadlines
+// lint:allow-file(wallclock) condvar timeouts and the receive spin are wall-clock deadlines
+
+use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 /// A mutual-exclusion lock that does not surface poisoning.
 #[derive(Debug, Default)]
@@ -48,6 +52,62 @@ impl<T: ?Sized> RwLock<T> {
     /// Acquires the exclusive write guard.
     pub fn write(&self) -> std::sync::RwLockWriteGuard<'_, T> {
         self.0.write().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+/// The longest a hot receiver polls before it falls back to a timed
+/// wait ([`spin_poll`]). A wake-up from a timed wait costs tens of
+/// microseconds; a reply that crosses one other thread usually arrives
+/// within this budget, and an idle receiver gives its core back after
+/// it.
+pub const SPIN: Duration = Duration::from_micros(50);
+
+/// The spin budget on a host with `cpus` cores: [`SPIN`], or zero on
+/// one core, where a spinning receiver only delays the thread that
+/// would send to it.
+pub fn spin_budget(cpus: usize) -> Duration {
+    if cpus > 1 {
+        SPIN
+    } else {
+        Duration::ZERO
+    }
+}
+
+/// [`spin_budget`] for this process's available parallelism, read
+/// once.
+pub fn host_spin_budget() -> Duration {
+    static BUDGET: OnceLock<Duration> = OnceLock::new();
+    *BUDGET.get_or_init(|| {
+        spin_budget(std::thread::available_parallelism().map_or(1, |n| n.get()))
+    })
+}
+
+/// The receive rule of every real transport. A receiver whose last
+/// call received traffic is *hot*, and a hot receiver calls this before
+/// it blocks: `poll`, which must not block, runs until it returns
+/// something or `min(budget, nap)` has passed, and the thread yields
+/// its core between polls. `poll` runs at least once, even on a zero
+/// budget.
+///
+/// Returns `poll`'s first `Some`, or `Err(left)` once the spin ran
+/// out: `left` is what remains of `nap` for the caller's timed wait
+/// (zero when the spin used all of it).
+pub fn spin_poll<T>(
+    budget: Duration,
+    nap: Duration,
+    mut poll: impl FnMut() -> Option<T>,
+) -> Result<T, Duration> {
+    let limit = budget.min(nap);
+    let start = Instant::now();
+    loop {
+        if let Some(got) = poll() {
+            return Ok(got);
+        }
+        let spun = start.elapsed();
+        if spun >= limit {
+            return Err(nap.saturating_sub(spun));
+        }
+        std::thread::yield_now();
     }
 }
 
@@ -406,6 +466,38 @@ mod tests {
         assert_eq!(l.read().len(), 2);
         l.write().push(3);
         assert_eq!(*l.read(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn spin_budget_is_zero_on_one_cpu() {
+        assert_eq!(spin_budget(0), Duration::ZERO);
+        assert_eq!(spin_budget(1), Duration::ZERO);
+        assert_eq!(spin_budget(2), SPIN);
+        assert_eq!(spin_budget(64), SPIN);
+    }
+
+    #[test]
+    fn spin_poll_stops_at_the_first_answer_or_the_shorter_limit() {
+        let mut polls = 0;
+        let got = spin_poll(Duration::from_secs(5), Duration::from_secs(5), || {
+            polls += 1;
+            (polls == 3).then_some(polls)
+        });
+        assert_eq!(got, Ok(3));
+        // A zero budget polls once and leaves the whole nap.
+        let mut polls = 0;
+        let left = spin_poll(Duration::ZERO, Duration::from_secs(5), || {
+            polls += 1;
+            None::<()>
+        });
+        assert_eq!(polls, 1);
+        assert!(left.unwrap_err() > Duration::from_secs(4));
+        // A nap shorter than the budget bounds the spin and leaves nothing.
+        let t0 = Instant::now();
+        let left = spin_poll(Duration::from_secs(5), Duration::from_millis(2), || None::<()>);
+        assert_eq!(left, Err(Duration::ZERO));
+        assert!(t0.elapsed() >= Duration::from_millis(2));
+        assert!(t0.elapsed() < Duration::from_secs(5));
     }
 
     #[test]
