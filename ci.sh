@@ -115,10 +115,14 @@ cargo test -q --offline -p hiloc-core --lib -- --exact \
 # makes no mode switch over 100 batches and exactly one each way around
 # a wait that traffic ends, never returns before its nap, delivers what
 # arrives during the spin, still gives a clone's one-envelope receive
-# its full timeout and counts a refused nonblocking send; the channel
-# transport heats and cools by the same rule, and the spin budget is 0
-# on one CPU. The client-API suite then runs again pinned to one CPU,
-# where the budget is 0.
+# its full timeout and counts a refused nonblocking send. A client's
+# one-envelope receives follow the same rule: back to back on a hot
+# socket they make no mode switch, and with no traffic they never
+# return before their timeout. The channel receiver delivers what
+# arrives during its spin and goes straight to the timed wait on a
+# zero budget, the channel transport drains its batch and never returns
+# before its nap, and the spin budget is 0 on one CPU. The client-API
+# suite then runs again pinned to one CPU, where the budget is 0.
 echo "==> real-runtime fuzz gate (threaded + UDP: durable restart / power loss / checkpoint cut / partition / shed / faulted parity)"
 cargo test -q --offline -p hiloc-sim --test real_runtime_fuzz
 cargo test -q --offline -p hiloc-core --test sharded_runtime
@@ -133,12 +137,16 @@ cargo test -q --offline -p hiloc-net --lib -- --exact \
     udp::tests::a_hot_endpoint_with_no_traffic_never_returns_before_nap \
     udp::tests::a_datagram_sent_during_the_spin_is_delivered_by_that_call \
     udp::tests::a_clones_recv_timeout_on_a_hot_socket_waits_its_full_timeout \
-    udp::tests::failed_sends_count_every_envelope_of_their_datagram
+    udp::tests::failed_sends_count_every_envelope_of_their_datagram \
+    udp::tests::hot_one_envelope_receives_back_to_back_make_no_mode_switch \
+    udp::tests::a_hot_one_envelope_receive_with_no_traffic_never_returns_before_its_timeout
 cargo test -q --offline -p hiloc-core --lib -- --exact \
-    runtime::transport::tests::a_channel_transport_heats_on_traffic_and_cools_on_an_expired_wait
+    runtime::transport::tests::a_hot_channel_transport_drains_its_batch_and_never_returns_before_its_nap
 cargo test -q --offline -p hiloc-util --lib -- --exact \
     sync::tests::spin_budget_is_zero_on_one_cpu \
-    sync::tests::spin_poll_stops_at_the_first_answer_or_the_shorter_limit
+    sync::tests::spin_poll_stops_at_the_first_answer_or_the_shorter_limit \
+    sync::channel::tests::a_message_sent_during_the_spin_is_delivered_by_that_call \
+    sync::channel::tests::a_zero_spin_budget_goes_straight_to_the_timed_wait
 if command -v taskset > /dev/null; then
     taskset -c 0 cargo test -q --offline -p hiloc-core --test runtime_transports
 else

@@ -36,6 +36,10 @@
 //! 6. flushes the transport: a turn's outputs leave as one datagram per
 //!    destination socket on UDP (see [`ShardTransport::flush`]).
 //!
+//! Steps 3–4's receive rule lives in the transport primitives
+//! (`UdpEndpoint::recv_batch`, `Receiver::recv_spinning`), so a
+//! [`Client`] waiting for its reply spins on a hot port the same way.
+//!
 //! Inboxes are **bounded**: the channel transport backs every shard
 //! with `util::sync::channel::bounded(inbox_cap)` and sheds (drops +
 //! counts) on overflow instead of accumulating without limit; the UDP

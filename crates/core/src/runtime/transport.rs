@@ -14,7 +14,7 @@ use hiloc_net::{
     UdpError,
 };
 use hiloc_util::sync::channel::{bounded, Receiver, RecvTimeoutError, TryRecvError};
-use hiloc_util::sync::{host_spin_budget, spin_poll};
+use hiloc_util::sync::host_spin_budget;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -56,7 +56,8 @@ pub(crate) const UDP_FIRST_CLIENT: u64 = 1 << 52;
 /// ```
 pub type ThreadedDeployment = ShardedDeployment<ChannelNetwork<Message>>;
 
-/// A blocking client of a [`ThreadedDeployment`].
+/// A blocking client of a [`ThreadedDeployment`], whose mailbox waits
+/// by the shards' rule ([`Receiver::recv_spinning`]).
 pub type SyncClient = Client<ChannelPort<Message>>;
 
 /// A shard's end of the channel network: the bounded inbox every local
@@ -65,9 +66,6 @@ pub type SyncClient = Client<ChannelPort<Message>>;
 struct ChannelTransport {
     net: ChannelNetwork<Message>,
     rx: Receiver<Envelope<Message>>,
-    /// True after a receive that got traffic: the next one spins on
-    /// `try_recv` before its timed wait ([`spin_poll`]).
-    hot: bool,
 }
 
 impl ShardTransport for ChannelTransport {
@@ -76,30 +74,11 @@ impl ShardTransport for ChannelTransport {
     }
 
     fn recv_batch(&mut self, nap: Duration, max: usize, out: &mut Vec<Envelope<Message>>) -> bool {
-        let first = if self.hot && max > 1 {
-            let polled = spin_poll(host_spin_budget(), nap, || match self.rx.try_recv() {
-                Ok(env) => Some(Ok(env)),
-                Err(TryRecvError::Empty) => None,
-                Err(TryRecvError::Disconnected) => Some(Err(RecvTimeoutError::Disconnected)),
-            });
-            match polled {
-                Ok(first) => first,
-                // The spin used the whole nap: no wait ran out.
-                Err(left) if left.is_zero() => return true,
-                Err(left) => self.rx.recv_timeout(left),
-            }
-        } else {
-            self.rx.recv_timeout(nap)
-        };
-        match first {
+        match self.rx.recv_spinning(host_spin_budget(), nap) {
             Ok(env) => out.push(env),
-            Err(RecvTimeoutError::Timeout) => {
-                self.hot = false;
-                return true;
-            }
+            Err(RecvTimeoutError::Timeout) => return true,
             Err(RecvTimeoutError::Disconnected) => return false,
         }
-        self.hot = max > 1;
         while out.len() < max {
             match self.rx.try_recv() {
                 Ok(env) => out.push(env),
@@ -139,7 +118,7 @@ impl ThreadedDeployment {
         let (inboxes, transports): (Vec<_>, Vec<_>) = (0..n_shards)
             .map(|_| {
                 let (tx, rx) = bounded(spec.inbox_cap);
-                (tx, ChannelTransport { net: net.clone(), rx, hot: false })
+                (tx, ChannelTransport { net: net.clone(), rx })
             })
             .unzip();
         for cfg in hierarchy.servers() {
@@ -203,7 +182,8 @@ impl ThreadedDeployment {
 /// ```
 pub type UdpDeployment = ShardedDeployment<BTreeMap<Endpoint, SocketAddr>>;
 
-/// A blocking client of a [`UdpDeployment`], on its own socket.
+/// A blocking client of a [`UdpDeployment`], on its own socket, which
+/// waits for replies by the shards' rule ([`UdpEndpoint::recv_batch`]).
 pub type UdpClient = Client<UdpEndpoint<Message>>;
 
 /// A shard's end of the UDP wire: a single socket serving every local
@@ -322,7 +302,7 @@ mod tests {
 
     fn transport() -> (Sender<Envelope<Message>>, ChannelTransport) {
         let (tx, rx) = bounded(16);
-        (tx, ChannelTransport { net: ChannelNetwork::new(), rx, hot: false })
+        (tx, ChannelTransport { net: ChannelNetwork::new(), rx })
     }
 
     fn envelope() -> Envelope<Message> {
@@ -330,37 +310,37 @@ mod tests {
         Envelope::new(ServerId(0).into(), ServerId(0).into(), msg)
     }
 
+    /// The spin-then-wait rule itself, heating and cooling included,
+    /// is the inbox receiver's (`Receiver::recv_spinning`).
     #[test]
-    fn a_channel_transport_heats_on_traffic_and_cools_on_an_expired_wait() {
+    fn a_hot_channel_transport_drains_its_batch_and_never_returns_before_its_nap() {
         let (tx, mut t) = transport();
         let mut out = Vec::new();
-        tx.try_send(envelope()).unwrap();
-        assert!(t.recv_batch(Duration::from_secs(5), 8, &mut out));
-        assert_eq!(out.len(), 1);
-        assert!(t.hot);
+        for _ in 0..3 {
+            tx.try_send(envelope()).unwrap();
+        }
+        assert!(t.recv_batch(Duration::from_secs(5), 2, &mut out));
+        assert_eq!(out.len(), 2, "at most `max`");
+        assert!(t.recv_batch(Duration::from_secs(5), 1, &mut out));
+        assert_eq!(out.len(), 3);
         // Hot with no traffic: the spin and the timed wait together
-        // never return before the nap, and the expired wait cools.
+        // never return before the nap.
         for nap in [0, 10, 80, 2_200].map(Duration::from_micros) {
-            t.hot = true;
+            tx.try_send(envelope()).unwrap();
+            assert!(t.recv_batch(Duration::from_secs(5), 8, &mut out));
             let t0 = Instant::now();
             assert!(t.recv_batch(nap, 8, &mut out));
             assert!(t0.elapsed() >= nap, "{:?} returned after {:?}", nap, t0.elapsed());
         }
-        assert!(!t.hot);
-        assert_eq!(out.len(), 1);
-        // A one-envelope receive never heats.
-        tx.try_send(envelope()).unwrap();
-        assert!(t.recv_batch(Duration::from_secs(5), 1, &mut out));
-        assert!(!t.hot);
-        // Traffic sent while a hot transport spins is delivered by that
-        // call; a dead inbox ends the shard.
-        t.hot = true;
+        assert_eq!(out.len(), 7);
+        // Traffic sent during the wait is delivered by that call; a dead
+        // inbox ends the shard.
         let sender = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(5));
             tx.try_send(envelope()).unwrap();
         });
         assert!(t.recv_batch(Duration::from_secs(5), 8, &mut out));
-        assert_eq!(out.len(), 3);
+        assert_eq!(out.len(), 8);
         sender.join().unwrap();
         assert!(!t.recv_batch(Duration::from_secs(5), 8, &mut out), "every sender is gone");
     }

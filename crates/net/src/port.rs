@@ -6,7 +6,9 @@ use std::time::Duration;
 
 /// What a blocking client needs from its transport, whichever one it
 /// is: a non-blocking send that reports what became of the envelope,
-/// and a bounded wait for the next envelope addressed to this port.
+/// and a bounded wait for the next envelope addressed to this port,
+/// which spins first when the last wait got one
+/// ([`spin_poll`](hiloc_util::sync::spin_poll)'s receive rule).
 ///
 /// Implemented by [`ChannelPort`] (in-process channels) and
 /// [`UdpEndpoint`] (one datagram socket), so request/reply logic —
@@ -15,8 +17,8 @@ pub trait Port<M> {
     /// Sends one envelope without blocking.
     fn send(&self, env: Envelope<M>) -> SendOutcome;
 
-    /// Waits up to `timeout` for the next envelope; `Ok(None)` when the
-    /// wait elapses.
+    /// Waits up to `timeout` for the next envelope, spinning first on a
+    /// hot port; `Ok(None)` when the wait elapses.
     ///
     /// # Errors
     ///

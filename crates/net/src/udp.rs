@@ -101,9 +101,10 @@ pub struct RecvBatch {
 /// holds) and the queue of received envelopes not yet handed out, so
 /// an endpoint should have a single receiving thread.
 ///
-/// A socket that [`recv_batch`](UdpEndpoint::recv_batch) left
-/// nonblocking also sends without blocking: a `send_to` that would
-/// block fails, and its datagram is lost like any other failed send
+/// Any receive that gets traffic leaves the socket nonblocking (*hot*,
+/// see [`recv_batch`](UdpEndpoint::recv_batch)), and a hot socket also
+/// sends without blocking: a `send_to` that would block fails, and its
+/// datagram is lost like any other failed send
 /// (counted by [`flush`](UdpEndpoint::flush), an error from
 /// [`send`](UdpEndpoint::send)).
 pub struct UdpEndpoint<M> {
@@ -465,17 +466,16 @@ impl<M: WireCodec> UdpEndpoint<M> {
     /// blocking — up to `max` envelopes appended to `out` — before
     /// returning. This is the event-loop receive primitive.
     ///
-    /// A call with `max > 1` that receives traffic leaves the socket
-    /// nonblocking, which makes it *hot*. A hot socket's next call polls
-    /// it, yielding between polls, until traffic arrives or
+    /// A call that receives traffic leaves the socket nonblocking,
+    /// which makes it *hot*. A hot socket's next call polls it, yielding
+    /// between polls, until traffic arrives or
     /// `min(`[`SPIN`](hiloc_util::sync::SPIN)`, nap)` has passed
     /// ([`spin_poll`]; no spin on a one-core host); only a spin that
     /// runs out switches the socket to blocking for a timed wait on the
     /// rest of `nap`. So a busy socket makes no mode switch at all, and
     /// a wait that traffic ends makes one each way
-    /// ([`RecvBatch::mode_switches`]). A call with `max == 1`
-    /// ([`recv_timeout`](UdpEndpoint::recv_timeout)) neither spins nor
-    /// heats the socket, and waits in blocking mode even on a hot one.
+    /// ([`RecvBatch::mode_switches`]), whatever `max` is: a client's
+    /// [`recv_timeout`](UdpEndpoint::recv_timeout) follows the rule too.
     ///
     /// `max` is exact: a datagram holding more envelopes than the call
     /// has room for leaves the rest in a pending queue shared by the
@@ -527,7 +527,7 @@ impl<M: WireCodec> UdpEndpoint<M> {
             // Phase 1: the first datagram; strays burn none of the
             // batch budget. A hot socket, still nonblocking, is polled
             // first.
-            if max > 1 && self.nonblocking.load(Ordering::Relaxed) {
+            if self.nonblocking.load(Ordering::Relaxed) {
                 let polled = spin_poll(spin, nap, || {
                     match self.read_datagram(buf, max, out, &mut counts) {
                         Ok(()) => (counts.received > 0).then_some(Ok(())),
@@ -552,9 +552,6 @@ impl<M: WireCodec> UdpEndpoint<M> {
                     Err(UdpError::Io(ref e)) if is_timeout(e) => return Ok(counts),
                     Err(e) => return Err(e),
                 }
-            }
-            if max == 1 {
-                return Ok(counts);
             }
             // Phase 2: drain without blocking until the socket is empty
             // or the batch is full; the socket stays nonblocking (hot).
@@ -1086,6 +1083,37 @@ mod tests {
         assert_eq!(out.len(), 100);
     }
 
+    /// A one-outstanding client's receives: each reply is there within
+    /// the spin, so the socket stays hot and never switches mode.
+    #[test]
+    fn hot_one_envelope_receives_back_to_back_make_no_mode_switch() {
+        let (a, b) = pair();
+        heat(&a, &b);
+        let mut out = Vec::new();
+        let mut switches = 0;
+        for i in 0..100 {
+            b.send(env(1, 0, i, "reply")).unwrap();
+            let c = a.recv_batch_spinning(LONG_SPIN, Duration::from_secs(5), 1, &mut out).unwrap();
+            assert_eq!(c.received, 1);
+            switches += c.mode_switches;
+        }
+        assert_eq!(switches, 0);
+        assert_eq!(out.len(), 100);
+    }
+
+    #[test]
+    fn a_hot_one_envelope_receive_with_no_traffic_never_returns_before_its_timeout() {
+        let (a, b) = pair();
+        for wait in [0, 10, 30, 50, 80, 300, 1_000, 2_200].map(Duration::from_micros) {
+            heat(&a, &b);
+            let mut out = Vec::new();
+            let t0 = Instant::now();
+            let c = a.recv_batch_spinning(hiloc_util::sync::SPIN, wait, 1, &mut out).unwrap();
+            assert_eq!(c.received, 0);
+            assert!(t0.elapsed() >= wait, "{:?} returned after {:?}", wait, t0.elapsed());
+        }
+    }
+
     #[test]
     fn an_expired_spin_then_a_wake_switch_once_each_way() {
         let (a, b) = pair();
@@ -1153,9 +1181,9 @@ mod tests {
             assert!(t0.elapsed() >= wait, "{:?} returned after {:?}", wait, t0.elapsed());
         }
         assert!(!a.nonblocking.load(Ordering::Relaxed), "the clone switched the mode");
-        // A one-envelope receive does not heat the socket.
+        // A one-envelope receive that gets traffic heats the socket.
         b.send(env(1, 0, 6, "one")).unwrap();
         assert_eq!(clone.recv_timeout(Duration::from_secs(5)).unwrap().unwrap().msg.0, 6);
-        assert!(!a.nonblocking.load(Ordering::Relaxed));
+        assert!(a.nonblocking.load(Ordering::Relaxed));
     }
 }

@@ -147,8 +147,8 @@ fn offer(
 /// # Shape
 ///
 /// The root is a fixed square of side 2²⁶ m centred on the origin.
-/// A leaf cell holds up to 16 entries `(key, position, handle)` in a
-/// flat bucket; the 17th splits it at its midpoint into four children,
+/// A leaf cell holds up to 32 entries `(key, position, handle)` in a
+/// flat bucket; the 33rd splits it at its midpoint into four children,
 /// and four leaf siblings merge back into their parent once their
 /// entries fit in one bucket. Cells stop splitting 32 levels down
 /// (3 cm cells), where the bucket grows instead, so the height never

@@ -124,9 +124,10 @@ pub mod channel {
     //! ever waits, a receive wakes nobody: the only condition variable
     //! is the receiver's.
 
-    use super::Mutex;
+    use super::{spin_poll, Mutex};
     use std::collections::VecDeque;
     use std::fmt;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Arc, Condvar};
     use std::time::{Duration, Instant};
 
@@ -185,6 +186,9 @@ pub mod channel {
     /// The receiving half.
     pub struct Receiver<T> {
         inner: Arc<Inner<T>>,
+        /// True after a [`Receiver::recv_spinning`] that got a message.
+        /// It publishes nothing else: a stale read costs one spin.
+        hot: AtomicBool,
     }
 
     impl<T> fmt::Debug for Sender<T> {
@@ -227,7 +231,7 @@ pub mod channel {
             }),
             available: Condvar::new(),
         });
-        (Sender { inner: Arc::clone(&inner) }, Receiver { inner })
+        (Sender { inner: Arc::clone(&inner) }, Receiver { inner, hot: AtomicBool::new(false) })
     }
 
     impl<T> Clone for Sender<T> {
@@ -328,6 +332,36 @@ pub mod channel {
                     .unwrap_or_else(|e| e.into_inner());
                 st = guard;
             }
+        }
+
+        /// [`recv_timeout`](Receiver::recv_timeout) for up to `nap` under
+        /// the receive rule ([`spin_poll`]): a receiver whose last call
+        /// of this method got a message is *hot*, and first polls for up
+        /// to `min(spin, nap)`, waiting only for what is left. A zero
+        /// `spin` goes straight to the timed wait. Only a timed wait
+        /// that runs out cools the receiver.
+        ///
+        /// # Errors
+        ///
+        /// As [`recv_timeout`](Receiver::recv_timeout).
+        pub fn recv_spinning(&self, spin: Duration, nap: Duration) -> Result<T, RecvTimeoutError> {
+            let mut wait = nap;
+            if self.hot.load(Ordering::Relaxed) && !spin.is_zero() {
+                let polled = spin_poll(spin, nap, || match self.try_recv() {
+                    Ok(v) => Some(Ok(v)),
+                    Err(TryRecvError::Empty) => None,
+                    Err(TryRecvError::Disconnected) => Some(Err(RecvTimeoutError::Disconnected)),
+                });
+                match polled {
+                    Ok(got) => return got,
+                    // The spin used the whole nap: no wait ran out.
+                    Err(left) if left.is_zero() => return Err(RecvTimeoutError::Timeout),
+                    Err(left) => wait = left,
+                }
+            }
+            let got = self.recv_timeout(wait);
+            self.hot.store(got.is_ok(), Ordering::Relaxed);
+            got
         }
 
         /// Non-blocking receive.
@@ -439,6 +473,61 @@ pub mod channel {
             }
             drop(tx);
             assert_eq!(std::iter::from_fn(|| rx.try_recv().ok()).count(), 10_000);
+        }
+
+        /// A spin budget far above any test's send delay.
+        const LONG_SPIN: Duration = Duration::from_secs(5);
+
+        /// Makes `rx` hot: one message through `recv_spinning`.
+        fn heat(tx: &Sender<u32>, rx: &Receiver<u32>) {
+            tx.try_send(0).unwrap();
+            assert_eq!(rx.recv_spinning(LONG_SPIN, Duration::from_secs(5)), Ok(0));
+            assert!(rx.hot.load(Ordering::Relaxed));
+        }
+
+        #[test]
+        fn a_message_sent_during_the_spin_is_delivered_by_that_call() {
+            let (tx, rx) = unbounded();
+            heat(&tx, &rx);
+            let sender = std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                tx.try_send(5).unwrap();
+            });
+            // The spin covers the whole timeout, so no timed wait runs.
+            assert_eq!(rx.recv_spinning(LONG_SPIN, LONG_SPIN), Ok(5));
+            assert!(rx.hot.load(Ordering::Relaxed));
+            sender.join().unwrap();
+        }
+
+        #[test]
+        fn a_zero_spin_budget_goes_straight_to_the_timed_wait() {
+            let (tx, rx) = unbounded();
+            // A spin that uses the whole timeout leaves the receiver hot;
+            // a zero budget runs the timed wait, whose expiry cools it.
+            let timeout = Err(RecvTimeoutError::Timeout);
+            heat(&tx, &rx);
+            assert_eq!(rx.recv_spinning(LONG_SPIN, Duration::ZERO), timeout);
+            assert!(rx.hot.load(Ordering::Relaxed));
+            assert_eq!(rx.recv_spinning(Duration::ZERO, Duration::ZERO), timeout);
+            assert!(!rx.hot.load(Ordering::Relaxed));
+            // Hot with no traffic, spin and wait together never return
+            // before the timeout; a message in the wait is delivered.
+            for spin in [Duration::ZERO, crate::sync::SPIN] {
+                for wait in [0, 10, 80, 2_200].map(Duration::from_micros) {
+                    heat(&tx, &rx);
+                    let t0 = std::time::Instant::now();
+                    assert_eq!(rx.recv_spinning(spin, wait), timeout);
+                    assert!(t0.elapsed() >= wait, "{:?} returned after {:?}", wait, t0.elapsed());
+                }
+            }
+            let sender = std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(5));
+                tx.try_send(7).unwrap();
+            });
+            assert_eq!(rx.recv_spinning(Duration::ZERO, Duration::from_secs(5)), Ok(7));
+            assert!(rx.hot.load(Ordering::Relaxed));
+            sender.join().unwrap();
+            assert_eq!(rx.recv_spinning(LONG_SPIN, LONG_SPIN), Err(RecvTimeoutError::Disconnected));
         }
 
         #[test]
