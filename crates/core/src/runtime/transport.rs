@@ -14,7 +14,6 @@ use hiloc_net::{
     UdpError,
 };
 use hiloc_util::sync::channel::{bounded, Receiver, RecvTimeoutError, TryRecvError};
-use hiloc_util::sync::host_spin_budget;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -74,7 +73,7 @@ impl ShardTransport for ChannelTransport {
     }
 
     fn recv_batch(&mut self, nap: Duration, max: usize, out: &mut Vec<Envelope<Message>>) -> bool {
-        match self.rx.recv_spinning(host_spin_budget(), nap) {
+        match self.rx.recv_spinning(nap) {
             Ok(env) => out.push(env),
             Err(RecvTimeoutError::Timeout) => return true,
             Err(RecvTimeoutError::Disconnected) => return false,
@@ -184,6 +183,10 @@ pub type UdpDeployment = ShardedDeployment<BTreeMap<Endpoint, SocketAddr>>;
 
 /// A blocking client of a [`UdpDeployment`], on its own socket, which
 /// waits for replies by the shards' rule ([`UdpEndpoint::recv_batch`]).
+/// The socket is nonblocking after a reply, so a request whose send
+/// would block on a full send buffer fails at once with
+/// [`LsError::NoRoute`](crate::model::LsError::NoRoute) (see the `Port` impl
+/// of [`UdpEndpoint`]).
 pub type UdpClient = Client<UdpEndpoint<Message>>;
 
 /// A shard's end of the UDP wire: a single socket serving every local

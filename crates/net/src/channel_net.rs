@@ -2,7 +2,7 @@
 
 use crate::{Endpoint, Envelope};
 use hiloc_util::sync::channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
-use hiloc_util::sync::{host_spin_budget, RwLock};
+use hiloc_util::sync::RwLock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -54,7 +54,7 @@ impl<M> Mailbox<M> {
     /// mailbox whose last such call got an envelope polls briefly first
     /// ([`Receiver::recv_spinning`]).
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<M>> {
-        self.rx.recv_spinning(host_spin_budget(), timeout).ok()
+        self.rx.recv_spinning(timeout).ok()
     }
 
     /// Non-blocking receive.

@@ -58,9 +58,12 @@ impl<M> Port<M> for ChannelPort<M> {
 
 /// Any send failure — unknown route, oversized encoding, socket write
 /// error — reports [`SendOutcome::NoRoute`]: the datagram is gone and
-/// no reply will come. Overload shedding happens in the kernel's
-/// socket buffer and is never reported per datagram, so a UDP port
-/// never returns [`SendOutcome::Shed`].
+/// no reply will come. That includes a write that would block: a
+/// socket that has received a reply is nonblocking (hot, see
+/// [`UdpEndpoint`]), so a full send buffer fails the send at once
+/// instead of waiting for room. Overload shedding happens in the
+/// kernel's socket buffer and is never reported per datagram, so a UDP
+/// port never returns [`SendOutcome::Shed`].
 impl<M: WireCodec> Port<M> for UdpEndpoint<M> {
     fn send(&self, env: Envelope<M>) -> SendOutcome {
         match UdpEndpoint::send(self, env) {

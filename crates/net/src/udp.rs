@@ -476,6 +476,8 @@ impl<M: WireCodec> UdpEndpoint<M> {
     /// a wait that traffic ends makes one each way
     /// ([`RecvBatch::mode_switches`]), whatever `max` is: a client's
     /// [`recv_timeout`](UdpEndpoint::recv_timeout) follows the rule too.
+    /// On a one-core host, where there is no spin, a call whose first
+    /// datagram fills the batch leaves the socket's mode unchanged.
     ///
     /// `max` is exact: a datagram holding more envelopes than the call
     /// has room for leaves the rest in a pending queue shared by the
@@ -552,6 +554,11 @@ impl<M: WireCodec> UdpEndpoint<M> {
                     Err(UdpError::Io(ref e)) if is_timeout(e) => return Ok(counts),
                     Err(e) => return Err(e),
                 }
+            }
+            // With no spin budget a hot socket buys nothing, so a batch
+            // the first datagram filled leaves the mode as it is.
+            if spin.is_zero() && counts.received == max {
+                return Ok(counts);
             }
             // Phase 2: drain without blocking until the socket is empty
             // or the batch is full; the socket stays nonblocking (hot).
@@ -1099,6 +1106,28 @@ mod tests {
         }
         assert_eq!(switches, 0);
         assert_eq!(out.len(), 100);
+        // With no spin budget (one core) the hot socket's single poll
+        // finds each reply there already, so nothing switches either.
+        for i in 0..100 {
+            b.send(env(1, 0, i, "reply")).unwrap();
+            let c = a.recv_batch_spinning(Duration::ZERO, Duration::from_secs(5), 1, &mut out).unwrap();
+            assert_eq!(c.received, 1);
+            switches += c.mode_switches;
+        }
+        assert_eq!(switches, 0);
+        // A poll that misses switches to blocking once, and a full
+        // one-envelope batch never heats the socket again.
+        let c = a.recv_batch_spinning(Duration::ZERO, Duration::from_millis(1), 1, &mut out).unwrap();
+        assert_eq!((c.received, c.mode_switches), (0, 1));
+        for i in 0..100 {
+            b.send(env(1, 0, i, "reply")).unwrap();
+            let c = a.recv_batch_spinning(Duration::ZERO, Duration::from_secs(5), 1, &mut out).unwrap();
+            assert_eq!(c.received, 1);
+            switches += c.mode_switches;
+        }
+        assert_eq!(switches, 0);
+        assert!(!a.nonblocking.load(Ordering::Relaxed));
+        assert_eq!(out.len(), 300);
     }
 
     #[test]
