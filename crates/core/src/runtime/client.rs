@@ -96,8 +96,7 @@ impl<L: Port<Message>> Client<L> {
     /// caller's to act on.
     pub fn drain(&mut self) -> Vec<Message> {
         let mut drained: Vec<Message> = self.stash.drain(..).collect();
-        // A zero wait on a cold UDP socket returns before reading it, so
-        // the poll is 1 ms.
+        // A zero wait on a cold UDP socket skips the read, so the poll is 1 ms.
         while let Ok(Some(env)) = self.port.recv_timeout(Duration::from_millis(1)) {
             drained.push(env.msg);
         }

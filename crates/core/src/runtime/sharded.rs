@@ -25,7 +25,8 @@
 //!    and first polls without blocking, yielding between polls, for at
 //!    most `min(`[`SPIN`](hiloc_util::sync::SPIN)`, nap)` (none on a
 //!    one-core host), and naps in a timed wait only when that spin runs
-//!    out,
+//!    out (the rule lives in the transport primitives, so a [`Client`]
+//!    waiting for its reply spins on a hot port the same way),
 //! 4. drains a **batch** of envelopes from its transport in that one
 //!    wait (`recv_batch`: non-blocking syscalls or `try_recv` until
 //!    empty; a hot UDP socket stays nonblocking, so a busy shard makes
@@ -35,10 +36,6 @@
 //!    and
 //! 6. flushes the transport: a turn's outputs leave as one datagram per
 //!    destination socket on UDP (see [`ShardTransport::flush`]).
-//!
-//! Steps 3–4's receive rule lives in the transport primitives
-//! (`UdpEndpoint::recv_batch`, `Receiver::recv_spinning`), so a
-//! [`Client`] waiting for its reply spins on a hot port the same way.
 //!
 //! Inboxes are **bounded**: the channel transport backs every shard
 //! with `util::sync::channel::bounded(inbox_cap)` and sheds (drops +

@@ -182,11 +182,8 @@ impl ThreadedDeployment {
 pub type UdpDeployment = ShardedDeployment<BTreeMap<Endpoint, SocketAddr>>;
 
 /// A blocking client of a [`UdpDeployment`], on its own socket, which
-/// waits for replies by the shards' rule ([`UdpEndpoint::recv_batch`]).
-/// The socket is nonblocking after a reply, so a request whose send
-/// would block on a full send buffer fails at once with
-/// [`LsError::NoRoute`](crate::model::LsError::NoRoute) (see the `Port` impl
-/// of [`UdpEndpoint`]).
+/// waits by the shards' rule ([`UdpEndpoint::recv_batch`]) and so, hot
+/// after a reply, fails a request on a full send buffer with `NoRoute`.
 pub type UdpClient = Client<UdpEndpoint<Message>>;
 
 /// A shard's end of the UDP wire: a single socket serving every local

@@ -50,9 +50,8 @@ impl<M> Mailbox<M> {
         self.rx.recv().ok()
     }
 
-    /// Blocks up to `timeout`; `None` on timeout or disconnect. A
-    /// mailbox whose last such call got an envelope polls briefly first
-    /// ([`Receiver::recv_spinning`]).
+    /// Blocks up to `timeout`, spinning first when the last such call got
+    /// an envelope ([`Receiver::recv_spinning`]); `None` on timeout or disconnect.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<M>> {
         self.rx.recv_spinning(timeout).ok()
     }

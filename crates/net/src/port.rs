@@ -6,9 +6,7 @@ use std::time::Duration;
 
 /// What a blocking client needs from its transport, whichever one it
 /// is: a non-blocking send that reports what became of the envelope,
-/// and a bounded wait for the next envelope addressed to this port,
-/// which spins first when the last wait got one
-/// ([`spin_poll`](hiloc_util::sync::spin_poll)'s receive rule).
+/// and a bounded wait for the next envelope addressed to this port.
 ///
 /// Implemented by [`ChannelPort`] (in-process channels) and
 /// [`UdpEndpoint`] (one datagram socket), so request/reply logic —
@@ -58,12 +56,10 @@ impl<M> Port<M> for ChannelPort<M> {
 
 /// Any send failure — unknown route, oversized encoding, socket write
 /// error — reports [`SendOutcome::NoRoute`]: the datagram is gone and
-/// no reply will come. That includes a write that would block: a
-/// socket that has received a reply is nonblocking (hot, see
-/// [`UdpEndpoint`]), so a full send buffer fails the send at once
-/// instead of waiting for room. Overload shedding happens in the
-/// kernel's socket buffer and is never reported per datagram, so a UDP
-/// port never returns [`SendOutcome::Shed`].
+/// no reply will come; a hot socket (see [`UdpEndpoint`]) fails a write
+/// that would block at once. Overload shedding happens in the kernel's
+/// socket buffer and is never reported per datagram, so a UDP port
+/// never returns [`SendOutcome::Shed`].
 impl<M: WireCodec> Port<M> for UdpEndpoint<M> {
     fn send(&self, env: Envelope<M>) -> SendOutcome {
         match UdpEndpoint::send(self, env) {

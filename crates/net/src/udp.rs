@@ -555,8 +555,7 @@ impl<M: WireCodec> UdpEndpoint<M> {
                     Err(e) => return Err(e),
                 }
             }
-            // With no spin budget a hot socket buys nothing, so a batch
-            // the first datagram filled leaves the mode as it is.
+            // With no spin to use it, a full batch need not heat the socket.
             if spin.is_zero() && counts.received == max {
                 return Ok(counts);
             }
@@ -1108,20 +1107,21 @@ mod tests {
         assert_eq!(out.len(), 100);
         // With no spin budget (one core) the hot socket's single poll
         // finds each reply there already, so nothing switches either.
+        let (no_spin, long) = (Duration::ZERO, Duration::from_secs(5));
         for i in 0..100 {
             b.send(env(1, 0, i, "reply")).unwrap();
-            let c = a.recv_batch_spinning(Duration::ZERO, Duration::from_secs(5), 1, &mut out).unwrap();
+            let c = a.recv_batch_spinning(no_spin, long, 1, &mut out).unwrap();
             assert_eq!(c.received, 1);
             switches += c.mode_switches;
         }
         assert_eq!(switches, 0);
         // A poll that misses switches to blocking once, and a full
         // one-envelope batch never heats the socket again.
-        let c = a.recv_batch_spinning(Duration::ZERO, Duration::from_millis(1), 1, &mut out).unwrap();
+        let c = a.recv_batch_spinning(no_spin, Duration::from_millis(1), 1, &mut out).unwrap();
         assert_eq!((c.received, c.mode_switches), (0, 1));
         for i in 0..100 {
             b.send(env(1, 0, i, "reply")).unwrap();
-            let c = a.recv_batch_spinning(Duration::ZERO, Duration::from_secs(5), 1, &mut out).unwrap();
+            let c = a.recv_batch_spinning(no_spin, long, 1, &mut out).unwrap();
             assert_eq!(c.received, 1);
             switches += c.mode_switches;
         }

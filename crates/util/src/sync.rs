@@ -186,8 +186,7 @@ pub mod channel {
     /// The receiving half.
     pub struct Receiver<T> {
         inner: Arc<Inner<T>>,
-        /// True after a [`Receiver::recv_spinning`] that got a message.
-        /// It publishes nothing else: a stale read costs one spin.
+        /// Set by [`Receiver::recv_spinning`]; a stale read costs one spin.
         hot: AtomicBool,
     }
 
@@ -335,29 +334,25 @@ pub mod channel {
         }
 
         /// [`recv_timeout`](Receiver::recv_timeout) for up to `nap` under
-        /// the receive rule ([`spin_poll`]): a receiver whose last call
-        /// of this method got a message is *hot*, and first polls for up
-        /// to `min(`[`host_spin_budget`](super::host_spin_budget)`, nap)`,
-        /// waiting only for what is left. A zero budget (one core) goes
-        /// straight to the timed wait. Only a timed wait that runs out
-        /// cools the receiver.
+        /// the receive rule ([`spin_poll`]): a receiver whose last call got
+        /// a message is *hot*, and polls for up to `min(budget, nap)`
+        /// ([`host_spin_budget`](super::host_spin_budget), 0 on one core)
+        /// before a timed wait for the rest, whose expiry alone cools it.
         ///
         /// # Errors
         ///
         /// As [`recv_timeout`](Receiver::recv_timeout).
         pub fn recv_spinning(&self, nap: Duration) -> Result<T, RecvTimeoutError> {
-            self.recv_spinning_within(super::host_spin_budget(), nap)
+            self.spin_then_wait(super::host_spin_budget(), nap)
         }
 
-        /// [`recv_spinning`](Receiver::recv_spinning) with an explicit
-        /// spin budget.
-        fn recv_spinning_within(&self, spin: Duration, nap: Duration) -> Result<T, RecvTimeoutError> {
+        /// [`recv_spinning`](Receiver::recv_spinning) with an explicit budget.
+        fn spin_then_wait(&self, spin: Duration, nap: Duration) -> Result<T, RecvTimeoutError> {
             let mut wait = nap;
             if self.hot.load(Ordering::Relaxed) && !spin.is_zero() {
                 let polled = spin_poll(spin, nap, || match self.try_recv() {
-                    Ok(v) => Some(Ok(v)),
                     Err(TryRecvError::Empty) => None,
-                    Err(TryRecvError::Disconnected) => Some(Err(RecvTimeoutError::Disconnected)),
+                    got => Some(got.map_err(|_| RecvTimeoutError::Disconnected)),
                 });
                 match polled {
                     Ok(got) => return got,
@@ -485,10 +480,10 @@ pub mod channel {
         /// A spin budget far above any test's send delay.
         const LONG_SPIN: Duration = Duration::from_secs(5);
 
-        /// Makes `rx` hot: one message through `recv_spinning`.
+        /// Makes `rx` hot: one message through `spin_then_wait`.
         fn heat(tx: &Sender<u32>, rx: &Receiver<u32>) {
             tx.try_send(0).unwrap();
-            assert_eq!(rx.recv_spinning_within(LONG_SPIN, Duration::from_secs(5)), Ok(0));
+            assert_eq!(rx.spin_then_wait(LONG_SPIN, Duration::from_secs(5)), Ok(0));
             assert!(rx.hot.load(Ordering::Relaxed));
         }
 
@@ -501,7 +496,7 @@ pub mod channel {
                 tx.try_send(5).unwrap();
             });
             // The spin covers the whole timeout, so no timed wait runs.
-            assert_eq!(rx.recv_spinning_within(LONG_SPIN, LONG_SPIN), Ok(5));
+            assert_eq!(rx.spin_then_wait(LONG_SPIN, LONG_SPIN), Ok(5));
             assert!(rx.hot.load(Ordering::Relaxed));
             sender.join().unwrap();
         }
@@ -513,9 +508,9 @@ pub mod channel {
             // a zero budget runs the timed wait, whose expiry cools it.
             let timeout = Err(RecvTimeoutError::Timeout);
             heat(&tx, &rx);
-            assert_eq!(rx.recv_spinning_within(LONG_SPIN, Duration::ZERO), timeout);
+            assert_eq!(rx.spin_then_wait(LONG_SPIN, Duration::ZERO), timeout);
             assert!(rx.hot.load(Ordering::Relaxed));
-            assert_eq!(rx.recv_spinning_within(Duration::ZERO, Duration::ZERO), timeout);
+            assert_eq!(rx.spin_then_wait(Duration::ZERO, Duration::ZERO), timeout);
             assert!(!rx.hot.load(Ordering::Relaxed));
             // Hot with no traffic, spin and wait together never return
             // before the timeout; a message in the wait is delivered.
@@ -523,7 +518,7 @@ pub mod channel {
                 for wait in [0, 10, 80, 2_200].map(Duration::from_micros) {
                     heat(&tx, &rx);
                     let t0 = std::time::Instant::now();
-                    assert_eq!(rx.recv_spinning_within(spin, wait), timeout);
+                    assert_eq!(rx.spin_then_wait(spin, wait), timeout);
                     assert!(t0.elapsed() >= wait, "{:?} returned after {:?}", wait, t0.elapsed());
                 }
             }
@@ -531,10 +526,11 @@ pub mod channel {
                 std::thread::sleep(Duration::from_millis(5));
                 tx.try_send(7).unwrap();
             });
-            assert_eq!(rx.recv_spinning_within(Duration::ZERO, Duration::from_secs(5)), Ok(7));
+            assert_eq!(rx.spin_then_wait(Duration::ZERO, Duration::from_secs(5)), Ok(7));
             assert!(rx.hot.load(Ordering::Relaxed));
             sender.join().unwrap();
-            assert_eq!(rx.recv_spinning_within(LONG_SPIN, LONG_SPIN), Err(RecvTimeoutError::Disconnected));
+            let gone = Err(RecvTimeoutError::Disconnected);
+            assert_eq!(rx.spin_then_wait(LONG_SPIN, LONG_SPIN), gone);
         }
 
         #[test]
