@@ -117,8 +117,9 @@ cargo test -q --offline -p hiloc-core --lib -- --exact \
 # arrives during the spin, still gives a clone's one-envelope receive
 # its full timeout and counts a refused nonblocking send. A client's
 # one-envelope receives follow the same rule: back to back on a hot
-# socket they make no mode switch, and with no traffic they never
-# return before their timeout. The channel receiver delivers what
+# socket they make no mode switch, on a zero budget a full one-envelope
+# batch never heats the socket, and with no traffic they never return
+# before their timeout. The channel receiver delivers what
 # arrives during its spin and goes straight to the timed wait on a
 # zero budget, the channel transport drains its batch and never returns
 # before its nap, and the spin budget is 0 on one CPU. The client-API
