@@ -50,11 +50,15 @@ cargo test -q --offline -p hiloc-sim --test fuzz_regressions
 # leaf replica rings) and the generator biased at the new verbs —
 # root/standby crashes and PromoteStandby. Every warm promotion is
 # oracle-checked against the stream's durably-acked watermark, and the
-# end-to-end replication + replica-WAL torn-tail suites ride along.
+# end-to-end replication + replica-WAL torn-tail suites ride along. The
+# promotion rule itself is named: a live standby is adopted in place, a
+# dead one or none gives way to a fresh successor.
 echo "==> replication gate (standby streams, promotions, replica rings)"
 cargo test -q --offline -p hiloc-sim --test fuzz_replication
 cargo test -q --offline -p hiloc-core --test replication
 cargo test -q --offline -p hiloc-core --test replica_torn_tail
+cargo test -q --offline -p hiloc-core --lib -- --exact \
+    area::hierarchy::tests::promote_root_adopts_a_live_standby_or_a_fresh_successor
 
 # The storage engine on its own: WAL torn tails at every byte offset,
 # snapshot cuts at every offset and bit flips, a paged-layout store
@@ -107,6 +111,8 @@ cargo test -q --offline -p hiloc-core --lib -- --exact \
 # seeds, 200 ms per operation under chaos, the whole binary well under
 # 60 s. The sharded runtime's chaos-surface unit suite and the
 # client-API suite (every test on both transports) ride along, with the
+# second life of a durable deployment named on both transports (its
+# first stamps outrank the records it recovered), and the
 # cases named in which a NaN position is dropped (a stray datagram on
 # UDP, at the leaf on channels and the simulator) and the object it
 # named still answers; the event-watch
@@ -127,6 +133,8 @@ cargo test -q --offline -p hiloc-core --lib -- --exact \
 echo "==> real-runtime fuzz gate (threaded + UDP: durable restart / power loss / checkpoint cut / partition / shed / faulted parity)"
 cargo test -q --offline -p hiloc-sim --test real_runtime_fuzz
 cargo test -q --offline -p hiloc-core --test sharded_runtime
+cargo test -q --offline -p hiloc-core --test sharded_runtime -- --exact \
+    channel_second_life_outranks_the_first udp_second_life_outranks_the_first
 cargo test -q --offline -p hiloc-core --test runtime_transports
 cargo test -q --offline -p hiloc-core --test runtime_transports -- --exact \
     udp_nan_update_is_a_stray_and_the_object_still_answers \

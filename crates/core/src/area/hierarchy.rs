@@ -2,6 +2,7 @@
 
 use hiloc_geo::{Point, Rect};
 use hiloc_net::ServerId;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A child entry in a server's configuration record (`c.children`):
@@ -115,10 +116,10 @@ impl std::error::Error for HierarchyError {}
 /// breadth-first order with the root as `ServerId(0)`. The hierarchy
 /// is **reconfigurable**: servers can join ([`Hierarchy::split_leaf`])
 /// and leave ([`Hierarchy::retire_leaf`]), and the root role can fail
-/// over to a fresh successor ([`Hierarchy::fail_over_root`]). Retired
-/// servers keep their id slot (ids are never reused — they index the
-/// runtime's server tables) but are excluded from validation, routing
-/// and iteration.
+/// over to a warm standby or a fresh successor
+/// ([`Hierarchy::promote_root`]). Retired servers keep their id slot
+/// (ids are never reused — they index the runtime's server tables) but
+/// are excluded from validation, routing and iteration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Hierarchy {
     servers: Vec<ServerConfig>,
@@ -126,6 +127,9 @@ pub struct Hierarchy {
     root: ServerId,
     /// Retirement markers, parallel to `servers`.
     retired: Vec<bool>,
+    /// Warm standbys, `shadowed server → standby slot` (see
+    /// [`Hierarchy::reserve_standby`]).
+    standbys: BTreeMap<ServerId, ServerId>,
 }
 
 impl Hierarchy {
@@ -155,7 +159,7 @@ impl Hierarchy {
             .find(|s| !retired[s.id.0 as usize] && s.parent.is_none())
             .map(|s| s.id)
             .ok_or(HierarchyError::Empty)?;
-        let h = Hierarchy { servers, root, retired };
+        let h = Hierarchy { servers, root, retired, standbys: BTreeMap::new() };
         h.validate()?;
         Ok(h)
     }
@@ -169,6 +173,22 @@ impl Hierarchy {
     /// kept so ids stay dense and are never reused).
     pub fn is_retired(&self, id: ServerId) -> bool {
         self.retired[id.0 as usize]
+    }
+
+    /// The warm standby designated for `of`, when one is.
+    pub fn standby_of(&self, of: ServerId) -> Option<ServerId> {
+        self.standbys.get(&of).copied()
+    }
+
+    /// Whether `id` is a designated standby's slot.
+    pub fn is_standby(&self, id: ServerId) -> bool {
+        self.standbys.values().any(|&s| s == id)
+    }
+
+    /// Whether a server runs in slot `id`: an active server, or a
+    /// designated standby (retired in the tree, live as a process).
+    pub fn runs(&self, id: ServerId) -> bool {
+        self.retired.get(id.0 as usize).is_some_and(|&r| !r) || self.is_standby(id)
     }
 
     /// Iterator over the active (non-retired) configurations.
@@ -234,6 +254,8 @@ impl Hierarchy {
     /// Serializes the hierarchy to JSON (the paper keeps each server's
     /// configuration record on persistent storage; hiloc persists the
     /// whole deployment configuration in one readable document).
+    /// Standby designations are the running deployment's and are not
+    /// written: a loaded hierarchy keeps their slots retired.
     pub fn to_json(&self) -> String {
         use hiloc_util::json::Json;
         let servers = self
@@ -546,39 +568,18 @@ impl Hierarchy {
     /// Returns a validation error when the resulting tree is broken
     /// (cannot happen for a well-formed input).
     pub fn fail_over_root(&mut self) -> Result<ServerId, HierarchyError> {
-        let old = self.root;
-        let old_cfg = self.server(old).clone();
-        let new_id = ServerId(self.servers.len() as u32);
         let mut next = self.clone();
-        next.servers.push(ServerConfig {
-            id: new_id,
-            area: old_cfg.area,
-            parent: None,
-            children: old_cfg.children.clone(),
-            root_area: old_cfg.root_area,
-            level: 0,
-        });
-        next.retired.push(false);
-        // Everyone pointing at the dead root is repointed: the
-        // successor's children, and retired stragglers (absent from
-        // the children list) whose kept parent is their only way to
-        // push leftover records back into the live tree.
-        for cfg in &mut next.servers {
-            if cfg.parent == Some(old) {
-                cfg.parent = Some(new_id);
-            }
-        }
-        next.retired[old.0 as usize] = true;
-        next.root = new_id;
-        next.validate()?;
+        let new_id = next.push_slot(self.root);
+        next.fail_over_root_to(new_id)?;
         *self = next;
         Ok(new_id)
     }
 
     /// Reserves a server-id slot for a **warm standby** of `template`
-    /// (any active non-leaf): the slot holds a copy of the template's
+    /// (any active non-leaf) and designates it, replacing any earlier
+    /// designation: the slot holds a copy of the template's
     /// configuration but is marked retired, so it takes no part in
-    /// routing or validation until [`Hierarchy::fail_over_root_to`]
+    /// routing or validation until [`Hierarchy::promote_root`]
     /// activates it. Returns the reserved id (always `len()` before
     /// the call). The runtime keeps a live server instance in the slot
     /// and streams forwarding-table deltas into it.
@@ -596,48 +597,75 @@ impl Hierarchy {
         if self.retired[template.0 as usize] {
             return Err(HierarchyError::RetiredReference(template));
         }
-        let new_id = ServerId(self.servers.len() as u32);
-        let mut cfg = self.server(template).clone();
-        cfg.id = new_id;
-        self.servers.push(cfg);
-        self.retired.push(true);
+        let new_id = self.push_slot(template);
+        self.standbys.insert(template, new_id);
         Ok(new_id)
     }
 
-    /// **Warm root failover**: a previously reserved standby slot (see
-    /// [`Hierarchy::reserve_standby`]) takes over the root role. Unlike
-    /// [`Hierarchy::fail_over_root`] no fresh id is allocated — the
-    /// standby's slot is activated in place, with its configuration
-    /// rebuilt from the old root's *current* record (children may have
-    /// changed since designation; the runtime's delta stream tracked
-    /// those changes in the standby's forwarding table already).
+    /// Appends a retired copy of `template`'s record under a fresh id.
+    fn push_slot(&mut self, template: ServerId) -> ServerId {
+        let id = ServerId(self.servers.len() as u32);
+        self.servers.push(ServerConfig { id, ..self.server(template).clone() });
+        self.retired.push(true);
+        id
+    }
+
+    /// **Root promotion** after the root failed: its designated standby
+    /// takes over in place when `alive` says it still runs
+    /// ([`Hierarchy::fail_over_root_to`]), otherwise a fresh successor
+    /// does ([`Hierarchy::fail_over_root`]). Either way the old root's
+    /// designation is used up. Returns the new root and whether it was
+    /// the warm standby.
     ///
     /// # Errors
     ///
     /// Returns a validation error when the resulting tree is broken.
-    pub fn fail_over_root_to(&mut self, standby: ServerId) -> Result<(), HierarchyError> {
-        if standby.0 as usize >= self.servers.len() {
-            return Err(HierarchyError::DanglingReference(standby));
+    pub fn promote_root(
+        &mut self,
+        alive: impl Fn(ServerId) -> bool,
+    ) -> Result<(ServerId, bool), HierarchyError> {
+        match self.standby_of(self.root) {
+            Some(standby) if alive(standby) => {
+                self.fail_over_root_to(standby).map(|()| (standby, true))
+            }
+            _ => self.fail_over_root().map(|id| (id, false)),
+        }
+    }
+
+    /// **Root failover to a reserved slot**: `slot` (a standby, see
+    /// [`Hierarchy::reserve_standby`]) takes over the root role and the
+    /// old root is retired, its standby designation with it. No fresh
+    /// id is allocated — the slot is activated in place, with its
+    /// configuration rebuilt from the old root's *current* record
+    /// (children may have changed since designation; the runtime's
+    /// delta stream tracked those changes in the standby's forwarding
+    /// table already).
+    ///
+    /// # Errors
+    ///
+    /// Returns a validation error when the resulting tree is broken.
+    pub fn fail_over_root_to(&mut self, slot: ServerId) -> Result<(), HierarchyError> {
+        if slot.0 as usize >= self.servers.len() {
+            return Err(HierarchyError::DanglingReference(slot));
         }
         let old = self.root;
         let old_cfg = self.server(old).clone();
         let mut next = self.clone();
-        next.servers[standby.0 as usize] = ServerConfig {
-            id: standby,
-            area: old_cfg.area,
-            parent: None,
-            children: old_cfg.children.clone(),
-            root_area: old_cfg.root_area,
-            level: 0,
-        };
-        next.retired[standby.0 as usize] = false;
+        next.servers[slot.0 as usize] =
+            ServerConfig { id: slot, parent: None, level: 0, ..old_cfg };
+        next.retired[slot.0 as usize] = false;
+        // Everyone pointing at the dead root is repointed: the
+        // successor's children, and retired stragglers (absent from
+        // the children list) whose kept parent is their only way to
+        // push leftover records back into the live tree.
         for cfg in &mut next.servers {
-            if cfg.parent == Some(old) && cfg.id != standby {
-                cfg.parent = Some(standby);
+            if cfg.parent == Some(old) && cfg.id != slot {
+                cfg.parent = Some(slot);
             }
         }
         next.retired[old.0 as usize] = true;
-        next.root = standby;
+        next.standbys.remove(&old);
+        next.root = slot;
         next.validate()?;
         *self = next;
         Ok(())
@@ -918,7 +946,7 @@ mod tests {
         servers[1].area = bad;
         servers[0].children[0].area = bad;
         let retired = vec![false; servers.len()];
-        h = Hierarchy { servers, root: ServerId(0), retired };
+        h = Hierarchy { servers, root: ServerId(0), retired, standbys: BTreeMap::new() };
         assert!(matches!(
             h.validate(),
             Err(HierarchyError::SiblingOverlap(_, _) | HierarchyError::IncompleteCover(_))
@@ -1054,6 +1082,36 @@ mod tests {
         // Routing still reaches every leaf through the new root.
         assert!(h.leaf_for(Point::new(10.0, 10.0)).is_some());
         h.validate().unwrap();
+    }
+
+    /// A live standby is promoted in place; a dead one, or none, gives
+    /// way to a fresh successor. Either way the designation is used up.
+    #[test]
+    fn promote_root_adopts_a_live_standby_or_a_fresh_successor() {
+        let tree = || HierarchyBuilder::binary(root_rect(), 2).build().unwrap();
+        let mut h = tree();
+        let old = h.root();
+        let standby = h.reserve_standby(old).unwrap();
+        assert_eq!(h.standby_of(old), Some(standby));
+        assert!(h.is_retired(standby) && h.is_standby(standby) && h.runs(standby));
+        assert_eq!(h.promote_root(|_| true), Ok((standby, true)));
+        assert_eq!(h.root(), standby);
+        assert!(!h.is_retired(standby) && !h.is_standby(standby));
+        assert!(!h.runs(old) && h.standby_of(old).is_none());
+        h.validate().unwrap();
+
+        let mut h = tree();
+        let standby = h.reserve_standby(h.root()).unwrap();
+        let fresh = ServerId(h.len() as u32);
+        assert_eq!(h.promote_root(|id| id != standby), Ok((fresh, false)));
+        assert_eq!(h.root(), fresh);
+        assert!(!h.runs(standby), "a dead standby's slot stays retired");
+
+        let mut h = tree();
+        let fresh = ServerId(h.len() as u32);
+        assert_eq!(h.promote_root(|_| true), Ok((fresh, false)));
+        assert_eq!(h.root(), fresh);
+        assert!(!h.runs(ServerId(h.len() as u32)), "out of range");
     }
 
     #[test]

@@ -275,7 +275,11 @@ impl LocationServer {
         let next_path_maintenance_us = (!visitors.is_empty()).then_some(0);
         let caches = Caches::new(opts.caches);
         let corr = CorrIdGen::for_server(config.id);
-        let clock = HlcClock::new(config.id.0 as u16);
+        // Service time restarts near 0 in every life: stamp above every
+        // recovered record, or this life's guarded writes lose to them.
+        let mut clock = HlcClock::new(config.id.0 as u16);
+        visitors.iter().for_each(|(_, r)| clock.observe(r.epoch()));
+        replicas.iter().for_each(|(_, v)| clock.observe(v.epoch));
         Ok(LocationServer {
             config,
             opts,

@@ -69,10 +69,6 @@ pub struct SimDeployment {
     next_ephemeral_client: u64,
     /// Messages blackholed at crashed servers.
     blackholed: u64,
-    /// Warm standbys: `of → standby slot` (see
-    /// [`SimDeployment::designate_standby`]). Standby slots are marked
-    /// retired in the hierarchy until promotion activates them.
-    standbys: BTreeMap<ServerId, ServerId>,
     /// Whether [`SimDeployment::enable_replication`] ran: promotions
     /// then re-designate standbys and joins wire into the leaf
     /// replica ring.
@@ -120,7 +116,6 @@ impl SimDeployment {
             corr: CorrIdGen::namespaced(1 << 20),
             next_ephemeral_client: 1 << 40,
             blackholed: 0,
-            standbys: BTreeMap::new(),
             replication: false,
         }
     }
@@ -134,7 +129,7 @@ impl SimDeployment {
         // A standby slot is marked retired in the hierarchy (it takes
         // no part in routing until promoted) but crash-restarts like
         // any other server.
-        let is_standby = self.standbys.values().any(|s| *s == id);
+        let is_standby = self.hierarchy.is_standby(id);
         let retired = self.servers.hosts(id) && self.hierarchy.is_retired(id);
         if retired && !is_standby {
             return false;
@@ -300,31 +295,23 @@ impl SimDeployment {
             "root failover requires the root (server {}) to be down",
             old.0
         );
-        if let Some(standby) = self.standbys.remove(&old) {
-            if !self.servers.is_down(standby) {
-                // Warm path: O(1) table adoption.
-                self.hierarchy
-                    .fail_over_root_to(standby)
-                    .expect("fail_over_root_to rejected");
-                self.push_config(standby);
-                let now = self.net.now_us();
-                if let Some(server) = self.servers.get_mut(standby) {
-                    server.leave_standby_mode(now);
-                }
-                self.repoint_children(standby);
-                if self.replication {
-                    self.designate_standby(standby);
-                }
-                return standby;
-            }
-            // The standby died with the root: its slot stays retired
-            // forever; fall through to the cold rebuild path.
-        }
-        let new_id = self.hierarchy.fail_over_root().expect("fail_over_root rejected");
-        self.spawn(new_id);
-        self.repoint_children(new_id);
+        let servers = &self.servers;
+        let (new_id, warm) =
+            self.hierarchy.promote_root(|s| !servers.is_down(s)).expect("root promotion rejected");
         let now = self.net.now_us();
-        self.on(new_id, |s| s.begin_path_sync(now));
+        if warm {
+            // O(1) table adoption.
+            self.push_config(new_id);
+            if let Some(server) = self.servers.get_mut(new_id) {
+                server.leave_standby_mode(now);
+            }
+            self.repoint_children(new_id);
+        } else {
+            // A dead standby's slot stays retired forever.
+            self.spawn(new_id);
+            self.repoint_children(new_id);
+            self.on(new_id, |s| s.begin_path_sync(now));
+        }
         if self.replication {
             self.designate_standby(new_id);
         }
@@ -385,10 +372,9 @@ impl SimDeployment {
     pub fn designate_standby(&mut self, of: ServerId) -> ServerId {
         assert!(!self.hierarchy.server(of).is_leaf(), "standbys shadow non-leaves");
         assert!(!self.servers.is_down(of), "server {} is down", of.0);
-        assert!(!self.standbys.contains_key(&of), "server {} already has a standby", of.0);
+        assert!(self.hierarchy.standby_of(of).is_none(), "server {} already has a standby", of.0);
         let standby = self.hierarchy.reserve_standby(of).expect("reserve_standby rejected");
         self.spawn(standby).enter_standby_mode();
-        self.standbys.insert(of, standby);
         let now = self.net.now_us();
         self.on(of, |s| s.set_replication_sink(now, standby, false));
         standby
@@ -396,7 +382,7 @@ impl SimDeployment {
 
     /// The designated standby for `of`, when one exists.
     pub fn standby_of(&self, of: ServerId) -> Option<ServerId> {
-        self.standbys.get(&of).copied()
+        self.hierarchy.standby_of(of)
     }
 
     /// Builds a reshape's newcomer `id`; panics when its durable store

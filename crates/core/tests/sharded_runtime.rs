@@ -1,8 +1,8 @@
 //! The sharded runtime's chaos surface: crash / restart / partition
-//! verbs, bounded-inbox shedding, and explicit shard layouts — on both
-//! real transports.
+//! verbs, bounded-inbox shedding, explicit shard layouts and a durable
+//! deployment's second life — on both real transports.
 
-use hiloc_core::area::HierarchyBuilder;
+use hiloc_core::area::{Hierarchy, HierarchyBuilder};
 use hiloc_core::model::{ObjectId, Sighting};
 use hiloc_core::node::{DurabilityOptions, ServerOptions, StorageSyncPolicy};
 use hiloc_core::runtime::{
@@ -190,6 +190,71 @@ fn power_loss_keeps_what_a_checkpoint_synced_and_a_process_crash_everything() {
         client.set_timeout(Duration::from_millis(300));
         assert_eq!(acked(&mut client, 2), unsynced_survives, "{mode:?}: the un-synced record");
     }
+}
+
+/// Service time restarts near 0 in every life of a deployment, so a
+/// durable server's first stamps in a new life must still outrank the
+/// records it recovered. The first life registers an object at leaf 1
+/// at about 800 ms of service time. The second life, on the same data
+/// directory, at once deregisters it there and registers it at leaf 4:
+/// the root and the old leaf must answer the new position.
+///
+/// One shard runs every server, so the root applies the deregistration's
+/// `RemovePath` before the new `CreatePath`. Leaf 4 recovers no record
+/// to stamp above, so a `CreatePath` that overtook the `RemovePath`
+/// would still lose to the root's recovered record until service time
+/// passes the first life's.
+fn second_life_outranks_the_first<W, L: Port<Message>>(
+    deploy: impl Fn(Hierarchy, ServerOptions) -> (ShardedDeployment<W>, Client<L>),
+) {
+    let dir = TempDir::new("second-life");
+    let opts = ServerOptions {
+        durability: Some(DurabilityOptions {
+            dir: dir.path().to_path_buf(),
+            policy: StorageSyncPolicy::Always,
+        }),
+        ..Default::default()
+    };
+    let (old_leaf, new_leaf) = (ServerId(1), ServerId(4));
+    let (ls, mut client) = deploy(hierarchy(1_000.0, 1, 2), opts.clone());
+    client.set_timeout(Duration::from_secs(2));
+    std::thread::sleep(Duration::from_millis(800));
+    let pos = ls.hierarchy().server(old_leaf).area.center();
+    let s = Sighting::new(ObjectId(1), client.now_us(), pos, 5.0);
+    assert_eq!(client.register(old_leaf, s, 10.0, 50.0, 2.0).expect("first life").0, old_leaf);
+    ls.shutdown_with_stats();
+
+    let (ls, mut client) = deploy(hierarchy(1_000.0, 1, 2), opts);
+    client.set_timeout(Duration::from_secs(2));
+    let pos = ls.hierarchy().server(new_leaf).area.center();
+    client.deregister(old_leaf, ObjectId(1));
+    let s = Sighting::new(ObjectId(1), client.now_us(), pos, 5.0);
+    assert_eq!(client.register(new_leaf, s, 10.0, 50.0, 2.0).expect("second life").0, new_leaf);
+    for entry in [ServerId(0), old_leaf] {
+        let ld = client.pos_query(entry, ObjectId(1));
+        assert_eq!(ld.map(|ld| ld.pos), Ok(pos), "pos query entered at {entry}");
+    }
+    ls.shutdown_with_stats();
+}
+
+#[test]
+fn channel_second_life_outranks_the_first() {
+    second_life_outranks_the_first(|h, opts| {
+        let one = ShardSpec { shards: 1, ..Default::default() };
+        let ls = ThreadedDeployment::new_sharded(h, opts, one);
+        let client = ls.client();
+        (ls, client)
+    });
+}
+
+#[test]
+fn udp_second_life_outranks_the_first() {
+    second_life_outranks_the_first(|h, opts| {
+        let one = ShardSpec { shards: 1, ..Default::default() };
+        let ls = UdpDeployment::bind_sharded(h, opts, one).expect("bind");
+        let client = ls.client().expect("client socket");
+        (ls, client)
+    });
 }
 
 #[test]

@@ -97,13 +97,11 @@ impl ScenarioSpec {
 /// with replication on, the standby-slot reservations
 /// (`SimDeployment::enable_replication` / `designate_standby`), since
 /// every reserved slot shifts the id the next `Spawn` or cold
-/// failover allocates.
+/// failover allocates. The hierarchy records the designations and
+/// applies the promotion rule, as it does for the runtime.
 struct TimelineModel {
     h: Hierarchy,
     down: std::collections::BTreeSet<u32>,
-    /// Warm-standby slots (`shadowed non-leaf → standby`), mirrored
-    /// from the runtime when `replication` is set.
-    standbys: BTreeMap<u32, u32>,
     replication: bool,
     /// A `Partition` verb is in force (until the next `HealNetwork`).
     partitioned: bool,
@@ -118,7 +116,6 @@ impl TimelineModel {
         let mut model = TimelineModel {
             h,
             down: Default::default(),
-            standbys: BTreeMap::new(),
             replication,
             partitioned: false,
             num_objects,
@@ -127,8 +124,7 @@ impl TimelineModel {
             let non_leaves: Vec<ServerId> =
                 model.h.active().filter(|c| !c.is_leaf()).map(|c| c.id).collect();
             for of in non_leaves {
-                let slot = model.h.reserve_standby(of).expect("standby reservation");
-                model.standbys.insert(of.0, slot.0);
+                model.h.reserve_standby(of).expect("standby reservation");
             }
         }
         model
@@ -138,37 +134,19 @@ impl TimelineModel {
         (id.0 as usize) < self.h.len()
     }
 
-    /// Whether `id` is a reserved standby slot: hierarchy-retired, but
-    /// with a live server instance that crashes and restarts normally.
-    fn is_standby_slot(&self, id: ServerId) -> bool {
-        self.standbys.values().any(|&s| s == id.0)
-    }
-
-    /// Live standby slots — crash targets the plain `active()` walk
-    /// misses.
-    fn live_standbys(&self) -> Vec<u32> {
-        self.standbys.values().copied().filter(|s| !self.down.contains(s)).collect()
-    }
-
     /// Applies one verb when it is legal at the current state; `false`
     /// (state untouched) otherwise.
     fn try_apply(&mut self, action: &FaultAction) -> bool {
         match action {
             FaultAction::Crash(id) | FaultAction::PowerLoss(id) => {
-                if !self.in_range(*id)
-                    || (self.h.is_retired(*id) && !self.is_standby_slot(*id))
-                    || self.down.contains(&id.0)
-                {
+                if !self.h.runs(*id) || self.down.contains(&id.0) {
                     return false;
                 }
                 self.down.insert(id.0);
                 true
             }
             FaultAction::Restart(id) => {
-                if !self.in_range(*id)
-                    || (self.h.is_retired(*id) && !self.is_standby_slot(*id))
-                    || !self.down.contains(&id.0)
-                {
+                if !self.h.runs(*id) || !self.down.contains(&id.0) {
                     return false;
                 }
                 self.down.remove(&id.0);
@@ -177,9 +155,7 @@ impl TimelineModel {
             FaultAction::Checkpoint(id) => {
                 // Legal on any live server; leaves the timeline state
                 // untouched (a checkpoint changes only on-disk layout).
-                self.in_range(*id)
-                    && (!self.h.is_retired(*id) || self.is_standby_slot(*id))
-                    && !self.down.contains(&id.0)
+                self.h.runs(*id) && !self.down.contains(&id.0)
             }
             FaultAction::Spawn { split } => {
                 if !self.in_range(*split) || self.h.len() >= MAX_SERVERS {
@@ -200,28 +176,14 @@ impl TimelineModel {
                 if !self.down.contains(&old.0) {
                     return false;
                 }
-                // Mirror `SimDeployment::promote_root` exactly: the
-                // mapping is consumed either way; a live standby is
-                // adopted in place (no new id), a dead or absent one
-                // falls back to a freshly allocated successor — and
-                // with replication on, the new root gets a fresh
-                // reserved slot in both cases.
-                let new_root = match self.standbys.remove(&old.0) {
-                    Some(standby) if !self.down.contains(&standby) => {
-                        let standby = ServerId(standby);
-                        if self.h.fail_over_root_to(standby).is_err() {
-                            return false;
-                        }
-                        standby
-                    }
-                    _ => match self.h.fail_over_root() {
-                        Ok(id) => id,
-                        Err(_) => return false,
-                    },
+                // As `SimDeployment::promote_root`: with replication on,
+                // the new root gets a fresh reserved slot.
+                let down = &self.down;
+                let Ok((new_root, _)) = self.h.promote_root(|s| !down.contains(&s.0)) else {
+                    return false;
                 };
                 if self.replication {
-                    let slot = self.h.reserve_standby(new_root).expect("standby reservation");
-                    self.standbys.insert(new_root.0, slot.0);
+                    self.h.reserve_standby(new_root).expect("standby reservation");
                 }
                 true
             }
@@ -384,19 +346,11 @@ pub fn generate_with(
         // land on the very last step (late reshapes are exactly where
         // stale §6.5 cache entries survive into the verdict).
         let crash_ok = step + 2 < steps;
-        let live: Vec<u32> = {
-            let mut ids: Vec<u32> = model
-                .h
-                .active()
-                .filter(|c| !model.down.contains(&c.id.0))
-                .map(|c| c.id.0)
-                .collect();
-            // Standby slots are retired in the hierarchy but live as
-            // processes — with replication on they crash too.
-            ids.extend(model.live_standbys());
-            ids.sort_unstable();
-            ids
-        };
+        // Standby slots are retired in the hierarchy but live as
+        // processes — with replication on they crash too.
+        let live: Vec<u32> = (0..model.h.len() as u32)
+            .filter(|&id| model.h.runs(ServerId(id)) && !model.down.contains(&id))
+            .collect();
         let crashable: Vec<u32> = if crash_ok { live.clone() } else { Vec::new() };
         let splittable: Vec<u32> = if caps.reshape && model.h.len() < MAX_SERVERS {
             model
@@ -439,14 +393,13 @@ pub fn generate_with(
                 // delta stream, the watermark and the promotion path
                 // under fire.
                 let hot: Vec<u32> = if replication {
-                    let root = model.h.root().0;
-                    let mut hot: Vec<u32> = crashable
+                    let root = model.h.root();
+                    let standby = model.h.standby_of(root);
+                    crashable
                         .iter()
                         .copied()
-                        .filter(|&id| id == root || model.standbys.get(&root) == Some(&id))
-                        .collect();
-                    hot.sort_unstable();
-                    hot
+                        .filter(|&id| id == root.0 || standby == Some(ServerId(id)))
+                        .collect()
                 } else {
                     Vec::new()
                 };

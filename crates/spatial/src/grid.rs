@@ -31,7 +31,7 @@ pub struct GridIndex {
     cell_size: f64,
     // lint:allow(determinism) addressed by computed cell coords; ranged scans and max-reductions only, order never observable
     cells: HashMap<(i64, i64), Vec<Entry>>,
-    // lint:allow(determinism) O(1) lookups on the hot update path; for_each snapshots and sorts before emitting
+    // lint:allow(determinism) O(1) lookups for update, get and len; never iterated
     by_key: HashMap<ObjectKey, Point>,
 }
 
@@ -118,11 +118,6 @@ impl SpatialIndex for GridIndex {
         self.by_key.len()
     }
 
-    fn clear(&mut self) {
-        self.cells.clear();
-        self.by_key.clear();
-    }
-
     fn query_rect(&self, rect: &Rect, sink: &mut dyn FnMut(Entry)) {
         let (cx0, cy0) = self.cell_of(rect.min());
         let (cx1, cy1) = self.cell_of(rect.max());
@@ -189,37 +184,6 @@ impl SpatialIndex for GridIndex {
             }
         }
         best
-    }
-
-    fn k_nearest_where(
-        &self,
-        p: Point,
-        k: usize,
-        filter: &mut dyn FnMut(ObjectKey) -> bool,
-    ) -> Vec<(Entry, f64)> {
-        let mut result: Vec<(Entry, f64)> = Vec::with_capacity(k);
-        let mut taken: std::collections::BTreeSet<ObjectKey> = std::collections::BTreeSet::new();
-        for _ in 0..k {
-            match self.nearest_where(p, &mut |key| !taken.contains(&key) && filter(key)) {
-                Some(c) => {
-                    taken.insert(c.0.key);
-                    result.push(c);
-                }
-                None => break,
-            }
-        }
-        result
-    }
-
-    fn for_each(&self, sink: &mut dyn FnMut(Entry)) {
-        // Snapshot and sort so emission order is independent of the
-        // map's hash state (full scans are cold; determinism wins).
-        let mut live: Vec<(ObjectKey, Point)> =
-            self.by_key.iter().map(|(&k, &p)| (k, p)).collect();
-        live.sort_unstable_by_key(|&(k, _)| k);
-        for (key, pos) in live {
-            sink(Entry::new(key, pos));
-        }
     }
 }
 

@@ -48,7 +48,7 @@ pub use naive::NaiveIndex;
 pub use point_quadtree::PointQuadtree;
 pub use rtree::RTree;
 
-use hiloc_geo::{Circle, Point, Rect};
+use hiloc_geo::{Point, Rect};
 
 /// Key identifying an indexed object (the location service maps its
 /// object identifiers onto these).
@@ -115,21 +115,8 @@ pub trait SpatialIndex: Send {
         self.len() == 0
     }
 
-    /// Removes all objects.
-    fn clear(&mut self);
-
     /// Invokes `sink` for every entry inside or on `rect`.
     fn query_rect(&self, rect: &Rect, sink: &mut dyn FnMut(Entry));
-
-    /// Invokes `sink` for every entry inside or on `circle`.
-    fn query_circle(&self, circle: &Circle, sink: &mut dyn FnMut(Entry)) {
-        let bbox = circle.bounding_rect();
-        self.query_rect(&bbox, &mut |e| {
-            if circle.contains(e.pos) {
-                sink(e);
-            }
-        });
-    }
 
     /// The entry nearest to `p` among those accepted by `filter`,
     /// together with its distance. Ties are broken by the smaller key.
@@ -145,18 +132,6 @@ pub trait SpatialIndex: Send {
     fn nearest(&self, p: Point) -> Option<(Entry, f64)> {
         self.nearest_where(p, &mut |_| true)
     }
-
-    /// The `k` entries nearest to `p` among those accepted by `filter`,
-    /// ordered by ascending distance (ties by key).
-    fn k_nearest_where(
-        &self,
-        p: Point,
-        k: usize,
-        filter: &mut dyn FnMut(ObjectKey) -> bool,
-    ) -> Vec<(Entry, f64)>;
-
-    /// Invokes `sink` for every entry in the index.
-    fn for_each(&self, sink: &mut dyn FnMut(Entry));
 }
 
 /// Deterministic ordering for (distance, key) candidate pairs: ascending
@@ -181,17 +156,6 @@ mod trait_tests {
         let e = Entry::new(7, Point::new(1.0, 2.0));
         assert_eq!(e.key, 7);
         assert_eq!(e.pos, Point::new(1.0, 2.0));
-    }
-
-    #[test]
-    fn default_circle_query_filters_corners() {
-        let mut idx = NaiveIndex::new();
-        idx.insert(1, Point::new(0.9, 0.9)); // in bbox, outside circle
-        idx.insert(2, Point::new(0.5, 0.0)); // inside circle
-        let c = Circle::new(Point::ORIGIN, 1.0);
-        let mut hits = Vec::new();
-        idx.query_circle(&c, &mut |e| hits.push(e.key));
-        assert_eq!(hits, vec![2]);
     }
 
     #[test]

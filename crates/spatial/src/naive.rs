@@ -38,10 +38,6 @@ impl SpatialIndex for NaiveIndex {
         self.entries.len()
     }
 
-    fn clear(&mut self) {
-        self.entries.clear();
-    }
-
     fn query_rect(&self, rect: &Rect, sink: &mut dyn FnMut(Entry)) {
         for (&key, &pos) in &self.entries {
             if rect.contains(pos) {
@@ -67,29 +63,6 @@ impl SpatialIndex for NaiveIndex {
             }
         }
         best
-    }
-
-    fn k_nearest_where(
-        &self,
-        p: Point,
-        k: usize,
-        filter: &mut dyn FnMut(ObjectKey) -> bool,
-    ) -> Vec<(Entry, f64)> {
-        let mut all: Vec<(Entry, f64)> = self
-            .entries
-            .iter()
-            .filter(|(k2, _)| filter(**k2))
-            .map(|(&key, &pos)| (Entry::new(key, pos), p.distance(pos)))
-            .collect();
-        all.sort_by(candidate_cmp);
-        all.truncate(k);
-        all
-    }
-
-    fn for_each(&self, sink: &mut dyn FnMut(Entry)) {
-        for (&key, &pos) in &self.entries {
-            sink(Entry::new(key, pos));
-        }
     }
 }
 
@@ -126,26 +99,5 @@ mod tests {
         idx.insert(2, Point::new(5.0, 0.0));
         let (e, _) = idx.nearest_where(Point::ORIGIN, &mut |k| k != 1).unwrap();
         assert_eq!(e.key, 2);
-    }
-
-    #[test]
-    fn k_nearest_sorted_and_truncated() {
-        let mut idx = NaiveIndex::new();
-        for i in 0..10u64 {
-            idx.insert(i, Point::new(i as f64, 0.0));
-        }
-        let got = idx.k_nearest_where(Point::ORIGIN, 3, &mut |_| true);
-        let keys: Vec<_> = got.iter().map(|(e, _)| e.key).collect();
-        assert_eq!(keys, vec![0, 1, 2]);
-        assert!(got.windows(2).all(|w| w[0].1 <= w[1].1));
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut idx = NaiveIndex::new();
-        idx.insert(1, Point::ORIGIN);
-        idx.clear();
-        assert!(idx.is_empty());
-        assert_eq!(idx.nearest(Point::ORIGIN), None);
     }
 }

@@ -189,7 +189,7 @@ pub struct PointQuadtree {
     /// reaches it through the entry's handle (see
     /// [`PointQuadtree::upsert_handle`]), so this is the owner's only
     /// key map too.
-    // lint:allow(determinism) lookups only; walks and for_each read the cell arena, never this map
+    // lint:allow(determinism) lookups only; query walks read the cell arena, never this map
     by_key: HashMap<ObjectKey, (u32, u32)>,
 }
 
@@ -384,10 +384,6 @@ impl SpatialIndex for PointQuadtree {
         self.by_key.len()
     }
 
-    fn clear(&mut self) {
-        *self = Self::default();
-    }
-
     /// The overflow bucket, then a pre-order walk of the cells the
     /// rectangle reaches, SW before SE, NW and NE.
     fn query_rect(&self, rect: &Rect, sink: &mut dyn FnMut(Entry)) {
@@ -447,37 +443,6 @@ impl SpatialIndex for PointQuadtree {
             offer(&mut best, p, item, filter);
         }
         best
-    }
-
-    fn k_nearest_where(
-        &self,
-        p: Point,
-        k: usize,
-        filter: &mut dyn FnMut(ObjectKey) -> bool,
-    ) -> Vec<(Entry, f64)> {
-        // Iterative deepening by exclusion: k rounds of nearest_where,
-        // each excluding the keys already returned. k is small in
-        // practice (near-neighbor sets), so this trades a log factor for
-        // simplicity and exact tie-break parity with the oracle.
-        let mut result: Vec<(Entry, f64)> = Vec::with_capacity(k);
-        let mut taken: std::collections::BTreeSet<ObjectKey> = std::collections::BTreeSet::new();
-        for _ in 0..k {
-            let next = self.nearest_where(p, &mut |key| !taken.contains(&key) && filter(key));
-            match next {
-                Some(c) => {
-                    taken.insert(c.0.key);
-                    result.push(c);
-                }
-                None => break,
-            }
-        }
-        result
-    }
-
-    fn for_each(&self, sink: &mut dyn FnMut(Entry)) {
-        for item in self.cells.iter().flat_map(|c| &c.items) {
-            sink(Entry::new(item.key, item.pos));
-        }
     }
 }
 
@@ -540,20 +505,6 @@ mod tests {
         let t = tree_with(&[(1, 1.0, 0.0), (2, 2.0, 0.0), (3, 3.0, 0.0)]);
         let (e, _) = t.nearest_where(Point::ORIGIN, &mut |k| k > 2).unwrap();
         assert_eq!(e.key, 3);
-    }
-
-    #[test]
-    fn k_nearest_in_order() {
-        let t = tree_with(&[(1, 1.0, 0.0), (2, 2.0, 0.0), (3, 3.0, 0.0), (4, 4.0, 0.0)]);
-        let got = t.k_nearest_where(Point::ORIGIN, 3, &mut |_| true);
-        let keys: Vec<_> = got.iter().map(|(e, _)| e.key).collect();
-        assert_eq!(keys, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn k_nearest_more_than_len() {
-        let t = tree_with(&[(1, 1.0, 0.0)]);
-        assert_eq!(t.k_nearest_where(Point::ORIGIN, 5, &mut |_| true).len(), 1);
     }
 
     /// Splits allocate four-child groups; removals merge them back and
@@ -795,9 +746,7 @@ mod tests {
                 let end = Point::new(n as f64, n as f64 * 0.5);
                 let (e, _) = line.nearest_where(end, &mut |k| k % 2 == 0).unwrap();
                 assert_eq!(e.key, n - 2);
-                let keys: Vec<u64> =
-                    line.k_nearest_where(end, 3, &mut |_| true).iter().map(|(e, _)| e.key).collect();
-                assert_eq!(keys, vec![n - 1, n - 2, n - 3]);
+                assert_eq!(line.nearest(end).map(|(e, _)| e.key), Some(n - 1));
 
                 let m = 20_000u64;
                 let at = Point::new(250.0, -40.0);
@@ -810,9 +759,7 @@ mod tests {
                 point.query_rect(&Rect::new(at, at), &mut |_| all += 1);
                 assert_eq!(all, m);
                 assert_eq!(point.nearest_where(Point::ORIGIN, &mut |k| k >= 7).map(|(e, _)| e.key), Some(7));
-                let keys: Vec<u64> =
-                    point.k_nearest_where(at, 3, &mut |_| true).iter().map(|(e, _)| e.key).collect();
-                assert_eq!(keys, vec![0, 1, 2]);
+                assert_eq!(point.nearest(at).map(|(e, _)| e.key), Some(0));
             })
             .unwrap();
         walk.join().expect("adversarial shapes built and queried on a 2 MiB stack");

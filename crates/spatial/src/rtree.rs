@@ -1,6 +1,6 @@
 //! R-tree with quadratic split (Guttman) — the paper's cited alternative.
 
-use crate::{candidate_cmp, distance_cmp, Entry, ObjectKey, SpatialIndex};
+use crate::{distance_cmp, Entry, ObjectKey, SpatialIndex};
 use hiloc_geo::{Point, Rect};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -42,7 +42,7 @@ enum Node {
 pub struct RTree {
     nodes: Vec<Node>,
     root: Option<u32>,
-    // lint:allow(determinism) O(1) lookups; for_each snapshots and sorts before emitting
+    // lint:allow(determinism) O(1) lookups for get, update and remove; never iterated
     by_key: HashMap<ObjectKey, Point>,
     free: Vec<u32>,
 }
@@ -409,62 +409,20 @@ impl SpatialIndex for RTree {
         self.by_key.len()
     }
 
-    fn clear(&mut self) {
-        self.nodes.clear();
-        self.by_key.clear();
-        self.root = None;
-        self.free.clear();
-    }
-
     fn query_rect(&self, rect: &Rect, sink: &mut dyn FnMut(Entry)) {
         if let Some(root) = self.root {
             self.query_rec(root, rect, sink);
         }
     }
 
+    /// Best-first search: nodes and entries share one heap ordered by
+    /// distance (ties by key), so the first entry popped is the nearest.
     fn nearest_where(
         &self,
         p: Point,
         filter: &mut dyn FnMut(ObjectKey) -> bool,
     ) -> Option<(Entry, f64)> {
-        let mut found = self.k_nearest_impl(p, 1, filter);
-        found.pop()
-    }
-
-    fn k_nearest_where(
-        &self,
-        p: Point,
-        k: usize,
-        filter: &mut dyn FnMut(ObjectKey) -> bool,
-    ) -> Vec<(Entry, f64)> {
-        self.k_nearest_impl(p, k, filter)
-    }
-
-    fn for_each(&self, sink: &mut dyn FnMut(Entry)) {
-        // Snapshot and sort so emission order is independent of the
-        // map's hash state (full scans are cold; determinism wins).
-        let mut live: Vec<(ObjectKey, Point)> =
-            self.by_key.iter().map(|(&k, &p)| (k, p)).collect();
-        live.sort_unstable_by_key(|&(k, _)| k);
-        for (key, pos) in live {
-            sink(Entry::new(key, pos));
-        }
-    }
-}
-
-impl RTree {
-    /// Best-first k-nearest traversal.
-    fn k_nearest_impl(
-        &self,
-        p: Point,
-        k: usize,
-        filter: &mut dyn FnMut(ObjectKey) -> bool,
-    ) -> Vec<(Entry, f64)> {
-        let mut result = Vec::with_capacity(k);
-        let Some(root) = self.root else { return result };
-        if k == 0 {
-            return result;
-        }
+        let root = self.root?;
         let mut heap = BinaryHeap::new();
         heap.push(HeapItem {
             dist: self.node_rect(root).distance_to_point(p),
@@ -473,12 +431,7 @@ impl RTree {
         });
         while let Some(item) = heap.pop() {
             match item.kind {
-                HeapKind::Entry(e) => {
-                    result.push((e, item.dist));
-                    if result.len() == k {
-                        break;
-                    }
-                }
+                HeapKind::Entry(e) => return Some((e, item.dist)),
                 HeapKind::Node(id) => match &self.nodes[id as usize] {
                     Node::Leaf { entries } => {
                         for e in entries {
@@ -503,8 +456,7 @@ impl RTree {
                 },
             }
         }
-        result.sort_by(candidate_cmp);
-        result
+        None
     }
 }
 

@@ -136,9 +136,9 @@ struct Bucket {
 ///
 /// # Determinism
 ///
-/// Iteration (`for_each`) walks slots in arena order and expiry
-/// delivers records sorted by `(deadline, key)`, so two runs that issue
-/// the same operations observe identical orders — a property the
+/// Expiry delivers records sorted by `(deadline, key)`, and wheel
+/// compaction rebuilds from the slots in arena order, so two runs that
+/// issue the same operations observe identical orders — a property the
 /// deterministic chaos harness relies on.
 ///
 /// # Example
@@ -319,15 +319,6 @@ impl SightingDb {
         self.slots.len()
     }
 
-    /// Removes everything.
-    pub fn clear(&mut self) {
-        self.index.clear();
-        self.slots.clear();
-        self.free.clear();
-        self.wheel.clear();
-        self.wheel_len = 0;
-    }
-
     // lint:hot_path
     fn wheel_push(&mut self, bucket: u64, slot: u32, gen: u32, expires_us: u64) {
         let b = self.wheel.entry(bucket).or_insert_with(|| Bucket {
@@ -453,28 +444,6 @@ impl SightingDb {
         filter: &mut dyn FnMut(u64) -> bool,
     ) -> Option<(Entry, f64)> {
         self.index.nearest_where(p, filter)
-    }
-
-    /// The `k` index entries nearest to `p` among those whose key
-    /// `filter` accepts, ascending by distance.
-    pub fn k_nearest_where(
-        &self,
-        p: Point,
-        k: usize,
-        filter: &mut dyn FnMut(u64) -> bool,
-    ) -> Vec<(Entry, f64)> {
-        self.index.k_nearest_where(p, k, filter)
-    }
-
-    /// Invokes `sink` for every stored sighting, in slab (arena) order —
-    /// deterministic across same-seed runs.
-    pub fn for_each(&self, sink: &mut dyn FnMut(&StoredSighting)) {
-        for sl in &self.slots {
-            if sl.live {
-                let (_, pos) = self.index.get_handle(sl.key).expect("a live slot's key is indexed");
-                sink(&sl.record(pos));
-            }
-        }
     }
 }
 
@@ -638,40 +607,6 @@ mod tests {
         let mut with = Vec::new();
         db.range_candidates(&region, 5.0, &mut |r| with.push(r.key));
         assert_eq!(with, vec![1]);
-    }
-
-    #[test]
-    fn k_nearest_ordering() {
-        let mut db = SightingDb::new_quadtree();
-        for i in 0..5u64 {
-            db.upsert(s(i, i as f64 * 2.0, 0.0, 1_000));
-        }
-        let got = db.k_nearest_where(Point::ORIGIN, 3, &mut |_| true);
-        let keys: Vec<u64> = got.iter().map(|(r, _)| r.key).collect();
-        assert_eq!(keys, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn for_each_in_arena_order() {
-        let mut db = SightingDb::new_quadtree();
-        db.upsert(s(7, 0.0, 0.0, 100));
-        db.upsert(s(3, 1.0, 0.0, 100));
-        db.upsert(s(5, 2.0, 0.0, 100));
-        let mut keys = Vec::new();
-        db.for_each(&mut |r| keys.push(r.key));
-        assert_eq!(keys, vec![7, 3, 5], "arena order = insertion order here");
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let mut db = SightingDb::new_quadtree();
-        db.upsert(s(1, 0.0, 0.0, 100));
-        db.clear();
-        assert!(db.is_empty());
-        assert_eq!(db.next_expiry(), None);
-        assert_eq!(db.expiry_entries(), 0);
-        assert_eq!(db.slot_capacity(), 0);
-        assert!(db.expire_due(u64::MAX).is_empty());
     }
 
     /// Bytes-per-object ceiling at 12 500 objects (one leaf of a
